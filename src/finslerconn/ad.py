@@ -22,6 +22,9 @@ Two details matter for correctness downstream:
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
   precomputed sparse pair table per ring.
+* Every index contraction of such tensors goes through :func:`contract`,
+  an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
+  how a series contraction is evaluated is decided in this one place.
 
 Typical usage::
 
@@ -59,6 +62,7 @@ __all__ = [
     "partial",
     "hessian_y",
     "third_y",
+    "contract",
     "matmul",
     "matinv",
 ]
@@ -423,12 +427,72 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
+# contraction over the tensor axes
+
+
+_PLANS: dict[str, tuple] = {}
+
+
+def _contraction_plan(spec: str) -> tuple:
+    """Operand layouts, summed axes and output order of an einsum spec."""
+    lhs, arrow, out = spec.replace(" ", "").partition("->")
+    terms, letters = lhs.split(","), lhs.replace(",", "")
+    if not arrow or not (letters + out).isascii() or not (letters + out).isalpha():
+        raise ValueError(f"malformed contraction spec {spec!r}; expected e.g. 'ij,jk->ik'")
+    order = "".join(dict.fromkeys(letters))  # the broadcast layout
+    if len(set(out)) != len(out) or not set(out) <= set(order):
+        raise ValueError(f"output of contraction spec {spec!r} must name distinct input indices")
+    layouts = []
+    for term in terms:
+        uniq = "".join(dict.fromkeys(term))
+        perm = tuple(sorted(range(len(uniq)), key=lambda a: order.index(uniq[a])))
+        expand = tuple(slice(None) if c in uniq else None for c in order)
+        diagonal = None if uniq == term else f"{term}...->{uniq}..."
+        layouts.append((diagonal, perm + (len(uniq),), expand + (slice(None),)))
+    summed, kept = [c for c in order if c not in out], [c for c in order if c in out]
+    # one axis at a time, in index order; each sum shifts the later axes left
+    sum_axes = tuple(order.index(c) - i for i, c in enumerate(summed))
+    return terms, layouts, sum_axes, tuple(kept.index(c) for c in out) + (len(out),)
+
+
+def contract(spec: str, *series: Series) -> Series:
+    """Einsum-style contraction over the tensor axes of series.
+
+    ``contract("ij,jk->ik", a, b)`` is the matrix product; an index repeated
+    in one operand takes its diagonal (``"imki->mk"`` is a trace).  The
+    operands are broadcast on the indices in order of first appearance and
+    multiplied left to right, the indices left out of the output are summed
+    one by one in that order, and the output order is a view.
+    """
+    plan = _PLANS.get(spec) or _PLANS.setdefault(spec, _contraction_plan(spec))
+    terms, layouts, sum_axes, out_perm = plan
+    if len(series) != len(terms):
+        raise ValueError(f"spec {spec!r} names {len(terms)} operands, got {len(series)}")
+    sizes: dict[str, int] = {}
+    prod = None
+    for s, term, (diagonal, perm, expand) in zip(series, terms, layouts):
+        shape = s.shape
+        if len(shape) != len(term):
+            raise ValueError(f"operand {term!r} of {spec!r} has shape {shape}")
+        for c, k in zip(term, shape):
+            if sizes.setdefault(c, k) != k:
+                raise ValueError(f"index {c!r} of {spec!r} has sizes {sizes[c]} and {k}")
+        coef = s.coef if diagonal is None else np.einsum(diagonal, s.coef)
+        op = Series(s.ring, coef.transpose(perm)[expand], s.valid)
+        prod = op if prod is None else prod * op
+    coef = prod.coef
+    for axis in sum_axes:
+        coef = coef.sum(axis=axis)
+    return Series(prod.ring, coef.transpose(out_perm), prod.valid)
+
+
+# ---------------------------------------------------------------------------
 # matrix helpers over the ring
 
 
 def matmul(a: Series, b: Series) -> Series:
     """Matrix product of two (n, n)-batched series."""
-    return (a[:, :, None] * b[None, :, :]).sum(axis=1)
+    return contract("ij,jk->ik", a, b)
 
 
 def matinv(g: Series) -> Series:

@@ -49,9 +49,15 @@ from .ad import (
     Series,
     ZeroCovector,
     ZeroMatrix,
+    contract,
 )
 from .connection import RicciEndomorphism
-from .deformation import DeformationParams, deformation_data
+from .deformation import (
+    DeformationParams,
+    deformation_data,
+    relative_residual,
+    worst_residual,
+)
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure, HilbertFormField
 
@@ -91,12 +97,12 @@ class MetricSplitPart:
 
     def eval(self, jets: ChartJets) -> Series:
         t = self.structure.tower(ChartPoint(jets.x0, jets.y0), jets.ring.order)
-        low = (self.inner.eval(jets)[:, :, None] * t.g[:, None, :]).sum(axis=0)
+        low = contract("ij,il->jl", self.inner.eval(jets), t.g)
         if self.part == "symmetric":
             low = 0.5 * (low + low.transpose(1, 0))
         else:
             low = 0.5 * (low - low.transpose(1, 0))
-        return (t.gi[:, None, :] * low[None, :, :]).sum(axis=2)
+        return contract("il,jl->ij", t.gi, low)
 
     def describe(self) -> str:
         inner = getattr(self.inner, "describe", lambda: type(self.inner).__name__)()
@@ -903,11 +909,6 @@ def closed_form_delta(
     return delta[:, j, :] @ np.asarray(Y, dtype=float)
 
 
-def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
-    scale = 1.0 + max(float(np.max(np.abs(r))) for r in refs)
-    return float(np.max(np.abs(diff))) / scale
-
-
 def _default_points(F: FinslerStructure, count: int = 4) -> list[ChartPoint]:
     """Deterministic sample points, directions in the positive shell."""
     rng = np.random.default_rng(1234 + F.n)
@@ -940,18 +941,17 @@ def check_case(
     )
     params = preset(case_id, F, **choices)
     pts = _default_points(F) if points is None else list(points)
-    worst = 0.0
-    worst_literal = 0.0 if spec.typo else None
+    residuals, literal = [], []
     for p in pts:
         ws = _Workspace(params, F, p)
         built = ws.difference
         target = spec.delta(ws, False)
-        worst = max(worst, _rel(built - target, built, target))
+        residuals.append(relative_residual(built - target, built, target))
         if spec.typo:
             printed = spec.delta(ws, True)
-            worst_literal = max(
-                worst_literal, _rel(built - printed, built, printed)
-            )
+            literal.append(relative_residual(built - printed, built, printed))
+    worst = worst_residual(residuals)
+    worst_literal = worst_residual(literal) if spec.typo else None
     return {
         "id": spec.id,
         "title": spec.title,

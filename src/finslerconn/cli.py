@@ -50,7 +50,7 @@ from .connection import (
     curvature_v,
     torsions,
 )
-from .deformation import DeformationParams, build, deformation_data
+from .deformation import DeformationParams, build, deformation_data, worst_residual
 from .expr import (
     ExprCovectorField,
     ExprError,
@@ -874,7 +874,7 @@ def cmd_diagram(config: Config, out: str | None) -> int:
         worst: dict[str, float] = {}
         for point in points:
             for key, value in diagram_residuals(pack, F, point).items():
-                worst[key] = max(worst.get(key, 0.0), value)
+                worst[key] = worst_residual((worst.get(key, 0.0), value))
         payload["metrics"][entry.name] = worst
         for group, _ in _DIAGRAM_GROUPS:
             for key, value in sorted(worst.items()):

@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .ad import ChartJets, Series
-from .finsler import ChartPoint, FinslerStructure, Tower
+from .ad import ChartJets, Series, contract
+from .finsler import ChartPoint, FinslerStructure, Tower, horizontal_derivative
 
 __all__ = [
     "Connection",
@@ -85,11 +83,7 @@ class Connection:
 
     def delta(self, t: Tower, s: Series, j: int) -> Series:
         """Horizontal derivative of a series using this connection's N."""
-        N = self.N(t)
-        out = s.d(j)
-        for m in range(t.n):
-            out = out - N[m, j] * s.d(t.n + m)
-        return out
+        return horizontal_derivative(s, j, self.N(t))
 
 
 CARTAN = Connection(
@@ -110,24 +104,8 @@ def contract_index(A: Series, W: Series, axis: int) -> Series:
 
     Returns a series shaped like ``W`` with that index replaced by ``i``.
     """
-    nd = len(W.shape)
-    perm = (axis,) + tuple(a for a in range(nd) if a != axis)
-    Wt = W.transpose(*perm)
-    expand = (slice(None), slice(None)) + (None,) * (nd - 1)
-    res = (A[expand] * Wt[(None,)]).sum(axis=1)
-    inv = tuple(int(i) for i in np.argsort(perm))
-    return res.transpose(*inv)
-
-
-def _pair(A: Series, B: Series) -> Series:
-    """``A[i, k, l] B[l, j, m] -> out[i, m, j, k]`` (curvature product block)."""
-    prod = (A[:, :, :, None, None] * B[None, None, :, :, :]).sum(axis=2)  # [i,k,j,m]
-    return prod.transpose(0, 3, 2, 1)
-
-
-def _with_value_slot(V: Series, C: Series) -> Series:
-    """``V[i, l, m] C[l, j, k] -> out[i, m, j, k]`` (vertical payoff block)."""
-    return (V[:, :, :, None, None] * C[None, :, None, :, :]).sum(axis=1)
+    w = "abcdefgh"[: len(W.shape)]
+    return contract(f"ip,{w[:axis]}p{w[axis + 1:]}->{w[:axis]}i{w[axis + 1:]}", A, W)
 
 
 def _alt(C: Series) -> Series:
@@ -202,8 +180,8 @@ def curvature_h(conn: Connection, t: Tower) -> Series:
     V = conn.V(t)
     dH = Series.stack([conn.delta(t, H, a) for a in range(n)])  # [a, i, j, m]
     A = dH.transpose(1, 3, 2, 0)  # A[i, m, j, k] = delta_k H^i_jm
-    B = _pair(H, H)  # B[i, m, j, k] = H^i_kl H^l_jm
-    return _alt(A) + _alt(B) + _with_value_slot(V, nonlinear_curvature(conn, t))
+    B = contract("ikl,ljm->imjk", H, H)  # B[i, m, j, k] = H^i_kl H^l_jm
+    return _alt(A) + _alt(B) + contract("ilm,ljk->imjk", V, nonlinear_curvature(conn, t))
 
 
 def curvature_mixed(conn: Connection, t: Tower) -> Series:
@@ -217,10 +195,10 @@ def curvature_mixed(conn: Connection, t: Tower) -> Series:
     dyN = Series.stack([N.d(n + k) for k in range(n)], axis=2)  # [l, j, k]
     return (
         dyH.transpose(1, 3, 2, 0)  # dH^i_jm / dy_k
-        + _pair(V, H)  # V^i_kl H^l_jm
+        + contract("ikl,ljm->imjk", V, H)  # V^i_kl H^l_jm
         - dV.transpose(1, 3, 0, 2)  # delta_j V^i_km
-        - _pair(H, V).transpose(0, 1, 3, 2)  # H^i_jl V^l_km
-        + _with_value_slot(V, dyN)  # (dN^l_j/dy_k) V^i_lm
+        - contract("ijl,lkm->imjk", H, V)  # H^i_jl V^l_km
+        + contract("ilm,ljk->imjk", V, dyN)  # (dN^l_j/dy_k) V^i_lm
     )
 
 
@@ -230,13 +208,13 @@ def curvature_v(conn: Connection, t: Tower) -> Series:
     V = conn.V(t)
     dyV = Series.stack([V.d(n + a) for a in range(n)])  # [a, i, j, m]
     A = dyV.transpose(1, 3, 2, 0)  # dV^i_jm / dy_k
-    B = _pair(V, V)
+    B = contract("ikl,ljm->imjk", V, V)
     return _alt(A) + _alt(B)
 
 
 def contract_value_slot(C: Series, t: Tower) -> Series:
     """Plug the tautological field into the value slot: C[i, m, j, k] y^m."""
-    return (C * t.ys[None, :, None, None]).sum(axis=1)
+    return contract("imjk,m->ijk", C, t.ys)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +232,7 @@ def cov_deriv(conn: Connection, t: Tower, W: Series, horizontal: bool) -> Series
     nlow = len(W.shape) - 1
     rows = []
     for l in range(n):
-        if horizontal:
-            out = conn.delta(t, W, l)
-        else:
-            out = W.d(n + l)
+        out = conn.delta(t, W, l) if horizontal else W.d(n + l)
         out = out + contract_index(C[:, l, :], W, 0)
         for s in range(nlow):
             out = out - contract_index(C.transpose(2, 1, 0)[:, l, :], W, 1 + s)
@@ -277,11 +252,8 @@ def metric_deficit(conn: Connection, t: Tower, horizontal: bool) -> Series:
     C = conn.H(t) if horizontal else conn.V(t)
     rows = []
     for j in range(n):
-        if horizontal:
-            base = conn.delta(t, g, j)
-        else:
-            base = g.d(n + j)
-        corr = (C.transpose(1, 0, 2)[j][:, :, None] * g[:, None, :]).sum(axis=0)
+        base = conn.delta(t, g, j) if horizontal else g.d(n + j)
+        corr = contract("mk,ml->kl", C[:, j, :], g)
         rows.append(base - corr - corr.transpose(1, 0))
     return Series.stack(rows)
 
@@ -295,17 +267,7 @@ def ricci(conn: Connection, t: Tower) -> Series:
 
     Reduces to the classical Ricci tensor in the Riemannian limit.
     """
-    R = curvature_h(conn, t)
-    n = t.n
-    rows = []
-    for m in range(n):
-        rows.append(
-            Series.stack([
-                sum((R[i, m, k, i] for i in range(n)), start=t.jets.const(0.0))
-                for k in range(n)
-            ])
-        )
-    return Series.stack(rows)
+    return contract("imki->mk", curvature_h(conn, t))
 
 
 class RicciEndomorphism:
@@ -324,7 +286,7 @@ class RicciEndomorphism:
         point = ChartPoint(jets.x0, jets.y0)
         t = self.structure.tower(point, jets.ring.order)
         ric = ricci(CARTAN, t)
-        return (t.gi[:, :, None] * ric[None, :, :]).sum(axis=1)
+        return contract("il,lk->ik", t.gi, ric)
 
     def describe(self) -> str:
         return "metric Ricci endomorphism"

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from .ad import ChartJets, CovectorField, MatrixField, ScalarField, Series
+from .ad import ChartJets, CovectorField, MatrixField, ScalarField, Series, contract
 from .ad import ConstantScalar, ZeroCovector, ZeroMatrix
 from .connection import (
     CARTAN,
@@ -146,7 +147,7 @@ class DeformationData:
     @cached_property
     def gphi(self) -> Series:
         """Lowered endomorphism g(phi e_j, e_l), shape (n, n)."""
-        return (self.phi[:, :, None] * self.t.g[:, None, :]).sum(axis=0)
+        return contract("ij,il->jl", self.phi, self.t.g)
 
     @cached_property
     def gphi1(self) -> Series:
@@ -159,43 +160,43 @@ class DeformationData:
     @cached_property
     def phi1(self) -> Series:
         """g-symmetric part of phi (an endomorphism again), shape (n, n)."""
-        return (self.t.gi[:, None, :] * self.gphi1[None, :, :]).sum(axis=2)
+        return contract("il,jl->ij", self.t.gi, self.gphi1)
 
     @cached_property
     def phi2(self) -> Series:
         """g-antisymmetric part of phi, shape (n, n)."""
-        return (self.t.gi[:, None, :] * self.gphi2[None, :, :]).sum(axis=2)
+        return contract("il,jl->ij", self.t.gi, self.gphi2)
 
     @cached_property
     def avec(self) -> Series:
         """The vector g-dual to A."""
-        return (self.t.gi * self.A[None, :]).sum(axis=1)
+        return contract("il,l->i", self.t.gi, self.A)
 
     @cached_property
     def bvec(self) -> Series:
-        return (self.t.gi * self.B[None, :]).sum(axis=1)
+        return contract("il,l->i", self.t.gi, self.B)
 
     @cached_property
     def uvec(self) -> Series:
-        return (self.t.gi * self.u[None, :]).sum(axis=1)
+        return contract("il,l->i", self.t.gi, self.u)
 
     # -- tautological contractions -------------------------------------------
 
     @cached_property
     def A_eta(self) -> Series:
-        return (self.A * self.t.ys).sum(axis=0)
+        return contract("i,i->", self.A, self.t.ys)
 
     @cached_property
     def u_eta(self) -> Series:
-        return (self.u * self.t.ys).sum(axis=0)
+        return contract("i,i->", self.u, self.t.ys)
 
     @cached_property
     def phi1_eta(self) -> Series:
-        return (self.phi1 * self.t.ys[None, :]).sum(axis=1)
+        return contract("ij,j->i", self.phi1, self.t.ys)
 
     @cached_property
     def phi2_eta(self) -> Series:
-        return (self.phi2 * self.t.ys[None, :]).sum(axis=1)
+        return contract("ij,j->i", self.phi2, self.t.ys)
 
     @cached_property
     def w(self) -> Series:
@@ -205,21 +206,21 @@ class DeformationData:
     @cached_property
     def ell_phi1(self) -> Series:
         """Covector l(phi1(e_k)), shape (n,)."""
-        return (self.t.ell[:, None] * self.phi1).sum(axis=0)
+        return contract("i,ik->k", self.t.ell, self.phi1)
 
     @cached_property
     def ell_phi1_eta(self) -> Series:
-        return (self.t.ell * self.phi1_eta).sum(axis=0)
+        return contract("i,i->", self.t.ell, self.phi1_eta)
 
     # -- small contraction helpers -------------------------------------------
 
     def _tvec(self, v: Series) -> Series:
         """T^i_pj v^p, shape (n, n): the Cartan tensor eating one vector."""
-        return (self.t.T_mix * v[None, :, None]).sum(axis=1)
+        return contract("ipj,p->ij", self.t.T_mix, v)
 
     def _tlow(self, v: Series) -> Series:
         """T_pjk v^p, shape (n, n): lowered Cartan tensor eating one vector."""
-        return (self.t.T_low * v[:, None, None]).sum(axis=0)
+        return contract("pjk,p->jk", self.t.T_low, v)
 
     @cached_property
     def S(self) -> Series:
@@ -228,8 +229,7 @@ class DeformationData:
 
     def _s_second(self, v: Series) -> Series:
         """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
-        contr = (self.S * v[None, None, None, :]).sum(axis=3)  # [i, k, j]
-        return contr.transpose(0, 2, 1)
+        return contract("ikjp,p->ijk", self.S, v)
 
     def _s_first(self, v: Series) -> Series:
         """S(v, e_j) e_k as [i, j, k]; antisymmetry flips the sign."""
@@ -297,8 +297,8 @@ class DeformationData:
             + ys[:, None, None] * self._tlow(self.bvec)[None, :, :]
             + L2 * self._s_second(self.bvec)
         )
-        tm1 = (self.t.T_mix[:, :, :, None] * self.phi1[None, :, None, :]).sum(axis=1)
-        mt1 = (self.phi1[:, :, None, None] * self.t.T_mix[None, :, :, :]).sum(axis=1)
+        tm1 = contract("ipj,pk->ijk", self.t.T_mix, self.phi1)
+        mt1 = contract("ip,pjk->ijk", self.phi1, self.t.T_mix)
         return (
             self.f1 * a_block
             - self.f2 * b_block
@@ -322,9 +322,7 @@ class DeformationData:
     @cached_property
     def horizontal(self) -> Series:
         """Deformed horizontal coefficients, shape (n, n, n)."""
-        tilt = (self.t.T_mix[:, :, None, :] * self.frame_shift[None, :, :, None]).sum(
-            axis=1
-        )
+        tilt = contract("ipk,pj->ijk", self.t.T_mix, self.frame_shift)
         return self.t.Gamma + tilt + self.difference
 
     @cached_property
@@ -382,7 +380,7 @@ def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series
     n = t.n
     g = t.g
     dg = Series.stack([t.delta(g, j) for j in range(n)])  # [j, k, l]
-    tilt = 2.0 * (t.T_low[:, None, :, :] * d.frame_shift[:, :, None, None]).sum(axis=0)
+    tilt = 2.0 * contract("pkl,pj->jkl", t.T_low, d.frame_shift)
     E = (
         dg
         + tilt
@@ -402,7 +400,7 @@ def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series
         - Q.transpose(0, 2, 1)
         - Q.transpose(2, 0, 1)
     )
-    return (t.gi[:, None, None, :] * low[None, :, :, :]).sum(axis=3)
+    return contract("il,jkl->ijk", t.gi, low)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,7 @@ def raise_covector(form, F: FinslerStructure, point: ChartPoint) -> np.ndarray:
     else:
         comps = t.jets.const(np.asarray(form, dtype=float))
     comps = _expect(comps, (t.n,), "form")
-    return (t.gi * comps[None, :]).sum(axis=1).val.copy()
+    return contract("il,l->i", t.gi, comps).val.copy()
 
 
 def tautological_shift(
@@ -487,17 +485,22 @@ def associated_nonlinear(
 # identity residuals
 
 
-def _rel(diff: Series, *refs: Series) -> float:
-    """Max-abs residual, relative to 1 + the largest participating value."""
-    num = float(np.max(np.abs(diff.val))) if diff.shape else abs(float(diff.val))
-    scale = 1.0 + max(
-        (float(np.max(np.abs(r.val))) for r in refs if r.val.size), default=0.0
-    )
-    return num / scale
+def worst_residual(values: Iterable[float]) -> float:
+    """The largest residual (0.0 for none); a NaN anywhere wins, so its row fails."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+
+
+def relative_residual(diff: np.ndarray, *refs: np.ndarray) -> float:
+    """Max-abs of ``diff`` relative to 1 + the largest participating value."""
+    num = float(np.max(np.abs(diff)))
+    return num / (1.0 + worst_residual(np.max(np.abs(r)) for r in refs if np.size(r)))
 
 
 def construction_residuals(
-    params: DeformationParams, F: FinslerStructure, point: ChartPoint
+    params: DeformationParams,
+    F: FinslerStructure,
+    point: ChartPoint,
+    conn: Connection | None = None,
 ) -> dict[str, float]:
     """Internal consistency of the build at one point.
 
@@ -511,23 +514,27 @@ def construction_residuals(
       tautological shift.
     * ``compatibility-route``: the horizontal coefficients must match the
       Christoffel-trick reconstruction from the defining conditions.
+
+    ``conn`` (default: the built one) is the connection under test.
     """
     t = F.tower(point, _ORDER)
     d = deformation_data(params, t)
-    ys = t.ys
-    defl = (d.horizontal * ys[None, None, :]).sum(axis=2)
-    from_n = 0.5 * (d.nonlinear * ys[None, :]).sum(axis=1)
-    compat = horizontal_from_compatibility(params, t)
+    conn = build(params) if conn is None else conn
+    H, N = conn.H(t), conn.N(t)
+    defl = contract("ijk,k->ij", H, t.ys).val
+    from_n = 0.5 * contract("ij,j->i", N, t.ys).val
+    spray, shift = d.spray.val, d.eta_shift.val
+    compat = horizontal_from_compatibility(params, t).val
     return {
-        "deflection": _rel(defl - d.nonlinear, defl, d.nonlinear),
-        "spray-from-nonlinear": _rel(from_n - d.spray, from_n, d.spray),
-        "spray-shift-consistency": _rel(
-            2.0 * (t.G - d.spray) - d.eta_shift, d.eta_shift, t.G
+        "deflection": relative_residual(defl - N.val, defl, N.val),
+        "spray-from-nonlinear": relative_residual(from_n - spray, from_n, spray),
+        "spray-shift-consistency": relative_residual(
+            2.0 * (t.G.val - spray) - shift, shift, t.G.val
         ),
-        "shift-contraction": _rel(
-            (d.frame_shift * ys[None, :]).sum(axis=1) - d.eta_shift, d.eta_shift
+        "shift-contraction": relative_residual(
+            contract("ij,j->i", d.frame_shift, t.ys).val - shift, shift
         ),
-        "compatibility-route": _rel(d.horizontal - compat, d.horizontal, compat),
+        "compatibility-route": relative_residual(H.val - compat, H.val, compat),
     }
 
 
@@ -536,6 +543,7 @@ def torsion_relations(
     F: FinslerStructure,
     point: ChartPoint,
     order: int = _ORDER,
+    conn: Connection | None = None,
 ) -> dict[str, float]:
     """Residuals of the five torsion identities at one point.
 
@@ -552,10 +560,12 @@ def torsion_relations(
       difference tensor.
     * ``vh-shift-rule``: the nonlinear-curvature torsion differs from the
       metric one by the frame brackets of the tilt.
+
+    ``conn`` (default: the built one) is the connection under test.
     """
     t = F.tower(point, order)
     d = deformation_data(params, t)
-    conn = build(params)
+    conn = build(params) if conn is None else conn
     n = t.n
     tb = torsions(conn, t)
     tc = torsions(CARTAN, t)
@@ -567,15 +577,15 @@ def torsion_relations(
 
     # vertical derivative of the tilt, with the Cartan tensor correction
     dyfs = Series.stack([fs.d(n + k) for k in range(n)], axis=2)  # [i, j, k]
-    tfs = (t.T_mix[:, :, :, None] * fs[None, :, None, :]).sum(axis=1)  # [i, k, j]
-    vhv_rhs = tc.vhv - (dyfs + tfs.transpose(0, 2, 1)) - d.difference
+    tfs = contract("ipk,pj->ijk", t.T_mix, fs)
+    vhv_rhs = tc.vhv - (dyfs + tfs) - d.difference
 
     # frame brackets of the tilt (all derivatives along the metric frame)
     dfs = Series.stack([t.delta(fs, a) for a in range(n)])  # [a, l, m]
     dN_y = Series.stack([t.N.d(n + m) for m in range(n)], axis=2)  # [l, j, m]
     dyfs_m = Series.stack([fs.d(n + m) for m in range(n)])  # [m, l, a]
-    lean = (dN_y[:, :, :, None] * fs[None, None, :, :]).sum(axis=2)  # [l, j, k]
-    drag = (dyfs_m[:, :, None, :] * fs[:, None, :, None]).sum(axis=0)  # [l, j, k]
+    lean = contract("ljm,mk->ljk", dN_y, fs)
+    drag = contract("mlk,mj->ljk", dyfs_m, fs)
     vh_rhs = (
         tc.vh
         + dfs.transpose(1, 0, 2)  # delta_j fs[l, k]
@@ -586,12 +596,14 @@ def torsion_relations(
         - drag.transpose(0, 2, 1)
     )
 
+    hv, hh, vhv, vh = tb.hv.val, tb.hh.val, tb.vhv.val, tb.vh.val
+    quarter, vhv_rhs, vh_rhs = quarter.val, vhv_rhs.val, vh_rhs.val
     return {
-        "hv-coincides": _rel(tb.hv - t.T_mix, tb.hv),
-        "hh-quarter-form": _rel(tb.hh - quarter, tb.hh, quarter),
-        "vv-vanishes": _rel(tb.vv, t.T_mix),
-        "vhv-shift-rule": _rel(tb.vhv - vhv_rhs, tb.vhv, vhv_rhs),
-        "vh-shift-rule": _rel(tb.vh - vh_rhs, tb.vh, vh_rhs),
+        "hv-coincides": relative_residual(hv - t.T_mix.val, hv),
+        "hh-quarter-form": relative_residual(hh - quarter, hh, quarter),
+        "vv-vanishes": relative_residual(tb.vv.val, t.T_mix.val),
+        "vhv-shift-rule": relative_residual(vhv - vhv_rhs, vhv, vhv_rhs),
+        "vh-shift-rule": relative_residual(vh - vh_rhs, vh, vh_rhs),
     }
 
 
@@ -600,6 +612,7 @@ def curvature_relations(
     F: FinslerStructure,
     point: ChartPoint,
     order: int = 5,
+    conn: Connection | None = None,
 ) -> dict[str, float]:
     """Residuals of the three curvature identities at one point.
 
@@ -612,10 +625,12 @@ def curvature_relations(
     * ``h-curvature-expansion``: the deformed horizontal curvature equals
       the metric one plus mixed/vertical curvatures fed by the tilt and an
       alternated block of derivative and quadratic difference-tensor terms.
+
+    ``conn`` (default: the built one) is the connection under test.
     """
     t = F.tower(point, order)
     d = deformation_data(params, t)
-    conn = build(params)
+    conn = build(params) if conn is None else conn
     NT = d.difference
     fs = d.frame_shift
     S = curvature_v(CARTAN, t)
@@ -624,33 +639,29 @@ def curvature_relations(
 
     rows: dict[str, float] = {}
     Sd = curvature_v(conn, t)
-    rows["v-curvature-coincides"] = _rel(Sd - S, Sd, S)
+    rows["v-curvature-coincides"] = relative_residual(Sd.val - S.val, Sd.val, S.val)
 
     covNv = cov_deriv(CARTAN, t, NT, horizontal=False)  # [l, i, j, m]
     Pd = curvature_mixed(conn, t)
-    nt_tm = (NT[:, :, :, None, None] * t.T_mix[None, :, None, :, :]).sum(axis=1)
+    s_fs = contract("impk,pj->imjk", S, fs)
     hv_rhs = (
         P
         + covNv.transpose(1, 3, 2, 0)  # vertical derivative along k
-        + nt_tm.transpose(0, 1, 3, 2)  # NT[i, p, m] T^p_kj
-        + (S[:, :, :, None, :] * fs[None, None, :, :, None]).sum(axis=2)
+        + contract("ipm,pkj->imjk", NT, t.T_mix)  # NT[i, p, m] T^p_kj
+        + s_fs
     )
-    rows["hv-curvature-expansion"] = _rel(Pd - hv_rhs, Pd, hv_rhs)
+    rows["hv-curvature-expansion"] = relative_residual(Pd.val - hv_rhs.val, Pd.val, hv_rhs.val)
 
     covNh = cov_deriv(CARTAN, t, NT, horizontal=True)  # [l, i, j, m]
     Rd = curvature_h(conn, t)
-    p_fs = (P[:, :, :, :, None] * fs[None, None, None, :, :]).sum(axis=3)  # [i,m,a,b]
-    s_fs = (S[:, :, :, None, :] * fs[None, None, :, :, None]).sum(axis=2)  # [i,m,j,q]
-    s_fs2 = (s_fs[:, :, :, :, None] * fs[None, None, None, :, :]).sum(axis=3)
-    b_vert = (covNv[:, :, :, :, None] * fs[:, None, None, None, :]).sum(axis=0)
-    tilt_t = (t.T_mix[:, :, :, None] * fs[None, :, None, :]).sum(axis=1)  # [p, j, k]
-    b_quad = (NT[:, :, :, None, None] * NT[None, None, :, :, :]).sum(axis=2)
-    b_drag = (NT[:, :, :, None, None] * tilt_t[None, :, None, :, :]).sum(axis=1)
+    p_fs = contract("imaq,qb->imab", P, fs)
+    s_fs2 = contract("imjq,qk->imjk", s_fs, fs)
+    tilt_t = contract("pqj,qk->pjk", t.T_mix, fs)
     block = (
         covNh.transpose(1, 3, 2, 0)
-        + b_vert.transpose(0, 2, 1, 3)
-        + b_quad.transpose(0, 3, 2, 1)
-        + b_drag
+        + contract("lijm,lk->imjk", covNv, fs)
+        + contract("ikp,pjm->imjk", NT, NT)
+        + contract("ipm,pjk->imjk", NT, tilt_t)
     )
     h_rhs = (
         R
@@ -660,5 +671,5 @@ def curvature_relations(
         + block
         - block.transpose(0, 1, 3, 2)
     )
-    rows["h-curvature-expansion"] = _rel(Rd - h_rhs, Rd, h_rhs)
+    rows["h-curvature-expansion"] = relative_residual(Rd.val - h_rhs.val, Rd.val, h_rhs.val)
     return rows

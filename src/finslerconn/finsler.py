@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ad import ChartJets, CovectorField, ScalarField, Series, matinv
+from .ad import ChartJets, CovectorField, ScalarField, Series, contract, matinv
 
 __all__ = [
     "DomainError",
@@ -40,6 +40,7 @@ __all__ = [
     "geodesic_spray",
     "nonlinear_connection",
     "horizontal_christoffel",
+    "horizontal_derivative",
 ]
 
 
@@ -115,6 +116,15 @@ class FinslerStructure:
         tw.g  # touching it performs the positivity/convexity checks
 
 
+def horizontal_derivative(s: Series, j: int, N: Series) -> Series:
+    """delta_j s = ds/dx_j - N^m_j ds/dy_m, subtracting the terms in order of m."""
+    n = N.shape[0]
+    out = s.d(j)
+    for m in range(n):
+        out = out - N[m, j] * s.d(n + m)
+    return out
+
+
 class Tower:
     """Lazily computed Taylor series of the fundamental objects at a point.
 
@@ -182,7 +192,7 @@ class Tower:
     @cached_property
     def T_mix(self) -> Series:
         """Mixed Cartan tensor T^i_jk = g^il T_ljk, shape (n, n, n)."""
-        return (self.gi[:, :, None, None] * self.T_low[None, :, :, :]).sum(axis=1)
+        return contract("il,ljk->ijk", self.gi, self.T_low)
 
     @cached_property
     def ell(self) -> Series:
@@ -200,9 +210,9 @@ class Tower:
         rows = []
         for l in range(n):
             mixed = Series.stack([grads[l].d(m) for m in range(n)])
-            rows.append((mixed * self.jets.ys).sum(axis=0) - self.L2.d(l))
+            rows.append(contract("m,m->", mixed, self.jets.ys) - self.L2.d(l))
         rhs = Series.stack(rows)
-        return 0.25 * (self.gi * rhs[None, :]).sum(axis=1)
+        return 0.25 * contract("il,l->i", self.gi, rhs)
 
     @cached_property
     def N(self) -> Series:
@@ -212,10 +222,7 @@ class Tower:
 
     def delta(self, s: Series, j: int) -> Series:
         """Horizontal derivative delta_j = d/dx_j - N^m_j d/dy_m of a series."""
-        out = s.d(j)
-        for m in range(self.n):
-            out = out - self.N[m, j] * s.d(self.n + m)
-        return out
+        return horizontal_derivative(s, j, self.N)
 
     @cached_property
     def Gamma(self) -> Series:
@@ -229,7 +236,7 @@ class Tower:
         low = 0.5 * (
             D.transpose(0, 2, 1) + D.transpose(2, 0, 1) - D.transpose(1, 2, 0)
         )
-        return (self.gi[:, None, None, :] * low[None, :, :, :]).sum(axis=3)
+        return contract("il,jkl->ijk", self.gi, low)
 
     # -- convenience ---------------------------------------------------------
 

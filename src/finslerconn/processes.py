@@ -24,11 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ad import Series
 from .connection import CARTAN, Connection, torsions
-from .deformation import DeformationParams, build, deformation_data
+from .deformation import (
+    DeformationParams,
+    build,
+    deformation_data,
+    relative_residual,
+    worst_residual,
+)
 from .finsler import ChartPoint, FinslerStructure, Tower
 
 __all__ = [
@@ -159,19 +163,14 @@ def derive_family(params: DeformationParams) -> ConnectionFamily:
 # the full diagram at a point
 
 
-def _rel(diff: Series, *refs: Series) -> float:
-    num = float(np.max(np.abs(diff.val)))
-    scale = 1.0 + max(
-        (float(np.max(np.abs(r.val))) for r in refs if r.val.size), default=0.0
-    )
-    return num / scale
+def _match(got: Series, want: Series) -> float:
+    """Residual of ``got`` against the reference ``want``."""
+    return relative_residual(got.val - want.val, want.val)
 
 
 def _triple_residual(got: Connection, want: Connection, t: Tower) -> float:
-    return max(
-        _rel(got.N(t) - want.N(t), want.N(t)),
-        _rel(got.H(t) - want.H(t), want.H(t)),
-        _rel(got.V(t) - want.V(t), want.V(t)),
+    return worst_residual(
+        _match(g(t), w(t)) for g, w in ((got.N, want.N), (got.H, want.H), (got.V, want.V))
     )
 
 
@@ -180,6 +179,7 @@ def diagram_residuals(
     F: FinslerStructure,
     point: ChartPoint,
     order: int = 4,
+    family: ConnectionFamily | None = None,
 ) -> dict[str, float]:
     """Residual of every edge of the two-square process diagram at a point.
 
@@ -194,25 +194,25 @@ def diagram_residuals(
     * ``collapse:*`` -- the five zero-parameter edges joining the squares:
       each family member against its classical counterpart, plus the spray
       and nonlinear connection against the canonical ones.
+
+    ``family`` (default: the one derived from ``params``) is under test.
     """
     t = F.tower(point, order)
-    fam = derive_family(params)
+    fam = derive_family(params) if family is None else family
     rows: dict[str, float] = {}
 
     # deformed square
     dyN = Series.stack([fam.base.N(t).d(t.n + k) for k in range(t.n)], axis=2)
     p1_closed = torsions(fam.base, t).hh + dyN.transpose(0, 2, 1)
-    rows["deformed:base-to-hashiguchi"] = _rel(
-        fam.hashiguchi.H(t) - p1_closed, p1_closed
-    )
-    rows["deformed:base-to-chern-rund"] = max(
-        _rel(fam.chern_rund.V(t), t.T_mix),
-        _rel(fam.chern_rund.H(t) - fam.base.H(t), fam.base.H(t)),
-    )
-    rows["deformed:hashiguchi-to-berwald"] = max(
-        _rel(fam.berwald.V(t), t.T_mix),
-        _rel(fam.berwald.H(t) - fam.hashiguchi.H(t), fam.hashiguchi.H(t)),
-    )
+    rows["deformed:base-to-hashiguchi"] = _match(fam.hashiguchi.H(t), p1_closed)
+    rows["deformed:base-to-chern-rund"] = worst_residual((
+        relative_residual(fam.chern_rund.V(t).val, t.T_mix.val),
+        _match(fam.chern_rund.H(t), fam.base.H(t)),
+    ))
+    rows["deformed:hashiguchi-to-berwald"] = worst_residual((
+        relative_residual(fam.berwald.V(t).val, t.T_mix.val),
+        _match(fam.berwald.H(t), fam.hashiguchi.H(t)),
+    ))
     rows["deformed:chern-rund-to-berwald"] = _triple_residual(
         p1_process(fam.chern_rund), fam.berwald, t
     )
@@ -239,7 +239,7 @@ def diagram_residuals(
     ):
         rows[f"collapse:{label}"] = _triple_residual(member, classical, t)
     zdata = deformation_data(zero, t)
-    rows["collapse:spray-and-nonlinear"] = max(
-        _rel(zdata.spray - t.G, t.G), _rel(zdata.nonlinear - t.N, t.N)
+    rows["collapse:spray-and-nonlinear"] = worst_residual(
+        (_match(zdata.spray, t.G), _match(zdata.nonlinear, t.N))
     )
     return rows

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,11 +52,13 @@ from .deformation import (
     construction_residuals,
     curvature_relations,
     deformation_data,
+    relative_residual,
     torsion_relations,
+    worst_residual,
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure
-from .processes import ConnectionFamily, derive_family, diagram_residuals
+from .processes import derive_family, diagram_residuals
 from .samples import euclidean, hyperbolic, randers
 
 __all__ = [
@@ -125,15 +127,6 @@ def _tols(overrides: Mapping[str, float] | None) -> dict[str, float]:
             )
         merged.update({name: float(value) for name, value in overrides.items()})
     return merged
-
-
-def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
-    """Max-abs of ``diff`` relative to 1 + the largest participating value."""
-    num = float(np.max(np.abs(diff)))
-    scale = 1.0 + max(
-        (float(np.max(np.abs(r))) for r in refs if r.size), default=0.0
-    )
-    return num / scale
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +379,12 @@ def _report(
 
 
 def _aggregate(per_point: Iterable[Mapping[str, float]]) -> dict[str, float]:
-    """Worst residual per label over a stream of per-point dictionaries."""
-    worst: dict[str, float] = {}
+    """Worst residual per label over per-point dictionaries; a NaN anywhere wins."""
+    values: dict[str, list[float]] = {}
     for rowset in per_point:
         for label, value in rowset.items():
-            worst[label] = max(worst.get(label, 0.0), float(value))
-    return worst
+            values.setdefault(label, []).append(value)
+    return {label: worst_residual(vals) for label, vals in values.items()}
 
 
 def _meta(F: FinslerStructure, plan: SamplePlan, points: int, **extra) -> dict:
@@ -402,19 +395,6 @@ def _meta(F: FinslerStructure, plan: SamplePlan, points: int, **extra) -> dict:
 
 # ---------------------------------------------------------------------------
 # fuzz-injection plumbing
-
-
-def _clone_params(params: DeformationParams) -> DeformationParams:
-    """Same six fields under a fresh identity (fresh memo caches)."""
-    return DeformationParams(
-        f1=params.f1,
-        f2=params.f2,
-        A=params.A,
-        B=params.B,
-        u=params.u,
-        phi=params.phi,
-        name=f"{params.name}+fuzz" if params.name else "fuzz",
-    )
 
 
 def _perturbed(conn: Connection, slot: str, size: float = _FUZZ_SIZE) -> Connection:
@@ -434,19 +414,6 @@ def _perturbed(conn: Connection, slot: str, size: float = _FUZZ_SIZE) -> Connect
         hor=produce if slot == "hor" else conn.hor,
         ver=produce if slot == "ver" else conn.ver,
     )
-
-
-def _fuzzed_params(params: DeformationParams, slot: str) -> DeformationParams:
-    """A pack whose built connection carries a bumped coefficient block.
-
-    The clone shares the six parameter fields, so every closed form stays
-    what it should be, while its memoized connection is replaced by the
-    perturbed one; identity suites that compare built coefficients against
-    closed forms must then fail.
-    """
-    clone = _clone_params(params)
-    clone.__dict__["_connection"] = _perturbed(build(params), slot)
-    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +453,16 @@ def theorem_residuals(
     hh = torsions(conn, t).hh.val
     quarter = np.einsum("k,ij->ijk", u, phi) - np.einsum("j,ik->ijk", u, phi)
     lowered = np.einsum("mi,mjk->ijk", g, conn.V(t).val)
-    symmetry = max(
-        _rel(lowered - lowered.transpose(1, 0, 2), lowered),
-        _rel(lowered - lowered.transpose(0, 2, 1), lowered),
-    )
+    symmetry = worst_residual((
+        relative_residual(lowered - lowered.transpose(1, 0, 2), lowered),
+        relative_residual(lowered - lowered.transpose(0, 2, 1), lowered),
+    ))
     return {
-        "condition-(i)-horizontal-deficit": _rel(deficit_h - closed_h, deficit_h, closed_h),
-        "condition-(ii)-vertical-deficit": _rel(deficit_v, g),
-        "condition-(iii)-quarter-torsion": _rel(hh - quarter, hh, quarter),
+        "condition-(i)-horizontal-deficit": relative_residual(
+            deficit_h - closed_h, deficit_h, closed_h
+        ),
+        "condition-(ii)-vertical-deficit": relative_residual(deficit_v, g),
+        "condition-(iii)-quarter-torsion": relative_residual(hh - quarter, hh, quarter),
         "condition-(iv)-vertical-symmetry": symmetry,
     }
 
@@ -561,19 +530,8 @@ def check_construction(
     tols = _tols(tolerances)
     label = "construction-fuzz" if fuzz else "construction"
     points = sample_points(F, plan, plan.construction_points, label)
-
-    def one(p: ChartPoint) -> Mapping[str, float]:
-        if fuzz:
-            # Shift one horizontal coefficient in the memoized data the
-            # pointwise suite is about to read.
-            t = F.tower(p, 4)
-            d = deformation_data(params, t)
-            bump = np.zeros(d.horizontal.shape)
-            bump[0, 0, 0] = _FUZZ_SIZE
-            d.__dict__["horizontal"] = d.horizontal + t.jets.const(bump)
-        return construction_residuals(params, F, p)
-
-    worst = _aggregate(one(p) for p in points)
+    conn = _perturbed(build(params), "hor") if fuzz else None
+    worst = _aggregate(construction_residuals(params, F, p, conn=conn) for p in points)
     meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
     return _report(f"construction[{F.name}]", worst, _CONSTRUCTION_TOLS, tols, meta)
 
@@ -597,9 +555,9 @@ def check_torsions(
     """The five torsion identities over sampled points."""
     plan = plan or SamplePlan()
     tols = _tols(tolerances)
-    pack = _fuzzed_params(params, "ver") if fuzz else params
+    conn = _perturbed(build(params), "ver") if fuzz else None
     points = sample_points(F, plan, plan.torsion_points, "torsions-fuzz" if fuzz else "torsions")
-    worst = _aggregate(torsion_relations(pack, F, p) for p in points)
+    worst = _aggregate(torsion_relations(params, F, p, conn=conn) for p in points)
     meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
     return _report(f"torsions[{F.name}]", worst, _TORSION_TOLS, tols, meta)
 
@@ -624,9 +582,9 @@ def check_curvatures(
         "hv-curvature-expansion": expansion,
         "h-curvature-expansion": expansion,
     }
-    pack = _fuzzed_params(params, "ver") if fuzz else params
+    conn = _perturbed(build(params), "ver") if fuzz else None
     points = sample_points(F, plan, plan.curvature_points, "curvatures-fuzz" if fuzz else "curvatures")
-    worst = _aggregate(curvature_relations(pack, F, p) for p in points)
+    worst = _aggregate(curvature_relations(params, F, p, conn=conn) for p in points)
     meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
     return _report(f"curvatures[{F.name}]", worst, tol_of, tols, meta)
 
@@ -739,11 +697,11 @@ def bianchi_residuals(
     sum_e = _cyc3(core_e)
 
     return {
-        "bianchi-(a)": _rel(lhs_a - rhs_a, lhs_a, rhs_a),
-        "bianchi-(b)": _rel(lhs_b - rhs_b, lhs_b, rhs_b),
-        "bianchi-(c)": _rel(lhs_c - rhs_c, lhs_c, rhs_c),
-        "bianchi-(d)": _rel(lhs_d - rhs_d, lhs_d, rhs_d),
-        "bianchi-(e)": _rel(sum_e, core_e),
+        "bianchi-(a)": relative_residual(lhs_a - rhs_a, lhs_a, rhs_a),
+        "bianchi-(b)": relative_residual(lhs_b - rhs_b, lhs_b, rhs_b),
+        "bianchi-(c)": relative_residual(lhs_c - rhs_c, lhs_c, rhs_c),
+        "bianchi-(d)": relative_residual(lhs_d - rhs_d, lhs_d, rhs_d),
+        "bianchi-(e)": relative_residual(sum_e, core_e),
     }
 
 
@@ -768,7 +726,7 @@ def first_bianchi_residual(
     if perturbation:
         R = R.copy()
         R[(0,) * R.ndim] += perturbation
-    return _rel(_cyc3(np.einsum("icab->iabc", R)), R)
+    return relative_residual(_cyc3(np.einsum("icab->iabc", R)), R)
 
 
 def check_bianchi(
@@ -793,7 +751,7 @@ def check_bianchi(
     )
     tol_of = dict(_BIANCHI_TOLS)
     if cartan_flat(F):
-        worst["first-bianchi-metric"] = max(
+        worst["first-bianchi-metric"] = worst_residual(
             first_bianchi_residual(F, p, perturbation=size) for p in points
         )
         tol_of["first-bianchi-metric"] = "riemann"
@@ -815,19 +773,12 @@ def check_processes(
     """Every edge of the two-square process diagram over sampled points."""
     plan = plan or SamplePlan()
     tols = _tols(tolerances)
-    pack = params
+    family = None
     if fuzz:
-        pack = _clone_params(params)
         fam = derive_family(params)
-        pack.__dict__["_connection"] = fam.base
-        pack.__dict__["_family"] = ConnectionFamily(
-            base=fam.base,
-            hashiguchi=_perturbed(fam.hashiguchi, "hor"),
-            chern_rund=fam.chern_rund,
-            berwald=fam.berwald,
-        )
+        family = replace(fam, hashiguchi=_perturbed(fam.hashiguchi, "hor"))
     points = sample_points(F, plan, plan.process_points, "processes-fuzz" if fuzz else "processes")
-    worst = _aggregate(diagram_residuals(pack, F, p) for p in points)
+    worst = _aggregate(diagram_residuals(params, F, p, family=family) for p in points)
     tol_of = {
         label: "collapse" if label.startswith("collapse:") else "processes"
         for label in worst
@@ -861,12 +812,13 @@ def check_cases(
         if fuzz:
             free = default_free_choices(cid, F, seed=plan.seed)
             pack = preset(cid, F, **free)
-            residual = 0.0
+            residuals = []
             for p in points[: min(len(points), 2)]:
                 got = deformation_data(pack, F.tower(p, 4)).difference.val.copy()
                 got[(0,) * got.ndim] += _FUZZ_SIZE
                 want = closed_form_delta(cid, pack, F, p)
-                residual = max(residual, _rel(got - want, got, want))
+                residuals.append(relative_residual(got - want, got, want))
+            residual = worst_residual(residuals)
             note = "difference tensor perturbed by 1e-3"
         else:
             result = check_case(
@@ -1004,11 +956,11 @@ def fd_residuals(
         Gamma_fd[0, 0, 0] += perturbation
 
     return {
-        "fd-fundamental-tensor": _rel(g_fd - t.g.val, t.g.val),
-        "fd-cartan-tensor": _rel(T_fd - t.T_low.val, t.T_low.val, np.array([1.0])),
-        "fd-spray": _rel(G_fd - t.G.val, t.G.val),
-        "fd-nonlinear": _rel(N_fd - t.N.val, t.N.val),
-        "fd-horizontal": _rel(Gamma_fd - t.Gamma.val, t.Gamma.val),
+        "fd-fundamental-tensor": relative_residual(g_fd - t.g.val, t.g.val),
+        "fd-cartan-tensor": relative_residual(T_fd - t.T_low.val, t.T_low.val, np.array([1.0])),
+        "fd-spray": relative_residual(G_fd - t.G.val, t.G.val),
+        "fd-nonlinear": relative_residual(N_fd - t.N.val, t.N.val),
+        "fd-horizontal": relative_residual(Gamma_fd - t.Gamma.val, t.Gamma.val),
     }
 
 
@@ -1086,12 +1038,12 @@ def constant_curvature_residuals(
         ric_closed[0, 0] += perturbation
 
     return {
-        "constant-curvature-metric": _rel(t.g.val - g_closed, g_closed),
-        "constant-curvature-christoffel": _rel(t.Gamma.val - Gamma, Gamma),
-        "constant-curvature-riemann": _rel(
+        "constant-curvature-metric": relative_residual(t.g.val - g_closed, g_closed),
+        "constant-curvature-christoffel": relative_residual(t.Gamma.val - Gamma, Gamma),
+        "constant-curvature-riemann": relative_residual(
             curvature_h(CARTAN, t).val + riemann, riemann
         ),
-        "constant-curvature-ricci": _rel(
+        "constant-curvature-ricci": relative_residual(
             ricci(CARTAN, t).val - ric_closed, ric_closed
         ),
     }

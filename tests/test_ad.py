@@ -10,12 +10,14 @@ Oracles used here, in order of strength:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finslerconn
 from finslerconn.ad import (
     ChartJets,
     ConstantCovector,
@@ -25,6 +27,7 @@ from finslerconn.ad import (
     Series,
     TruncationError,
     ZeroMatrix,
+    contract,
     hessian_y,
     matinv,
     matmul,
@@ -365,6 +368,91 @@ def test_matmul_matches_numpy_on_constants():
     am = jets.const(a)
     bm = jets.const(b)
     assert np.allclose(matmul(am, bm).val, a @ b, atol=1e-14)
+    # the general contraction agrees with np.einsum, traces included
+    rng = np.random.default_rng(5)
+    v, T, R = (rng.uniform(-1, 1, (2,) * k) for k in (1, 3, 4))
+    for spec, arrays in [
+        ("ij,jk->ik", (a, b)),
+        ("il,jkl->ijk", (a, T)),
+        ("ikl,ljm->imjk", (T, T)),
+        ("ipj,p,jk->ik", (T, v, b)),
+        ("i,i->", (v, v)),
+        ("imki->mk", (R,)),
+        ("ii->", (a,)),
+        ("ijk->kji", (T,)),
+    ]:
+        got = contract(spec, *(jets.const(x) for x in arrays)).val
+        assert np.allclose(got, np.einsum(spec, *arrays), atol=1e-14), spec
+
+
+def _random_series(rg, rng, shape, valid):
+    return Series(rg, rng.uniform(-1, 1, shape + (rg.dim,)), valid)
+
+
+@pytest.mark.parametrize("nvars,order", [(4, 4), (4, 5), (6, 5)])
+def test_contract_is_bit_identical_to_broadcast_products(nvars, order):
+    rg = ring(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    n = nvars // 2
+    gi, v = _random_series(rg, rng, (n, n), order), _random_series(rg, rng, (n,), order - 1)
+    T, H = _random_series(rg, rng, (n, n, n), order), _random_series(rg, rng, (n, n, n), order)
+    S = _random_series(rg, rng, (n, n, n, n), order - 2)
+    pairs = [
+        (contract("il,l->i", gi, v), (gi * v[None, :]).sum(axis=1)),
+        (contract("il,jkl->ijk", gi, T), (gi[:, None, None, :] * T[None]).sum(axis=3)),
+        (
+            contract("ikl,ljm->imjk", H, T),
+            (H[:, :, :, None, None] * T[None, None]).sum(axis=2).transpose(0, 3, 2, 1),
+        ),
+        (
+            contract("ikjp,p->ijk", S, v),
+            (S * v[None, None, None, :]).sum(axis=3).transpose(0, 2, 1),
+        ),
+    ]
+    for got, want in pairs:
+        assert got.valid == want.valid
+        assert np.array_equal(got.coef, want.coef)
+    R = _random_series(rg, rng, (n, n, n, n), order)
+    # the loop the trace replaced, summing i in order
+    trace = [
+        [sum((R[i, m, k, i] for i in range(1, n)), start=R[0, m, k, 0]) for k in range(n)]
+        for m in range(n)
+    ]
+    loop = Series.stack([Series.stack(row) for row in trace])
+    assert np.array_equal(contract("imki->mk", R).coef, loop.coef)
+
+
+@pytest.mark.parametrize(
+    "spec", ["ij,jk", "ij,jk->ikk", "ij,jk->iq", "i1,jk->ik", "ij,jk->i->k", "->", ""]
+)
+def test_contract_rejects_malformed_specs(spec):
+    a = ChartJets.at([0.1], [1.0], order=2).const(np.eye(2))
+    with pytest.raises(ValueError):
+        contract(spec, a, a)
+
+
+def test_contract_rejects_mismatched_operands():
+    jets = ChartJets.at([0.1], [1.0], order=2)
+    a, b = jets.const(np.ones((2, 3))), jets.const(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="sizes"):
+        contract("ij,jk->ik", a, b)
+    with pytest.raises(ValueError, match="sizes"):
+        contract("ii->i", a)
+    with pytest.raises(ValueError, match="shape"):
+        contract("ijk,jk->i", a, b)
+    with pytest.raises(ValueError, match="operands"):
+        contract("ij,jk->ik", b)
+
+
+def test_series_contractions_live_in_ad_only():
+    # every contraction of series goes through ad.contract
+    package = Path(finslerconn.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ad.py" and ".sum(axis=" in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_matinv_inverts_series_matrix():

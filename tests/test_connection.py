@@ -222,6 +222,8 @@ def test_cov_deriv_of_metric_contraction_is_deficit_free():
     rows = []
     for l in range(2):
         term = CARTAN.delta(t, gU, l)
+        # one horizontal derivative: the connection's delta is the tower's
+        assert np.array_equal(term.coef, t.delta(gU, l).coef)
         corr = (H.transpose(1, 0, 2)[l] * gU[:, None]).sum(axis=0)
         rows.append(term - corr)
     lowered_before = Series.stack(rows)
@@ -233,9 +235,10 @@ def test_contract_index_places_result():
     rng = np.random.default_rng(3)
     A = t.jets.const(rng.uniform(-1, 1, size=(2, 2)))
     W = t.jets.const(rng.uniform(-1, 1, size=(2, 2, 2)))
-    out = contract_index(A, W, 1)
-    expected = np.einsum("ip,apb->aib", A.val, W.val)
-    assert np.allclose(out.val, expected, atol=1e-13)
+    for axis, spec in enumerate(("ip,pab->iab", "ip,apb->aib", "ip,abp->abi")):
+        out = contract_index(A, W, axis)
+        expected = np.einsum(spec, A.val, W.val)
+        assert np.allclose(out.val, expected, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,15 @@ import json
 import numpy as np
 import pytest
 
-from finslerconn.deformation import DeformationParams
+from finslerconn.deformation import (
+    DeformationParams,
+    construction_residuals,
+    relative_residual,
+    torsion_relations,
+    worst_residual,
+)
 from finslerconn.finsler import ChartPoint
+from finslerconn.processes import diagram_residuals
 from finslerconn.samples import euclidean, hyperbolic, quartic_three_dim, randers
 from finslerconn.verify import (
     DEFAULT_TOLERANCES,
@@ -48,6 +55,7 @@ from finslerconn.verify import (
     sample_points,
     theorem_residuals,
 )
+from finslerconn.verify import _aggregate, _report
 
 P2 = ChartPoint([0.3, -0.2], [0.7, 1.1])
 P3 = ChartPoint([0.2, -0.3, 0.4], [0.9, 0.5, 1.2])
@@ -253,6 +261,38 @@ def test_every_suite_passes_clean_and_fails_fuzzed():
         assert clean.passed, clean.summary()
         fuzzed = make_report(True)
         assert not fuzzed.passed, fuzzed.suite
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_nan_residual_at_any_position_fails_its_row(position):
+    values = [1e-12, 2e-12, 3e-12]
+    values[position] = float("nan")
+    assert np.isnan(worst_residual(values))
+    worst = _aggregate({"a": value} for value in values)
+    row = _report("s", worst, {"a": "theorem"}, DEFAULT_TOLERANCES, {}).rows[0]
+    assert not row.passed
+    refs = [np.ones(2), np.ones(2), np.ones(2)]
+    refs[position] = np.array([1.0, np.nan])
+    assert np.isnan(relative_residual(np.zeros(2), *refs))
+
+
+@pytest.mark.parametrize(
+    "suite, residuals, label",
+    [
+        (check_construction, construction_residuals, "construction-fuzz"),
+        (check_torsions, torsion_relations, "torsions-fuzz"),
+        (check_processes, diagram_residuals, "processes-fuzz"),
+    ],
+    ids=["construction", "torsions", "processes"],
+)
+def test_fuzz_run_leaves_clean_residuals_untouched(suite, residuals, label):
+    # the fuzz controls pass a perturbed connection; they write no cache
+    F = randers()
+    params = _pack(2)
+    point = sample_points(F, QUICK, 1, label)[0]
+    before = residuals(params, F, point)
+    assert not suite(params, F, QUICK, fuzz=True).passed
+    assert residuals(params, F, point) == before
 
 
 def test_case_rows_carry_typo_annotations():

@@ -22,6 +22,14 @@ Two details matter for correctness downstream:
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
   precomputed sparse pair table per ring.
+* Products run in the ring of the trusted order.  Monomials are graded, so
+  a product valid to ``v`` is the product in ``ring(nvars, v)`` of the
+  first ``ring(nvars, v).dim`` coefficients, over the same pairs in the
+  same order as in the full ring; the untrusted tail is zero.  The Horner
+  loop of the analytic functions runs in that ring too, and
+  :func:`matinv` inherits the truncation from its products (truncated
+  Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*, 2nd
+  ed., ch. 13).
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
   how a series contraction is evaluated is decided in this one place.
@@ -38,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,9 +136,11 @@ class TaylorRing:
                     J.append(j)
                     K.append(self.index[tuple(a + b for a, b in zip(mi, mj))])
             npairs = len(K)
+            # (dim, npairs): a CSR matrix times dense columns, which scipy
+            # runs without transposing the matrix on every product
             scatter = sp.csr_matrix(
-                (np.ones(npairs), (np.arange(npairs), np.array(K))),
-                shape=(npairs, self.dim),
+                (np.ones(npairs), (np.array(K), np.arange(npairs))),
+                shape=(self.dim, npairs),
             )
             self._mul_cache = (np.array(I), np.array(J), scatter)
         return self._mul_cache
@@ -154,8 +164,19 @@ class TaylorRing:
         I, J, scatter = self._mul_table()
         W = a[..., I] * b[..., J]
         batch = W.shape[:-1]
-        flat = W.reshape(-1, W.shape[-1]) @ scatter
-        return np.asarray(flat).reshape(*batch, self.dim)
+        return (scatter @ W.reshape(-1, W.shape[-1]).T).T.reshape(*batch, self.dim)
+
+    def truncated(self, valid: int) -> "TaylorRing":
+        """The ring cut at degree ``valid``, whose coefficients are a prefix of these."""
+        return self if valid >= self.order else ring(self.nvars, valid)
+
+    def pad(self, head: np.ndarray) -> np.ndarray:
+        """Coefficients of a truncated ring, extended to this ring by zeros."""
+        if head.shape[-1] == self.dim:
+            return head
+        out = np.zeros(head.shape[:-1] + (self.dim,))
+        out[..., : head.shape[-1]] = head
+        return out
 
 
 _RINGS: dict[tuple[int, int], TaylorRing] = {}
@@ -310,9 +331,10 @@ class Series:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Series(
-            self.ring, self.ring.mul_coef(self.coef, o.coef), min(self.valid, o.valid)
-        )
+        valid = min(self.valid, o.valid)
+        head = self.ring.truncated(valid)
+        coef = head.mul_coef(self.coef[..., : head.dim], o.coef[..., : head.dim])
+        return Series(self.ring, self.ring.pad(coef), valid)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -366,16 +388,23 @@ class Series:
     # -- analytic functions -------------------------------------------------
 
     def _compose(self, dcoefs: list[np.ndarray]) -> "Series":
-        """Evaluate sum_m dcoefs[m] * (s - s0)^m in the ring (Horner)."""
+        """Evaluate sum_m dcoefs[m] * (s - s0)^m in the ring (Horner).
+
+        The loop runs in the ring of the trusted order ``v`` and starts at
+        ``m = v``: a degree-``j`` coefficient of the result reads only the
+        terms ``m <= j``, so the trusted coefficients are summed as in the
+        full ring.
+        """
         rg = self.ring
-        t = self.coef.copy()
+        head = rg.truncated(self.valid)
+        t = self.coef[..., : head.dim].copy()
         t[..., 0] = 0.0
-        acc = np.zeros(np.broadcast_shapes(self.shape, dcoefs[-1].shape) + (rg.dim,))
-        acc[..., 0] = dcoefs[rg.order]
-        for m in range(rg.order - 1, -1, -1):
-            acc = rg.mul_coef(acc, t)
+        acc = np.zeros(np.broadcast_shapes(self.shape, dcoefs[-1].shape) + (head.dim,))
+        acc[..., 0] = dcoefs[head.order]
+        for m in range(head.order - 1, -1, -1):
+            acc = head.mul_coef(acc, t)
             acc[..., 0] += dcoefs[m]
-        return Series(rg, acc, self.valid)
+        return Series(rg, rg.pad(acc), self.valid)
 
     def recip(self) -> "Series":
         c0 = self.val

@@ -32,8 +32,9 @@ in :mod:`finslerconn.connection`; it also has no printed display of its own
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -85,13 +86,14 @@ class MetricSplitPart:
     metric split ``phi = phi1 + phi2`` (``g(phi1 X, Y)`` symmetric,
     ``g(phi2 X, Y)`` antisymmetric).  Wrapping an arbitrary endomorphism in
     this field enforces the constraint exactly: lower with the metric of
-    ``structure``, project, raise back.
+    ``structure``, project, raise back.  The structure is held weakly (a
+    proxy): the field sits in the cache keys of that structure's own towers.
     """
 
     def __init__(self, structure: FinslerStructure, inner: MatrixField, part: str):
         if part not in ("symmetric", "antisymmetric"):
             raise ValueError("part must be 'symmetric' or 'antisymmetric'")
-        self.structure = structure
+        self.structure = weakref.proxy(structure)
         self.inner = inner
         self.part = part
 

@@ -27,6 +27,7 @@ Bianchi identities, for instance).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,11 +276,12 @@ class RicciEndomorphism:
     endomorphism with the inverse fundamental tensor.
 
     Usable as a matrix field input wherever a curvature-derived
-    endomorphism is wanted.
+    endomorphism is wanted.  The structure is held weakly (a proxy): the
+    field sits in the cache keys of that structure's own towers.
     """
 
     def __init__(self, structure: FinslerStructure):
-        self.structure = structure
+        self.structure = weakref.proxy(structure)
         self.n = structure.n
 
     def eval(self, jets: ChartJets) -> Series:

@@ -32,13 +32,14 @@ tie the deformed torsions and curvatures back to the metric ones.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .ad import ChartJets, CovectorField, MatrixField, ScalarField, Series, contract
+from .ad import CovectorField, MatrixField, ScalarField, Series, contract
 from .ad import ConstantScalar, ZeroCovector, ZeroMatrix
 from .connection import (
     CARTAN,
@@ -131,7 +132,7 @@ class DeformationData:
 
     def __init__(self, params: DeformationParams, t: Tower):
         self.params = params
-        self.t = t
+        self._tower = weakref.ref(t)
         n = t.n
         jets = t.jets
         self.eye = jets.const(np.eye(n))
@@ -141,6 +142,14 @@ class DeformationData:
         self.B = _expect(params.B.eval(jets), (n,), "B")
         self.u = _expect(params.u.eval(jets), (n,), "u")
         self.phi = _expect(params.phi.eval(jets), (n, n), "phi")
+
+    @property
+    def t(self) -> Tower:
+        """The tower evaluated on, held weakly: its cache holds this data."""
+        t = self._tower()
+        if t is None:
+            raise ReferenceError("the tower of this deformation data was discarded")
+        return t
 
     # -- split and raised forms ----------------------------------------------
 

@@ -15,9 +15,10 @@ toolbox.  All syntax errors carry the byte offset of the offending token.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .ad import ChartJets, Series
 
@@ -128,6 +129,9 @@ _VAR_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BP = 30
+# deepest AST accepted; parsing, printing and evaluation recurse once per
+# level, so this keeps them clear of the interpreter's recursion limit
+_MAX_DEPTH = 200
 
 
 class _Parser:
@@ -136,6 +140,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # AST depth of the node being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -160,7 +165,14 @@ class _Parser:
             raise ExprError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return node
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {_MAX_DEPTH} levels", self.peek().offset)
+
     def expression(self, rbp: int) -> Node:
+        outer = self.depth
+        self.nest()
         node = self.prefix()
         while True:
             tok = self.peek()
@@ -170,11 +182,13 @@ class _Parser:
             if lbp <= rbp:
                 break
             self.advance()
+            self.nest()  # each operator of a chain wraps the node once more
             if tok.text == "^":
                 node = self.finish_power(node, tok)
             else:
                 right = self.expression(lbp)
                 node = BinOp(tok.offset, tok.text, node, right)
+        self.depth = outer
         return node
 
     def prefix(self) -> Node:
@@ -216,6 +230,8 @@ class _Parser:
         value = _fold_constant(exp_node)
         if value is None:
             raise ExprError("exponent of '^' must be a constant", exp_node.offset)
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise ExprError("exponent of '^' must be a finite real number", exp_node.offset)
         return BinOp(caret.offset, "^", base, Num(exp_node.offset, value))
 
 
@@ -237,9 +253,10 @@ def _fold_constant(node: Node) -> float | None:
             return a - b
         if node.op == "*":
             return a * b
-        if node.op == "/":
-            return a / b
-        return a**b
+        try:
+            return a / b if node.op == "/" else a**b
+        except (ZeroDivisionError, OverflowError):
+            raise ExprError(f"constant {node.op!r} has no finite value", node.offset) from None
     return None
 
 

@@ -20,12 +20,13 @@ tensor) raise :class:`DomainError` when first touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ad import ChartJets, CovectorField, ScalarField, Series, contract, matinv
+from .ad import ChartJets, ScalarField, Series, contract, matinv
 
 __all__ = [
     "DomainError",
@@ -60,6 +61,8 @@ class ChartPoint:
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or y.shape != x.shape:
             raise ValueError("x and y must be 1-d arrays of equal length")
+        if not all(map(math.isfinite, x.tolist() + y.tolist())):  # cheapest for a few floats
+            raise DomainError(f"chart point must be finite, got x = {x.tolist()}, y = {y.tolist()}")
         if not np.any(y):
             raise DomainError("y = 0 lies outside the slit tangent bundle")
         object.__setattr__(self, "x", x)
@@ -133,11 +136,13 @@ class Tower:
     themselves and refuse to hand out untrusted coefficients).
 
     The ``cache`` dict is free space for other modules to memoize values
-    derived from this tower (keyed by their own conventions).
+    derived from this tower (keyed by their own conventions).  The tower
+    keeps the norm, not the structure that caches it, so a dropped
+    structure frees its towers by reference counting.
     """
 
     def __init__(self, structure: FinslerStructure, point: ChartPoint, order: int):
-        self.structure = structure
+        self.norm = structure.norm
         self.point = point
         self.order = order
         self.n = structure.n
@@ -148,7 +153,7 @@ class Tower:
 
     @cached_property
     def L(self) -> Series:
-        s = self.structure.norm.eval(self.jets)
+        s = self.norm.eval(self.jets)
         if not float(s.val) > 0.0:
             raise DomainError(
                 f"norm must be positive away from y = 0, got L = {float(s.val):.6g} "
@@ -169,11 +174,13 @@ class Tower:
             Series.stack([grads[i].d(n + j) * 0.5 for j in range(n)]) for i in range(n)
         ]
         g = Series.stack(rows)
+        where = f"x = {self.point.x.tolist()}, y = {self.point.y.tolist()}"
+        if not np.all(np.isfinite(g.val)):
+            raise DomainError(f"fundamental tensor is not finite at {where}: {g.val.tolist()}")
         eig = np.linalg.eigvalsh(g.val)
         if eig[0] <= 0.0:
             raise DomainError(
-                f"fundamental tensor is not positive definite at "
-                f"x = {self.point.x.tolist()}, y = {self.point.y.tolist()} "
+                f"fundamental tensor is not positive definite at {where} "
                 f"(eigenvalues {eig.tolist()})"
             )
         return g

@@ -23,6 +23,7 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .ad import Series
 from .connection import CARTAN, Connection, torsions
@@ -142,6 +143,11 @@ class ConnectionFamily:
             ("berwald", self.berwald),
         )
 
+    @cached_property
+    def p1_chern_rund(self) -> Connection:
+        """The P1-process of ``chern_rund``: ``berwald`` if the square commutes."""
+        return p1_process(self.chern_rund)
+
 
 def derive_family(params: DeformationParams) -> ConnectionFamily:
     """Build the deformed connection and its three process derivatives."""
@@ -161,6 +167,21 @@ def derive_family(params: DeformationParams) -> ConnectionFamily:
 
 # ---------------------------------------------------------------------------
 # the full diagram at a point
+
+# Built once, so the memo entries they leave in a tower's cache are hit
+# again by the next call at that tower instead of piling up.
+_CLASSICAL_EDGES = (
+    ("classical:cartan-to-hashiguchi", p1_process(CARTAN), HASHIGUCHI),
+    ("classical:cartan-to-chern-rund", c_process(CARTAN), CHERN_RUND),
+    ("classical:hashiguchi-to-berwald", c_process(HASHIGUCHI), BERWALD),
+    ("classical:chern-rund-to-berwald", p1_process(CHERN_RUND), BERWALD),
+)
+
+
+@cache
+def _zero_params(n: int) -> DeformationParams:
+    """The zero deformation of dimension ``n``, with one family for every call."""
+    return DeformationParams.zero(n)
 
 
 def _match(got: Series, want: Series) -> float:
@@ -214,25 +235,15 @@ def diagram_residuals(
         _match(fam.berwald.H(t), fam.hashiguchi.H(t)),
     ))
     rows["deformed:chern-rund-to-berwald"] = _triple_residual(
-        p1_process(fam.chern_rund), fam.berwald, t
+        fam.p1_chern_rund, fam.berwald, t
     )
 
     # classical square, targets built independently from tower data
-    rows["classical:cartan-to-hashiguchi"] = _triple_residual(
-        p1_process(CARTAN), HASHIGUCHI, t
-    )
-    rows["classical:cartan-to-chern-rund"] = _triple_residual(
-        c_process(CARTAN), CHERN_RUND, t
-    )
-    rows["classical:hashiguchi-to-berwald"] = _triple_residual(
-        c_process(HASHIGUCHI), BERWALD, t
-    )
-    rows["classical:chern-rund-to-berwald"] = _triple_residual(
-        p1_process(CHERN_RUND), BERWALD, t
-    )
+    for label, processed, target in _CLASSICAL_EDGES:
+        rows[label] = _triple_residual(processed, target, t)
 
     # collapse edges under zero parameters
-    zero = DeformationParams.zero(t.n)
+    zero = _zero_params(t.n)
     zfam = derive_family(zero)
     for (label, member), classical in zip(
         zfam.members(), (CARTAN, HASHIGUCHI, CHERN_RUND, BERWALD)

@@ -9,7 +9,10 @@ Oracles used here, in order of strength:
   as property tests.
 """
 
+import ast
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerconn
+from finslerconn import samples
 from finslerconn.ad import (
     ChartJets,
     ConstantCovector,
@@ -35,6 +39,9 @@ from finslerconn.ad import (
     ring,
     third_y,
 )
+from finslerconn.cases import default_free_choices, preset
+from finslerconn.finsler import Tower
+from finslerconn.verify import SamplePlan, check_curvatures, run_all
 
 
 class PointStub:
@@ -453,6 +460,136 @@ def test_series_contractions_live_in_ad_only():
         if path.name != "ad.py" and ".sum(axis=" in path.read_text()
     ]
     assert offenders == []
+
+
+def test_every_import_is_used():
+    # an imported name no module code refers to (outside __all__) is dead
+    package = Path(finslerconn.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used | exported]
+    assert unused == []
+
+
+# ---------------------------------------------------------------------------
+# products in the ring of the trusted order
+
+
+def _full_ring_product(rg, a, b):
+    """The product over the whole ring, each output summed from 0.0 in pair order."""
+    I, J, _ = rg._mul_table()
+    W = a[..., I] * b[..., J]
+    out = np.zeros(W.shape[:-1] + (rg.dim,))
+    for p, (i, j) in enumerate(zip(I, J)):
+        k = rg.index[tuple(u + v for u, v in zip(rg.monomials[i], rg.monomials[j]))]
+        out[..., k] += W[..., p]
+    return out
+
+
+TRUNCATION_RINGS = [(4, 4), (4, 5), (4, 6), (6, 5), (6, 6)]
+
+
+@pytest.mark.parametrize("nvars,order", TRUNCATION_RINGS)
+def test_truncated_product_is_bit_identical_to_full_ring(nvars, order):
+    rg = ring(nvars, order)
+    rng = np.random.default_rng(100 * nvars + order)
+    shapes = [((), ()), ((2, 3), (2, 3)), ((3, 1), (1, 2))]  # single, batched, broadcast
+    for sa, sb in shapes:
+        a, b = rng.uniform(-1, 1, sa + (rg.dim,)), rng.uniform(-1, 1, sb + (rg.dim,))
+        ab, ba = _full_ring_product(rg, a, b), _full_ring_product(rg, b, a)
+        for valid in range(order + 1):
+            head = ring(nvars, valid).dim
+            for got, full in (
+                (Series(rg, a, valid) * Series(rg, b, order), ab),
+                (Series(rg, b, order) * Series(rg, a, valid), ba),
+            ):
+                assert got.valid == valid
+                assert np.array_equal(got.coef[..., :head], full[..., :head])
+                assert not got.coef[..., head:].any()
+    # an ndarray operand is a constant series, trusted to every order
+    a, arr = rng.uniform(-1, 1, (2, rg.dim)), rng.uniform(-1, 1, (3, 1))
+    full = _full_ring_product(rg, a, Series.const(rg, arr).coef)
+    for valid in range(order + 1):
+        head = ring(nvars, valid).dim
+        got = Series(rg, a, valid) * arr
+        assert np.array_equal(got.coef[..., :head], full[..., :head])
+        assert not got.coef[..., head:].any()
+
+
+@pytest.mark.parametrize("nvars,order", TRUNCATION_RINGS)
+def test_truncated_compose_and_matinv_are_bit_identical(nvars, order):
+    rg = ring(nvars, order)
+    rng = np.random.default_rng(200 * nvars + order)
+    coef = rng.uniform(-0.5, 0.5, (2, rg.dim))
+    coef[..., 0] = rng.uniform(0.5, 1.5, 2)  # positive values: powr and log apply
+    mat = rng.uniform(-0.2, 0.2, (3, 3, rg.dim))
+    mat[..., 0] += 3.0 * np.eye(3)  # invertible constant term
+    functions = {
+        "recip": Series.recip,
+        "powr": lambda s: s.powr(0.37),
+        "exp": Series.exp,
+        "log": Series.log,
+        "sin": Series.sin,
+        "cos": Series.cos,
+    }
+    for name, fn in functions.items():
+        full = fn(Series(rg, coef, order)).coef
+        for valid in range(order):
+            head = ring(nvars, valid).dim
+            got = fn(Series(rg, coef, valid))
+            assert got.valid == valid
+            assert np.array_equal(got.coef[..., :head], full[..., :head]), (name, valid)
+            assert not got.coef[..., head:].any(), (name, valid)
+    full = matinv(Series(rg, mat, order)).coef
+    for valid in range(order):
+        head = ring(nvars, valid).dim
+        got = matinv(Series(rg, mat, valid))
+        assert np.array_equal(got.coef[..., :head], full[..., :head]), ("matinv", valid)
+
+
+def test_dropped_structures_free_their_towers_without_gc():
+    # with the cycle collector off, only reference counting frees towers
+    plan = SamplePlan(
+        param_sets=1, theorem_points=1, construction_points=1, torsion_points=1,
+        curvature_points=1, bianchi_points=1, process_points=1, case_points=1, fd_points=1,
+    )
+    towers = []
+    init = Tower.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        towers.append(weakref.ref(self))
+
+    Tower.__init__ = recording_init
+    gc.collect()
+    gc.disable()
+    try:
+        F = samples.quartic_three_dim()
+        for case_id in (3, 4, 5):  # Ricci weight, metric split parts of phi
+            pack = preset(case_id, F, **default_free_choices(case_id, F))
+            check_curvatures(pack, F, plan)
+        del F, pack
+        run_all([samples.randers(0.5)], plan)  # every case pack of the catalog
+        alive = sum(ref() is not None for ref in towers)
+    finally:
+        gc.enable()
+        Tower.__init__ = init
+    assert towers and alive == 0
 
 
 def test_matinv_inverts_series_matrix():

@@ -203,6 +203,14 @@ class TestBuilders:
         ):
             build_structure(cfg.metric_entry("hyperbolic"), cfg.dimension)
 
+    @pytest.mark.parametrize(
+        "norm", ["y1^(1/0)", "(" * 5000 + "x1" + ")" * 5000], ids=["zero-division", "deep-nesting"]
+    )
+    def test_malformed_norm_exits_2(self, tmp_path, capsys, norm):
+        ini = write(tmp_path, "bad.ini", QUICK_INI.replace("sqrt(y1^2 + y2^2)", norm))
+        assert main(["check", "--config", ini, "--out", str(tmp_path / "c.json")]) == 2
+        assert "offset" in capsys.readouterr().err
+
     def test_degenerate_norm_rejected_at_probe(self):
         cfg = parse_config(
             "[run]\nmetrics = bad\n[metric:bad]\nL = sqrt(y1^2 - 0.5*y2^2)\n"

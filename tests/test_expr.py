@@ -127,6 +127,18 @@ def test_nonconstant_exponent_rejected():
     assert "constant" in str(err.value)
 
 
+def test_constant_exponent_without_a_value_rejected():
+    with pytest.raises(ExprError) as err:
+        parse_expression("y1^(1/0)", 2)
+    assert err.value.offset == 5  # the '/'
+
+
+def test_deep_nesting_rejected():
+    with pytest.raises(ExprError, match="nested") as err:
+        parse_expression("(" * 5000 + "x1" + ")" * 5000, 2)
+    assert err.value.offset == 200
+
+
 def test_function_requires_parens():
     with pytest.raises(ExprError):
         parse_expression("sqrt y1", 2)

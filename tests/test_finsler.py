@@ -264,6 +264,19 @@ def test_zero_section_rejected():
         ChartPoint([0.1, 0.2], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("x,y", [([0.1, 0.2], [np.nan, 1.0]), ([np.inf, 0.2], [1.0, 1.0])])
+def test_non_finite_point_rejected(x, y):
+    with pytest.raises(DomainError, match="finite"):
+        ChartPoint(x, y)
+
+
+def test_non_finite_fundamental_tensor_rejected():
+    # y1^2 overflows, so L is inf and every entry of g is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            euclidean().tower(ChartPoint([0.1, 0.2], [1e200, 1.0]), 2).g
+
+
 def test_negative_norm_rejected():
     F = FinslerStructure(2, ExprScalarField(2, "y1"))
     with pytest.raises(DomainError, match="positive"):

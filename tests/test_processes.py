@@ -169,6 +169,18 @@ def test_diagram_residuals_all_small(F, point):
         assert value < 1e-12, f"{name}: {value:.3e}"
 
 
+def test_diagram_residuals_reuse_their_memo_entries():
+    # the zero pack, its family and the process connections are built once
+    F = randers()
+    params = general_params(2)
+    t = F.tower(P2, 4)
+    sizes = []
+    for _ in range(3):
+        diagram_residuals(params, F, P2)
+        sizes.append(len(t.cache))
+    assert sizes[0] == sizes[1] == sizes[2]
+
+
 def test_diagram_rows_cover_both_squares_and_collapse():
     rows = diagram_residuals(DeformationParams.zero(2), randers(), P2)
     prefixes = {name.split(":")[0] for name in rows}

@@ -10,26 +10,24 @@ vectors, so nested derivatives of computed quantities (e.g. a y-derivative
 of a coefficient that itself contains x-derivatives of the metric) come out
 to machine precision instead of finite-difference accuracy.
 
-Two details matter for correctness downstream:
+A few details matter for correctness downstream:
 
-* ``Series.valid`` tracks the largest total degree whose coefficients are
-  trustworthy.  A product of series valid to orders ``p`` and ``q`` is valid
-  to ``min(p, q)``; a derivative drops the order by one; analytic functions
-  preserve it.  Extracting a coefficient past the valid order raises
-  :class:`TruncationError`, so a pipeline that was evaluated at too low an
-  order fails loudly instead of returning silently wrong zeros.
+* A series' ring is its trusted order: a ``Series`` stores exactly the
+  coefficients of total degree ``<= ring.order``, and ``Series.valid`` is
+  that order.  A sum or product of series of orders ``p`` and ``q`` lives
+  in the ring of order ``min(p, q)``; a derivative drops the order by one;
+  analytic functions preserve it.  Extracting a coefficient past the order
+  raises :class:`TruncationError`, so a pipeline that was evaluated at too
+  low an order fails loudly instead of returning silently wrong zeros.
+* Monomials are graded, so cutting a series to a lower order takes a
+  prefix of its coefficients, and the product in ``ring(nvars, v)`` sums
+  the same pairs in the same order as the product in any higher ring does
+  for its coefficients of degree ``<= v`` (truncated Taylor arithmetic,
+  Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 * A ``Series`` holds a whole numpy *batch* of expansions (``coef`` has shape
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
   precomputed sparse pair table per ring.
-* Products run in the ring of the trusted order.  Monomials are graded, so
-  a product valid to ``v`` is the product in ``ring(nvars, v)`` of the
-  first ``ring(nvars, v).dim`` coefficients, over the same pairs in the
-  same order as in the full ring; the untrusted tail is zero.  The Horner
-  loop of the analytic functions runs in that ring too, and
-  :func:`matinv` inherits the truncation from its products (truncated
-  Taylor arithmetic, Griewank & Walther, *Evaluating Derivatives*, 2nd
-  ed., ch. 13).
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
   how a series contraction is evaluated is decided in this one place.
@@ -57,7 +55,6 @@ __all__ = [
     "ring",
     "Series",
     "ChartJets",
-    "Jet",
     "ScalarField",
     "CovectorField",
     "MatrixField",
@@ -67,15 +64,10 @@ __all__ = [
     "ZeroCovector",
     "ZeroMatrix",
     "IdentityMatrix",
-    "partial",
-    "hessian_y",
-    "third_y",
     "contract",
     "matmul",
     "matinv",
 ]
-
-MAX_PARTIAL_ORDER = 4
 
 
 class TruncationError(Exception):
@@ -111,13 +103,10 @@ class TaylorRing:
         self.index = {m: i for i, m in enumerate(mons)}
         self.dim = len(mons)
         self.degree = np.array([sum(m) for m in mons], dtype=np.int64)
-        # number of monomials of degree <= d, for d = 0..order
+        # _prefix[d] is the number of monomials of degree < d, for d = 0..order+1
         self._prefix = np.searchsorted(self.degree, np.arange(order + 2), side="left")
-        self._fact = np.array(
-            [math.prod(math.factorial(e) for e in m) for m in mons], dtype=float
-        )
         self._mul_cache: tuple[np.ndarray, np.ndarray, sp.csr_matrix] | None = None
-        self._diff_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._diff_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TaylorRing(nvars={self.nvars}, order={self.order}, dim={self.dim})"
@@ -145,17 +134,20 @@ class TaylorRing:
             self._mul_cache = (np.array(I), np.array(J), scatter)
         return self._mul_cache
 
-    def _diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
+        """Source index and factor of each coefficient of ``d/dv_var``.
+
+        The entries follow the monomials of the ring one order lower, so the
+        derivative is one gather: ``coef[..., src] * fac``.
+        """
         tab = self._diff_cache.get(var)
         if tab is None:
-            src, dst, fac = [], [], []
-            for i, m in enumerate(self.monomials):
-                if m[var]:
-                    src.append(i)
-                    fac.append(float(m[var]))
-                    lower = m[:var] + (m[var] - 1,) + m[var + 1 :]
-                    dst.append(self.index[lower])
-            tab = (np.array(src), np.array(dst), np.array(fac))
+            src, fac = [], []
+            for m in self.monomials[: self._prefix[self.order]]:
+                up = m[:var] + (m[var] + 1,) + m[var + 1 :]
+                src.append(self.index[up])
+                fac.append(float(up[var]))
+            tab = (np.array(src, dtype=np.int64), np.array(fac))
             self._diff_cache[var] = tab
         return tab
 
@@ -165,18 +157,6 @@ class TaylorRing:
         W = a[..., I] * b[..., J]
         batch = W.shape[:-1]
         return (scatter @ W.reshape(-1, W.shape[-1]).T).T.reshape(*batch, self.dim)
-
-    def truncated(self, valid: int) -> "TaylorRing":
-        """The ring cut at degree ``valid``, whose coefficients are a prefix of these."""
-        return self if valid >= self.order else ring(self.nvars, valid)
-
-    def pad(self, head: np.ndarray) -> np.ndarray:
-        """Coefficients of a truncated ring, extended to this ring by zeros."""
-        if head.shape[-1] == self.dim:
-            return head
-        out = np.zeros(head.shape[:-1] + (self.dim,))
-        out[..., : head.shape[-1]] = head
-        return out
 
 
 _RINGS: dict[tuple[int, int], TaylorRing] = {}
@@ -203,30 +183,42 @@ def _binom_real(r: float, m: int) -> float:
     return out
 
 
+def _meet(*series: "Series") -> tuple[TaylorRing, list[np.ndarray]]:
+    """The lowest-order ring of some series, and their coefficients cut to it."""
+    rg = series[0].ring
+    for s in series:
+        if s.ring.nvars != rg.nvars:
+            raise ValueError("series over different numbers of variables")
+        if s.ring.order < rg.order:
+            rg = s.ring
+    return rg, [s.coef if s.ring is rg else s.coef[..., : rg.dim] for s in series]
+
+
 class Series:
     """A numpy batch of truncated Taylor expansions over one ring."""
 
-    __slots__ = ("ring", "coef", "valid")
+    __slots__ = ("ring", "coef")
 
     # keep numpy from hijacking ndarray <op> Series elementwise
     __array_ufunc__ = None
 
-    def __init__(self, rg: TaylorRing, coef: np.ndarray, valid: int):
-        valid = int(min(valid, rg.order))
-        if valid < 0:
-            raise TruncationError("series has no trusted coefficients left")
+    def __init__(self, rg: TaylorRing, coef: np.ndarray):
         self.ring = rg
         self.coef = np.asarray(coef, dtype=float)
-        self.valid = valid
+
+    @property
+    def valid(self) -> int:
+        """The trusted order, which is the order of the series' ring."""
+        return self.ring.order
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def const(cls, rg: TaylorRing, value, valid: int | None = None) -> "Series":
+    def const(cls, rg: TaylorRing, value) -> "Series":
         value = np.asarray(value, dtype=float)
         coef = np.zeros(value.shape + (rg.dim,))
         coef[..., 0] = value
-        return cls(rg, coef, rg.order if valid is None else valid)
+        return cls(rg, coef)
 
     @classmethod
     def seed(cls, rg: TaylorRing, var: int, value: float) -> "Series":
@@ -236,13 +228,12 @@ class Series:
         if rg.order >= 1:
             e = tuple(1 if i == var else 0 for i in range(rg.nvars))
             coef[rg.index[e]] = 1.0
-        return cls(rg, coef, rg.order)
+        return cls(rg, coef)
 
     @staticmethod
     def stack(items: Sequence["Series"], axis: int = 0) -> "Series":
-        rg = items[0].ring
-        valid = min(s.valid for s in items)
-        return Series(rg, np.stack([s.coef for s in items], axis=axis), valid)
+        rg, coefs = _meet(*items)
+        return Series(rg, np.stack(coefs, axis=axis))
 
     # -- shape helpers ------------------------------------------------------
 
@@ -253,22 +244,22 @@ class Series:
     def __getitem__(self, key) -> "Series":
         if not isinstance(key, tuple):
             key = (key,)
-        return Series(self.ring, self.coef[key + (slice(None),)], self.valid)
+        return Series(self.ring, self.coef[key + (slice(None),)])
 
     def sum(self, axis: int) -> "Series":
         if axis < 0:
             raise ValueError("sum axis must index batch dimensions (>= 0)")
-        return Series(self.ring, self.coef.sum(axis=axis), self.valid)
+        return Series(self.ring, self.coef.sum(axis=axis))
 
     def transpose(self, *axes: int) -> "Series":
         """Permute batch axes; the trailing ring axis stays in place."""
         if any(a < 0 for a in axes):
             raise ValueError("transpose axes must index batch dimensions (>= 0)")
         perm = tuple(axes) + (self.coef.ndim - 1,)
-        return Series(self.ring, np.transpose(self.coef, perm), self.valid)
+        return Series(self.ring, np.transpose(self.coef, perm))
 
     def copy(self) -> "Series":
-        return Series(self.ring, self.coef.copy(), self.valid)
+        return Series(self.ring, self.coef.copy())
 
     # -- extraction ---------------------------------------------------------
 
@@ -283,9 +274,9 @@ class Series:
         if len(alpha) != self.ring.nvars:
             raise ValueError(f"multi-index must have length {self.ring.nvars}")
         k = sum(alpha)
-        if k > self.valid:
+        if k > self.ring.order:
             raise TruncationError(
-                f"order-{k} coefficient requested from a series valid to order {self.valid}"
+                f"order-{k} coefficient requested from a series valid to order {self.ring.order}"
             )
         return self.coef[..., self.ring.index[alpha]] * math.prod(
             math.factorial(a) for a in alpha
@@ -295,8 +286,6 @@ class Series:
 
     def _lift(self, other) -> "Series | None":
         if isinstance(other, Series):
-            if other.ring is not self.ring:
-                raise ValueError("series from different rings")
             return other
         if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
             return Series.const(self.ring, other)
@@ -306,7 +295,8 @@ class Series:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Series(self.ring, self.coef + o.coef, min(self.valid, o.valid))
+        rg, (a, b) = _meet(self, o)
+        return Series(rg, a + b)
 
     __radd__ = __add__
 
@@ -314,34 +304,34 @@ class Series:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Series(self.ring, self.coef - o.coef, min(self.valid, o.valid))
+        rg, (a, b) = _meet(self, o)
+        return Series(rg, a - b)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Series(self.ring, o.coef - self.coef, min(self.valid, o.valid))
+        rg, (a, b) = _meet(self, o)
+        return Series(rg, b - a)
 
     def __neg__(self):
-        return Series(self.ring, -self.coef, self.valid)
+        return Series(self.ring, -self.coef)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Series(self.ring, self.coef * float(other), self.valid)
+            return Series(self.ring, self.coef * float(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        valid = min(self.valid, o.valid)
-        head = self.ring.truncated(valid)
-        coef = head.mul_coef(self.coef[..., : head.dim], o.coef[..., : head.dim])
-        return Series(self.ring, self.ring.pad(coef), valid)
+        rg, (a, b) = _meet(self, o)
+        return Series(rg, rg.mul_coef(a, b))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Series(self.ring, self.coef / float(other), self.valid)
+            return Series(self.ring, self.coef / float(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -365,7 +355,7 @@ class Series:
     def _int_pow(self, p: int) -> "Series":
         if p < 0:
             return self.recip()._int_pow(-p)
-        out = Series.const(self.ring, np.ones(self.shape), self.valid)
+        out = Series.const(self.ring, np.ones(self.shape))
         base = self
         while p:
             if p & 1:
@@ -377,34 +367,26 @@ class Series:
     # -- derivatives --------------------------------------------------------
 
     def d(self, var: int) -> "Series":
-        """Partial derivative with respect to ring variable ``var``."""
-        if self.valid < 1:
+        """Partial derivative with respect to ring variable ``var``, one order lower."""
+        rg = self.ring
+        if rg.order < 1:
             raise TruncationError("cannot differentiate a series valid only to order 0")
-        src, dst, fac = self.ring._diff_table(var)
-        out = np.zeros_like(self.coef)
-        out[..., dst] = self.coef[..., src] * fac
-        return Series(self.ring, out, self.valid - 1)
+        src, fac = rg._diff_table(var)
+        return Series(ring(rg.nvars, rg.order - 1), self.coef[..., src] * fac)
 
     # -- analytic functions -------------------------------------------------
 
     def _compose(self, dcoefs: list[np.ndarray]) -> "Series":
-        """Evaluate sum_m dcoefs[m] * (s - s0)^m in the ring (Horner).
-
-        The loop runs in the ring of the trusted order ``v`` and starts at
-        ``m = v``: a degree-``j`` coefficient of the result reads only the
-        terms ``m <= j``, so the trusted coefficients are summed as in the
-        full ring.
-        """
+        """Evaluate sum_m dcoefs[m] * (s - s0)^m in the ring (Horner)."""
         rg = self.ring
-        head = rg.truncated(self.valid)
-        t = self.coef[..., : head.dim].copy()
+        t = self.coef.copy()
         t[..., 0] = 0.0
-        acc = np.zeros(np.broadcast_shapes(self.shape, dcoefs[-1].shape) + (head.dim,))
-        acc[..., 0] = dcoefs[head.order]
-        for m in range(head.order - 1, -1, -1):
-            acc = head.mul_coef(acc, t)
+        acc = np.zeros(np.broadcast_shapes(self.shape, dcoefs[-1].shape) + (rg.dim,))
+        acc[..., 0] = dcoefs[rg.order]
+        for m in range(rg.order - 1, -1, -1):
+            acc = rg.mul_coef(acc, t)
             acc[..., 0] += dcoefs[m]
-        return Series(rg, rg.pad(acc), self.valid)
+        return Series(rg, acc)
 
     def recip(self) -> "Series":
         c0 = self.val
@@ -452,7 +434,7 @@ class Series:
         if self.ring.order >= 1 and np.any(c0 == 0.0):
             raise ValueError("abs is not differentiable at 0")
         sign = np.where(c0 >= 0.0, 1.0, -1.0)
-        return Series(self.ring, self.coef * sign[..., None], self.valid)
+        return Series(self.ring, self.coef * sign[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +489,12 @@ def contract(spec: str, *series: Series) -> Series:
             if sizes.setdefault(c, k) != k:
                 raise ValueError(f"index {c!r} of {spec!r} has sizes {sizes[c]} and {k}")
         coef = s.coef if diagonal is None else np.einsum(diagonal, s.coef)
-        op = Series(s.ring, coef.transpose(perm)[expand], s.valid)
+        op = Series(s.ring, coef.transpose(perm)[expand])
         prod = op if prod is None else prod * op
     coef = prod.coef
     for axis in sum_axes:
         coef = coef.sum(axis=axis)
-    return Series(prod.ring, coef.transpose(out_perm), prod.valid)
+    return Series(prod.ring, coef.transpose(out_perm))
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +517,14 @@ def matinv(g: Series) -> Series:
         raise ValueError("matinv expects an (n, n) series batch")
     rg = g.ring
     b0 = np.linalg.inv(g.val)
-    b0g = Series(rg, np.einsum("ij,jkd->ikd", b0, g.coef), g.valid)
-    rem = Series.const(rg, np.eye(n), g.valid) - b0g  # constant term is 0
-    acc = Series.const(rg, np.eye(n), g.valid)
+    b0g = Series(rg, np.einsum("ij,jkd->ikd", b0, g.coef))
+    rem = Series.const(rg, np.eye(n)) - b0g  # constant term is 0
+    acc = Series.const(rg, np.eye(n))
     power = rem
     for _ in range(rg.order):
         acc = acc + power
         power = matmul(power, rem)
-    return Series(rg, np.einsum("ijd,jk->ikd", acc.coef, b0), g.valid)
+    return Series(rg, np.einsum("ijd,jk->ikd", acc.coef, b0))
 
 
 # ---------------------------------------------------------------------------
@@ -673,121 +655,3 @@ class IdentityMatrix:
 
     def describe(self) -> str:
         return "identity"
-
-
-# ---------------------------------------------------------------------------
-# jets as a user-facing wrapper
-
-
-class Jet:
-    """A scalar truncated Taylor expansion at a chart point."""
-
-    __slots__ = ("series", "n")
-
-    def __init__(self, series: Series, n: int):
-        if series.shape != ():
-            raise ValueError("Jet wraps a single scalar series")
-        self.series = series
-        self.n = n
-
-    @property
-    def order(self) -> int:
-        return self.series.valid
-
-    @property
-    def value(self) -> float:
-        return float(self.series.val)
-
-    def partial(self, alpha: Sequence[int]) -> float:
-        """Partial derivative for a multi-index over (x_1..x_n, y_1..y_n)."""
-        return float(self.series.extract(alpha))
-
-    def _wrap(self, s: Series) -> "Jet":
-        return Jet(s, self.n)
-
-    def __add__(self, other):
-        other = other.series if isinstance(other, Jet) else other
-        return self._wrap(self.series + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = other.series if isinstance(other, Jet) else other
-        return self._wrap(self.series - other)
-
-    def __rsub__(self, other):
-        other = other.series if isinstance(other, Jet) else other
-        return self._wrap(other - self.series)
-
-    def __neg__(self):
-        return self._wrap(-self.series)
-
-    def __mul__(self, other):
-        other = other.series if isinstance(other, Jet) else other
-        return self._wrap(self.series * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other.series if isinstance(other, Jet) else other
-        return self._wrap(self.series / other)
-
-    def __rtruediv__(self, other):
-        other = other.series if isinstance(other, Jet) else other
-        return self._wrap(other / self.series)
-
-    def __pow__(self, p):
-        return self._wrap(self.series**p)
-
-
-def _jets_for(point, order: int) -> ChartJets:
-    return ChartJets.at(point.x, point.y, order)
-
-
-def partial(field: ScalarField, point, alpha: Sequence[int]) -> float:
-    """Partial derivative of a scalar field at a chart point.
-
-    ``alpha`` is a multi-index over ``(x_1..x_n, y_1..y_n)`` with total order
-    at most ``MAX_PARTIAL_ORDER``; ``point`` needs ``.x``/``.y`` arrays.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    k = sum(alpha)
-    if k > MAX_PARTIAL_ORDER:
-        raise ValueError(f"partial() supports orders up to {MAX_PARTIAL_ORDER}")
-    jets = _jets_for(point, k)
-    return float(field.eval(jets).extract(alpha))
-
-
-def hessian_y(field: ScalarField, point) -> np.ndarray:
-    """Symmetrized y-Hessian of a scalar field at a chart point."""
-    jets = _jets_for(point, 2)
-    s = field.eval(jets)
-    n = jets.n
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            alpha = [0] * (2 * n)
-            alpha[n + i] += 1
-            alpha[n + j] += 1
-            out[i, j] = s.extract(alpha)
-    return 0.5 * (out + out.T)
-
-
-def third_y(field: ScalarField, point) -> np.ndarray:
-    """Symmetrized third y-derivative tensor of a scalar field."""
-    jets = _jets_for(point, 3)
-    s = field.eval(jets)
-    n = jets.n
-    out = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                alpha = [0] * (2 * n)
-                alpha[n + i] += 1
-                alpha[n + j] += 1
-                alpha[n + k] += 1
-                out[i, j, k] = s.extract(alpha)
-    sym = np.zeros_like(out)
-    for perm in itertools.permutations((0, 1, 2)):
-        sym += np.transpose(out, perm)
-    return sym / 6.0

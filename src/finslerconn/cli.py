@@ -57,7 +57,7 @@ from .expr import (
     ExprMatrixField,
     ExprScalarField,
 )
-from .finsler import ChartPoint, DomainError, FinslerStructure
+from .finsler import ChartPoint, FinslerStructure
 from .processes import diagram_residuals
 from .verify import (
     DEFAULT_TOLERANCES,
@@ -251,6 +251,22 @@ source = random
 
 [tolerances]
 """
+
+
+def _tolerance(name: str, text: str, where: str) -> float:
+    """The value of one tolerance tier; ``where`` leads every error message."""
+    if name not in DEFAULT_TOLERANCES:
+        raise ConfigError(
+            f"{where}: unknown name {name!r}; known: "
+            f"{', '.join(sorted(DEFAULT_TOLERANCES))}"
+        )
+    try:
+        value = float(text)
+    except ValueError as err:
+        raise ConfigError(f"{where} {name}: {err}") from None
+    if not value > 0:
+        raise ConfigError(f"{where} {name}: must be positive")
+    return value
 
 
 def _get_float(
@@ -452,17 +468,8 @@ def parse_config(text: str, origin: str = "<config>") -> Config:
 
     tolerances: dict[str, float] = {}
     if parser.has_section("tolerances"):
-        for key in parser["tolerances"]:
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(
-                    f"{origin}: [tolerances] unknown name {key!r}; known: "
-                    f"{', '.join(sorted(DEFAULT_TOLERANCES))}"
-                )
-            tolerances[key] = _get_float(parser["tolerances"], key, origin)
-            if tolerances[key] <= 0:
-                raise ConfigError(
-                    f"{origin}: [tolerances] {key} must be positive"
-                )
+        for key, text in parser["tolerances"].items():
+            tolerances[key] = _tolerance(key, text, f"{origin}: [tolerances]")
 
     return Config(
         dimension=dimension,
@@ -500,7 +507,7 @@ def build_structure(entry: MetricEntry, dimension: int) -> FinslerStructure:
     probe = ChartPoint(np.zeros(dimension), np.full(dimension, 1.0))
     try:
         F.validate_at(probe)
-    except (DomainError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(f"[metric:{entry.name}]: {err}") from None
     return F
 
@@ -617,7 +624,7 @@ def load_points(path: str | Path, n: int) -> list[ChartPoint]:
             points.append(
                 ChartPoint(np.array(values[:n]), np.array(values[n:]))
             )
-        except (DomainError, ValueError) as err:
+        except ValueError as err:
             raise ConfigError(f"{p}:{lineno}: {err}") from None
     if not points:
         raise ConfigError(f"{p}: no points found")
@@ -740,6 +747,13 @@ def _tols(config: Config) -> dict[str, float]:
     return {**DEFAULT_TOLERANCES, **config.tolerances}
 
 
+def _pack(config: Config, pname: str, F: FinslerStructure) -> DeformationParams:
+    """The named parameter pack; ``zero`` is built in unless a section defines it."""
+    if pname == "zero" and pname not in config.params:
+        return DeformationParams.zero(F.n)
+    return build_params(config.params_entry(pname), F, config.plan)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -755,17 +769,14 @@ def cmd_report(
     entry = config.metric_entry(metric or config.metrics[0].name)
     F = build_structure(entry, config.dimension)
     pname = params_name or config.default_params
-    if pname == "zero" and pname not in config.params:
-        pack = DeformationParams.zero(F.n)
-    else:
-        pack = build_params(config.params_entry(pname), F, config.plan)
+    pack = _pack(config, pname, F)
     if points_path:
         points = load_points(points_path, F.n)
     else:
         points = sample_points(F, config.plan, _REPORT_POINTS, "cli-report")
     try:
         doc = tensor_report(F, pack, points)
-    except (DomainError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(
             f"report on metric {entry.name!r}, params {pname!r}: {err}"
         ) from None
@@ -864,10 +875,7 @@ def cmd_diagram(config: Config, out: str | None) -> int:
     payload: dict = {"command": "diagram", "metrics": {}}
     for entry in config.metrics:
         F = build_structure(entry, config.dimension)
-        if pname == "zero" and pname not in config.params:
-            pack = DeformationParams.zero(F.n)
-        else:
-            pack = build_params(config.params_entry(pname), F, config.plan)
+        pack = _pack(config, pname, F)
         points = sample_points(
             F, config.plan, config.plan.process_points, "cli-diagram"
         )
@@ -939,17 +947,7 @@ def _parse_tolerance_flags(pairs: Sequence[str] | None) -> dict[str, float]:
                 f"--tolerance expects NAME=VALUE, got {pair!r}"
             )
         name = name.strip()
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(
-                f"--tolerance: unknown name {name!r}; known: "
-                f"{', '.join(sorted(DEFAULT_TOLERANCES))}"
-            )
-        try:
-            overrides[name] = float(value)
-        except ValueError as err:
-            raise ConfigError(f"--tolerance {name}: {err}") from None
-        if overrides[name] <= 0:
-            raise ConfigError(f"--tolerance {name}: must be positive")
+        overrides[name] = _tolerance(name, value, "--tolerance")
     return overrides
 
 
@@ -1040,10 +1038,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except (CaseError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except ValueError as err:  # CaseError and DomainError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

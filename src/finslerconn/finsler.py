@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .ad import ChartJets, ScalarField, Series, contract, matinv
+from .expr import ExprError
 
 __all__ = [
     "DomainError",
@@ -153,11 +154,19 @@ class Tower:
 
     @cached_property
     def L(self) -> Series:
-        s = self.norm.eval(self.jets)
-        if not float(s.val) > 0.0:
+        where = f"x = {self.point.x.tolist()}, y = {self.point.y.tolist()}"
+        try:
+            s = self.norm.eval(self.jets)
+        except ExprError:  # the expression is at fault, not the point
+            raise
+        except (ValueError, ZeroDivisionError) as err:
+            raise DomainError(f"norm cannot be evaluated at {where}: {err}") from None
+        value = float(s.val)
+        if not math.isfinite(value):
+            raise DomainError(f"norm is not finite at {where}: L = {value}")
+        if not value > 0.0:
             raise DomainError(
-                f"norm must be positive away from y = 0, got L = {float(s.val):.6g} "
-                f"at x = {self.point.x.tolist()}, y = {self.point.y.tolist()}"
+                f"norm must be positive away from y = 0, got L = {value:.6g} at {where}"
             )
         return s
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from finslerconn.ad import ChartJets
-from finslerconn.expr import ExprScalarField
+from finslerconn.expr import ExprError, ExprScalarField
 from finslerconn.finsler import (
     ChartPoint,
     DomainError,
@@ -275,6 +275,35 @@ def test_non_finite_fundamental_tensor_rejected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="not finite"):
             euclidean().tower(ChartPoint([0.1, 0.2], [1e200, 1.0]), 2).g
+
+
+def test_infinite_norm_rejected_at_L():
+    # y1^2 overflows, so L itself is inf; L > 0 alone would pass it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="norm is not finite"):
+            euclidean().tower(ChartPoint([0.1, 0.2], [1e200, 1.0]), 2).L
+
+
+def test_overflowing_power_of_norm_rejected_at_L():
+    F = FinslerStructure(2, ExprScalarField(2, "sqrt(y1^2 + y2^2)^100000"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="norm is not finite"):
+            F.tower(ChartPoint([0.1, 0.2], [1.0, 1.0]), 2).L
+
+
+def test_underflowing_norm_rejected_at_L():
+    # y1^2 + y2^2 underflows to 0, and sqrt of a zero series has no jet
+    with pytest.raises(DomainError, match=r"cannot be evaluated at x = \[0.1, 0.2\]"):
+        euclidean().tower(ChartPoint([0.1, 0.2], [1e-200, 1e-200]), 2).L
+
+
+def test_expression_errors_pass_through_L():
+    class Broken:
+        def eval(self, jets):
+            raise ExprError("broken norm", 3)
+
+    with pytest.raises(ExprError, match="offset 3"):
+        FinslerStructure(2, Broken()).tower(ChartPoint([0.1, 0.2], [1.0, 1.0]), 2).L
 
 
 def test_negative_norm_rejected():

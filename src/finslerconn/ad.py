@@ -521,9 +521,10 @@ def matinv(g: Series) -> Series:
     rem = Series.const(rg, np.eye(n)) - b0g  # constant term is 0
     acc = Series.const(rg, np.eye(n))
     power = rem
-    for _ in range(rg.order):
+    for k in range(rg.order):
+        if k:
+            power = matmul(power, rem)
         acc = acc + power
-        power = matmul(power, rem)
     return Series(rg, np.einsum("ijd,jk->ikd", acc.coef, b0))
 
 

@@ -930,12 +930,15 @@ def check_case(
     free: Mapping | None = None,
     seed: int = 0,
     tolerance: float = 1e-7,
+    perturbation: float = 0.0,
 ) -> dict:
     """Compare the built difference tensor with the catalog closed form.
 
     Returns a plain dict: the worst relative residual over the points, the
     literal-form residual for typo-flagged entries (reported, not asserted),
-    and a ``passed`` verdict against ``tolerance``.
+    and a ``passed`` verdict against ``tolerance``.  ``perturbation`` shifts
+    one entry of the built tensor before the comparison (the fuzz-injection
+    hook).
     """
     spec = _require(case_id)
     choices = (
@@ -947,6 +950,9 @@ def check_case(
     for p in pts:
         ws = _Workspace(params, F, p)
         built = ws.difference
+        if perturbation:
+            built = built.copy()
+            built[(0,) * built.ndim] += perturbation
         target = spec.delta(ws, False)
         residuals.append(relative_residual(built - target, built, target))
         if spec.typo:

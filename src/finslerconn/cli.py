@@ -50,7 +50,7 @@ from .connection import (
     curvature_v,
     torsions,
 )
-from .deformation import DeformationParams, build, deformation_data, worst_residual
+from .deformation import DeformationParams, build, deformation_data
 from .expr import (
     ExprCovectorField,
     ExprError,
@@ -62,6 +62,9 @@ from .processes import diagram_residuals
 from .verify import (
     DEFAULT_TOLERANCES,
     SamplePlan,
+    _aggregate,
+    _edge_tier,
+    _tols,
     random_params,
     run_all,
     sample_points,
@@ -743,10 +746,6 @@ def _verdict_table(rows: list[dict], columns: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
-def _tols(config: Config) -> dict[str, float]:
-    return {**DEFAULT_TOLERANCES, **config.tolerances}
-
-
 def _pack(config: Config, pname: str, F: FinslerStructure) -> DeformationParams:
     """The named parameter pack; ``zero`` is built in unless a section defines it."""
     if pname == "zero" and pname not in config.params:
@@ -818,7 +817,7 @@ def cmd_cases(config: Config, case_id: int | None, out: str | None) -> int:
         build_structure(e, config.dimension) for e in config.metrics
     ]
     ids = [case_id] if case_id is not None else [c["id"] for c in catalog()]
-    tol = _tols(config)["cases"]
+    tol = _tols(config.tolerances)["cases"]
     rows: list[dict] = []
     for cid in ids:
         for F in structures:
@@ -869,7 +868,7 @@ _DIAGRAM_GROUPS = (
 
 def cmd_diagram(config: Config, out: str | None) -> int:
     """Residual matrix of the construction diagram, per metric."""
-    tols = _tols(config)
+    tols = _tols(config.tolerances)
     pname = config.default_params
     all_rows: list[dict] = []
     payload: dict = {"command": "diagram", "metrics": {}}
@@ -879,16 +878,13 @@ def cmd_diagram(config: Config, out: str | None) -> int:
         points = sample_points(
             F, config.plan, config.plan.process_points, "cli-diagram"
         )
-        worst: dict[str, float] = {}
-        for point in points:
-            for key, value in diagram_residuals(pack, F, point).items():
-                worst[key] = worst_residual((worst.get(key, 0.0), value))
+        worst = _aggregate(diagram_residuals(pack, F, point) for point in points)
         payload["metrics"][entry.name] = worst
         for group, _ in _DIAGRAM_GROUPS:
             for key, value in sorted(worst.items()):
                 if not key.startswith(group + ":"):
                     continue
-                tol = tols["collapse" if group == "collapse" else "processes"]
+                tol = tols[_edge_tier(key)]
                 all_rows.append(
                     {
                         "metric": entry.name,

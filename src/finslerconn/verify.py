@@ -8,19 +8,25 @@ the process diagram, the classical case catalog, finite-difference
 cross-checks of the jet substrate, and the closed forms of the
 constant-curvature surface sample.
 
-Each suite draws chart points from a :class:`SamplePlan` (independent
-seeded substreams per metric and suite), aggregates worst-case residuals
-into :class:`CheckRow` entries, and wraps them in a :class:`CheckReport`
-whose payload serializes deterministically for a given seed.  Residuals
-are relative -- ``max|difference| / (1 + max|participant|)`` -- so one
-tolerance scale works across norms of different magnitude.  Tolerances
-are tiered by derivative depth (see :data:`DEFAULT_TOLERANCES`) and every
-number can be overridden by name.
+Every suite runs through one driver, :func:`_suite`: it draws chart
+points from a :class:`SamplePlan` (independent seeded substreams per metric
+and suite), folds the worst residual per label into :class:`CheckRow`
+entries, and wraps them in a :class:`CheckReport` whose payload serializes
+deterministically for a given seed.  Residuals are relative --
+``max|difference| / (1 + max|participant|)`` -- so one tolerance scale
+works across norms of different magnitude.  Tolerances are tiered by
+derivative depth (see :data:`DEFAULT_TOLERANCES`) and every number can be
+overridden by name.
 
 Every suite accepts ``fuzz=True``, which injects a ``1e-3`` coefficient
-perturbation into one side of its comparisons.  A healthy suite must then
-fail, so a fuzz run doubles as a sensitivity control: it proves the
-comparisons have teeth and none of the green rows is vacuous.
+perturbation into one side of its comparisons through one of three seams
+of its per-point function: ``conn=`` (a connection with one bumped
+coefficient block), ``family=`` (a process family with a bumped member) or
+``perturbation=`` (a shift of one entry of an extracted tensor; taken by
+the Bianchi, finite-difference and constant-curvature residuals and by
+:func:`finslerconn.cases.check_case`).  A healthy suite must then fail, so
+a fuzz run doubles as a sensitivity control: it proves the comparisons
+have teeth and none of the green rows is vacuous.
 """
 
 from __future__ import annotations
@@ -28,13 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .ad import ChartJets
-from .cases import catalog, check_case, closed_form_delta, default_free_choices, preset
+from .cases import catalog, check_case
 from .connection import (
     CARTAN,
     Connection,
@@ -175,20 +181,7 @@ class SamplePlan:
                 raise ValueError(f"{f.name} must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "box": self.box,
-            "shell": list(self.shell),
-            "param_sets": self.param_sets,
-            "theorem_points": self.theorem_points,
-            "construction_points": self.construction_points,
-            "torsion_points": self.torsion_points,
-            "curvature_points": self.curvature_points,
-            "bianchi_points": self.bianchi_points,
-            "process_points": self.process_points,
-            "case_points": self.case_points,
-            "fd_points": self.fd_points,
-        }
+        return {**asdict(self), "shell": list(self.shell)}
 
 
 def _rng(seed: int, *labels: str) -> np.random.Generator:
@@ -387,10 +380,36 @@ def _aggregate(per_point: Iterable[Mapping[str, float]]) -> dict[str, float]:
     return {label: worst_residual(vals) for label, vals in values.items()}
 
 
-def _meta(F: FinslerStructure, plan: SamplePlan, points: int, **extra) -> dict:
-    out = {"metric": F.name, "seed": plan.seed, "points": points}
-    out.update(extra)
-    return out
+def _suite(
+    suite: str,
+    F: FinslerStructure,
+    plan: SamplePlan | None,
+    tolerances: Mapping[str, float] | None,
+    fuzz: bool,
+    count_field: str,
+    residuals: Callable[[list[ChartPoint], SamplePlan], Iterable[Mapping[str, float]]],
+    tier: Callable[[str], str],
+    notes: Mapping[str, str] | None = None,
+    **meta,
+) -> CheckReport:
+    """Sample, fold and judge one suite on one metric.
+
+    ``getattr(plan, count_field)`` points are drawn from the substream named
+    by ``suite`` up to its ``[`` (``-fuzz`` appended under ``fuzz``).
+    ``residuals(points, plan)`` yields per-point ``label -> residual``
+    dictionaries, folded to the worst per label; ``tier`` names the
+    tolerance of each label.  ``notes`` is read only after the fold, so the
+    residual generator may fill it.
+    """
+    plan = plan or SamplePlan()
+    tols = _tols(tolerances)
+    stream = suite.split("[")[0]
+    points = sample_points(
+        F, plan, getattr(plan, count_field), f"{stream}-fuzz" if fuzz else stream
+    )
+    worst = _aggregate(residuals(points, plan))
+    meta = {"metric": F.name, "seed": plan.seed, "points": len(points), **meta, "fuzz": fuzz}
+    return _report(suite, worst, {label: tier(label) for label in worst}, tols, meta, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +486,6 @@ def theorem_residuals(
     }
 
 
-_THEOREM_TOLS = {
-    "condition-(i)-horizontal-deficit": "theorem",
-    "condition-(ii)-vertical-deficit": "theorem",
-    "condition-(iii)-quarter-torsion": "theorem",
-    "condition-(iv)-vertical-symmetry": "theorem",
-}
-
-
 def check_theorem(
     params: DeformationParams | Sequence[DeformationParams],
     F: FinslerStructure,
@@ -487,35 +498,22 @@ def check_theorem(
     ``params`` may be a single pack or a sequence; the report keeps the
     worst residual per condition across all packs and points.
     """
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
     packs = [params] if isinstance(params, DeformationParams) else list(params)
-    points = sample_points(F, plan, plan.theorem_points, "theorem-fuzz" if fuzz else "theorem")
 
-    def stream():
+    def residuals(points, plan):
         for pack in packs:
             conn = _perturbed(build(pack), "hor") if fuzz else None
             for p in points:
                 yield theorem_residuals(pack, F, p, conn=conn)
 
-    worst = _aggregate(stream())
-    meta = _meta(
-        F, plan, len(points), packs=[pack.name for pack in packs], fuzz=fuzz
+    return _suite(
+        f"theorem[{F.name}]", F, plan, tolerances, fuzz, "theorem_points",
+        residuals, lambda label: "theorem", packs=[pack.name for pack in packs],
     )
-    return _report(f"theorem[{F.name}]", worst, _THEOREM_TOLS, tols, meta)
 
 
 # ---------------------------------------------------------------------------
 # construction routes, torsions, curvatures (aggregating the pointwise suites)
-
-
-_CONSTRUCTION_TOLS = {
-    "deflection": "first-order",
-    "spray-from-nonlinear": "first-order",
-    "spray-shift-consistency": "first-order",
-    "shift-contraction": "first-order",
-    "compatibility-route": "first-order",
-}
 
 
 def check_construction(
@@ -526,14 +524,14 @@ def check_construction(
     fuzz: bool = False,
 ) -> CheckReport:
     """Internal consistency of the build: deflection, spray, both routes."""
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
-    label = "construction-fuzz" if fuzz else "construction"
-    points = sample_points(F, plan, plan.construction_points, label)
     conn = _perturbed(build(params), "hor") if fuzz else None
-    worst = _aggregate(construction_residuals(params, F, p, conn=conn) for p in points)
-    meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
-    return _report(f"construction[{F.name}]", worst, _CONSTRUCTION_TOLS, tols, meta)
+    return _suite(
+        f"construction[{F.name}]", F, plan, tolerances, fuzz, "construction_points",
+        lambda points, plan: (
+            construction_residuals(params, F, p, conn=conn) for p in points
+        ),
+        lambda label: "first-order", pack=params.name,
+    )
 
 
 _TORSION_TOLS = {
@@ -553,13 +551,12 @@ def check_torsions(
     fuzz: bool = False,
 ) -> CheckReport:
     """The five torsion identities over sampled points."""
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
     conn = _perturbed(build(params), "ver") if fuzz else None
-    points = sample_points(F, plan, plan.torsion_points, "torsions-fuzz" if fuzz else "torsions")
-    worst = _aggregate(torsion_relations(params, F, p, conn=conn) for p in points)
-    meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
-    return _report(f"torsions[{F.name}]", worst, _TORSION_TOLS, tols, meta)
+    return _suite(
+        f"torsions[{F.name}]", F, plan, tolerances, fuzz, "torsion_points",
+        lambda points, plan: (torsion_relations(params, F, p, conn=conn) for p in points),
+        lambda label: _TORSION_TOLS[label], pack=params.name,
+    )
 
 
 def check_curvatures(
@@ -574,19 +571,14 @@ def check_curvatures(
     Quadratic norms get the tighter expansion tolerance; norms with
     nonzero Cartan torsion get the general one.
     """
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
     expansion = "curvature" if cartan_flat(F) else "curvature-general"
-    tol_of = {
-        "v-curvature-coincides": "first-order",
-        "hv-curvature-expansion": expansion,
-        "h-curvature-expansion": expansion,
-    }
     conn = _perturbed(build(params), "ver") if fuzz else None
-    points = sample_points(F, plan, plan.curvature_points, "curvatures-fuzz" if fuzz else "curvatures")
-    worst = _aggregate(curvature_relations(params, F, p, conn=conn) for p in points)
-    meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
-    return _report(f"curvatures[{F.name}]", worst, tol_of, tols, meta)
+    return _suite(
+        f"curvatures[{F.name}]", F, plan, tolerances, fuzz, "curvature_points",
+        lambda points, plan: (curvature_relations(params, F, p, conn=conn) for p in points),
+        lambda label: "first-order" if label == "v-curvature-coincides" else expansion,
+        pack=params.name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +697,6 @@ def bianchi_residuals(
     }
 
 
-_BIANCHI_TOLS = {f"bianchi-({k})": "bianchi" for k in "abcde"}
-
-
 def first_bianchi_residual(
     F: FinslerStructure,
     point: ChartPoint,
@@ -742,25 +731,30 @@ def check_bianchi(
     classical first identity for the metric connection, at its own
     (tighter) tolerance.
     """
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
     size = _FUZZ_SIZE if fuzz else 0.0
-    points = sample_points(F, plan, plan.bianchi_points, "bianchi-fuzz" if fuzz else "bianchi")
-    worst = _aggregate(
-        bianchi_residuals(params, F, p, perturbation=size) for p in points
+    metric_row = cartan_flat(F)
+
+    def residuals(points, plan):
+        for p in points:
+            rows = bianchi_residuals(params, F, p, perturbation=size)
+            if metric_row:
+                rows["first-bianchi-metric"] = first_bianchi_residual(F, p, perturbation=size)
+            yield rows
+
+    return _suite(
+        f"bianchi[{F.name}]", F, plan, tolerances, fuzz, "bianchi_points", residuals,
+        lambda label: "riemann" if label == "first-bianchi-metric" else "bianchi",
+        pack=params.name,
     )
-    tol_of = dict(_BIANCHI_TOLS)
-    if cartan_flat(F):
-        worst["first-bianchi-metric"] = worst_residual(
-            first_bianchi_residual(F, p, perturbation=size) for p in points
-        )
-        tol_of["first-bianchi-metric"] = "riemann"
-    meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
-    return _report(f"bianchi[{F.name}]", worst, tol_of, tols, meta)
 
 
 # ---------------------------------------------------------------------------
 # process diagram
+
+
+def _edge_tier(label: str) -> str:
+    """Tolerance name of a process-diagram edge: collapse arrows are exact."""
+    return "collapse" if label.startswith("collapse:") else "processes"
 
 
 def check_processes(
@@ -771,20 +765,15 @@ def check_processes(
     fuzz: bool = False,
 ) -> CheckReport:
     """Every edge of the two-square process diagram over sampled points."""
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
     family = None
     if fuzz:
         fam = derive_family(params)
         family = replace(fam, hashiguchi=_perturbed(fam.hashiguchi, "hor"))
-    points = sample_points(F, plan, plan.process_points, "processes-fuzz" if fuzz else "processes")
-    worst = _aggregate(diagram_residuals(params, F, p, family=family) for p in points)
-    tol_of = {
-        label: "collapse" if label.startswith("collapse:") else "processes"
-        for label in worst
-    }
-    meta = _meta(F, plan, len(points), pack=params.name, fuzz=fuzz)
-    return _report(f"processes[{F.name}]", worst, tol_of, tols, meta)
+    return _suite(
+        f"processes[{F.name}]", F, plan, tolerances, fuzz, "process_points",
+        lambda points, plan: (diagram_residuals(params, F, p, family=family) for p in points),
+        _edge_tier, pack=params.name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -803,49 +792,35 @@ def check_cases(
     literal printed form's residual is carried in the row note so the
     discrepancy stays visible without failing the catalog.
     """
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
-    points = sample_points(F, plan, plan.case_points, "cases-fuzz" if fuzz else "cases")
-    rows: list[CheckRow] = []
-    for entry in catalog():
-        cid = entry["id"]
-        if fuzz:
-            free = default_free_choices(cid, F, seed=plan.seed)
-            pack = preset(cid, F, **free)
-            residuals = []
-            for p in points[: min(len(points), 2)]:
-                got = deformation_data(pack, F.tower(p, 4)).difference.val.copy()
-                got[(0,) * got.ndim] += _FUZZ_SIZE
-                want = closed_form_delta(cid, pack, F, p)
-                residuals.append(relative_residual(got - want, got, want))
-            residual = worst_residual(residuals)
-            note = "difference tensor perturbed by 1e-3"
-        else:
+    notes: dict[str, str] = {}
+
+    def residuals(points, plan):
+        for entry in catalog():
+            label = f"case-{entry['id']:02d}"
             result = check_case(
-                cid, F, points=points, seed=plan.seed, tolerance=tols["cases"]
+                entry["id"], F, points=points[:2] if fuzz else points, seed=plan.seed,
+                perturbation=_FUZZ_SIZE if fuzz else 0.0,
             )
-            residual = result["residual"]
-            note = result["title"]
-            if result["typo"]:
-                note += (
-                    f"; literal printed form residual "
-                    f"{result['literal_residual']:.2e} (reported, not asserted)"
-                )
-            if result["convention"]:
-                note += "; depends on the curvature sign convention"
-        tol = tols["cases"]
-        rows.append(
-            CheckRow(
-                suite=f"cases[{F.name}]",
-                label=f"case-{cid:02d}",
-                residual=float(residual),
-                tolerance=tol,
-                passed=bool(residual < tol),
-                note=note,
-            )
+            notes[label] = "difference tensor perturbed by 1e-3" if fuzz else _case_note(result)
+            yield {label: result["residual"]}
+
+    return _suite(
+        f"cases[{F.name}]", F, plan, tolerances, fuzz, "case_points", residuals,
+        lambda label: "cases", notes=notes,
+    )
+
+
+def _case_note(result: Mapping) -> str:
+    """A case row's note: its title, then any printed-form or convention caveat."""
+    note = result["title"]
+    if result["typo"]:
+        note += (
+            f"; literal printed form residual "
+            f"{result['literal_residual']:.2e} (reported, not asserted)"
         )
-    meta = _meta(F, plan, len(points), fuzz=fuzz)
-    return CheckReport(f"cases[{F.name}]", rows, meta)
+    if result["convention"]:
+        note += "; depends on the curvature sign convention"
+    return note
 
 
 # ---------------------------------------------------------------------------
@@ -964,15 +939,6 @@ def fd_residuals(
     }
 
 
-_FD_TOLS = {
-    "fd-fundamental-tensor": "fd",
-    "fd-cartan-tensor": "fd",
-    "fd-spray": "fd",
-    "fd-nonlinear": "fd",
-    "fd-horizontal": "fd",
-}
-
-
 def fd_crosscheck(
     F: FinslerStructure,
     plan: SamplePlan | None = None,
@@ -980,13 +946,12 @@ def fd_crosscheck(
     fuzz: bool = False,
 ) -> CheckReport:
     """Finite-difference cross-checks of the jet chain over sampled points."""
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
-    points = sample_points(F, plan, plan.fd_points, "fd-fuzz" if fuzz else "fd")
     size = _FUZZ_SIZE if fuzz else 0.0
-    worst = _aggregate(fd_residuals(F, p, perturbation=size) for p in points)
-    meta = _meta(F, plan, len(points), fuzz=fuzz)
-    return _report(f"fd[{F.name}]", worst, _FD_TOLS, tols, meta)
+    return _suite(
+        f"fd[{F.name}]", F, plan, tolerances, fuzz, "fd_points",
+        lambda points, plan: (fd_residuals(F, p, perturbation=size) for p in points),
+        lambda label: "fd",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1049,14 +1014,6 @@ def constant_curvature_residuals(
     }
 
 
-_CONSTANT_TOLS = {
-    "constant-curvature-metric": "riemann",
-    "constant-curvature-christoffel": "riemann",
-    "constant-curvature-riemann": "riemann",
-    "constant-curvature-ricci": "riemann",
-}
-
-
 def check_constant_curvature(
     plan: SamplePlan | None = None,
     tolerances: Mapping[str, float] | None = None,
@@ -1064,17 +1021,15 @@ def check_constant_curvature(
     F: FinslerStructure | None = None,
 ) -> CheckReport:
     """Closed-form rows on the bundled constant-curvature surface."""
-    plan = plan or SamplePlan()
-    tols = _tols(tolerances)
     F = hyperbolic() if F is None else F
-    label = "constant-curvature-fuzz" if fuzz else "constant-curvature"
-    points = sample_points(F, plan, plan.fd_points, label)
     size = _FUZZ_SIZE if fuzz else 0.0
-    worst = _aggregate(
-        constant_curvature_residuals(F, p, perturbation=size) for p in points
+    return _suite(
+        "constant-curvature", F, plan, tolerances, fuzz, "fd_points",
+        lambda points, plan: (
+            constant_curvature_residuals(F, p, perturbation=size) for p in points
+        ),
+        lambda label: "riemann",
     )
-    meta = _meta(F, plan, len(points), fuzz=fuzz)
-    return _report("constant-curvature", worst, _CONSTANT_TOLS, tols, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerconn
-from finslerconn import samples
+from finslerconn import ad, samples
 from finslerconn.ad import (
     ChartJets,
     ConstantCovector,
@@ -37,7 +37,7 @@ from finslerconn.ad import (
     ring,
 )
 from finslerconn.cases import default_free_choices, preset
-from finslerconn.finsler import Tower
+from finslerconn.finsler import ChartPoint, Tower
 from finslerconn.verify import SamplePlan, check_curvatures, run_all
 
 
@@ -621,6 +621,36 @@ def test_matinv_derivative_identity():
     rhs = -matmul(matmul(mi, m.d(0)), mi)
     keep = lhs.ring._prefix[lhs.valid + 1]
     assert np.allclose(lhs.coef[..., :keep], rhs.coef[..., :keep], atol=1e-11)
+
+
+@pytest.mark.parametrize("F", [samples.randers(), samples.quartic_three_dim()], ids=lambda F: F.name)
+def test_matinv_multiplies_only_the_powers_it_sums(F, monkeypatch):
+    # an order-m Neumann sum I + r + ... + r^m needs m - 1 products; the
+    # result matches the sum written out term by term, bit for bit
+    point = ChartPoint(np.full(F.n, 0.1), np.linspace(0.7, 1.3, F.n))
+    calls = []
+    counted = ad.contract
+
+    def counting(spec, *operands):
+        calls.append(spec)
+        return counted(spec, *operands)
+
+    for order in range(5):
+        g = F.tower(point, order + 2).g
+        assert g.valid == order
+        b0 = np.linalg.inv(g.val)
+        rem = Series.const(g.ring, np.eye(F.n)) - Series(g.ring, np.einsum("ij,jkd->ikd", b0, g.coef))
+        acc, power = Series.const(g.ring, np.eye(F.n)), rem
+        for _ in range(order):
+            acc = acc + power
+            power = matmul(power, rem)
+        want = np.einsum("ijd,jk->ikd", acc.coef, b0)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "contract", counting)
+            got = matinv(g)
+        assert len(calls) == max(order - 1, 0), order
+        assert np.array_equal(got.coef, want), order
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from finslerconn import verify
 from finslerconn.cli import (
     Config,
     ConfigError,
@@ -419,6 +421,26 @@ class TestCheck:
         assert main(["check", "--tolerance", "bianchi=abc"]) == 2
         assert main(["check", "--tolerance", "bianchi=-1e-6"]) == 2
         assert "positive" in capsys.readouterr().err
+
+    def test_nan_residual_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        # the suites call their per-point functions through module globals,
+        # so a NaN from one of them must reach the report and fail its row
+        fd_residuals = verify.fd_residuals
+
+        def poisoned(F, point, perturbation=0.0):
+            return {**fd_residuals(F, point, perturbation), "fd-spray": float("nan")}
+
+        monkeypatch.setattr(verify, "fd_residuals", poisoned)
+        ini = write(tmp_path, "q.ini", QUICK_INI)
+        out = tmp_path / "nan.json"
+        assert main(["check", "--config", ini, "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())["payload"]["rows"]
+        poisoned_rows = [r for r in rows if r["label"] == "fd-spray"]
+        assert poisoned_rows and all(
+            math.isnan(r["residual"]) and r["passed"] is False for r in poisoned_rows
+        )
+        assert all(r["passed"] for r in rows if r["label"] != "fd-spray")
+        assert "FAIL fd[euclidean]: fd-spray residual nan" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerconn.ad import ChartJets
 from finslerconn.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     ExprCovectorField,
@@ -22,6 +25,7 @@ from finslerconn.expr import (
     format_expression,
     parse_expression,
 )
+from finslerconn.finsler import ChartPoint, DomainError, FinslerStructure
 
 
 def _value(text, x, y, n=2, order=0):
@@ -270,3 +274,56 @@ def test_field_spec_builders():
 def test_parse_errors_surface_through_adapters():
     with pytest.raises(ExprError):
         ExprScalarField(2, "y1 + y7")
+
+
+# ---------------------------------------------------------------------------
+# hostile input: every text parses or raises ExprError, every parsed norm
+# evaluates to a finite L or raises DomainError / ExprError
+
+
+_SOUP = st.lists(
+    st.sampled_from(list("xy12()+-*/^.e0123456789") + list(FUNCTIONS)), max_size=30
+).map("".join)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(FUNCTIONS), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "0.5", "(3/2)", "-1", "100"])).map(
+            lambda t: f"{t[0]}^{t[1]}"
+        ),
+        inner.map(lambda s: f"-{s}"),
+    )
+
+
+# grammatical texts, so that most of them parse and reach the evaluator
+_NORMS = st.recursive(
+    st.sampled_from(["x1", "x2", "y1", "y2", "0", "1", "2", "0.5", "1e3", "1e-200"]),
+    _compound,
+    max_leaves=8,
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_SOUP)
+def test_any_text_parses_or_raises_expr_error(text):
+    try:
+        parse_expression(text, 2)
+    except ExprError as err:
+        assert 0 <= err.offset <= len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_NORMS, _SOUP),
+    st.lists(st.floats(-3, 3), min_size=2, max_size=2),
+    st.lists(st.floats(-3, 3), min_size=2, max_size=2),
+)
+def test_any_parsed_norm_gives_finite_L_or_a_documented_error(text, x, y):
+    try:
+        F = FinslerStructure(2, ExprScalarField(2, text))
+        L = F.tower(ChartPoint(x, y), 2).L
+    except (DomainError, ExprError):
+        return
+    assert math.isfinite(float(L.val)) and L.val > 0

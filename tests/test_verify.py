@@ -15,6 +15,7 @@ Oracles:
   different seeds do not.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -91,6 +92,15 @@ def test_sample_plan_validates_its_fields():
         SamplePlan(box=0.0)
     with pytest.raises(ValueError, match="at least 1"):
         SamplePlan(bianchi_points=0)
+
+
+def test_sample_plan_to_dict_lists_every_field_and_round_trips():
+    plan = SamplePlan(seed=5, shell=(0.5, 1.5), fd_points=3)
+    data = plan.to_dict()
+    assert list(data) == [f.name for f in dataclasses.fields(SamplePlan)]
+    assert data["shell"] == [0.5, 1.5]
+    assert json.loads(json.dumps(data)) == data
+    assert SamplePlan(**{**data, "shell": tuple(data["shell"])}) == plan
 
 
 def test_sample_points_deterministic_and_in_range():

@@ -258,9 +258,6 @@ class Series:
         perm = tuple(axes) + (self.coef.ndim - 1,)
         return Series(self.ring, np.transpose(self.coef, perm))
 
-    def copy(self) -> "Series":
-        return Series(self.ring, self.coef.copy())
-
     # -- extraction ---------------------------------------------------------
 
     @property

@@ -33,29 +33,18 @@ in :mod:`finslerconn.connection`; it also has no printed display of its own
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .ad import (
-    ChartJets,
-    ConstantCovector,
-    ConstantMatrix,
-    ConstantScalar,
-    CovectorField,
-    IdentityMatrix,
-    MatrixField,
-    ScalarField,
-    Series,
-    ZeroCovector,
-    ZeroMatrix,
-    contract,
-)
+from .ad import ChartJets, IdentityMatrix, MatrixField, Series, contract
 from .connection import RicciEndomorphism
 from .deformation import (
     DeformationParams,
+    bump,
     deformation_data,
+    parameter_field,
     relative_residual,
     worst_residual,
 )
@@ -453,52 +442,10 @@ def _delta_26(ws: _Workspace, literal: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_scalar(value, n: int) -> ScalarField:
-    if hasattr(value, "eval"):
-        return value
-    if isinstance(value, str):
-        return ExprScalarField(n, value)
-    return ConstantScalar(float(value))
-
-
-def _as_form(value, n: int) -> CovectorField:
-    if hasattr(value, "eval"):
-        return value
-    comps = tuple(value)
-    if all(isinstance(c, str) for c in comps):
-        return ExprCovectorField(n, comps)
-    return ConstantCovector(tuple(float(c) for c in comps))
-
-
-def _as_matrix(value, n: int) -> MatrixField:
-    if hasattr(value, "eval"):
-        return value
-    rows = tuple(tuple(r) for r in value)
-    if all(isinstance(c, str) for row in rows for c in row):
-        return ExprMatrixField(n, rows)
-    return ConstantMatrix(tuple(tuple(float(c) for c in row) for row in rows))
-
-
-def _assemble(
-    F: FinslerStructure,
-    case_id: int,
-    f1=0.0,
-    f2=0.0,
-    A: CovectorField | None = None,
-    B: CovectorField | None = None,
-    u: CovectorField | None = None,
-    phi: MatrixField | None = None,
-) -> DeformationParams:
-    n = F.n
-    return DeformationParams(
-        f1=_as_scalar(f1, n),
-        f2=_as_scalar(f2, n),
-        A=A if A is not None else ZeroCovector(n),
-        B=B if B is not None else ZeroCovector(n),
-        u=u if u is not None else ZeroCovector(n),
-        phi=phi if phi is not None else ZeroMatrix(n),
-        name=f"case-{case_id}",
-    )
+def _assemble(F: FinslerStructure, case_id: int, **fields) -> DeformationParams:
+    """The zero pack of ``F`` named after the case, with ``fields`` filled in."""
+    coerced = {slot: parameter_field(slot, value, F.n) for slot, value in fields.items()}
+    return replace(DeformationParams.zero(F.n, f"case-{case_id}"), **coerced)
 
 
 def _sym(F: FinslerStructure, phi: MatrixField) -> MetricSplitPart:
@@ -823,17 +770,10 @@ def preset(case_id: int, F: FinslerStructure, **free) -> DeformationParams:
             f"case {spec.id} does not take {', '.join(extra)}; "
             f"free choices are: {allowed}"
         )
-    n = F.n
-    coerced: dict = {}
-    for key, value in free.items():
-        if key == "t":
-            coerced[key] = float(value)
-        elif key in ("f1", "f2"):
-            coerced[key] = _as_scalar(value, n)
-        elif key in ("A", "B", "u"):
-            coerced[key] = _as_form(value, n)
-        else:
-            coerced[key] = _as_matrix(value, n)
+    coerced = {
+        key: float(value) if key == "t" else parameter_field(key, value, F.n)
+        for key, value in free.items()
+    }
     return spec.build(F, coerced)
 
 
@@ -891,24 +831,15 @@ def closed_form_delta(
     params: DeformationParams,
     F: FinslerStructure,
     point: ChartPoint,
-    j: int | None = None,
-    Y=None,
     literal: bool = False,
 ) -> np.ndarray:
-    """The catalog's closed-form difference tensor at a point.
+    """The catalog's closed-form difference tensor ``[i, j, k]`` at a point.
 
-    Returns the full ``[i, j, k]`` array, or the vector obtained by feeding
-    in the frame index ``j`` and a vector ``Y``.  With ``literal=True`` the
-    typo-flagged entries are evaluated exactly as printed (wrong one-form in
-    the vertical-curvature slot); other entries ignore the flag.
+    With ``literal=True`` the typo-flagged entries are evaluated exactly as
+    printed (wrong one-form in the vertical-curvature slot); other entries
+    ignore the flag.
     """
-    spec = _require(case_id)
-    delta = spec.delta(_Workspace(params, F, point), bool(literal))
-    if j is None and Y is None:
-        return delta
-    if j is None or Y is None:
-        raise ValueError("pass both the frame index and the vector, or neither")
-    return delta[:, j, :] @ np.asarray(Y, dtype=float)
+    return _require(case_id).delta(_Workspace(params, F, point), bool(literal))
 
 
 def _default_points(F: FinslerStructure, count: int = 4) -> list[ChartPoint]:
@@ -938,7 +869,7 @@ def check_case(
     literal-form residual for typo-flagged entries (reported, not asserted),
     and a ``passed`` verdict against ``tolerance``.  ``perturbation`` shifts
     one entry of the built tensor before the comparison (the fuzz-injection
-    hook).
+    hook); a perturbed run skips the literal forms and reports ``None``.
     """
     spec = _require(case_id)
     choices = (
@@ -946,20 +877,18 @@ def check_case(
     )
     params = preset(case_id, F, **choices)
     pts = _default_points(F) if points is None else list(points)
+    literal_forms = spec.typo and not perturbation
     residuals, literal = [], []
     for p in pts:
         ws = _Workspace(params, F, p)
-        built = ws.difference
-        if perturbation:
-            built = built.copy()
-            built[(0,) * built.ndim] += perturbation
+        built = bump(ws.difference, perturbation)
         target = spec.delta(ws, False)
         residuals.append(relative_residual(built - target, built, target))
-        if spec.typo:
+        if literal_forms:
             printed = spec.delta(ws, True)
             literal.append(relative_residual(built - printed, built, printed))
     worst = worst_residual(residuals)
-    worst_literal = worst_residual(literal) if spec.typo else None
+    worst_literal = worst_residual(literal) if literal_forms else None
     return {
         "id": spec.id,
         "title": spec.title,

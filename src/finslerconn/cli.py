@@ -41,7 +41,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ad import ConstantScalar, ZeroCovector, ZeroMatrix
 from .cases import CaseError, catalog, check_case, preset
 from .connection import (
     contract_value_slot,
@@ -50,13 +49,8 @@ from .connection import (
     curvature_v,
     torsions,
 )
-from .deformation import DeformationParams, build, deformation_data
-from .expr import (
-    ExprCovectorField,
-    ExprError,
-    ExprMatrixField,
-    ExprScalarField,
-)
+from .deformation import DeformationParams, build, deformation_data, parameter_field
+from .expr import ExprError, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure
 from .processes import diagram_residuals
 from .verify import (
@@ -551,50 +545,24 @@ def build_params(
              zlib.crc32(entry.name.encode())]
         )
         return random_params(n, rng, name=entry.name)
-    if entry.kind == "preset":
-        free: dict = {}
-        for key, text in entry.fields.items():
-            if key in ("A", "B", "u"):
-                free[key] = _split_form(text, n, f"{where} {key}")
-            elif key == "phi":
-                free[key] = _split_matrix(text, n, f"{where} {key}")
-            else:
-                free[key] = text
-        try:
-            return preset_params(entry.preset_id, F, free, entry.name)
-        except (CaseError, ExprError) as err:
-            raise ConfigError(f"{where}: {err}") from None
-    fields: dict = {
-        "f1": ConstantScalar(0.0),
-        "f2": ConstantScalar(0.0),
-        "A": ZeroCovector(n),
-        "B": ZeroCovector(n),
-        "u": ZeroCovector(n),
-        "phi": ZeroMatrix(n),
-    }
+    fields: dict = {}
     for key, text in entry.fields.items():
+        value = text
+        if key in ("A", "B", "u"):
+            value = _split_form(text, n, f"{where} {key}")
+        elif key == "phi":
+            value = _split_matrix(text, n, f"{where} {key}")
         try:
-            if key in ("f1", "f2"):
-                fields[key] = ExprScalarField(n, text)
-            elif key in ("A", "B", "u"):
-                fields[key] = ExprCovectorField(
-                    n, _split_form(text, n, f"{where} {key}")
-                )
-            else:
-                fields[key] = ExprMatrixField(
-                    n, _split_matrix(text, n, f"{where} {key}")
-                )
+            fields[key] = parameter_field(key, value, n) if key in _FIELD_KEYS else value
         except ExprError as err:
             raise ConfigError(f"{where} {key}: {err}") from None
-    return DeformationParams(name=entry.name, **fields)
-
-
-def preset_params(
-    case_id: int, F: FinslerStructure, free: Mapping, name: str
-) -> DeformationParams:
-    """Catalog preset as a named parameter pack."""
-    pack = preset(case_id, F, **dict(free))
-    return dataclasses.replace(pack, name=name)
+    if entry.kind == "fields":
+        return dataclasses.replace(DeformationParams.zero(n, entry.name), **fields)
+    try:
+        pack = preset(entry.preset_id, F, **fields)
+    except CaseError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    return dataclasses.replace(pack, name=entry.name)
 
 
 def load_points(path: str | Path, n: int) -> list[ChartPoint]:

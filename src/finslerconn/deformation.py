@@ -13,14 +13,16 @@ connection triple ``(N', H', V')`` that
 
 Setting all six parameters to zero recovers the metric connection exactly.
 
-The construction runs through three derived objects, each exposed here:
+The construction runs through three derived objects, each a stage of
+:class:`DeformationData` (read a value at a point as
+``deformation_data(params, F.tower(point, order)).<stage>.val``):
 
-* :func:`tautological_shift` -- the vertical displacement of the canonical
-  spray,
-* :func:`frame_shift` -- the tilt of each horizontal frame leg, so the
-  deformed nonlinear connection is ``N - frame_shift``,
-* :func:`difference_tensor` -- the remaining correction to the horizontal
-  coefficients beyond the tilt.
+* :attr:`DeformationData.eta_shift` -- the vertical displacement of the
+  canonical spray,
+* :attr:`DeformationData.frame_shift` -- the tilt of each horizontal frame
+  leg, so the deformed nonlinear connection is ``N - frame_shift``,
+* :attr:`DeformationData.difference` -- the remaining correction to the
+  horizontal coefficients beyond the tilt.
 
 :func:`horizontal_from_compatibility` rebuilds the horizontal coefficients
 directly from the defining conditions by the Christoffel trick; because the
@@ -40,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .ad import CovectorField, MatrixField, ScalarField, Series, contract
-from .ad import ConstantScalar, ZeroCovector, ZeroMatrix
+from .ad import ConstantCovector, ConstantMatrix, ConstantScalar, ZeroCovector, ZeroMatrix
 from .connection import (
     CARTAN,
     Connection,
@@ -50,20 +52,15 @@ from .connection import (
     curvature_v,
     torsions,
 )
+from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure, Tower
 
 __all__ = [
     "DeformationParams",
     "DeformationData",
     "deformation_data",
+    "parameter_field",
     "build",
-    "phi_split",
-    "raise_covector",
-    "tautological_shift",
-    "frame_shift",
-    "difference_tensor",
-    "associated_spray",
-    "associated_nonlinear",
     "horizontal_from_compatibility",
     "construction_residuals",
     "torsion_relations",
@@ -110,6 +107,34 @@ class DeformationParams:
             text = getattr(field, "describe", lambda: type(field).__name__)()
             parts.append(f"{label}={text}")
         return ", ".join(parts)
+
+
+def parameter_field(slot: str, value, n: int):
+    """``value`` as the field of one parameter slot on an ``n``-dimensional chart.
+
+    ``f1`` and ``f2`` are scalars, ``A``, ``B`` and ``u`` one-forms, ``phi``
+    an endomorphism.  A field (anything with ``eval``) is kept as given.
+    Otherwise a scalar is a number or an expression text, a one-form a
+    tuple of components and an endomorphism a grid of rows; all-text
+    components make an expression field, numbers a constant one.
+    """
+    if hasattr(value, "eval"):
+        return value
+    if slot in ("f1", "f2"):
+        if isinstance(value, str):
+            return ExprScalarField(n, value)
+        return ConstantScalar(float(value))
+    if slot in ("A", "B", "u"):
+        comps = tuple(value)
+        if all(isinstance(c, str) for c in comps):
+            return ExprCovectorField(n, comps)
+        return ConstantCovector(tuple(float(c) for c in comps))
+    if slot == "phi":
+        rows = tuple(tuple(r) for r in value)
+        if all(isinstance(c, str) for row in rows for c in row):
+            return ExprMatrixField(n, rows)
+        return ConstantMatrix(tuple(tuple(float(c) for c in row) for row in rows))
+    raise ValueError(f"unknown parameter slot {slot!r}; slots are f1, f2, A, B, u, phi")
 
 
 def _expect(series: Series, shape: tuple[int, ...], label: str) -> Series:
@@ -413,84 +438,6 @@ def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series
 
 
 # ---------------------------------------------------------------------------
-# value-level API
-
-
-_ORDER = 4
-
-
-def phi_split(
-    params: DeformationParams, F: FinslerStructure, point: ChartPoint
-) -> tuple[np.ndarray, np.ndarray]:
-    """(phi1, phi2) at a point: the g-symmetric/antisymmetric split of phi."""
-    d = deformation_data(params, F.tower(point, _ORDER))
-    return d.phi1.val.copy(), d.phi2.val.copy()
-
-
-def raise_covector(form, F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """g-dual vector of a one-form (a field or plain components) at a point."""
-    t = F.tower(point, 2)
-    if hasattr(form, "eval"):
-        comps = form.eval(t.jets)
-    else:
-        comps = t.jets.const(np.asarray(form, dtype=float))
-    comps = _expect(comps, (t.n,), "form")
-    return contract("il,l->i", t.gi, comps).val.copy()
-
-
-def tautological_shift(
-    params: DeformationParams, F: FinslerStructure, point: ChartPoint
-) -> np.ndarray:
-    """Vertical displacement of the canonical spray at a point, shape (n,)."""
-    return deformation_data(params, F.tower(point, _ORDER)).eta_shift.val.copy()
-
-
-def frame_shift(
-    params: DeformationParams,
-    F: FinslerStructure,
-    point: ChartPoint,
-    j: int | None = None,
-) -> np.ndarray:
-    """Horizontal frame tilt at a point: column j, or the full (n, n) matrix."""
-    fs = deformation_data(params, F.tower(point, _ORDER)).frame_shift.val
-    return fs.copy() if j is None else fs[:, j].copy()
-
-
-def difference_tensor(
-    params: DeformationParams,
-    F: FinslerStructure,
-    point: ChartPoint,
-    j: int | None = None,
-    Y=None,
-) -> np.ndarray:
-    """Difference tensor at a point: full [i, j, k], or applied to (e_j, Y)."""
-    NT = deformation_data(params, F.tower(point, _ORDER)).difference.val
-    if j is None and Y is None:
-        return NT.copy()
-    if j is None or Y is None:
-        raise ValueError("pass both the frame index and the vector, or neither")
-    return NT[:, j, :] @ np.asarray(Y, dtype=float)
-
-
-def associated_spray(
-    params: DeformationParams, F: FinslerStructure, point: ChartPoint
-) -> np.ndarray:
-    """Spray coefficients of the deformed connection at a point, shape (n,)."""
-    return deformation_data(params, F.tower(point, _ORDER)).spray.val.copy()
-
-
-def associated_nonlinear(
-    params: DeformationParams, F: FinslerStructure, point: ChartPoint
-) -> np.ndarray:
-    """Deformed nonlinear connection at a point, shape (n, n).
-
-    No homogeneity in y is asserted for position/direction-dependent
-    parameters; the coefficients are reported as computed.
-    """
-    return deformation_data(params, F.tower(point, _ORDER)).nonlinear.val.copy()
-
-
-# ---------------------------------------------------------------------------
 # identity residuals
 
 
@@ -503,6 +450,22 @@ def relative_residual(diff: np.ndarray, *refs: np.ndarray) -> float:
     """Max-abs of ``diff`` relative to 1 + the largest participating value."""
     num = float(np.max(np.abs(diff)))
     return num / (1.0 + worst_residual(np.max(np.abs(r)) for r in refs if np.size(r)))
+
+
+def bump(values: np.ndarray, size: float) -> np.ndarray:
+    """A copy of ``values`` with ``size`` added at index ``(0, ..., 0)``.
+
+    The fuzz controls shift one entry of a compared array through this;
+    for ``size == 0`` the input comes back unchanged.
+    """
+    if not size:
+        return values
+    out = np.array(values, dtype=float)
+    out[(0,) * out.ndim] += size
+    return out
+
+
+_ORDER = 4
 
 
 def construction_residuals(

@@ -36,7 +36,6 @@ __all__ = [
     "ExprScalarField",
     "ExprCovectorField",
     "ExprMatrixField",
-    "FieldSpec",
     "FUNCTIONS",
 ]
 
@@ -403,31 +402,3 @@ class ExprMatrixField:
     def describe(self) -> str:
         return "; ".join("[" + ", ".join(r) + "]" for r in self.rows)
 
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A declarative description of a field, convertible to an adapter.
-
-    ``kind`` is ``"scalar"``, ``"covector"`` or ``"matrix"``; ``components``
-    holds 1, n, or n*n expression strings (row-major for matrices).
-    """
-
-    kind: str
-    n: int
-    components: tuple[str, ...]
-
-    def build(self):
-        if self.kind == "scalar":
-            if len(self.components) != 1:
-                raise ValueError("scalar FieldSpec needs exactly one expression")
-            return ExprScalarField(self.n, self.components[0])
-        if self.kind == "covector":
-            return ExprCovectorField(self.n, self.components)
-        if self.kind == "matrix":
-            if len(self.components) != self.n * self.n:
-                raise ValueError(f"matrix FieldSpec needs {self.n * self.n} entries")
-            rows = [
-                self.components[i * self.n : (i + 1) * self.n] for i in range(self.n)
-            ]
-            return ExprMatrixField(self.n, rows)
-        raise ValueError(f"unknown field kind {self.kind!r}")

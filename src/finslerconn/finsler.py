@@ -13,7 +13,8 @@ modules can keep differentiating them):
   built from horizontal derivatives ``delta_j = d/dx_j - N^m_j d/dy_m``.
 
 :class:`Tower` bundles these for one (structure, point, order) and is the
-single currency the connection/curvature modules trade in.  Everything is
+single currency the connection/curvature modules trade in; a value at a
+point is read as ``F.tower(point, order).g.val`` and so on.  Everything is
 lazy and cached; invalid inputs (non-positive norm, degenerate fundamental
 tensor) raise :class:`DomainError` when first touched.
 """
@@ -35,13 +36,6 @@ __all__ = [
     "FinslerStructure",
     "Tower",
     "HilbertFormField",
-    "fundamental_tensor",
-    "inverse_fundamental_tensor",
-    "cartan_tensor",
-    "hilbert_form",
-    "geodesic_spray",
-    "nonlinear_connection",
-    "horizontal_christoffel",
     "horizontal_derivative",
 ]
 
@@ -278,44 +272,3 @@ class HilbertFormField:
     def describe(self) -> str:
         return "Hilbert form of the norm"
 
-
-# ---------------------------------------------------------------------------
-# value-level convenience API
-
-
-def fundamental_tensor(F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """g_ij at a point, shape (n, n)."""
-    return F.tower(point, 2).g.val.copy()
-
-
-def inverse_fundamental_tensor(F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """g^ij at a point, shape (n, n)."""
-    return F.tower(point, 2).gi.val.copy()
-
-
-def cartan_tensor(
-    F: FinslerStructure, point: ChartPoint, mixed: bool = False
-) -> np.ndarray:
-    """T_ijk (or T^i_jk with ``mixed=True``) at a point, shape (n, n, n)."""
-    tw = F.tower(point, 3)
-    return (tw.T_mix if mixed else tw.T_low).val.copy()
-
-
-def hilbert_form(F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """l_i at a point, shape (n,)."""
-    return F.tower(point, 1).ell.val.copy()
-
-
-def geodesic_spray(F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """Spray coefficients G^i at a point, shape (n,)."""
-    return F.tower(point, 2).G.val.copy()
-
-
-def nonlinear_connection(F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """Canonical nonlinear connection N^i_j at a point, shape (n, n)."""
-    return F.tower(point, 3).N.val.copy()
-
-
-def horizontal_christoffel(F: FinslerStructure, point: ChartPoint) -> np.ndarray:
-    """Metric horizontal coefficients [i, j, k] at a point, shape (n, n, n)."""
-    return F.tower(point, 3).Gamma.val.copy()

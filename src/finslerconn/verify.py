@@ -55,6 +55,7 @@ from .connection import (
 from .deformation import (
     DeformationParams,
     build,
+    bump,
     construction_residuals,
     curvature_relations,
     deformation_data,
@@ -285,14 +286,7 @@ class CheckRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "label": self.label,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -622,12 +616,7 @@ def bianchi_residuals(
 
     V, Q = tb.hv.val, tb.hh.val
     Phat, Rhat, vv = tb.vhv.val, tb.vh.val, tb.vv.val
-    R, P, S = R_s.val, P_s.val, S_s.val
-    if perturbation:
-        R, P, S = R.copy(), P.copy(), S.copy()
-        R[(0,) * R.ndim] += perturbation
-        P[(0,) * P.ndim] += perturbation
-        S[(0,) * S.ndim] += perturbation
+    R, P, S = (bump(c.val, perturbation) for c in (R_s, P_s, S_s))
 
     covT_h = cov_deriv(conn, t, tb.hv, horizontal=True).val
     covQ_v = cov_deriv(conn, t, tb.hh, horizontal=False).val
@@ -711,10 +700,7 @@ def first_bianchi_residual(
     ``perturbation`` shifts one curvature entry before the sum.
     """
     t = F.tower(point, order)
-    R = curvature_h(CARTAN, t).val
-    if perturbation:
-        R = R.copy()
-        R[(0,) * R.ndim] += perturbation
+    R = bump(curvature_h(CARTAN, t).val, perturbation)
     return relative_residual(_cyc3(np.einsum("icab->iabc", R)), R)
 
 
@@ -923,12 +909,9 @@ def fd_residuals(
         delta_g + np.einsum("kjl->jlk", delta_g) - np.einsum("ljk->jlk", delta_g),
     )
 
-    if perturbation:
-        g_fd[0, 0] += perturbation
-        T_fd[0, 0, 0] += perturbation
-        G_fd[0] += perturbation
-        N_fd[0, 0] += perturbation
-        Gamma_fd[0, 0, 0] += perturbation
+    g_fd, T_fd, G_fd, N_fd, Gamma_fd = (
+        bump(a, perturbation) for a in (g_fd, T_fd, G_fd, N_fd, Gamma_fd)
+    )
 
     return {
         "fd-fundamental-tensor": relative_residual(g_fd - t.g.val, t.g.val),
@@ -992,15 +975,9 @@ def constant_curvature_residuals(
     )
     ric_closed = -g_closed
 
-    if perturbation:
-        g_closed = g_closed.copy()
-        g_closed[0, 0] += perturbation
-        Gamma = Gamma.copy()
-        Gamma[0, 0, 0] += perturbation
-        riemann = riemann.copy()
-        riemann[(0,) * 4] += perturbation
-        ric_closed = ric_closed.copy()
-        ric_closed[0, 0] += perturbation
+    g_closed, Gamma, riemann, ric_closed = (
+        bump(a, perturbation) for a in (g_closed, Gamma, riemann, ric_closed)
+    )
 
     return {
         "constant-curvature-metric": relative_residual(t.g.val - g_closed, g_closed),

@@ -29,12 +29,7 @@ from finslerconn.cases import (
     preset,
 )
 from finslerconn.connection import CARTAN, curvature_v
-from finslerconn.deformation import (
-    DeformationParams,
-    deformation_data,
-    difference_tensor,
-    phi_split,
-)
+from finslerconn.deformation import DeformationParams, deformation_data
 from finslerconn.expr import ExprMatrixField
 from finslerconn.finsler import ChartPoint, HilbertFormField
 from finslerconn.samples import (
@@ -43,7 +38,7 @@ from finslerconn.samples import (
     quartic_three_dim,
     randers,
 )
-from tests.test_deformation import P2
+from tests.test_deformation import P2, data_at
 
 P34 = ChartPoint([0.0, 0.0], [3.0, 4.0])
 P3Q = ChartPoint([0.2, -0.3, 0.4], [0.9, 0.5, 1.2])
@@ -128,13 +123,12 @@ def test_preset_binds_constraints():
 def test_split_weight_presets_project_correctly():
     F = randers()
     grid = (("1 + 0.2*x1", "0.3*y2"), ("0.1 - 0.2*y1", "0.5 + 0.1*x2"))
+    t = F.tower(P2, 4)
     p4 = preset(4, F, u=(0.4, -0.3), phi=grid)
     assert isinstance(p4.phi, MetricSplitPart)
-    _, phi2 = phi_split(p4, F, P2)
-    assert np.max(np.abs(phi2)) < 1e-14
+    assert np.max(np.abs(deformation_data(p4, t).phi2.val)) < 1e-14
     p5 = preset(5, F, u=(0.4, -0.3), phi=grid)
-    phi1, _ = phi_split(p5, F, P2)
-    assert np.max(np.abs(phi1)) < 1e-14
+    assert np.max(np.abs(deformation_data(p5, t).phi1.val)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +148,8 @@ def test_hilbert_drift_display_at_a_345_point():
         + eye[:, :, None] * ell[None, None, :]
     )
     assert np.allclose(delta, expected, atol=1e-12)
-    assert np.allclose(
-        closed_form_delta(16, params, F, P34, j=0, Y=(0.0, 1.0)),
-        [0.8, 0.0],
-        atol=1e-12,
-    )
-    assert np.max(np.abs(difference_tensor(params, F, P34) - delta)) < 1e-12
+    assert np.allclose(delta[:, 0, :] @ (0.0, 1.0), [0.8, 0.0], atol=1e-12)
+    assert np.max(np.abs(data_at(params, F, P34).difference.val - delta)) < 1e-12
 
 
 def test_drift_only_display_is_rank_one():
@@ -168,7 +158,7 @@ def test_drift_only_display_is_rank_one():
     delta = closed_form_delta(22, params, F, P2)
     u = np.array([0.4, -0.3])
     assert np.allclose(delta, np.eye(2)[:, :, None] * u[None, None, :], atol=1e-14)
-    assert np.max(np.abs(difference_tensor(params, F, P2) - delta)) < 1e-12
+    assert np.max(np.abs(data_at(params, F, P2).difference.val - delta)) < 1e-12
 
 
 def test_dual_weight_display_is_the_symmetrized_product():
@@ -179,7 +169,7 @@ def test_dual_weight_display_is_the_symmetrized_product():
     eye = np.eye(2)
     expected = A[None, :, None] * eye[:, None, :] + A[None, None, :] * eye[:, :, None]
     assert np.allclose(delta, expected, atol=1e-14)
-    assert np.max(np.abs(difference_tensor(params, F, P2) - delta)) < 1e-12
+    assert np.max(np.abs(data_at(params, F, P2).difference.val - delta)) < 1e-12
 
 
 @pytest.mark.parametrize("case_id,signs", [(19, (-1.0, -1.0, 1.0)), (26, (1.0, -1.0, -1.0))])
@@ -200,7 +190,7 @@ def test_hilbert_recurrent_displays(case_id, signs):
     )
     delta = closed_form_delta(case_id, params, F, P2)
     assert np.allclose(delta, expected, atol=1e-12)
-    assert np.max(np.abs(difference_tensor(params, F, P2) - delta)) < 1e-11
+    assert np.max(np.abs(data_at(params, F, P2).difference.val - delta)) < 1e-11
 
 
 def test_ricci_weight_on_constant_curvature_is_minus_identity():
@@ -226,8 +216,8 @@ def test_weights_are_inert_without_drift():
         phi=ExprMatrixField(2, (("1 + 0.3*y2", "0.4"), ("0.2*x1", "0.7"))),
         name="case-24-loaded",
     )
-    a = difference_tensor(p_plain, F, P2)
-    b = difference_tensor(p_loaded, F, P2)
+    a = data_at(p_plain, F, P2).difference.val
+    b = data_at(p_loaded, F, P2).difference.val
     assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -268,16 +258,6 @@ def test_typo_entries_disagree_with_their_printed_form(case_id):
 # ---------------------------------------------------------------------------
 # reporting surface
 # ---------------------------------------------------------------------------
-
-
-def test_closed_form_delta_argument_validation():
-    F = randers()
-    params = preset(15, F, u=(0.4, -0.3))
-    with pytest.raises(ValueError, match="both the frame index"):
-        closed_form_delta(15, params, F, P2, j=0)
-    full = closed_form_delta(15, params, F, P2)
-    applied = closed_form_delta(15, params, F, P2, j=1, Y=(0.3, 0.7))
-    assert np.allclose(applied, full[:, 1, :] @ np.array([0.3, 0.7]), atol=1e-14)
 
 
 def test_check_case_payload_is_deterministic():

@@ -16,6 +16,8 @@ Oracles:
   back to the metric one.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,18 +31,11 @@ from finslerconn.ad import (
 from finslerconn.connection import CARTAN, Connection, metric_deficit, torsions
 from finslerconn.deformation import (
     DeformationParams,
-    associated_nonlinear,
-    associated_spray,
     build,
     construction_residuals,
     curvature_relations,
     deformation_data,
-    difference_tensor,
-    frame_shift,
     horizontal_from_compatibility,
-    phi_split,
-    raise_covector,
-    tautological_shift,
     torsion_relations,
 )
 from finslerconn.expr import ExprCovectorField, ExprMatrixField, ExprScalarField
@@ -103,6 +98,11 @@ def u_only_params(n: int, u=(0.4, -0.3), phi=None) -> DeformationParams:
     return DeformationParams(name="u-only", **fields)
 
 
+def data_at(params: DeformationParams, F: FinslerStructure, point: ChartPoint):
+    """The deformation data at a point, on a tower of the construction order."""
+    return deformation_data(params, F.tower(point, 4))
+
+
 # ---------------------------------------------------------------------------
 # collapse: zero parameters rebuild the metric connection
 
@@ -125,28 +125,30 @@ def test_build_and_data_are_cached():
 
 
 # ---------------------------------------------------------------------------
-# phi_split
+# the metric split of phi
 
 
 def test_phi_split_identity():
-    params = u_only_params(2, phi=IdentityMatrix(2))
-    phi1, phi2 = phi_split(params, randers(), P2)
-    assert np.allclose(phi1, np.eye(2), atol=1e-12)
-    assert np.allclose(phi2, 0.0, atol=1e-12)
+    F = randers()
+    d = data_at(u_only_params(2, phi=IdentityMatrix(2)), F, P2)
+    assert np.allclose(d.phi1.val, np.eye(2), atol=1e-12)
+    assert np.allclose(d.phi2.val, 0.0, atol=1e-12)
 
 
 def test_phi_split_euclidean_antisymmetric():
     skew = ((0.0, 0.7), (-0.7, 0.0))
     params = u_only_params(2, phi=ExprMatrixField(2, (("0", "0.7"), ("-0.7", "0"))))
-    phi1, phi2 = phi_split(params, euclidean(), P2)
-    assert np.allclose(phi1, 0.0, atol=1e-12)
-    assert np.allclose(phi2, np.asarray(skew), atol=1e-12)
+    F = euclidean()
+    d = data_at(params, F, P2)
+    assert np.allclose(d.phi1.val, 0.0, atol=1e-12)
+    assert np.allclose(d.phi2.val, np.asarray(skew), atol=1e-12)
 
 
 def test_phi_split_reassembles_on_randers():
     params = general_params(2)
     F = randers()
-    phi1, phi2 = phi_split(params, F, P2)
+    d = data_at(params, F, P2)
+    phi1, phi2 = d.phi1.val, d.phi2.val
     t = F.tower(P2, 4)
     phi = params.phi.eval(t.jets).val
     g = t.g.val
@@ -158,16 +160,21 @@ def test_phi_split_reassembles_on_randers():
 
 
 # ---------------------------------------------------------------------------
-# raising the index
+# raising the index: the g-dual vector of the one-form A
+
+
+def raised_A(form, F: FinslerStructure) -> np.ndarray:
+    return data_at(replace(DeformationParams.zero(2), A=form), F, P2).avec.val
 
 
 def test_raise_covector_euclidean():
-    assert np.allclose(raise_covector((1.0, 0.0), euclidean(), P2), (1.0, 0.0))
+    F = euclidean()
+    assert np.allclose(raised_A(ConstantCovector((1.0, 0.0)), F), (1.0, 0.0))
 
 
 def test_raise_hilbert_form_gives_unit_direction():
     F = randers()
-    got = raise_covector(HilbertFormField(F.norm, 2), F, P2)
+    got = raised_A(HilbertFormField(F.norm, 2), F)
     t = F.tower(P2, 2)
     assert np.allclose(got, P2.y / float(t.L.val), atol=1e-12)
 
@@ -175,13 +182,9 @@ def test_raise_hilbert_form_gives_unit_direction():
 def test_raise_covector_diagonal_hand_inverse():
     # warped metric g = diag(e^{2 x1}, 1); at x1 = 0.3 the dual of (1, 0)
     # is (e^{-0.6}, 0)
-    got = raise_covector((1.0, 0.0), warped_flat(), P2)
+    F = warped_flat()
+    got = raised_A(ConstantCovector((1.0, 0.0)), F)
     assert np.allclose(got, (np.exp(-0.6), 0.0), atol=1e-12)
-
-
-def test_raise_covector_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        raise_covector((1.0, 0.0, 0.0), euclidean(), P2)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,7 @@ def test_tautological_shift_term_by_term_oracle():
         + L * (ell @ (phi1 @ ys)) * uvec
         - (u @ ys) * (phi1 @ ys - phi2 @ ys)
     )
-    assert np.allclose(tautological_shift(params, F, P2), expected, atol=1e-10)
+    assert np.allclose(d.eta_shift.val, expected, atol=1e-10)
 
 
 def test_tautological_shift_cancellation_for_hilbert_pair():
@@ -229,7 +232,7 @@ def test_tautological_shift_cancellation_for_hilbert_pair():
         phi=IdentityMatrix(2),
         name="hilbert-pair",
     )
-    assert np.allclose(tautological_shift(params, F, P34), 0.0, atol=1e-12)
+    assert np.allclose(data_at(params, F, P34).eta_shift.val, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ def test_frame_shift_full_oracle_on_randers():
     F = randers()
     t = F.tower(P2, 4)
     d = deformation_data(params, t)
-    assert np.allclose(frame_shift(params, F, P2), _frame_shift_oracle(d, t), atol=1e-10)
+    assert np.allclose(d.frame_shift.val, _frame_shift_oracle(d, t), atol=1e-10)
 
 
 def test_frame_shift_riemannian_reduction():
@@ -283,7 +286,7 @@ def test_frame_shift_riemannian_reduction():
     F = hyperbolic()
     t = F.tower(P2, 4)
     d = deformation_data(params, t)
-    fs = frame_shift(params, F, P2)
+    fs = d.frame_shift.val
     L = float(t.L.val)
     reduced = (
         -float(d.u_eta.val) * d.phi1.val
@@ -297,14 +300,8 @@ def test_frame_shift_riemannian_reduction():
 def test_frame_shift_contracts_to_tautological_shift():
     params = general_params(2)
     F = randers()
-    fs = frame_shift(params, F, P2)
-    assert np.allclose(fs @ P2.y, tautological_shift(params, F, P2), atol=1e-9)
-
-
-def test_frame_shift_single_column():
-    params = general_params(2)
-    fs = frame_shift(params, randers(), P2)
-    assert np.allclose(frame_shift(params, randers(), P2, j=1), fs[:, 1])
+    d = data_at(params, F, P2)
+    assert np.allclose(d.frame_shift.val @ P2.y, d.eta_shift.val, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +322,8 @@ def test_difference_tensor_hilbert_identity_preset_value():
         phi=IdentityMatrix(2),
         name="hilbert-identity",
     )
-    got = difference_tensor(params, F, P34, j=1, Y=[1.0, 0.0])
-    assert np.allclose(got, (0.0, 0.6), atol=1e-12)
+    NT = data_at(params, F, P34).difference.val
+    assert np.allclose(NT[:, 1, :] @ [1.0, 0.0], (0.0, 0.6), atol=1e-12)
     # and the full closed form at a second argument pair
     y = P34.y
     L = 5.0
@@ -334,9 +331,7 @@ def test_difference_tensor_hilbert_identity_preset_value():
     for j in range(2):
         ej = np.eye(2)[j]
         expected = -(ej @ Y) / L * y + (y @ Y) / L * ej
-        assert np.allclose(
-            difference_tensor(params, F, P34, j=j, Y=Y), expected, atol=1e-12
-        )
+        assert np.allclose(NT[:, j, :] @ Y, expected, atol=1e-12)
 
 
 def test_difference_tensor_antisymmetric_drift_preset():
@@ -352,29 +347,14 @@ def test_difference_tensor_antisymmetric_drift_preset():
         name="drift",
     )
     F = randers()
+    NT = data_at(params, F, P2).difference.val
     rng = np.random.default_rng(7)
     for _ in range(5):
         Y = rng.uniform(-1.0, 1.0, size=2)
         for j in range(2):
-            got = difference_tensor(params, F, P2, j=j, Y=Y)
+            got = NT[:, j, :] @ Y
             expected = (np.asarray(u) @ Y) * np.eye(2)[j]
             assert np.allclose(got, expected, atol=1e-8)
-
-
-def test_difference_tensor_argument_validation():
-    params = DeformationParams.zero(2)
-    with pytest.raises(ValueError):
-        difference_tensor(params, euclidean(), P2, j=0)
-
-
-def test_difference_tensor_bilinear_in_vector_slot():
-    params = general_params(2)
-    F = randers()
-    NT = difference_tensor(params, F, P2)
-    Y = np.array([0.3, -0.8])
-    Z = np.array([-1.1, 0.4])
-    lhs = difference_tensor(params, F, P2, j=0, Y=2.0 * Y + Z)
-    assert np.allclose(lhs, 2.0 * NT[:, 0, :] @ Y + NT[:, 0, :] @ Z, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +452,18 @@ def test_spray_displacement_hand_value():
         phi=ZeroMatrix(2),
         name="f2-only",
     )
-    assert np.allclose(associated_spray(params, euclidean(), P34), (-12.5, 0.0), atol=1e-12)
+    F = euclidean()
+    assert np.allclose(data_at(params, F, P34).spray.val, (-12.5, 0.0), atol=1e-12)
 
 
 def test_spray_routes_agree():
     params = general_params(2)
     F = randers()
-    spray = associated_spray(params, F, P2)
-    nbar = associated_nonlinear(params, F, P2)
-    assert np.allclose(0.5 * nbar @ P2.y, spray, atol=1e-10)
+    d = data_at(params, F, P2)
+    spray = d.spray.val
+    assert np.allclose(0.5 * d.nonlinear.val @ P2.y, spray, atol=1e-10)
     t = F.tower(P2, 4)
-    assert np.allclose(
-        2.0 * (t.G.val - spray), tautological_shift(params, F, P2), atol=1e-10
-    )
+    assert np.allclose(2.0 * (t.G.val - spray), d.eta_shift.val, atol=1e-10)
 
 
 def test_associated_nonlinear_term_by_term():
@@ -493,15 +472,14 @@ def test_associated_nonlinear_term_by_term():
     t = F.tower(P2, 4)
     d = deformation_data(params, t)
     expected = t.N.val - _frame_shift_oracle(d, t)
-    assert np.allclose(associated_nonlinear(params, F, P2), expected, atol=1e-10)
+    assert np.allclose(d.nonlinear.val, expected, atol=1e-10)
 
 
 def test_zero_params_keep_metric_spray():
-    params = DeformationParams.zero(2)
-    F = randers()
-    t = F.tower(P2, 4)
-    assert np.allclose(associated_spray(params, F, P2), t.G.val, atol=1e-14)
-    assert np.allclose(associated_nonlinear(params, F, P2), t.N.val, atol=1e-14)
+    t = randers().tower(P2, 4)
+    d = deformation_data(DeformationParams.zero(2), t)
+    assert np.allclose(d.spray.val, t.G.val, atol=1e-14)
+    assert np.allclose(d.nonlinear.val, t.N.val, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +582,7 @@ def test_parameter_shape_mismatch_raises():
         name="bad-shape",
     )
     with pytest.raises(ValueError, match="parameter field A"):
-        tautological_shift(params, euclidean(), P2)
+        data_at(params, euclidean(), P2)
 
 
 def test_degenerate_structure_raises_domain_error():
@@ -614,4 +592,4 @@ def test_degenerate_structure_raises_domain_error():
     )
     params = general_params(2)
     with pytest.raises(DomainError):
-        difference_tensor(params, quartic, ChartPoint([0.0, 0.0], [1.0, 0.0]))
+        data_at(params, quartic, ChartPoint([0.0, 0.0], [1.0, 0.0])).difference

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerconn.ad import ChartJets
+from finslerconn.ad import ChartJets, ConstantCovector, ConstantMatrix
+from finslerconn.deformation import parameter_field
 from finslerconn.expr import (
     FUNCTIONS,
     BinOp,
@@ -17,7 +18,6 @@ from finslerconn.expr import (
     ExprError,
     ExprMatrixField,
     ExprScalarField,
-    FieldSpec,
     Neg,
     Num,
     Var,
@@ -260,15 +260,21 @@ def test_matrix_field_shape_and_values():
 
 
 def test_field_spec_builders():
-    assert FieldSpec("scalar", 2, ("y1 + y2",)).build().describe() == "y1 + y2"
-    cov = FieldSpec("covector", 2, ("y1", "0")).build()
+    # a parameter slot and its source texts make an expression field
+    assert parameter_field("f1", "y1 + y2", 2).describe() == "y1 + y2"
+    cov = parameter_field("A", ("y1", "0"), 2)
     assert isinstance(cov, ExprCovectorField)
-    mat = FieldSpec("matrix", 2, ("1", "0", "0", "1")).build()
+    mat = parameter_field("phi", (("1", "0"), ("0", "1")), 2)
     assert isinstance(mat, ExprMatrixField)
+    # numbers make constant fields, and a field is kept as given
+    assert parameter_field("f2", 0.5, 2).value == 0.5
+    assert isinstance(parameter_field("u", (0.1, 0.2), 2), ConstantCovector)
+    assert isinstance(parameter_field("phi", ((1, 0), (0, 1)), 2), ConstantMatrix)
+    assert parameter_field("B", cov, 2) is cov
     with pytest.raises(ValueError):
-        FieldSpec("matrix", 2, ("1", "0")).build()
+        parameter_field("phi", (("1", "0"),), 2)
     with pytest.raises(ValueError):
-        FieldSpec("tensor", 2, ("1",)).build()
+        parameter_field("tensor", ("1",), 2)
 
 
 def test_parse_errors_surface_through_adapters():

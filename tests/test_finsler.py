@@ -23,13 +23,6 @@ from finslerconn.finsler import (
     DomainError,
     FinslerStructure,
     HilbertFormField,
-    cartan_tensor,
-    fundamental_tensor,
-    geodesic_spray,
-    hilbert_form,
-    horizontal_christoffel,
-    inverse_fundamental_tensor,
-    nonlinear_connection,
 )
 from finslerconn.samples import (
     curved_three_dim,
@@ -53,13 +46,13 @@ def _norm_value(F, x, y):
 
 
 def test_euclidean_is_flat():
-    F = euclidean()
-    assert np.allclose(fundamental_tensor(F, P2), np.eye(2), atol=1e-12)
-    assert np.allclose(cartan_tensor(F, P2), 0.0, atol=1e-12)
-    assert np.allclose(geodesic_spray(F, P2), 0.0, atol=1e-12)
-    assert np.allclose(nonlinear_connection(F, P2), 0.0, atol=1e-12)
-    assert np.allclose(horizontal_christoffel(F, P2), 0.0, atol=1e-12)
-    ell = hilbert_form(F, P2)
+    tw = euclidean().tower(P2, 3)
+    assert np.allclose(tw.g.val, np.eye(2), atol=1e-12)
+    assert np.allclose(tw.T_low.val, 0.0, atol=1e-12)
+    assert np.allclose(tw.G.val, 0.0, atol=1e-12)
+    assert np.allclose(tw.N.val, 0.0, atol=1e-12)
+    assert np.allclose(tw.Gamma.val, 0.0, atol=1e-12)
+    ell = tw.ell.val
     assert np.allclose(ell, P2.y / np.linalg.norm(P2.y), atol=1e-12)
 
 
@@ -68,16 +61,15 @@ def test_warped_flat_closed_forms():
     # nonzero Christoffel symbol is [1; 1 1] = 1
     F = warped_flat()
     p = ChartPoint([0.3, 0.5], [0.8, -0.4])
-    g = fundamental_tensor(F, p)
-    assert np.allclose(g, np.diag([math.exp(0.6), 1.0]), atol=1e-12)
-    Gam = horizontal_christoffel(F, p)
+    tw = F.tower(p, 3)
+    assert np.allclose(tw.g.val, np.diag([math.exp(0.6), 1.0]), atol=1e-12)
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
-    assert np.allclose(Gam, expected, atol=1e-10)
-    spray = geodesic_spray(F, p)
+    assert np.allclose(tw.Gamma.val, expected, atol=1e-10)
+    spray = tw.G.val
     assert spray[0] == pytest.approx(0.5 * p.y[0] ** 2, abs=1e-12)
     assert spray[1] == pytest.approx(0.0, abs=1e-12)
-    N = nonlinear_connection(F, p)
+    N = tw.N.val
     assert np.allclose(N, [[p.y[0], 0.0], [0.0, 0.0]], atol=1e-10)
 
 
@@ -86,16 +78,16 @@ def test_hyperbolic_closed_forms():
     F = hyperbolic()
     p = ChartPoint([0.4, -0.1], [0.6, 0.9])
     e2x = math.exp(0.8)
-    assert np.allclose(fundamental_tensor(F, p), np.diag([1.0, e2x]), atol=1e-12)
-    Gam = horizontal_christoffel(F, p)
+    tw = F.tower(p, 3)
+    assert np.allclose(tw.g.val, np.diag([1.0, e2x]), atol=1e-12)
     expected = np.zeros((2, 2, 2))
     expected[0, 1, 1] = -e2x
     expected[1, 0, 1] = expected[1, 1, 0] = 1.0
-    assert np.allclose(Gam, expected, atol=1e-10)
-    spray = geodesic_spray(F, p)
+    assert np.allclose(tw.Gamma.val, expected, atol=1e-10)
+    spray = tw.G.val
     assert spray[0] == pytest.approx(-0.5 * e2x * p.y[1] ** 2, abs=1e-11)
     assert spray[1] == pytest.approx(p.y[0] * p.y[1], abs=1e-11)
-    N = nonlinear_connection(F, p)
+    N = tw.N.val
     assert np.allclose(
         N, [[0.0, -e2x * p.y[1]], [p.y[1], p.y[0]]], atol=1e-10
     )
@@ -104,7 +96,7 @@ def test_hyperbolic_closed_forms():
 def test_riemannian_cartan_tensor_vanishes():
     for F in (hyperbolic(), warped_flat(), curved_three_dim()):
         p = P2 if F.n == 2 else P3
-        assert np.allclose(cartan_tensor(F, p), 0.0, atol=1e-11), F.name
+        assert np.allclose(F.tower(p, 3).T_low.val, 0.0, atol=1e-11), F.name
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +121,7 @@ def test_fundamental_tensor_matches_finite_differences():
             g_fd[i, j] = 0.5 * (
                 L2(ei + ej) - L2(ei - ej) - L2(-ei + ej) + L2(-ei - ej)
             ) / (4 * h * h)
-    assert np.allclose(fundamental_tensor(F, p), g_fd, rtol=1e-6, atol=1e-7)
+    assert np.allclose(F.tower(p, 2).g.val, g_fd, rtol=1e-6, atol=1e-7)
 
 
 def test_cartan_tensor_matches_finite_differences():
@@ -138,14 +130,14 @@ def test_cartan_tensor_matches_finite_differences():
     h = 8e-4
 
     def g_at(dy):
-        return fundamental_tensor(F, ChartPoint(p.x, p.y + dy))
+        return F.tower(ChartPoint(p.x, p.y + dy), 2).g.val
 
     T_fd = np.zeros((2, 2, 2))
     for k in range(2):
         ek = np.zeros(2)
         ek[k] = h
         T_fd[:, :, k] = (g_at(ek) - g_at(-ek)) / (4 * h)  # T = (1/2) dg/dy
-    assert np.allclose(cartan_tensor(F, p), T_fd, rtol=1e-5, atol=1e-7)
+    assert np.allclose(F.tower(p, 3).T_low.val, T_fd, rtol=1e-5, atol=1e-7)
 
 
 def test_spray_matches_finite_differences():
@@ -171,8 +163,9 @@ def test_spray_matches_finite_differences():
             ) / (4 * h * h)
             mixed += p.y[m] * cross
         rhs[l] = mixed - dL2_dxl
-    G_fd = 0.25 * inverse_fundamental_tensor(F, p) @ rhs
-    assert np.allclose(geodesic_spray(F, p), G_fd, rtol=1e-6, atol=1e-7)
+    tw = F.tower(p, 2)
+    G_fd = 0.25 * tw.gi.val @ rhs
+    assert np.allclose(tw.G.val, G_fd, rtol=1e-6, atol=1e-7)
 
 
 def test_nonlinear_connection_is_y_gradient_of_spray():
@@ -183,10 +176,10 @@ def test_nonlinear_connection_is_y_gradient_of_spray():
     for j in range(2):
         ej = np.zeros(2)
         ej[j] = h
-        Gp = geodesic_spray(F, ChartPoint(p.x, p.y + ej))
-        Gm = geodesic_spray(F, ChartPoint(p.x, p.y - ej))
+        Gp = F.tower(ChartPoint(p.x, p.y + ej), 2).G.val
+        Gm = F.tower(ChartPoint(p.x, p.y - ej), 2).G.val
         N_fd[:, j] = (Gp - Gm) / (2 * h)
-    assert np.allclose(nonlinear_connection(F, p), N_fd, rtol=1e-6, atol=1e-6)
+    assert np.allclose(F.tower(p, 3).N.val, N_fd, rtol=1e-6, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +197,12 @@ def test_homogeneity_degrees(F):
     L_p = _norm_value(F, p.x, p.y)
     L_q = _norm_value(F, q.x, q.y)
     assert L_q == pytest.approx(lam * L_p, rel=1e-9)
-    assert np.allclose(fundamental_tensor(F, q), fundamental_tensor(F, p), atol=1e-9)
-    assert np.allclose(
-        cartan_tensor(F, q), cartan_tensor(F, p) / lam, atol=1e-9
-    )
-    assert np.allclose(geodesic_spray(F, q), lam**2 * geodesic_spray(F, p), atol=1e-8)
-    assert np.allclose(
-        nonlinear_connection(F, q), lam * nonlinear_connection(F, p), atol=1e-8
-    )
-    assert np.allclose(
-        horizontal_christoffel(F, q), horizontal_christoffel(F, p), atol=1e-8
-    )
+    tp, tq = F.tower(p, 3), F.tower(q, 3)
+    assert np.allclose(tq.g.val, tp.g.val, atol=1e-9)
+    assert np.allclose(tq.T_low.val, tp.T_low.val / lam, atol=1e-9)
+    assert np.allclose(tq.G.val, lam**2 * tp.G.val, atol=1e-8)
+    assert np.allclose(tq.N.val, lam * tp.N.val, atol=1e-8)
+    assert np.allclose(tq.Gamma.val, tp.Gamma.val, atol=1e-8)
 
 
 @pytest.mark.parametrize("F", ALL_SAMPLES, ids=lambda F: F.name)
@@ -222,18 +210,16 @@ def test_euler_contractions(F):
     p = P2 if F.n == 2 else P3
     y = p.y
     L = _norm_value(F, p.x, p.y)
-    g = fundamental_tensor(F, p)
-    T = cartan_tensor(F, p)
-    ell = hilbert_form(F, p)
+    tw = F.tower(p, 3)
+    g, T, ell = tw.g.val, tw.T_low.val, tw.ell.val
     assert ell @ y == pytest.approx(L, rel=1e-12)
     assert y @ g @ y == pytest.approx(L**2, rel=1e-12)
     assert np.allclose(g @ y / L, ell, atol=1e-11)
     assert np.allclose(np.einsum("ijk,k->ij", T, y), 0.0, atol=1e-10)
     assert np.allclose(np.einsum("ijk,j->ik", T, y), 0.0, atol=1e-10)
-    N = nonlinear_connection(F, p)
-    G = geodesic_spray(F, p)
+    N, G = tw.N.val, tw.G.val
     assert np.allclose(N @ y, 2.0 * G, atol=1e-9)
-    Gam = horizontal_christoffel(F, p)
+    Gam = tw.Gamma.val
     assert np.allclose(np.einsum("ijk,j,k->i", Gam, y, y), 2.0 * G, atol=1e-9)
     # the spray-compatible horizontal coefficients also contract to N
     assert np.allclose(np.einsum("ijk,k->ij", Gam, y), N, atol=1e-9)
@@ -352,11 +338,4 @@ def test_hilbert_form_field_matches_tower():
     F = randers()
     field = HilbertFormField(F.norm, F.n)
     jets = ChartJets.at(P2.x, P2.y, 2)
-    assert np.allclose(field.eval(jets).val, hilbert_form(F, P2), atol=1e-13)
-
-
-def test_value_helpers_return_copies():
-    F = randers()
-    a = fundamental_tensor(F, P2)
-    a[0, 0] = 99.0
-    assert fundamental_tensor(F, P2)[0, 0] != 99.0
+    assert np.allclose(field.eval(jets).val, F.tower(P2, 1).ell.val, atol=1e-13)

@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from finslerconn.cases import _PRESETS
 from finslerconn.deformation import (
     DeformationParams,
     construction_residuals,
@@ -314,6 +315,32 @@ def test_case_rows_carry_typo_annotations():
         if "literal printed form residual" in row.note
     }
     assert noted == {"case-11", "case-12", "case-13", "case-14"}
+
+
+@pytest.mark.parametrize("fuzz,literal_calls", [(False, 8), (True, 0)])
+def test_fuzzed_cases_skip_the_printed_forms(fuzz, literal_calls):
+    # the fuzz row note discards the printed-form residual, so a fuzzed run
+    # must not evaluate it; a clean run evaluates it for the four typo
+    # cases at each of its two points
+    calls = []
+    originals = [p.delta for p in _PRESETS]
+
+    def counting(delta):
+        def wrapped(ws, literal):
+            calls.append(literal)
+            return delta(ws, literal)
+
+        return wrapped
+
+    try:
+        for p in _PRESETS:
+            object.__setattr__(p, "delta", counting(p.delta))
+        check_cases(randers(), SamplePlan(case_points=2), fuzz=fuzz)
+    finally:
+        for p, delta in zip(_PRESETS, originals):
+            object.__setattr__(p, "delta", delta)
+    assert calls.count(True) == literal_calls
+    assert calls.count(False) == 52
 
 
 def test_unknown_tolerance_name_is_rejected():

@@ -32,6 +32,7 @@ in :mod:`finslerconn.connection`; it also has no printed display of its own
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
@@ -771,10 +772,21 @@ def preset(case_id: int, F: FinslerStructure, **free) -> DeformationParams:
             f"free choices are: {allowed}"
         )
     coerced = {
-        key: float(value) if key == "t" else parameter_field(key, value, F.n)
+        key: _weight(spec.id, value) if key == "t" else parameter_field(key, value, F.n)
         for key, value in free.items()
     }
     return spec.build(F, coerced)
+
+
+def _weight(case_id: int, value) -> float:
+    """The free number ``t`` of a case, refused unless it is a finite float."""
+    try:
+        t = float(value)
+    except (TypeError, ValueError):
+        raise CaseError(f"case {case_id} t: {value!r} is not a number") from None
+    if not math.isfinite(t):
+        raise CaseError(f"case {case_id} t: must be finite, got {value!r}")
+    return t
 
 
 def default_free_choices(case_id: int, F: FinslerStructure, seed: int = 0) -> dict:
@@ -842,6 +854,9 @@ def closed_form_delta(
     return _require(case_id).delta(_Workspace(params, F, point), bool(literal))
 
 
+_TOLERANCE = 1e-7
+
+
 def _default_points(F: FinslerStructure, count: int = 4) -> list[ChartPoint]:
     """Deterministic sample points, directions in the positive shell."""
     rng = np.random.default_rng(1234 + F.n)
@@ -860,16 +875,17 @@ def check_case(
     points: Iterable[ChartPoint] | None = None,
     free: Mapping | None = None,
     seed: int = 0,
-    tolerance: float = 1e-7,
     perturbation: float = 0.0,
 ) -> dict:
     """Compare the built difference tensor with the catalog closed form.
 
     Returns a plain dict: the worst relative residual over the points, the
     literal-form residual for typo-flagged entries (reported, not asserted),
-    and a ``passed`` verdict against ``tolerance``.  ``perturbation`` shifts
-    one entry of the built tensor before the comparison (the fuzz-injection
-    hook); a perturbed run skips the literal forms and reports ``None``.
+    and a ``passed`` verdict against the default ``cases`` tolerance
+    ``1e-7`` (:func:`finslerconn.verify.check_cases` judges against the
+    configured one).  ``perturbation`` shifts one entry of the built tensor
+    before the comparison (the fuzz-injection hook); a perturbed run skips
+    the literal forms and reports ``None``.
     """
     spec = _require(case_id)
     choices = (
@@ -899,8 +915,8 @@ def check_case(
         "convention": spec.convention,
         "residual": worst,
         "literal_residual": worst_literal,
-        "tolerance": float(tolerance),
-        "passed": worst < tolerance,
+        "tolerance": _TOLERANCE,
+        "passed": worst < _TOLERANCE,
     }
 
 

@@ -4,26 +4,34 @@ The console script ``finslerconn`` exposes five subcommands:
 
 * ``report``  -- evaluate the metric tower and one deformation at chart
   points and emit a structured tensor document (JSON).
-* ``check``   -- run the full verification battery from :mod:`.verify`,
-  write its report, and exit 0 exactly when every row passes.
-* ``cases``   -- evaluate the closed-form catalog from :mod:`.cases`
-  against every configured norm, one row per (case, metric).
-* ``diagram`` -- the residual matrix of the two-row construction diagram
-  from :mod:`.processes`: four deformed edges, four classical edges, and
-  five collapse arrows.
+* ``check``   -- run the full verification battery from :mod:`.verify`.
+* ``cases``   -- the catalog suite of that battery
+  (:func:`~.verify.check_cases`) on every configured norm; ``--id K``
+  keeps only the rows of case ``K``.
+* ``diagram`` -- the process-diagram suite of that battery
+  (:func:`~.verify.check_processes`) with the ``[run] params`` pack on
+  every configured norm: four deformed edges, four classical edges, and
+  five collapse arrows per norm.
 * ``init``    -- write the bundled configuration template to disk.
+
+``check``, ``cases`` and ``diagram`` are three views of one verdict: each
+builds a :class:`~.verify.CheckReport`, prints its summary and failures,
+writes ``{"digest", "generated", "payload"}`` to ``--out`` (``check``
+always writes, by default to ``check-report.json``), and exits 0 exactly
+when every row passes.
 
 Configuration is a single INI document (exact schema in the template
 returned by :func:`default_config_text`; ``init`` writes it verbatim).
 Every command runs against the built-in template when ``--config`` is
 omitted, so the tool works out of the box.  All reports are JSON with
-sorted keys; for a fixed configuration and seed the check payload is
+sorted keys; for a fixed configuration and seed a verdict payload is
 byte-identical across runs, and its SHA-256 digest is embedded next to
 it.  Timestamps live outside the digested payload.
 
 Exit status: 0 when every verdict in the command's scope passes, 1 when
 at least one fails, 2 on configuration or usage errors (unknown metric
-or case id, unparsable field text, malformed points file, and so on).
+or case id, unparsable or non-finite numbers, malformed points file, a
+report with a non-finite value, and so on).
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 import time
 import zlib
@@ -41,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cases import CaseError, catalog, check_case, preset
+from .cases import CATALOG, CaseError, preset
 from .connection import (
     contract_value_slot,
     curvature_h,
@@ -52,14 +61,14 @@ from .connection import (
 from .deformation import DeformationParams, build, deformation_data, parameter_field
 from .expr import ExprError, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure
-from .processes import diagram_residuals
 from .verify import (
-    DEFAULT_TOLERANCES,
+    CheckReport,
+    CheckRow,
     SamplePlan,
-    _aggregate,
-    _edge_tier,
-    _tols,
+    check_cases,
+    check_processes,
     random_params,
+    resolve_tolerances,
     run_all,
     sample_points,
 )
@@ -250,20 +259,13 @@ source = random
 """
 
 
-def _tolerance(name: str, text: str, where: str) -> float:
-    """The value of one tolerance tier; ``where`` leads every error message."""
-    if name not in DEFAULT_TOLERANCES:
-        raise ConfigError(
-            f"{where}: unknown name {name!r}; known: "
-            f"{', '.join(sorted(DEFAULT_TOLERANCES))}"
-        )
+def _tolerances(texts: Mapping[str, str], where: str) -> dict[str, float]:
+    """Checked tolerance overrides; ``where`` leads every error message."""
     try:
-        value = float(text)
+        checked = resolve_tolerances(texts)
     except ValueError as err:
-        raise ConfigError(f"{where} {name}: {err}") from None
-    if not value > 0:
-        raise ConfigError(f"{where} {name}: must be positive")
-    return value
+        raise ConfigError(f"{where}: {err}") from None
+    return {name: checked[name] for name in texts}
 
 
 def _get_float(
@@ -384,9 +386,9 @@ def parse_config(text: str, origin: str = "<config>") -> Config:
             box = (
                 _get_float(body, "box", origin) if "box" in body else None
             )
-            if box is not None and box <= 0:
+            if box is not None and not (math.isfinite(box) and box > 0):
                 raise ConfigError(
-                    f"{origin}: [{section}] box must be positive"
+                    f"{origin}: [{section}] box must be positive and finite"
                 )
             metrics.append(MetricEntry(name, body["L"], box))
         elif kind == "params" and name:
@@ -463,10 +465,10 @@ def parse_config(text: str, origin: str = "<config>") -> Config:
     if declared:
         plan = dataclasses.replace(plan, box=min([plan.box] + declared))
 
-    tolerances: dict[str, float] = {}
-    if parser.has_section("tolerances"):
-        for key, text in parser["tolerances"].items():
-            tolerances[key] = _tolerance(key, text, f"{origin}: [tolerances]")
+    tolerances = _tolerances(
+        dict(parser["tolerances"]) if parser.has_section("tolerances") else {},
+        f"{origin}: [tolerances]",
+    )
 
     return Config(
         dimension=dimension,
@@ -691,27 +693,38 @@ def tensor_report(
 # output helpers
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _verdict(report: CheckReport, out: str | None) -> int:
+    """Print a verdict, write it to ``out`` if given; 0 exactly when it passed."""
+    print(report.summary())
+    for row in report.failures():
+        print(
+            f"FAIL {row.suite}: {row.label} "
+            f"residual {row.residual:.3e} tolerance {row.tolerance:.1e}"
+        )
     if out:
-        Path(out).write_text(text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+        doc = {
+            "digest": report.digest(),
+            "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "payload": report.payload(),
+        }
+        Path(out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        print(f"report: {out} (digest {report.digest()[:12]})")
+    return 0 if report.passed else 1
 
 
-def _verdict_table(rows: list[dict], columns: Sequence[str]) -> str:
-    widths = [
-        max(len(col), *(len(str(r[col])) for r in rows)) for col in columns
-    ]
-    def fmt(vals: Sequence) -> str:
-        return "  ".join(
-            str(v).ljust(w) for v, w in zip(vals, widths)
-        ).rstrip()
-    lines = [fmt(columns)]
-    for r in rows:
-        lines.append(fmt([r[col] for col in columns]))
-    return "\n".join(lines)
+def _merged(suite: str, config: Config, rows: list[CheckRow], **meta) -> CheckReport:
+    """One report over rows of several suite runs, with the run's sampling metadata."""
+    return CheckReport(suite, rows, {
+        "seed": config.plan.seed,
+        "metrics": [e.name for e in config.metrics],
+        "plan": config.plan.to_dict(),
+        "tolerances": resolve_tolerances(config.tolerances),
+        **meta,
+    })
+
+
+def _structures(config: Config) -> list[FinslerStructure]:
+    return [build_structure(e, config.dimension) for e in config.metrics]
 
 
 def _pack(config: Config, pname: str, F: FinslerStructure) -> DeformationParams:
@@ -742,148 +755,57 @@ def cmd_report(
     else:
         points = sample_points(F, config.plan, _REPORT_POINTS, "cli-report")
     try:
-        doc = tensor_report(F, pack, points)
-    except ValueError as err:
+        text = json.dumps(
+            tensor_report(F, pack, points), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
+    except ValueError as err:  # DomainError, or a non-finite value in the document
         raise ConfigError(
             f"report on metric {entry.name!r}, params {pname!r}: {err}"
         ) from None
-    _emit(doc, out)
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_check(config: Config, out: str | None, fuzz: bool) -> int:
     """Run the full verification battery and write its report."""
-    structures = [
-        build_structure(e, config.dimension) for e in config.metrics
-    ]
     report = run_all(
-        metrics=structures,
+        metrics=_structures(config),
         plan=config.plan,
         tolerances=config.tolerances or None,
         fuzz=fuzz or config.fuzz,
     )
-    doc = {
-        "digest": report.digest(),
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "payload": report.payload(),
-    }
-    path = out or config.out or "check-report.json"
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    print(report.summary())
-    for row in report.failures():
-        print(
-            f"FAIL {row.suite}: {row.label} "
-            f"residual {row.residual:.3e} tolerance {row.tolerance:.1e}"
-        )
-    print(f"report: {path} (digest {report.digest()[:12]})")
-    return 0 if report.passed else 1
+    return _verdict(report, out or config.out or "check-report.json")
 
 
 def cmd_cases(config: Config, case_id: int | None, out: str | None) -> int:
-    """Evaluate catalog cases against every configured metric."""
-    structures = [
-        build_structure(e, config.dimension) for e in config.metrics
-    ]
-    ids = [case_id] if case_id is not None else [c["id"] for c in catalog()]
-    tol = _tols(config.tolerances)["cases"]
-    rows: list[dict] = []
-    for cid in ids:
-        for F in structures:
-            points = sample_points(
-                F, config.plan, config.plan.case_points, "cli-cases"
-            )
-            res = check_case(
-                cid, F, points=points, seed=config.plan.seed, tolerance=tol
-            )
-            rows.append(res)
-    display = [
-        {
-            "id": r["id"],
-            "metric": r["structure"],
-            "residual": f"{r['residual']:.3e}",
-            "printed-form": (
-                f"{r['literal_residual']:.3e}" if r["typo"] else "-"
-            ),
-            "verdict": "pass" if r["passed"] else "FAIL",
-            "title": r["title"],
-        }
-        for r in rows
-    ]
-    print(
-        _verdict_table(
-            display,
-            ["id", "metric", "residual", "printed-form", "verdict", "title"],
+    """The catalog suite on every configured metric, or only case ``case_id``'s rows."""
+    if case_id is not None and case_id not in CATALOG:
+        raise ConfigError(
+            f"--id: unknown case id {case_id}; "
+            f"valid ids are {min(CATALOG)}..{max(CATALOG)}"
         )
-    )
-    flagged = sorted({r["id"] for r in rows if r["typo"]})
-    if flagged and case_id is None:
-        print(
-            "printed-form residuals are reported, not asserted; the "
-            f"regenerated forms are what cases {flagged} are checked "
-            "against"
-        )
-    if out:
-        _emit({"command": "cases", "rows": rows, "tolerance": tol}, out)
-    return 0 if all(r["passed"] for r in rows) else 1
-
-
-_DIAGRAM_GROUPS = (
-    ("deformed", "deformed row (six-parameter family)"),
-    ("classical", "metric row (zero parameters)"),
-    ("collapse", "vertical arrows (parameters to zero)"),
-)
+    rows = [
+        row
+        for F in _structures(config)
+        for row in check_cases(F, config.plan, config.tolerances).rows
+    ]
+    if case_id is not None:
+        rows = [row for row in rows if row.label == f"case-{case_id:02d}"]
+    return _verdict(_merged("cases", config, rows), out)
 
 
 def cmd_diagram(config: Config, out: str | None) -> int:
-    """Residual matrix of the construction diagram, per metric."""
-    tols = _tols(config.tolerances)
+    """The process-diagram suite with the ``[run] params`` pack on every metric."""
     pname = config.default_params
-    all_rows: list[dict] = []
-    payload: dict = {"command": "diagram", "metrics": {}}
-    for entry in config.metrics:
-        F = build_structure(entry, config.dimension)
+    rows: list[CheckRow] = []
+    for F in _structures(config):
         pack = _pack(config, pname, F)
-        points = sample_points(
-            F, config.plan, config.plan.process_points, "cli-diagram"
-        )
-        worst = _aggregate(diagram_residuals(pack, F, point) for point in points)
-        payload["metrics"][entry.name] = worst
-        for group, _ in _DIAGRAM_GROUPS:
-            for key, value in sorted(worst.items()):
-                if not key.startswith(group + ":"):
-                    continue
-                tol = tols[_edge_tier(key)]
-                all_rows.append(
-                    {
-                        "metric": entry.name,
-                        "arrow": key.split(":", 1)[1],
-                        "group": group,
-                        "residual": value,
-                        "tolerance": tol,
-                        "passed": value < tol,
-                    }
-                )
-    for group, title in _DIAGRAM_GROUPS:
-        print(title)
-        display = [
-            {
-                "arrow": r["arrow"],
-                "metric": r["metric"],
-                "residual": f"{r['residual']:.3e}",
-                "tolerance": f"{r['tolerance']:.1e}",
-                "verdict": "pass" if r["passed"] else "FAIL",
-            }
-            for r in all_rows
-            if r["group"] == group
-        ]
-        print(_verdict_table(
-            display, ["arrow", "metric", "residual", "tolerance", "verdict"]
-        ))
-        print()
-    if out:
-        payload["rows"] = all_rows
-        _emit(payload, out)
-    return 0 if all(r["passed"] for r in all_rows) else 1
+        rows += check_processes(pack, F, config.plan, config.tolerances).rows
+    return _verdict(_merged("diagram", config, rows, params=pname), out)
 
 
 def cmd_init(out: str | None) -> int:
@@ -903,16 +825,15 @@ def cmd_init(out: str | None) -> int:
 
 
 def _parse_tolerance_flags(pairs: Sequence[str] | None) -> dict[str, float]:
-    overrides: dict[str, float] = {}
+    texts: dict[str, str] = {}
     for pair in pairs or ():
         name, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(
                 f"--tolerance expects NAME=VALUE, got {pair!r}"
             )
-        name = name.strip()
-        overrides[name] = _tolerance(name, value, "--tolerance")
-    return overrides
+        texts[name.strip()] = value
+    return _tolerances(texts, "--tolerance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -959,7 +880,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cases", parents=[common], help="closed-form case catalog residuals"
     )
-    p.add_argument("--id", type=int, metavar="K", help="single case id")
+    p.add_argument("--id", type=int, metavar="K", help="keep only the rows of case K")
     sub.add_parser(
         "diagram", parents=[common],
         help="residual matrix of the construction diagram",

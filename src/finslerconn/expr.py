@@ -193,7 +193,10 @@ class _Parser:
     def prefix(self) -> Node:
         tok = self.advance()
         if tok.kind == "number":
-            return Num(tok.offset, float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprError(f"number {tok.text!r} is not finite", tok.offset)
+            return Num(tok.offset, value)
         if tok.kind == "ident":
             return self.identifier(tok)
         if tok.kind == "op" and tok.text == "-":

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -70,6 +71,7 @@ from .samples import euclidean, hyperbolic, randers
 
 __all__ = [
     "DEFAULT_TOLERANCES",
+    "resolve_tolerances",
     "SamplePlan",
     "CheckRow",
     "CheckReport",
@@ -123,16 +125,27 @@ stencil, not the arithmetic.
 _FUZZ_SIZE = 1e-3
 
 
-def _tols(overrides: Mapping[str, float] | None) -> dict[str, float]:
+def resolve_tolerances(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
+    """The tolerance tiers with ``overrides`` applied by name.
+
+    Every override must name a tier of :data:`DEFAULT_TOLERANCES` and be a
+    finite positive number: an infinite tolerance would pass every finite
+    residual, so it is refused like a negative one.  Raises ``ValueError``
+    naming the offending tier.
+    """
     merged = dict(DEFAULT_TOLERANCES)
-    if overrides:
-        unknown = sorted(set(overrides) - set(merged))
-        if unknown:
+    for name, value in (overrides or {}).items():
+        if name not in merged:
             raise ValueError(
-                f"unknown tolerance name(s) {unknown}; "
-                f"known names: {sorted(merged)}"
+                f"unknown name {name!r}; known: {', '.join(sorted(merged))}"
             )
-        merged.update({name: float(value) for name, value in overrides.items()})
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}: {value!r} is not a number") from None
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+        merged[name] = value
     return merged
 
 
@@ -171,6 +184,10 @@ class SamplePlan:
 
     def __post_init__(self) -> None:
         lo, hi = self.shell
+        if not all(math.isfinite(v) for v in (self.box, lo, hi)):
+            raise ValueError(
+                f"chart box {self.box} and fiber shell {self.shell} must be finite"
+            )
         if lo < 0.1:
             raise ValueError(f"fiber shell floor {lo} is below the 0.1 minimum")
         if hi <= lo:
@@ -328,10 +345,11 @@ class CheckReport:
         lines = []
         for row in self.rows:
             verdict = "pass" if row.passed else "FAIL"
-            lines.append(
+            line = (
                 f"{verdict:4s}  {row.suite:28s} {row.label:40s} "
                 f"{row.residual:10.3e} < {row.tolerance:8.1e}"
             )
+            lines.append(f"{line}  {row.note}" if row.note else line)
         state = "all checks passed" if self.passed else (
             f"{len(self.failures())} of {len(self.rows)} checks failed"
         )
@@ -396,7 +414,7 @@ def _suite(
     residual generator may fill it.
     """
     plan = plan or SamplePlan()
-    tols = _tols(tolerances)
+    tols = resolve_tolerances(tolerances)
     stream = suite.split("[")[0]
     points = sample_points(
         F, plan, getattr(plan, count_field), f"{stream}-fuzz" if fuzz else stream
@@ -1027,7 +1045,7 @@ def run_all(
     suite receives its injection and the merged report must fail.
     """
     plan = plan or SamplePlan()
-    tols = _tols(tolerances)
+    tols = resolve_tolerances(tolerances)
     if metrics is None:
         metrics = default_metrics()
     metrics = list(metrics)

@@ -144,6 +144,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[sample\]"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "box = inf", "box = nan", "shell = 0.4, inf", "shell = 0.4, nan",
+            "shell = nan, 1.0",
+        ],
+    )
+    def test_sample_rejects_non_finite_numbers(self, tmp_path, capsys, line):
+        text = QUICK_INI + line + "\n"
+        with pytest.raises(ConfigError, match=r"\[sample\].*finite"):
+            parse_config(text)
+        ini = write(tmp_path, "s.ini", text)
+        assert main(["report", "--config", ini, "--out", str(tmp_path / "r.json")]) == 2
+        assert "[sample]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_metric_box_must_be_finite_and_positive(self, value):
+        text = QUICK_INI.replace(
+            "L = sqrt(y1^2 + y2^2)", f"L = sqrt(y1^2 + y2^2)\nbox = {value}"
+        )
+        with pytest.raises(ConfigError, match=r"\[metric:euclidean\] box"):
+            parse_config(text)
+
     def test_tolerances_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown name 'bogus'"):
             parse_config(QUICK_INI + "[tolerances]\nbogus = 1e-5\n")
@@ -151,6 +174,10 @@ class TestParseConfig:
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ConfigError, match="must be positive"):
             parse_config(QUICK_INI + "[tolerances]\nbianchi = -1e-5\n")
+
+    def test_tolerances_must_be_finite(self):
+        with pytest.raises(ConfigError, match=r"\[tolerances\]: cases must be positive and finite"):
+            parse_config(QUICK_INI + "[tolerances]\ncases = inf\n")
 
     def test_params_source_must_be_random(self):
         text = QUICK_INI.replace("source = random", "source = fancy")
@@ -348,6 +375,40 @@ class TestReport:
             "x": [0.1, -0.1], "y": [0.8, 1.2],
         }
 
+    @pytest.mark.parametrize(
+        "t, message", [("abc", "'abc' is not a number"), ("nan", "must be finite")]
+    )
+    def test_preset_weight_must_be_a_finite_number(self, tmp_path, capsys, t, message):
+        ini = write(
+            tmp_path,
+            "p.ini",
+            QUICK_INI.replace(
+                "source = random",
+                f"preset = 1\nt = {t}\nA = 0.1, 0\nu = 0.1, 0\nphi = 1, 0; 0, 1",
+            ),
+        )
+        for command in ("report", "diagram"):
+            assert main([command, "--config", ini, "--out", str(tmp_path / "o.json")]) == 2
+            err = capsys.readouterr().err
+            assert "[params:mild]: case 1 t: " in err
+            assert message in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_non_finite_literal_is_an_offset_error(self, tmp_path, capsys):
+        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", "f1 = 0.5 + 1e999"))
+        assert main(["report", "--config", ini, "--out", str(tmp_path / "r.json")]) == 2
+        assert "[params:mild] f1: number '1e999' is not finite (at offset 6)" in capsys.readouterr().err
+
+    def test_non_finite_value_fails_the_report(self, tmp_path, capsys):
+        # finite literals whose product overflows only at evaluation
+        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", "f1 = 1e308*10"))
+        out = tmp_path / "r.json"
+        assert main(["report", "--config", ini, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "metric 'euclidean', params 'mild'" in err
+        assert "not JSON compliant" in err
+        assert not out.exists()
+
     def test_unknown_metric_is_config_error(self, capsys):
         assert main(["report", "--metric", "nosuch"]) == 2
         err = capsys.readouterr().err
@@ -421,6 +482,10 @@ class TestCheck:
         assert main(["check", "--tolerance", "bianchi=abc"]) == 2
         assert main(["check", "--tolerance", "bianchi=-1e-6"]) == 2
         assert "positive" in capsys.readouterr().err
+        # an infinite tolerance would pass every finite residual
+        for value in ("inf", "nan"):
+            assert main(["cases", "--tolerance", f"cases={value}"]) == 2
+            assert "--tolerance: cases must be positive and finite" in capsys.readouterr().err
 
     def test_nan_residual_fails_the_check(self, tmp_path, capsys, monkeypatch):
         # the suites call their per-point functions through module globals,
@@ -450,11 +515,16 @@ class TestCheck:
 class TestCases:
     def test_single_case_row_per_metric(self, tmp_path, capsys):
         ini = write(tmp_path, "q.ini", QUICK_INI)
-        assert main(["cases", "--config", ini, "--id", "16"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        body = [ln for ln in lines[1:] if ln.strip()]
-        assert len(body) == 2  # one per configured metric
-        assert all("pass" in ln for ln in body)
+        out = tmp_path / "c16.json"
+        assert main(["cases", "--config", ini, "--id", "16", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["payload"]["rows"]
+        assert [(r["suite"], r["label"]) for r in rows] == [
+            ("cases[euclidean]", "case-16"), ("cases[hyperbolic]", "case-16"),
+        ]  # one per configured metric
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = [ln for ln in lines if ln.startswith(("pass", "FAIL"))]
+        assert len(verdicts) == 2
+        assert all(ln.startswith("pass") and "case-16" in ln for ln in verdicts)
 
     def test_unknown_case_id(self, capsys):
         assert main(["cases", "--id", "27"]) == 2
@@ -465,16 +535,26 @@ class TestCases:
         out = tmp_path / "cases.json"
         assert main(["cases", "--config", ini, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        rows = doc["rows"]
+        rows = doc["payload"]["rows"]
         assert len(rows) == 26 * 2
         assert all(r["passed"] for r in rows)
-        flagged = {r["id"] for r in rows if r["typo"]}
+        assert {r["label"] for r in rows} == {f"case-{k:02d}" for k in range(1, 27)}
+        flagged = {
+            int(r["label"][5:]) for r in rows if "literal printed form" in r["note"]
+        }
         assert flagged == {11, 12, 13, 14}
-        for r in rows:
-            if r["typo"]:
-                assert r["literal_residual"] is not None
         text = capsys.readouterr().out
         assert "reported, not asserted" in text
+
+    def test_rows_are_the_check_rows(self, tmp_path):
+        ini = write(tmp_path, "q.ini", QUICK_INI)
+        cases_out, check_out = tmp_path / "cases.json", tmp_path / "check.json"
+        assert main(["cases", "--config", ini, "--out", str(cases_out)]) == 0
+        assert main(["check", "--config", ini, "--out", str(check_out)]) == 0
+        check_rows = json.loads(check_out.read_text())["payload"]["rows"]
+        assert json.loads(cases_out.read_text())["payload"]["rows"] == [
+            r for r in check_rows if r["suite"].startswith("cases[")
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +566,19 @@ class TestDiagram:
         ini = write(tmp_path, "q.ini", QUICK_INI)
         out = tmp_path / "d.json"
         assert main(["diagram", "--config", ini, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert set(doc["metrics"]) == {"euclidean", "hyperbolic"}
-        for worst in doc["metrics"].values():
-            assert len(worst) == 13
-        assert len(doc["rows"]) == 26
-        assert all(r["passed"] for r in doc["rows"])
+        rows = json.loads(out.read_text())["payload"]["rows"]
+        assert len(rows) == 26
+        assert all(r["passed"] for r in rows)
+        for metric in ("euclidean", "hyperbolic"):
+            groups = [
+                r["label"].split(":")[0]
+                for r in rows
+                if r["suite"] == f"processes[{metric}]"
+            ]
+            assert sorted(groups) == ["classical"] * 4 + ["collapse"] * 5 + ["deformed"] * 4
         text = capsys.readouterr().out
-        assert "deformed row" in text
-        assert "vertical arrows" in text
+        assert "deformed:" in text
+        assert "collapse:" in text
 
     def test_euclidean_zero_params_trivial(self, tmp_path):
         ini = write(
@@ -508,9 +592,21 @@ class TestDiagram:
         )
         out = tmp_path / "d.json"
         assert main(["diagram", "--config", ini, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        worst = doc["metrics"]["euclidean"]
-        assert max(worst.values()) < 1e-14
+        rows = json.loads(out.read_text())["payload"]["rows"]
+        assert len(rows) == 13
+        assert max(r["residual"] for r in rows) < 1e-14
+
+    def test_rows_are_the_process_suite_of_the_run_params(self, tmp_path):
+        ini = write(tmp_path, "q.ini", QUICK_INI)
+        out = tmp_path / "d.json"
+        assert main(["diagram", "--config", ini, "--out", str(out)]) == 0
+        cfg = parse_config(QUICK_INI)
+        want = []
+        for entry in cfg.metrics:
+            F = build_structure(entry, cfg.dimension)
+            pack = build_params(cfg.params_entry("mild"), F, cfg.plan)
+            want += [r.to_dict() for r in verify.check_processes(pack, F, cfg.plan).rows]
+        assert json.loads(out.read_text())["payload"]["rows"] == want
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,13 @@ def test_unexpected_character():
     assert err.value.offset == 3
 
 
+def test_non_finite_number_literal_rejected():
+    with pytest.raises(ExprError, match="not finite") as err:
+        parse_expression("y1 + 2e999*x1", 2)
+    assert err.value.offset == 5
+    parse_expression("1e308*x1", 2)  # the largest decades still parse
+
+
 def test_nonconstant_exponent_rejected():
     with pytest.raises(ExprError) as err:
         parse_expression("y1^x1", 2)

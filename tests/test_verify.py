@@ -17,6 +17,7 @@ Oracles:
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from finslerconn.verify import (
     fd_residuals,
     first_bianchi_residual,
     random_params,
+    resolve_tolerances,
     run_all,
     sample_points,
     theorem_residuals,
@@ -344,8 +346,32 @@ def test_fuzzed_cases_skip_the_printed_forms(fuzz, literal_calls):
 
 
 def test_unknown_tolerance_name_is_rejected():
-    with pytest.raises(ValueError, match="unknown tolerance"):
+    with pytest.raises(ValueError, match="unknown name 'bogus'"):
         check_theorem(_pack(2), randers(), QUICK, tolerances={"bogus": 1.0})
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan, "abc"])
+def test_tolerances_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="cases"):
+        resolve_tolerances({"cases": value})
+    with pytest.raises(ValueError, match="cases"):
+        run_all(tolerances={"cases": value})
+
+
+def test_resolve_tolerances_merges_overrides():
+    assert resolve_tolerances() == DEFAULT_TOLERANCES
+    merged = resolve_tolerances({"cases": "1e-9"})
+    assert merged == {**DEFAULT_TOLERANCES, "cases": 1e-9}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"box": math.inf}, {"box": math.nan}, {"shell": (0.4, math.inf)},
+     {"shell": (0.4, math.nan)}, {"shell": (math.nan, 1.0)}],
+)
+def test_sample_plan_rejects_non_finite_numbers(changes):
+    with pytest.raises(ValueError, match="must be finite"):
+        SamplePlan(**changes)
 
 
 def test_report_payload_and_digest():
@@ -360,6 +386,13 @@ def test_report_payload_and_digest():
     assert rebuilt.digest() == report.digest()
     assert json.loads(report.payload_json()) == payload
     assert "pass" in report.summary()
+
+
+def test_summary_shows_non_empty_notes():
+    rows = [CheckRow("s", "a", 0.0, 1.0, True), CheckRow("s", "b", 0.0, 1.0, True, "why")]
+    lines = CheckReport("s", rows, {}).summary().splitlines()
+    assert lines[0].endswith("1.0e+00")
+    assert lines[1].endswith("1.0e+00  why")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ identities.
 The layers, bottom up:
 
 * :mod:`.expr` -- expression fields over chart coordinates (x1..xn, y1..yn),
-* :mod:`.ad` -- truncated multivariate Taylor arithmetic (jets) and the
-  field protocols everything above evaluates through,
+* :mod:`.ad` -- truncated multivariate Taylor arithmetic (jets), the
+  field protocol every input evaluates through and its :class:`Constant`,
 * :mod:`.finsler` -- Finsler structures and the tower of fundamental
   objects (fundamental tensor, Cartan tensor, spray, nonlinear connection,
   horizontal coefficients),
@@ -22,16 +22,7 @@ The layers, bottom up:
 * :mod:`.cli` -- the ``finslerconn`` command-line tool.
 """
 
-from .ad import (
-    ChartJets,
-    ConstantCovector,
-    ConstantMatrix,
-    ConstantScalar,
-    IdentityMatrix,
-    Series,
-    ZeroCovector,
-    ZeroMatrix,
-)
+from .ad import ChartJets, Constant, Field, Series
 from .cases import CaseError, catalog, check_case, closed_form_delta, preset
 from .connection import (
     CARTAN,
@@ -90,9 +81,7 @@ __all__ = [
     "__version__",
     # expression and jet substrate
     "ExprScalarField", "ExprCovectorField", "ExprMatrixField", "ExprError",
-    "ChartJets", "Series",
-    "ConstantScalar", "ConstantCovector", "ConstantMatrix",
-    "ZeroCovector", "ZeroMatrix", "IdentityMatrix",
+    "ChartJets", "Series", "Field", "Constant",
     # structures and towers
     "FinslerStructure", "ChartPoint", "Tower", "DomainError",
     # connections

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,15 +55,8 @@ __all__ = [
     "ring",
     "Series",
     "ChartJets",
-    "ScalarField",
-    "CovectorField",
-    "MatrixField",
-    "ConstantScalar",
-    "ConstantCovector",
-    "ConstantMatrix",
-    "ZeroCovector",
-    "ZeroMatrix",
-    "IdentityMatrix",
+    "Field",
+    "Constant",
     "contract",
     "matmul",
     "matinv",
@@ -534,7 +527,8 @@ class ChartJets:
     """Coordinate series ``x_i = x0_i + dx_i``, ``y_i = y0_i + dy_i``.
 
     The ring has ``2n`` variables: 0..n-1 are the x-slots, n..2n-1 the
-    y-slots.  Every field in the package is evaluated on one of these.
+    y-slots.  Every field in the package is evaluated on one of these,
+    directly or through the :class:`~finslerconn.finsler.Tower` built on it.
     """
 
     ring: TaylorRing
@@ -567,89 +561,35 @@ class ChartJets:
 # fields
 
 
-@runtime_checkable
-class ScalarField(Protocol):
-    """Anything evaluable to a scalar series on chart jets."""
+class Field(Protocol):
+    """Anything evaluable to a series on the jets of a chart point.
 
-    def eval(self, jets: ChartJets) -> Series: ...
+    ``eval`` receives a :class:`ChartJets` or the point's
+    :class:`~finslerconn.finsler.Tower` (which offers the same ``xs``,
+    ``ys`` and ``const``).  Parameter fields are always evaluated on the
+    tower; a field that reads the metric (``t.g``, ``t.ell``, ...) needs
+    one.  Scalars evaluate to a ``()``-batched series, one-forms to
+    ``(n,)`` components and endomorphisms to ``(n, n)``, entry ``[i, j]``
+    being the i-th component of the image of the j-th frame vector.
+    """
 
-
-@runtime_checkable
-class CovectorField(Protocol):
-    """Evaluates to an (n,)-batched series of components."""
-
-    def eval(self, jets: ChartJets) -> Series: ...
-
-
-@runtime_checkable
-class MatrixField(Protocol):
-    """Evaluates to an (n, n)-batched series; entry [i, j] is the i-th
-    component of the image of the j-th frame vector."""
-
-    def eval(self, jets: ChartJets) -> Series: ...
+    def eval(self, t) -> Series: ...
 
 
-@dataclass(frozen=True)
-class ConstantScalar:
-    value: float = 0.0
+@dataclass(frozen=True, eq=False)
+class Constant:
+    """A field with the same value everywhere: a number, a one-form's
+    components or an endomorphism's rows."""
 
-    def eval(self, jets: ChartJets) -> Series:
-        return jets.const(float(self.value))
+    values: np.ndarray
 
-    def describe(self) -> str:
-        return f"constant {self.value}"
+    def __init__(self, values):
+        values = np.array(values, dtype=float)  # a read-only copy: the field never changes
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
-
-@dataclass(frozen=True)
-class ConstantCovector:
-    values: tuple[float, ...]
-
-    def eval(self, jets: ChartJets) -> Series:
-        return jets.const(np.asarray(self.values, dtype=float))
+    def eval(self, t) -> Series:
+        return t.const(self.values)
 
     def describe(self) -> str:
-        return f"constant covector {list(self.values)}"
-
-
-@dataclass(frozen=True)
-class ConstantMatrix:
-    values: tuple[tuple[float, ...], ...]
-
-    def eval(self, jets: ChartJets) -> Series:
-        return jets.const(np.asarray(self.values, dtype=float))
-
-    def describe(self) -> str:
-        return "constant matrix"
-
-
-@dataclass(frozen=True)
-class ZeroCovector:
-    n: int
-
-    def eval(self, jets: ChartJets) -> Series:
-        return jets.const(np.zeros(self.n))
-
-    def describe(self) -> str:
-        return "zero covector"
-
-
-@dataclass(frozen=True)
-class ZeroMatrix:
-    n: int
-
-    def eval(self, jets: ChartJets) -> Series:
-        return jets.const(np.zeros((self.n, self.n)))
-
-    def describe(self) -> str:
-        return "zero matrix"
-
-
-@dataclass(frozen=True)
-class IdentityMatrix:
-    n: int
-
-    def eval(self, jets: ChartJets) -> Series:
-        return jets.const(np.eye(self.n))
-
-    def describe(self) -> str:
-        return "identity"
+        return f"constant {self.values.tolist()}"

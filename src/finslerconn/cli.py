@@ -791,7 +791,7 @@ def cmd_cases(config: Config, case_id: int | None, out: str | None) -> int:
     rows = [
         row
         for F in _structures(config)
-        for row in check_cases(F, config.plan, config.tolerances).rows
+        for row in check_cases(F, config.plan, config.tolerances, config.fuzz).rows
     ]
     if case_id is not None:
         rows = [row for row in rows if row.label == f"case-{case_id:02d}"]
@@ -804,7 +804,7 @@ def cmd_diagram(config: Config, out: str | None) -> int:
     rows: list[CheckRow] = []
     for F in _structures(config):
         pack = _pack(config, pname, F)
-        rows += check_processes(pack, F, config.plan, config.tolerances).rows
+        rows += check_processes(pack, F, config.plan, config.tolerances, config.fuzz).rows
     return _verdict(_merged("diagram", config, rows, params=pname), out)
 
 

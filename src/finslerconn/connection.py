@@ -27,12 +27,11 @@ Bianchi identities, for instance).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
-from .ad import ChartJets, Series, contract
-from .finsler import ChartPoint, FinslerStructure, Tower, horizontal_derivative
+from .ad import Series, contract
+from .finsler import Tower, horizontal_derivative
 
 __all__ = [
     "Connection",
@@ -276,19 +275,12 @@ class RicciEndomorphism:
     endomorphism with the inverse fundamental tensor.
 
     Usable as a matrix field input wherever a curvature-derived
-    endomorphism is wanted.  The structure is held weakly (a proxy): the
-    field sits in the cache keys of that structure's own towers.
+    endomorphism is wanted; it reads the metric of the tower it is
+    evaluated on.
     """
 
-    def __init__(self, structure: FinslerStructure):
-        self.structure = weakref.proxy(structure)
-        self.n = structure.n
-
-    def eval(self, jets: ChartJets) -> Series:
-        point = ChartPoint(jets.x0, jets.y0)
-        t = self.structure.tower(point, jets.ring.order)
-        ric = ricci(CARTAN, t)
-        return contract("il,lk->ik", t.gi, ric)
+    def eval(self, t: Tower) -> Series:
+        return contract("il,lk->ik", t.gi, ricci(CARTAN, t))
 
     def describe(self) -> str:
         return "metric Ricci endomorphism"

@@ -2,8 +2,9 @@
 
 A deformation is specified by two scalar weights ``f1, f2``, three one-forms
 ``A, B, u`` and an endomorphism field ``phi`` on the chart (all may depend on
-position and direction).  From these the module constructs the unique regular
-connection triple ``(N', H', V')`` that
+position and direction; each is evaluated on the tower of the point, so a
+field may also read the metric there).  From these the module constructs the
+unique regular connection triple ``(N', H', V')`` that
 
 * keeps the vertical coefficients of the metric connection (``V' = T``) and
   stays vertically metric-compatible,
@@ -41,8 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ad import CovectorField, MatrixField, ScalarField, Series, contract
-from .ad import ConstantCovector, ConstantMatrix, ConstantScalar, ZeroCovector, ZeroMatrix
+from .ad import Constant, Field, Series, contract
 from .connection import (
     CARTAN,
     Connection,
@@ -75,28 +75,28 @@ class DeformationParams:
     ``f1`` and ``f2`` weigh the two metric-deficit shapes, ``A`` and ``B``
     are the one-forms appearing in them, ``u`` and ``phi`` prescribe the
     quarter-symmetric horizontal torsion.  All six are fields evaluated on
-    chart jets, so constant and position/direction-dependent parameters are
-    handled uniformly.
+    the tower of a point, so constant, position/direction-dependent and
+    metric-derived parameters are handled uniformly.
     """
 
-    f1: ScalarField
-    f2: ScalarField
-    A: CovectorField
-    B: CovectorField
-    u: CovectorField
-    phi: MatrixField
+    f1: Field
+    f2: Field
+    A: Field
+    B: Field
+    u: Field
+    phi: Field
     name: str = ""
 
     @classmethod
     def zero(cls, n: int, name: str = "zero") -> "DeformationParams":
         """The trivial deformation: builds the metric connection itself."""
         return cls(
-            f1=ConstantScalar(0.0),
-            f2=ConstantScalar(0.0),
-            A=ZeroCovector(n),
-            B=ZeroCovector(n),
-            u=ZeroCovector(n),
-            phi=ZeroMatrix(n),
+            f1=Constant(0.0),
+            f2=Constant(0.0),
+            A=Constant(np.zeros(n)),
+            B=Constant(np.zeros(n)),
+            u=Constant(np.zeros(n)),
+            phi=Constant(np.zeros((n, n))),
             name=name,
         )
 
@@ -116,25 +116,24 @@ def parameter_field(slot: str, value, n: int):
     an endomorphism.  A field (anything with ``eval``) is kept as given.
     Otherwise a scalar is a number or an expression text, a one-form a
     tuple of components and an endomorphism a grid of rows; all-text
-    components make an expression field, numbers a constant one.
+    components make an expression field, numbers a :class:`Constant`.
     """
     if hasattr(value, "eval"):
         return value
     if slot in ("f1", "f2"):
         if isinstance(value, str):
             return ExprScalarField(n, value)
-        return ConstantScalar(float(value))
-    if slot in ("A", "B", "u"):
-        comps = tuple(value)
-        if all(isinstance(c, str) for c in comps):
-            return ExprCovectorField(n, comps)
-        return ConstantCovector(tuple(float(c) for c in comps))
-    if slot == "phi":
-        rows = tuple(tuple(r) for r in value)
-        if all(isinstance(c, str) for row in rows for c in row):
-            return ExprMatrixField(n, rows)
-        return ConstantMatrix(tuple(tuple(float(c) for c in row) for row in rows))
-    raise ValueError(f"unknown parameter slot {slot!r}; slots are f1, f2, A, B, u, phi")
+    elif slot in ("A", "B", "u"):
+        value = tuple(value)
+        if all(isinstance(c, str) for c in value):
+            return ExprCovectorField(n, value)
+    elif slot == "phi":
+        value = tuple(tuple(r) for r in value)
+        if all(isinstance(c, str) for row in value for c in row):
+            return ExprMatrixField(n, value)
+    else:
+        raise ValueError(f"unknown parameter slot {slot!r}; slots are f1, f2, A, B, u, phi")
+    return Constant(value)
 
 
 def _expect(series: Series, shape: tuple[int, ...], label: str) -> Series:
@@ -151,22 +150,22 @@ class DeformationData:
 
     Constructed through :func:`deformation_data` so repeated queries on the
     same tower share the work.  The attributes follow the construction
-    stages: parameter values, split/raised forms, the two shift fields, the
-    difference tensor, and finally the deformed coefficient triple.
+    stages: parameter values (each field evaluated on the tower), split and
+    raised forms, the two shift fields, the difference tensor, and finally
+    the deformed coefficient triple.
     """
 
     def __init__(self, params: DeformationParams, t: Tower):
         self.params = params
         self._tower = weakref.ref(t)
         n = t.n
-        jets = t.jets
-        self.eye = jets.const(np.eye(n))
-        self.f1 = _expect(params.f1.eval(jets), (), "f1")
-        self.f2 = _expect(params.f2.eval(jets), (), "f2")
-        self.A = _expect(params.A.eval(jets), (n,), "A")
-        self.B = _expect(params.B.eval(jets), (n,), "B")
-        self.u = _expect(params.u.eval(jets), (n,), "u")
-        self.phi = _expect(params.phi.eval(jets), (n, n), "phi")
+        self.eye = t.const(np.eye(n))
+        self.f1 = _expect(params.f1.eval(t), (), "f1")
+        self.f2 = _expect(params.f2.eval(t), (), "f2")
+        self.A = _expect(params.A.eval(t), (n,), "A")
+        self.B = _expect(params.B.eval(t), (n,), "B")
+        self.u = _expect(params.u.eval(t), (n,), "u")
+        self.phi = _expect(params.phi.eval(t), (n, n), "phi")
 
     @property
     def t(self) -> Tower:
@@ -514,7 +513,6 @@ def torsion_relations(
     params: DeformationParams,
     F: FinslerStructure,
     point: ChartPoint,
-    order: int = _ORDER,
     conn: Connection | None = None,
 ) -> dict[str, float]:
     """Residuals of the five torsion identities at one point.
@@ -535,7 +533,7 @@ def torsion_relations(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = F.tower(point, order)
+    t = F.tower(point, _ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     n = t.n
@@ -583,7 +581,6 @@ def curvature_relations(
     params: DeformationParams,
     F: FinslerStructure,
     point: ChartPoint,
-    order: int = 5,
     conn: Connection | None = None,
 ) -> dict[str, float]:
     """Residuals of the three curvature identities at one point.
@@ -600,7 +597,7 @@ def curvature_relations(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = F.tower(point, order)
+    t = F.tower(point, 5)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     NT = d.difference

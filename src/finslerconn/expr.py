@@ -3,8 +3,8 @@
 Norm functions, one-form components and endomorphism entries all enter the
 engine as strings like ``"sqrt(y1^2 + exp(2*x1)*y2^2)"``.  This module
 tokenizes and parses them (a Pratt parser with the usual precedence
-``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``), evaluates the AST on
-:class:`~finslerconn.ad.ChartJets`, and pretty-prints it back.
+``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``) and evaluates the AST on
+:class:`~finslerconn.ad.ChartJets` or a tower built on them.
 
 Variables are ``x1..xn`` and ``y1..yn`` for the chart dimension ``n``;
 functions are ``sqrt``, ``exp``, ``log``, ``sin``, ``cos``, ``abs``.
@@ -31,7 +31,6 @@ __all__ = [
     "BinOp",
     "Call",
     "parse_expression",
-    "format_expression",
     "evaluate",
     "ExprScalarField",
     "ExprCovectorField",
@@ -267,53 +266,6 @@ def parse_expression(text: str, n: int) -> Node:
     if n < 1:
         raise ValueError("chart dimension must be at least 1")
     return _Parser(text, n).parse()
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 30, "^": 40, "atom": 99}
-
-
-def _prec_of(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    if isinstance(node, Num) and node.value < 0:
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def format_expression(node: Node) -> str:
-    """Render an AST back to source; reparsing yields an equal AST."""
-    if isinstance(node, Num):
-        v = node.value
-        if v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
-    if isinstance(node, Var):
-        return f"{node.kind}{node.index}"
-    if isinstance(node, Call):
-        return f"{node.func}({format_expression(node.arg)})"
-    if isinstance(node, Neg):
-        inner = format_expression(node.arg)
-        if _prec_of(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        lhs = format_expression(node.left)
-        rhs = format_expression(node.right)
-        p = _PREC[node.op]
-        # binary ops associate left; the right operand needs parens at equal
-        # precedence, the left only below it ('^' keeps both strict)
-        if _prec_of(node.left) < p or (node.op == "^" and _prec_of(node.left) <= p):
-            lhs = f"({lhs})"
-        if _prec_of(node.right) <= p:
-            rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}" if node.op in "+-" else f"{lhs}{node.op}{rhs}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

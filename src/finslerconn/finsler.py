@@ -16,7 +16,10 @@ modules can keep differentiating them):
 single currency the connection/curvature modules trade in; a value at a
 point is read as ``F.tower(point, order).g.val`` and so on.  Everything is
 lazy and cached; invalid inputs (non-positive norm, degenerate fundamental
-tensor) raise :class:`DomainError` when first touched.
+tensor) raise :class:`DomainError` when first touched.  A tower also offers
+the ``xs``, ``ys`` and ``const`` of its chart jets, so parameter fields are
+evaluated on it and those that read the metric (:class:`HilbertFormField`)
+take it from there.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ad import ChartJets, ScalarField, Series, contract, matinv
+from .ad import ChartJets, Field, Series, contract, matinv
 from .expr import ExprError
 
 __all__ = [
@@ -74,7 +77,7 @@ class ChartPoint:
 class FinslerStructure:
     """A chart dimension together with a norm field ``L(x, y)``."""
 
-    def __init__(self, n: int, norm: ScalarField, name: str = ""):
+    def __init__(self, n: int, norm: Field, name: str = ""):
         self.n = n
         self.norm = norm
         self.name = name
@@ -97,11 +100,12 @@ class FinslerStructure:
             self._towers[key] = tw
         return tw
 
-    def validate_at(self, point: ChartPoint, scale: float = 1.7) -> None:
+    def validate_at(self, point: ChartPoint) -> None:
         """Check positivity, homogeneity and strong convexity at one point.
 
         Raises :class:`DomainError` with a specific message on failure.
         """
+        scale = 1.7
         tw = self.tower(point, 2)
         L = float(tw.L.val)
         scaled = ChartPoint(point.x, scale * point.y)
@@ -248,26 +252,29 @@ class Tower:
         )
         return contract("il,jkl->ijk", self.gi, low)
 
-    # -- convenience ---------------------------------------------------------
+    # -- chart jets, so fields evaluate on a tower ---------------------------
+
+    @property
+    def xs(self) -> Series:
+        return self.jets.xs
 
     @property
     def ys(self) -> Series:
         return self.jets.ys
 
+    def const(self, value) -> Series:
+        return self.jets.const(value)
+
 
 class HilbertFormField:
-    """The Hilbert form of a structure as a reusable covector field.
+    """The Hilbert form ``l`` of the metric a tower is built on, as a
+    one-form field (it needs a :class:`Tower`, not bare jets).
 
     Handy wherever an input one-form is chosen to be ``l`` itself.
     """
 
-    def __init__(self, norm: ScalarField, n: int):
-        self.norm = norm
-        self.n = n
-
-    def eval(self, jets: ChartJets) -> Series:
-        L = self.norm.eval(jets)
-        return Series.stack([L.d(self.n + i) for i in range(self.n)])
+    def eval(self, t: Tower) -> Series:
+        return t.ell
 
     def describe(self) -> str:
         return "Hilbert form of the norm"

@@ -199,7 +199,6 @@ def diagram_residuals(
     params: DeformationParams,
     F: FinslerStructure,
     point: ChartPoint,
-    order: int = 4,
     family: ConnectionFamily | None = None,
 ) -> dict[str, float]:
     """Residual of every edge of the two-square process diagram at a point.
@@ -218,7 +217,7 @@ def diagram_residuals(
 
     ``family`` (default: the one derived from ``params``) is under test.
     """
-    t = F.tower(point, order)
+    t = F.tower(point, 4)
     fam = derive_family(params) if family is None else family
     rows: dict[str, float] = {}
 

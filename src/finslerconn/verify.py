@@ -428,15 +428,15 @@ def _suite(
 # fuzz-injection plumbing
 
 
-def _perturbed(conn: Connection, slot: str, size: float = _FUZZ_SIZE) -> Connection:
-    """A copy of ``conn`` with one coefficient of one block shifted by ``size``."""
+def _perturbed(conn: Connection, slot: str) -> Connection:
+    """A copy of ``conn`` with one coefficient of one block shifted by the fuzz size."""
     if slot not in ("nlc", "hor", "ver"):
         raise ValueError(f"unknown coefficient block {slot!r}")
 
     def produce(t):
         base = {"nlc": conn.N, "hor": conn.H, "ver": conn.V}[slot](t)
         bump = np.zeros(base.shape)
-        bump[(0,) * bump.ndim] = size
+        bump[(0,) * bump.ndim] = _FUZZ_SIZE
         return base + t.jets.const(bump)
 
     return Connection(
@@ -455,7 +455,6 @@ def theorem_residuals(
     params: DeformationParams,
     F: FinslerStructure,
     point: ChartPoint,
-    order: int = 4,
     conn: Connection | None = None,
 ) -> dict[str, float]:
     """Residuals of the four defining conditions at one point.
@@ -468,7 +467,7 @@ def theorem_residuals(
     * ``condition-(iv)``: the lowered vertical coefficients are totally
       symmetric.
     """
-    t = F.tower(point, order)
+    t = F.tower(point, 4)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     g = t.g.val
@@ -608,7 +607,6 @@ def bianchi_residuals(
     params: DeformationParams,
     F: FinslerStructure,
     point: ChartPoint,
-    order: int = 6,
     perturbation: float = 0.0,
 ) -> dict[str, float]:
     """Residuals of the five differential curvature identities at a point.
@@ -616,16 +614,16 @@ def bianchi_residuals(
     The identities tie covariant derivatives of the three curvatures and
     two torsions together; with ``X = e_a``, ``Y = e_b``, ``Z = e_c`` and
     value argument ``e_m``, each is contracted into an explicit index sum
-    below (cyclic sums written out, alternations as explicit swaps).  The
-    default order leaves one trusted coefficient layer for the outermost
-    covariant derivative of a curvature of the built connection.
+    below (cyclic sums written out, alternations as explicit swaps).  Order
+    6 leaves one trusted coefficient layer for the outermost covariant
+    derivative of a curvature of the built connection.
 
     The identities are structural -- they hold for any coefficient triple
     expressed through its own torsions and curvatures -- so the
     fuzz-injection hook perturbs one entry of each curvature array after
     extraction, not the connection itself.
     """
-    t = F.tower(point, order)
+    t = F.tower(point, 6)
     conn = build(params)
     tb = torsions(conn, t)
     R_s = curvature_h(conn, t)
@@ -707,7 +705,6 @@ def bianchi_residuals(
 def first_bianchi_residual(
     F: FinslerStructure,
     point: ChartPoint,
-    order: int = 5,
     perturbation: float = 0.0,
 ) -> float:
     """Cyclic sum of the metric horizontal curvature at one point.
@@ -717,7 +714,7 @@ def first_bianchi_residual(
     the three frame arguments vanishes -- the classical first identity.
     ``perturbation`` shifts one curvature entry before the sum.
     """
-    t = F.tower(point, order)
+    t = F.tower(point, 5)
     R = bump(curvature_h(CARTAN, t).val, perturbation)
     return relative_residual(_cyc3(np.einsum("icab->iabc", R)), R)
 
@@ -1013,10 +1010,9 @@ def check_constant_curvature(
     plan: SamplePlan | None = None,
     tolerances: Mapping[str, float] | None = None,
     fuzz: bool = False,
-    F: FinslerStructure | None = None,
 ) -> CheckReport:
     """Closed-form rows on the bundled constant-curvature surface."""
-    F = hyperbolic() if F is None else F
+    F = hyperbolic()
     size = _FUZZ_SIZE if fuzz else 0.0
     return _suite(
         "constant-curvature", F, plan, tolerances, fuzz, "fd_points",

@@ -201,9 +201,11 @@ def test_criterion_08_case_matrix(battery):
     # is invisible on surfaces and Riemannian metrics; the 3-d quartic is
     # the smallest structure that exposes it.
     literal: dict[int, float] = {}
+    F = quartic_three_dim()
+    points = sample_points(F, PLAN, PLAN.case_points, "cases")
     for cid in (11, 12, 13, 14):
-        res = check_case(cid, quartic_three_dim(), seed=PLAN.seed)
-        assert res["passed"]  # regenerated form is the asserted one
+        res = check_case(cid, F, points, seed=PLAN.seed)
+        assert res["residual"] < 1e-7  # regenerated form is the asserted one
         assert res["literal_residual"] is not None
         literal[cid] = res["literal_residual"]
     print("literal printed-form residuals (reported, not asserted):", literal)

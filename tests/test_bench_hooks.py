@@ -3,18 +3,24 @@
 ``perfbench/spans.py`` wraps package functions and cached stages by name.
 Its own self-test starts several processes and is not collected here, so a
 renamed or deleted hook would otherwise only surface when the benchmark
-runs.  This test reads the hook tables and checks each name in-process.
+runs.  These tests read the hook tables and check each name in-process,
+then install the whole tracer in a child process (it rebinds package
+names for good) and trace one report point there.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
 from finslerconn.deformation import DeformationData
 from finslerconn.finsler import Tower
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -52,3 +58,32 @@ def test_every_wrapped_stage_is_a_cached_property():
         if not isinstance(cls.__dict__.get(stage), cached_property)
     ]
     assert not missing
+
+
+TRACED_POINT = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS_PATH)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+from finslerconn import cli, verify
+config = cli.parse_config(cli.default_config_text())
+F = cli.build_structure(config.metric_entry("drift"), config.dimension)
+pack = cli.build_params(config.params_entry("mild"), F, config.plan)
+cli.tensor_report(F, pack, verify.sample_points(F, config.plan, 1, "bench-hooks"))
+assert tracer.stat("cli.tensor_report").calls == 1
+assert tracer.stat("expr.eval").calls and tracer.stat("deformation.params_eval").calls
+"""
+
+
+def test_install_and_trace_one_report_point():
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_POINT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

@@ -262,8 +262,8 @@ class TestBuilders:
         pack = build_params(cfg.params_entry("mild"), F, cfg.plan)
         desc = pack.describe()
         assert "f2=constant 0.0" in desc
-        assert "A=zero covector" in desc
-        assert "phi=zero matrix" in desc
+        assert "A=constant [0.0, 0.0]" in desc
+        assert "phi=constant [[0.0, 0.0], [0.0, 0.0]]" in desc
 
     def test_form_needs_matching_component_count(self):
         text = QUICK_INI.replace("source = random", "u = 0.1, 0.2, 0.3")
@@ -607,6 +607,20 @@ class TestDiagram:
             pack = build_params(cfg.params_entry("mild"), F, cfg.plan)
             want += [r.to_dict() for r in verify.check_processes(pack, F, cfg.plan).rows]
         assert json.loads(out.read_text())["payload"]["rows"] == want
+
+
+# ---------------------------------------------------------------------------
+# [run] fuzz reaches every verdict command
+
+
+@pytest.mark.parametrize("command", ["cases", "diagram"])
+def test_config_fuzz_fails_the_command(tmp_path, capsys, command):
+    text = default_config_text()
+    assert "\nfuzz = false\n" in text
+    ini = write(tmp_path, "fuzz.ini", text.replace("\nfuzz = false\n", "\nfuzz = true\n"))
+    assert main([command, "--config", ini]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("FAIL ") for ln in lines)
 
 
 # ---------------------------------------------------------------------------

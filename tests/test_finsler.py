@@ -336,6 +336,5 @@ def test_tower_is_cached_per_point_and_order():
 
 def test_hilbert_form_field_matches_tower():
     F = randers()
-    field = HilbertFormField(F.norm, F.n)
-    jets = ChartJets.at(P2.x, P2.y, 2)
-    assert np.allclose(field.eval(jets).val, F.tower(P2, 1).ell.val, atol=1e-13)
+    field = HilbertFormField()
+    assert np.allclose(field.eval(F.tower(P2, 2)).val, F.tower(P2, 1).ell.val, atol=1e-13)

@@ -13,10 +13,11 @@ to machine precision instead of finite-difference accuracy.
 A few details matter for correctness downstream:
 
 * A series' ring is its trusted order: a ``Series`` stores exactly the
-  coefficients of total degree ``<= ring.order``, and ``Series.valid`` is
-  that order.  A sum or product of series of orders ``p`` and ``q`` lives
-  in the ring of order ``min(p, q)``; a derivative drops the order by one;
-  analytic functions preserve it.  Extracting a coefficient past the order
+  coefficients of total degree ``<= ring.order`` (and of x-degree ``<=
+  ring.xorder``, below), and ``Series.valid`` is that order.  A sum or
+  product of series of orders ``p`` and ``q`` lives in the ring of order
+  ``min(p, q)``; a derivative drops the order by one; analytic functions
+  preserve it.  Extracting a coefficient past the order
   raises :class:`TruncationError`, so a pipeline that was evaluated at too
   low an order fails loudly instead of returning silently wrong zeros.
 * Monomials are graded, so cutting a series to a lower order takes a
@@ -24,6 +25,18 @@ A few details matter for correctness downstream:
   the same pairs in the same order as the product in any higher ring does
   for its coefficients of degree ``<= v`` (truncated Taylor arithmetic,
   Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+* Rings are bi-graded: ``ring(nvars, order, xorder)`` also drops the
+  monomials of degree above ``xorder`` in the base variables, the first
+  ``nvars // 2`` (``xorder >= order``, or ``None``, cuts nothing; the
+  order of chart jets is an int or an ``(order, xorder)`` pair).
+  Its monomials are the uncut graded list filtered, and its pairs are the
+  uncut ring's pairs whose product is kept (x-degrees add, so both
+  factors are kept too), so every kept coefficient is bit-identical to
+  the uncut ring's.  A derivative along a base variable lowers the
+  x-order as well, ``_meet`` takes the lower of each order, cutting by
+  x-degree gathers with an index cached per pair of rings, and a
+  derivative or coefficient past the x-order raises
+  :class:`TruncationError` like one past the order.
 * A ``Series`` holds a whole numpy *batch* of expansions (``coef`` has shape
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
@@ -72,47 +85,73 @@ class TruncationError(Exception):
 
 
 class TaylorRing:
-    """The polynomial ring in ``nvars`` variables, truncated past ``order``.
+    """The polynomial ring in ``nvars`` variables, truncated past ``order``
+    in total degree and past ``xorder`` in the degree of the base variables.
 
-    Monomials are enumerated in graded order (all of degree 0, then 1, ...),
-    which makes every degree cutoff a prefix of the coefficient vector.
+    The first ``nvars // 2`` variables are the base ``x``, the rest the
+    fiber ``y``; ``xorder >= order`` (the default) cuts nothing in ``x``.
+    Monomials are the graded list of the uncut ring (all of degree 0, then
+    1, ...) with those of x-degree above ``xorder`` left out, so every
+    total-degree cutoff is still a prefix of the coefficient vector.
     """
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, xorder: int | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
         if order < 0:
             raise ValueError("order must be non-negative")
+        xorder = order if xorder is None else min(xorder, order)
+        if xorder < 0:
+            raise ValueError("x-order must be non-negative")
         self.nvars = nvars
         self.order = order
+        self.xorder = xorder
+        nx = nvars // 2
         mons: list[tuple[int, ...]] = []
         for total in range(order + 1):
             for combo in itertools.combinations_with_replacement(range(nvars), total):
                 e = [0] * nvars
                 for v in combo:
                     e[v] += 1
-                mons.append(tuple(e))
+                if sum(e[:nx]) <= xorder:
+                    mons.append(tuple(e))
         self.monomials = mons
         self.index = {m: i for i, m in enumerate(mons)}
         self.dim = len(mons)
         self.degree = np.array([sum(m) for m in mons], dtype=np.int64)
+        self.xdegree = np.array([sum(m[:nx]) for m in mons], dtype=np.int64)
         # _prefix[d] is the number of monomials of degree < d, for d = 0..order+1
         self._prefix = np.searchsorted(self.degree, np.arange(order + 2), side="left")
         self._mul_cache: tuple[np.ndarray, np.ndarray, sp.csr_matrix] | None = None
-        self._diff_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._diff_cache: dict[int, tuple[np.ndarray, np.ndarray, TaylorRing]] = {}
+        self._meet_cache: dict[TaylorRing, TaylorRing] = {}
+        self._cut_cache: dict[TaylorRing, slice | np.ndarray] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TaylorRing(nvars={self.nvars}, order={self.order}, dim={self.dim})"
+        return (
+            f"TaylorRing(nvars={self.nvars}, order={self.order}, "
+            f"xorder={self.xorder}, dim={self.dim})"
+        )
 
     def _mul_table(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+        """Factor indices ``I, J`` of every pair and its scatter to the product.
+
+        The pairs are those of the uncut ring of this order whose product is
+        kept (its factors then are too, as x-degrees add), in the same
+        order, so each kept coefficient sums the same pairs as there.
+        """
         if self._mul_cache is None:
             I: list[int] = []
             J: list[int] = []
             K: list[int] = []
+            xdegree = self.xdegree.tolist()
             for i, mi in enumerate(self.monomials):
                 budget = self.order - int(self.degree[i])
+                xbudget = self.xorder - xdegree[i]
                 stop = int(self._prefix[budget + 1])
                 for j in range(stop):
+                    if xdegree[j] > xbudget:
+                        continue
                     mj = self.monomials[j]
                     I.append(i)
                     J.append(j)
@@ -127,22 +166,50 @@ class TaylorRing:
             self._mul_cache = (np.array(I), np.array(J), scatter)
         return self._mul_cache
 
-    def _diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
-        """Source index and factor of each coefficient of ``d/dv_var``.
+    def _diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray, "TaylorRing"]:
+        """Source index and factor of each coefficient of ``d/dv_var``, and
+        the ring of the derivative.
 
-        The entries follow the monomials of the ring one order lower, so the
-        derivative is one gather: ``coef[..., src] * fac``.
+        That ring is one order lower, and one x-order lower for a base
+        variable; the entries follow its monomials, so the derivative is
+        one gather: ``coef[..., src] * fac``.
         """
         tab = self._diff_cache.get(var)
         if tab is None:
+            low = ring(self.nvars, self.order - 1, self.xorder - (var < self.nvars // 2))
             src, fac = [], []
-            for m in self.monomials[: self._prefix[self.order]]:
+            for m in low.monomials:
                 up = m[:var] + (m[var] + 1,) + m[var + 1 :]
                 src.append(self.index[up])
                 fac.append(float(up[var]))
-            tab = (np.array(src, dtype=np.int64), np.array(fac))
+            tab = (np.array(src, dtype=np.int64), np.array(fac), low)
             self._diff_cache[var] = tab
         return tab
+
+    def meet(self, other: "TaylorRing") -> "TaylorRing":
+        """The ring of the lower order and the lower x-order of two rings."""
+        low = self._meet_cache.get(other)
+        if low is None:
+            if other.nvars != self.nvars:
+                raise ValueError("series over different numbers of variables")
+            low = ring(self.nvars, min(self.order, other.order), min(self.xorder, other.xorder))
+            self._meet_cache[other] = low
+        return low
+
+    def cut_index(self, target: "TaylorRing") -> slice | np.ndarray:
+        """Where the coefficients of a ring of no higher orders sit in ours.
+
+        A cut that keeps a leading run of monomials (every total-order cut)
+        is a slice, so ``coef[..., idx]`` is a view of that prefix; any
+        other is a gather.  Cached per target ring.
+        """
+        idx = self._cut_cache.get(target)
+        if idx is None:
+            pos = np.array([self.index[m] for m in target.monomials], dtype=np.int64)
+            prefix = np.array_equal(pos, np.arange(target.dim))
+            idx = slice(0, target.dim) if prefix else pos
+            self._cut_cache[target] = idx
+        return idx
 
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Ring product along the last axis, numpy-broadcast over the rest."""
@@ -152,15 +219,19 @@ class TaylorRing:
         return (scatter @ W.reshape(-1, W.shape[-1]).T).T.reshape(*batch, self.dim)
 
 
-_RINGS: dict[tuple[int, int], TaylorRing] = {}
+_RINGS: dict[tuple[int, int, int], TaylorRing] = {}
 
 
-def ring(nvars: int, order: int) -> TaylorRing:
-    """Shared ring factory; multiplication/derivative tables are reused."""
-    key = (nvars, order)
+def ring(nvars: int, order: int, xorder: int | None = None) -> TaylorRing:
+    """Shared ring factory; multiplication/derivative tables are reused.
+
+    Rings are keyed by ``(nvars, order, xorder)``, an ``xorder`` of
+    ``None`` or at least ``order`` being the uncut ring.
+    """
+    key = (nvars, order, order if xorder is None else min(xorder, order))
     rg = _RINGS.get(key)
     if rg is None:
-        rg = TaylorRing(nvars, order)
+        rg = TaylorRing(*key)
         _RINGS[key] = rg
     return rg
 
@@ -177,14 +248,17 @@ def _binom_real(r: float, m: int) -> float:
 
 
 def _meet(*series: "Series") -> tuple[TaylorRing, list[np.ndarray]]:
-    """The lowest-order ring of some series, and their coefficients cut to it."""
+    """The ring of the lowest order and x-order of some series, and their
+    coefficients cut to it."""
     rg = series[0].ring
     for s in series:
-        if s.ring.nvars != rg.nvars:
-            raise ValueError("series over different numbers of variables")
-        if s.ring.order < rg.order:
-            rg = s.ring
-    return rg, [s.coef if s.ring is rg else s.coef[..., : rg.dim] for s in series]
+        if s.ring is not rg:
+            break
+    else:
+        return rg, [s.coef for s in series]
+    for s in series:
+        rg = rg.meet(s.ring)
+    return rg, [s.coef if s.ring is rg else s.coef[..., s.ring.cut_index(rg)] for s in series]
 
 
 class Series:
@@ -218,8 +292,8 @@ class Series:
         """The coordinate function ``value + (v_var - value)`` as a series."""
         coef = np.zeros(rg.dim)
         coef[0] = value
-        if rg.order >= 1:
-            e = tuple(1 if i == var else 0 for i in range(rg.nvars))
+        e = tuple(1 if i == var else 0 for i in range(rg.nvars))
+        if e in rg.index:  # not at order 0, nor for x at x-order 0
             coef[rg.index[e]] = 1.0
         return cls(rg, coef)
 
@@ -263,12 +337,17 @@ class Series:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.ring.nvars:
             raise ValueError(f"multi-index must have length {self.ring.nvars}")
-        k = sum(alpha)
-        if k > self.ring.order:
+        rg = self.ring
+        k, kx = sum(alpha), sum(alpha[: rg.nvars // 2])
+        if k > rg.order:
             raise TruncationError(
-                f"order-{k} coefficient requested from a series valid to order {self.ring.order}"
+                f"order-{k} coefficient requested from a series valid to order {rg.order}"
             )
-        return self.coef[..., self.ring.index[alpha]] * math.prod(
+        if kx > rg.xorder:
+            raise TruncationError(
+                f"x-order-{kx} coefficient requested from a series valid to x-order {rg.xorder}"
+            )
+        return self.coef[..., rg.index[alpha]] * math.prod(
             math.factorial(a) for a in alpha
         )
 
@@ -357,12 +436,17 @@ class Series:
     # -- derivatives --------------------------------------------------------
 
     def d(self, var: int) -> "Series":
-        """Partial derivative with respect to ring variable ``var``, one order lower."""
+        """Partial derivative with respect to ring variable ``var``, one order
+        lower (and one x-order lower for a base variable)."""
         rg = self.ring
         if rg.order < 1:
             raise TruncationError("cannot differentiate a series valid only to order 0")
-        src, fac = rg._diff_table(var)
-        return Series(ring(rg.nvars, rg.order - 1), self.coef[..., src] * fac)
+        if rg.xorder < 1 and var < rg.nvars // 2:
+            raise TruncationError(
+                f"cannot differentiate along x{var + 1} a series valid only to x-order 0"
+            )
+        src, fac, low = rg._diff_table(var)
+        return Series(low, self.coef[..., src] * fac)
 
     # -- analytic functions -------------------------------------------------
 
@@ -538,13 +622,16 @@ class ChartJets:
     ys: Series
 
     @classmethod
-    def at(cls, x, y, order: int) -> "ChartJets":
+    def at(cls, x, y, order: int | tuple[int, int]) -> "ChartJets":
+        """The jets at ``(x, y)`` to ``order``: an int, or an ``(order,
+        xorder)`` pair that also cuts the degree in ``x``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or y.shape != x.shape:
             raise ValueError("x and y must be 1-d arrays of equal length")
         n = x.shape[0]
-        rg = ring(2 * n, order)
+        total, xorder = order if isinstance(order, tuple) else (order, None)
+        rg = ring(2 * n, total, xorder)
         xs = Series.stack([Series.seed(rg, i, x[i]) for i in range(n)])
         ys = Series.stack([Series.seed(rg, n + i, y[i]) for i in range(n)])
         return cls(rg, x, y, xs, ys)
@@ -571,7 +658,13 @@ class Field(Protocol):
     one.  Scalars evaluate to a ``()``-batched series, one-forms to
     ``(n,)`` components and endomorphisms to ``(n, n)``, entry ``[i, j]``
     being the i-th component of the image of the j-th frame vector.
+
+    ``xdepth`` is how many x-derivatives of the metric the field takes, so
+    its value is trusted to that many x-orders fewer than the tower; a
+    suite adds its pack's largest ``xdepth`` to the x-order it asks for.
     """
+
+    xdepth: int
 
     def eval(self, t) -> Series: ...
 
@@ -582,6 +675,7 @@ class Constant:
     components or an endomorphism's rows."""
 
     values: np.ndarray
+    xdepth = 0
 
     def __init__(self, values):
         values = np.array(values, dtype=float)  # a read-only copy: the field never changes

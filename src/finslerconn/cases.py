@@ -49,6 +49,7 @@ from .deformation import (
     DeformationParams,
     bump,
     deformation_data,
+    pack_tower,
     parameter_field,
     relative_residual,
     worst_residual,
@@ -89,6 +90,10 @@ class MetricSplitPart:
         self.inner = inner
         self.part = part
 
+    @property
+    def xdepth(self) -> int:
+        return getattr(self.inner, "xdepth", 0)
+
     def eval(self, t: Tower) -> Series:
         low = contract("ij,il->jl", self.inner.eval(t), t.g)
         if self.part == "symmetric":
@@ -107,6 +112,10 @@ class MetricSplitPart:
 # ---------------------------------------------------------------------------
 
 
+_WORKSPACE_ORDER = (4, 0)
+"""The (order, xorder) of a case's tower, before the pack's xdepth."""
+
+
 class _Workspace:
     """Values of the tower and deformation data at one chart point.
 
@@ -116,7 +125,7 @@ class _Workspace:
     """
 
     def __init__(self, params: DeformationParams, F: FinslerStructure, point: ChartPoint):
-        t = F.tower(point, 4)
+        t = pack_tower(params, F, point, _WORKSPACE_ORDER)
         d = deformation_data(params, t)
         self.n = F.n
         self.g = t.g.val

@@ -58,7 +58,13 @@ from .connection import (
     curvature_v,
     torsions,
 )
-from .deformation import DeformationParams, build, deformation_data, parameter_field
+from .deformation import (
+    DeformationParams,
+    build,
+    deformation_data,
+    pack_tower,
+    parameter_field,
+)
 from .expr import ExprError, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure
 from .verify import (
@@ -609,7 +615,7 @@ def load_points(path: str | Path, n: int) -> list[ChartPoint]:
 
 
 _REPORT_POINTS = 5
-_REPORT_ORDER = 5
+_REPORT_ORDER = (5, 2)  # (order, xorder), before the pack's xdepth
 
 
 def tensor_report(
@@ -630,7 +636,7 @@ def tensor_report(
     conn = build(pack)
     rows: list[dict] = []
     for point in points:
-        t = F.tower(point, _REPORT_ORDER)
+        t = pack_tower(pack, F, point, _REPORT_ORDER)
         d = deformation_data(pack, t)
         tb = torsions(conn, t)
         y = np.asarray(point.y, dtype=float)

@@ -276,8 +276,11 @@ class RicciEndomorphism:
 
     Usable as a matrix field input wherever a curvature-derived
     endomorphism is wanted; it reads the metric of the tower it is
-    evaluated on.
+    evaluated on.  The curvature takes two x-derivatives of the metric,
+    hence ``xdepth = 2``.
     """
+
+    xdepth = 2
 
     def eval(self, t: Tower) -> Series:
         return contract("il,lk->ik", t.gi, ricci(CARTAN, t))

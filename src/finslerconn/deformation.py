@@ -60,12 +60,17 @@ __all__ = [
     "DeformationData",
     "deformation_data",
     "parameter_field",
+    "xdepth",
+    "pack_tower",
     "build",
     "horizontal_from_compatibility",
     "construction_residuals",
     "torsion_relations",
     "curvature_relations",
 ]
+
+
+_SLOTS = ("f1", "f2", "A", "B", "u", "phi")
 
 
 @dataclass(eq=False)
@@ -102,7 +107,7 @@ class DeformationParams:
 
     def describe(self) -> str:
         parts = []
-        for label in ("f1", "f2", "A", "B", "u", "phi"):
+        for label in _SLOTS:
             field = getattr(self, label)
             text = getattr(field, "describe", lambda: type(field).__name__)()
             parts.append(f"{label}={text}")
@@ -117,6 +122,8 @@ def parameter_field(slot: str, value, n: int):
     Otherwise a scalar is a number or an expression text, a one-form a
     tuple of components and an endomorphism a grid of rows; all-text
     components make an expression field, numbers a :class:`Constant`.
+    Components that mix texts and numbers raise ``ValueError`` naming the
+    slot and the first component of the other kind.
     """
     if hasattr(value, "eval"):
         return value
@@ -125,15 +132,45 @@ def parameter_field(slot: str, value, n: int):
             return ExprScalarField(n, value)
     elif slot in ("A", "B", "u"):
         value = tuple(value)
-        if all(isinstance(c, str) for c in value):
+        if _all_texts(slot, {f"[{i}]": c for i, c in enumerate(value)}):
             return ExprCovectorField(n, value)
     elif slot == "phi":
         value = tuple(tuple(r) for r in value)
-        if all(isinstance(c, str) for row in value for c in row):
+        grid = {f"[{i}][{j}]": c for i, row in enumerate(value) for j, c in enumerate(row)}
+        if _all_texts(slot, grid):
             return ExprMatrixField(n, value)
     else:
         raise ValueError(f"unknown parameter slot {slot!r}; slots are f1, f2, A, B, u, phi")
     return Constant(value)
+
+
+def _all_texts(slot: str, components: dict[str, object]) -> bool:
+    """Whether every component is an expression text rather than a number."""
+    texts = [isinstance(c, str) for c in components.values()]
+    for (index, c), is_text in zip(components.items(), texts):
+        if is_text != texts[0]:
+            first, c0 = next(iter(components.items()))
+            raise ValueError(
+                f"parameter {slot} mixes expression texts and numbers: {slot}{index} is "
+                f"{c!r} but {slot}{first} is {c0!r}; give every component as a text "
+                f"or every one as a number"
+            )
+    return all(texts)
+
+
+def xdepth(params: DeformationParams) -> int:
+    """The most x-derivatives of the metric any field of the pack takes
+    (a field that declares no ``xdepth`` takes none)."""
+    return max(getattr(getattr(params, slot), "xdepth", 0) for slot in _SLOTS)
+
+
+def pack_tower(
+    params: DeformationParams, F: FinslerStructure, point: ChartPoint, order: tuple[int, int]
+) -> Tower:
+    """``F``'s tower at ``point`` for a suite's ``(order, xorder)`` pair, the
+    x-order raised by the pack's :func:`xdepth`."""
+    total, xorder = order
+    return F.tower(point, (total, xorder + xdepth(params)))
 
 
 def _expect(series: Series, shape: tuple[int, ...], label: str) -> Series:
@@ -464,7 +501,10 @@ def bump(values: np.ndarray, size: float) -> np.ndarray:
     return out
 
 
-_ORDER = 4
+# the (order, xorder) of each suite's tower, before the pack's xdepth
+_CONSTRUCTION_ORDER = (4, 1)
+_TORSION_ORDER = (4, 2)
+_CURVATURE_ORDER = (5, 2)
 
 
 def construction_residuals(
@@ -488,7 +528,7 @@ def construction_residuals(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = F.tower(point, _ORDER)
+    t = pack_tower(params, F, point, _CONSTRUCTION_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     H, N = conn.H(t), conn.N(t)
@@ -533,7 +573,7 @@ def torsion_relations(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = F.tower(point, _ORDER)
+    t = pack_tower(params, F, point, _TORSION_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     n = t.n
@@ -597,7 +637,7 @@ def curvature_relations(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = F.tower(point, 5)
+    t = pack_tower(params, F, point, _CURVATURE_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     NT = d.difference

@@ -14,9 +14,17 @@ modules can keep differentiating them):
 
 :class:`Tower` bundles these for one (structure, point, order) and is the
 single currency the connection/curvature modules trade in; a value at a
-point is read as ``F.tower(point, order).g.val`` and so on.  Everything is
-lazy and cached; invalid inputs (non-positive norm, degenerate fundamental
-tensor) raise :class:`DomainError` when first touched.  A tower also offers
+point is read as ``F.tower(point, order).g.val`` and so on.  ``order`` is
+an int or an ``(order, xorder)`` pair that also truncates the degree in
+the base variables ``x``: each suite names the smallest pair its
+residuals need (``(4, 2)`` for the defining conditions, torsions and
+process diagram, ``(4, 1)`` for the construction routes, ``(4, 0)`` for
+the case catalog, ``(5, 2)`` for the curvatures, and ``(6, 3)`` for the
+differential identities, whose three horizontal derivatives set the
+x-order), and the results are bit-identical to the uncut tower's.
+Everything is lazy and cached; invalid inputs (non-positive norm,
+degenerate fundamental tensor) raise :class:`DomainError` when first
+touched.  A tower also offers
 the ``xs``, ``ys`` and ``const`` of its chart jets, so parameter fields are
 evaluated on it and those that read the metric (:class:`HilbertFormField`)
 take it from there.
@@ -87,8 +95,13 @@ class FinslerStructure:
         label = self.name or getattr(self.norm, "describe", lambda: "norm")()
         return f"FinslerStructure(n={self.n}, {label})"
 
-    def tower(self, point: ChartPoint, order: int) -> "Tower":
-        """The (cached) Taylor tower of fundamental objects at a point."""
+    def tower(self, point: ChartPoint, order: int | tuple[int, int]) -> "Tower":
+        """The (cached) Taylor tower of fundamental objects at a point.
+
+        ``order`` is an int (every monomial up to that total degree) or an
+        ``(order, xorder)`` pair that also drops the monomials of x-degree
+        above ``xorder``; see :class:`Tower`.
+        """
         if point.n != self.n:
             raise ValueError(f"point has dimension {point.n}, structure has {self.n}")
         key = point.key() + (order,)
@@ -106,7 +119,7 @@ class FinslerStructure:
         Raises :class:`DomainError` with a specific message on failure.
         """
         scale = 1.7
-        tw = self.tower(point, 2)
+        tw = self.tower(point, (2, 0))  # g takes y-derivatives only
         L = float(tw.L.val)
         scaled = ChartPoint(point.x, scale * point.y)
         L_scaled = float(self.norm.eval(ChartJets.at(scaled.x, scaled.y, 0)).val)
@@ -130,9 +143,13 @@ def horizontal_derivative(s: Series, j: int, N: Series) -> Series:
 class Tower:
     """Lazily computed Taylor series of the fundamental objects at a point.
 
-    ``order`` is the truncation order of the underlying ring; each derived
-    object is valid to a correspondingly lower order (the series track this
-    themselves and refuse to hand out untrusted coefficients).
+    ``order`` is the truncation order of the underlying ring, an int or an
+    ``(order, xorder)`` pair whose ``xorder`` bounds the degree in the base
+    variables ``x``; each derived object is valid to correspondingly lower
+    orders (every derivative lowers the order, an x-derivative the x-order
+    too; the series track this themselves and refuse to hand out untrusted
+    coefficients, so a pair that is too low raises
+    :class:`~finslerconn.ad.TruncationError` instead of cutting results).
 
     The ``cache`` dict is free space for other modules to memoize values
     derived from this tower (keyed by their own conventions).  The tower
@@ -140,7 +157,9 @@ class Tower:
     structure frees its towers by reference counting.
     """
 
-    def __init__(self, structure: FinslerStructure, point: ChartPoint, order: int):
+    def __init__(
+        self, structure: FinslerStructure, point: ChartPoint, order: int | tuple[int, int]
+    ):
         self.norm = structure.norm
         self.point = point
         self.order = order
@@ -272,6 +291,8 @@ class HilbertFormField:
 
     Handy wherever an input one-form is chosen to be ``l`` itself.
     """
+
+    xdepth = 0
 
     def eval(self, t: Tower) -> Series:
         return t.ell

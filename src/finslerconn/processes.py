@@ -31,6 +31,7 @@ from .deformation import (
     DeformationParams,
     build,
     deformation_data,
+    pack_tower,
     relative_residual,
     worst_residual,
 )
@@ -195,6 +196,10 @@ def _triple_residual(got: Connection, want: Connection, t: Tower) -> float:
     )
 
 
+_DIAGRAM_ORDER = (4, 2)
+"""The (order, xorder) of the diagram's tower, before the pack's xdepth."""
+
+
 def diagram_residuals(
     params: DeformationParams,
     F: FinslerStructure,
@@ -217,7 +222,7 @@ def diagram_residuals(
 
     ``family`` (default: the one derived from ``params``) is under test.
     """
-    t = F.tower(point, 4)
+    t = pack_tower(params, F, point, _DIAGRAM_ORDER)
     fam = derive_family(params) if family is None else family
     rows: dict[str, float] = {}
 

@@ -60,6 +60,7 @@ from .deformation import (
     construction_residuals,
     curvature_relations,
     deformation_data,
+    pack_tower,
     relative_residual,
     torsion_relations,
     worst_residual,
@@ -123,6 +124,14 @@ stencil, not the arithmetic.
 """
 
 _FUZZ_SIZE = 1e-3
+
+# the (order, xorder) of each suite's tower; the pack suites add the pack's
+# xdepth to the x-order (deformation.pack_tower)
+_THEOREM_ORDER = (4, 2)
+_BIANCHI_ORDER = (6, 3)
+_FIRST_BIANCHI_ORDER = (5, 2)
+_FD_ORDER = (4, 1)
+_CONSTANT_CURVATURE_ORDER = (5, 2)
 
 
 def resolve_tolerances(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
@@ -279,7 +288,7 @@ def cartan_flat(F: FinslerStructure) -> bool:
     the tighter curvature tolerances.
     """
     probe = ChartPoint(np.full(F.n, 0.11), np.linspace(0.8, 1.2, F.n))
-    return float(np.max(np.abs(F.tower(probe, 3).T_mix.val))) < 1e-10
+    return float(np.max(np.abs(F.tower(probe, (3, 0)).T_mix.val))) < 1e-10
 
 
 def default_metrics() -> list[FinslerStructure]:
@@ -467,7 +476,7 @@ def theorem_residuals(
     * ``condition-(iv)``: the lowered vertical coefficients are totally
       symmetric.
     """
-    t = F.tower(point, 4)
+    t = pack_tower(params, F, point, _THEOREM_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     g = t.g.val
@@ -616,14 +625,15 @@ def bianchi_residuals(
     value argument ``e_m``, each is contracted into an explicit index sum
     below (cyclic sums written out, alternations as explicit swaps).  Order
     6 leaves one trusted coefficient layer for the outermost covariant
-    derivative of a curvature of the built connection.
+    derivative of a curvature of the built connection; x-order 3 covers
+    its three horizontal derivatives.
 
     The identities are structural -- they hold for any coefficient triple
     expressed through its own torsions and curvatures -- so the
     fuzz-injection hook perturbs one entry of each curvature array after
     extraction, not the connection itself.
     """
-    t = F.tower(point, 6)
+    t = pack_tower(params, F, point, _BIANCHI_ORDER)
     conn = build(params)
     tb = torsions(conn, t)
     R_s = curvature_h(conn, t)
@@ -714,7 +724,7 @@ def first_bianchi_residual(
     the three frame arguments vanishes -- the classical first identity.
     ``perturbation`` shifts one curvature entry before the sum.
     """
-    t = F.tower(point, 5)
+    t = F.tower(point, _FIRST_BIANCHI_ORDER)
     R = bump(curvature_h(CARTAN, t).val, perturbation)
     return relative_residual(_cyc3(np.einsum("icab->iabc", R)), R)
 
@@ -844,7 +854,7 @@ def fd_residuals(
     added to one entry of every finite-difference reconstruction (the
     fuzz-injection hook).
     """
-    t = F.tower(point, 4)
+    t = F.tower(point, _FD_ORDER)
     n = t.n
     x0 = np.asarray(point.x, dtype=float)
     y0 = np.asarray(point.y, dtype=float)
@@ -891,10 +901,10 @@ def fd_residuals(
     h1 = 1e-4
 
     def g_at(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return F.tower(ChartPoint(x, y), 2).g.val
+        return F.tower(ChartPoint(x, y), (2, 0)).g.val
 
     def spray_at(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return F.tower(ChartPoint(x, y), 3).G.val
+        return F.tower(ChartPoint(x, y), (3, 1)).G.val
 
     T_fd = np.zeros((n, n, n))
     dyg = np.zeros((n, n, n))  # dyg[k, i, j] = d g_ij / dy_k
@@ -967,7 +977,7 @@ def constant_curvature_residuals(
     ``-1``, and its Ricci trace is minus the metric; all three closed
     forms are compared against the jet-computed metric connection data.
     """
-    t = F.tower(point, 5)
+    t = F.tower(point, _CONSTANT_CURVATURE_ORDER)
     if t.n != 2:
         raise ValueError("the constant-curvature sample is a surface")
     e2 = float(np.exp(2.0 * point.x[0]))

@@ -555,6 +555,131 @@ def test_truncated_compose_and_matinv_are_bit_identical(nvars, order):
         assert np.max(np.abs(got.coef - full[..., :head])) <= 1e-14 * scale, ("matinv", valid)
 
 
+# ---------------------------------------------------------------------------
+# rings cut in x: the first nvars // 2 variables are the base, and a ring of
+# x-order q keeps the monomials of x-degree <= q
+
+
+def _kept(full, cut):
+    """Positions of the cut ring's monomials among the uncut ring's."""
+    return np.array([full.index[m] for m in cut.monomials])
+
+
+CUT_RINGS = [
+    (nvars, order, xorder)
+    for nvars, order in [(4, 4), (4, 5), (4, 6), (6, 5), (6, 6)]
+    for xorder in range(order + 1)
+]
+
+
+def test_cut_ring_keeps_the_graded_monomials_of_low_x_degree():
+    full, cut = ring(6, 6), ring(6, 6, 3)
+    assert (full.dim, cut.dim) == (924, 662)
+    assert len(cut._mul_table()[0]) == 12_810 and len(full._mul_table()[0]) == 18_564
+    assert cut.monomials == [m for m in full.monomials if sum(m[:3]) <= 3]
+    assert ring(4, 4, 9) is ring(4, 4, 4) is ring(4, 4)  # x-order >= order cuts nothing
+    assert ring(4, 4, 2) is not ring(4, 4) and ring(4, 4, 2).xorder == 2
+
+
+@pytest.mark.parametrize("nvars,order,xorder", CUT_RINGS)
+def test_cut_ring_arithmetic_is_bit_identical_to_the_uncut_ring(nvars, order, xorder):
+    full, cut = ring(nvars, order), ring(nvars, order, xorder)
+    keep = _kept(full, cut)
+    rng = np.random.default_rng(1000 * nvars + 10 * order + xorder)
+    n = nvars // 2
+
+    def pair(shape, positive=False):
+        coef = rng.uniform(-0.5, 0.5, shape + (full.dim,))
+        if positive:
+            coef[..., 0] = rng.uniform(0.5, 1.5, shape)
+        return Series(full, coef), Series(cut, coef[..., keep])
+
+    def same(got, want, cut_to=cut, label=""):
+        assert got.ring is cut_to, label
+        assert np.array_equal(got.coef, want.coef[..., _kept(want.ring, cut_to)]), label
+
+    (a, a_cut), (b, b_cut) = pair((2, 3)), pair((1, 3))
+    same(a_cut * b_cut, a * b, label="product")
+    same(a_cut + b_cut, a + b, label="sum")
+    s, s_cut = pair((2,), positive=True)
+    for name, fn in (
+        ("recip", Series.recip),
+        ("powr", lambda v: v.powr(0.37)),
+        ("exp", Series.exp),
+        ("log", Series.log),
+        ("sin", Series.sin),
+        ("cos", Series.cos),
+    ):
+        same(fn(s_cut), fn(s), label=name)
+    for var in range(nvars):
+        if var < n and xorder == 0:
+            continue
+        low = ring(nvars, order - 1, xorder - (var < n))
+        same(s_cut.d(var), s.d(var), cut_to=low, label=f"d{var}")
+    mat, mat_cut = pair((n, n))
+    for m in (mat, mat_cut):
+        m.coef[..., 0] += 3.0 * np.eye(n)  # an invertible constant term
+    same(matinv(mat_cut), matinv(mat), label="matinv")
+    (T, T_cut), (v, v_cut) = pair((n, n, n)), pair((n,))
+    same(contract("il,ljk->ijk", mat_cut, T_cut), contract("il,ljk->ijk", mat, T), label="contract")
+    same(contract("ipj,p->ij", T_cut, v_cut), contract("ipj,p->ij", T, v), label="contract")
+    same(Series.stack([v_cut, s_cut[0] * v_cut]), Series.stack([v, s[0] * v]), label="stack")
+
+
+@pytest.mark.parametrize("nvars,order", [(4, 5), (6, 6)])
+def test_meet_takes_the_lower_of_each_order(nvars, order):
+    full = ring(nvars, order)
+    rng = np.random.default_rng(nvars + order)
+    coef = rng.uniform(-1, 1, (2, full.dim))
+    rings = [ring(nvars, p, q) for p in range(order + 1) for q in range(p + 1)]
+    for ra in rings:
+        a = Series(ra, coef[..., _kept(full, ra)])
+        for rb in rings:
+            b = Series(rb, coef[::-1][..., _kept(full, rb)])
+            low = ring(nvars, min(ra.order, rb.order), min(ra.xorder, rb.xorder))
+            a_low = Series(low, coef[..., _kept(full, low)])
+            b_low = Series(low, coef[::-1][..., _kept(full, low)])
+            for got, want in (
+                (a + b, a_low + b_low),
+                (b - a, b_low - a_low),
+                (a * b, a_low * b_low),
+                (Series.stack([a, b]), Series.stack([a_low, b_low])),
+            ):
+                assert got.ring is want.ring is low, (ra, rb)
+                assert np.array_equal(got.coef, want.coef), (ra, rb)
+    with pytest.raises(ValueError):
+        Series.const(ring(4, 3, 1), 1.0) + Series.const(ring(6, 3, 1), 1.0)
+
+
+def test_seed_on_x_at_x_order_zero_is_the_constant():
+    jets = ChartJets.at([0.3, -0.2], [0.7, 1.1], order=(3, 0))
+    assert jets.ring is ring(4, 3, 0)
+    assert np.array_equal(jets.xs.coef, Series.const(jets.ring, [0.3, -0.2]).coef)
+    assert jets.ys[1].extract((0, 0, 0, 1)) == 1.0
+    f = (jets.xs[0] * jets.ys[0]).exp()
+    assert f.val == pytest.approx(math.exp(0.3 * 0.7))
+    assert f.extract((0, 0, 2, 0)) == pytest.approx(0.3**2 * math.exp(0.3 * 0.7))
+
+
+def test_d_and_extract_past_the_x_order_raise():
+    jets = ChartJets.at([0.3, -0.2], [0.7, 1.1], order=(4, 1))
+    f = (jets.xs[0] * jets.ys[1]).exp()
+    fx = f.d(0)
+    assert fx.ring is ring(4, 3, 0)
+    with pytest.raises(TruncationError, match="x-order 0"):
+        fx.d(1)
+    assert fx.d(2).ring is ring(4, 2, 0)  # the fiber still differentiates
+    assert f.extract((1, 0, 0, 1)) == pytest.approx(
+        (1 + 0.3 * 1.1) * math.exp(0.3 * 1.1)
+    )
+    with pytest.raises(TruncationError, match="x-order"):
+        f.extract((1, 1, 0, 0))
+    with pytest.raises(TruncationError, match="x-order"):
+        fx.extract((1, 0, 0, 0))
+    with pytest.raises(TruncationError):
+        f.extract((0, 0, 3, 2))  # past the total order still raises
+
+
 def test_dropped_structures_free_their_towers_without_gc():
     # with the cycle collector off, only reference counting frees towers
     plan = SamplePlan(

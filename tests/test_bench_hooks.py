@@ -5,19 +5,24 @@ Its own self-test starts several processes and is not collected here, so a
 renamed or deleted hook would otherwise only surface when the benchmark
 runs.  These tests read the hook tables and check each name in-process,
 then install the whole tracer in a child process (it rebinds package
-names for good) and trace one report point there.
+names for good) and trace one report point and one Bianchi point there.
 """
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+
+from finslerconn.ad import ring
 from finslerconn.deformation import DeformationData
-from finslerconn.finsler import Tower
+from finslerconn.finsler import FinslerStructure, Tower
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
@@ -60,6 +65,32 @@ def test_every_wrapped_stage_is_a_cached_property():
     assert not missing
 
 
+def test_tower_and_ring_hooks_keep_their_shape():
+    # spans.traced_tower wraps tower(F, point, order) and reads its cache key;
+    # count_product and the ring-build timers read the ring tables below
+    assert list(inspect.signature(FinslerStructure.tower).parameters) == ["self", "point", "order"]
+    for rg in (ring(4, 3), ring(6, 5, 2)):
+        I, J, scatter = rg._mul_table()
+        assert rg._mul_cache is not None and len(I) == len(J) == scatter.shape[1]
+        assert isinstance(scatter, sp.csr_matrix) and scatter.shape[0] == rg.dim
+        assert np.array_equal(rg.degree, [sum(m) for m in rg.monomials])
+        assert np.all(rg.degree[I] + rg.degree[J] <= rg.order)
+        rg._diff_table(rg.nvars - 1)
+        assert rg.nvars - 1 in rg._diff_cache
+
+
+def _run_traced(script: str) -> None:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 TRACED_POINT = f"""
 import importlib.util
 spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS_PATH)!r})
@@ -78,12 +109,27 @@ assert tracer.stat("expr.eval").calls and tracer.stat("deformation.params_eval")
 
 
 def test_install_and_trace_one_report_point():
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", TRACED_POINT],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+    _run_traced(TRACED_POINT)
+
+
+TRACED_BIANCHI = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS_PATH)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+from finslerconn import samples, verify
+F = samples.quartic_three_dim()
+plan = verify.SamplePlan()
+point = verify.sample_points(F, plan, 1, "bench-hooks")[0]
+rows = verify.bianchi_residuals(verify.random_param_sets(F, plan)[0], F, point)
+assert set(F._towers) == {{point.key() + ((6, 3),)}}
+assert tracer.stat("verify.bianchi.point").calls == 1 and tracer.tower_requests == 1
+assert tracer.mul_calls and tracer.stat("ad.d").calls and tracer.stat("connection.cov_deriv").calls
+assert tracer.nonfinite_points == 0 and max(rows.values()) < 1e-6
+"""
+
+
+def test_install_and_trace_one_bianchi_point():
+    _run_traced(TRACED_BIANCHI)

@@ -251,6 +251,22 @@ def test_field_spec_builders():
         parameter_field("tensor", ("1",), 2)
 
 
+@pytest.mark.parametrize(
+    "slot,value,named",
+    [
+        ("u", ("x1", 0.2), "u[1] is 0.2"),
+        ("A", ("0.1", 0.2), "A[1] is 0.2"),  # a numeric text is still a text
+        ("B", (0.3, "y2"), "B[1] is 'y2'"),
+        ("phi", (("1", "0"), ("x1", 1)), "phi[1][1] is 1"),
+        ("phi", ((1.0, 0.0), (0.0, "y1")), "phi[1][1] is 'y1'"),
+    ],
+)
+def test_mixed_texts_and_numbers_name_slot_and_component(slot, value, named):
+    with pytest.raises(ValueError, match=r"parameter \w+ mixes expression texts and numbers") as err:
+        parameter_field(slot, value, 2)
+    assert named in str(err.value)
+
+
 def test_parse_errors_surface_through_adapters():
     with pytest.raises(ExprError):
         ExprScalarField(2, "y1 + y7")

@@ -659,12 +659,12 @@ class Field(Protocol):
     ``(n,)`` components and endomorphisms to ``(n, n)``, entry ``[i, j]``
     being the i-th component of the image of the j-th frame vector.
 
-    ``xdepth`` is how many x-derivatives of the metric the field takes, so
-    its value is trusted to that many x-orders fewer than the tower; a
-    suite adds its pack's largest ``xdepth`` to the x-order it asks for.
+    A field's value is trusted to the orders of the tower it is evaluated
+    on, less the derivatives it takes: a field that needs x-derivatives of
+    the metric builds the deeper tower it reads from itself
+    (:class:`~finslerconn.connection.RicciEndomorphism`), so callers ask
+    only for the orders their own residuals need.
     """
-
-    xdepth: int
 
     def eval(self, t) -> Series: ...
 
@@ -675,7 +675,6 @@ class Constant:
     components or an endomorphism's rows."""
 
     values: np.ndarray
-    xdepth = 0
 
     def __init__(self, values):
         values = np.array(values, dtype=float)  # a read-only copy: the field never changes

@@ -49,7 +49,6 @@ from .deformation import (
     DeformationParams,
     bump,
     deformation_data,
-    pack_tower,
     parameter_field,
     relative_residual,
     worst_residual,
@@ -90,10 +89,6 @@ class MetricSplitPart:
         self.inner = inner
         self.part = part
 
-    @property
-    def xdepth(self) -> int:
-        return getattr(self.inner, "xdepth", 0)
-
     def eval(self, t: Tower) -> Series:
         low = contract("ij,il->jl", self.inner.eval(t), t.g)
         if self.part == "symmetric":
@@ -113,7 +108,7 @@ class MetricSplitPart:
 
 
 _WORKSPACE_ORDER = (4, 0)
-"""The (order, xorder) of a case's tower, before the pack's xdepth."""
+"""The (order, xorder) of a case's tower."""
 
 
 class _Workspace:
@@ -125,7 +120,7 @@ class _Workspace:
     """
 
     def __init__(self, params: DeformationParams, F: FinslerStructure, point: ChartPoint):
-        t = pack_tower(params, F, point, _WORKSPACE_ORDER)
+        t = F.tower(point, _WORKSPACE_ORDER)
         d = deformation_data(params, t)
         self.n = F.n
         self.g = t.g.val

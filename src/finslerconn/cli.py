@@ -62,7 +62,6 @@ from .deformation import (
     DeformationParams,
     build,
     deformation_data,
-    pack_tower,
     parameter_field,
 )
 from .expr import ExprError, ExprScalarField
@@ -615,7 +614,7 @@ def load_points(path: str | Path, n: int) -> list[ChartPoint]:
 
 
 _REPORT_POINTS = 5
-_REPORT_ORDER = (5, 2)  # (order, xorder), before the pack's xdepth
+_REPORT_ORDER = (5, 2)  # (order, xorder)
 
 
 def tensor_report(
@@ -636,7 +635,7 @@ def tensor_report(
     conn = build(pack)
     rows: list[dict] = []
     for point in points:
-        t = pack_tower(pack, F, point, _REPORT_ORDER)
+        t = F.tower(point, _REPORT_ORDER)
         d = deformation_data(pack, t)
         tb = torsions(conn, t)
         y = np.asarray(point.y, dtype=float)

@@ -28,6 +28,7 @@ Bianchi identities, for instance).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .ad import Series, contract
@@ -117,9 +118,8 @@ def _alt(C: Series) -> Series:
 # torsions
 
 
-@dataclass(frozen=True)
 class TorsionBundle:
-    """The five torsion tensors of a connection triple, as series.
+    """The five torsion tensors of a connection triple on a tower, as series.
 
     * ``hh[i, j, k]``: horizontal antisymmetry ``H^i_jk - H^i_kj``
     * ``hv[i, j, k]``: the vertical coefficients themselves
@@ -128,16 +128,41 @@ class TorsionBundle:
     * ``vhv[i, j, k]``: deflection-type torsion ``dN^i_j/dy_k - H^i_jk``
     * ``vv[i, j, k]``: vertical antisymmetry ``V^i_jk - V^i_kj``
 
+    Each block is computed when first read, so a caller that reads only
+    ``hh`` neither computes ``vh`` nor needs the x-order its horizontal
+    derivatives take.
     The ``vhv`` formula assumes the vertical coefficients annihilate the
     tautological field (true for every connection this package builds,
     where V is either the Cartan tensor or zero).
     """
 
-    hh: Series
-    hv: Series
-    vh: Series
-    vhv: Series
-    vv: Series
+    def __init__(self, conn: Connection, t: Tower):
+        self.conn = conn
+        self.t = t
+
+    @cached_property
+    def hh(self) -> Series:
+        H = self.conn.H(self.t)
+        return H - H.transpose(0, 2, 1)
+
+    @cached_property
+    def hv(self) -> Series:
+        return self.conn.V(self.t)
+
+    @cached_property
+    def vh(self) -> Series:
+        return nonlinear_curvature(self.conn, self.t)
+
+    @cached_property
+    def vhv(self) -> Series:
+        n, N = self.t.n, self.conn.N(self.t)
+        dyN = Series.stack([N.d(n + k) for k in range(n)], axis=2)  # [i, j, k]
+        return dyN - self.conn.H(self.t)
+
+    @cached_property
+    def vv(self) -> Series:
+        V = self.conn.V(self.t)
+        return V - V.transpose(0, 2, 1)
 
 
 def nonlinear_curvature(conn: Connection, t: Tower) -> Series:
@@ -155,18 +180,8 @@ def nonlinear_curvature(conn: Connection, t: Tower) -> Series:
 
 
 def torsions(conn: Connection, t: Tower) -> TorsionBundle:
-    n = t.n
-    H = conn.H(t)
-    V = conn.V(t)
-    N = conn.N(t)
-    dyN = Series.stack([N.d(n + k) for k in range(n)], axis=2)  # [i, j, k]
-    return TorsionBundle(
-        hh=H - H.transpose(0, 2, 1),
-        hv=V,
-        vh=nonlinear_curvature(conn, t),
-        vhv=dyN - H,
-        vv=V - V.transpose(0, 2, 1),
-    )
+    """The torsions of ``conn`` on ``t``, each block computed when first read."""
+    return TorsionBundle(conn, t)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +291,16 @@ class RicciEndomorphism:
 
     Usable as a matrix field input wherever a curvature-derived
     endomorphism is wanted; it reads the metric of the tower it is
-    evaluated on.  The curvature takes two x-derivatives of the metric,
-    hence ``xdepth = 2``.
+    evaluated on.  The curvature takes two x-derivatives of the metric, so
+    on a tower cut at ``(order, xorder)`` the field reads from the tower of
+    the same norm and point at ``(order, xorder + 2)``, which it builds
+    itself; the value is bit-identical to the one on the uncut tower.
     """
 
-    xdepth = 2
-
     def eval(self, t: Tower) -> Series:
+        if isinstance(t.order, tuple):
+            order, xorder = t.order
+            t = Tower(t.norm, t.point, (order, xorder + 2))
         return contract("il,lk->ik", t.gi, ricci(CARTAN, t))
 
     def describe(self) -> str:

@@ -60,8 +60,6 @@ __all__ = [
     "DeformationData",
     "deformation_data",
     "parameter_field",
-    "xdepth",
-    "pack_tower",
     "build",
     "horizontal_from_compatibility",
     "construction_residuals",
@@ -156,21 +154,6 @@ def _all_texts(slot: str, components: dict[str, object]) -> bool:
                 f"or every one as a number"
             )
     return all(texts)
-
-
-def xdepth(params: DeformationParams) -> int:
-    """The most x-derivatives of the metric any field of the pack takes
-    (a field that declares no ``xdepth`` takes none)."""
-    return max(getattr(getattr(params, slot), "xdepth", 0) for slot in _SLOTS)
-
-
-def pack_tower(
-    params: DeformationParams, F: FinslerStructure, point: ChartPoint, order: tuple[int, int]
-) -> Tower:
-    """``F``'s tower at ``point`` for a suite's ``(order, xorder)`` pair, the
-    x-order raised by the pack's :func:`xdepth`."""
-    total, xorder = order
-    return F.tower(point, (total, xorder + xdepth(params)))
 
 
 def _expect(series: Series, shape: tuple[int, ...], label: str) -> Series:
@@ -501,7 +484,7 @@ def bump(values: np.ndarray, size: float) -> np.ndarray:
     return out
 
 
-# the (order, xorder) of each suite's tower, before the pack's xdepth
+# the (order, xorder) of each suite's tower
 _CONSTRUCTION_ORDER = (4, 1)
 _TORSION_ORDER = (4, 2)
 _CURVATURE_ORDER = (5, 2)
@@ -528,7 +511,7 @@ def construction_residuals(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = pack_tower(params, F, point, _CONSTRUCTION_ORDER)
+    t = F.tower(point, _CONSTRUCTION_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     H, N = conn.H(t), conn.N(t)
@@ -573,7 +556,7 @@ def torsion_relations(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = pack_tower(params, F, point, _TORSION_ORDER)
+    t = F.tower(point, _TORSION_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     n = t.n
@@ -637,7 +620,7 @@ def curvature_relations(
 
     ``conn`` (default: the built one) is the connection under test.
     """
-    t = pack_tower(params, F, point, _CURVATURE_ORDER)
+    t = F.tower(point, _CURVATURE_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     NT = d.difference

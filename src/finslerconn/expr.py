@@ -307,8 +307,6 @@ def evaluate(node: Node, jets: ChartJets) -> Series:
 class ExprScalarField:
     """A scalar chart field defined by one expression string."""
 
-    xdepth = 0
-
     def __init__(self, n: int, text: str):
         self.n = n
         self.text = text
@@ -327,8 +325,6 @@ class ExprScalarField:
 class ExprCovectorField:
     """A covector field with one expression per component."""
 
-    xdepth = 0
-
     def __init__(self, n: int, components: Sequence[str]):
         if len(components) != n:
             raise ValueError(f"need {n} components, got {len(components)}")
@@ -345,8 +341,6 @@ class ExprCovectorField:
 
 class ExprMatrixField:
     """An endomorphism field with one expression per entry (row-major)."""
-
-    xdepth = 0
 
     def __init__(self, n: int, rows: Sequence[Sequence[str]]):
         if len(rows) != n or any(len(r) != n for r in rows):

@@ -17,8 +17,8 @@ single currency the connection/curvature modules trade in; a value at a
 point is read as ``F.tower(point, order).g.val`` and so on.  ``order`` is
 an int or an ``(order, xorder)`` pair that also truncates the degree in
 the base variables ``x``: each suite names the smallest pair its
-residuals need (``(4, 2)`` for the defining conditions, torsions and
-process diagram, ``(4, 1)`` for the construction routes, ``(4, 0)`` for
+residuals need (``(4, 1)`` for the defining conditions, construction
+routes and process diagram, ``(4, 2)`` for the torsions, ``(4, 0)`` for
 the case catalog, ``(5, 2)`` for the curvatures, and ``(6, 3)`` for the
 differential identities, whose three horizontal derivatives set the
 x-order), and the results are bit-identical to the uncut tower's.
@@ -27,7 +27,9 @@ degenerate fundamental tensor) raise :class:`DomainError` when first
 touched.  A tower also offers
 the ``xs``, ``ys`` and ``const`` of its chart jets, so parameter fields are
 evaluated on it and those that read the metric (:class:`HilbertFormField`)
-take it from there.
+take it from there; a field that differentiates the metric along ``x``
+(:class:`~finslerconn.connection.RicciEndomorphism`) builds a deeper tower
+of the same norm and point itself, so no caller sizes a tower for it.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class FinslerStructure:
         if tw is None:
             if len(self._towers) >= 1024:
                 self._towers.pop(next(iter(self._towers)))
-            tw = Tower(self, point, order)
+            tw = Tower(self.norm, point, order)
             self._towers[key] = tw
         return tw
 
@@ -154,16 +156,15 @@ class Tower:
     The ``cache`` dict is free space for other modules to memoize values
     derived from this tower (keyed by their own conventions).  The tower
     keeps the norm, not the structure that caches it, so a dropped
-    structure frees its towers by reference counting.
+    structure frees its towers by reference counting, and a field can
+    build a deeper tower of the same norm and point for itself.
     """
 
-    def __init__(
-        self, structure: FinslerStructure, point: ChartPoint, order: int | tuple[int, int]
-    ):
-        self.norm = structure.norm
+    def __init__(self, norm: Field, point: ChartPoint, order: int | tuple[int, int]):
+        self.norm = norm
         self.point = point
         self.order = order
-        self.n = structure.n
+        self.n = point.n
         self.jets = ChartJets.at(point.x, point.y, order)
         self.cache: dict = {}
 
@@ -291,8 +292,6 @@ class HilbertFormField:
 
     Handy wherever an input one-form is chosen to be ``l`` itself.
     """
-
-    xdepth = 0
 
     def eval(self, t: Tower) -> Series:
         return t.ell

@@ -31,7 +31,6 @@ from .deformation import (
     DeformationParams,
     build,
     deformation_data,
-    pack_tower,
     relative_residual,
     worst_residual,
 )
@@ -196,8 +195,8 @@ def _triple_residual(got: Connection, want: Connection, t: Tower) -> float:
     )
 
 
-_DIAGRAM_ORDER = (4, 2)
-"""The (order, xorder) of the diagram's tower, before the pack's xdepth."""
+_DIAGRAM_ORDER = (4, 1)
+"""The (order, xorder) of the diagram's tower."""
 
 
 def diagram_residuals(
@@ -222,7 +221,7 @@ def diagram_residuals(
 
     ``family`` (default: the one derived from ``params``) is under test.
     """
-    t = pack_tower(params, F, point, _DIAGRAM_ORDER)
+    t = F.tower(point, _DIAGRAM_ORDER)
     fam = derive_family(params) if family is None else family
     rows: dict[str, float] = {}
 

@@ -60,7 +60,6 @@ from .deformation import (
     construction_residuals,
     curvature_relations,
     deformation_data,
-    pack_tower,
     relative_residual,
     torsion_relations,
     worst_residual,
@@ -125,9 +124,8 @@ stencil, not the arithmetic.
 
 _FUZZ_SIZE = 1e-3
 
-# the (order, xorder) of each suite's tower; the pack suites add the pack's
-# xdepth to the x-order (deformation.pack_tower)
-_THEOREM_ORDER = (4, 2)
+# the (order, xorder) of each suite's tower
+_THEOREM_ORDER = (4, 1)
 _BIANCHI_ORDER = (6, 3)
 _FIRST_BIANCHI_ORDER = (5, 2)
 _FD_ORDER = (4, 1)
@@ -444,9 +442,7 @@ def _perturbed(conn: Connection, slot: str) -> Connection:
 
     def produce(t):
         base = {"nlc": conn.N, "hor": conn.H, "ver": conn.V}[slot](t)
-        bump = np.zeros(base.shape)
-        bump[(0,) * bump.ndim] = _FUZZ_SIZE
-        return base + t.jets.const(bump)
+        return base + t.jets.const(bump(np.zeros(base.shape), _FUZZ_SIZE))
 
     return Connection(
         name=f"{conn.name}+bump-{slot}",
@@ -476,7 +472,7 @@ def theorem_residuals(
     * ``condition-(iv)``: the lowered vertical coefficients are totally
       symmetric.
     """
-    t = pack_tower(params, F, point, _THEOREM_ORDER)
+    t = F.tower(point, _THEOREM_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
     g = t.g.val
@@ -633,7 +629,7 @@ def bianchi_residuals(
     fuzz-injection hook perturbs one entry of each curvature array after
     extraction, not the connection itself.
     """
-    t = pack_tower(params, F, point, _BIANCHI_ORDER)
+    t = F.tower(point, _BIANCHI_ORDER)
     conn = build(params)
     tb = torsions(conn, t)
     R_s = curvature_h(conn, t)

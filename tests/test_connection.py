@@ -33,7 +33,7 @@ from finslerconn.connection import (
     torsions,
 )
 from finslerconn.finsler import ChartPoint
-from finslerconn.samples import curved_three_dim, euclidean, hyperbolic, randers
+from finslerconn.samples import curved_three_dim, euclidean, hyperbolic, quartic_three_dim, randers
 
 P2 = ChartPoint([0.3, -0.2], [0.7, 1.1])
 P3 = ChartPoint([0.2, -0.3, 0.4], [0.9, 0.5, 1.2])
@@ -111,6 +111,18 @@ def test_ricci_endomorphism_field():
     assert np.allclose(phi, -np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("F", [randers(), quartic_three_dim()], ids=lambda F: F.name)
+def test_ricci_endomorphism_on_cut_tower_matches_uncut(F):
+    # the field takes two x-derivatives of the metric, so on a tower with no
+    # x-order it builds the deeper tower itself; every coefficient it keeps
+    # is the uncut tower's, bit for bit
+    p = P2 if F.n == 2 else P3
+    cut = RicciEndomorphism().eval(F.tower(p, (5, 0)))
+    uncut = RicciEndomorphism().eval(F.tower(p, 5))
+    assert cut.ring.xorder == 0
+    assert np.array_equal(cut.coef, uncut.coef[..., uncut.ring.cut_index(cut.ring)])
+
+
 # ---------------------------------------------------------------------------
 # vertical curvature: independent algebraic oracle
 
@@ -149,6 +161,15 @@ def test_reference_connection_torsions(F):
     y = t.point.y
     assert np.allclose(np.einsum("ijk,k->ij", t.Gamma.val, y), t.N.val, atol=1e-9)
     assert np.allclose(np.einsum("ijk,j->ik", tb.vhv.val, y), 0.0, atol=1e-9)
+
+
+def test_torsion_blocks_are_computed_when_read():
+    t = _tower(randers())
+    tb = torsions(CARTAN, t)
+    tb.hh
+    assert (CARTAN, "nonlinear_curvature") not in t.cache
+    tb.vh
+    assert (CARTAN, "nonlinear_curvature") in t.cache
 
 
 def test_nonlinear_curvature_two_routes():

@@ -1,13 +1,13 @@
 """Every tower a library call asks for is cut in x exactly as far as it may be.
 
-Each call site names an ``(order, xorder)`` pair for its towers; the pack
-suites raise the x-order by the pack's ``xdepth``.  On the 2-d Randers
-metric and the 3-d quartic metric, with one random pack and the case-3 pack
-(whose Ricci endomorphism takes two x-derivatives of the metric):
+Each call site names an ``(order, xorder)`` pair for its towers, whatever
+the pack.  On the 2-d Randers metric and the 3-d quartic metric, with one
+random pack and the case-3 pack (whose Ricci endomorphism takes two
+x-derivatives of the metric, from a deeper tower it builds itself):
 
 * every site's results are bit-identical to those on uncut towers of the
   same total order, or both raise ``TruncationError`` (the case-3 pack needs
-  more total order than the theorem, torsion and diagram sites have);
+  more total order than the torsion and diagram sites have);
 * with the random pack, lowering the x-order of any one pair a site asks
   for by one raises ``TruncationError``, so each cut is checked to be the
   smallest that works, not guessed.
@@ -20,16 +20,16 @@ from finslerconn import cases, cli, deformation, processes, samples, verify
 from finslerconn.ad import TruncationError
 from finslerconn.finsler import FinslerStructure
 
-# site -> (per-point call, the pairs it asks for with a pack of xdepth 0)
+# site -> (per-point call, the pairs it asks for)
 SITES = {
-    "theorem": (lambda F, pack, p: verify.theorem_residuals(pack, F, p), {(4, 2)}),
+    "theorem": (lambda F, pack, p: verify.theorem_residuals(pack, F, p), {(4, 1)}),
     "construction": (
         lambda F, pack, p: deformation.construction_residuals(pack, F, p), {(4, 1)}
     ),
     "torsions": (lambda F, pack, p: deformation.torsion_relations(pack, F, p), {(4, 2)}),
     "curvatures": (lambda F, pack, p: deformation.curvature_relations(pack, F, p), {(5, 2)}),
     "bianchi": (lambda F, pack, p: verify.bianchi_residuals(pack, F, p), {(6, 3)}),
-    "diagram": (lambda F, pack, p: processes.diagram_residuals(pack, F, p), {(4, 2)}),
+    "diagram": (lambda F, pack, p: processes.diagram_residuals(pack, F, p), {(4, 1)}),
     "cases": (lambda F, pack, p: vars(cases._Workspace(pack, F, p)), {(4, 0)}),
     "report": (lambda F, pack, p: cli.tensor_report(F, pack, [p]), {(5, 2)}),
     # sites that take no pack
@@ -101,10 +101,8 @@ def test_site_xorder_is_exact(site, metric, monkeypatch):
     if site in PACKLESS:
         return
     ricci_pack = cases.preset(3, F, **cases.default_free_choices(3, F))
-    assert deformation.xdepth(ricci_pack) == 2
-    raised = {(total, xorder + 2) for total, xorder in pairs}
-    got = _check_site(monkeypatch, call, raised, F, ricci_pack, point, lowered=False)
-    assert (got is TruncationError) == (site in ("theorem", "torsions", "diagram"))
+    got = _check_site(monkeypatch, call, pairs, F, ricci_pack, point, lowered=False)
+    assert (got is TruncationError) == (site in ("torsions", "diagram"))
 
 
 def test_constant_curvature_xorder_is_exact(monkeypatch):

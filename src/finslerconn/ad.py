@@ -660,10 +660,11 @@ class Field(Protocol):
     being the i-th component of the image of the j-th frame vector.
 
     A field's value is trusted to the orders of the tower it is evaluated
-    on, less the derivatives it takes: a field that needs x-derivatives of
-    the metric builds the deeper tower it reads from itself
+    on, less the derivatives it takes: a field that needs a deeper tower of
+    the same point reads it with :meth:`~finslerconn.finsler.Tower.at`
     (:class:`~finslerconn.connection.RicciEndomorphism`), so callers ask
-    only for the orders their own residuals need.
+    only for the orders their own residuals need; the tower's structure
+    must then still be bound to a name.
     """
 
     def eval(self, t) -> Series: ...

@@ -59,6 +59,7 @@ from .connection import (
     torsions,
 )
 from .deformation import (
+    _SLOTS,
     DeformationParams,
     build,
     deformation_data,
@@ -167,7 +168,6 @@ class Config:
 
 _RUN_KEYS = {"dimension", "metrics", "params", "out", "fuzz"}
 _PLAN_KEYS = {f.name for f in dataclasses.fields(SamplePlan)}
-_FIELD_KEYS = ("f1", "f2", "A", "B", "u", "phi")
 
 
 def default_config_text() -> str:
@@ -219,7 +219,7 @@ fd_points = 10
 
 # --- metrics -----------------------------------------------------------
 # L = positive 1-homogeneous norm source text in x1..xn, y1..yn.
-# Functions: sqrt, exp, log, sin, cos; operators + - * / ^.
+# Functions: sqrt, exp, log, sin, cos, abs; operators + - * / ^.
 
 [metric:euclidean]
 L = sqrt(y1^2 + y2^2)
@@ -347,11 +347,11 @@ def _parse_params_section(
                 f"keys, got {', '.join(extra)}"
             )
         return ParamsEntry(name, "random")
-    bad = [k for k in keys if k not in _FIELD_KEYS]
+    bad = [k for k in keys if k not in _SLOTS]
     if bad:
         raise ConfigError(
             f"{origin}: [params:{name}] unknown key(s) {', '.join(bad)}; "
-            f"explicit sections take {', '.join(_FIELD_KEYS)}"
+            f"explicit sections take {', '.join(_SLOTS)}"
         )
     return ParamsEntry(name, "fields", {k: section[k] for k in keys})
 
@@ -560,7 +560,7 @@ def build_params(
         elif key == "phi":
             value = _split_matrix(text, n, f"{where} {key}")
         try:
-            fields[key] = parameter_field(key, value, n) if key in _FIELD_KEYS else value
+            fields[key] = parameter_field(key, value, n) if key in _SLOTS else value
         except ExprError as err:
             raise ConfigError(f"{where} {key}: {err}") from None
     if entry.kind == "fields":
@@ -673,15 +673,9 @@ def tensor_report(
                     "vhv-direction": contract(tb.vhv).tolist(),
                 },
                 "curvature-flags": {
-                    "horizontal": contract_value_slot(
-                        curvature_h(conn, t), t
-                    ).val.tolist(),
-                    "mixed": contract_value_slot(
-                        curvature_mixed(conn, t), t
-                    ).val.tolist(),
-                    "vertical": contract_value_slot(
-                        curvature_v(conn, t), t
-                    ).val.tolist(),
+                    "horizontal": contract_value_slot(curvature_h(conn, t), t).val.tolist(),
+                    "mixed": contract_value_slot(curvature_mixed(conn, t), t).val.tolist(),
+                    "vertical": contract_value_slot(curvature_v(conn, t), t).val.tolist(),
                 },
             }
         )

@@ -75,12 +75,7 @@ class Connection:
         return self._memo(t, "V", self.ver)
 
     def _memo(self, t: Tower, slot: str, producer) -> Series:
-        key = (self, slot)
-        out = t.cache.get(key)
-        if out is None:
-            out = producer(t)
-            t.cache[key] = out
-        return out
+        return t.memo((self, slot), lambda: producer(t))
 
     def delta(self, t: Tower, s: Series, j: int) -> Series:
         """Horizontal derivative of a series using this connection's N."""
@@ -167,16 +162,15 @@ class TorsionBundle:
 
 def nonlinear_curvature(conn: Connection, t: Tower) -> Series:
     """``vh`` torsion: R[l, j, k] = delta_k N^l_j - delta_j N^l_k."""
-    key = (conn, "nonlinear_curvature")
-    out = t.cache.get(key)
-    if out is None:
+
+    def make() -> Series:
         N = conn.N(t)
         dN = Series.stack([conn.delta(t, N, j) for j in range(t.n)])  # [a, l, j]
         # delta_k N^l_j as [l, j, k], then antisymmetrize the argument slots
         D = dN.transpose(1, 2, 0)
-        out = D - D.transpose(0, 2, 1)
-        t.cache[key] = out
-    return out
+        return D - D.transpose(0, 2, 1)
+
+    return t.memo((conn, "nonlinear_curvature"), make)
 
 
 def torsions(conn: Connection, t: Tower) -> TorsionBundle:
@@ -291,17 +285,18 @@ class RicciEndomorphism:
 
     Usable as a matrix field input wherever a curvature-derived
     endomorphism is wanted; it reads the metric of the tower it is
-    evaluated on.  The curvature takes two x-derivatives of the metric, so
-    on a tower cut at ``(order, xorder)`` the field reads from the tower of
-    the same norm and point at ``(order, xorder + 2)``, which it builds
-    itself; the value is bit-identical to the one on the uncut tower.
+    evaluated on.  The Ricci trace takes four derivatives of the norm, two
+    along ``x``, so on a tower cut at ``(order, xorder)`` the field reads
+    the tower of the same point at ``(order + 1, xorder + 2)`` through
+    :meth:`~finslerconn.finsler.Tower.at` (the structure must still be
+    bound to a name); its value is trusted to order 1 and bit-identical to
+    the one on the uncut tower of order ``order + 1``.
     """
 
     def eval(self, t: Tower) -> Series:
-        if isinstance(t.order, tuple):
-            order, xorder = t.order
-            t = Tower(t.norm, t.point, (order, xorder + 2))
-        return contract("il,lk->ik", t.gi, ricci(CARTAN, t))
+        rg = t.jets.ring
+        deep = t.at((rg.order + 1, rg.xorder + 2))
+        return contract("il,lk->ik", deep.gi, ricci(CARTAN, deep))
 
     def describe(self) -> str:
         return "metric Ricci endomorphism"

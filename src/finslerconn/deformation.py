@@ -192,7 +192,7 @@ class DeformationData:
         """The tower evaluated on, held weakly: its cache holds this data."""
         t = self._tower()
         if t is None:
-            raise ReferenceError("the tower of this deformation data was discarded")
+            raise ReferenceError("this data's tower is gone; bind the structure to a name")
         return t
 
     # -- split and raised forms ----------------------------------------------
@@ -392,12 +392,7 @@ class DeformationData:
 
 def deformation_data(params: DeformationParams, t: Tower) -> DeformationData:
     """The (tower-cached) evaluation of a deformation at one point."""
-    key = (params, "deformation-data")
-    out = t.cache.get(key)
-    if out is None:
-        out = DeformationData(params, t)
-        t.cache[key] = out
-    return out
+    return t.memo((params, "deformation-data"), lambda: DeformationData(params, t))
 
 
 def build(params: DeformationParams) -> Connection:
@@ -576,7 +571,7 @@ def torsion_relations(
     # frame brackets of the tilt (all derivatives along the metric frame)
     dfs = Series.stack([t.delta(fs, a) for a in range(n)])  # [a, l, m]
     dN_y = Series.stack([t.N.d(n + m) for m in range(n)], axis=2)  # [l, j, m]
-    dyfs_m = Series.stack([fs.d(n + m) for m in range(n)])  # [m, l, a]
+    dyfs_m = dyfs.transpose(2, 0, 1)  # [m, l, a]
     lean = contract("ljm,mk->ljk", dN_y, fs)
     drag = contract("mlk,mj->ljk", dyfs_m, fs)
     vh_rhs = (
@@ -625,7 +620,7 @@ def curvature_relations(
     conn = build(params) if conn is None else conn
     NT = d.difference
     fs = d.frame_shift
-    S = curvature_v(CARTAN, t)
+    S = d.S
     P = curvature_mixed(CARTAN, t)
     R = curvature_h(CARTAN, t)
 

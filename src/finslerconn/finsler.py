@@ -16,25 +16,25 @@ modules can keep differentiating them):
 single currency the connection/curvature modules trade in; a value at a
 point is read as ``F.tower(point, order).g.val`` and so on.  ``order`` is
 an int or an ``(order, xorder)`` pair that also truncates the degree in
-the base variables ``x``: each suite names the smallest pair its
-residuals need (``(4, 1)`` for the defining conditions, construction
-routes and process diagram, ``(4, 2)`` for the torsions, ``(4, 0)`` for
-the case catalog, ``(5, 2)`` for the curvatures, and ``(6, 3)`` for the
-differential identities, whose three horizontal derivatives set the
-x-order), and the results are bit-identical to the uncut tower's.
+the base variables ``x``; each suite names the smallest pair its
+residuals need, and the results are bit-identical to the uncut tower's.
 Everything is lazy and cached; invalid inputs (non-positive norm,
 degenerate fundamental tensor) raise :class:`DomainError` when first
-touched.  A tower also offers
-the ``xs``, ``ys`` and ``const`` of its chart jets, so parameter fields are
-evaluated on it and those that read the metric (:class:`HilbertFormField`)
-take it from there; a field that differentiates the metric along ``x``
-(:class:`~finslerconn.connection.RicciEndomorphism`) builds a deeper tower
-of the same norm and point itself, so no caller sizes a tower for it.
+touched.  A tower also offers the ``xs``, ``ys`` and ``const`` of its
+chart jets, so parameter fields are evaluated on it and those that read
+the metric (:class:`HilbertFormField`) take it from there.
+
+Towers are built only by :meth:`FinslerStructure.tower`, which caches them,
+and values derived from a tower are memoized with :meth:`Tower.memo`.  A
+tower holds its structure weakly, so it lives while its structure holds it:
+bind the structure to a name before using :meth:`Tower.at` or
+``deformation_data``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,7 +111,7 @@ class FinslerStructure:
         if tw is None:
             if len(self._towers) >= 1024:
                 self._towers.pop(next(iter(self._towers)))
-            tw = Tower(self.norm, point, order)
+            tw = Tower(self, point, order)
             self._towers[key] = tw
         return tw
 
@@ -153,20 +153,34 @@ class Tower:
     coefficients, so a pair that is too low raises
     :class:`~finslerconn.ad.TruncationError` instead of cutting results).
 
-    The ``cache`` dict is free space for other modules to memoize values
-    derived from this tower (keyed by their own conventions).  The tower
-    keeps the norm, not the structure that caches it, so a dropped
-    structure frees its towers by reference counting, and a field can
-    build a deeper tower of the same norm and point for itself.
+    Built only by :meth:`FinslerStructure.tower`; other modules memoize
+    values derived from a tower with :meth:`memo`.  The tower holds its
+    structure weakly, so a dropped structure frees its towers by reference
+    counting, and :meth:`at` needs the structure still bound to a name.
     """
 
-    def __init__(self, norm: Field, point: ChartPoint, order: int | tuple[int, int]):
-        self.norm = norm
+    def __init__(self, structure: FinslerStructure, point: ChartPoint, order):
+        self.norm = structure.norm
+        self._structure = weakref.ref(structure)
         self.point = point
-        self.order = order
         self.n = point.n
         self.jets = ChartJets.at(point.x, point.y, order)
         self.cache: dict = {}
+
+    def at(self, order: int | tuple[int, int]) -> "Tower":
+        """The tower of the same point at another order, from the structure's cache."""
+        structure = self._structure()
+        if structure is None:
+            raise ReferenceError("this tower's structure is gone; bind the structure to a name")
+        return structure.tower(self.point, order)
+
+    def memo(self, key, make):
+        """The value memoized under ``key`` on this tower, ``make()`` on a miss."""
+        out = self.cache.get(key)
+        if out is None:
+            out = make()
+            self.cache[key] = out
+        return out
 
     # -- base layer ----------------------------------------------------------
 

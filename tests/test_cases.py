@@ -43,7 +43,13 @@ from finslerconn.samples import (
     quartic_three_dim,
     randers,
 )
-from finslerconn.verify import SamplePlan, sample_points
+from finslerconn.verify import (
+    SamplePlan,
+    check_processes,
+    check_theorem,
+    check_torsions,
+    sample_points,
+)
 from tests.test_deformation import P2, data_at
 
 P34 = ChartPoint([0.0, 0.0], [3.0, 4.0])
@@ -294,6 +300,20 @@ def test_metric_constraints_follow_the_evaluating_tower(case_id):
     assert np.array_equal(a.phi.coef, b.phi.coef)
     assert np.array_equal(a.u.coef, b.u.coef)
     assert np.array_equal(a.difference.coef, b.difference.coef)
+
+
+@pytest.mark.parametrize("make", [randers, quartic_three_dim], ids=["randers", "quartic3d"])
+def test_ricci_case_passes_the_suites_that_differentiate_phi(make):
+    """Case 3's phi is the Ricci endomorphism, four derivatives of the norm
+    deep; the defining conditions, torsions and process diagram take one
+    more derivative of it, so it must come from a tower one order deeper
+    than the one it is evaluated on."""
+    F = make()
+    pack = preset(3, F, **default_free_choices(3, F))
+    plan = SamplePlan(theorem_points=2, torsion_points=2, process_points=2)
+    for suite in (check_theorem, check_torsions, check_processes):
+        report = suite(pack, F, plan)
+        assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------

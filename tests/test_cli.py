@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from finslerconn.cli import (
     main,
     parse_config,
 )
+from finslerconn.expr import FUNCTIONS
 
 # ---------------------------------------------------------------------------
 # configuration documents
@@ -211,6 +213,15 @@ class TestInit:
         path = tmp_path / "t.ini"
         assert main(["init", "--out", str(path)]) == 0
         assert load_config(path) == parse_config(default_config_text())
+
+    def test_readme_shows_the_template_byte_for_byte(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert block == default_config_text()
+
+    def test_template_lists_every_expression_function(self):
+        line = next(l for l in default_config_text().splitlines() if l.startswith("# Functions:"))
+        assert line == f"# Functions: {', '.join(FUNCTIONS)}; operators + - * / ^."
 
     def test_refuses_to_overwrite(self, tmp_path, capsys):
         path = tmp_path / "t.ini"

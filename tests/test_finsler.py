@@ -9,13 +9,20 @@ Oracles:
 * homogeneity and the Euler-type contraction identities every Finsler
   structure must satisfy;
 * metric compatibility of the horizontal coefficients.
+
+A source scan guards the one tower cache: towers are built only by
+``FinslerStructure.tower`` and per-tower memos go only through
+``Tower.memo``.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finslerconn
 from finslerconn.ad import ChartJets
 from finslerconn.expr import ExprError, ExprScalarField
 from finslerconn.finsler import (
@@ -332,6 +339,53 @@ def test_tower_is_cached_per_point_and_order():
     assert F.tower(P2, 4) is not F.tower(P2, 5)
     other = ChartPoint(P2.x, P2.y + 0.1)
     assert F.tower(P2, 4) is not F.tower(other, 4)
+
+
+def test_tower_at_reads_the_same_cache():
+    F = randers()
+    t = F.tower(P2, (4, 1))
+    assert t.at((5, 3)) is F.tower(P2, (5, 3))
+    assert t.at((4, 1)) is t
+    del F  # a tower holds its structure weakly
+    with pytest.raises(ReferenceError, match="bind the structure to a name"):
+        t.at((5, 3))
+
+
+def test_tower_memo_computes_once_per_key():
+    F = randers()
+    t = F.tower(P2, 2)
+    calls = []
+    first = t.memo("key", lambda: calls.append(1) or "value")
+    assert t.memo("key", lambda: calls.append(2) or "other") == first == "value"
+    assert calls == [1]
+
+
+def _scoped_nodes(tree):
+    """Every AST node with the names of the classes and functions around it."""
+    stack = [(tree, ())]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def test_towers_are_built_and_memoized_in_one_place():
+    # a tower is built only by FinslerStructure.tower, so every request goes
+    # through its cache, and only Tower touches a tower's memo dict
+    builds, cache_uses = set(), set()
+    for path in sorted(Path(finslerconn.__file__).parent.glob("*.py")):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Tower":
+                    builds.add((path.name, ".".join(scope)))
+            elif isinstance(node, ast.Attribute) and node.attr == "cache":
+                cache_uses.add((path.name, scope[0] if scope else ""))
+    assert builds == {("finsler.py", "FinslerStructure.tower")}
+    assert cache_uses == {("finsler.py", "Tower")}
 
 
 def test_hilbert_form_field_matches_tower():

@@ -2,12 +2,15 @@
 
 Each call site names an ``(order, xorder)`` pair for its towers, whatever
 the pack.  On the 2-d Randers metric and the 3-d quartic metric, with one
-random pack and the case-3 pack (whose Ricci endomorphism takes two
-x-derivatives of the metric, from a deeper tower it builds itself):
+random pack and the case-3 pack (whose Ricci endomorphism reads, for each
+tower ``(order, xorder)`` it is evaluated on, the tower of the same point
+at ``(order + 1, xorder + 2)`` from the structure's cache, so every tower
+request is seen here):
 
 * every site's results are bit-identical to those on uncut towers of the
-  same total order, or both raise ``TruncationError`` (the case-3 pack needs
-  more total order than the torsion and diagram sites have);
+  same total order;
+* the case-3 pack asks for each of the site's pairs and the Ricci pair
+  above it, and nothing else;
 * with the random pack, lowering the x-order of any one pair a site asks
   for by one raises ``TruncationError``, so each cut is checked to be the
   smallest that works, not guessed.
@@ -101,8 +104,9 @@ def test_site_xorder_is_exact(site, metric, monkeypatch):
     if site in PACKLESS:
         return
     ricci_pack = cases.preset(3, F, **cases.default_free_choices(3, F))
-    got = _check_site(monkeypatch, call, pairs, F, ricci_pack, point, lowered=False)
-    assert (got is TruncationError) == (site in ("torsions", "diagram"))
+    ricci_pairs = pairs | {(total + 1, xorder + 2) for total, xorder in pairs}
+    got = _check_site(monkeypatch, call, ricci_pairs, F, ricci_pack, point, lowered=False)
+    assert got is not TruncationError
 
 
 def test_constant_curvature_xorder_is_exact(monkeypatch):

@@ -40,7 +40,8 @@ A few details matter for correctness downstream:
 * A ``Series`` holds a whole numpy *batch* of expansions (``coef`` has shape
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
-  precomputed sparse pair table per ring.
+  precomputed sparse pair table per ring, except that a constant factor
+  just scales the other, with the same bits (:func:`_product`).
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
   how a series contraction is evaluated is decided in this one place.
@@ -261,6 +262,31 @@ def _meet(*series: "Series") -> tuple[TaylorRing, list[np.ndarray]]:
     return rg, [s.coef if s.ring is rg else s.coef[..., s.ring.cut_index(rg)] for s in series]
 
 
+def _product(rg: TaylorRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product in ``rg`` of two coefficient arrays of that ring.
+
+    A constant factor (every coefficient past the constant term zero)
+    scales the other one, broadcast over the batch, instead of running
+    the ring product.  For finite coefficients that is bit-identical to
+    :meth:`TaylorRing.mul_coef`: output ``k`` first receives the pair
+    ``(0, k)``, every later pair adds a signed zero, and the ``+ 0.0``
+    gives the +0.0 the product's sum starts from where the result is
+    zero.  Where the other factor holds an inf or a NaN, the ring product
+    also spreads NaN (``0 * inf``) to the coefficients it pairs with,
+    while the scale keeps the non-finite value where it was (``c * inf``
+    is ±inf, or NaN for ``c = 0``); either way the product holds a
+    non-finite coefficient, so a residual computed from it fails closed.
+    """
+    if not a[..., 1:].any():
+        return a[..., :1] * b + 0.0
+    if not b[..., 1:].any():
+        return a * b[..., :1] + 0.0
+    return rg.mul_coef(a, b)
+
+
+_FLOAT = np.dtype(float)
+
+
 class Series:
     """A numpy batch of truncated Taylor expansions over one ring."""
 
@@ -271,7 +297,10 @@ class Series:
 
     def __init__(self, rg: TaylorRing, coef: np.ndarray):
         self.ring = rg
-        self.coef = np.asarray(coef, dtype=float)
+        # most series are built from float arrays; skip the conversion call
+        if type(coef) is not np.ndarray or coef.dtype is not _FLOAT:
+            coef = np.asarray(coef, dtype=float)
+        self.coef = coef
 
     @property
     def valid(self) -> int:
@@ -361,6 +390,8 @@ class Series:
         return None
 
     def __add__(self, other):
+        if type(other) is Series and other.ring is self.ring:
+            return Series(self.ring, self.coef + other.coef)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -370,6 +401,8 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is Series and other.ring is self.ring:
+            return Series(self.ring, self.coef - other.coef)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -387,13 +420,15 @@ class Series:
         return Series(self.ring, -self.coef)
 
     def __mul__(self, other):
+        if type(other) is Series and other.ring is self.ring:
+            return Series(self.ring, _product(self.ring, self.coef, other.coef))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Series(self.ring, self.coef * float(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
         rg, (a, b) = _meet(self, o)
-        return Series(rg, rg.mul_coef(a, b))
+        return Series(rg, _product(rg, a, b))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -458,7 +493,7 @@ class Series:
         acc = np.zeros(np.broadcast_shapes(self.shape, dcoefs[-1].shape) + (rg.dim,))
         acc[..., 0] = dcoefs[rg.order]
         for m in range(rg.order - 1, -1, -1):
-            acc = rg.mul_coef(acc, t)
+            acc = _product(rg, acc, t)
             acc[..., 0] += dcoefs[m]
         return Series(rg, acc)
 

@@ -52,8 +52,8 @@ from .connection import (
     curvature_v,
     torsions,
 )
-from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
-from .finsler import ChartPoint, FinslerStructure, Tower
+from .expr import ExprCovectorField, ExprError, ExprMatrixField, ExprScalarField
+from .finsler import ChartPoint, DomainError, FinslerStructure, Tower
 
 __all__ = [
     "DeformationParams",
@@ -172,7 +172,10 @@ class DeformationData:
     same tower share the work.  The attributes follow the construction
     stages: parameter values (each field evaluated on the tower), split and
     raised forms, the two shift fields, the difference tensor, and finally
-    the deformed coefficient triple.
+    the deformed coefficient triple.  A field with no value at the point
+    (a division by zero, a log of a non-positive value) raises
+    :class:`~finslerconn.finsler.DomainError` naming its slot and the
+    point, as the norm does in :attr:`~finslerconn.finsler.Tower.L`.
     """
 
     def __init__(self, params: DeformationParams, t: Tower):
@@ -180,12 +183,17 @@ class DeformationData:
         self._tower = weakref.ref(t)
         n = t.n
         self.eye = t.const(np.eye(n))
-        self.f1 = _expect(params.f1.eval(t), (), "f1")
-        self.f2 = _expect(params.f2.eval(t), (), "f2")
-        self.A = _expect(params.A.eval(t), (n,), "A")
-        self.B = _expect(params.B.eval(t), (n,), "B")
-        self.u = _expect(params.u.eval(t), (n,), "u")
-        self.phi = _expect(params.phi.eval(t), (n, n), "phi")
+        for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
+            try:
+                value = getattr(params, slot).eval(t)
+            except (ExprError, DomainError):  # the expression or the metric is at fault
+                raise
+            except (ValueError, ZeroDivisionError) as err:
+                where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
+                raise DomainError(
+                    f"parameter {slot} cannot be evaluated at {where}: {err}"
+                ) from None
+            setattr(self, slot, _expect(value, shape, slot))
 
     @property
     def t(self) -> Tower:
@@ -277,8 +285,10 @@ class DeformationData:
 
     @cached_property
     def S(self) -> Series:
-        """Vertical curvature of the metric connection, shape (n, n, n, n)."""
-        return curvature_v(CARTAN, self.t)
+        """Vertical curvature of the metric connection, shape (n, n, n, n),
+        memoized on the tower so every pack there shares it."""
+        t = self.t
+        return t.memo((CARTAN, "curvature_v"), lambda: curvature_v(CARTAN, t))
 
     def _s_second(self, v: Series) -> Series:
         """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
@@ -425,9 +435,8 @@ def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series
     tensor -- so agreement with :func:`build` confirms both routes.
     """
     d = deformation_data(params, t)
-    n = t.n
     g = t.g
-    dg = Series.stack([t.delta(g, j) for j in range(n)])  # [j, k, l]
+    dg = t.delta_g  # [j, k, l]
     tilt = 2.0 * contract("pkl,pj->jkl", t.T_low, d.frame_shift)
     E = (
         dg

@@ -16,6 +16,7 @@ toolbox.  All syntax errors carry the byte offset of the offending token.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -231,41 +232,60 @@ class _Parser:
         value = _fold_constant(exp_node)
         if value is None:
             raise ExprError("exponent of '^' must be a constant", exp_node.offset)
-        if not (isinstance(value, float) and math.isfinite(value)):
-            raise ExprError("exponent of '^' must be a finite real number", exp_node.offset)
         return BinOp(caret.offset, "^", base, Num(exp_node.offset, value))
 
 
+_CONSTANT_FUNCTIONS = {
+    "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+    "sin": math.sin, "cos": math.cos, "abs": abs,
+}
+_CONSTANT_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": operator.pow,
+}
+
+
 def _fold_constant(node: Node) -> float | None:
-    """Evaluate a variable-free subtree to a float, or return None."""
+    """Evaluate a variable-free subtree to a float, or return None.
+
+    Every variable-free subtree below ``node`` is evaluated too, and one
+    with no finite real value (``1/0``, ``2^2000``, ``1e308*10``,
+    ``log(0)``) raises :class:`ExprError` at its offset.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Neg):
         v = _fold_constant(node.arg)
         return None if v is None else -v
-    if isinstance(node, BinOp):
-        a = _fold_constant(node.left)
-        b = _fold_constant(node.right)
-        if a is None or b is None:
-            return None
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        try:
-            return a / b if node.op == "/" else a**b
-        except (ZeroDivisionError, OverflowError):
-            raise ExprError(f"constant {node.op!r} has no finite value", node.offset) from None
-    return None
+    if isinstance(node, Call):
+        name, op, args = node.func, _CONSTANT_FUNCTIONS[node.func], [_fold_constant(node.arg)]
+    elif isinstance(node, BinOp):
+        name, op = node.op, _CONSTANT_OPS[node.op]
+        args = [_fold_constant(node.left), _fold_constant(node.right)]
+    else:
+        return None
+    if None in args:
+        return None
+    try:
+        value = op(*args)
+    except (ArithmeticError, ValueError):  # division by zero, overflow, math domain
+        value = math.nan
+    if not (isinstance(value, float) and math.isfinite(value)):  # a**b may be complex
+        raise ExprError(f"constant {name!r} has no finite value", node.offset)
+    return value
 
 
 def parse_expression(text: str, n: int) -> Node:
-    """Parse ``text`` over the chart variables x1..xn, y1..yn."""
+    """Parse ``text`` over the chart variables x1..xn, y1..yn.
+
+    A variable-free subexpression with no finite value raises
+    :class:`ExprError` at its offset; the tree is returned as parsed.
+    """
     if n < 1:
         raise ValueError("chart dimension must be at least 1")
-    return _Parser(text, n).parse()
+    node = _Parser(text, n).parse()
+    _fold_constant(node)
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,19 @@ class Tower:
         return horizontal_derivative(s, j, self.N)
 
     @cached_property
+    def delta_g(self) -> Series:
+        """Horizontal derivatives of the fundamental tensor, shape (n, n, n):
+        ``[j, k, l]`` is ``delta_j g_kl``."""
+        return Series.stack([self.delta(self.g, j) for j in range(self.n)])
+
+    @cached_property
     def Gamma(self) -> Series:
         """Metric horizontal coefficients, shape (n, n, n), [i, j, k].
 
         Symmetric in (j, k); together with ``N`` and ``T_mix`` these are the
         coefficients of the metric connection this whole package deforms.
         """
-        D = Series.stack([self.delta(self.g, j) for j in range(self.n)])  # D[a,b,c]
+        D = self.delta_g  # D[a,b,c]
         # low[j,k,l] = (delta_j g_lk + delta_k g_jl - delta_l g_jk) / 2
         low = 0.5 * (
             D.transpose(0, 2, 1) + D.transpose(2, 0, 1) - D.transpose(1, 2, 0)

@@ -10,6 +10,7 @@ Oracles used here, in order of strength:
 """
 
 import ast
+import dataclasses
 import gc
 import math
 import weakref
@@ -34,8 +35,9 @@ from finslerconn.ad import (
     ring,
 )
 from finslerconn.cases import default_free_choices, preset
+from finslerconn.deformation import DeformationParams
 from finslerconn.finsler import ChartPoint, Tower
-from finslerconn.verify import SamplePlan, check_curvatures, run_all
+from finslerconn.verify import SamplePlan, check_curvatures, check_theorem, run_all
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +555,94 @@ def test_truncated_compose_and_matinv_are_bit_identical(nvars, order):
         assert got.coef.shape[-1] == head, ("matinv", valid)
         scale = np.max(np.abs(full[..., :head]))
         assert np.max(np.abs(got.coef - full[..., :head])) <= 1e-14 * scale, ("matinv", valid)
+
+
+# ---------------------------------------------------------------------------
+# constant operands: a factor with no coefficient past the constant term
+# scales the other instead of running the ring product
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+constant_terms = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def constant_products(draw):
+    """A ring, a constant and a general coefficient array of broadcast batch shapes."""
+    nvars = draw(st.integers(2, 6))
+    order = draw(st.integers(0, 6))
+    rg = ring(nvars, order, draw(st.none() | st.integers(0, order)))
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    # each operand keeps some axes of the batch and sets the others to 1
+    shapes = [
+        tuple(k if draw(st.booleans()) else 1 for k in batch)[draw(st.integers(0, len(batch))):]
+        for _ in range(2)
+    ]
+    values = draw(st.lists(constant_terms, min_size=math.prod(shapes[0]), max_size=math.prod(shapes[0])))
+    const = np.zeros(shapes[0] + (rg.dim,))
+    const[..., 0] = np.reshape(values, shapes[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    other = rng.uniform(-2.0, 2.0, shapes[1] + (rg.dim,))
+    other[rng.random(other.shape) < 0.2] = 0.0
+    other[rng.random(other.shape) < 0.2] = -0.0
+    return rg, const, other, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_products())
+def test_constant_factor_product_is_bit_identical_to_the_ring_product(case):
+    rg, const, other, const_left = case
+    a, b = (const, other) if const_left else (other, const)
+    got = Series(rg, a) * Series(rg, b)
+    want = rg.mul_coef(a, b)
+    assert got.coef.shape == want.shape
+    assert np.array_equal(_bits(got.coef), _bits(want))
+    # an ndarray operand is lifted to the same constant series
+    got = const[..., 0] * Series(rg, other) if const_left else Series(rg, other) * const[..., 0]
+    assert np.array_equal(_bits(got.coef), _bits(rg.mul_coef(a, b)))
+
+
+@pytest.mark.parametrize("nvars,order,xorder", [(2, 0, None), (2, 3, None), (4, 4, 2), (6, 5, None)])
+def test_compose_is_bit_identical_to_the_ring_product_horner(nvars, order, xorder):
+    # _compose's accumulator starts constant, so its first Horner step scales
+    rg = ring(nvars, order, xorder)
+    rng = np.random.default_rng(nvars + order)
+    s = Series(rg, rng.uniform(-0.5, 0.5, (2, rg.dim)))
+    t = s.coef.copy()
+    t[..., 0] = 0.0
+    lower = [rng.uniform(-2.0, 2.0, 2) for _ in range(order)]
+    for top in (np.array([0.0, -0.0]), rng.uniform(-2.0, 2.0, 2)):  # zero and nonzero
+        dcoefs = lower + [top]
+        want = np.zeros(s.coef.shape)
+        want[..., 0] = top
+        for m in range(order - 1, -1, -1):
+            want = rg.mul_coef(want, t)
+            want[..., 0] += dcoefs[m]
+        assert np.array_equal(_bits(s._compose(dcoefs).coef), _bits(want))
+
+
+def test_infinite_constant_one_form_still_fails_the_theorem_rows():
+    # an inf constant term reaches the products as a constant factor; the
+    # rows that read the deformed horizontal part still come out NaN
+    F = samples.randers()
+    for slot, value in (("A", [np.inf, 0.0]), ("B", [np.inf, np.inf]), ("u", [0.0, -np.inf])):
+        pack = dataclasses.replace(
+            DeformationParams.zero(2, "inf"),
+            f1=Constant(0.3), f2=Constant(-0.2), phi=Constant([[1.0, 0.5], [0.0, 1.0]]),
+            **{slot: Constant(value)},
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = check_theorem(pack, F, SamplePlan(theorem_points=2))
+        rows = {row.label: row for row in report.rows}
+        assert not report.passed, slot
+        for label in ("condition-(i)-horizontal-deficit", "condition-(iii)-quarter-torsion"):
+            assert not rows[label].passed and math.isnan(rows[label].residual), (slot, label)
 
 
 # ---------------------------------------------------------------------------

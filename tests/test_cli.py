@@ -412,13 +412,41 @@ class TestReport:
 
     def test_non_finite_value_fails_the_report(self, tmp_path, capsys):
         # finite literals whose product overflows only at evaluation
-        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", "f1 = 1e308*10"))
+        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", "f1 = 1e308*(10 + x1)"))
         out = tmp_path / "r.json"
         assert main(["report", "--config", ini, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "metric 'euclidean', params 'mild'" in err
         assert "not JSON compliant" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "f1, offset, op",
+        [("1/0 + x1", 1, "/"), ("2^2000*y1", 1, "^"), ("1e308*10", 5, "*"), ("y1*log(0)", 3, "log")],
+    )
+    def test_constant_without_a_finite_value_is_an_offset_error(self, tmp_path, capsys, f1, offset, op):
+        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", f"f1 = {f1}"))
+        for command in ("report", "diagram"):
+            assert main([command, "--config", ini, "--out", str(tmp_path / "o.json")]) == 2
+            err = capsys.readouterr().err
+            assert f"[params:mild] f1: constant '{op}' has no finite value (at offset {offset})" in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "f1, cause",
+        [("y1/0", "zero constant term has no reciprocal"), ("log(x1 - 1)", "log of a series")],
+    )
+    def test_parameter_without_a_value_at_a_point_names_slot_and_point(
+        self, tmp_path, capsys, f1, cause
+    ):
+        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", f"f1 = {f1}"))
+        for command in ("report", "diagram"):
+            assert main([command, "--config", ini, "--out", str(tmp_path / "o.json")]) == 2
+            err = capsys.readouterr().err
+            assert "parameter f1 cannot be evaluated at x = [" in err
+            assert "], y = [" in err
+            assert cause in err
+        assert not (tmp_path / "o.json").exists()
 
     def test_unknown_metric_is_config_error(self, capsys):
         assert main(["report", "--metric", "nosuch"]) == 2

@@ -143,6 +143,32 @@ def test_constant_exponent_without_a_value_rejected():
     assert err.value.offset == 5  # the '/'
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("1/0 + x1", 1),  # division by zero
+        ("2^2000*y1", 1),  # overflow raised by the power
+        ("y1 + 1e308*10", 10),  # overflow to inf
+        ("x1*log(0)", 3),  # outside a function's domain
+        ("(-8)^(1/3)*y1", 4),  # a complex power
+        ("x1 / (1/(1e308*10))", 14),  # an inner subexpression without a value
+    ],
+)
+def test_constant_subexpression_without_a_finite_value_rejected(text, offset):
+    with pytest.raises(ExprError, match="has no finite value") as err:
+        parse_expression(text, 2)
+    assert err.value.offset == offset
+
+
+def test_constant_subexpressions_with_finite_values_parse_unchanged():
+    ast = parse_expression("y1/0.5 + sqrt(2)*exp(3)*x1 - (-2)^2", 2)
+    quotient = BinOp(0, "/", Var(0, "y", 1), Num(0, 0.5))
+    factor = BinOp(0, "*", Call(0, "sqrt", Num(0, 2.0)), Call(0, "exp", Num(0, 3.0)))
+    square = BinOp(0, "^", Neg(0, Num(0, 2.0)), Num(0, 2.0))
+    assert ast == BinOp(0, "-", BinOp(0, "+", quotient, BinOp(0, "*", factor, Var(0, "x", 1))), square)
+    parse_expression("y1/0", 2)  # not variable-free: fails at evaluation, as a DomainError
+
+
 def test_deep_nesting_rejected():
     with pytest.raises(ExprError, match="nested") as err:
         parse_expression("(" * 5000 + "x1" + ")" * 5000, 2)

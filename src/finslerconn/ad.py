@@ -45,6 +45,9 @@ A few details matter for correctness downstream:
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
   how a series contraction is evaluated is decided in this one place.
+* Every gradient is one call built on :meth:`Series.d`: :meth:`Series.dx`
+  and :meth:`Series.dy` stack the partials along ``x`` or ``y`` on a new
+  batch axis (``g.dy(axis=2)[i, j, k]`` is ``dg_ij/dy_k``).
 
 Typical usage::
 
@@ -482,6 +485,15 @@ class Series:
             )
         src, fac, low = rg._diff_table(var)
         return Series(low, self.coef[..., src] * fac)
+
+    def dx(self, axis: int = 0) -> "Series":
+        """The partials along the base variables, stacked on a new batch axis."""
+        return Series.stack([self.d(k) for k in range(self.ring.nvars // 2)], axis=axis)
+
+    def dy(self, axis: int = 0) -> "Series":
+        """The partials along the fiber variables, stacked on a new batch axis."""
+        n = self.ring.nvars // 2
+        return Series.stack([self.d(n + k) for k in range(n)], axis=axis)
 
     # -- analytic functions -------------------------------------------------
 

@@ -19,7 +19,8 @@ module pins all twenty-six members of that catalog:
   tensor against the closed form at given points; the verdict against the
   configured tolerance is :func:`finslerconn.verify.check_cases`'s.
 
-Four entries (ids 11-14) are flagged ``typo``: their traditional displays
+Four entries (ids 11-14) carry a ``printed`` closed form besides the
+regenerated one, which flags them ``typo``: their traditional displays
 put the wrong one-form in the vertical-curvature slot (the one-form of the
 weight that the case constraints switch off, so the printed term silently
 vanishes).  For those, :func:`check_case` asserts the regenerated form and
@@ -297,7 +298,7 @@ def _id_tail(ws: _Workspace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _delta_1(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_1(ws: _Workspace) -> np.ndarray:
     av = ws.avec
     out = -ws.f1 * (
         ws.A[None, :, None] * ws.eye[:, None, :]
@@ -310,27 +311,27 @@ def _delta_1(ws: _Workspace, literal: bool = False) -> np.ndarray:
     return out + _phi_tail_full(ws)
 
 
-def _delta_2(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_2(ws: _Workspace) -> np.ndarray:
     return _phi_tail_full(ws)
 
 
-def _delta_4(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_4(ws: _Workspace) -> np.ndarray:
     return _phi_tail_sym(ws)
 
 
-def _delta_5(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_5(ws: _Workspace) -> np.ndarray:
     return _phi_tail_antisym(ws)
 
 
-def _delta_6(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_6(ws: _Workspace) -> np.ndarray:
     return 0.5 * _a_block(ws, ws.A, ws.avec) + _phi_tail_full(ws)
 
 
-def _delta_7(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_7(ws: _Workspace) -> np.ndarray:
     return ws.f1 * _a_block(ws, ws.A, ws.avec) + _phi_tail_sym(ws)
 
 
-def _delta_8(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_8(ws: _Workspace) -> np.ndarray:
     # Printed with the metric and weight g-terms merged: g(. - phi1(.), Y)u.
     uv = ws.uvec
     out = (ws.g - ws.gphi1)[None, :, :] * uv[:, None, None]
@@ -347,54 +348,50 @@ def _delta_8(ws: _Workspace, literal: bool = False) -> np.ndarray:
     return out
 
 
-def _delta_9(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_9(ws: _Workspace) -> np.ndarray:
     return ws.f1 * _a_block(ws, ws.A, ws.avec) + _phi_tail_antisym(ws)
 
 
-def _delta_10(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_10(ws: _Workspace) -> np.ndarray:
     return _a_block(ws, ws.u, ws.uvec) + _phi_tail_antisym(ws)
 
 
-def _delta_11(ws: _Workspace, literal: bool = False) -> np.ndarray:
-    sv = ws.avec if literal else None
-    return -ws.f2 * _b_block(ws, ws.bvec, s_vec=sv) + _phi_tail_sym(ws)
+def _delta_11(ws: _Workspace) -> np.ndarray:
+    return -ws.f2 * _b_block(ws, ws.bvec) + _phi_tail_sym(ws)
 
 
-def _delta_12(ws: _Workspace, literal: bool = False) -> np.ndarray:
-    sv = ws.avec if literal else None
-    return -ws.f2 * _b_block(ws, ws.uvec, s_vec=sv) + _phi_tail_sym(ws)
+def _delta_12(ws: _Workspace) -> np.ndarray:
+    return -ws.f2 * _b_block(ws, ws.uvec) + _phi_tail_sym(ws)
 
 
-def _delta_13(ws: _Workspace, literal: bool = False) -> np.ndarray:
-    sv = ws.avec if literal else None
-    return -ws.f2 * _b_block(ws, ws.bvec, s_vec=sv) + _phi_tail_antisym(ws)
+def _delta_13(ws: _Workspace) -> np.ndarray:
+    return -ws.f2 * _b_block(ws, ws.bvec) + _phi_tail_antisym(ws)
 
 
-def _delta_14(ws: _Workspace, literal: bool = False) -> np.ndarray:
-    sv = ws.avec if literal else None
-    return -ws.f2 * _b_block(ws, ws.uvec, s_vec=sv) + _phi_tail_antisym(ws)
+def _delta_14(ws: _Workspace) -> np.ndarray:
+    return -ws.f2 * _b_block(ws, ws.uvec) + _phi_tail_antisym(ws)
 
 
-def _delta_15(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_15(ws: _Workspace) -> np.ndarray:
     return _id_tail(ws)
 
 
-def _delta_16(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_16(ws: _Workspace) -> np.ndarray:
     return (
         -(1.0 / ws.L) * ws.y[:, None, None] * ws.g[None, :, :]
         + ws.eye[:, :, None] * ws.ell[None, None, :]
     )
 
 
-def _delta_17(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_17(ws: _Workspace) -> np.ndarray:
     return ws.f1 * _a_block_exp(ws, ws.A, ws.avec) + _id_tail(ws)
 
 
-def _delta_18(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_18(ws: _Workspace) -> np.ndarray:
     return 0.5 * _a_block_exp(ws, ws.A, ws.avec) + _id_tail(ws)
 
 
-def _delta_19(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_19(ws: _Workspace) -> np.ndarray:
     return -0.5 * (
         (1.0 / ws.L) * ws.y[:, None, None] * ws.g[None, :, :]
         + ws.ell[None, :, None] * ws.eye[:, None, :]
@@ -402,34 +399,34 @@ def _delta_19(ws: _Workspace, literal: bool = False) -> np.ndarray:
     )
 
 
-def _delta_20(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_20(ws: _Workspace) -> np.ndarray:
     return -ws.f2 * _b_block_exp(ws, ws.bvec) + _id_tail(ws)
 
 
-def _delta_21(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_21(ws: _Workspace) -> np.ndarray:
     return _b_block_exp(ws, ws.bvec) + _id_tail(ws)
 
 
-def _delta_22(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_22(ws: _Workspace) -> np.ndarray:
     return ws.eye[:, :, None] * ws.u[None, None, :]
 
 
-def _delta_23(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_23(ws: _Workspace) -> np.ndarray:
     return ws.f1 * _a_block(ws, ws.A, ws.avec) - ws.f2 * _b_block(ws, ws.bvec)
 
 
-def _delta_24(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_24(ws: _Workspace) -> np.ndarray:
     return 0.5 * _a_block(ws, ws.A, ws.avec)
 
 
-def _delta_25(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_25(ws: _Workspace) -> np.ndarray:
     return (
         ws.A[None, :, None] * ws.eye[:, None, :]
         + ws.A[None, None, :] * ws.eye[:, :, None]
     )
 
 
-def _delta_26(ws: _Workspace, literal: bool = False) -> np.ndarray:
+def _delta_26(ws: _Workspace) -> np.ndarray:
     return 0.5 * (
         (1.0 / ws.L) * ws.y[:, None, None] * ws.g[None, :, :]
         - ws.ell[None, :, None] * ws.eye[:, None, :]
@@ -464,11 +461,16 @@ class CasePreset:
     title: str
     constraints: str
     free: tuple[str, ...]
-    typo: bool = False
     convention: bool = False
     has_display: bool = True
     build: Callable[[int, dict], DeformationParams] = field(default=None, repr=False)
-    delta: Callable[[_Workspace, bool], np.ndarray] = field(default=None, repr=False)
+    delta: Callable[[_Workspace], np.ndarray] = field(default=None, repr=False)
+    printed: Callable[[_Workspace], np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def typo(self) -> bool:
+        """Whether the printed display (``printed``) differs from ``delta``."""
+        return self.printed is not None
 
 
 _PRESETS: list[CasePreset] = [
@@ -562,40 +564,40 @@ _PRESETS: list[CasePreset] = [
         "quarter-symmetric non-metric, second weight, symmetric part",
         "f1 = 0; phi g-symmetric",
         ("f2", "B", "u", "phi"),
-        typo=True,
         build=lambda n, c: _assemble(n, 11, f2=c["f2"], B=c["B"], u=c["u"], phi=_sym(c["phi"])),
         delta=_delta_11,
+        printed=lambda ws: -ws.f2 * _b_block(ws, ws.bvec, s_vec=ws.avec) + _phi_tail_sym(ws),
     ),
     CasePreset(
         12,
         "quarter-symmetric non-metric, drift second weight, symmetric part",
         "f1 = 0; B = u; phi g-symmetric",
         ("f2", "u", "phi"),
-        typo=True,
         build=lambda n, c: _assemble(n, 12, f2=c["f2"], B=c["u"], u=c["u"], phi=_sym(c["phi"])),
         delta=_delta_12,
+        printed=lambda ws: -ws.f2 * _b_block(ws, ws.uvec, s_vec=ws.avec) + _phi_tail_sym(ws),
     ),
     CasePreset(
         13,
         "quarter-symmetric non-metric, second weight, antisymmetric part",
         "f1 = 0; phi g-antisymmetric",
         ("f2", "B", "u", "phi"),
-        typo=True,
         build=lambda n, c: _assemble(
             n, 13, f2=c["f2"], B=c["B"], u=c["u"], phi=_antisym(c["phi"])
         ),
         delta=_delta_13,
+        printed=lambda ws: -ws.f2 * _b_block(ws, ws.bvec, s_vec=ws.avec) + _phi_tail_antisym(ws),
     ),
     CasePreset(
         14,
         "quarter-symmetric non-metric, drift second weight, antisymmetric part",
         "f1 = 0; B = u; phi g-antisymmetric",
         ("f2", "u", "phi"),
-        typo=True,
         build=lambda n, c: _assemble(
             n, 14, f2=c["f2"], B=c["u"], u=c["u"], phi=_antisym(c["phi"])
         ),
         delta=_delta_14,
+        printed=lambda ws: -ws.f2 * _b_block(ws, ws.uvec, s_vec=ws.avec) + _phi_tail_antisym(ws),
     ),
     CasePreset(
         15,
@@ -814,7 +816,7 @@ def closed_form_delta(
     case_id: int, params: DeformationParams, F: FinslerStructure, point: ChartPoint
 ) -> np.ndarray:
     """The catalog's closed-form difference tensor ``[i, j, k]`` at a point."""
-    return _require(case_id).delta(_Workspace(params, F, point), False)
+    return _require(case_id).delta(_Workspace(params, F, point))
 
 
 def check_case(
@@ -841,10 +843,10 @@ def check_case(
     for p in pts:
         ws = _Workspace(params, F, p)
         built = bump(ws.difference, perturbation)
-        target = spec.delta(ws, False)
+        target = spec.delta(ws)
         residuals.append(relative_residual(built - target, built, target))
         if literal_forms:
-            printed = spec.delta(ws, True)
+            printed = spec.printed(ws)
             literal.append(relative_residual(built - printed, built, printed))
     return {
         "id": spec.id,

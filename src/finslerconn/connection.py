@@ -32,13 +32,12 @@ from functools import cached_property
 from typing import Callable
 
 from .ad import Series, contract
-from .finsler import Tower, horizontal_derivative
+from .finsler import Tower, horizontal_gradient
 
 __all__ = [
     "Connection",
     "CARTAN",
     "TorsionBundle",
-    "contract_index",
     "nonlinear_curvature",
     "torsions",
     "curvature_h",
@@ -56,8 +55,8 @@ __all__ = [
 class Connection:
     """A named coefficient triple; each part maps a tower to a series.
 
-    Results are memoized on the tower, so repeated queries (torsions, then
-    curvatures, then identity checks at the same point) pay once.
+    ``N``, ``H``, ``V`` and the nonlinear curvature are memoized on the
+    tower; torsions and other curvatures are computed on every call.
     """
 
     name: str
@@ -77,9 +76,10 @@ class Connection:
     def _memo(self, t: Tower, slot: str, producer) -> Series:
         return t.memo((self, slot), lambda: producer(t))
 
-    def delta(self, t: Tower, s: Series, j: int) -> Series:
-        """Horizontal derivative of a series using this connection's N."""
-        return horizontal_derivative(s, j, self.N(t))
+    def delta(self, t: Tower, s: Series) -> Series:
+        """Horizontal gradient of a series using this connection's N:
+        ``[j, ...]`` is ``delta_j s[...]`` (see :func:`horizontal_gradient`)."""
+        return horizontal_gradient(s, self.N(t))
 
 
 CARTAN = Connection(
@@ -92,16 +92,7 @@ CARTAN = Connection(
 
 
 # ---------------------------------------------------------------------------
-# small contraction helpers
-
-
-def contract_index(A: Series, W: Series, axis: int) -> Series:
-    """Contract ``A[i, p]`` against index ``axis`` of ``W``, in place.
-
-    Returns a series shaped like ``W`` with that index replaced by ``i``.
-    """
-    w = "abcdefgh"[: len(W.shape)]
-    return contract(f"ip,{w[:axis]}p{w[axis + 1:]}->{w[:axis]}i{w[axis + 1:]}", A, W)
+# small helpers
 
 
 def _alt(C: Series) -> Series:
@@ -150,9 +141,7 @@ class TorsionBundle:
 
     @cached_property
     def vhv(self) -> Series:
-        n, N = self.t.n, self.conn.N(self.t)
-        dyN = Series.stack([N.d(n + k) for k in range(n)], axis=2)  # [i, j, k]
-        return dyN - self.conn.H(self.t)
+        return self.conn.N(self.t).dy(axis=2) - self.conn.H(self.t)
 
     @cached_property
     def vv(self) -> Series:
@@ -164,8 +153,7 @@ def nonlinear_curvature(conn: Connection, t: Tower) -> Series:
     """``vh`` torsion: R[l, j, k] = delta_k N^l_j - delta_j N^l_k."""
 
     def make() -> Series:
-        N = conn.N(t)
-        dN = Series.stack([conn.delta(t, N, j) for j in range(t.n)])  # [a, l, j]
+        dN = conn.delta(t, conn.N(t))  # [a, l, j]
         # delta_k N^l_j as [l, j, k], then antisymmetrize the argument slots
         D = dN.transpose(1, 2, 0)
         return D - D.transpose(0, 2, 1)
@@ -184,10 +172,9 @@ def torsions(conn: Connection, t: Tower) -> TorsionBundle:
 
 def curvature_h(conn: Connection, t: Tower) -> Series:
     """Horizontal curvature R[i, m, j, k] of the triple."""
-    n = t.n
     H = conn.H(t)
     V = conn.V(t)
-    dH = Series.stack([conn.delta(t, H, a) for a in range(n)])  # [a, i, j, m]
+    dH = conn.delta(t, H)  # [a, i, j, m]
     A = dH.transpose(1, 3, 2, 0)  # A[i, m, j, k] = delta_k H^i_jm
     B = contract("ikl,ljm->imjk", H, H)  # B[i, m, j, k] = H^i_kl H^l_jm
     return _alt(A) + _alt(B) + contract("ilm,ljk->imjk", V, nonlinear_curvature(conn, t))
@@ -195,13 +182,11 @@ def curvature_h(conn: Connection, t: Tower) -> Series:
 
 def curvature_mixed(conn: Connection, t: Tower) -> Series:
     """Mixed curvature P[i, m, j, k]; j is horizontal, k vertical."""
-    n = t.n
     H = conn.H(t)
     V = conn.V(t)
-    N = conn.N(t)
-    dyH = Series.stack([H.d(n + a) for a in range(n)])  # [a, i, j, m]
-    dV = Series.stack([conn.delta(t, V, a) for a in range(n)])  # [a, i, k, m]
-    dyN = Series.stack([N.d(n + k) for k in range(n)], axis=2)  # [l, j, k]
+    dyH = H.dy()  # [a, i, j, m]
+    dV = conn.delta(t, V)  # [a, i, k, m]
+    dyN = conn.N(t).dy(axis=2)  # [l, j, k]
     return (
         dyH.transpose(1, 3, 2, 0)  # dH^i_jm / dy_k
         + contract("ikl,ljm->imjk", V, H)  # V^i_kl H^l_jm
@@ -213,10 +198,8 @@ def curvature_mixed(conn: Connection, t: Tower) -> Series:
 
 def curvature_v(conn: Connection, t: Tower) -> Series:
     """Vertical curvature S[i, m, j, k] of the triple."""
-    n = t.n
     V = conn.V(t)
-    dyV = Series.stack([V.d(n + a) for a in range(n)])  # [a, i, j, m]
-    A = dyV.transpose(1, 3, 2, 0)  # dV^i_jm / dy_k
+    A = V.dy().transpose(1, 3, 2, 0)  # dV^i_jm / dy_k
     B = contract("ikl,ljm->imjk", V, V)
     return _alt(A) + _alt(B)
 
@@ -236,17 +219,13 @@ def cov_deriv(conn: Connection, t: Tower, W: Series, horizontal: bool) -> Series
     ``W`` has its upper index on axis 0 and lower indices after it.  The
     result gains a leading direction axis: ``out[l, i, a_1..a_s]``.
     """
-    n = t.n
     C = conn.H(t) if horizontal else conn.V(t)
-    nlow = len(W.shape) - 1
-    rows = []
-    for l in range(n):
-        out = conn.delta(t, W, l) if horizontal else W.d(n + l)
-        out = out + contract_index(C[:, l, :], W, 0)
-        for s in range(nlow):
-            out = out - contract_index(C.transpose(2, 1, 0)[:, l, :], W, 1 + s)
-        rows.append(out)
-    return Series.stack(rows)
+    w = "abcdefgh"[: len(W.shape)]
+    out = conn.delta(t, W) if horizontal else W.dy()
+    out = out + contract(f"ilp,p{w[1:]}->li{w[1:]}", C, W)
+    for s in range(1, len(w)):  # each lower index p of W: - C^p_li W[.. p ..]
+        out = out - contract(f"pli,{w[:s]}p{w[s + 1:]}->l{w[:s]}i{w[s + 1:]}", C, W)
+    return out
 
 
 def metric_deficit(conn: Connection, t: Tower, horizontal: bool) -> Series:
@@ -256,15 +235,11 @@ def metric_deficit(conn: Connection, t: Tower, horizontal: bool) -> Series:
     connection's own nonlinear part inside delta); vertical analog with V
     and the fiber derivative.  Vanishing is metric compatibility.
     """
-    n = t.n
     g = t.g
     C = conn.H(t) if horizontal else conn.V(t)
-    rows = []
-    for j in range(n):
-        base = conn.delta(t, g, j) if horizontal else g.d(n + j)
-        corr = contract("mk,ml->kl", C[:, j, :], g)
-        rows.append(base - corr - corr.transpose(1, 0))
-    return Series.stack(rows)
+    base = conn.delta(t, g) if horizontal else g.dy()
+    corr = contract("mjk,ml->jkl", C, g)
+    return base - corr - corr.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .connection import (
     torsions,
 )
 from .expr import ExprCovectorField, ExprError, ExprMatrixField, ExprScalarField
-from .finsler import ChartPoint, DomainError, FinslerStructure, Tower
+from .finsler import ChartPoint, DomainError, FinslerStructure, Tower, horizontal_gradient
 
 __all__ = [
     "DeformationParams",
@@ -156,15 +156,6 @@ def _all_texts(slot: str, components: dict[str, object]) -> bool:
     return all(texts)
 
 
-def _expect(series: Series, shape: tuple[int, ...], label: str) -> Series:
-    if series.shape != shape:
-        raise ValueError(
-            f"parameter field {label} evaluated to shape {series.shape}, "
-            f"expected {shape}"
-        )
-    return series
-
-
 class DeformationData:
     """Every series one deformation needs, evaluated on one tower.
 
@@ -173,7 +164,8 @@ class DeformationData:
     stages: parameter values (each field evaluated on the tower), split and
     raised forms, the two shift fields, the difference tensor, and finally
     the deformed coefficient triple.  A field with no value at the point
-    (a division by zero, a log of a non-positive value) raises
+    (a division by zero, a log of a non-positive value) or with a value or
+    derivative that is not finite (an overflow) raises
     :class:`~finslerconn.finsler.DomainError` naming its slot and the
     point, as the norm does in :attr:`~finslerconn.finsler.Tower.L`.
     """
@@ -193,7 +185,16 @@ class DeformationData:
                 raise DomainError(
                     f"parameter {slot} cannot be evaluated at {where}: {err}"
                 ) from None
-            setattr(self, slot, _expect(value, shape, slot))
+            if value.shape != shape:
+                raise ValueError(
+                    f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
+                )
+            if not np.isfinite(value.coef).all():
+                where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
+                raise DomainError(
+                    f"parameter {slot} is not finite at {where}: value {value.val.tolist()}"
+                )
+            setattr(self, slot, value)
 
     @property
     def t(self) -> Tower:
@@ -563,7 +564,6 @@ def torsion_relations(
     t = F.tower(point, _TORSION_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
-    n = t.n
     tb = torsions(conn, t)
     tc = torsions(CARTAN, t)
     fs = d.frame_shift
@@ -573,13 +573,13 @@ def torsion_relations(
     )
 
     # vertical derivative of the tilt, with the Cartan tensor correction
-    dyfs = Series.stack([fs.d(n + k) for k in range(n)], axis=2)  # [i, j, k]
+    dyfs = fs.dy(axis=2)  # [i, j, k]
     tfs = contract("ipk,pj->ijk", t.T_mix, fs)
     vhv_rhs = tc.vhv - (dyfs + tfs) - d.difference
 
     # frame brackets of the tilt (all derivatives along the metric frame)
-    dfs = Series.stack([t.delta(fs, a) for a in range(n)])  # [a, l, m]
-    dN_y = Series.stack([t.N.d(n + m) for m in range(n)], axis=2)  # [l, j, m]
+    dfs = horizontal_gradient(fs, t.N)  # [a, l, m]
+    dN_y = t.N.dy(axis=2)  # [l, j, m]
     dyfs_m = dyfs.transpose(2, 0, 1)  # [m, l, a]
     lean = contract("ljm,mk->ljk", dN_y, fs)
     drag = contract("mlk,mj->ljk", dyfs_m, fs)

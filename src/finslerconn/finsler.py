@@ -11,6 +11,8 @@ modules can keep differentiating them):
 * the geodesic spray coefficients ``G^i``, the canonical nonlinear
   connection ``N^i_j = dG^i/dy_j``, and the metric horizontal coefficients
   built from horizontal derivatives ``delta_j = d/dx_j - N^m_j d/dy_m``.
+  :func:`horizontal_gradient` takes every ``delta_j`` at once from the
+  gradients :meth:`~finslerconn.ad.Series.dx` and ``dy``.
 
 :class:`Tower` bundles these for one (structure, point, order) and is the
 single currency the connection/curvature modules trade in; a value at a
@@ -49,7 +51,7 @@ __all__ = [
     "FinslerStructure",
     "Tower",
     "HilbertFormField",
-    "horizontal_derivative",
+    "horizontal_gradient",
 ]
 
 
@@ -133,12 +135,14 @@ class FinslerStructure:
         tw.g  # touching it performs the positivity/convexity checks
 
 
-def horizontal_derivative(s: Series, j: int, N: Series) -> Series:
-    """delta_j s = ds/dx_j - N^m_j ds/dy_m, subtracting the terms in order of m."""
-    n = N.shape[0]
-    out = s.d(j)
-    for m in range(n):
-        out = out - N[m, j] * s.d(n + m)
+def horizontal_gradient(s: Series, N: Series) -> Series:
+    """``delta_j s = ds/dx_j - N^m_j ds/dy_m`` for every ``j``, on a new leading
+    axis; the terms are subtracted in order of ``m``, as per index."""
+    dy = s.dy()
+    out = s.dx()
+    spread = (slice(None),) + (None,) * len(s.shape)  # N^m_j against s[...]
+    for m in range(N.shape[0]):
+        out = out - N[(m,) + spread] * dy[m]
     return out
 
 
@@ -209,12 +213,7 @@ class Tower:
     @cached_property
     def g(self) -> Series:
         """Fundamental tensor, shape (n, n)."""
-        n = self.n
-        grads = [self.L2.d(n + i) for i in range(n)]
-        rows = [
-            Series.stack([grads[i].d(n + j) * 0.5 for j in range(n)]) for i in range(n)
-        ]
-        g = Series.stack(rows)
+        g = self.L2.dy().dy(axis=1) * 0.5
         where = f"x = {self.point.x.tolist()}, y = {self.point.y.tolist()}"
         if not np.all(np.isfinite(g.val)):
             raise DomainError(f"fundamental tensor is not finite at {where}: {g.val.tolist()}")
@@ -234,8 +233,7 @@ class Tower:
     @cached_property
     def T_low(self) -> Series:
         """Lowered Cartan tensor T_ijk, shape (n, n, n), totally symmetric."""
-        n = self.n
-        return Series.stack([self.g.d(n + k) * 0.5 for k in range(n)], axis=2)
+        return self.g.dy(axis=2) * 0.5
 
     @cached_property
     def T_mix(self) -> Series:
@@ -245,38 +243,31 @@ class Tower:
     @cached_property
     def ell(self) -> Series:
         """Hilbert form components l_i = dL/dy_i, shape (n,)."""
-        n = self.n
-        return Series.stack([self.L.d(n + i) for i in range(n)])
+        return self.L.dy()
 
     # -- spray layer ---------------------------------------------------------
 
     @cached_property
     def G(self) -> Series:
         """Geodesic spray coefficients G^i, shape (n,)."""
-        n = self.n
-        grads = [self.L2.d(n + l) for l in range(n)]
-        rows = []
-        for l in range(n):
-            mixed = Series.stack([grads[l].d(m) for m in range(n)])
-            rows.append(contract("m,m->", mixed, self.jets.ys) - self.L2.d(l))
-        rhs = Series.stack(rows)
+        rhs = contract("lm,m->l", self.L2.dy().dx(axis=1), self.jets.ys) - self.L2.dx()
         return 0.25 * contract("il,l->i", self.gi, rhs)
 
     @cached_property
     def N(self) -> Series:
         """Canonical nonlinear connection N^i_j = dG^i/dy_j, shape (n, n)."""
-        n = self.n
-        return Series.stack([self.G.d(n + j) for j in range(n)], axis=1)
+        return self.G.dy(axis=1)
 
     def delta(self, s: Series, j: int) -> Series:
-        """Horizontal derivative delta_j = d/dx_j - N^m_j d/dy_m of a series."""
-        return horizontal_derivative(s, j, self.N)
+        """Horizontal derivative delta_j = d/dx_j - N^m_j d/dy_m of a series,
+        the ``j``-th entry of :func:`horizontal_gradient`."""
+        return horizontal_gradient(s, self.N)[j]
 
     @cached_property
     def delta_g(self) -> Series:
         """Horizontal derivatives of the fundamental tensor, shape (n, n, n):
         ``[j, k, l]`` is ``delta_j g_kl``."""
-        return Series.stack([self.delta(self.g, j) for j in range(self.n)])
+        return horizontal_gradient(self.g, self.N)
 
     @cached_property
     def Gamma(self) -> Series:

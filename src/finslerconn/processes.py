@@ -55,7 +55,7 @@ def berwald_coefficients(t: Tower) -> Series:
 
     Symmetric in (j, k) because N is itself a fiber derivative of the spray.
     """
-    return Series.stack([t.N.d(t.n + k) for k in range(t.n)], axis=2)
+    return t.N.dy(axis=2)
 
 
 HASHIGUCHI = Connection(
@@ -226,7 +226,7 @@ def diagram_residuals(
     rows: dict[str, float] = {}
 
     # deformed square
-    dyN = Series.stack([fam.base.N(t).d(t.n + k) for k in range(t.n)], axis=2)
+    dyN = fam.base.N(t).dy(axis=2)
     p1_closed = torsions(fam.base, t).hh + dyN.transpose(0, 2, 1)
     rows["deformed:base-to-hashiguchi"] = _match(fam.hashiguchi.H(t), p1_closed)
     rows["deformed:base-to-chern-rund"] = worst_residual((

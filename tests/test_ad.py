@@ -36,7 +36,7 @@ from finslerconn.ad import (
 )
 from finslerconn.cases import default_free_choices, preset
 from finslerconn.deformation import DeformationParams
-from finslerconn.finsler import ChartPoint, Tower
+from finslerconn.finsler import ChartPoint, DomainError, Tower
 from finslerconn.verify import SamplePlan, check_curvatures, check_theorem, run_all
 
 
@@ -452,6 +452,20 @@ def test_series_contractions_live_in_ad_only():
     assert offenders == []
 
 
+def test_derivatives_are_taken_in_ad_only():
+    # every partial outside ad is a gradient (Series.dx, Series.dy), so no
+    # module stacks per-index derivatives of its own
+    modules = {
+        path.name
+        for path in Path(finslerconn.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "d"
+    }
+    assert modules == {"ad.py"}
+
+
 def test_every_import_is_used():
     # an imported name no module code refers to (outside __all__) is dead
     package = Path(finslerconn.__file__).parent
@@ -628,8 +642,7 @@ def test_compose_is_bit_identical_to_the_ring_product_horner(nvars, order, xorde
 
 
 def test_infinite_constant_one_form_still_fails_the_theorem_rows():
-    # an inf constant term reaches the products as a constant factor; the
-    # rows that read the deformed horizontal part still come out NaN
+    # a parameter with no finite value fails before any product, naming its slot
     F = samples.randers()
     for slot, value in (("A", [np.inf, 0.0]), ("B", [np.inf, np.inf]), ("u", [0.0, -np.inf])):
         pack = dataclasses.replace(
@@ -637,12 +650,29 @@ def test_infinite_constant_one_form_still_fails_the_theorem_rows():
             f1=Constant(0.3), f2=Constant(-0.2), phi=Constant([[1.0, 0.5], [0.0, 1.0]]),
             **{slot: Constant(value)},
         )
-        with np.errstate(invalid="ignore", over="ignore"):
-            report = check_theorem(pack, F, SamplePlan(theorem_points=2))
-        rows = {row.label: row for row in report.rows}
-        assert not report.passed, slot
-        for label in ("condition-(i)-horizontal-deficit", "condition-(iii)-quarter-torsion"):
-            assert not rows[label].passed and math.isnan(rows[label].residual), (slot, label)
+        with pytest.raises(DomainError, match=rf"^parameter {slot} is not finite at x = \["):
+            check_theorem(pack, F, SamplePlan(theorem_points=2))
+
+
+def test_infinite_factor_leaves_a_non_finite_product():
+    # a constant factor scales the other instead of running the ring
+    # product; with an inf on either side both still hold a non-finite
+    # coefficient, so a residual computed from them fails closed
+    rg = ring(4, 3)
+    rng = np.random.default_rng(5)
+    varying = rng.uniform(-1.0, 1.0, (2, rg.dim))
+    spiked = varying.copy()
+    spiked[0, 3] = np.inf
+    cases = [
+        (Series.const(rg, [np.inf, 1.0]).coef, varying),  # inf constant factor
+        (Series.const(rg, [2.0, 0.0]).coef, spiked),  # inf in the scaled factor
+        (varying[::-1].copy(), spiked),  # neither constant: the ring product
+    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, b in cases:
+            for got in (ad._product(rg, a, b), ad._product(rg, b, a), rg.mul_coef(a, b)):
+                assert not np.isfinite(got[0]).all()
+                assert np.isfinite(got[1]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +744,22 @@ def test_cut_ring_arithmetic_is_bit_identical_to_the_uncut_ring(nvars, order, xo
     same(contract("il,ljk->ijk", mat_cut, T_cut), contract("il,ljk->ijk", mat, T), label="contract")
     same(contract("ipj,p->ij", T_cut, v_cut), contract("ipj,p->ij", T, v), label="contract")
     same(Series.stack([v_cut, s_cut[0] * v_cut]), Series.stack([v, s[0] * v]), label="stack")
+
+
+@pytest.mark.parametrize("nvars,order,xorder", [(4, 4, None), (4, 5, 2), (6, 5, 1), (6, 4, 3)])
+def test_gradients_are_the_stacked_partials(nvars, order, xorder):
+    rg, n = ring(nvars, order, xorder), nvars // 2
+    rng = np.random.default_rng(nvars + order)
+    for shape in ((), (n,), (n, 2)):
+        s = Series(rg, rng.uniform(-1.0, 1.0, shape + (rg.dim,)))
+        for axis in range(len(shape) + 1):
+            for grad, vars_ in ((s.dx(axis), range(n)), (s.dy(axis), range(n, nvars))):
+                parts = [s.d(v) for v in vars_]
+                assert grad.ring is parts[0].ring
+                want = np.stack([p.coef for p in parts], axis=axis)
+                assert np.array_equal(_bits(grad.coef), _bits(want))
+    with pytest.raises(TruncationError):
+        Series(ring(nvars, order, 0), np.zeros(ring(nvars, order, 0).dim)).dx()
 
 
 @pytest.mark.parametrize("nvars,order", [(4, 5), (6, 6)])

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from finslerconn.ad import ring
+from finslerconn.ad import Series, TaylorRing, ring
+from finslerconn.connection import Connection
 from finslerconn.deformation import DeformationData
 from finslerconn.finsler import FinslerStructure, Tower
 
@@ -66,9 +67,20 @@ def test_every_wrapped_stage_is_a_cached_property():
 
 
 def test_tower_and_ring_hooks_keep_their_shape():
-    # spans.traced_tower wraps tower(F, point, order) and reads its cache key;
+    # spans.py wraps these methods and calls the originals by position, and
+    # spans.traced_tower reads the tower cache key; the package itself no
+    # longer calls Tower.delta, so only this test notices if it goes
+    wrapped = {
+        FinslerStructure.tower: ["self", "point", "order"],
+        Tower.delta: ["self", "s", "j"],
+        Connection._memo: ["self", "t", "slot", "producer"],
+        Series._compose: ["self", "dcoefs"],
+        TaylorRing.mul_coef: ["self", "a", "b"],
+        TaylorRing._diff_table: ["self", "var"],
+    }
+    for method, params in wrapped.items():
+        assert list(inspect.signature(method).parameters) == params, method.__qualname__
     # count_product and the ring-build timers read the ring tables below
-    assert list(inspect.signature(FinslerStructure.tower).parameters) == ["self", "point", "order"]
     for rg in (ring(4, 3), ring(6, 5, 2)):
         I, J, scatter = rg._mul_table()
         assert rg._mul_cache is not None and len(I) == len(J) == scatter.shape[1]

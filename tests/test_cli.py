@@ -414,10 +414,11 @@ class TestReport:
         # finite literals whose product overflows only at evaluation
         ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", "f1 = 1e308*(10 + x1)"))
         out = tmp_path / "r.json"
-        assert main(["report", "--config", ini, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "metric 'euclidean', params 'mild'" in err
-        assert "not JSON compliant" in err
+        for command in ("report", "diagram"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "parameter f1 is not finite at x = [" in err
+            assert "], y = [" in err and "value inf" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

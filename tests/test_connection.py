@@ -17,11 +17,10 @@ import math
 import numpy as np
 import pytest
 
-from finslerconn.ad import Series
+from finslerconn.ad import Series, contract
 from finslerconn.connection import (
     CARTAN,
     RicciEndomorphism,
-    contract_index,
     contract_value_slot,
     cov_deriv,
     curvature_h,
@@ -229,6 +228,50 @@ def test_cov_deriv_leibniz_on_contraction(horizontal):
     assert np.allclose(lhs.val, rhs.val, atol=1e-10)
 
 
+def _cov_deriv_by_direction(conn, t, W, horizontal):
+    """cov_deriv as a loop over directions, one contraction per direction
+    and index of W: the reference its whole-array form must match bit for bit."""
+    C = conn.H(t) if horizontal else conn.V(t)
+    grad = conn.delta(t, W) if horizontal else W.dy()
+    w = "abcd"[: len(W.shape)]
+    rows = []
+    for l in range(t.n):
+        out = grad[l] + contract(f"ip,p{w[1:]}->i{w[1:]}", C[:, l, :], W)
+        for s in range(1, len(w)):
+            lowered = f"ip,{w[:s]}p{w[s + 1:]}->{w[:s]}i{w[s + 1:]}"
+            out = out - contract(lowered, C.transpose(2, 1, 0)[:, l, :], W)
+        rows.append(out)
+    return Series.stack(rows)
+
+
+def _metric_deficit_by_direction(conn, t, horizontal):
+    C = conn.H(t) if horizontal else conn.V(t)
+    grad = conn.delta(t, t.g) if horizontal else t.g.dy()
+    rows = []
+    for j in range(t.n):
+        corr = contract("mk,ml->kl", C[:, j, :], t.g)
+        rows.append(grad[j] - corr - corr.transpose(1, 0))
+    return Series.stack(rows)
+
+
+@pytest.mark.parametrize("F", [randers(), curved_three_dim()], ids=lambda F: F.name)
+@pytest.mark.parametrize("horizontal", [True, False], ids=["h", "v"])
+def test_direction_contractions_match_the_loop_over_directions(F, horizontal):
+    rng = np.random.default_rng(7)
+    # deep enough that coefficients sum three or more pairs, so a change of
+    # operand or summation order shows in the bits
+    t = _tower(F, order=6)
+    pairs = [
+        (cov_deriv(CARTAN, t, W, horizontal), _cov_deriv_by_direction(CARTAN, t, W, horizontal))
+        for W in (_random_tensor(t, rng, (F.n,) * rank) for rank in range(1, 5))
+    ]
+    deficit = metric_deficit(CARTAN, t, horizontal)
+    pairs.append((deficit, _metric_deficit_by_direction(CARTAN, t, horizontal)))
+    for got, want in pairs:
+        assert got.ring is want.ring
+        assert np.array_equal(got.coef.view(np.int64), want.coef.view(np.int64))
+
+
 def test_cov_deriv_of_metric_contraction_is_deficit_free():
     # lowering a vector with g commutes with D for the metric connection:
     # D_l (g_ia U^a) = g_ia (D_l U)^a, i.e. the deficit term is absent
@@ -240,26 +283,16 @@ def test_cov_deriv_of_metric_contraction_is_deficit_free():
     # direct route: delta_l (g U) - H^p_li (g U)_p  (covariant covector rule)
     gU = (t.g * U[None, :]).sum(axis=1)
     H = CARTAN.H(t)
+    grad = CARTAN.delta(t, gU)  # [l, i]
     rows = []
     for l in range(2):
-        term = CARTAN.delta(t, gU, l)
-        # one horizontal derivative: the connection's delta is the tower's
+        term = grad[l]
+        # one horizontal derivative: the connection's gradient is the tower's
         assert np.array_equal(term.coef, t.delta(gU, l).coef)
         corr = (H.transpose(1, 0, 2)[l] * gU[:, None]).sum(axis=0)
         rows.append(term - corr)
     lowered_before = Series.stack(rows)
     assert np.allclose(lowered_after.val, lowered_before.val, atol=1e-10)
-
-
-def test_contract_index_places_result():
-    t = _tower(randers(), order=3)
-    rng = np.random.default_rng(3)
-    A = t.jets.const(rng.uniform(-1, 1, size=(2, 2)))
-    W = t.jets.const(rng.uniform(-1, 1, size=(2, 2, 2)))
-    for axis, spec in enumerate(("ip,pab->iab", "ip,apb->aib", "ip,abp->abi")):
-        out = contract_index(A, W, axis)
-        expected = np.einsum(spec, A.val, W.val)
-        assert np.allclose(out.val, expected, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

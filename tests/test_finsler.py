@@ -30,6 +30,7 @@ from finslerconn.finsler import (
     DomainError,
     FinslerStructure,
     HilbertFormField,
+    horizontal_gradient,
 )
 from finslerconn.samples import (
     curved_three_dim,
@@ -246,6 +247,38 @@ def test_horizontal_coefficients_are_metric_compatible(F):
         )
         assert np.allclose(Dg, rhs, atol=1e-10), (F.name, j)
     assert np.allclose(Gam, np.swapaxes(Gam, 1, 2), atol=1e-12)
+
+
+def _ordered_delta(s, j, N):
+    """delta_j s by the per-index formula, the terms subtracted in order of m."""
+    n = N.shape[0]
+    out = s.d(j)
+    for m in range(n):
+        out = out - N[m, j] * s.d(n + m)
+    return out
+
+
+@pytest.mark.parametrize("F", [euclidean(), hyperbolic(), randers()], ids=lambda F: F.name)
+def test_horizontal_gradient_has_the_bits_of_the_ordered_formula(F):
+    tw = F.tower(P2, 4)
+    N = tw.N
+    varying = N.coef[..., 1:].any(axis=-1)
+    assert varying.all() if F.name != "euclidean2" else not varying.any()
+    # one entry frozen to its value: a column of N mixes constant and varying
+    # entries, so the gradient's products take both paths of ad._product
+    mixed = N.coef.copy()
+    mixed[0, 1, 1:] = 0.0
+    for N in (N, type(N)(N.ring, mixed)):
+        for s in (tw.L, tw.ell, tw.g, tw.T_low):
+            grad = horizontal_gradient(s, N)
+            assert grad.shape == (F.n,) + s.shape
+            for j in range(F.n):
+                want = _ordered_delta(s, j, N)
+                assert grad[j].ring is want.ring
+                assert np.array_equal(grad[j].coef.view(np.int64), want.coef.view(np.int64))
+    for j in range(F.n):
+        want = _ordered_delta(tw.g, j, tw.N)
+        assert np.array_equal(tw.delta(tw.g, j).coef.view(np.int64), want.coef.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

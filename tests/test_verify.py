@@ -319,30 +319,33 @@ def test_case_rows_carry_typo_annotations():
     assert noted == {"case-11", "case-12", "case-13", "case-14"}
 
 
-@pytest.mark.parametrize("fuzz,literal_calls", [(False, 8), (True, 0)])
-def test_fuzzed_cases_skip_the_printed_forms(fuzz, literal_calls):
+@pytest.mark.parametrize("fuzz,printed_calls", [(False, 8), (True, 0)])
+def test_fuzzed_cases_skip_the_printed_forms(fuzz, printed_calls):
     # the fuzz row note discards the printed-form residual, so a fuzzed run
     # must not evaluate it; a clean run evaluates it for the four typo
     # cases at each of its two points
     calls = []
-    originals = [p.delta for p in _PRESETS]
+    originals = [(p.delta, p.printed) for p in _PRESETS]
 
-    def counting(delta):
-        def wrapped(ws, literal):
-            calls.append(literal)
-            return delta(ws, literal)
+    def counting(form, kind):
+        def wrapped(ws):
+            calls.append(kind)
+            return form(ws)
 
         return wrapped
 
     try:
         for p in _PRESETS:
-            object.__setattr__(p, "delta", counting(p.delta))
+            object.__setattr__(p, "delta", counting(p.delta, "delta"))
+            if p.printed is not None:
+                object.__setattr__(p, "printed", counting(p.printed, "printed"))
         check_cases(randers(), SamplePlan(case_points=2), fuzz=fuzz)
     finally:
-        for p, delta in zip(_PRESETS, originals):
+        for p, (delta, printed) in zip(_PRESETS, originals):
             object.__setattr__(p, "delta", delta)
-    assert calls.count(True) == literal_calls
-    assert calls.count(False) == 52
+            object.__setattr__(p, "printed", printed)
+    assert calls.count("printed") == printed_calls
+    assert calls.count("delta") == 52
 
 
 def test_unknown_tolerance_name_is_rejected():

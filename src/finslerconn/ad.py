@@ -41,7 +41,12 @@ A few details matter for correctness downstream:
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
   precomputed sparse pair table per ring, except that a constant factor
-  just scales the other, with the same bits (:func:`_product`).
+  just scales the other, with the same bits (:func:`_product`).  A ring
+  product gathers its pair factors pair-major, one ``take`` per factor,
+  and calls scipy's compiled CSR kernel ``csr_matvecs`` itself
+  (:meth:`TaylorRing.mul_coef`): the kernel ``scatter @ W`` runs, with the
+  same pair order and the same ``1.0`` entries, so the bits are the same
+  without scipy's per-call dispatch.
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
   how a series contraction is evaluated is decided in this one place.
@@ -65,6 +70,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 __all__ = [
     "TruncationError",
@@ -161,8 +167,8 @@ class TaylorRing:
                     J.append(j)
                     K.append(self.index[tuple(a + b for a, b in zip(mi, mj))])
             npairs = len(K)
-            # (dim, npairs): a CSR matrix times dense columns, which scipy
-            # runs without transposing the matrix on every product
+            # (dim, npairs), one row per output coefficient holding its
+            # pairs in pair order: the CSR layout mul_coef's kernel reads
             scatter = sp.csr_matrix(
                 (np.ones(npairs), (np.array(K), np.arange(npairs))),
                 shape=(self.dim, npairs),
@@ -216,11 +222,45 @@ class TaylorRing:
         return idx
 
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Ring product along the last axis, numpy-broadcast over the rest."""
+        """Ring product along the last axis, numpy-broadcast over the rest.
+
+        The ring axis moves to the front, so each factor is one ``take`` of
+        its pair indices and their product ``W`` is a C-ordered ``(npairs,
+        *batch)`` array: one row per pair, one column per batch entry.
+        scipy's compiled CSR kernel ``csr_matvecs`` then adds ``1.0 * W[p]``
+        into row ``K[p]`` of the zeroed output, pair by pair.  That is the
+        kernel and the column layout ``scatter @ W`` runs, with the same
+        pair order and the same ``1.0`` entries, so each coefficient keeps
+        its bits; only scipy's dispatch and its copy of ``W`` are skipped.
+        The result is a writable view of the output, ring axis last.
+        """
         I, J, scatter = self._mul_table()
-        W = a[..., I] * b[..., J]
-        batch = W.shape[:-1]
-        return (scatter @ W.reshape(-1, W.shape[-1]).T).T.reshape(*batch, self.dim)
+        nd = max(a.ndim, b.ndim)
+        if a.ndim < nd:
+            a = a.reshape((1,) * (nd - a.ndim) + a.shape)
+        elif b.ndim < nd:
+            b = b.reshape((1,) * (nd - b.ndim) + b.shape)
+        to_front, to_back = _ring_axis_perms(nd)
+        W = a.transpose(to_front).take(I, axis=0) * b.transpose(to_front).take(J, axis=0)
+        npairs = len(I)
+        out = np.zeros((self.dim,) + W.shape[1:])
+        csr_matvecs(
+            self.dim, npairs, W.size // npairs,
+            scatter.indptr, scatter.indices, scatter.data, W, out,
+        )
+        return out.transpose(to_back)
+
+
+_PERMS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _ring_axis_perms(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transposes that move the last (ring) axis of an array to the front
+    and back again."""
+    perms = _PERMS.get(ndim)
+    if perms is None:
+        perms = _PERMS[ndim] = ((ndim - 1, *range(ndim - 1)), (*range(1, ndim), 0))
+    return perms
 
 
 _RINGS: dict[tuple[int, int, int], TaylorRing] = {}
@@ -262,7 +302,13 @@ def _meet(*series: "Series") -> tuple[TaylorRing, list[np.ndarray]]:
         return rg, [s.coef for s in series]
     for s in series:
         rg = rg.meet(s.ring)
-    return rg, [s.coef if s.ring is rg else s.coef[..., s.ring.cut_index(rg)] for s in series]
+    return rg, [s.coef if s.ring is rg else _cut(s.coef, s.ring.cut_index(rg)) for s in series]
+
+
+def _cut(coef: np.ndarray, idx: slice | np.ndarray) -> np.ndarray:
+    """The coefficients at ``idx`` along the ring axis: a view for a prefix
+    slice, one ``take`` for a gather."""
+    return coef[..., idx] if type(idx) is slice else coef.take(idx, axis=-1)
 
 
 def _product(rg: TaylorRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,9 +326,9 @@ def _product(rg: TaylorRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is ±inf, or NaN for ``c = 0``); either way the product holds a
     non-finite coefficient, so a residual computed from it fails closed.
     """
-    if not a[..., 1:].any():
+    if not np.count_nonzero(a[..., 1:]):
         return a[..., :1] * b + 0.0
-    if not b[..., 1:].any():
+    if not np.count_nonzero(b[..., 1:]):
         return a * b[..., :1] + 0.0
     return rg.mul_coef(a, b)
 
@@ -426,7 +472,9 @@ class Series:
         if type(other) is Series and other.ring is self.ring:
             return Series(self.ring, _product(self.ring, self.coef, other.coef))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Series(self.ring, self.coef * float(other))
+            # + 0.0: a zero product is +0.0, as the ring product and the
+            # constant-factor scale of _product give it
+            return Series(self.ring, self.coef * float(other) + 0.0)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -484,7 +532,7 @@ class Series:
                 f"cannot differentiate along x{var + 1} a series valid only to x-order 0"
             )
         src, fac, low = rg._diff_table(var)
-        return Series(low, self.coef[..., src] * fac)
+        return Series(low, self.coef.take(src, axis=-1) * fac)
 
     def dx(self, axis: int = 0) -> "Series":
         """The partials along the base variables, stacked on a new batch axis."""

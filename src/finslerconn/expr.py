@@ -308,6 +308,12 @@ def evaluate(node: Node, jets: ChartJets) -> Series:
         if node.op == "^":
             assert isinstance(node.right, Num)
             return evaluate(node.left, jets) ** node.right.value
+        if node.op == "*" and isinstance(node.right, Num):
+            # a literal factor scales, with the bits of the constant-factor
+            # product of a ``jets.const`` series
+            return evaluate(node.left, jets) * node.right.value
+        if node.op == "*" and isinstance(node.left, Num):
+            return evaluate(node.right, jets) * node.left.value
         left = evaluate(node.left, jets)
         right = evaluate(node.right, jets)
         if node.op == "+":

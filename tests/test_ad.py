@@ -622,6 +622,75 @@ def test_constant_factor_product_is_bit_identical_to_the_ring_product(case):
     assert np.array_equal(_bits(got.coef), _bits(rg.mul_coef(a, b)))
 
 
+@pytest.mark.parametrize("c", [0.0, -0.0, -1.0, 2.5])
+def test_scalar_product_has_the_bits_of_the_constant_product(c):
+    # a zero product is +0.0 whichever spelling names the constant
+    rg = ring(2, 2)
+    s = Series(rg, np.array([[-0.0, 0.0, -1.5, 3.0, -0.0, 0.25], [0.0, -0.0, 0.0, -2.0, 1.0, -0.0]]))
+    want = rg.mul_coef(s.coef, Series.const(rg, c).coef)
+    assert np.array_equal(_bits((s * np.array(c)).coef), _bits(want))
+    assert np.array_equal(_bits((s * Series.const(rg, c)).coef), _bits(want))
+    for got in (s * c, c * s, s * np.float64(c), np.float64(c) * s):
+        assert np.array_equal(_bits(got.coef), _bits(want))
+
+
+# ---------------------------------------------------------------------------
+# the ring product calls scipy's CSR kernel itself; the public scipy spelling
+# of the same product is the independent reference
+
+
+def _scipy_product(rg, a, b):
+    I, J, scatter = rg._mul_table()
+    W = a[..., I] * b[..., J]
+    npairs = len(I)
+    return (scatter @ W.reshape(-1, npairs).T).T.reshape(W.shape[:-1] + (rg.dim,))
+
+
+BATCH_SHAPES = [
+    ((), ()),
+    ((3,), (3,)),
+    ((2, 3), (2, 3)),
+    ((2, 1), (1, 3)),  # size-1 axes broadcast on both sides
+    ((2, 2, 1), (1, 2, 2)),
+    ((3,), (2, 3)),  # fewer batch axes on the left
+    ((2, 3), (3,)),  # fewer on the right
+    ((), (2,)),
+    ((0,), (0,)),  # a zero-size batch
+    ((2, 0), (1, 0)),
+]
+
+special_coefs = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def ring_products(draw):
+    """A ring, two coefficient arrays of broadcast batch shapes, some entries special."""
+    nvars = draw(st.sampled_from([2, 4, 6]))
+    order = draw(st.integers(0, 6))
+    rg = ring(nvars, order, draw(st.none() | st.integers(0, order)))
+    sa, sb = draw(st.sampled_from(BATCH_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for shape in (sa, sb):
+        coef = rng.uniform(-2.0, 2.0, shape + (rg.dim,))
+        flat = coef.reshape(-1)
+        for _ in range(draw(st.integers(0, 4)) if flat.size else 0):
+            flat[draw(st.integers(0, flat.size - 1))] = draw(special_coefs)
+        arrays.append(coef)
+    return rg, arrays[0], arrays[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_products())
+def test_ring_product_is_bit_identical_to_the_scipy_product(case):
+    rg, a, b = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = rg.mul_coef(a, b), _scipy_product(rg, a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got.flags.writeable
+
+
 @pytest.mark.parametrize("nvars,order,xorder", [(2, 0, None), (2, 3, None), (4, 4, 2), (6, 5, None)])
 def test_compose_is_bit_identical_to_the_ring_product_horner(nvars, order, xorder):
     # _compose's accumulator starts constant, so its first Horner step scales
@@ -960,13 +1029,15 @@ def test_mixed_orders_meet_in_the_lower_ring():
 
 
 def test_benchmark_hooks_see_every_product(monkeypatch):
-    # the benchmark paces its reference kernel from TaylorRing.mul_coef and
-    # reads Series.valid as the trusted order of every product
-    orders = []
+    # the benchmark paces its reference kernel from TaylorRing.mul_coef, so
+    # a product that bypassed it would leave the benchmark without its unit
+    # of machine speed; it also reads Series.valid as the trusted order of
+    # every product
+    calls = []
     mul_coef = TaylorRing.mul_coef
 
     def counting(rg, a, b):
-        orders.append(rg.order)
+        calls.append((rg.order, a.shape[:-1], b.shape[:-1]))
         return mul_coef(rg, a, b)
 
     monkeypatch.setattr(TaylorRing, "mul_coef", counting)
@@ -974,10 +1045,18 @@ def test_benchmark_hooks_see_every_product(monkeypatch):
     x, y = jets.xs, jets.ys
     m = Series.stack([Series.stack([2.0 + x[0] * x[1], 0.1 * y[0]]),
                       Series.stack([0.3 * y[1], 3.0 + x[1] ** 2])])
-    for name, fn in (("product", lambda: x[0] * y[1]), ("exp", x[0].exp), ("matinv", lambda: matinv(m))):
-        orders.clear()
+    products = (
+        ("product", lambda: x[0] * y[1]),
+        ("exp", x[0].exp),
+        ("sqrt", (2.0 + x[0] * y[1]).sqrt),
+        ("matinv", lambda: matinv(m)),
+        ("contract", lambda: contract("ij,jk->ik", m, m)),
+    )
+    for name, fn in products:
+        calls.clear()
         fn()
-        assert orders, name
+        assert calls, name
+    assert calls == [(3, (2, 2, 1), (1, 2, 2))]  # the broadcast contraction
     dx = x.d(0)
     for s in (x * dx, dx, Series.stack([x, dx]), contract("i,i->", x, dx)):
         assert s.valid == s.ring.order == 2

@@ -197,6 +197,46 @@ def test_ast_shapes():
     assert isinstance(ast.right.right, Num)
 
 
+def _evaluate_literals_as_series(node, jets):
+    """``evaluate`` with every literal a ``jets.const`` series, so that a
+    literal factor runs the series product."""
+    if isinstance(node, Num):
+        return jets.const(node.value)
+    if isinstance(node, Var):
+        return (jets.xs if node.kind == "x" else jets.ys)[node.index - 1]
+    if isinstance(node, Neg):
+        return -_evaluate_literals_as_series(node.arg, jets)
+    if isinstance(node, Call):
+        return getattr(_evaluate_literals_as_series(node.arg, jets), node.func)()
+    if node.op == "^":
+        return _evaluate_literals_as_series(node.left, jets) ** node.right.value
+    left = _evaluate_literals_as_series(node.left, jets)
+    right = _evaluate_literals_as_series(node.right, jets)
+    return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__, "/": left.__truediv__}[node.op](right)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2*x1",
+        "x1*2",
+        "0*x1",
+        "x2*0",
+        "-0.5*y2*x1 + 3*exp(x1)*2",
+        "2*3*y1 - x2*(0*y2 + 1.5)",
+        "sqrt(y1^2 + y2^2)*0.25 + 1e-3*x1*x2*y1/4",
+    ],
+)
+@pytest.mark.parametrize("order", [0, 2, (4, 1)])
+def test_literal_factors_scale_with_the_bits_of_the_series_product(text, order):
+    # x1 < 0, so a literal 0 meets negative coefficients
+    jets = ChartJets.at([-0.3, 0.2], [0.7, -1.1], order)
+    node = parse_expression(text, 2)
+    got, want = evaluate(node, jets), _evaluate_literals_as_series(node, jets)
+    assert got.ring is want.ring
+    assert np.array_equal(got.coef.view(np.int64), want.coef.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # randomized polynomial fields vs finite differences
 

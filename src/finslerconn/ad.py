@@ -47,6 +47,13 @@ A few details matter for correctness downstream:
   (:meth:`TaylorRing.mul_coef`): the kernel ``scatter @ W`` runs, with the
   same pair order and the same ``1.0`` entries, so the bits are the same
   without scipy's per-call dispatch.
+* A formula cuts its factors to their meet before it multiplies: where a
+  sum lands in a lower ring than some of its terms' factors (a horizontal
+  derivative is one order and one x-order below the tensor it is taken
+  of), :func:`lower` cuts every factor to the ring of the lowest order and
+  x-order first, so each product runs in the ring its result keeps.  A
+  lower ring's product sums the same pairs in the same order (the graded
+  and bi-graded points above), so the kept coefficients keep their bits.
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
   how a series contraction is evaluated is decided in this one place.
@@ -70,7 +77,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 __all__ = [
     "TruncationError",
@@ -80,6 +87,7 @@ __all__ = [
     "ChartJets",
     "Field",
     "Constant",
+    "lower",
     "contract",
     "matmul",
     "matinv",
@@ -228,11 +236,13 @@ class TaylorRing:
         its pair indices and their product ``W`` is a C-ordered ``(npairs,
         *batch)`` array: one row per pair, one column per batch entry.
         scipy's compiled CSR kernel ``csr_matvecs`` then adds ``1.0 * W[p]``
-        into row ``K[p]`` of the zeroed output, pair by pair.  That is the
-        kernel and the column layout ``scatter @ W`` runs, with the same
-        pair order and the same ``1.0`` entries, so each coefficient keeps
-        its bits; only scipy's dispatch and its copy of ``W`` are skipped.
-        The result is a writable view of the output, ring axis last.
+        into row ``K[p]`` of the zeroed output, pair by pair; for a single
+        column it is ``csr_matvec``, as ``scatter @ W`` picks it for a
+        vector.  That is the kernel and the column layout ``scatter @ W``
+        runs, with the same pair order and the same ``1.0`` entries, so each
+        coefficient keeps its bits, down to which NaN a sum of two keeps;
+        only scipy's dispatch and its copy of ``W`` are skipped.  The result
+        is a writable view of the output, ring axis last.
         """
         I, J, scatter = self._mul_table()
         nd = max(a.ndim, b.ndim)
@@ -243,11 +253,14 @@ class TaylorRing:
         to_front, to_back = _ring_axis_perms(nd)
         W = a.transpose(to_front).take(I, axis=0) * b.transpose(to_front).take(J, axis=0)
         npairs = len(I)
+        ncols = W.size // npairs
         out = np.zeros((self.dim,) + W.shape[1:])
-        csr_matvecs(
-            self.dim, npairs, W.size // npairs,
-            scatter.indptr, scatter.indices, scatter.data, W, out,
-        )
+        if ncols == 1:
+            csr_matvec(self.dim, npairs, scatter.indptr, scatter.indices, scatter.data, W, out)
+        else:
+            csr_matvecs(
+                self.dim, npairs, ncols, scatter.indptr, scatter.indices, scatter.data, W, out
+            )
         return out.transpose(to_back)
 
 
@@ -303,6 +316,19 @@ def _meet(*series: "Series") -> tuple[TaylorRing, list[np.ndarray]]:
     for s in series:
         rg = rg.meet(s.ring)
     return rg, [s.coef if s.ring is rg else _cut(s.coef, s.ring.cut_index(rg)) for s in series]
+
+
+def lower(*series: "Series") -> list["Series"]:
+    """The series cut to the ring of their lowest order and x-order.
+
+    The ring is the one :func:`_meet` picks for their sum or product; a
+    series already in it comes back as itself, a total-order cut is a view
+    of its coefficient prefix and an x-order cut one ``take``.  A formula
+    whose sum lands below some of its factors' rings calls this first, so
+    each product runs in the ring its result keeps, with the same bits.
+    """
+    rg, coefs = _meet(*series)
+    return [s if s.ring is rg else Series(rg, c) for s, c in zip(series, coefs)]
 
 
 def _cut(coef: np.ndarray, idx: slice | np.ndarray) -> np.ndarray:
@@ -485,7 +511,10 @@ class Series:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        # a 0-d array divides as the scalar it holds, not by its reciprocal
+        if isinstance(other, (int, float, np.floating, np.integer)) or (
+            type(other) is np.ndarray and other.ndim == 0
+        ):
             return Series(self.ring, self.coef / float(other))
         o = self._lift(other)
         if o is None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .ad import Series, contract
+from .ad import Series, contract, lower
 from .finsler import Tower, horizontal_gradient
 
 __all__ = [
@@ -173,11 +173,11 @@ def torsions(conn: Connection, t: Tower) -> TorsionBundle:
 def curvature_h(conn: Connection, t: Tower) -> Series:
     """Horizontal curvature R[i, m, j, k] of the triple."""
     H = conn.H(t)
-    V = conn.V(t)
     dH = conn.delta(t, H)  # [a, i, j, m]
+    dH, H, V, R = lower(dH, H, conn.V(t), nonlinear_curvature(conn, t))
     A = dH.transpose(1, 3, 2, 0)  # A[i, m, j, k] = delta_k H^i_jm
     B = contract("ikl,ljm->imjk", H, H)  # B[i, m, j, k] = H^i_kl H^l_jm
-    return _alt(A) + _alt(B) + contract("ilm,ljk->imjk", V, nonlinear_curvature(conn, t))
+    return _alt(A) + _alt(B) + contract("ilm,ljk->imjk", V, R)
 
 
 def curvature_mixed(conn: Connection, t: Tower) -> Series:
@@ -187,6 +187,7 @@ def curvature_mixed(conn: Connection, t: Tower) -> Series:
     dyH = H.dy()  # [a, i, j, m]
     dV = conn.delta(t, V)  # [a, i, k, m]
     dyN = conn.N(t).dy(axis=2)  # [l, j, k]
+    dyH, dV, dyN, H, V = lower(dyH, dV, dyN, H, V)
     return (
         dyH.transpose(1, 3, 2, 0)  # dH^i_jm / dy_k
         + contract("ikl,ljm->imjk", V, H)  # V^i_kl H^l_jm
@@ -199,7 +200,8 @@ def curvature_mixed(conn: Connection, t: Tower) -> Series:
 def curvature_v(conn: Connection, t: Tower) -> Series:
     """Vertical curvature S[i, m, j, k] of the triple."""
     V = conn.V(t)
-    A = V.dy().transpose(1, 3, 2, 0)  # dV^i_jm / dy_k
+    dyV, V = lower(V.dy(), V)
+    A = dyV.transpose(1, 3, 2, 0)  # dV^i_jm / dy_k
     B = contract("ikl,ljm->imjk", V, V)
     return _alt(A) + _alt(B)
 
@@ -222,6 +224,7 @@ def cov_deriv(conn: Connection, t: Tower, W: Series, horizontal: bool) -> Series
     C = conn.H(t) if horizontal else conn.V(t)
     w = "abcdefgh"[: len(W.shape)]
     out = conn.delta(t, W) if horizontal else W.dy()
+    out, C, W = lower(out, C, W)
     out = out + contract(f"ilp,p{w[1:]}->li{w[1:]}", C, W)
     for s in range(1, len(w)):  # each lower index p of W: - C^p_li W[.. p ..]
         out = out - contract(f"pli,{w[:s]}p{w[s + 1:]}->l{w[:s]}i{w[s + 1:]}", C, W)
@@ -238,6 +241,7 @@ def metric_deficit(conn: Connection, t: Tower, horizontal: bool) -> Series:
     g = t.g
     C = conn.H(t) if horizontal else conn.V(t)
     base = conn.delta(t, g) if horizontal else g.dy()
+    base, C, g = lower(base, C, g)
     corr = contract("mjk,ml->jkl", C, g)
     return base - corr - corr.transpose(0, 2, 1)
 

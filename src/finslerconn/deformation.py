@@ -42,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ad import Constant, Field, Series, contract
+from .ad import Constant, Field, Series, contract, lower
 from .connection import (
     CARTAN,
     Connection,
@@ -168,13 +168,18 @@ class DeformationData:
     derivative that is not finite (an overflow) raises
     :class:`~finslerconn.finsler.DomainError` naming its slot and the
     point, as the norm does in :attr:`~finslerconn.finsler.Tower.L`.
+
+    Every stage lands at or below the ring of ``g`` and of each parameter
+    value (each stage reads all six), so the values and ``eye`` are cut to
+    that ring once, and each stage cuts its factors to the ring it keeps
+    (:func:`~finslerconn.ad.lower`).
     """
 
     def __init__(self, params: DeformationParams, t: Tower):
         self.params = params
         self._tower = weakref.ref(t)
         n = t.n
-        self.eye = t.const(np.eye(n))
+        values = []
         for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
             try:
                 value = getattr(params, slot).eval(t)
@@ -194,7 +199,11 @@ class DeformationData:
                 raise DomainError(
                     f"parameter {slot} is not finite at {where}: value {value.val.tolist()}"
                 )
-            setattr(self, slot, value)
+            values.append(value)
+        *values, _ = lower(*values, t.const(np.eye(n)), t.g)
+        # copies: a cut that is a view would keep the uncut values alive
+        for slot, value in zip((*_SLOTS, "eye"), values):
+            setattr(self, slot, Series(value.ring, value.coef.copy()))
 
     @property
     def t(self) -> Tower:
@@ -274,16 +283,6 @@ class DeformationData:
     def ell_phi1_eta(self) -> Series:
         return contract("i,i->", self.t.ell, self.phi1_eta)
 
-    # -- small contraction helpers -------------------------------------------
-
-    def _tvec(self, v: Series) -> Series:
-        """T^i_pj v^p, shape (n, n): the Cartan tensor eating one vector."""
-        return contract("ipj,p->ij", self.t.T_mix, v)
-
-    def _tlow(self, v: Series) -> Series:
-        """T_pjk v^p, shape (n, n): lowered Cartan tensor eating one vector."""
-        return contract("pjk,p->jk", self.t.T_low, v)
-
     @cached_property
     def S(self) -> Series:
         """Vertical curvature of the metric connection, shape (n, n, n, n),
@@ -291,50 +290,54 @@ class DeformationData:
         t = self.t
         return t.memo((CARTAN, "curvature_v"), lambda: curvature_v(CARTAN, t))
 
-    def _s_second(self, v: Series) -> Series:
-        """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
-        return contract("ikjp,p->ijk", self.S, v)
-
-    def _s_first(self, v: Series) -> Series:
-        """S(v, e_j) e_k as [i, j, k]; antisymmetry flips the sign."""
-        return -self._s_second(v)
-
     # -- the three construction stages ---------------------------------------
 
     @cached_property
     def eta_shift(self) -> Series:
         """Vertical displacement of the canonical spray, shape (n,)."""
         t = self.t
+        f1, f2, ys, L, L2, A_eta, u_eta, avec, bvec, uvec, w, ell_phi1_eta = lower(
+            self.f1, self.f2, t.ys, t.L, t.L2, self.A_eta, self.u_eta,
+            self.avec, self.bvec, self.uvec, self.w, self.ell_phi1_eta,
+        )
         return (
-            self.f1 * (2.0 * self.A_eta * t.ys - t.L2 * self.avec)
-            + self.f2 * t.L2 * self.bvec
-            + t.L * self.ell_phi1_eta * self.uvec
-            - self.u_eta * self.w
+            f1 * (2.0 * A_eta * ys - L2 * avec)
+            + f2 * L2 * bvec
+            + L * ell_phi1_eta * uvec
+            - u_eta * w
         )
 
     @cached_property
     def frame_shift(self) -> Series:
         """Tilt of the j-th horizontal frame leg, shape (n, n) as [i, j]."""
         t = self.t
-        ys, ell, L, L2 = t.ys, t.ell, t.L, t.L2
+        (
+            f1, f2, A, u, eye, phi1, ys, ell, L, L2, T, A_eta, u_eta,
+            avec, bvec, uvec, w, ell_phi1, ell_phi1_eta, phi2_eta,
+        ) = lower(
+            self.f1, self.f2, self.A, self.u, self.eye, self.phi1,
+            t.ys, t.ell, t.L, t.L2, t.T_mix, self.A_eta, self.u_eta,
+            self.avec, self.bvec, self.uvec, self.w,
+            self.ell_phi1, self.ell_phi1_eta, self.phi2_eta,
+        )
         return (
-            self.f1
+            f1
             * (
-                ys[:, None] * self.A[None, :]
-                + self.A_eta * self.eye
-                - L * (self.avec[:, None] * ell[None, :])
-                + L2 * self._tvec(self.avec)
+                ys[:, None] * A[None, :]
+                + A_eta * eye
+                - L * (avec[:, None] * ell[None, :])
+                + L2 * _tvec(T, avec)
             )
-            + self.f2
+            + f2
             * (
-                L * (self.bvec[:, None] * ell[None, :])
-                - L2 * self._tvec(self.bvec)
+                L * (bvec[:, None] * ell[None, :])
+                - L2 * _tvec(T, bvec)
             )
-            - self.u_eta * self.phi1
-            + self.u_eta * self._tvec(self.w)
-            + L * (self.uvec[:, None] * self.ell_phi1[None, :])
-            - L * self.ell_phi1_eta * self._tvec(self.uvec)
-            + self.phi2_eta[:, None] * self.u[None, :]
+            - u_eta * phi1
+            + u_eta * _tvec(T, w)
+            + L * (uvec[:, None] * ell_phi1[None, :])
+            - L * ell_phi1_eta * _tvec(T, uvec)
+            + phi2_eta[:, None] * u[None, :]
         )
 
     @cached_property
@@ -346,34 +349,41 @@ class DeformationData:
         metric one after the frame tilt has been accounted for.
         """
         t = self.t
-        g, ys, ell, L, L2 = t.g, t.ys, t.ell, t.L, t.L2
+        (
+            f1, f2, A, u, eye, phi1, phi2, g, ys, ell, L, L2, T, Tl, S,
+            avec, bvec, uvec, w, gphi1, u_eta, ell_phi1, ell_phi1_eta, phi1_eta, phi2_eta,
+        ) = lower(
+            self.f1, self.f2, self.A, self.u, self.eye, self.phi1, self.phi2,
+            t.g, t.ys, t.ell, t.L, t.L2, t.T_mix, t.T_low, self.S,
+            self.avec, self.bvec, self.uvec, self.w, self.gphi1, self.u_eta,
+            self.ell_phi1, self.ell_phi1_eta, self.phi1_eta, self.phi2_eta,
+        )
         a_block = (
-            self.avec[:, None, None] * g[None, :, :]
-            - self.A[None, :, None] * self.eye[:, None, :]
-            - self.A[None, None, :] * self.eye[:, :, None]
-            - L * (self._tvec(self.avec)[:, :, None] * ell[None, None, :])
-            + ys[:, None, None] * self._tlow(self.avec)[None, :, :]
-            + L2 * self._s_second(self.avec)
+            avec[:, None, None] * g[None, :, :]
+            - A[None, :, None] * eye[:, None, :]
+            - A[None, None, :] * eye[:, :, None]
+            - L * (_tvec(T, avec)[:, :, None] * ell[None, None, :])
+            + ys[:, None, None] * _tlow(Tl, avec)[None, :, :]
+            + L2 * _s_second(S, avec)
         )
         b_block = (
-            self.bvec[:, None, None] * g[None, :, :]
-            - L * (self._tvec(self.bvec)[:, :, None] * ell[None, None, :])
-            + ys[:, None, None] * self._tlow(self.bvec)[None, :, :]
-            + L2 * self._s_second(self.bvec)
+            bvec[:, None, None] * g[None, :, :]
+            - L * (_tvec(T, bvec)[:, :, None] * ell[None, None, :])
+            + ys[:, None, None] * _tlow(Tl, bvec)[None, :, :]
+            + L2 * _s_second(S, bvec)
         )
-        tm1 = contract("ipj,pk->ijk", self.t.T_mix, self.phi1)
-        mt1 = contract("ip,pjk->ijk", self.phi1, self.t.T_mix)
+        tm1 = contract("ipj,pk->ijk", T, phi1)
+        mt1 = contract("ip,pjk->ijk", phi1, T)
         return (
-            self.f1 * a_block
-            - self.f2 * b_block
-            - (self.gphi1 + self._tlow(self.phi2_eta))[None, :, :]
-            * self.uvec[:, None, None]
-            - self.u[None, :, None] * self.phi2[:, None, :]
-            + L * (self._tvec(self.uvec)[:, :, None] * self.ell_phi1[None, None, :])
-            - self.u_eta * (self._s_first(self.w) + tm1 - mt1)
-            + (self._tvec(self.phi2_eta) + self.phi1)[:, :, None] * self.u[None, None, :]
-            + L * self.ell_phi1_eta * self._s_first(self.uvec)
-            - self._tlow(self.uvec)[None, :, :] * self.phi1_eta[:, None, None]
+            f1 * a_block
+            - f2 * b_block
+            - (gphi1 + _tlow(Tl, phi2_eta))[None, :, :] * uvec[:, None, None]
+            - u[None, :, None] * phi2[:, None, :]
+            + L * (_tvec(T, uvec)[:, :, None] * ell_phi1[None, None, :])
+            - u_eta * (_s_first(S, w) + tm1 - mt1)
+            + (_tvec(T, phi2_eta) + phi1)[:, :, None] * u[None, None, :]
+            + L * ell_phi1_eta * _s_first(S, uvec)
+            - _tlow(Tl, uvec)[None, :, :] * phi1_eta[:, None, None]
         )
 
     # -- the deformed coefficient triple --------------------------------------
@@ -386,8 +396,9 @@ class DeformationData:
     @cached_property
     def horizontal(self) -> Series:
         """Deformed horizontal coefficients, shape (n, n, n)."""
-        tilt = contract("ipk,pj->ijk", self.t.T_mix, self.frame_shift)
-        return self.t.Gamma + tilt + self.difference
+        t = self.t
+        T, fs, Gamma, difference = lower(t.T_mix, self.frame_shift, t.Gamma, self.difference)
+        return Gamma + contract("ipk,pj->ijk", T, fs) + difference
 
     @cached_property
     def spray(self) -> Series:
@@ -399,6 +410,29 @@ class DeformationData:
         from the ``-2 G^i`` slot) halves and flips the sign.
         """
         return self.t.G - 0.5 * self.eta_shift
+
+
+# -- small contraction helpers, on tensors cut to the ring of the formula ----
+
+
+def _tvec(T: Series, v: Series) -> Series:
+    """T^i_pj v^p, shape (n, n): the mixed Cartan tensor eating one vector."""
+    return contract("ipj,p->ij", T, v)
+
+
+def _tlow(T: Series, v: Series) -> Series:
+    """T_pjk v^p, shape (n, n): the lowered Cartan tensor eating one vector."""
+    return contract("pjk,p->jk", T, v)
+
+
+def _s_second(S: Series, v: Series) -> Series:
+    """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
+    return contract("ikjp,p->ijk", S, v)
+
+
+def _s_first(S: Series, v: Series) -> Series:
+    """S(v, e_j) e_k as [i, j, k]; antisymmetry flips the sign."""
+    return -_s_second(S, v)
 
 
 def deformation_data(params: DeformationParams, t: Tower) -> DeformationData:
@@ -436,20 +470,21 @@ def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series
     tensor -- so agreement with :func:`build` confirms both routes.
     """
     d = deformation_data(params, t)
-    g = t.g
-    dg = t.delta_g  # [j, k, l]
-    tilt = 2.0 * contract("pkl,pj->jkl", t.T_low, d.frame_shift)
+    dg, g, gi, Tl, fs, f1, f2, A, B, u, gphi = lower(  # dg is [j, k, l]
+        t.delta_g, t.g, t.gi, t.T_low, d.frame_shift, d.f1, d.f2, d.A, d.B, d.u, d.gphi
+    )
+    tilt = 2.0 * contract("pkl,pj->jkl", Tl, fs)
     E = (
         dg
         + tilt
-        - 2.0 * d.f1 * (d.A[:, None, None] * g[None, :, :])
-        - d.f2
+        - 2.0 * f1 * (A[:, None, None] * g[None, :, :])
+        - f2
         * (
-            d.B[None, :, None] * g.transpose(1, 0)[:, None, :]
-            + d.B[None, None, :] * g[:, :, None]
+            B[None, :, None] * g.transpose(1, 0)[:, None, :]
+            + B[None, None, :] * g[:, :, None]
         )
     )
-    Q = d.u[None, :, None] * d.gphi[:, None, :] - d.u[:, None, None] * d.gphi[None, :, :]
+    Q = u[None, :, None] * gphi[:, None, :] - u[:, None, None] * gphi[None, :, :]
     low = 0.5 * (
         E
         + E.transpose(2, 0, 1)
@@ -458,7 +493,7 @@ def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series
         - Q.transpose(0, 2, 1)
         - Q.transpose(2, 0, 1)
     )
-    return contract("il,jkl->ijk", t.gi, low)
+    return contract("il,jkl->ijk", gi, low)
 
 
 # ---------------------------------------------------------------------------

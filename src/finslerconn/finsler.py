@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ad import ChartJets, Field, Series, contract, matinv
+from .ad import ChartJets, Field, Series, contract, lower, matinv
 from .expr import ExprError
 
 __all__ = [
@@ -137,9 +137,10 @@ class FinslerStructure:
 
 def horizontal_gradient(s: Series, N: Series) -> Series:
     """``delta_j s = ds/dx_j - N^m_j ds/dy_m`` for every ``j``, on a new leading
-    axis; the terms are subtracted in order of ``m``, as per index."""
-    dy = s.dy()
-    out = s.dx()
+    axis; the terms are subtracted in order of ``m``, as per index.  The
+    x-partials are one x-order below the y-partials, so those and ``N`` are
+    cut to the ring of the sum before they multiply."""
+    out, dy, N = lower(s.dx(), s.dy(), N)
     spread = (slice(None),) + (None,) * len(s.shape)  # N^m_j against s[...]
     for m in range(N.shape[0]):
         out = out - N[(m,) + spread] * dy[m]

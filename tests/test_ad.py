@@ -13,6 +13,7 @@ import ast
 import dataclasses
 import gc
 import math
+import operator
 import weakref
 from pathlib import Path
 
@@ -632,6 +633,72 @@ def test_scalar_product_has_the_bits_of_the_constant_product(c):
     assert np.array_equal(_bits((s * Series.const(rg, c)).coef), _bits(want))
     for got in (s * c, c * s, s * np.float64(c), np.float64(c) * s):
         assert np.array_equal(_bits(got.coef), _bits(want))
+
+
+def test_division_by_a_zero_dim_array_is_the_scalar_division():
+    # a 0-d array divides as its scalar does, not by a rounded reciprocal,
+    # and keeps a -0.0 coefficient
+    rg = ring(2, 2)
+    rng = np.random.default_rng(3)
+    s = Series(rg, rng.uniform(-2.0, 2.0, (4, rg.dim)))
+    s.coef[0, 0] = -0.0
+    want = s / 3.0
+    for got in (s / np.float64(3.0), s / np.array(3.0), s / np.array(3)):
+        assert np.array_equal(_bits(got.coef), _bits(want.coef))
+    assert math.copysign(1.0, want.coef[0, 0]) == -1.0
+
+
+# ---------------------------------------------------------------------------
+# a formula cuts its factors to their meet before it multiplies: the
+# products in the lower ring have the bits of the higher ring's, cut
+
+LOWERED_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "contract": lambda x, y: contract("ij,jk->ik", x, y.transpose(1, 0)),
+}
+
+
+@st.composite
+def lowered_pairs(draw):
+    """Two (2, 3)-batched series of one ring, and a ring of no higher orders."""
+    nvars = draw(st.integers(2, 6))
+    order = draw(st.integers(0, 4))
+    high = ring(nvars, order, draw(st.none() | st.integers(0, order)))
+    low_order = draw(st.integers(0, order))
+    low = ring(nvars, low_order, draw(st.integers(0, min(low_order, high.xorder))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.uniform(-2.0, 2.0, (2, 2, 3, high.dim))
+    for coef in (a, b):
+        coef[rng.random(coef.shape) < 0.2] = 0.0
+        coef[rng.random(coef.shape) < 0.2] = -0.0
+    if draw(st.booleans()):
+        b[..., 1:] = 0.0  # a constant factor
+    return high, low, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(lowered_pairs())
+def test_lowered_factors_give_the_bits_of_the_cut_result(case):
+    high, low, a, b = case
+    x, y = Series(high, a), Series(high, b)
+    marker = Series(low, np.zeros(low.dim))
+    lx, ly, lm = ad.lower(x, y, marker)
+    assert lx.ring is ly.ring is low and lm is marker
+    idx = high.cut_index(low)
+    for name, op in LOWERED_OPS.items():
+        want = ad._cut(op(x, y).coef, idx)
+        assert np.array_equal(_bits(op(lx, ly).coef), _bits(want)), name
+    # a series already in the meet comes back as itself; a total-order cut
+    # is a view of the coefficient prefix, an x-order cut a gather
+    assert ad.lower(x, y)[0] is x
+    if high is low:
+        assert lx is x
+    elif type(idx) is slice:
+        assert np.shares_memory(lx.coef, a)
+    else:
+        assert not np.shares_memory(lx.coef, a)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,11 @@ class TaylorRing:
         coefficient keeps its bits, down to which NaN a sum of two keeps;
         only scipy's dispatch and its copy of ``W`` are skipped.  The result
         is a writable view of the output, ring axis last.
+
+        ``csr_matvec`` and ``csr_matvecs`` are scipy's private
+        ``scipy.sparse._sparsetools``; their signatures and bits were
+        measured with scipy 1.17.1, and the tests pin the bits against
+        ``scatter @ W``.
         """
         I, J, scatter = self._mul_table()
         nd = max(a.ndim, b.ndim)
@@ -777,9 +782,10 @@ class Field(Protocol):
 
     ``eval`` receives a :class:`ChartJets` or the point's
     :class:`~finslerconn.finsler.Tower` (which offers the same ``xs``,
-    ``ys`` and ``const``).  Parameter fields are always evaluated on the
-    tower; a field that reads the metric (``t.g``, ``t.ell``, ...) needs
-    one.  Scalars evaluate to a ``()``-batched series, one-forms to
+    ``ys`` and ``const``).  Parameter fields are evaluated on the tower,
+    except expression fields, which a pack runs on the jets cut to the
+    ring of ``g``; a field that reads the metric (``t.g``, ``t.ell``, ...)
+    needs a tower.  Scalars evaluate to a ``()``-batched series, one-forms to
     ``(n,)`` components and endomorphisms to ``(n, n)``, entry ``[i, j]``
     being the i-th component of the image of the j-th frame vector.
 

@@ -42,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ad import Constant, Field, Series, contract, lower
+from .ad import ChartJets, Constant, Field, Series, contract, lower
 from .connection import (
     CARTAN,
     Connection,
@@ -52,7 +52,14 @@ from .connection import (
     curvature_v,
     torsions,
 )
-from .expr import ExprCovectorField, ExprError, ExprMatrixField, ExprScalarField
+from .expr import (
+    ExprCovectorField,
+    ExprError,
+    ExprField,
+    ExprMatrixField,
+    ExprScalarField,
+    Tape,
+)
 from .finsler import ChartPoint, DomainError, FinslerStructure, Tower, horizontal_gradient
 
 __all__ = [
@@ -102,6 +109,17 @@ class DeformationParams:
             phi=Constant(np.zeros((n, n))),
             name=name,
         )
+
+    @cached_property
+    def tape(self) -> Tape | None:
+        """The trees of every expression field, slot after slot, compiled
+        into one tape; None when no slot holds an expression field or the
+        fields disagree on the chart dimension.  Compiled on first use, so
+        the slots are not to be reassigned after a first evaluation."""
+        fields = [f for f in (getattr(self, s) for s in _SLOTS) if isinstance(f, ExprField)]
+        if not fields or len({f.n for f in fields}) > 1:
+            return None
+        return Tape([tree for f in fields for tree in f.trees], fields[0].n)
 
     def describe(self) -> str:
         parts = []
@@ -172,35 +190,58 @@ class DeformationData:
     Every stage lands at or below the ring of ``g`` and of each parameter
     value (each stage reads all six), so the values and ``eye`` are cut to
     that ring once, and each stage cuts its factors to the ring it keeps
-    (:func:`~finslerconn.ad.lower`).
+    (:func:`~finslerconn.ad.lower`).  The expression fields of the pack run
+    as one tape (:attr:`DeformationParams.tape`) on the chart jets cut to
+    ``g``'s ring, so every product of their evaluation runs there; other
+    fields are evaluated on the tower and cut.  ``g`` is read first, so a
+    metric that fails at the point is named before any field, and a value
+    must be finite on the coefficients of ``g``'s ring.  When the tape
+    raises, the fields run again slot by slot, so the error names the first
+    slot that fails.
     """
 
     def __init__(self, params: DeformationParams, t: Tower):
         self.params = params
         self._tower = weakref.ref(t)
         n = t.n
+        xs, ys, g = lower(t.xs, t.ys, t.g)
+        low = ChartJets(g.ring, t.point.x, t.point.y, xs, ys)
+        rows = None
+        if params.tape is not None:
+            try:
+                rows = params.tape.run(low).coef
+            except (ValueError, ZeroDivisionError):
+                pass  # run slot by slot below, so the error names its slot
+        start = 0
         values = []
         for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
-            try:
-                value = getattr(params, slot).eval(t)
-            except (ExprError, DomainError):  # the expression or the metric is at fault
-                raise
-            except (ValueError, ZeroDivisionError) as err:
-                where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
-                raise DomainError(
-                    f"parameter {slot} cannot be evaluated at {where}: {err}"
-                ) from None
+            field = getattr(params, slot)
+            expression = isinstance(field, ExprField)
+            if expression and rows is not None:
+                stop = start + len(field.trees)
+                value = Series(g.ring, rows[start:stop].reshape(field.shape + (-1,)))
+                start = stop
+            else:
+                try:
+                    value = field.eval(low if expression else t)
+                except (ExprError, DomainError):  # the expression or the metric is at fault
+                    raise
+                except (ValueError, ZeroDivisionError) as err:
+                    where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
+                    raise DomainError(
+                        f"parameter {slot} cannot be evaluated at {where}: {err}"
+                    ) from None
             if value.shape != shape:
                 raise ValueError(
                     f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
                 )
-            if not np.isfinite(value.coef).all():
+            if not np.isfinite(lower(value, g)[0].coef).all():
                 where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
                 raise DomainError(
                     f"parameter {slot} is not finite at {where}: value {value.val.tolist()}"
                 )
             values.append(value)
-        *values, _ = lower(*values, t.const(np.eye(n)), t.g)
+        *values, _ = lower(*values, Series.const(g.ring, np.eye(n)), g)
         # copies: a cut that is a view would keep the uncut values alive
         for slot, value in zip((*_SLOTS, "eye"), values):
             setattr(self, slot, Series(value.ring, value.coef.copy()))

@@ -6,6 +6,22 @@ tokenizes and parses them (a Pratt parser with the usual precedence
 ``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``) and evaluates the AST on
 :class:`~finslerconn.ad.ChartJets` or a tower built on them.
 
+Evaluation runs a :class:`Tape`: a list of trees (the entries of a field,
+or every expression entry of a parameter pack) is compiled once into
+straight-line steps, one per node in post-order.  Trees of one shape share
+their steps and run as one batch, one series operation per step:
+
+* the shape is the node kinds, function names and exponents; ``+`` and
+  ``-`` are one kind, told apart by a vector of signs (``a - b`` has the
+  bits of ``a + (-1.0 * b)``);
+* a number, a variable and a literal factor are a value vector, a row
+  index into the stacked ``(xs, ys)`` and a factor vector.
+
+Each tree gets the bits its own node-by-node walk gives it, in whatever
+ring the jets are in: in a lower ring, the cut of the higher ring's
+values.  On an error the trees run again one by one, so the error is the
+first failing tree's.
+
 Variables are ``x1..xn`` and ``y1..yn`` for the chart dimension ``n``;
 functions are ``sqrt``, ``exp``, ``log``, ``sin``, ``cos``, ``abs``.
 Exponents of ``^`` must be constant (integer, decimal, or a parenthesized
@@ -19,7 +35,10 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .ad import ChartJets, Series
 
@@ -32,7 +51,9 @@ __all__ = [
     "BinOp",
     "Call",
     "parse_expression",
+    "Tape",
     "evaluate",
+    "ExprField",
     "ExprScalarField",
     "ExprCovectorField",
     "ExprMatrixField",
@@ -289,57 +310,194 @@ def parse_expression(text: str, n: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one straight-line tape per list of trees
+
+# the kinds of tape step
+_NUM, _VAR, _NEG, _CALL, _POW, _SCALE, _ADD, _MUL, _DIV = range(9)
+
+
+class _Linearizer:
+    """Appends the steps of trees in post-order.
+
+    A step is ``(kind, attribute, left register, right register)``, and
+    the steps of a tree are its shape.  The attribute is a function name,
+    an exponent, or where the step's datum sits, the data being what trees
+    of one shape differ in: a number's value, a literal factor and the
+    sign of a ``+`` or ``-`` go to ``values``, a variable's row in the
+    stacked ``(xs, ys)`` to ``rows``.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.steps: list[tuple] = []
+        self.values: list[float] = []
+        self.rows: list[int] = []
+
+    def value(self, datum: float) -> int:
+        self.values.append(datum)
+        return len(self.values) - 1
+
+    def add(self, node: Node) -> int:
+        """Append the steps of ``node`` and return its register."""
+        if isinstance(node, Num):
+            step = (_NUM, self.value(node.value), -1, -1)
+        elif isinstance(node, Var):
+            self.rows.append(node.index - 1 + (self.n if node.kind == "y" else 0))
+            step = (_VAR, len(self.rows) - 1, -1, -1)
+        elif isinstance(node, Neg):
+            step = (_NEG, None, self.add(node.arg), -1)
+        elif isinstance(node, Call):
+            step = (_CALL, node.func, self.add(node.arg), -1)
+        elif not isinstance(node, BinOp):
+            raise TypeError(f"not an expression node: {node!r}")
+        elif node.op == "^":
+            assert isinstance(node.right, Num)
+            step = (_POW, node.right.value, self.add(node.left), -1)
+        elif node.op == "*" and isinstance(node.right, Num):
+            step = (_SCALE, self.value(node.right.value), self.add(node.left), -1)
+        elif node.op == "*" and isinstance(node.left, Num):
+            step = (_SCALE, self.value(node.left.value), self.add(node.right), -1)
+        elif node.op in "+-":
+            sign = self.value(1.0 if node.op == "+" else -1.0)
+            step = (_ADD, sign, self.add(node.left), self.add(node.right))
+        else:
+            step = (_MUL if node.op == "*" else _DIV, None, self.add(node.left), self.add(node.right))
+        self.steps.append(step)
+        return len(self.steps) - 1
+
+
+def _run_steps(steps: Sequence[tuple], values: np.ndarray, rows: np.ndarray, rg, stacked: np.ndarray) -> Series:
+    """Run one shape's steps on a batch of trees: ``values[k]`` is value
+    slot ``k`` over the batch as a column, ``rows[k]`` row slot ``k``."""
+    regs: list[Series] = []
+    for kind, attr, a, b in steps:
+        if kind == _VAR:
+            out = Series(rg, stacked.take(rows[attr], axis=0))
+        elif kind == _SCALE:
+            # the bits of ``s * c``, which is ``s.coef * c + 0.0``
+            out = Series(rg, regs[a].coef * values[attr] + 0.0)
+        elif kind == _ADD:
+            # ``a - b`` is ``a + (-1.0 * b)``, bit for bit
+            out = Series(rg, regs[a].coef + regs[b].coef * values[attr])
+        elif kind == _NUM:
+            out = Series.const(rg, values[attr, :, 0])
+        elif kind == _MUL:
+            out = regs[a] * regs[b]
+        elif kind == _DIV:
+            out = regs[a] / regs[b]
+        elif kind == _POW:
+            out = regs[a] ** attr
+        elif kind == _CALL:
+            out = getattr(regs[a], attr)()
+        else:
+            out = -regs[a]
+        regs.append(out)
+    return regs[-1]
+
+
+class Tape:
+    """A list of expression trees compiled into straight-line steps.
+
+    Trees of one shape share their steps and run as one batch: each step
+    is one series operation over the batch (dynamic batching, Looks et
+    al., "Deep Learning with Dynamic Computation Graphs", ICLR 2017).
+    ``+`` and ``-`` are one shape, told apart by a sign; literals and
+    variables are value and row vectors.  Each tree gets the bits the
+    operations of its own walk give it.
+    """
+
+    def __init__(self, trees: Sequence[Node], n: int):
+        self.n = n
+        self.size = len(trees)
+        shapes: dict[tuple, tuple[list, list, list]] = {}
+        for pos, tree in enumerate(trees):
+            lin = _Linearizer(n)
+            lin.add(tree)
+            positions, values, rows = shapes.setdefault(tuple(lin.steps), ([], [], []))
+            positions.append(pos)
+            values.append(lin.values)
+            rows.append(lin.rows)
+        # per shape: its steps, its trees' positions, and their data as
+        # arrays of shape (value slot, tree, 1) and (row slot, tree)
+        self.groups = [
+            (
+                steps,
+                np.array(positions),
+                np.array(list(zip(*values)), dtype=float).reshape(-1, len(positions), 1),
+                np.array(list(zip(*rows)), dtype=np.int64).reshape(-1, len(positions)),
+            )
+            for steps, (positions, values, rows) in shapes.items()
+        ]
+
+    def run(self, jets) -> Series:
+        """Every tree's value on ``jets`` (anything with chart ``xs`` and
+        ``ys`` of one ring, of at least the tape's dimension), stacked in
+        tree order on a new leading axis.
+
+        On an error the trees run again one by one in order, so the error
+        raised is that of the first tree that fails.
+        """
+        xs, ys = jets.xs, jets.ys
+        if xs.shape[0] < self.n:
+            raise ValueError(
+                f"expressions over {self.n} chart dimensions evaluated on jets of shape {xs.shape}"
+            )
+        rg = xs.ring
+        stacked = np.concatenate((xs.coef[: self.n], ys.coef[: self.n]))
+        try:
+            out = [_run_steps(steps, v, r, rg, stacked) for steps, _, v, r in self.groups]
+        except (ValueError, ZeroDivisionError):
+            place = {p: (group, i) for group in self.groups for i, p in enumerate(group[1].tolist())}
+            for (steps, _, values, rows), i in map(place.get, range(self.size)):
+                _run_steps(steps, values[:, i : i + 1], rows[:, i : i + 1], rg, stacked)
+            raise
+        if len(out) == 1:
+            return out[0]
+        coef = np.empty((self.size, rg.dim))
+        for (_, positions, _, _), value in zip(self.groups, out):
+            coef[positions] = value.coef
+        return Series(rg, coef)
 
 
 def evaluate(node: Node, jets: ChartJets) -> Series:
     """Evaluate an AST to a scalar series on the given chart jets."""
-    if isinstance(node, Num):
-        return jets.const(node.value)
-    if isinstance(node, Var):
-        comps = jets.xs if node.kind == "x" else jets.ys
-        return comps[node.index - 1]
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, jets)
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, jets)
-        return getattr(arg, node.func)()
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            assert isinstance(node.right, Num)
-            return evaluate(node.left, jets) ** node.right.value
-        if node.op == "*" and isinstance(node.right, Num):
-            # a literal factor scales, with the bits of the constant-factor
-            # product of a ``jets.const`` series
-            return evaluate(node.left, jets) * node.right.value
-        if node.op == "*" and isinstance(node.left, Num):
-            return evaluate(node.right, jets) * node.left.value
-        left = evaluate(node.left, jets)
-        right = evaluate(node.right, jets)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+    return Tape([node], jets.xs.shape[0]).run(jets)[0]
 
 
 # ---------------------------------------------------------------------------
 # field adapters
 
 
-class ExprScalarField:
+class ExprField:
+    """A chart field with one expression per entry.
+
+    ``trees`` holds the entries in row-major order and ``shape`` their
+    batch shape; ``eval`` runs them as one :class:`Tape`, compiled on the
+    first evaluation (a pack runs its fields through its own tape, so
+    their separate tapes are compiled only when asked for).
+    """
+
+    n: int
+    shape: tuple[int, ...]
+    trees: tuple[Node, ...]
+
+    @cached_property
+    def tape(self) -> Tape:
+        return Tape(self.trees, self.n)
+
+    def eval(self, jets) -> Series:
+        value = self.tape.run(jets)
+        return Series(value.ring, value.coef.reshape(self.shape + (-1,)))
+
+
+class ExprScalarField(ExprField):
     """A scalar chart field defined by one expression string."""
 
     def __init__(self, n: int, text: str):
         self.n = n
         self.text = text
-        self._ast = parse_expression(text, n)
-
-    def eval(self, jets: ChartJets) -> Series:
-        return evaluate(self._ast, jets)
+        self.trees = (parse_expression(text, n),)
+        self.shape = ()
 
     def describe(self) -> str:
         return self.text
@@ -348,7 +506,7 @@ class ExprScalarField:
         return f"ExprScalarField({self.n}, {self.text!r})"
 
 
-class ExprCovectorField:
+class ExprCovectorField(ExprField):
     """A covector field with one expression per component."""
 
     def __init__(self, n: int, components: Sequence[str]):
@@ -356,16 +514,14 @@ class ExprCovectorField:
             raise ValueError(f"need {n} components, got {len(components)}")
         self.n = n
         self.components = tuple(components)
-        self._asts = [parse_expression(t, n) for t in components]
-
-    def eval(self, jets: ChartJets) -> Series:
-        return Series.stack([evaluate(a, jets) for a in self._asts])
+        self.trees = tuple(parse_expression(t, n) for t in components)
+        self.shape = (n,)
 
     def describe(self) -> str:
         return "[" + ", ".join(self.components) + "]"
 
 
-class ExprMatrixField:
+class ExprMatrixField(ExprField):
     """An endomorphism field with one expression per entry (row-major)."""
 
     def __init__(self, n: int, rows: Sequence[Sequence[str]]):
@@ -373,13 +529,8 @@ class ExprMatrixField:
             raise ValueError(f"need an {n}x{n} grid of expressions")
         self.n = n
         self.rows = tuple(tuple(r) for r in rows)
-        self._asts = [[parse_expression(t, n) for t in row] for row in rows]
-
-    def eval(self, jets: ChartJets) -> Series:
-        return Series.stack(
-            [Series.stack([evaluate(a, jets) for a in row]) for row in self._asts]
-        )
+        self.trees = tuple(parse_expression(t, n) for row in rows for t in row)
+        self.shape = (n, n)
 
     def describe(self) -> str:
         return "; ".join("[" + ", ".join(r) + "]" for r in self.rows)
-

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finslerconn.ad import Constant
+from finslerconn.ad import Constant, TaylorRing
 from finslerconn.connection import CARTAN, Connection, metric_deficit, torsions
 from finslerconn.deformation import (
     DeformationParams,
@@ -30,6 +30,7 @@ from finslerconn.deformation import (
     curvature_relations,
     deformation_data,
     horizontal_from_compatibility,
+    parameter_field,
     torsion_relations,
 )
 from finslerconn.expr import ExprCovectorField, ExprMatrixField, ExprScalarField
@@ -41,6 +42,7 @@ from finslerconn.samples import (
     randers,
     warped_flat,
 )
+from finslerconn.verify import random_params
 
 P2 = ChartPoint([0.3, -0.2], [0.7, 1.1])
 P3 = ChartPoint([0.2, -0.3, 0.4], [0.9, 0.5, 1.2])
@@ -587,3 +589,86 @@ def test_degenerate_structure_raises_domain_error():
     params = general_params(2)
     with pytest.raises(DomainError):
         data_at(params, quartic, ChartPoint([0.0, 0.0], [1.0, 0.0])).difference
+
+
+def _pack(n: int, **fields) -> DeformationParams:
+    """The zero pack with some slots given as texts."""
+    return replace(
+        DeformationParams.zero(n), **{k: parameter_field(k, v, n) for k, v in fields.items()}
+    )
+
+
+# messages recorded before the parameter fields ran as one tape; the tape
+# runs again slot by slot on a failure, so the first failing slot is named
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (
+            {"A": ("0.1", "log(x1)")},
+            "parameter A cannot be evaluated at x = [-0.5, 0.2], y = [0.7, 1.1]: "
+            "log of a series needs a positive value",
+        ),
+        (
+            {"f2": "1/(x1 - x1)", "phi": (("1", "sqrt(x1)"), ("0", "1"))},
+            "parameter f2 cannot be evaluated at x = [-0.5, 0.2], y = [0.7, 1.1]: "
+            "series with zero constant term has no reciprocal",
+        ),
+        (
+            {"u": ("sqrt(x1)", "log(x1)")},
+            "parameter u cannot be evaluated at x = [-0.5, 0.2], y = [0.7, 1.1]: "
+            "fractional power of a series needs a positive value",
+        ),
+        (
+            {"f1": "exp(1000*y1)", "B": ("log(x1)", "1")},
+            "parameter f1 is not finite at x = [-0.5, 0.2], y = [0.7, 1.1]: "
+            "value 1.0142320547350045e+304",
+        ),
+    ],
+)
+def test_a_failing_parameter_names_its_slot_as_before(fields, message):
+    t = randers().tower(ChartPoint([-0.5, 0.2], [0.7, 1.1]), (4, 1))
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as err:
+        deformation_data(_pack(2, **fields), t)
+    assert str(err.value) == message
+
+
+def test_the_metric_error_wins_over_a_field_error():
+    # g is read before the fields: where both fail, the metric is named
+    # (before, the field f1 was)
+    quartic = FinslerStructure(2, ExprScalarField(2, "(y1^4 + y2^4)^(1/4)"), name="quartic")
+    t = quartic.tower(ChartPoint([-0.5, 0.2], [1.0, 0.0]), (4, 1))
+    with pytest.raises(DomainError, match="^fundamental tensor is not positive definite"):
+        deformation_data(_pack(2, f1="log(x1)"), t)
+
+
+def test_only_the_kept_coefficients_of_a_field_must_be_finite():
+    # y1^1000 at y1 = 2 overflows from degree 3 on; the data keeps g's
+    # ring, degree 2, so it builds (before, its degree-3 terms raised)
+    F = randers()
+    t = F.tower(ChartPoint([0.1, 0.2], [2.0, 1.0]), (4, 1))
+    params = _pack(2, f1="y1^1000")
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(params.f1.eval(t).coef).all()
+        d = deformation_data(params, t)
+    assert d.f1.ring is t.g.ring and np.isfinite(d.f1.coef).all()
+    assert d.f1.val == 2.0**1000
+
+
+def test_a_pack_runs_one_product_per_shape_in_the_ring_of_g(monkeypatch):
+    F = curved_three_dim()
+    params = random_params(3, np.random.default_rng(3))
+    t = F.tower(P3, (5, 2))
+    g = t.g  # the metric's own products run before the wrap
+    rings = []
+    mul_coef = TaylorRing.mul_coef
+
+    def counted(rg, a, b):
+        rings.append(rg)
+        return mul_coef(rg, a, b)
+
+    monkeypatch.setattr(TaylorRing, "mul_coef", counted)
+    d = deformation_data(params, t)
+    assert params.tape.size == 20 and len(params.tape.groups) < params.tape.size
+    assert all(rg is g.ring for rg in rings)
+    assert 0 < len(rings) <= len(params.tape.groups)
+    assert d.phi.ring is g.ring

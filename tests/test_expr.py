@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerconn.ad import ChartJets, Constant
+from finslerconn.ad import ChartJets, Constant, Series, lower, ring
 from finslerconn.deformation import parameter_field
 from finslerconn.expr import (
     FUNCTIONS,
@@ -20,6 +20,7 @@ from finslerconn.expr import (
     ExprScalarField,
     Neg,
     Num,
+    Tape,
     Var,
     evaluate,
     parse_expression,
@@ -235,6 +236,167 @@ def test_literal_factors_scale_with_the_bits_of_the_series_product(text, order):
     got, want = evaluate(node, jets), _evaluate_literals_as_series(node, jets)
     assert got.ring is want.ring
     assert np.array_equal(got.coef.view(np.int64), want.coef.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the tape against the recursive walk it replaced, bit for bit
+
+
+def _recursive_evaluate(node, jets):
+    """The recursive walk ``evaluate`` was before trees ran as a tape: one
+    series operation per node, a literal factor scaling the other side."""
+    if isinstance(node, Num):
+        return jets.const(node.value)
+    if isinstance(node, Var):
+        return (jets.xs if node.kind == "x" else jets.ys)[node.index - 1]
+    if isinstance(node, Neg):
+        return -_recursive_evaluate(node.arg, jets)
+    if isinstance(node, Call):
+        return getattr(_recursive_evaluate(node.arg, jets), node.func)()
+    if node.op == "^":
+        return _recursive_evaluate(node.left, jets) ** node.right.value
+    if node.op == "*" and isinstance(node.right, Num):
+        return _recursive_evaluate(node.left, jets) * node.right.value
+    if node.op == "*" and isinstance(node.left, Num):
+        return _recursive_evaluate(node.right, jets) * node.left.value
+    left = _recursive_evaluate(node.left, jets)
+    right = _recursive_evaluate(node.right, jets)
+    return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__, "/": left.__truediv__}[node.op](right)
+
+
+_LITERALS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 3.0)
+# an int, a negative and a fractional exponent among them
+_EXPONENTS = [2.0, 3.0, 0.0, -1.0, -2.0, 0.5, 1.5, -0.5]
+
+
+@st.composite
+def _template(draw, n, depth):
+    """A tree over every node kind: leaves, ``-``, the six calls, ``^``,
+    literal factors on either side, ``+``/``-``, ``*`` and ``/``."""
+    kinds = ["num", "var"] + (["neg", "call", "pow", "scale", "add", "mul", "div"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    sub = lambda: draw(_template(n, depth - 1))  # noqa: E731
+    if kind == "num":
+        return Num(0, draw(_LITERALS))
+    if kind == "var":
+        return Var(0, draw(st.sampled_from("xy")), draw(st.integers(1, n)))
+    if kind == "neg":
+        return Neg(0, sub())
+    if kind == "call":
+        return Call(0, draw(st.sampled_from(FUNCTIONS)), sub())
+    if kind == "pow":
+        return BinOp(0, "^", sub(), Num(0, draw(st.sampled_from(_EXPONENTS))))
+    if kind == "scale":
+        return BinOp(0, "*", sub(), Num(0, draw(_LITERALS)))
+    return BinOp(0, {"add": "+", "mul": "*", "div": "/"}[kind], sub(), sub())
+
+
+def _relabel(draw, node, n):
+    """A tree of the same shape as ``node`` with its leaves, literal factors
+    and ``+``/``-`` drawn again; a literal factor may change sides."""
+    if isinstance(node, Num):
+        return Num(0, draw(_LITERALS))
+    if isinstance(node, Var):
+        return Var(0, draw(st.sampled_from("xy")), draw(st.integers(1, n)))
+    if isinstance(node, (Neg, Call)):
+        return type(node)(0, *([node.func] if isinstance(node, Call) else []), _relabel(draw, node.arg, n))
+    if node.op == "^":
+        return BinOp(0, "^", _relabel(draw, node.left, n), node.right)
+    if node.op == "*" and (isinstance(node.left, Num) or isinstance(node.right, Num)):
+        other = node.left if isinstance(node.right, Num) else node.right
+        factor, other = Num(0, draw(_LITERALS)), _relabel(draw, other, n)
+        return BinOp(0, "*", *((factor, other) if draw(st.booleans()) else (other, factor)))
+    op = draw(st.sampled_from("+-")) if node.op in "+-" else node.op
+    return BinOp(0, op, _relabel(draw, node.left, n), _relabel(draw, node.right, n))
+
+
+@st.composite
+def tape_cases(draw):
+    """Trees of a few shapes, several of each, in drawn order; jets at a
+    drawn point and order; and a ring of no higher orders."""
+    n = draw(st.integers(1, 3))
+    templates = draw(st.lists(_template(n, draw(st.integers(0, 3))), min_size=1, max_size=3))
+    trees = [_relabel(draw, t, n) for t in templates for _ in range(draw(st.integers(1, 3)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.integers(0, 4))
+    xorder = draw(st.integers(0, order))
+    jets = ChartJets.at(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.5, 1.5, n), (order, xorder))
+    low_order = draw(st.integers(0, order))
+    low = ring(2 * n, low_order, draw(st.integers(0, min(low_order, xorder))))
+    return n, len(templates), draw(st.permutations(trees)), jets, low
+
+
+def _same_bits_where_finite(got, want):
+    """The int64 views agree (signs of zero count) where ``want`` is finite;
+    where it is not, ``got`` is not finite either, so a residual fails."""
+    if np.isfinite(want).all():
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        assert not np.isfinite(got).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tape_cases())
+def test_the_tape_gives_each_tree_the_bits_of_its_recursive_walk(case):
+    n, shapes, trees, jets, _ = case
+    tape = Tape(trees, n)
+    assert len(tape.groups) <= shapes  # trees relabelled from one template run as one batch
+    with np.errstate(all="ignore"):
+        want, first_error = [], None
+        for tree in trees:
+            try:
+                want.append(_recursive_evaluate(tree, jets))
+            except (ValueError, ZeroDivisionError) as err:
+                first_error = err
+                break
+        if first_error is not None:
+            # the error of the first tree that fails, as the walk in order raised it
+            with pytest.raises(type(first_error)) as raised:
+                tape.run(jets)
+            assert str(raised.value) == str(first_error)
+            return
+        got = tape.run(jets)
+    assert got.ring is jets.ring and got.shape == (len(trees),)
+    for i, w in enumerate(want):
+        _same_bits_where_finite(got.coef[i], w.coef)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tape_cases())
+def test_the_tape_in_a_lower_ring_gives_the_bits_of_the_cut(case):
+    n, _, trees, jets, low = case
+    tape = Tape(trees, n)
+    xs, ys, _ = lower(jets.xs, jets.ys, Series.const(low, 0.0))
+    with np.errstate(all="ignore"):
+        try:
+            full = tape.run(jets)
+        except (ValueError, ZeroDivisionError):
+            return  # every check of a step reads constant terms; orders only relax them
+        got = tape.run(ChartJets(low, jets.x0, jets.y0, xs, ys))
+    assert got.ring is low
+    cut = lower(full, Series.const(low, 0.0))[0]
+    for i in range(len(trees)):
+        _same_bits_where_finite(got.coef[i], cut.coef[i])
+
+
+def test_trees_of_one_shape_share_their_steps():
+    texts = ["0.5 + 0.2*x1 - y2*x1", "0.1 - 0.3*y1 + x2*x1", "2*x2 + 1 - y1*y2"]
+    tape = Tape([parse_expression(t, 2) for t in texts + ["sqrt(y1)"]], 2)
+    assert [group[1].tolist() for group in tape.groups] == [[0, 1], [2], [3]]
+    jets = ChartJets.at([0.3, -0.2], [0.9, 1.2], (3, 1))
+    values = tape.run(jets)
+    for i, text in enumerate(texts + ["sqrt(y1)"]):
+        want = _recursive_evaluate(parse_expression(text, 2), jets).coef
+        assert np.array_equal(values.coef[i].view(np.int64), want.view(np.int64))
+
+
+def test_an_error_is_the_first_failing_trees():
+    # one shape: run as a batch, the sqrt step of the second tree fails
+    # before the division of the first, which fails first in tree order
+    tape = Tape([parse_expression("sqrt(y1)/x1", 2), parse_expression("sqrt(x2)/y2", 2)], 2)
+    assert len(tape.groups) == 1
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
+        tape.run(ChartJets.at([0.0, -1.0], [1.0, 1.0], 2))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ Setting all six parameters to zero recovers the metric connection exactly.
 
 The construction runs through three derived objects, each a stage of
 :class:`DeformationData` (read a value at a point as
-``deformation_data(params, F.tower(point, order)).<stage>.val``):
+``t = F.tower(point, order)``, then ``deformation_data(params, t).<stage>.val``,
+holding ``t`` while the data is read):
 
 * :attr:`DeformationData.eta_shift` -- the vertical displacement of the
   canonical spray,
@@ -178,7 +179,11 @@ class DeformationData:
     """Every series one deformation needs, evaluated on one tower.
 
     Constructed through :func:`deformation_data` so repeated queries on the
-    same tower share the work.  The attributes follow the construction
+    same tower share the work.  The data is memoized on its tower and holds
+    the tower only weakly (a strong reference would make a tower-data cycle
+    that only the cyclic collector frees), so hold the tower while reading
+    the data: a stage that reads a tower that is gone raises
+    ``ReferenceError``.  The attributes follow the construction
     stages: parameter values (each field evaluated on the tower), split and
     raised forms, the two shift fields, the difference tensor, and finally
     the deformed coefficient triple.  A field with no value at the point
@@ -248,10 +253,13 @@ class DeformationData:
 
     @property
     def t(self) -> Tower:
-        """The tower evaluated on, held weakly: its cache holds this data."""
+        """The tower evaluated on, held weakly: its cache holds this data,
+        and the caller holds the tower."""
         t = self._tower()
         if t is None:
-            raise ReferenceError("this data's tower is gone; bind the structure to a name")
+            raise ReferenceError(
+                "this data's tower is gone; hold the tower while you read its data"
+            )
         return t
 
     # -- split and raised forms ----------------------------------------------

@@ -26,11 +26,16 @@ touched.  A tower also offers the ``xs``, ``ys`` and ``const`` of its
 chart jets, so parameter fields are evaluated on it and those that read
 the metric (:class:`HilbertFormField`) take it from there.
 
-Towers are built only by :meth:`FinslerStructure.tower`, which caches them,
-and values derived from a tower are memoized with :meth:`Tower.memo`.  A
-tower holds its structure weakly, so it lives while its structure holds it:
-bind the structure to a name before using :meth:`Tower.at` or
-``deformation_data``.
+Towers are built only by :meth:`FinslerStructure.tower`, and values
+derived from a tower are memoized with :meth:`Tower.memo`.  The structure
+holds its towers weakly and a tower holds its structure weakly, so a tower
+lives while its caller holds it: :meth:`FinslerStructure.tower` hands out
+the live tower of a point and order if there is one and builds it
+otherwise, and reference counting frees a tower when its last holder lets
+go.  Hold the tower while reading data derived from it
+(``deformation_data``), and keep the structure bound to a name to use
+:meth:`Tower.at`.  A caller that visits the same points again (a loop over
+packs, say) holds their towers for the loop.
 """
 
 from __future__ import annotations
@@ -93,29 +98,39 @@ class FinslerStructure:
         self.n = n
         self.norm = norm
         self.name = name
-        self._towers: dict[tuple, "Tower"] = {}
+        self._towers: weakref.WeakValueDictionary[tuple, Tower] = weakref.WeakValueDictionary()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         label = self.name or getattr(self.norm, "describe", lambda: "norm")()
         return f"FinslerStructure(n={self.n}, {label})"
 
     def tower(self, point: ChartPoint, order: int | tuple[int, int]) -> "Tower":
-        """The (cached) Taylor tower of fundamental objects at a point.
+        """The Taylor tower of fundamental objects at a point: the live one
+        for this point and order if something holds it, else a new one.
 
         ``order`` is an int (every monomial up to that total degree) or an
         ``(order, xorder)`` pair that also drops the monomials of x-degree
-        above ``xorder``; see :class:`Tower`.
+        above ``xorder``; see :class:`Tower`.  The structure keeps no tower
+        alive, so a caller that asks for the same tower again holds it in
+        between.
         """
         if point.n != self.n:
             raise ValueError(f"point has dimension {point.n}, structure has {self.n}")
         key = point.key() + (order,)
         tw = self._towers.get(key)
         if tw is None:
-            if len(self._towers) >= 1024:
-                self._towers.pop(next(iter(self._towers)))
             tw = Tower(self, point, order)
             self._towers[key] = tw
         return tw
+
+    @cached_property
+    def cartan_flat(self) -> bool:
+        """Whether the norm is quadratic in the fiber (vanishing Cartan tensor).
+
+        Decided numerically at one interior probe point, once per structure.
+        """
+        probe = ChartPoint(np.full(self.n, 0.11), np.linspace(0.8, 1.2, self.n))
+        return float(np.max(np.abs(self.tower(probe, (3, 0)).T_mix.val))) < 1e-10
 
     def validate_at(self, point: ChartPoint) -> None:
         """Check positivity, homogeneity and strong convexity at one point.
@@ -159,9 +174,12 @@ class Tower:
     :class:`~finslerconn.ad.TruncationError` instead of cutting results).
 
     Built only by :meth:`FinslerStructure.tower`; other modules memoize
-    values derived from a tower with :meth:`memo`.  The tower holds its
-    structure weakly, so a dropped structure frees its towers by reference
-    counting, and :meth:`at` needs the structure still bound to a name.
+    values derived from a tower with :meth:`memo`.  A tower lives while its
+    caller holds it: the structure's cache refers to it weakly and nothing
+    memoized on it refers back strongly, so reference counting frees it,
+    and all it memoizes, when its last holder lets go.  It holds its
+    structure weakly too, so :meth:`at` needs the structure still bound to
+    a name.
     """
 
     def __init__(self, structure: FinslerStructure, point: ChartPoint, order):
@@ -173,7 +191,9 @@ class Tower:
         self.cache: dict = {}
 
     def at(self, order: int | tuple[int, int]) -> "Tower":
-        """The tower of the same point at another order, from the structure's cache."""
+        """The tower of the same point at another order, through
+        :meth:`FinslerStructure.tower`: the live one, or a new one that lives
+        while the caller holds it."""
         structure = self._structure()
         if structure is None:
             raise ReferenceError("this tower's structure is gone; bind the structure to a name")

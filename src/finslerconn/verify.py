@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .ad import ChartJets
-from .cases import catalog, check_case
+from .cases import _WORKSPACE_ORDER, catalog, check_case
 from .connection import (
     CARTAN,
     Connection,
@@ -282,11 +282,10 @@ def random_param_sets(F: FinslerStructure, plan: SamplePlan) -> list[Deformation
 def cartan_flat(F: FinslerStructure) -> bool:
     """Whether the norm is quadratic in the fiber (vanishing Cartan tensor).
 
-    Decided numerically at one interior probe point; quadratic norms get
-    the tighter curvature tolerances.
+    Decided once per structure (:attr:`FinslerStructure.cartan_flat`);
+    quadratic norms get the tighter curvature tolerances.
     """
-    probe = ChartPoint(np.full(F.n, 0.11), np.linspace(0.8, 1.2, F.n))
-    return float(np.max(np.abs(F.tower(probe, (3, 0)).T_mix.val))) < 1e-10
+    return F.cartan_flat
 
 
 def default_metrics() -> list[FinslerStructure]:
@@ -517,6 +516,8 @@ def check_theorem(
     packs = [params] if isinstance(params, DeformationParams) else list(params)
 
     def residuals(points, plan):
+        # every pack reads the same points: hold their towers across the packs
+        held = [F.tower(p, _THEOREM_ORDER) for p in points]
         for pack in packs:
             conn = _perturbed(build(pack), "hor") if fuzz else None
             for p in points:
@@ -802,10 +803,13 @@ def check_cases(
     notes: dict[str, str] = {}
 
     def residuals(points, plan):
+        points = points[:2] if fuzz else points
+        # every entry reads the same points: hold their towers across the catalog
+        held = [F.tower(p, _WORKSPACE_ORDER) for p in points]
         for entry in catalog():
             label = f"case-{entry['id']:02d}"
             result = check_case(
-                entry["id"], F, points=points[:2] if fuzz else points, seed=plan.seed,
+                entry["id"], F, points=points, seed=plan.seed,
                 perturbation=_FUZZ_SIZE if fuzz else 0.0,
             )
             notes[label] = "difference tensor perturbed by 1e-3" if fuzz else _case_note(result)

@@ -10,6 +10,7 @@ Oracles used here, in order of strength:
 """
 
 import ast
+import contextlib
 import dataclasses
 import gc
 import math
@@ -38,7 +39,15 @@ from finslerconn.ad import (
 from finslerconn.cases import default_free_choices, preset
 from finslerconn.deformation import DeformationParams
 from finslerconn.finsler import ChartPoint, DomainError, Tower
-from finslerconn.verify import SamplePlan, check_curvatures, check_theorem, run_all
+from finslerconn.cli import tensor_report
+from finslerconn.verify import (
+    SamplePlan,
+    check_curvatures,
+    check_theorem,
+    random_param_sets,
+    run_all,
+    sample_points,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -952,34 +961,66 @@ def test_d_and_extract_past_the_x_order_raise():
         f.extract((0, 0, 3, 2))  # past the total order still raises
 
 
-def test_dropped_structures_free_their_towers_without_gc():
-    # with the cycle collector off, only reference counting frees towers
-    plan = SamplePlan(
-        param_sets=1, theorem_points=1, construction_points=1, torsion_points=1,
-        curvature_points=1, bianchi_points=1, process_points=1, case_points=1, fd_points=1,
-    )
-    towers = []
+@contextlib.contextmanager
+def _tower_builds():
+    """Every tower built inside, as ``(weakref, structure name, point key,
+    order)``, with the cycle collector off so only reference counting frees."""
+    built = []
     init = Tower.__init__
 
-    def recording_init(self, *args):
-        init(self, *args)
-        towers.append(weakref.ref(self))
+    def recording_init(self, structure, point, order):
+        init(self, structure, point, order)
+        built.append((weakref.ref(self), structure.name, point.key(), order))
 
     Tower.__init__ = recording_init
     gc.collect()
     gc.disable()
     try:
+        yield built
+    finally:
+        gc.enable()
+        Tower.__init__ = init
+
+
+_ONE_POINT_PLAN = SamplePlan(
+    param_sets=1, theorem_points=1, construction_points=1, torsion_points=1,
+    curvature_points=1, bianchi_points=1, process_points=1, case_points=1, fd_points=1,
+)
+
+
+def test_dropped_structures_free_their_towers_without_gc():
+    # a tower lives while its caller holds it: neither a dropped structure
+    # nor a held one keeps a tower that no caller holds
+    plan = _ONE_POINT_PLAN
+    with _tower_builds() as towers:
         F = samples.quartic_three_dim()
         for case_id in (3, 4, 5):  # Ricci weight, metric split parts of phi
             pack = preset(case_id, F, **default_free_choices(case_id, F))
             check_curvatures(pack, F, plan)
         del F, pack
         run_all([samples.randers(0.5)], plan)  # every case pack of the catalog
-        alive = sum(ref() is not None for ref in towers)
-    finally:
-        gc.enable()
-        Tower.__init__ = init
+        alive = sum(ref() is not None for ref, *_ in towers)
+        F = samples.randers(0.5)  # held across 20 single-point reports
+        pack = random_param_sets(F, plan)[0]
+        points = sample_points(F, plan, 20, "lifetimes")
+        before = len(towers)
+        tensor_report(F, pack, points)
+        reported = towers[before:]
+        cached = len(F._towers)
+        alive_reported = sum(ref() is not None for ref, *_ in reported)
     assert towers and alive == 0
+    assert len(reported) == 20 and alive_reported == 0 and cached == 0
+
+
+def test_run_all_builds_each_tower_once():
+    # the suites that revisit points (the theorem's packs, the catalog's
+    # entries) hold their towers in between, and the Cartan-flat verdict is
+    # decided once per structure
+    plan = dataclasses.replace(_ONE_POINT_PLAN, param_sets=3, theorem_points=2, case_points=2)
+    with _tower_builds() as towers:
+        run_all([samples.randers(0.5)], plan)
+    keys = [tuple(key) for _, *key in towers]
+    assert keys and len(set(keys)) == len(keys)
 
 
 def test_matinv_inverts_series_matrix():

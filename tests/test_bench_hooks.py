@@ -132,11 +132,17 @@ spec.loader.exec_module(spans)
 tracer = spans.Tracer()
 spans.install(tracer)
 from finslerconn import samples, verify
+from finslerconn.finsler import Tower
 F = samples.quartic_three_dim()
 plan = verify.SamplePlan()
 point = verify.sample_points(F, plan, 1, "bench-hooks")[0]
-rows = verify.bianchi_residuals(verify.random_param_sets(F, plan)[0], F, point)
-assert set(F._towers) == {{point.key() + ((6, 3),)}}
+pack = verify.random_param_sets(F, plan)[0]
+built, init = [], Tower.__init__
+# the list holds every tower the call builds, so the structure's weak cache keeps them
+Tower.__init__ = lambda self, *args: init(self, *args) or built.append(self)
+rows = verify.bianchi_residuals(pack, F, point)
+Tower.__init__ = init
+assert len(built) == 1 and set(F._towers) == {{point.key() + ((6, 3),)}}
 assert tracer.stat("verify.bianchi.point").calls == 1 and tracer.tower_requests == 1
 assert tracer.mul_calls and tracer.stat("ad.d").calls and tracer.stat("connection.cov_deriv").calls
 assert tracer.nonfinite_points == 0 and max(rows.values()) < 1e-6

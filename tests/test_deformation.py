@@ -94,9 +94,16 @@ def u_only_params(n: int, u=(0.4, -0.3), phi=None) -> DeformationParams:
     return DeformationParams(name="u-only", **fields)
 
 
+# Towers built by ``data_at``, kept for the whole run: the data holds its
+# tower weakly and the callers read its stages after ``data_at`` returns.
+_HELD_TOWERS = []
+
+
 def data_at(params: DeformationParams, F: FinslerStructure, point: ChartPoint):
     """The deformation data at a point, on a tower of the construction order."""
-    return deformation_data(params, F.tower(point, 4))
+    t = F.tower(point, 4)
+    _HELD_TOWERS.append(t)
+    return deformation_data(params, t)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +125,17 @@ def test_build_and_data_are_cached():
     assert build(params) is build(params)
     t = randers().tower(P2, 4)
     assert deformation_data(params, t) is deformation_data(params, t)
+
+
+def test_data_on_a_dropped_tower_fails_closed():
+    # the data holds its tower weakly, and nothing else holds a temporary one,
+    # even with the structure bound to a name
+    F = randers()
+    d = deformation_data(general_params(2), F.tower(P2, 4))
+    with pytest.raises(ReferenceError, match="hold the tower while you read its data"):
+        d.frame_shift
+    t = F.tower(P2, 4)  # held: the same read succeeds
+    assert np.all(np.isfinite(deformation_data(general_params(2), t).frame_shift.val))
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,14 @@ A few details matter for correctness downstream:
 * A ``Series`` holds a whole numpy *batch* of expansions (``coef`` has shape
   ``(*batch, ring.dim)``), so tensors of series (metric components, spray
   coefficients, curvature stacks) are vectorized; multiplication uses a
-  precomputed sparse pair table per ring, except that a constant factor
-  just scales the other, with the same bits (:func:`_product`).  A ring
-  product gathers its pair factors pair-major, one ``take`` per factor,
-  and calls scipy's compiled CSR kernel ``csr_matvecs`` itself
-  (:meth:`TaylorRing.mul_coef`): the kernel ``scatter @ W`` runs, with the
-  same pair order and the same ``1.0`` entries, so the bits are the same
-  without scipy's per-call dispatch.
+  precomputed pair table per ring, except that a constant factor just
+  scales the other, with the same bits (:func:`_product`).  A ring
+  product gathers its pair factors batch-major, one ``take`` per factor,
+  and scatters the pair products into their output coefficients with one
+  ``np.bincount`` over a flat index cached per ring and column count
+  (:meth:`TaylorRing.mul_coef`): each coefficient sums its own pairs in
+  pair order from ``+0.0``, and a NaN sum keeps its NaN when a second
+  NaN is added.
 * A formula cuts its factors to their meet before it multiplies: where a
   sum lands in a lower ring than some of its terms' factors (a horizontal
   derivative is one order and one x-order below the tensor it is taken
@@ -76,8 +77,6 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 __all__ = [
     "TruncationError",
@@ -140,7 +139,8 @@ class TaylorRing:
         self.xdegree = np.array([sum(m[:nx]) for m in mons], dtype=np.int64)
         # _prefix[d] is the number of monomials of degree < d, for d = 0..order+1
         self._prefix = np.searchsorted(self.degree, np.arange(order + 2), side="left")
-        self._mul_cache: tuple[np.ndarray, np.ndarray, sp.csr_matrix] | None = None
+        self._mul_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._scatter_cache: dict[int, np.ndarray] = {}
         self._diff_cache: dict[int, tuple[np.ndarray, np.ndarray, TaylorRing]] = {}
         self._meet_cache: dict[TaylorRing, TaylorRing] = {}
         self._cut_cache: dict[TaylorRing, slice | np.ndarray] = {}
@@ -151,8 +151,9 @@ class TaylorRing:
             f"xorder={self.xorder}, dim={self.dim})"
         )
 
-    def _mul_table(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-        """Factor indices ``I, J`` of every pair and its scatter to the product.
+    def _mul_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Factor indices ``I, J`` of every pair and the index ``K`` of the
+        coefficient their product adds to.
 
         The pairs are those of the uncut ring of this order whose product is
         kept (its factors then are too, as x-degrees add), in the same
@@ -174,14 +175,7 @@ class TaylorRing:
                     I.append(i)
                     J.append(j)
                     K.append(self.index[tuple(a + b for a, b in zip(mi, mj))])
-            npairs = len(K)
-            # (dim, npairs), one row per output coefficient holding its
-            # pairs in pair order: the CSR layout mul_coef's kernel reads
-            scatter = sp.csr_matrix(
-                (np.ones(npairs), (np.array(K), np.arange(npairs))),
-                shape=(self.dim, npairs),
-            )
-            self._mul_cache = (np.array(I), np.array(J), scatter)
+            self._mul_cache = (np.array(I), np.array(J), np.array(K, dtype=np.intp))
         return self._mul_cache
 
     def _diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray, "TaylorRing"]:
@@ -232,53 +226,29 @@ class TaylorRing:
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Ring product along the last axis, numpy-broadcast over the rest.
 
-        The ring axis moves to the front, so each factor is one ``take`` of
-        its pair indices and their product ``W`` is a C-ordered ``(npairs,
-        *batch)`` array: one row per pair, one column per batch entry.
-        scipy's compiled CSR kernel ``csr_matvecs`` then adds ``1.0 * W[p]``
-        into row ``K[p]`` of the zeroed output, pair by pair; for a single
-        column it is ``csr_matvec``, as ``scatter @ W`` picks it for a
-        vector.  That is the kernel and the column layout ``scatter @ W``
-        runs, with the same pair order and the same ``1.0`` entries, so each
-        coefficient keeps its bits, down to which NaN a sum of two keeps;
-        only scipy's dispatch and its copy of ``W`` are skipped.  The result
-        is a writable view of the output, ring axis last.
-
-        ``csr_matvec`` and ``csr_matvecs`` are scipy's private
-        ``scipy.sparse._sparsetools``; their signatures and bits were
-        measured with scipy 1.17.1, and the tests pin the bits against
-        ``scatter @ W``.
+        Each factor is one ``take`` of its pair indices along the ring axis,
+        and their product ``W`` is a ``(*batch, npairs)`` array: one row of
+        pairs per batch entry.  One ``np.bincount`` then scatters it, with
+        the flat index ``col * dim + K[p]`` of every pair of every column
+        (cached per column count in ``_scatter_cache``, as building it costs
+        as much as the gather).  ``bincount`` runs ``out[idx[i]] +=
+        w[i]`` in input order from ``+0.0``, so each coefficient sums its
+        own pairs in pair order (the order the graded points above rely
+        on), and every finite and infinite value keeps its bits.  Once a
+        sum is NaN it keeps that NaN: a second NaN added to it does not
+        replace it.  ``bincount`` computes in float64.
         """
-        I, J, scatter = self._mul_table()
-        nd = max(a.ndim, b.ndim)
-        if a.ndim < nd:
-            a = a.reshape((1,) * (nd - a.ndim) + a.shape)
-        elif b.ndim < nd:
-            b = b.reshape((1,) * (nd - b.ndim) + b.shape)
-        to_front, to_back = _ring_axis_perms(nd)
-        W = a.transpose(to_front).take(I, axis=0) * b.transpose(to_front).take(J, axis=0)
-        npairs = len(I)
-        ncols = W.size // npairs
-        out = np.zeros((self.dim,) + W.shape[1:])
-        if ncols == 1:
-            csr_matvec(self.dim, npairs, scatter.indptr, scatter.indices, scatter.data, W, out)
-        else:
-            csr_matvecs(
-                self.dim, npairs, ncols, scatter.indptr, scatter.indices, scatter.data, W, out
-            )
-        return out.transpose(to_back)
-
-
-_PERMS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-
-def _ring_axis_perms(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Transposes that move the last (ring) axis of an array to the front
-    and back again."""
-    perms = _PERMS.get(ndim)
-    if perms is None:
-        perms = _PERMS[ndim] = ((ndim - 1, *range(ndim - 1)), (*range(1, ndim), 0))
-    return perms
+        I, J, K = self._mul_table()
+        W = a.take(I, axis=-1) * b.take(J, axis=-1)
+        shape = W.shape[:-1] + (self.dim,)
+        ncols = W.size // len(I)
+        if not ncols:  # bincount of an empty index gives integers
+            return np.zeros(shape)
+        idx = self._scatter_cache.get(ncols)
+        if idx is None:
+            idx = ((np.arange(ncols) * self.dim)[:, None] + K).ravel()
+            self._scatter_cache[ncols] = idx
+        return np.bincount(idx, weights=W.ravel(), minlength=ncols * self.dim).reshape(shape)
 
 
 _RINGS: dict[tuple[int, int, int], TaylorRing] = {}

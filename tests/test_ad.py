@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerconn
-from finslerconn import ad, samples
+from finslerconn import ad, cli, samples
 from finslerconn.ad import (
     ChartJets,
     Constant,
@@ -711,15 +711,35 @@ def test_lowered_factors_give_the_bits_of_the_cut_result(case):
 
 
 # ---------------------------------------------------------------------------
-# the ring product calls scipy's CSR kernel itself; the public scipy spelling
-# of the same product is the independent reference
+# the ring product scatters its pairs with numpy's bincount; two independent
+# references: scipy's public sparse product of the same pair table, and a
+# Python loop that sums each coefficient's pairs in pair order
 
 
 def _scipy_product(rg, a, b):
-    I, J, scatter = rg._mul_table()
+    import scipy.sparse as sp
+
+    I, J, K = rg._mul_table()
     W = a[..., I] * b[..., J]
     npairs = len(I)
+    scatter = sp.csr_matrix((np.ones(npairs), (K, np.arange(npairs))), shape=(rg.dim, npairs))
     return (scatter @ W.reshape(-1, npairs).T).T.reshape(W.shape[:-1] + (rg.dim,))
+
+
+def _pair_order_product(rg, a, b):
+    """Each coefficient summed from 0.0 over its pairs in pair order.
+
+    A sum that is NaN keeps its NaN: Python's float ``+`` may return either
+    NaN when both operands are NaN, so the loop states the rule itself.
+    """
+    I, J, K = rg._mul_table()
+    W = a[..., I] * b[..., J]
+    w = W.reshape(-1, len(I)).tolist()
+    acc = [[0.0] * rg.dim for _ in w]
+    for col, row in zip(acc, w):
+        for k, term in zip(K.tolist(), row):
+            col[k] = col[k] if math.isnan(col[k]) else col[k] + term
+    return np.array(acc).reshape(W.shape[:-1] + (rg.dim,))
 
 
 BATCH_SHAPES = [
@@ -759,12 +779,39 @@ def ring_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(ring_products())
 def test_ring_product_is_bit_identical_to_the_scipy_product(case):
+    # scipy's kernel keeps the new term's NaN where two NaNs meet, the ring
+    # product the running sum's: every other bit and every NaN position agree
     rg, a, b = case
     with np.errstate(invalid="ignore", over="ignore"):
         got, want = rg.mul_coef(a, b), _scipy_product(rg, a, b)
-    assert got.shape == want.shape
-    assert np.array_equal(_bits(got), _bits(want))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
     assert got.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_products())
+def test_ring_product_sums_each_coefficient_in_pair_order(case):
+    rg, a, b = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = rg.mul_coef(a, b), _pair_order_product(rg, a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(_bits(got), _bits(want))  # NaN signs included
+
+
+def test_ring_product_keeps_the_first_nan_of_a_sum():
+    # the coefficient of x sums the pairs (1, x) and then (x, 1): NaNs of
+    # both signs meet there, and the sum keeps the sign of the first, for
+    # one column and for several
+    rg = ring(2, 1)
+    for first, then in ((np.nan, -np.nan), (-np.nan, np.nan)):
+        for batch in ((), (3,)):
+            a = np.broadcast_to([1.0, then, 0.0], batch + (3,))
+            b = np.broadcast_to([1.0, first, 0.0], batch + (3,))
+            got = rg.mul_coef(a, b)[..., 1]
+            assert np.all(np.isnan(got)) and np.all(np.signbit(got) == np.signbit(first))
 
 
 @pytest.mark.parametrize("nvars,order,xorder", [(2, 0, None), (2, 3, None), (4, 4, 2), (6, 5, None)])
@@ -1021,6 +1068,21 @@ def test_run_all_builds_each_tower_once():
         run_all([samples.randers(0.5)], plan)
     keys = [tuple(key) for _, *key in towers]
     assert keys and len(set(keys)) == len(keys)
+
+
+def test_scatter_index_caches_stay_bounded_across_passes():
+    # the ring product caches one flat index per ring and column count; the
+    # counts come from tensor shapes, not from points, so a second pass of
+    # the battery adds no index
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+
+    def cached():
+        return {key: set(rg._scatter_cache) for key, rg in ad._RINGS.items()}
+
+    run_all(cli._structures(config), _ONE_POINT_PLAN)
+    first = cached()
+    run_all(cli._structures(config), _ONE_POINT_PLAN)
+    assert any(first.values()) and cached() == first
 
 
 def test_matinv_inverts_series_matrix():

@@ -33,31 +33,21 @@ A few details matter for correctness downstream:
   uncut ring's pairs whose product is kept (x-degrees add, so both
   factors are kept too), so every kept coefficient is bit-identical to
   the uncut ring's.  A derivative along a base variable lowers the
-  x-order as well, ``_meet`` takes the lower of each order, cutting by
-  x-degree gathers with an index cached per pair of rings, and a
-  derivative or coefficient past the x-order raises
-  :class:`TruncationError` like one past the order.
+  x-order as well, :func:`lower` takes the lower of each order (its ring
+  and cut indices are looked up once per tuple of rings), and a derivative
+  or coefficient past the x-order raises :class:`TruncationError`.
 * A ``Series`` holds a whole numpy *batch* of expansions (``coef`` has shape
-  ``(*batch, ring.dim)``), so tensors of series (metric components, spray
-  coefficients, curvature stacks) are vectorized; multiplication uses a
-  precomputed pair table per ring, except that a constant factor just
-  scales the other, with the same bits (:func:`_product`).  A ring
-  product gathers its pair factors batch-major, one ``take`` per factor,
-  and scatters the pair products into their output coefficients with one
-  ``np.bincount`` over a flat index cached per ring and column count
-  (:meth:`TaylorRing.mul_coef`): each coefficient sums its own pairs in
-  pair order from ``+0.0``, and a NaN sum keeps its NaN when a second
-  NaN is added.
-* A formula cuts its factors to their meet before it multiplies: where a
-  sum lands in a lower ring than some of its terms' factors (a horizontal
-  derivative is one order and one x-order below the tensor it is taken
-  of), :func:`lower` cuts every factor to the ring of the lowest order and
-  x-order first, so each product runs in the ring its result keeps.  A
+  ``(*batch, ring.dim)``), so tensors of series are vectorized.  A product
+  runs the ring's pair table (:meth:`TaylorRing.mul_coef`), except that a
+  constant factor just scales the other, with the same bits
+  (:func:`_product`).
+* A formula cuts its factors to their meet before it multiplies
+  (:func:`lower`), so each product runs in the ring its result keeps; a
   lower ring's product sums the same pairs in the same order (the graded
   and bi-graded points above), so the kept coefficients keep their bits.
 * Every index contraction of such tensors goes through :func:`contract`,
-  an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``), so
-  how a series contraction is evaluated is decided in this one place.
+  an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``)
+  compiled once per signature into a plan of layouts, meets and sums.
 * Every gradient is one call built on :meth:`Series.d`: :meth:`Series.dx`
   and :meth:`Series.dy` stack the partials along ``x`` or ``y`` on a new
   batch axis (``g.dy(axis=2)[i, j, k]`` is ``dg_ij/dy_k``).
@@ -141,9 +131,7 @@ class TaylorRing:
         self._prefix = np.searchsorted(self.degree, np.arange(order + 2), side="left")
         self._mul_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._scatter_cache: dict[int, np.ndarray] = {}
-        self._diff_cache: dict[int, tuple[np.ndarray, np.ndarray, TaylorRing]] = {}
-        self._meet_cache: dict[TaylorRing, TaylorRing] = {}
-        self._cut_cache: dict[TaylorRing, slice | np.ndarray] = {}
+        self._diff_cache: dict[int | str, tuple[np.ndarray, np.ndarray, TaylorRing]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -178,15 +166,18 @@ class TaylorRing:
             self._mul_cache = (np.array(I), np.array(J), np.array(K, dtype=np.intp))
         return self._mul_cache
 
-    def _diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray, "TaylorRing"]:
+    def _diff_table(self, var: int | str) -> tuple[np.ndarray, np.ndarray, "TaylorRing"]:
         """Source index and factor of each coefficient of ``d/dv_var``, and
-        the ring of the derivative.
-
-        That ring is one order lower, and one x-order lower for a base
-        variable; the entries follow its monomials, so the derivative is
-        one gather: ``coef[..., src] * fac``.
+        the ring of the derivative (``"x"`` or ``"y"``: those of every base
+        or fiber variable, stacked).  That ring is one order lower, and one
+        x-order lower for a base variable; the entries follow its monomials,
+        so the derivative is one gather: ``coef[..., src] * fac``.
         """
         tab = self._diff_cache.get(var)
+        if tab is None and isinstance(var, str):
+            n = self.nvars // 2
+            src, fac, low = zip(*(self._diff_table(v + {"x": 0, "y": n}[var]) for v in range(n)))
+            tab = self._diff_cache[var] = (np.stack(src), np.stack(fac), low[0])
         if tab is None:
             low = ring(self.nvars, self.order - 1, self.xorder - (var < self.nvars // 2))
             src, fac = [], []
@@ -194,49 +185,35 @@ class TaylorRing:
                 up = m[:var] + (m[var] + 1,) + m[var + 1 :]
                 src.append(self.index[up])
                 fac.append(float(up[var]))
-            tab = (np.array(src, dtype=np.int64), np.array(fac), low)
-            self._diff_cache[var] = tab
+            tab = self._diff_cache[var] = (np.array(src, dtype=np.int64), np.array(fac), low)
         return tab
 
     def meet(self, other: "TaylorRing") -> "TaylorRing":
         """The ring of the lower order and the lower x-order of two rings."""
-        low = self._meet_cache.get(other)
-        if low is None:
-            if other.nvars != self.nvars:
-                raise ValueError("series over different numbers of variables")
-            low = ring(self.nvars, min(self.order, other.order), min(self.xorder, other.xorder))
-            self._meet_cache[other] = low
-        return low
+        if other.nvars != self.nvars:
+            raise ValueError("series over different numbers of variables")
+        return ring(self.nvars, min(self.order, other.order), min(self.xorder, other.xorder))
 
     def cut_index(self, target: "TaylorRing") -> slice | np.ndarray:
         """Where the coefficients of a ring of no higher orders sit in ours.
 
         A cut that keeps a leading run of monomials (every total-order cut)
         is a slice, so ``coef[..., idx]`` is a view of that prefix; any
-        other is a gather.  Cached per target ring.
+        other is a gather.
         """
-        idx = self._cut_cache.get(target)
-        if idx is None:
-            pos = np.array([self.index[m] for m in target.monomials], dtype=np.int64)
-            prefix = np.array_equal(pos, np.arange(target.dim))
-            idx = slice(0, target.dim) if prefix else pos
-            self._cut_cache[target] = idx
-        return idx
+        pos = np.array([self.index[m] for m in target.monomials], dtype=np.int64)
+        return slice(0, target.dim) if np.array_equal(pos, np.arange(target.dim)) else pos
 
     def mul_coef(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Ring product along the last axis, numpy-broadcast over the rest.
 
-        Each factor is one ``take`` of its pair indices along the ring axis,
-        and their product ``W`` is a ``(*batch, npairs)`` array: one row of
-        pairs per batch entry.  One ``np.bincount`` then scatters it, with
-        the flat index ``col * dim + K[p]`` of every pair of every column
-        (cached per column count in ``_scatter_cache``, as building it costs
-        as much as the gather).  ``bincount`` runs ``out[idx[i]] +=
-        w[i]`` in input order from ``+0.0``, so each coefficient sums its
-        own pairs in pair order (the order the graded points above rely
-        on), and every finite and infinite value keeps its bits.  Once a
-        sum is NaN it keeps that NaN: a second NaN added to it does not
-        replace it.  ``bincount`` computes in float64.
+        Each factor is one ``take`` of its pair indices, and one
+        ``np.bincount`` scatters their ``(*batch, npairs)`` product ``W``
+        over the flat index ``col * dim + K[p]`` (cached per column count in
+        ``_scatter_cache``: building it costs as much as the gather).  It
+        adds in input order from ``+0.0``, so each coefficient sums its own
+        pairs in pair order and every finite and infinite value keeps its
+        bits; a NaN sum keeps its NaN.  ``bincount`` computes in float64.
         """
         I, J, K = self._mul_table()
         W = a.take(I, axis=-1) * b.take(J, axis=-1)
@@ -246,8 +223,7 @@ class TaylorRing:
             return np.zeros(shape)
         idx = self._scatter_cache.get(ncols)
         if idx is None:
-            idx = ((np.arange(ncols) * self.dim)[:, None] + K).ravel()
-            self._scatter_cache[ncols] = idx
+            idx = self._scatter_cache[ncols] = ((np.arange(ncols) * self.dim)[:, None] + K).ravel()
         return np.bincount(idx, weights=W.ravel(), minlength=ncols * self.dim).reshape(shape)
 
 
@@ -263,8 +239,7 @@ def ring(nvars: int, order: int, xorder: int | None = None) -> TaylorRing:
     key = (nvars, order, order if xorder is None else min(xorder, order))
     rg = _RINGS.get(key)
     if rg is None:
-        rg = TaylorRing(*key)
-        _RINGS[key] = rg
+        rg = _RINGS[key] = TaylorRing(*key)
     return rg
 
 
@@ -279,31 +254,35 @@ def _binom_real(r: float, m: int) -> float:
     return out
 
 
-def _meet(*series: "Series") -> tuple[TaylorRing, list[np.ndarray]]:
-    """The ring of the lowest order and x-order of some series, and their
-    coefficients cut to it."""
-    rg = series[0].ring
-    for s in series:
-        if s.ring is not rg:
-            break
-    else:
-        return rg, [s.coef for s in series]
-    for s in series:
-        rg = rg.meet(s.ring)
-    return rg, [s.coef if s.ring is rg else _cut(s.coef, s.ring.cut_index(rg)) for s in series]
+_MEETS: dict[tuple[TaylorRing, ...], tuple[TaylorRing, tuple]] = {}
+
+
+def _meet_plan(rings: tuple[TaylorRing, ...]) -> tuple[TaylorRing, tuple]:
+    """The ring of the lowest order and x-order of rings that differ, and
+    the cut index of each into it (None for one that is it), per tuple."""
+    plan = _MEETS.get(rings)
+    if plan is None:
+        rg = rings[0]
+        for r in rings:
+            rg = rg.meet(r)
+        plan = _MEETS[rings] = (rg, tuple(None if r is rg else r.cut_index(rg) for r in rings))
+    return plan
 
 
 def lower(*series: "Series") -> list["Series"]:
     """The series cut to the ring of their lowest order and x-order.
 
-    The ring is the one :func:`_meet` picks for their sum or product; a
-    series already in it comes back as itself, a total-order cut is a view
-    of its coefficient prefix and an x-order cut one ``take``.  A formula
-    whose sum lands below some of its factors' rings calls this first, so
-    each product runs in the ring its result keeps, with the same bits.
+    That ring is the one their sum, product or stack lands in; a series
+    already in it comes back as itself, a total-order cut is a view of its
+    coefficient prefix and an x-order cut one ``take``.  A formula whose
+    sum lands below some of its factors' rings calls this first, so each
+    product runs in the ring its result keeps, with the same bits.
     """
-    rg, coefs = _meet(*series)
-    return [s if s.ring is rg else Series(rg, c) for s, c in zip(series, coefs)]
+    rg = series[0].ring
+    if all(s.ring is rg for s in series):
+        return list(series)
+    rg, cuts = _meet_plan(tuple(s.ring for s in series))
+    return [s if c is None else Series(rg, _cut(s.coef, c)) for s, c in zip(series, cuts)]
 
 
 def _cut(coef: np.ndarray, idx: slice | np.ndarray) -> np.ndarray:
@@ -315,7 +294,8 @@ def _cut(coef: np.ndarray, idx: slice | np.ndarray) -> np.ndarray:
 def _product(rg: TaylorRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product in ``rg`` of two coefficient arrays of that ring.
 
-    A constant factor (every coefficient past the constant term zero)
+    A constant factor (every coefficient past the constant term zero, as
+    every factor in a ring of one coefficient, where no scan is needed)
     scales the other one, broadcast over the batch, instead of running
     the ring product.  For finite coefficients that is bit-identical to
     :meth:`TaylorRing.mul_coef`: output ``k`` first receives the pair
@@ -327,11 +307,16 @@ def _product(rg: TaylorRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is ±inf, or NaN for ``c = 0``); either way the product holds a
     non-finite coefficient, so a residual computed from it fails closed.
     """
-    if not np.count_nonzero(a[..., 1:]):
-        return a[..., :1] * b + 0.0
-    if not np.count_nonzero(b[..., 1:]):
-        return a * b[..., :1] + 0.0
-    return rg.mul_coef(a, b)
+    if rg.dim == 1:
+        out = a * b
+    elif not np.count_nonzero(a[..., 1:]):
+        out = a[..., :1] * b
+    elif not np.count_nonzero(b[..., 1:]):
+        out = a * b[..., :1]
+    else:
+        return rg.mul_coef(a, b)
+    out += 0.0  # in place: the product is a new array
+    return out
 
 
 _FLOAT = np.dtype(float)
@@ -378,8 +363,8 @@ class Series:
 
     @staticmethod
     def stack(items: Sequence["Series"], axis: int = 0) -> "Series":
-        rg, coefs = _meet(*items)
-        return Series(rg, np.stack(coefs, axis=axis))
+        items = lower(*items)
+        return Series(items[0].ring, np.stack([s.coef for s in items], axis=axis))
 
     # -- shape helpers ------------------------------------------------------
 
@@ -445,8 +430,8 @@ class Series:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        rg, (a, b) = _meet(self, o)
-        return Series(rg, a + b)
+        a, b = lower(self, o)
+        return Series(a.ring, a.coef + b.coef)
 
     __radd__ = __add__
 
@@ -456,15 +441,15 @@ class Series:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        rg, (a, b) = _meet(self, o)
-        return Series(rg, a - b)
+        a, b = lower(self, o)
+        return Series(a.ring, a.coef - b.coef)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        rg, (a, b) = _meet(self, o)
-        return Series(rg, b - a)
+        a, b = lower(self, o)
+        return Series(a.ring, b.coef - a.coef)
 
     def __neg__(self):
         return Series(self.ring, -self.coef)
@@ -479,8 +464,8 @@ class Series:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        rg, (a, b) = _meet(self, o)
-        return Series(rg, _product(rg, a, b))
+        a, b = lower(self, o)
+        return Series(a.ring, _product(a.ring, a.coef, b.coef))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -525,27 +510,32 @@ class Series:
 
     # -- derivatives --------------------------------------------------------
 
-    def d(self, var: int) -> "Series":
+    def d(self, var: int | str, axis: int = 0) -> "Series":
         """Partial derivative with respect to ring variable ``var``, one order
-        lower (and one x-order lower for a base variable)."""
+        lower (and one x-order lower for a base variable); ``"x"`` or ``"y"``
+        stacks those along every base or fiber variable on a new batch axis
+        ``axis`` in one gather, with the bits and C order of stacking each."""
         rg = self.ring
+        first = {"x": 0, "y": rg.nvars // 2}.get(var, var)
         if rg.order < 1:
             raise TruncationError("cannot differentiate a series valid only to order 0")
-        if rg.xorder < 1 and var < rg.nvars // 2:
+        if rg.xorder < 1 and first < rg.nvars // 2:
             raise TruncationError(
-                f"cannot differentiate along x{var + 1} a series valid only to x-order 0"
+                f"cannot differentiate along x{first + 1} a series valid only to x-order 0"
             )
         src, fac, low = rg._diff_table(var)
-        return Series(low, self.coef.take(src, axis=-1) * fac)
+        coef, nb = self.coef.take(src, axis=-1) * fac, self.coef.ndim - 1
+        if isinstance(var, str) and axis != nb:  # the new axis sits before the ring axis
+            coef = np.ascontiguousarray(coef.transpose(*range(axis), nb, *range(axis, nb), nb + 1))
+        return Series(low, coef)
 
     def dx(self, axis: int = 0) -> "Series":
         """The partials along the base variables, stacked on a new batch axis."""
-        return Series.stack([self.d(k) for k in range(self.ring.nvars // 2)], axis=axis)
+        return self.d("x", axis)
 
     def dy(self, axis: int = 0) -> "Series":
         """The partials along the fiber variables, stacked on a new batch axis."""
-        n = self.ring.nvars // 2
-        return Series.stack([self.d(n + k) for k in range(n)], axis=axis)
+        return self.d("y", axis)
 
     # -- analytic functions -------------------------------------------------
 
@@ -614,11 +604,12 @@ class Series:
 # contraction over the tensor axes
 
 
-_PLANS: dict[str, tuple] = {}
+_PLANS: dict[tuple, tuple] = {}
 
 
-def _contraction_plan(spec: str) -> tuple:
-    """Operand layouts, summed axes and output order of an einsum spec."""
+def _contraction_plan(spec: str, series: Sequence[Series]) -> tuple:
+    """A signature's operands checked against ``spec``; per operand its diagonal,
+    layout, product ring and cuts into it; the summed axes; the output order."""
     lhs, arrow, out = spec.replace(" ", "").partition("->")
     terms, letters = lhs.split(","), lhs.replace(",", "")
     if not arrow or not (letters + out).isascii() or not (letters + out).isalpha():
@@ -626,17 +617,26 @@ def _contraction_plan(spec: str) -> tuple:
     order = "".join(dict.fromkeys(letters))  # the broadcast layout
     if len(set(out)) != len(out) or not set(out) <= set(order):
         raise ValueError(f"output of contraction spec {spec!r} must name distinct input indices")
-    layouts = []
-    for term in terms:
+    if len(series) != len(terms):
+        raise ValueError(f"spec {spec!r} names {len(terms)} operands, got {len(series)}")
+    sizes: dict[str, int] = {}
+    steps, rg = [], series[0].ring
+    for s, term in zip(series, terms):
+        if len(s.shape) != len(term):
+            raise ValueError(f"operand {term!r} of {spec!r} has shape {s.shape}")
+        for c, k in zip(term, s.shape):
+            if sizes.setdefault(c, k) != k:
+                raise ValueError(f"index {c!r} of {spec!r} has sizes {sizes[c]} and {k}")
         uniq = "".join(dict.fromkeys(term))
         perm = tuple(sorted(range(len(uniq)), key=lambda a: order.index(uniq[a])))
         expand = tuple(slice(None) if c in uniq else None for c in order)
         diagonal = None if uniq == term else f"{term}...->{uniq}..."
-        layouts.append((diagonal, perm + (len(uniq),), expand + (slice(None),)))
+        rg, cuts = _meet_plan((rg, s.ring)) if s.ring is not rg else (rg, (None, None))
+        steps.append((diagonal, perm + (len(uniq),), expand + (slice(None),), rg, *cuts))
     summed, kept = [c for c in order if c not in out], [c for c in order if c in out]
     # one axis at a time, in index order; each sum shifts the later axes left
     sum_axes = tuple(order.index(c) - i for i, c in enumerate(summed))
-    return terms, layouts, sum_axes, tuple(kept.index(c) for c in out) + (len(out),)
+    return steps, sum_axes, tuple(kept.index(c) for c in out) + (len(out),)
 
 
 def contract(spec: str, *series: Series) -> Series:
@@ -645,29 +645,26 @@ def contract(spec: str, *series: Series) -> Series:
     ``contract("ij,jk->ik", a, b)`` is the matrix product; an index repeated
     in one operand takes its diagonal (``"imki->mk"`` is a trace).  The
     operands are broadcast on the indices in order of first appearance and
-    multiplied left to right, the indices left out of the output are summed
-    one by one in that order, and the output order is a view.
+    multiplied left to right, each product in the meet of its factors'
+    rings, the indices left out of the output are summed one by one in that
+    order, and the output order is a view.  Each signature (spec, operand
+    rings and shapes) is checked and planned once (:func:`_contraction_plan`).
     """
-    plan = _PLANS.get(spec) or _PLANS.setdefault(spec, _contraction_plan(spec))
-    terms, layouts, sum_axes, out_perm = plan
-    if len(series) != len(terms):
-        raise ValueError(f"spec {spec!r} names {len(terms)} operands, got {len(series)}")
-    sizes: dict[str, int] = {}
+    key = (spec, *[(s.ring, s.coef.shape) for s in series])
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _contraction_plan(spec, series)
+    steps, sum_axes, out_perm = plan
     prod = None
-    for s, term, (diagonal, perm, expand) in zip(series, terms, layouts):
-        shape = s.shape
-        if len(shape) != len(term):
-            raise ValueError(f"operand {term!r} of {spec!r} has shape {shape}")
-        for c, k in zip(term, shape):
-            if sizes.setdefault(c, k) != k:
-                raise ValueError(f"index {c!r} of {spec!r} has sizes {sizes[c]} and {k}")
-        coef = s.coef if diagonal is None else np.einsum(diagonal, s.coef)
-        op = Series(s.ring, coef.transpose(perm)[expand])
-        prod = op if prod is None else prod * op
-    coef = prod.coef
+    for s, (diagonal, perm, expand, rg, cut_prod, cut_op) in zip(series, steps):
+        coef = (s.coef if diagonal is None else np.einsum(diagonal, s.coef)).transpose(perm)[expand]
+        if prod is not None:
+            prod = prod if cut_prod is None else _cut(prod, cut_prod)
+            coef = _product(rg, prod, coef if cut_op is None else _cut(coef, cut_op))
+        prod = coef
     for axis in sum_axes:
-        coef = coef.sum(axis=axis)
-    return Series(prod.ring, coef.transpose(out_perm))
+        prod = np.add.reduce(prod, axis=axis)  # ``prod.sum(axis=axis)``, without its wrapper
+    return Series(rg, prod.transpose(out_perm))
 
 
 # ---------------------------------------------------------------------------

@@ -489,21 +489,24 @@ def deformation_data(params: DeformationParams, t: Tower) -> DeformationData:
     return t.memo((params, "deformation-data"), lambda: DeformationData(params, t))
 
 
+_CONNECTIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def build(params: DeformationParams) -> Connection:
     """The deformed connection as a coefficient triple.
 
-    The returned object is cached on ``params``, so torsions and curvatures
-    memoized per (connection, tower) pair are shared across call sites.
+    The same object comes back while anything holds it (a tower's memo
+    does), so torsions and curvatures memoized per (connection, tower) pair
+    are shared across call sites.  It holds ``params``, not the reverse.
     """
-    conn = params.__dict__.get("_connection")
+    conn = _CONNECTIONS.get(params)
     if conn is None:
-        conn = Connection(
+        conn = _CONNECTIONS[params] = Connection(
             name=params.name or "deformed",
             nlc=lambda t: deformation_data(params, t).nonlinear,
             hor=lambda t: deformation_data(params, t).horizontal,
             ver=lambda t: t.T_mix,
         )
-        params.__dict__["_connection"] = conn
     return conn
 
 
@@ -711,32 +714,31 @@ def curvature_relations(
     t = F.tower(point, _CURVATURE_ORDER)
     d = deformation_data(params, t)
     conn = build(params) if conn is None else conn
-    NT = d.difference
-    fs = d.frame_shift
-    S = d.S
-    P = curvature_mixed(CARTAN, t)
-    R = curvature_h(CARTAN, t)
+    # only values are read: every side runs in the ring of covNv, covNh [l, i, j, m]
+    NT, fs, S, T, P, R, covNv, covNh = lower(
+        d.difference, d.frame_shift, d.S, t.T_mix, curvature_mixed(CARTAN, t), curvature_h(CARTAN, t),
+        cov_deriv(CARTAN, t, d.difference, horizontal=False),
+        cov_deriv(CARTAN, t, d.difference, horizontal=True),
+    )
 
     rows: dict[str, float] = {}
     Sd = curvature_v(conn, t)
     rows["v-curvature-coincides"] = relative_residual(Sd.val - S.val, Sd.val, S.val)
 
-    covNv = cov_deriv(CARTAN, t, NT, horizontal=False)  # [l, i, j, m]
     Pd = curvature_mixed(conn, t)
     s_fs = contract("impk,pj->imjk", S, fs)
     hv_rhs = (
         P
         + covNv.transpose(1, 3, 2, 0)  # vertical derivative along k
-        + contract("ipm,pkj->imjk", NT, t.T_mix)  # NT[i, p, m] T^p_kj
+        + contract("ipm,pkj->imjk", NT, T)  # NT[i, p, m] T^p_kj
         + s_fs
     )
     rows["hv-curvature-expansion"] = relative_residual(Pd.val - hv_rhs.val, Pd.val, hv_rhs.val)
 
-    covNh = cov_deriv(CARTAN, t, NT, horizontal=True)  # [l, i, j, m]
     Rd = curvature_h(conn, t)
     p_fs = contract("imaq,qb->imab", P, fs)
     s_fs2 = contract("imjq,qk->imjk", s_fs, fs)
-    tilt_t = contract("pqj,qk->pjk", t.T_mix, fs)
+    tilt_t = contract("pqj,qk->pjk", T, fs)
     block = (
         covNh.transpose(1, 3, 2, 0)
         + contract("lijm,lk->imjk", covNv, fs)

@@ -14,8 +14,8 @@ their steps and run as one batch, one series operation per step:
 * the shape is the node kinds, function names and exponents; ``+`` and
   ``-`` are one kind, told apart by a vector of signs (``a - b`` has the
   bits of ``a + (-1.0 * b)``);
-* a number, a variable and a literal factor are a value vector, a row
-  index into the stacked ``(xs, ys)`` and a factor vector.
+* a number (negated or not: ``-0.5`` is a literal), a variable and a
+  literal factor are a value vector, a row index and a factor vector.
 
 Each tree gets the bits its own node-by-node walk gives it, in whatever
 ring the jets are in: in a lower ring, the cut of the higher ring's
@@ -322,9 +322,9 @@ class _Linearizer:
     A step is ``(kind, attribute, left register, right register)``, and
     the steps of a tree are its shape.  The attribute is a function name,
     an exponent, or where the step's datum sits, the data being what trees
-    of one shape differ in: a number's value, a literal factor and the
-    sign of a ``+`` or ``-`` go to ``values``, a variable's row in the
-    stacked ``(xs, ys)`` to ``rows``.
+    of one shape differ in: a number's value and sign (``-2`` is a number),
+    a literal factor and the sign of a ``+`` or ``-`` go to ``values``, a
+    variable's row in the stacked ``(xs, ys)`` to ``rows``.
     """
 
     def __init__(self, n: int):
@@ -339,8 +339,11 @@ class _Linearizer:
 
     def add(self, node: Node) -> int:
         """Append the steps of ``node`` and return its register."""
-        if isinstance(node, Num):
-            step = (_NUM, self.value(node.value), -1, -1)
+        if isinstance(node, Num) or isinstance(node, Neg) and isinstance(node.arg, Num):
+            # a literal and its negation are one shape: the value, then a sign
+            negated = isinstance(node, Neg)
+            step = (_NUM, self.value(node.arg.value if negated else node.value), -1, -1)
+            self.value(-1.0 if negated else 1.0)
         elif isinstance(node, Var):
             self.rows.append(node.index - 1 + (self.n if node.kind == "y" else 0))
             step = (_VAR, len(self.rows) - 1, -1, -1)
@@ -380,7 +383,8 @@ def _run_steps(steps: Sequence[tuple], values: np.ndarray, rows: np.ndarray, rg,
             # ``a - b`` is ``a + (-1.0 * b)``, bit for bit
             out = Series(rg, regs[a].coef + regs[b].coef * values[attr])
         elif kind == _NUM:
-            out = Series.const(rg, values[attr, :, 0])
+            # ``-c`` has the bits of ``-(Series.const(rg, c))``, -0.0 included
+            out = Series(rg, Series.const(rg, values[attr, :, 0]).coef * values[attr + 1])
         elif kind == _MUL:
             out = regs[a] * regs[b]
         elif kind == _DIV:

@@ -22,6 +22,7 @@ parameters.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -149,19 +150,21 @@ class ConnectionFamily:
         return p1_process(self.chern_rund)
 
 
+_FAMILIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def derive_family(params: DeformationParams) -> ConnectionFamily:
-    """Build the deformed connection and its three process derivatives."""
-    family = params.__dict__.get("_family")
+    """The deformed connection and its three process derivatives, cached while held."""
+    family = _FAMILIES.get(params)
     if family is None:
         base = build(params)
         hashiguchi = p1_process(base)
-        family = ConnectionFamily(
+        family = _FAMILIES[params] = ConnectionFamily(
             base=base,
             hashiguchi=hashiguchi,
             chern_rund=c_process(base),
             berwald=c_process(hashiguchi),
         )
-        params.__dict__["_family"] = family
     return family
 
 

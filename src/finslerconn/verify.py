@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ad import ChartJets
+from .ad import ChartJets, Series, lower, ring
 from .cases import _WORKSPACE_ORDER, catalog, check_case
 from .connection import (
     CARTAN,
@@ -372,20 +372,12 @@ def _report(
     notes: Mapping[str, str] | None = None,
 ) -> CheckReport:
     """Wrap aggregated residuals into rows, resolving tolerance names."""
-    rows = []
     notes = notes or {}
-    for label, residual in residuals.items():
-        tol = tols[tol_of[label]]
-        rows.append(
-            CheckRow(
-                suite=suite,
-                label=label,
-                residual=float(residual),
-                tolerance=tol,
-                passed=bool(residual < tol),
-                note=notes.get(label, ""),
-            )
-        )
+    rows = [
+        CheckRow(suite, label, float(residual), tol, bool(residual < tol), notes.get(label, ""))
+        for label, residual in residuals.items()
+        for tol in (tols[tol_of[label]],)
+    ]
     return CheckReport(suite, rows, meta)
 
 
@@ -641,14 +633,16 @@ def bianchi_residuals(
     Phat, Rhat, vv = tb.vhv.val, tb.vh.val, tb.vv.val
     R, P, S = (bump(c.val, perturbation) for c in (R_s, P_s, S_s))
 
-    covT_h = cov_deriv(conn, t, tb.hv, horizontal=True).val
-    covQ_v = cov_deriv(conn, t, tb.hh, horizontal=False).val
-    covQ_h = cov_deriv(conn, t, tb.hh, horizontal=True).val
-    covS_h = cov_deriv(conn, t, S_s, horizontal=True).val
-    covP_v = cov_deriv(conn, t, P_s, horizontal=False).val
-    covP_h = cov_deriv(conn, t, P_s, horizontal=True).val
-    covR_v = cov_deriv(conn, t, R_s, horizontal=False).val
-    covR_h = cov_deriv(conn, t, R_s, horizontal=True).val
+    # only values are read: cut to order 1, each derivative is computed at order 0
+    hv, hh, S1, P1, R1, _ = lower(tb.hv, tb.hh, S_s, P_s, R_s, Series.const(ring(2 * t.n, 1, 1), 0.0))
+    covT_h = cov_deriv(conn, t, hv, horizontal=True).val
+    covQ_v = cov_deriv(conn, t, hh, horizontal=False).val
+    covQ_h = cov_deriv(conn, t, hh, horizontal=True).val
+    covS_h = cov_deriv(conn, t, S1, horizontal=True).val
+    covP_v = cov_deriv(conn, t, P1, horizontal=False).val
+    covP_h = cov_deriv(conn, t, P1, horizontal=True).val
+    covR_v = cov_deriv(conn, t, R1, horizontal=False).val
+    covR_h = cov_deriv(conn, t, R1, horizontal=True).val
 
     # (a) mixed curvature antisymmetrized in its two horizontal arguments
     lhs_a = np.einsum("icab->iabc", P) - np.einsum("iacb->iabc", P)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerconn
-from finslerconn import ad, cli, samples
+from finslerconn import ad, cli, samples, verify
 from finslerconn.ad import (
     ChartJets,
     Constant,
@@ -45,6 +45,7 @@ from finslerconn.verify import (
     check_curvatures,
     check_theorem,
     random_param_sets,
+    random_params,
     run_all,
     sample_points,
 )
@@ -427,6 +428,65 @@ def test_contract_is_bit_identical_to_broadcast_products(nvars, order):
     ]
     loop = Series.stack([Series.stack(row) for row in trace])
     assert np.array_equal(contract("imki->mk", R).coef, loop.coef)
+
+
+def _in_ring(rg, rng, shape, constant=False):
+    """A series of ``rg`` with random coefficients, or a random constant."""
+    coef = rng.uniform(-1, 1, shape + (rg.dim,))
+    if constant:
+        coef[..., 1:] = 0.0
+    return Series(rg, coef)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        ((4, 4), (4, 2), (3, 3)),  # each product lands lower than the last
+        ((4, 1), (4, 4), (2, 0)),  # x-order cuts, then a total-order cut
+        ((3, 3), (3, 3), (0, 0)),  # a one-coefficient ring last
+        ((2, 1), (4, 2), (4, 3)),  # the first ring is already the meet
+    ],
+)
+@pytest.mark.parametrize("constant", [None, 0, 1, 2])
+def test_contract_is_bit_identical_to_broadcast_products_in_mixed_rings(orders, constant):
+    # the plan's meets and cuts give the bits of Series products left to
+    # right, each in the meet of its factors, then sums in index order
+    rng = np.random.default_rng(sum(sum(o) for o in orders) + 7 * (constant or 0))
+    n = 2
+    rings = [ring(2 * n, order, xorder) for order, xorder in orders]
+    A, B, v = (
+        _in_ring(rg, rng, shape, constant=k == constant)
+        for k, (rg, shape) in enumerate(zip(rings, [(n, n), (n, n, n), (n,)]))
+    )
+    pairs = [
+        ("ij,jkl,l->ik", (A, B, v),
+         lambda: (A[:, :, None, None] * B[None] * v[None, None, None, :]).sum(axis=1).sum(axis=2)),
+        ("ij,jkl->ikl", (A, B), lambda: (A[:, :, None, None] * B[None]).sum(axis=1)),
+        ("jkl,l->kj", (B, v), lambda: (B * v[None, None, :]).sum(axis=2).transpose(1, 0)),
+    ]
+    for spec, ops, broadcast in pairs:
+        for _ in range(2):  # compiled, then from the cache
+            got, want = contract(spec, *ops), broadcast()
+            assert got.ring is want.ring, spec
+            assert np.array_equal(got.coef.view(np.int64), want.coef.view(np.int64)), spec
+
+
+def test_a_cached_signature_still_rejects_mismatched_operands():
+    # a plan is keyed by spec, operand rings and shapes, so a call that does
+    # not fit the spec misses the cache and raises as an uncached one does
+    jets = ChartJets.at([0.1], [1.0], order=2)
+    a, b = jets.const(np.ones((2, 3))), jets.const(np.ones((3, 2)))
+    contract("ij,jk->ik", a, b)
+    assert any(key[0] == "ij,jk->ik" for key in ad._PLANS)
+    for ops, message in [
+        ((a,), "spec 'ij,jk->ik' names 2 operands, got 1"),
+        ((a, jets.const(np.ones(3))), "operand 'jk' of 'ij,jk->ik' has shape (3,)"),
+        ((a, a), "index 'j' of 'ij,jk->ik' has sizes 3 and 2"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                contract("ij,jk->ik", *ops)
+            assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
@@ -1083,6 +1143,39 @@ def test_scatter_index_caches_stay_bounded_across_passes():
     first = cached()
     run_all(cli._structures(config), _ONE_POINT_PLAN)
     assert any(first.values()) and cached() == first
+
+
+def test_call_plan_and_meet_caches_stay_bounded_across_passes():
+    # contraction plans are keyed by spec, rings and shapes, and meets by the
+    # tuple of rings; neither depends on the point, so a second pass of the
+    # battery adds no entry to either
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    run_all(cli._structures(config), _ONE_POINT_PLAN)
+    plans, meets = set(ad._PLANS), set(ad._MEETS)
+    run_all(cli._structures(config), _ONE_POINT_PLAN)
+    assert plans and meets
+    assert set(ad._PLANS) == plans and set(ad._MEETS) == meets
+
+
+def test_random_packs_are_freed_without_gc(monkeypatch):
+    # a pack's connection and process family hold the pack, not the other
+    # way round, so reference counting frees every pack after the run
+    packs = []
+
+    def recorded(*args, **kwargs):
+        pack = random_params(*args, **kwargs)
+        packs.append(weakref.ref(pack))
+        return pack
+
+    monkeypatch.setattr(verify, "random_params", recorded)
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    gc.disable()
+    try:
+        run_all(cli._structures(config), _ONE_POINT_PLAN)
+        alive = [ref() is not None for ref in packs]
+    finally:
+        gc.enable()
+    assert len(alive) == 3 and not any(alive)
 
 
 def test_matinv_inverts_series_matrix():

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone, and declares exactly what it imports.
+"""The package runs on numpy alone, declares exactly what it imports, and
+builds nothing at import.
 
 scipy is a test dependency only (the ring-product test builds its
 reference with scipy's public sparse product).  The guard runs in a child
@@ -65,6 +66,16 @@ def test_verdict_and_report_run_without_scipy():
 def test_importing_the_package_loads_no_scipy():
     script = "import sys, finslerconn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _run(script).strip() == "[]"
+
+
+def test_importing_the_cli_builds_no_ring_and_no_plan():
+    # rings, their tables and the call plans of contract and the meets fill
+    # lazily, in the run: a process that only starts up pays for none
+    script = (
+        "import finslerconn.cli\nfrom finslerconn import ad\n"
+        "print(len(ad._RINGS), len(ad._PLANS), len(ad._MEETS))"
+    )
+    assert _run(script).split() == ["0", "0", "0"]
 
 
 def _third_party_imports() -> set[str]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finslerconn import cli
 from finslerconn.ad import ChartJets, Constant, Series, lower, ring
 from finslerconn.deformation import parameter_field
 from finslerconn.expr import (
@@ -26,6 +27,7 @@ from finslerconn.expr import (
     parse_expression,
 )
 from finslerconn.finsler import ChartPoint, DomainError, FinslerStructure
+from finslerconn.verify import random_param_sets
 
 
 def _value(text, x, y, n=2, order=0):
@@ -388,6 +390,33 @@ def test_trees_of_one_shape_share_their_steps():
     for i, text in enumerate(texts + ["sqrt(y1)"]):
         want = _recursive_evaluate(parse_expression(text, 2), jets).coef
         assert np.array_equal(values.coef[i].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("order", [0, 2, (3, 1)])
+def test_a_negated_literal_is_a_literal_with_the_bits_of_its_negation(order):
+    # ``-c`` parses to Neg(Num(c)); the tape runs it as the literal times a
+    # sign, with the bits of ``-(Series.const(rg, c))``: -0.0 past the
+    # constant term, and -0.0 throughout for ``-0``
+    texts = ["-0.5", "-0.5 + 0.1*x1", "-0.5*y2", "0.5", "-0", "0.1*x1 - -0.25"]
+    jets = ChartJets.at([-0.3, 0.2], [0.7, -1.1], order)
+    trees = [parse_expression(t, 2) for t in texts]
+    values = Tape(trees, 2).run(jets).coef
+    for got, tree in zip(values, trees):
+        want = _recursive_evaluate(tree, jets).coef
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.signbit(values[0]).all() and np.signbit(values[4]).all()
+    assert not np.signbit(values[3]).any()
+    assert len(Tape([trees[0], trees[3], trees[4]], 2).groups) == 1
+
+
+def test_every_random_pack_of_the_built_in_config_runs_as_one_tape_group():
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    groups = [
+        len(pack.tape.groups)
+        for F in cli._structures(config)
+        for pack in random_param_sets(F, config.plan)
+    ]
+    assert len(groups) == 15 and set(groups) == {1}
 
 
 def test_an_error_is_the_first_failing_trees():

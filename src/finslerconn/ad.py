@@ -45,6 +45,8 @@ A few details matter for correctness downstream:
   (:func:`lower`), so each product runs in the ring its result keeps; a
   lower ring's product sums the same pairs in the same order (the graded
   and bi-graded points above), so the kept coefficients keep their bits.
+  :func:`lower_to` cuts series to a given ``(order, xorder)``, the ring a
+  reader reads them in.
 * Every index contraction of such tensors goes through :func:`contract`,
   an einsum over the batch axes (``contract("il,ljk->ijk", gi, T)``)
   compiled once per signature into a plan of layouts, meets and sums.
@@ -77,6 +79,7 @@ __all__ = [
     "Field",
     "Constant",
     "lower",
+    "lower_to",
     "contract",
     "matmul",
     "matinv",
@@ -283,6 +286,21 @@ def lower(*series: "Series") -> list["Series"]:
         return list(series)
     rg, cuts = _meet_plan(tuple(s.ring for s in series))
     return [s if c is None else Series(rg, _cut(s.coef, c)) for s, c in zip(series, cuts)]
+
+
+def lower_to(order: tuple[int, int], *series: "Series") -> list["Series"]:
+    """Each series cut to ``order``, an ``(order, xorder)`` pair: to the
+    lower of each of its orders and those, itself where both are no higher.
+
+    A reader that reads a result below the ring it was computed in cuts it
+    here, so the products that follow run in the ring they are read in.
+    """
+    rg = ring(series[0].ring.nvars, *order)
+    out = []
+    for s in series:
+        low, (c, _) = _meet_plan((s.ring, rg))
+        out.append(s if c is None else Series(low, _cut(s.coef, c)))
+    return out
 
 
 def _cut(coef: np.ndarray, idx: slice | np.ndarray) -> np.ndarray:

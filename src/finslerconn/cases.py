@@ -108,8 +108,9 @@ class MetricSplitPart:
 # ---------------------------------------------------------------------------
 
 
-_WORKSPACE_ORDER = (4, 0)
-"""The (order, xorder) of a case's tower."""
+_WORKSPACE_ORDER, _WORKSPACE_READ = (4, 0), (0, 0)
+"""The (order, xorder) of a case's tower, and the ring its deformation
+data is read in (:func:`~finslerconn.deformation.deformation_data`)."""
 
 
 class _Workspace:
@@ -122,7 +123,7 @@ class _Workspace:
 
     def __init__(self, params: DeformationParams, F: FinslerStructure, point: ChartPoint):
         t = F.tower(point, _WORKSPACE_ORDER)
-        d = deformation_data(params, t)
+        d = deformation_data(params, t, _WORKSPACE_READ)
         self.n = F.n
         self.g = t.g.val
         self.Tm = t.T_mix.val

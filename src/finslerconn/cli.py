@@ -61,8 +61,7 @@ from .connection import (
 from .deformation import (
     _SLOTS,
     DeformationParams,
-    build,
-    deformation_data,
+    deformed_at,
     parameter_field,
 )
 from .expr import ExprError, ExprScalarField
@@ -614,7 +613,9 @@ def load_points(path: str | Path, n: int) -> list[ChartPoint]:
 
 
 _REPORT_POINTS = 5
-_REPORT_ORDER = (5, 2)  # (order, xorder)
+# the (order, xorder) of a report's tower, and the ring it reads the
+# deformed connection and its data in (``deformed_at``)
+_REPORT_ORDER, _REPORT_READ = (5, 2), (1, 1)
 
 
 def tensor_report(
@@ -632,11 +633,10 @@ def tensor_report(
     curvature blocks contracted with the tautological field (flag slices,
     the full four-index arrays being too bulky to print).
     """
-    conn = build(pack)
     rows: list[dict] = []
     for point in points:
         t = F.tower(point, _REPORT_ORDER)
-        d = deformation_data(pack, t)
+        d, conn = deformed_at(pack, t, _REPORT_READ)
         tb = torsions(conn, t)
         y = np.asarray(point.y, dtype=float)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .ad import Series, contract, lower
+from .ad import Series, contract, lower, lower_to
 from .finsler import Tower, horizontal_gradient
 
 __all__ = [
@@ -57,6 +57,11 @@ class Connection:
 
     ``N``, ``H``, ``V`` and the nonlinear curvature are memoized on the
     tower; torsions and other curvatures are computed on every call.
+
+    :meth:`at` gives the same connection computed in the ring a reader
+    reads.  A part with an ``at(read)`` method of its own (the stages of a
+    deformation) is computed there; any other part is computed in its
+    tower's ring and cut (:func:`~finslerconn.ad.lower_to`).
     """
 
     name: str
@@ -76,10 +81,23 @@ class Connection:
     def _memo(self, t: Tower, slot: str, producer) -> Series:
         return t.memo((self, slot), lambda: producer(t))
 
+    def at(self, read: tuple[int, int]) -> "Connection":
+        """This connection with its parts computed in the ring ``read``, an
+        ``(order, xorder)`` pair; each part lands at the lower of each of
+        its orders and those, with the bits of the part cut there."""
+        return Connection(self.name, *(_part_at(p, read) for p in (self.nlc, self.hor, self.ver)))
+
     def delta(self, t: Tower, s: Series) -> Series:
         """Horizontal gradient of a series using this connection's N:
         ``[j, ...]`` is ``delta_j s[...]`` (see :func:`horizontal_gradient`)."""
         return horizontal_gradient(s, self.N(t))
+
+
+def _part_at(part: Callable[[Tower], Series], read: tuple[int, int]) -> Callable[[Tower], Series]:
+    """``part`` computed in the ring ``read``: by its own ``at`` if it has
+    one, else cut from its value in the tower's ring."""
+    at = getattr(part, "at", None)
+    return at(read) if at is not None else lambda t: lower_to(read, part(t))[0]
 
 
 CARTAN = Connection(

@@ -16,8 +16,12 @@ Setting all six parameters to zero recovers the metric connection exactly.
 
 The construction runs through three derived objects, each a stage of
 :class:`DeformationData` (read a value at a point as
-``t = F.tower(point, order)``, then ``deformation_data(params, t).<stage>.val``,
-holding ``t`` while the data is read):
+``t = F.tower(point, order)``, then
+``deformation_data(params, t, (0, 0)).<stage>.val``, holding ``t`` while the
+data is read; the pair is the ring the caller reads, so a reader of first
+derivatives passes ``(1, 1)``, and without it each stage keeps every order
+its inputs allow; :func:`deformed_at` gives the data and the connection
+read in one ring together):
 
 * :attr:`DeformationData.eta_shift` -- the vertical displacement of the
   canonical spray,
@@ -43,7 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ad import ChartJets, Constant, Field, Series, contract, lower
+from .ad import ChartJets, Constant, Field, Series, contract, lower, lower_to
 from .connection import (
     CARTAN,
     Connection,
@@ -69,6 +73,7 @@ __all__ = [
     "deformation_data",
     "parameter_field",
     "build",
+    "deformed_at",
     "horizontal_from_compatibility",
     "construction_residuals",
     "torsion_relations",
@@ -195,9 +200,13 @@ class DeformationData:
     Every stage lands at or below the ring of ``g`` and of each parameter
     value (each stage reads all six), so the values and ``eye`` are cut to
     that ring once, and each stage cuts its factors to the ring it keeps
-    (:func:`~finslerconn.ad.lower`).  The expression fields of the pack run
-    as one tape (:attr:`DeformationParams.tape`) on the chart jets cut to
-    ``g``'s ring, so every product of their evaluation runs there; other
+    (:func:`~finslerconn.ad.lower`).  Given a read ring ``read``, an
+    ``(order, xorder)`` pair, ``g`` is cut to it first
+    (:func:`~finslerconn.ad.lower_to`), so that one cut takes the values
+    there too and every stage is computed in the ring its reader reads,
+    with the bits of the stage cut there.  The expression fields of the
+    pack run as one tape (:attr:`DeformationParams.tape`) on the chart jets
+    cut to ``g``'s ring, so every product of their evaluation runs there; other
     fields are evaluated on the tower and cut.  ``g`` is read first, so a
     metric that fails at the point is named before any field, and a value
     must be finite on the coefficients of ``g``'s ring.  When the tape
@@ -205,7 +214,7 @@ class DeformationData:
     slot that fails.
     """
 
-    def __init__(self, params: DeformationParams, t: Tower):
+    def __init__(self, params: DeformationParams, t: Tower, read: tuple[int, int] | None = None):
         self.params = params
         self._tower = weakref.ref(t)
         n = t.n
@@ -246,6 +255,8 @@ class DeformationData:
                     f"parameter {slot} is not finite at {where}: value {value.val.tolist()}"
                 )
             values.append(value)
+        if read is not None:  # cut g to the read ring, and with it every value below
+            g = lower_to(read, g)[0]
         *values, _ = lower(*values, Series.const(g.ring, np.eye(n)), g)
         # copies: a cut that is a view would keep the uncut values alive
         for slot, value in zip((*_SLOTS, "eye"), values):
@@ -484,9 +495,29 @@ def _s_first(S: Series, v: Series) -> Series:
     return -_s_second(S, v)
 
 
-def deformation_data(params: DeformationParams, t: Tower) -> DeformationData:
-    """The (tower-cached) evaluation of a deformation at one point."""
-    return t.memo((params, "deformation-data"), lambda: DeformationData(params, t))
+def deformation_data(
+    params: DeformationParams, t: Tower, read: tuple[int, int] | None = None
+) -> DeformationData:
+    """The (tower-cached) evaluation of a deformation at one point; with
+    ``read``, an ``(order, xorder)`` pair, every stage is computed in that
+    ring, or lower where its inputs are (the same bits as the stage cut)."""
+    return t.memo((params, "deformation-data", read), lambda: DeformationData(params, t, read))
+
+
+class _Stage:
+    """A part of the deformed connection: one stage of its data, computed
+    in the ring ``read`` (None: in the ring its inputs keep)."""
+
+    __slots__ = ("params", "stage", "read")
+
+    def __init__(self, params: DeformationParams, stage: str, read: tuple[int, int] | None = None):
+        self.params, self.stage, self.read = params, stage, read
+
+    def __call__(self, t: Tower) -> Series:
+        return getattr(deformation_data(self.params, t, self.read), self.stage)
+
+    def at(self, read: tuple[int, int]) -> "_Stage":
+        return _Stage(self.params, self.stage, read)
 
 
 _CONNECTIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -503,25 +534,40 @@ def build(params: DeformationParams) -> Connection:
     if conn is None:
         conn = _CONNECTIONS[params] = Connection(
             name=params.name or "deformed",
-            nlc=lambda t: deformation_data(params, t).nonlinear,
-            hor=lambda t: deformation_data(params, t).horizontal,
+            nlc=_Stage(params, "nonlinear"),
+            hor=_Stage(params, "horizontal"),
             ver=lambda t: t.T_mix,
         )
     return conn
+
+
+def deformed_at(
+    params: DeformationParams,
+    t: Tower,
+    read: tuple[int, int],
+    conn: Connection | None = None,
+) -> tuple[DeformationData, Connection]:
+    """The data of ``params`` on ``t`` and ``conn`` (default: the built
+    one), both computed in the ring ``read`` their reader reads: one ring
+    for the two, so the connection's stages come from the same data."""
+    return deformation_data(params, t, read), (build(params) if conn is None else conn).at(read)
 
 
 # ---------------------------------------------------------------------------
 # independent reconstruction from the defining conditions
 
 
-def horizontal_from_compatibility(params: DeformationParams, t: Tower) -> Series:
+def horizontal_from_compatibility(
+    params: DeformationParams, t: Tower, read: tuple[int, int] | None = None
+) -> Series:
     """Horizontal coefficients solved from the defining conditions alone.
 
     Uses only the nonlinear tilt plus the prescribed metric deficit and
     torsion, cycled through the Christoffel trick -- never the difference
-    tensor -- so agreement with :func:`build` confirms both routes.
+    tensor -- so agreement with :func:`build` confirms both routes.  With
+    ``read``, computed from the data of that ring (:func:`deformation_data`).
     """
-    d = deformation_data(params, t)
+    d = deformation_data(params, t, read)
     dg, g, gi, Tl, fs, f1, f2, A, B, u, gphi = lower(  # dg is [j, k, l]
         t.delta_g, t.g, t.gi, t.T_low, d.frame_shift, d.f1, d.f2, d.A, d.B, d.u, d.gphi
     )
@@ -576,10 +622,11 @@ def bump(values: np.ndarray, size: float) -> np.ndarray:
     return out
 
 
-# the (order, xorder) of each suite's tower
-_CONSTRUCTION_ORDER = (4, 1)
-_TORSION_ORDER = (4, 2)
-_CURVATURE_ORDER = (5, 2)
+# the (order, xorder) of each suite's tower, and the ring it reads the
+# deformed connection and its data in (``deformed_at``)
+_CONSTRUCTION_ORDER, _CONSTRUCTION_READ = (4, 1), (0, 0)
+_TORSION_ORDER, _TORSION_READ = (4, 2), (1, 1)
+_CURVATURE_ORDER, _CURVATURE_READ = (5, 2), (1, 1)
 
 
 def construction_residuals(
@@ -604,13 +651,12 @@ def construction_residuals(
     ``conn`` (default: the built one) is the connection under test.
     """
     t = F.tower(point, _CONSTRUCTION_ORDER)
-    d = deformation_data(params, t)
-    conn = build(params) if conn is None else conn
+    d, conn = deformed_at(params, t, _CONSTRUCTION_READ, conn)
     H, N = conn.H(t), conn.N(t)
     defl = contract("ijk,k->ij", H, t.ys).val
     from_n = 0.5 * contract("ij,j->i", N, t.ys).val
     spray, shift = d.spray.val, d.eta_shift.val
-    compat = horizontal_from_compatibility(params, t).val
+    compat = horizontal_from_compatibility(params, t, _CONSTRUCTION_READ).val
     return {
         "deflection": relative_residual(defl - N.val, defl, N.val),
         "spray-from-nonlinear": relative_residual(from_n - spray, from_n, spray),
@@ -649,8 +695,7 @@ def torsion_relations(
     ``conn`` (default: the built one) is the connection under test.
     """
     t = F.tower(point, _TORSION_ORDER)
-    d = deformation_data(params, t)
-    conn = build(params) if conn is None else conn
+    d, conn = deformed_at(params, t, _TORSION_READ, conn)
     tb = torsions(conn, t)
     tc = torsions(CARTAN, t)
     fs = d.frame_shift
@@ -712,14 +757,13 @@ def curvature_relations(
     ``conn`` (default: the built one) is the connection under test.
     """
     t = F.tower(point, _CURVATURE_ORDER)
-    d = deformation_data(params, t)
-    conn = build(params) if conn is None else conn
-    # only values are read: every side runs in the ring of covNv, covNh [l, i, j, m]
-    NT, fs, S, T, P, R, covNv, covNh = lower(
-        d.difference, d.frame_shift, d.S, t.T_mix, curvature_mixed(CARTAN, t), curvature_h(CARTAN, t),
-        cov_deriv(CARTAN, t, d.difference, horizontal=False),
-        cov_deriv(CARTAN, t, d.difference, horizontal=True),
-    )
+    d, conn = deformed_at(params, t, _CURVATURE_READ, conn)
+    cartan = CARTAN.at(_CURVATURE_READ)
+    P, R = curvature_mixed(cartan, t), curvature_h(cartan, t)
+    covNv = cov_deriv(cartan, t, d.difference, horizontal=False)  # [l, i, j, m]
+    covNh = cov_deriv(cartan, t, d.difference, horizontal=True)
+    # only values are read: the products below run in the ring the curvatures land in
+    NT, fs, S, T = lower_to((0, 0), d.difference, d.frame_shift, d.S, t.T_mix)
 
     rows: dict[str, float] = {}
     Sd = curvature_v(conn, t)

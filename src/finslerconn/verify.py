@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ad import ChartJets, Series, lower, ring
+from .ad import ChartJets, Series, lower
 from .cases import _WORKSPACE_ORDER, catalog, check_case
 from .connection import (
     CARTAN,
@@ -59,7 +59,7 @@ from .deformation import (
     bump,
     construction_residuals,
     curvature_relations,
-    deformation_data,
+    deformed_at,
     relative_residual,
     torsion_relations,
     worst_residual,
@@ -124,9 +124,10 @@ stencil, not the arithmetic.
 
 _FUZZ_SIZE = 1e-3
 
-# the (order, xorder) of each suite's tower
-_THEOREM_ORDER = (4, 1)
-_BIANCHI_ORDER = (6, 3)
+# the (order, xorder) of each suite's tower, and the ring it reads the
+# deformed connection and its data in (``deformed_at``)
+_THEOREM_ORDER, _THEOREM_READ = (4, 1), (0, 0)
+_BIANCHI_ORDER, _BIANCHI_READ = (6, 3), (2, 2)
 _FIRST_BIANCHI_ORDER = (5, 2)
 _FD_ORDER = (4, 1)
 _CONSTANT_CURVATURE_ORDER = (5, 2)
@@ -426,15 +427,26 @@ def _suite(
 # fuzz-injection plumbing
 
 
+class _Bumped:
+    """The part ``part`` (``"N"``, ``"H"`` or ``"V"``) of ``conn`` with one
+    coefficient shifted by the fuzz size; ``at`` computes it in a read ring."""
+
+    def __init__(self, conn: Connection, part: str):
+        self.conn, self.part = conn, part
+
+    def __call__(self, t) -> Series:
+        base = getattr(self.conn, self.part)(t)
+        return base + t.jets.const(bump(np.zeros(base.shape), _FUZZ_SIZE))
+
+    def at(self, read: tuple[int, int]) -> "_Bumped":
+        return _Bumped(self.conn.at(read), self.part)
+
+
 def _perturbed(conn: Connection, slot: str) -> Connection:
     """A copy of ``conn`` with one coefficient of one block shifted by the fuzz size."""
     if slot not in ("nlc", "hor", "ver"):
         raise ValueError(f"unknown coefficient block {slot!r}")
-
-    def produce(t):
-        base = {"nlc": conn.N, "hor": conn.H, "ver": conn.V}[slot](t)
-        return base + t.jets.const(bump(np.zeros(base.shape), _FUZZ_SIZE))
-
+    produce = _Bumped(conn, {"nlc": "N", "hor": "H", "ver": "V"}[slot])
     return Connection(
         name=f"{conn.name}+bump-{slot}",
         nlc=produce if slot == "nlc" else conn.nlc,
@@ -464,8 +476,7 @@ def theorem_residuals(
       symmetric.
     """
     t = F.tower(point, _THEOREM_ORDER)
-    d = deformation_data(params, t)
-    conn = build(params) if conn is None else conn
+    d, conn = deformed_at(params, t, _THEOREM_READ, conn)
     g = t.g.val
     f1 = float(d.f1.val)
     f2 = float(d.f2.val)
@@ -615,7 +626,9 @@ def bianchi_residuals(
     below (cyclic sums written out, alternations as explicit swaps).  Order
     6 leaves one trusted coefficient layer for the outermost covariant
     derivative of a curvature of the built connection; x-order 3 covers
-    its three horizontal derivatives.
+    its three horizontal derivatives.  The connection is computed in the
+    ring ``(2, 2)`` it is read in: its curvatures land at order 1 and their
+    covariant derivatives, read as values, at order 0.
 
     The identities are structural -- they hold for any coefficient triple
     expressed through its own torsions and curvatures -- so the
@@ -623,7 +636,7 @@ def bianchi_residuals(
     extraction, not the connection itself.
     """
     t = F.tower(point, _BIANCHI_ORDER)
-    conn = build(params)
+    conn = build(params).at(_BIANCHI_READ)
     tb = torsions(conn, t)
     R_s = curvature_h(conn, t)
     P_s = curvature_mixed(conn, t)
@@ -633,16 +646,16 @@ def bianchi_residuals(
     Phat, Rhat, vv = tb.vhv.val, tb.vh.val, tb.vv.val
     R, P, S = (bump(c.val, perturbation) for c in (R_s, P_s, S_s))
 
-    # only values are read: cut to order 1, each derivative is computed at order 0
-    hv, hh, S1, P1, R1, _ = lower(tb.hv, tb.hh, S_s, P_s, R_s, Series.const(ring(2 * t.n, 1, 1), 0.0))
+    # the derivatives are read as values: cut the torsions to the curvatures' ring first
+    hv, hh, _ = lower(tb.hv, tb.hh, R_s)
     covT_h = cov_deriv(conn, t, hv, horizontal=True).val
     covQ_v = cov_deriv(conn, t, hh, horizontal=False).val
     covQ_h = cov_deriv(conn, t, hh, horizontal=True).val
-    covS_h = cov_deriv(conn, t, S1, horizontal=True).val
-    covP_v = cov_deriv(conn, t, P1, horizontal=False).val
-    covP_h = cov_deriv(conn, t, P1, horizontal=True).val
-    covR_v = cov_deriv(conn, t, R1, horizontal=False).val
-    covR_h = cov_deriv(conn, t, R1, horizontal=True).val
+    covS_h = cov_deriv(conn, t, S_s, horizontal=True).val
+    covP_v = cov_deriv(conn, t, P_s, horizontal=False).val
+    covP_h = cov_deriv(conn, t, P_s, horizontal=True).val
+    covR_v = cov_deriv(conn, t, R_s, horizontal=False).val
+    covR_h = cov_deriv(conn, t, R_s, horizontal=True).val
 
     # (a) mixed curvature antisymmetrized in its two horizontal arguments
     lhs_a = np.einsum("icab->iabc", P) - np.einsum("iacb->iabc", P)

@@ -37,6 +37,7 @@ from finslerconn.ad import (
     ring,
 )
 from finslerconn.cases import default_free_choices, preset
+from finslerconn.connection import Connection
 from finslerconn.deformation import DeformationParams
 from finslerconn.finsler import ChartPoint, DomainError, Tower
 from finslerconn.cli import tensor_report
@@ -1154,6 +1155,32 @@ def test_call_plan_and_meet_caches_stay_bounded_across_passes():
     plans, meets = set(ad._PLANS), set(ad._MEETS)
     run_all(cli._structures(config), _ONE_POINT_PLAN)
     assert plans and meets
+    assert set(ad._PLANS) == plans and set(ad._MEETS) == meets
+
+
+def test_second_pass_adds_no_view_and_no_cache_entry(monkeypatch):
+    # a read-ring view lives while a tower's memo or a caller holds it, so
+    # no view outlives its pass and a second pass adds none, nor a plan or meet
+    views = []
+    at = Connection.at
+
+    def recorded(self, read):
+        view = at(self, read)
+        views.append(weakref.ref(view))
+        return view
+
+    monkeypatch.setattr(Connection, "at", recorded)
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    gc.disable()
+    try:
+        run_all(cli._structures(config), _ONE_POINT_PLAN)
+        first = sum(ref() is not None for ref in views)
+        plans, meets = set(ad._PLANS), set(ad._MEETS)
+        run_all(cli._structures(config), _ONE_POINT_PLAN)
+        second = sum(ref() is not None for ref in views)
+    finally:
+        gc.enable()
+    assert views and first == second == 0
     assert set(ad._PLANS) == plans and set(ad._MEETS) == meets
 
 

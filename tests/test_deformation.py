@@ -16,6 +16,8 @@ Oracles:
   back to the metric one.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from finslerconn.deformation import (
     construction_residuals,
     curvature_relations,
     deformation_data,
+    deformed_at,
     horizontal_from_compatibility,
     parameter_field,
     torsion_relations,
@@ -525,6 +528,23 @@ def test_torsion_relations_general(F, point):
     rows = torsion_relations(general_params(F.n), F, point)
     for name, value in rows.items():
         assert value < 1e-12, f"{name}: {value:.3e}"
+
+
+def test_read_ring_view_and_its_data_are_freed_with_their_tower():
+    # the tower's memo holds the view and the data of its ring, and nothing
+    # else does, so reference counting frees all of them with the tower
+    F, params = randers(), general_params(2)
+    gc.disable()
+    try:
+        t = F.tower(P2, (4, 1))
+        d, view = deformed_at(params, t, (0, 0))
+        view.H(t)
+        refs = [weakref.ref(x) for x in (t, view, d)]
+        del t, d, view
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert not any(alive)
 
 
 def test_condition_checks_detect_doctored_coefficients():

@@ -14,6 +14,10 @@ request is seen here):
 * with the random pack, lowering the x-order of any one pair a site asks
   for by one raises ``TruncationError``, so each cut is checked to be the
   smallest that works, not guessed.
+
+A site that computes the deformed connection in the ring it reads declares
+that ring beside its pair; lowering its order or its x-order by one raises
+``TruncationError`` too.
 """
 
 import numpy as np
@@ -119,3 +123,34 @@ def test_constant_curvature_xorder_is_exact(monkeypatch):
         monkeypatch, lambda F, pack, p: verify.constant_curvature_residuals(F, p), {(5, 2)},
         F, None, point, lowered=True,
     )
+
+
+# site -> the module and name of the ring it reads the deformed connection in
+READS = {
+    "theorem": (verify, "_THEOREM_READ"),
+    "construction": (deformation, "_CONSTRUCTION_READ"),
+    "cases": (cases, "_WORKSPACE_READ"),
+    "torsions": (deformation, "_TORSION_READ"),
+    "curvatures": (deformation, "_CURVATURE_READ"),
+    "report": (cli, "_REPORT_READ"),
+    "bianchi": (verify, "_BIANCHI_READ"),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.parametrize("site", sorted(READS))
+def test_site_read_ring_is_the_smallest(site, metric, monkeypatch):
+    F = METRICS[metric]()
+    plan = verify.SamplePlan()
+    point = verify.sample_points(F, plan, 1, "xorder")[0]
+    call, _ = SITES[site]
+    random_pack = verify.random_param_sets(F, plan)[0]
+    module, name = READS[site]
+    order, xorder = getattr(module, name)
+    lowered = [(o, x) for o, x in ((order - 1, xorder), (order, xorder - 1)) if min(o, x) >= 0]
+    assert lowered or (order, xorder) == (0, 0)  # no ring lies below (0, 0)
+    for read in lowered:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, read)
+            _, out = _run(monkeypatch, call, F, random_pack, point, lambda order: order)
+        assert out is TruncationError, read

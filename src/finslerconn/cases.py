@@ -47,9 +47,9 @@ import numpy as np
 from .ad import Constant, Field, Series, contract
 from .connection import RicciEndomorphism
 from .deformation import (
+    DeformationData,
     DeformationParams,
     bump,
-    deformation_data,
     parameter_field,
     relative_residual,
     worst_residual,
@@ -110,7 +110,7 @@ class MetricSplitPart:
 
 _WORKSPACE_ORDER, _WORKSPACE_READ = (4, 0), (0, 0)
 """The (order, xorder) of a case's tower, and the ring its deformation
-data is read in (:func:`~finslerconn.deformation.deformation_data`)."""
+data is read in (:class:`~finslerconn.deformation.DeformationData`)."""
 
 
 class _Workspace:
@@ -123,7 +123,8 @@ class _Workspace:
 
     def __init__(self, params: DeformationParams, F: FinslerStructure, point: ChartPoint):
         t = F.tower(point, _WORKSPACE_ORDER)
-        d = deformation_data(params, t, _WORKSPACE_READ)
+        # read once and copied out, so not memoized: each call has its own pack
+        d = DeformationData(params, t, _WORKSPACE_READ)
         self.n = F.n
         self.g = t.g.val
         self.Tm = t.T_mix.val

@@ -184,11 +184,12 @@ class DeformationData:
     """Every series one deformation needs, evaluated on one tower.
 
     Constructed through :func:`deformation_data` so repeated queries on the
-    same tower share the work.  The data is memoized on its tower and holds
-    the tower only weakly (a strong reference would make a tower-data cycle
-    that only the cyclic collector frees), so hold the tower while reading
-    the data: a stage that reads a tower that is gone raises
-    ``ReferenceError``.  The attributes follow the construction
+    same tower share the work; a reader that reads it once, as the case
+    workspace does, constructs it directly.  The data is memoized on its
+    tower and holds the tower only weakly (a strong reference would make a
+    tower-data cycle that only the cyclic collector frees), so hold the
+    tower while reading the data: a stage that reads a tower that is gone
+    raises ``ReferenceError``.  The attributes follow the construction
     stages: parameter values (each field evaluated on the tower), split and
     raised forms, the two shift fields, the difference tensor, and finally
     the deformed coefficient triple.  A field with no value at the point
@@ -520,25 +521,16 @@ class _Stage:
         return _Stage(self.params, self.stage, read)
 
 
-_CONNECTIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def build(params: DeformationParams) -> Connection:
-    """The deformed connection as a coefficient triple.
-
-    The same object comes back while anything holds it (a tower's memo
-    does), so torsions and curvatures memoized per (connection, tower) pair
-    are shared across call sites.  It holds ``params``, not the reverse.
-    """
-    conn = _CONNECTIONS.get(params)
-    if conn is None:
-        conn = _CONNECTIONS[params] = Connection(
-            name=params.name or "deformed",
-            nlc=_Stage(params, "nonlinear"),
-            hor=_Stage(params, "horizontal"),
-            ver=lambda t: t.T_mix,
-        )
-    return conn
+    """The deformed connection as a coefficient triple, new on every call;
+    its parts are memoized per (connection, tower) pair, so a caller that
+    reads it on several towers holds one.  It holds ``params``, not the reverse."""
+    return Connection(
+        name=params.name or "deformed",
+        nlc=_Stage(params, "nonlinear"),
+        hor=_Stage(params, "horizontal"),
+        ver=lambda t: t.T_mix,
+    )
 
 
 def deformed_at(
@@ -549,8 +541,11 @@ def deformed_at(
 ) -> tuple[DeformationData, Connection]:
     """The data of ``params`` on ``t`` and ``conn`` (default: the built
     one), both computed in the ring ``read`` their reader reads: one ring
-    for the two, so the connection's stages come from the same data."""
-    return deformation_data(params, t, read), (build(params) if conn is None else conn).at(read)
+    for the two, so the connection's stages come from the same data.  The
+    view is kept in ``t``'s memo under ``params`` (or ``conn``)."""
+    key = (params if conn is None else conn, "connection", read)
+    view = t.memo(key, lambda: (build(params) if conn is None else conn).at(read))
+    return deformation_data(params, t, read), view
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +694,13 @@ def torsion_relations(
     tb = torsions(conn, t)
     tc = torsions(CARTAN, t)
     fs = d.frame_shift
-
-    quarter = (
-        d.phi[:, :, None] * d.u[None, None, :] - d.phi[:, None, :] * d.u[None, :, None]
-    )
+    # read as values only: these products run at order 0
+    phi, u, T0, fs0 = lower_to((0, 0), d.phi, d.u, t.T_mix, fs)
+    quarter = phi[:, :, None] * u[None, None, :] - phi[:, None, :] * u[None, :, None]
 
     # vertical derivative of the tilt, with the Cartan tensor correction
     dyfs = fs.dy(axis=2)  # [i, j, k]
-    tfs = contract("ipk,pj->ijk", t.T_mix, fs)
+    tfs = contract("ipk,pj->ijk", T0, fs0)
     vhv_rhs = tc.vhv - (dyfs + tfs) - d.difference
 
     # frame brackets of the tilt (all derivatives along the metric frame)
@@ -758,7 +752,7 @@ def curvature_relations(
     """
     t = F.tower(point, _CURVATURE_ORDER)
     d, conn = deformed_at(params, t, _CURVATURE_READ, conn)
-    cartan = CARTAN.at(_CURVATURE_READ)
+    cartan = t.memo((CARTAN, "connection", _CURVATURE_READ), lambda: CARTAN.at(_CURVATURE_READ))
     P, R = curvature_mixed(cartan, t), curvature_h(cartan, t)
     covNv = cov_deriv(cartan, t, d.difference, horizontal=False)  # [l, i, j, m]
     covNh = cov_deriv(cartan, t, d.difference, horizontal=True)

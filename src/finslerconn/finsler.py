@@ -26,16 +26,19 @@ touched.  A tower also offers the ``xs``, ``ys`` and ``const`` of its
 chart jets, so parameter fields are evaluated on it and those that read
 the metric (:class:`HilbertFormField`) take it from there.
 
-Towers are built only by :meth:`FinslerStructure.tower`, and values
-derived from a tower are memoized with :meth:`Tower.memo`.  The structure
-holds its towers weakly and a tower holds its structure weakly, so a tower
-lives while its caller holds it: :meth:`FinslerStructure.tower` hands out
-the live tower of a point and order if there is one and builds it
-otherwise, and reference counting frees a tower when its last holder lets
-go.  Hold the tower while reading data derived from it
-(``deformation_data``), and keep the structure bound to a name to use
-:meth:`Tower.at`.  A caller that visits the same points again (a loop over
-packs, say) holds their towers for the loop.
+Towers are built only by :meth:`FinslerStructure.tower`, and values,
+deformation data, read-ring views of connections and process families
+derived from a tower are memoized with :meth:`Tower.memo`, under keys
+the caller holds, so a held tower stops growing after a first call.  The
+structure holds its towers weakly and a tower holds its structure
+weakly, so a tower lives while its caller holds it:
+:meth:`FinslerStructure.tower` hands out the live tower of a point and
+order if there is one and builds it otherwise, and reference counting
+frees a tower when its last holder lets go.  Hold the tower while
+reading data derived from it (``deformation_data``), and keep the
+structure bound to a name to use :meth:`Tower.at`.  A caller that visits
+the same points again (a loop over packs, say) holds their towers for
+the loop.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ parameters.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -150,22 +149,16 @@ class ConnectionFamily:
         return p1_process(self.chern_rund)
 
 
-_FAMILIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def derive_family(params: DeformationParams) -> ConnectionFamily:
-    """The deformed connection and its three process derivatives, cached while held."""
-    family = _FAMILIES.get(params)
-    if family is None:
-        base = build(params)
-        hashiguchi = p1_process(base)
-        family = _FAMILIES[params] = ConnectionFamily(
-            base=base,
-            hashiguchi=hashiguchi,
-            chern_rund=c_process(base),
-            berwald=c_process(hashiguchi),
-        )
-    return family
+    """The deformed connection and its three process derivatives, new on every call."""
+    base = build(params)
+    hashiguchi = p1_process(base)
+    return ConnectionFamily(
+        base=base,
+        hashiguchi=hashiguchi,
+        chern_rund=c_process(base),
+        berwald=c_process(hashiguchi),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,8 @@ def diagram_residuals(
     ``family`` (default: the one derived from ``params``) is under test.
     """
     t = F.tower(point, _DIAGRAM_ORDER)
-    fam = derive_family(params) if family is None else family
+    # the families live in the tower's memo, so a held tower meets the same ones
+    fam = t.memo((params, "family"), lambda: derive_family(params)) if family is None else family
     rows: dict[str, float] = {}
 
     # deformed square
@@ -250,7 +244,7 @@ def diagram_residuals(
 
     # collapse edges under zero parameters
     zero = _zero_params(t.n)
-    zfam = derive_family(zero)
+    zfam = t.memo((zero, "family"), lambda: derive_family(zero))
     for (label, member), classical in zip(
         zfam.members(), (CARTAN, HASHIGUCHI, CHERN_RUND, BERWALD)
     ):

@@ -636,7 +636,7 @@ def bianchi_residuals(
     extraction, not the connection itself.
     """
     t = F.tower(point, _BIANCHI_ORDER)
-    conn = build(params).at(_BIANCHI_READ)
+    _, conn = deformed_at(params, t, _BIANCHI_READ)
     tb = torsions(conn, t)
     R_s = curvature_h(conn, t)
     P_s = curvature_mixed(conn, t)

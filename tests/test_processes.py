@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from finslerconn.connection import CARTAN, torsions
-from finslerconn.deformation import DeformationParams, build
+from finslerconn.deformation import DeformationParams
 from finslerconn.finsler import ChartPoint
 from finslerconn.processes import (
     BERWALD,
     CHERN_RUND,
     CLASSICAL,
     HASHIGUCHI,
+    _DIAGRAM_ORDER,
     berwald_coefficients,
     c_process,
     derive_family,
@@ -104,9 +105,14 @@ def test_family_shares_nonlinear_part():
 
 
 def test_family_is_cached():
+    # the diagram keeps one family per pack in the memo of the tower it reads
+    F = randers()
     params = general_params(2)
-    assert derive_family(params) is derive_family(params)
-    assert derive_family(params).base is build(params)
+    t = F.tower(P2, _DIAGRAM_ORDER)
+    diagram_residuals(params, F, P2)
+    family = t.cache[(params, "family")]
+    diagram_residuals(params, F, P2)
+    assert t.cache[(params, "family")] is family
 
 
 def test_hashiguchi_type_closed_form():
@@ -173,7 +179,7 @@ def test_diagram_residuals_reuse_their_memo_entries():
     # the zero pack, its family and the process connections are built once
     F = randers()
     params = general_params(2)
-    t = F.tower(P2, 4)
+    t = F.tower(P2, _DIAGRAM_ORDER)  # the tower the diagram reads
     sizes = []
     for _ in range(3):
         diagram_residuals(params, F, P2)

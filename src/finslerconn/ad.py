@@ -94,6 +94,16 @@ class TruncationError(Exception):
 # rings
 
 
+SCATTER_ENTRIES = 1 << 12
+"""Entries of a ring's cached scatter index (:meth:`TaylorRing.mul_coef`):
+at most this many, or one column's pairs where a column has more; a
+product of more columns scatters in chunks of that many.  This keeps each
+ring's index at 32 KB, and the cache of the built-in check's rings at
+0.38 MB, where one index per column count held 1.3 MB once points are
+batched.  Twice the budget ran the 3-d curvature and Bianchi suites about
+5 % faster but held twice the memory (``BENCH_25.json``)."""
+
+
 class TaylorRing:
     """The polynomial ring in ``nvars`` variables, truncated past ``order``
     in total degree and past ``xorder`` in the degree of the base variables.
@@ -133,7 +143,7 @@ class TaylorRing:
         # _prefix[d] is the number of monomials of degree < d, for d = 0..order+1
         self._prefix = np.searchsorted(self.degree, np.arange(order + 2), side="left")
         self._mul_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._scatter_cache: dict[int, np.ndarray] = {}
+        self._scatter_cache: dict[int, np.ndarray] = {}  # columns -> prefix of one index (mul_coef)
         self._diff_cache: dict[int | str, tuple[np.ndarray, np.ndarray, TaylorRing]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -212,22 +222,53 @@ class TaylorRing:
 
         Each factor is one ``take`` of its pair indices, and one
         ``np.bincount`` scatters their ``(*batch, npairs)`` product ``W``
-        over the flat index ``col * dim + K[p]`` (cached per column count in
-        ``_scatter_cache``: building it costs as much as the gather).  It
-        adds in input order from ``+0.0``, so each coefficient sums its own
-        pairs in pair order and every finite and infinite value keeps its
-        bits; a NaN sum keeps its NaN.  ``bincount`` computes in float64.
+        over the flat index ``col * dim + K[p]`` (:meth:`_scatter_index`:
+        building it costs as much as the gather).  It adds in input order
+        from ``+0.0``, so each coefficient sums its own pairs in pair order
+        and every finite and infinite value keeps its bits; a NaN sum keeps
+        its NaN.  ``bincount`` computes in float64.  More columns than the
+        index covers scatter in chunks of that many, each column still
+        summing its own pairs, so the bits do not depend on the chunking.
         """
         I, J, K = self._mul_table()
         W = a.take(I, axis=-1) * b.take(J, axis=-1)
         shape = W.shape[:-1] + (self.dim,)
-        ncols = W.size // len(I)
+        npairs = len(I)
+        ncols = W.size // npairs
         if not ncols:  # bincount of an empty index gives integers
             return np.zeros(shape)
         idx = self._scatter_cache.get(ncols)
         if idx is None:
-            idx = self._scatter_cache[ncols] = ((np.arange(ncols) * self.dim)[:, None] + K).ravel()
-        return np.bincount(idx, weights=W.ravel(), minlength=ncols * self.dim).reshape(shape)
+            idx = self._scatter_index(ncols)
+        if len(idx) == W.size:
+            return np.bincount(idx, weights=W.ravel(), minlength=ncols * self.dim).reshape(shape)
+        W, out, chunk = W.reshape(ncols, npairs), np.empty((ncols, self.dim)), len(idx) // npairs
+        for start in range(0, ncols, chunk):
+            part = W[start : start + chunk]
+            out[start : start + len(part)] = np.bincount(
+                idx[: part.size], weights=part.ravel(), minlength=len(part) * self.dim
+            ).reshape(-1, self.dim)
+        return out.reshape(shape)
+
+    def _scatter_index(self, ncols: int) -> np.ndarray:
+        """The flat scatter index of :meth:`mul_coef` for ``min(ncols,
+        SCATTER_ENTRIES // npairs)`` columns (one at least), cached under
+        ``ncols``.
+
+        Each is a prefix of one index per ring, the index for the most
+        columns asked for up to that cap: the first ``c * npairs`` entries
+        are the index for ``c`` columns.  The index is built again only when
+        it grows, and the cached prefixes then move to the new one.
+        """
+        K = self._mul_table()[2]
+        want = min(ncols, max(1, SCATTER_ENTRIES // len(K)))
+        full = max(self._scatter_cache.values(), key=len, default=K[:0])
+        if len(full) < want * len(K):
+            full = ((np.arange(want) * self.dim)[:, None] + K).ravel()
+            for cols, idx in self._scatter_cache.items():
+                self._scatter_cache[cols] = full[: len(idx)]
+        idx = self._scatter_cache[ncols] = full[: want * len(K)]
+        return idx
 
 
 _RINGS: dict[tuple[int, int, int], TaylorRing] = {}
@@ -367,16 +408,6 @@ class Series:
         value = np.asarray(value, dtype=float)
         coef = np.zeros(value.shape + (rg.dim,))
         coef[..., 0] = value
-        return cls(rg, coef)
-
-    @classmethod
-    def seed(cls, rg: TaylorRing, var: int, value: float) -> "Series":
-        """The coordinate function ``value + (v_var - value)`` as a series."""
-        coef = np.zeros(rg.dim)
-        coef[0] = value
-        e = tuple(1 if i == var else 0 for i in range(rg.nvars))
-        if e in rg.index:  # not at order 0, nor for x at x-order 0
-            coef[rg.index[e]] = 1.0
         return cls(rg, coef)
 
     @staticmethod
@@ -695,25 +726,27 @@ def matmul(a: Series, b: Series) -> Series:
 
 
 def matinv(g: Series) -> Series:
-    """Inverse of an (n, n)-batched series matrix via a Neumann expansion.
+    """Inverse of an (n, n)-batched series matrix via a Neumann expansion,
+    or of each matrix of a ``(points, n, n)`` batch.
 
     Requires the constant-term matrix to be invertible; the correction part
     is nilpotent in the truncated ring, so the expansion terminates exactly.
     """
-    n = g.coef.shape[0]
-    if g.coef.ndim != 3 or g.coef.shape[1] != n:
+    n = g.coef.shape[-2]
+    if g.coef.ndim not in (3, 4) or g.coef.shape[-3] != n:
         raise ValueError("matinv expects an (n, n) series batch")
+    p = "p" * (g.coef.ndim - 3)  # the leading point axis, if any
     rg = g.ring
     b0 = np.linalg.inv(g.val)
-    b0g = Series(rg, np.einsum("ij,jkd->ikd", b0, g.coef))
-    rem = Series.const(rg, np.eye(n)) - b0g  # constant term is 0
-    acc = Series.const(rg, np.eye(n))
+    b0g = Series(rg, np.einsum(f"{p}ij,{p}jkd->{p}ikd", b0, g.coef))
+    acc = Series.const(rg, np.eye(n) + np.zeros(b0.shape))  # one identity per matrix
+    rem = acc - b0g  # constant term is 0
     power = rem
     for k in range(rg.order):
         if k:
-            power = matmul(power, rem)
+            power = contract(f"{p}ij,{p}jk->{p}ik", power, rem)
         acc = acc + power
-    return Series(rg, np.einsum("ijd,jk->ikd", acc.coef, b0))
+    return Series(rg, np.einsum(f"{p}ijd,{p}jk->{p}ikd", acc.coef, b0))
 
 
 # ---------------------------------------------------------------------------
@@ -738,16 +771,28 @@ class ChartJets:
     @classmethod
     def at(cls, x, y, order: int | tuple[int, int]) -> "ChartJets":
         """The jets at ``(x, y)`` to ``order``: an int, or an ``(order,
-        xorder)`` pair that also cuts the degree in ``x``."""
+        xorder)`` pair that also cuts the degree in ``x``.
+
+        ``x`` and ``y`` are one point's coordinates, shape ``(n,)``, or the
+        columns of a batch of points, shape ``(n, points)``; then each
+        coordinate series holds one expansion per point, and so does every
+        field evaluated on the jets.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or y.shape != x.shape:
-            raise ValueError("x and y must be 1-d arrays of equal length")
+        if x.ndim not in (1, 2) or y.shape != x.shape:
+            raise ValueError("x and y must be 1-d arrays of equal length, or 2-d of equal shape")
         n = x.shape[0]
         total, xorder = order if isinstance(order, tuple) else (order, None)
         rg = ring(2 * n, total, xorder)
-        xs = Series.stack([Series.seed(rg, i, x[i]) for i in range(n)])
-        ys = Series.stack([Series.seed(rg, n + i, y[i]) for i in range(n)])
+        xs, ys = np.zeros(x.shape + (rg.dim,)), np.zeros(y.shape + (rg.dim,))
+        xs[..., 0], ys[..., 0] = x, y
+        for i in range(n):  # each coordinate's own first-order term
+            for coef, var in ((xs, i), (ys, n + i)):
+                e = tuple(int(v == var) for v in range(2 * n))
+                if e in rg.index:  # not at order 0, nor for x at x-order 0
+                    coef[i, ..., rg.index[e]] = 1.0
+        xs, ys = Series(rg, xs), Series(rg, ys)
         return cls(rg, x, y, xs, ys)
 
     @property

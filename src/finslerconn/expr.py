@@ -384,7 +384,7 @@ def _run_steps(steps: Sequence[tuple], values: np.ndarray, rows: np.ndarray, rg,
             out = Series(rg, regs[a].coef + regs[b].coef * values[attr])
         elif kind == _NUM:
             # ``-c`` has the bits of ``-(Series.const(rg, c))``, -0.0 included
-            out = Series(rg, Series.const(rg, values[attr, :, 0]).coef * values[attr + 1])
+            out = Series(rg, Series.const(rg, values[attr][..., 0]).coef * values[attr + 1])
         elif kind == _MUL:
             out = regs[a] * regs[b]
         elif kind == _DIV:
@@ -436,7 +436,9 @@ class Tape:
     def run(self, jets) -> Series:
         """Every tree's value on ``jets`` (anything with chart ``xs`` and
         ``ys`` of one ring, of at least the tape's dimension), stacked in
-        tree order on a new leading axis.
+        tree order on a new leading axis.  Jets of a batch of points (``xs``
+        of shape ``(n, points)``) give each tree one value per point, on the
+        axis after the tree axis.
 
         On an error the trees run again one by one in order, so the error
         raised is that of the first tree that fails.
@@ -448,17 +450,22 @@ class Tape:
             )
         rg = xs.ring
         stacked = np.concatenate((xs.coef[: self.n], ys.coef[: self.n]))
+        groups = self.groups
+        if stacked.ndim > 2:  # value columns broadcast over the points
+            points = (1,) * (stacked.ndim - 2)
+            groups = [(s, pos, v.reshape(v.shape[:2] + points + (1,)), r) for s, pos, v, r in groups]
         try:
-            out = [_run_steps(steps, v, r, rg, stacked) for steps, _, v, r in self.groups]
+            out = [_run_steps(steps, v, r, rg, stacked) for steps, _, v, r in groups]
         except (ValueError, ZeroDivisionError):
-            place = {p: (group, i) for group in self.groups for i, p in enumerate(group[1].tolist())}
+            place = {p: (group, i) for group in groups for i, p in enumerate(group[1].tolist())}
             for (steps, _, values, rows), i in map(place.get, range(self.size)):
                 _run_steps(steps, values[:, i : i + 1], rows[:, i : i + 1], rg, stacked)
             raise
-        if len(out) == 1:
+        shape = (self.size,) + stacked.shape[1:]
+        if len(out) == 1 and out[0].coef.shape == shape:
             return out[0]
-        coef = np.empty((self.size, rg.dim))
-        for (_, positions, _, _), value in zip(self.groups, out):
+        coef = np.empty(shape)
+        for (_, positions, _, _), value in zip(groups, out):
             coef[positions] = value.coef
         return Series(rg, coef)
 
@@ -491,7 +498,7 @@ class ExprField:
 
     def eval(self, jets) -> Series:
         value = self.tape.run(jets)
-        return Series(value.ring, value.coef.reshape(self.shape + (-1,)))
+        return Series(value.ring, value.coef.reshape(self.shape + value.coef.shape[1:]))
 
 
 class ExprScalarField(ExprField):

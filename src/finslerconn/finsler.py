@@ -39,6 +39,17 @@ reading data derived from it (``deformation_data``), and keep the
 structure bound to a name to use :meth:`Tower.at`.  A caller that visits
 the same points again (a loop over packs, say) holds their towers for
 the loop.
+
+A tower is a view of one point of a batch, whose stages carry a leading
+point axis and are computed for all of its points at once on the first
+read (vectorised Taylor propagation).  :meth:`FinslerStructure.towers`
+declares a batch and hands out its towers; the suite runner
+(``verify._suite``) declares one per order its per-point functions read
+and holds it while they run, and :meth:`Tower.at` declares the other
+order for the whole batch.  A tower asked for alone is a batch of one, so
+there is one code path, and every point reads the bits of its batch of
+one.  The per-point functions, the deformation and the connections still
+read one point's tower at a time.
 """
 
 from __future__ import annotations
@@ -47,10 +58,11 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .ad import ChartJets, Field, Series, contract, lower, matinv
+from .ad import ChartJets, Field, Series, TruncationError, contract, lower, matinv
 from .expr import ExprError
 
 __all__ = [
@@ -102,6 +114,7 @@ class FinslerStructure:
         self.norm = norm
         self.name = name
         self._towers: weakref.WeakValueDictionary[tuple, Tower] = weakref.WeakValueDictionary()
+        self._batches: weakref.WeakValueDictionary[tuple, _Batch] = weakref.WeakValueDictionary()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         label = self.name or getattr(self.norm, "describe", lambda: "norm")()
@@ -125,6 +138,43 @@ class FinslerStructure:
             tw = Tower(self, point, order)
             self._towers[key] = tw
         return tw
+
+    def towers(self, points: Sequence[ChartPoint], order: int | tuple[int, int]) -> list["Tower"]:
+        """The towers of ``points`` at one order, as :meth:`tower` gives
+        them, with the stages of those no live tower serves yet computed as
+        one batch: for all of these points at once, on the first read by
+        any of their towers.  Hold the list while reading the towers."""
+        batch = self._declare(points, order)  # held here until its towers hold it
+        return [self.tower(p, order) for p in points]
+
+    def _declare(self, points: Sequence[ChartPoint], order) -> "_Batch | None":
+        """One new batch for the points no live batch serves at ``order``
+        (None if there are none), found by :meth:`_slot` while something
+        holds it."""
+        fresh: dict[tuple, ChartPoint] = {}
+        for p in points:
+            if p.n != self.n:
+                raise ValueError(f"point has dimension {p.n}, structure has {self.n}")
+            key = p.key()
+            if key + (order,) not in self._batches:
+                fresh.setdefault(key, p)
+        if not fresh:
+            return None
+        batch = _Batch(self.norm, list(fresh.values()), order)
+        for i, key in enumerate(fresh):
+            batch.slot[key] = i
+            self._batches[key + (order,)] = batch
+        return batch
+
+    def _slot(self, point: ChartPoint, order) -> tuple["_Batch", int]:
+        """The live batch serving a point and order, a new batch of one if
+        there is none, and the point's place in it."""
+        key = point.key()
+        batch = self._batches.get(key + (order,))
+        if batch is None:
+            batch = self._batches[key + (order,)] = _Batch(self.norm, [point], order)
+            batch.slot[key] = 0
+        return batch, batch.slot[key]
 
     @cached_property
     def cartan_flat(self) -> bool:
@@ -153,16 +203,182 @@ class FinslerStructure:
         tw.g  # touching it performs the positivity/convexity checks
 
 
-def horizontal_gradient(s: Series, N: Series) -> Series:
-    """``delta_j s = ds/dx_j - N^m_j ds/dy_m`` for every ``j``, on a new leading
-    axis; the terms are subtracted in order of ``m``, as per index.  The
-    x-partials are one x-order below the y-partials, so those and ``N`` are
-    cut to the ring of the sum before they multiply."""
-    out, dy, N = lower(s.dx(), s.dy(), N)
-    spread = (slice(None),) + (None,) * len(s.shape)  # N^m_j against s[...]
-    for m in range(N.shape[0]):
-        out = out - N[(m,) + spread] * dy[m]
+def horizontal_gradient(s: Series, N: Series, lead: int = 0) -> Series:
+    """``delta_j s = ds/dx_j - N^m_j ds/dy_m`` for every ``j``, on a new axis
+    after the ``lead`` leading (point) axes that ``s`` and ``N`` share; the
+    terms are subtracted in order of ``m``, as per index.  The x-partials
+    are one x-order below the y-partials, so those and ``N`` are cut to the
+    ring of the sum before they multiply."""
+    out, dy, N = lower(s.dx(lead), s.dy(lead), N)
+    points = (slice(None),) * lead
+    spread = (slice(None),) + (None,) * (len(s.shape) - lead)  # N^m_j against s[...]
+    for m in range(N.shape[lead]):
+        out = out - N[points + (m,) + spread] * dy[points + (m,) + (None,) * lead]
     return out
+
+
+def _where(point: ChartPoint) -> str:
+    return f"x = {point.x.tolist()}, y = {point.y.tolist()}"
+
+
+class _Batch:
+    """The tower stages of a batch of points at one order.
+
+    Each stage is one series with a leading point axis, computed for every
+    point at once on the first read by any tower of the batch (vectorised
+    Taylor propagation: Bettencourt, Johnson & Duvenaud, "Taylor-mode
+    automatic differentiation for higher-order derivatives in JAX", 2019).
+    A batch of one point has no point axis (``lead`` is 0), so a lone tower
+    computes on arrays of its own shapes.  The formulas are the one-point
+    formulas with the point axis in front, so each point's coefficients are
+    bit-identical to those of its batch of one.  If a stage raises on a
+    batch of more than one point, the batch splits into batches of one
+    (:meth:`split`): each point then raises exactly the error it raises
+    alone, and the other points are still served.  A
+    :class:`~finslerconn.ad.TruncationError` (a stage past the order) is
+    the same at every point and splits nothing.
+
+    A batch holds no tower; its towers hold it, and so do the batches that
+    built it as a deeper order of their points (:meth:`Tower.at`).
+    """
+
+    def __init__(self, norm: Field, points: list[ChartPoint], order):
+        self.norm = norm
+        self.points = points
+        self.order = order
+        self.lead = int(len(points) > 1)  # the number of point axes
+        self.slot: dict[tuple, int] = {}  # point key -> place, for those the structure finds here
+        self.parts: list[_Batch] | None = None
+        self.deeper: dict = {}  # order -> the batch Tower.at built for these points
+
+    def read(self, stage: str, i: int) -> Series:
+        """The stage named ``stage`` at point ``i``: the stage itself in a
+        batch of one, else a view of the point's coefficients."""
+        if self.parts is None:
+            try:
+                value = getattr(self, stage)
+            except TruncationError:  # the order's fault, the same at every point
+                raise
+            except Exception:  # whatever a point raises alone, it raises from its own batch
+                if not self.lead:
+                    raise
+                self.split()
+            else:
+                return Series(value.ring, value.coef[i]) if self.lead else value
+        return self.parts[i].read(stage, 0)
+
+    def split(self) -> None:
+        """Serve every point from a batch of one from now on."""
+        self.parts = [_Batch(self.norm, [p], self.order) for p in self.points]
+
+    def _spec(self, spec: str) -> str:
+        """A contraction spec with the point axis ``p`` in front of every term."""
+        return spec if not self.lead else "p" + spec.replace(",", ",p").replace("->", "->p")
+
+    @cached_property
+    def jets(self) -> ChartJets:
+        if not self.lead:
+            return ChartJets.at(self.points[0].x, self.points[0].y, self.order)
+        x, y = (np.array([getattr(p, c) for p in self.points]).T for c in "xy")
+        return ChartJets.at(x, y, self.order)
+
+    # -- base layer ----------------------------------------------------------
+
+    @cached_property
+    def L(self) -> Series:
+        try:
+            s = self.norm.eval(self.jets)
+        except ExprError:  # the expression is at fault, not the point
+            raise
+        except (ValueError, ZeroDivisionError) as err:
+            where = _where(self.points[0])
+            raise DomainError(f"norm cannot be evaluated at {where}: {err}") from None
+        for point, value in zip(self.points, s.val.reshape(-1).tolist()):
+            if not math.isfinite(value):
+                raise DomainError(f"norm is not finite at {_where(point)}: L = {value}")
+            if not value > 0.0:
+                raise DomainError(
+                    f"norm must be positive away from y = 0, got L = {value:.6g} at {_where(point)}"
+                )
+        return s
+
+    @cached_property
+    def L2(self) -> Series:
+        return self.L * self.L
+
+    @cached_property
+    def g(self) -> Series:
+        a = self.lead
+        g = self.L2.dy(axis=a).dy(axis=a + 1) * 0.5
+        val = g.val.reshape((-1,) + g.shape[-2:])
+        finite = np.isfinite(val).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError(
+                f"fundamental tensor is not finite at {_where(self.points[i])}: {val[i].tolist()}"
+            )
+        lowest = np.linalg.eigvalsh(val)[:, 0]
+        if not (lowest > 0.0).all():
+            i = int(np.argmin(lowest > 0.0))
+            raise DomainError(
+                f"fundamental tensor is not positive definite at {_where(self.points[i])} "
+                f"(eigenvalues {np.linalg.eigvalsh(val[i]).tolist()})"
+            )
+        return g
+
+    @cached_property
+    def gi(self) -> Series:
+        return matinv(self.g)
+
+    @cached_property
+    def T_low(self) -> Series:
+        return self.g.dy(axis=self.lead + 2) * 0.5
+
+    @cached_property
+    def T_mix(self) -> Series:
+        return contract(self._spec("il,ljk->ijk"), self.gi, self.T_low)
+
+    @cached_property
+    def ell(self) -> Series:
+        return self.L.dy(axis=self.lead)
+
+    # -- spray layer ---------------------------------------------------------
+
+    @cached_property
+    def G(self) -> Series:
+        a, ys = self.lead, self.jets.ys  # [m], or [m, p]
+        ys = ys.transpose(1, 0) if a else ys
+        mixed = self.L2.dy(axis=a).dx(axis=a + 1)
+        rhs = contract(self._spec("lm,m->l"), mixed, ys) - self.L2.dx(axis=a)
+        return 0.25 * contract(self._spec("il,l->i"), self.gi, rhs)
+
+    @cached_property
+    def N(self) -> Series:
+        return self.G.dy(axis=self.lead + 1)
+
+    @cached_property
+    def delta_g(self) -> Series:
+        return horizontal_gradient(self.g, self.N, lead=self.lead)
+
+    @cached_property
+    def Gamma(self) -> Series:
+        D, pts = self.delta_g, (0,) * self.lead  # D[(p,) a, b, c]
+        a, b, c = (axis + self.lead for axis in range(3))
+        # low[j, k, l] = (delta_j g_lk + delta_k g_jl - delta_l g_jk) / 2
+        low = 0.5 * (
+            D.transpose(*pts, a, c, b) + D.transpose(*pts, c, a, b) - D.transpose(*pts, b, c, a)
+        )
+        return contract(self._spec("il,jkl->ijk"), self.gi, low)
+
+
+def _stage(name: str, doc: str) -> cached_property:
+    """A :class:`Tower` stage: the tower's point of its batch's stage ``name``."""
+
+    def read(t: "Tower") -> Series:
+        return t._batch.read(name, t._index)
+
+    read.__name__, read.__doc__ = name, doc
+    return cached_property(read)
 
 
 class Tower:
@@ -176,30 +392,41 @@ class Tower:
     coefficients, so a pair that is too low raises
     :class:`~finslerconn.ad.TruncationError` instead of cutting results).
 
+    A tower is a view of one point of a batch (:class:`_Batch`): its stages
+    slice the batch's, computed for all the batch's points on the first read
+    by any of its towers.  :meth:`FinslerStructure.towers` declares a batch;
+    a tower asked for alone is a batch of one.  Invalid inputs (non-positive
+    norm, degenerate fundamental tensor) raise :class:`DomainError` when a
+    stage is first read.
+
     Built only by :meth:`FinslerStructure.tower`; other modules memoize
     values derived from a tower with :meth:`memo`.  A tower lives while its
     caller holds it: the structure's cache refers to it weakly and nothing
     memoized on it refers back strongly, so reference counting frees it,
-    and all it memoizes, when its last holder lets go.  It holds its
-    structure weakly too, so :meth:`at` needs the structure still bound to
-    a name.
+    and all it memoizes, when its last holder lets go; its batch lives while
+    one of its towers does.  It holds its structure weakly too, so
+    :meth:`at` needs the structure still bound to a name.
     """
 
     def __init__(self, structure: FinslerStructure, point: ChartPoint, order):
-        self.norm = structure.norm
         self._structure = weakref.ref(structure)
         self.point = point
         self.n = point.n
-        self.jets = ChartJets.at(point.x, point.y, order)
+        self._batch, self._index = structure._slot(point, order)
         self.cache: dict = {}
 
     def at(self, order: int | tuple[int, int]) -> "Tower":
         """The tower of the same point at another order, through
         :meth:`FinslerStructure.tower`: the live one, or a new one that lives
-        while the caller holds it."""
+        while the caller holds it.  The first call for an order declares it
+        for every point of this tower's batch, and the batch holds that new
+        batch, so the other points' towers at that order share its stages."""
         structure = self._structure()
         if structure is None:
             raise ReferenceError("this tower's structure is gone; bind the structure to a name")
+        batch = self._batch
+        if order not in batch.deeper:
+            batch.deeper[order] = structure._declare(batch.points, order)
         return structure.tower(self.point, order)
 
     def memo(self, key, make):
@@ -210,102 +437,45 @@ class Tower:
             self.cache[key] = out
         return out
 
+    @cached_property
+    def jets(self) -> ChartJets:
+        """The chart jets of this point, in the ring of the tower's order:
+        its column of the batch's jets."""
+        jets, i = self._batch.jets, self._index
+        if not self._batch.lead:
+            return jets
+        return ChartJets(jets.ring, self.point.x, self.point.y, jets.xs[:, i], jets.ys[:, i])
+
     # -- base layer ----------------------------------------------------------
 
-    @cached_property
-    def L(self) -> Series:
-        where = f"x = {self.point.x.tolist()}, y = {self.point.y.tolist()}"
-        try:
-            s = self.norm.eval(self.jets)
-        except ExprError:  # the expression is at fault, not the point
-            raise
-        except (ValueError, ZeroDivisionError) as err:
-            raise DomainError(f"norm cannot be evaluated at {where}: {err}") from None
-        value = float(s.val)
-        if not math.isfinite(value):
-            raise DomainError(f"norm is not finite at {where}: L = {value}")
-        if not value > 0.0:
-            raise DomainError(
-                f"norm must be positive away from y = 0, got L = {value:.6g} at {where}"
-            )
-        return s
-
-    @cached_property
-    def L2(self) -> Series:
-        return self.L * self.L
-
-    @cached_property
-    def g(self) -> Series:
-        """Fundamental tensor, shape (n, n)."""
-        g = self.L2.dy().dy(axis=1) * 0.5
-        where = f"x = {self.point.x.tolist()}, y = {self.point.y.tolist()}"
-        if not np.all(np.isfinite(g.val)):
-            raise DomainError(f"fundamental tensor is not finite at {where}: {g.val.tolist()}")
-        eig = np.linalg.eigvalsh(g.val)
-        if eig[0] <= 0.0:
-            raise DomainError(
-                f"fundamental tensor is not positive definite at {where} "
-                f"(eigenvalues {eig.tolist()})"
-            )
-        return g
-
-    @cached_property
-    def gi(self) -> Series:
-        """Inverse fundamental tensor, shape (n, n)."""
-        return matinv(self.g)
-
-    @cached_property
-    def T_low(self) -> Series:
-        """Lowered Cartan tensor T_ijk, shape (n, n, n), totally symmetric."""
-        return self.g.dy(axis=2) * 0.5
-
-    @cached_property
-    def T_mix(self) -> Series:
-        """Mixed Cartan tensor T^i_jk = g^il T_ljk, shape (n, n, n)."""
-        return contract("il,ljk->ijk", self.gi, self.T_low)
-
-    @cached_property
-    def ell(self) -> Series:
-        """Hilbert form components l_i = dL/dy_i, shape (n,)."""
-        return self.L.dy()
+    L = _stage("L", "The norm as a series; a non-finite or non-positive value raises.")
+    L2 = _stage("L2", "The squared norm.")
+    g = _stage("g", "Fundamental tensor, shape (n, n).")
+    gi = _stage("gi", "Inverse fundamental tensor, shape (n, n).")
+    T_low = _stage("T_low", "Lowered Cartan tensor T_ijk, shape (n, n, n), totally symmetric.")
+    T_mix = _stage("T_mix", "Mixed Cartan tensor T^i_jk = g^il T_ljk, shape (n, n, n).")
+    ell = _stage("ell", "Hilbert form components l_i = dL/dy_i, shape (n,).")
 
     # -- spray layer ---------------------------------------------------------
 
-    @cached_property
-    def G(self) -> Series:
-        """Geodesic spray coefficients G^i, shape (n,)."""
-        rhs = contract("lm,m->l", self.L2.dy().dx(axis=1), self.jets.ys) - self.L2.dx()
-        return 0.25 * contract("il,l->i", self.gi, rhs)
-
-    @cached_property
-    def N(self) -> Series:
-        """Canonical nonlinear connection N^i_j = dG^i/dy_j, shape (n, n)."""
-        return self.G.dy(axis=1)
+    G = _stage("G", "Geodesic spray coefficients G^i, shape (n,).")
+    N = _stage("N", "Canonical nonlinear connection N^i_j = dG^i/dy_j, shape (n, n).")
+    delta_g = _stage(
+        "delta_g",
+        "Horizontal derivatives of the fundamental tensor, shape (n, n, n): "
+        "``[j, k, l]`` is ``delta_j g_kl``.",
+    )
+    Gamma = _stage(
+        "Gamma",
+        "Metric horizontal coefficients, shape (n, n, n), [i, j, k].\n\n"
+        "Symmetric in (j, k); together with ``N`` and ``T_mix`` these are the\n"
+        "coefficients of the metric connection this whole package deforms.",
+    )
 
     def delta(self, s: Series, j: int) -> Series:
         """Horizontal derivative delta_j = d/dx_j - N^m_j d/dy_m of a series,
         the ``j``-th entry of :func:`horizontal_gradient`."""
         return horizontal_gradient(s, self.N)[j]
-
-    @cached_property
-    def delta_g(self) -> Series:
-        """Horizontal derivatives of the fundamental tensor, shape (n, n, n):
-        ``[j, k, l]`` is ``delta_j g_kl``."""
-        return horizontal_gradient(self.g, self.N)
-
-    @cached_property
-    def Gamma(self) -> Series:
-        """Metric horizontal coefficients, shape (n, n, n), [i, j, k].
-
-        Symmetric in (j, k); together with ``N`` and ``T_mix`` these are the
-        coefficients of the metric connection this whole package deforms.
-        """
-        D = self.delta_g  # D[a,b,c]
-        # low[j,k,l] = (delta_j g_lk + delta_k g_jl - delta_l g_jk) / 2
-        low = 0.5 * (
-            D.transpose(0, 2, 1) + D.transpose(2, 0, 1) - D.transpose(1, 2, 0)
-        )
-        return contract("il,jkl->ijk", self.gi, low)
 
     # -- chart jets, so fields evaluate on a tower ---------------------------
 

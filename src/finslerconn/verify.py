@@ -54,6 +54,9 @@ from .connection import (
     torsions,
 )
 from .deformation import (
+    _CONSTRUCTION_ORDER,
+    _CURVATURE_ORDER,
+    _TORSION_ORDER,
     DeformationParams,
     build,
     bump,
@@ -66,7 +69,7 @@ from .deformation import (
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
 from .finsler import ChartPoint, FinslerStructure
-from .processes import derive_family, diagram_residuals
+from .processes import _DIAGRAM_ORDER, derive_family, diagram_residuals
 from .samples import euclidean, hyperbolic, randers
 
 __all__ = [
@@ -400,6 +403,7 @@ def _suite(
     count_field: str,
     residuals: Callable[[list[ChartPoint], SamplePlan], Iterable[Mapping[str, float]]],
     tier: Callable[[str], str],
+    towers: Sequence[tuple[int, int]],
     notes: Mapping[str, str] | None = None,
     **meta,
 ) -> CheckReport:
@@ -410,7 +414,9 @@ def _suite(
     ``residuals(points, plan)`` yields per-point ``label -> residual``
     dictionaries, folded to the worst per label; ``tier`` names the
     tolerance of each label.  ``notes`` is read only after the fold, so the
-    residual generator may fill it.
+    residual generator may fill it.  The points' towers at each order of
+    ``towers``, the orders the per-point functions ask for, are held while
+    the generator runs, each order one batch (:meth:`FinslerStructure.towers`).
     """
     plan = plan or SamplePlan()
     tols = resolve_tolerances(tolerances)
@@ -418,7 +424,9 @@ def _suite(
     points = sample_points(
         F, plan, getattr(plan, count_field), f"{stream}-fuzz" if fuzz else stream
     )
+    held = [F.towers(points, order) for order in towers]
     worst = _aggregate(residuals(points, plan))
+    del held
     meta = {"metric": F.name, "seed": plan.seed, "points": len(points), **meta, "fuzz": fuzz}
     return _report(suite, worst, {label: tier(label) for label in worst}, tols, meta, notes)
 
@@ -519,8 +527,6 @@ def check_theorem(
     packs = [params] if isinstance(params, DeformationParams) else list(params)
 
     def residuals(points, plan):
-        # every pack reads the same points: hold their towers across the packs
-        held = [F.tower(p, _THEOREM_ORDER) for p in points]
         for pack in packs:
             conn = _perturbed(build(pack), "hor") if fuzz else None
             for p in points:
@@ -528,7 +534,7 @@ def check_theorem(
 
     return _suite(
         f"theorem[{F.name}]", F, plan, tolerances, fuzz, "theorem_points",
-        residuals, lambda label: "theorem", packs=[pack.name for pack in packs],
+        residuals, lambda label: "theorem", [_THEOREM_ORDER], packs=[pack.name for pack in packs],
     )
 
 
@@ -550,7 +556,7 @@ def check_construction(
         lambda points, plan: (
             construction_residuals(params, F, p, conn=conn) for p in points
         ),
-        lambda label: "first-order", pack=params.name,
+        lambda label: "first-order", [_CONSTRUCTION_ORDER], pack=params.name,
     )
 
 
@@ -575,7 +581,7 @@ def check_torsions(
     return _suite(
         f"torsions[{F.name}]", F, plan, tolerances, fuzz, "torsion_points",
         lambda points, plan: (torsion_relations(params, F, p, conn=conn) for p in points),
-        lambda label: _TORSION_TOLS[label], pack=params.name,
+        lambda label: _TORSION_TOLS[label], [_TORSION_ORDER], pack=params.name,
     )
 
 
@@ -597,7 +603,7 @@ def check_curvatures(
         f"curvatures[{F.name}]", F, plan, tolerances, fuzz, "curvature_points",
         lambda points, plan: (curvature_relations(params, F, p, conn=conn) for p in points),
         lambda label: "first-order" if label == "v-curvature-coincides" else expansion,
-        pack=params.name,
+        [_CURVATURE_ORDER], pack=params.name,
     )
 
 
@@ -759,7 +765,7 @@ def check_bianchi(
     return _suite(
         f"bianchi[{F.name}]", F, plan, tolerances, fuzz, "bianchi_points", residuals,
         lambda label: "riemann" if label == "first-bianchi-metric" else "bianchi",
-        pack=params.name,
+        [_BIANCHI_ORDER] + ([_FIRST_BIANCHI_ORDER] if metric_row else []), pack=params.name,
     )
 
 
@@ -787,7 +793,7 @@ def check_processes(
     return _suite(
         f"processes[{F.name}]", F, plan, tolerances, fuzz, "process_points",
         lambda points, plan: (diagram_residuals(params, F, p, family=family) for p in points),
-        _edge_tier, pack=params.name,
+        _edge_tier, [_DIAGRAM_ORDER], pack=params.name,
     )
 
 
@@ -811,8 +817,6 @@ def check_cases(
 
     def residuals(points, plan):
         points = points[:2] if fuzz else points
-        # every entry reads the same points: hold their towers across the catalog
-        held = [F.tower(p, _WORKSPACE_ORDER) for p in points]
         for entry in catalog():
             label = f"case-{entry['id']:02d}"
             result = check_case(
@@ -824,7 +828,7 @@ def check_cases(
 
     return _suite(
         f"cases[{F.name}]", F, plan, tolerances, fuzz, "case_points", residuals,
-        lambda label: "cases", notes=notes,
+        lambda label: "cases", [_WORKSPACE_ORDER], notes=notes,
     )
 
 
@@ -843,6 +847,20 @@ def _case_note(result: Mapping) -> str:
 
 # ---------------------------------------------------------------------------
 # finite-difference cross-checks
+
+
+def _energies(F: FinslerStructure, stencil: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The energy ``L^2 / 2`` at each ``(x, y)`` of ``stencil``, from one
+    order-0 evaluation of the norm on the batch.  On an error the points
+    run again one by one in order, so the error raised is the first one's."""
+    x, y = (np.stack(coords, axis=1) for coords in zip(*stencil))
+    try:
+        L = F.norm.eval(ChartJets.at(x, y, 0)).val
+    except Exception:
+        for x, y in stencil:
+            F.norm.eval(ChartJets.at(x, y, 0))
+        raise
+    return 0.5 * L * L
 
 
 def fd_residuals(
@@ -866,75 +884,55 @@ def fd_residuals(
     x0 = np.asarray(point.x, dtype=float)
     y0 = np.asarray(point.y, dtype=float)
 
-    def energy(x: np.ndarray, y: np.ndarray) -> float:
-        L = float(F.norm.eval(ChartJets.at(x, y, 0)).val)
-        return 0.5 * L * L
-
     def e_x(i: int, h: float) -> np.ndarray:
         out = np.zeros(n)
         out[i] = h
         return out
 
-    h2 = 1e-3
-    g_fd = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            g_fd[i, j] = (
-                energy(x0, y0 + e_x(i, h2) + e_x(j, h2))
-                - energy(x0, y0 + e_x(i, h2) - e_x(j, h2))
-                - energy(x0, y0 - e_x(i, h2) + e_x(j, h2))
-                + energy(x0, y0 - e_x(i, h2) - e_x(j, h2))
-            ) / (4.0 * h2 * h2)
+    # the energies of the three stencils, in the order their sums read them:
+    # the fundamental tensor's, the spray's x-gradient and its mixed term
+    h2, hx = 1e-3, 1e-4
+    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))  # added, less, less, added
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    E = _energies(F, (
+        [(x0, y0 + s * e_x(i, h2) + r * e_x(j, h2)) for i, j in pairs for s, r in signs]
+        + [(x0 + s * e_x(l, hx), y0) for l in range(n) for s in (1.0, -1.0)]
+        + [(x0 + s * e_x(m, h2), y0 + r * e_x(l, h2)) for l, m in pairs for s, r in signs]
+    ))
+    quad = E[: 4 * n * n].reshape(n, n, 4)
+    g_fd = (quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4.0 * h2 * h2)
 
     # spray from its closed formula, all ingredients finite-differenced
-    dx_energy = np.array(
-        [
-            (energy(x0 + e_x(l, 1e-4), y0) - energy(x0 - e_x(l, 1e-4), y0)) / 2e-4
-            for l in range(n)
-        ]
-    )
-    mixed = np.zeros((n, n))  # d^2 energy / dy_l dx_m
-    for l in range(n):
-        for m in range(n):
-            mixed[l, m] = (
-                energy(x0 + e_x(m, h2), y0 + e_x(l, h2))
-                - energy(x0 + e_x(m, h2), y0 - e_x(l, h2))
-                - energy(x0 - e_x(m, h2), y0 + e_x(l, h2))
-                + energy(x0 - e_x(m, h2), y0 - e_x(l, h2))
-            ) / (4.0 * h2 * h2)
+    grad = E[4 * n * n : 4 * n * n + 2 * n].reshape(n, 2)
+    dx_energy = (grad[:, 0] - grad[:, 1]) / 2e-4
+    quad = E[4 * n * n + 2 * n :].reshape(n, n, 4)  # [l, m]: d^2 energy / dy_l dx_m
+    mixed = (quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4.0 * h2 * h2)
     G_fd = 0.5 * np.linalg.inv(g_fd) @ (mixed @ y0 - dx_energy)
 
-    # first differences of jet-computed lower-order objects
+    # first differences of jet-computed lower-order objects, the towers of
+    # the shifted points being one batch for g and one for the spray
     h1 = 1e-4
-
-    def g_at(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return F.tower(ChartPoint(x, y), (2, 0)).g.val
-
-    def spray_at(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return F.tower(ChartPoint(x, y), (3, 1)).G.val
+    dy_points = [ChartPoint(x0, y0 + s * e_x(k, h1)) for k in range(n) for s in (1.0, -1.0)]
+    dx_points = [ChartPoint(x0 + s * e_x(j, h1), y0) for j in range(n) for s in (1.0, -1.0)]
+    g_at = F.towers(dy_points + dx_points + [ChartPoint(x0, y0)], (2, 0))
+    spray_at = F.towers(dy_points, (3, 1))
 
     T_fd = np.zeros((n, n, n))
     dyg = np.zeros((n, n, n))  # dyg[k, i, j] = d g_ij / dy_k
     for k in range(n):
-        dyg[k] = (g_at(x0, y0 + e_x(k, h1)) - g_at(x0, y0 - e_x(k, h1))) / (2 * h1)
+        dyg[k] = (g_at[2 * k].g.val - g_at[2 * k + 1].g.val) / (2 * h1)
         T_fd[:, :, k] = 0.5 * dyg[k]
     N_fd = np.stack(
-        [
-            (spray_at(x0, y0 + e_x(j, h1)) - spray_at(x0, y0 - e_x(j, h1))) / (2 * h1)
-            for j in range(n)
-        ],
+        [(spray_at[2 * j].G.val - spray_at[2 * j + 1].G.val) / (2 * h1) for j in range(n)],
         axis=1,
     )
 
     dxg = np.stack(
-        [
-            (g_at(x0 + e_x(j, h1), y0) - g_at(x0 - e_x(j, h1), y0)) / (2 * h1)
-            for j in range(n)
-        ]
+        [(g_at[2 * n + 2 * j].g.val - g_at[2 * n + 2 * j + 1].g.val) / (2 * h1) for j in range(n)]
     )
     N0 = t.N.val
     delta_g = dxg - np.einsum("mj,mlk->jlk", N0, dyg)
-    gi = np.linalg.inv(g_at(x0, y0))
+    gi = np.linalg.inv(g_at[4 * n].g.val)
     Gamma_fd = 0.5 * np.einsum(
         "il,jlk->ijk",
         gi,
@@ -965,7 +963,7 @@ def fd_crosscheck(
     return _suite(
         f"fd[{F.name}]", F, plan, tolerances, fuzz, "fd_points",
         lambda points, plan: (fd_residuals(F, p, perturbation=size) for p in points),
-        lambda label: "fd",
+        lambda label: "fd", [_FD_ORDER],
     )
 
 
@@ -1036,7 +1034,7 @@ def check_constant_curvature(
         lambda points, plan: (
             constant_curvature_residuals(F, p, perturbation=size) for p in points
         ),
-        lambda label: "riemann",
+        lambda label: "riemann", [_CONSTANT_CURVATURE_ORDER],
     )
 
 

@@ -862,6 +862,25 @@ def test_ring_product_sums_each_coefficient_in_pair_order(case):
     assert np.array_equal(_bits(got), _bits(want))  # NaN signs included
 
 
+@settings(max_examples=200, deadline=None)
+@given(ring_products(), st.sampled_from([1, 7, 64, 500]))
+def test_chunked_ring_product_sums_each_coefficient_in_pair_order(case, budget):
+    # a product of more columns than the scatter index covers scatters in
+    # chunks, each column still summing its own pairs in order, and the
+    # index stays within the budget or one column's pairs
+    rg, a, b = case
+    saved = ad.SCATTER_ENTRIES
+    ad.SCATTER_ENTRIES, rg._scatter_cache = budget, {}
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = rg.mul_coef(a, b), _pair_order_product(rg, a, b)
+        size = max(map(len, rg._scatter_cache.values()), default=0)
+    finally:
+        ad.SCATTER_ENTRIES, rg._scatter_cache = saved, {}
+    assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+    assert size <= max(budget, len(rg._mul_table()[0]))
+
+
 def test_ring_product_keeps_the_first_nan_of_a_sum():
     # the coefficient of x sums the pairs (1, x) and then (x, 1): NaNs of
     # both signs meet there, and the sum keeps the sign of the first, for

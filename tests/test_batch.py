@@ -1,0 +1,293 @@
+"""Point batches of towers.
+
+A tower is a view of one point of a batch: ``FinslerStructure.towers``
+declares a batch, and a tower asked for alone is a batch of one, which
+computes exactly what a lone tower computed before batches existed (the
+``check`` digests and ``tests/test_bit_identity.py`` pin that).  So each
+view of a batch is compared here with the lone tower of its point on a
+fresh structure, stage by stage and bit for bit:
+
+* at every order a suite, the finite-difference stencils or the Ricci
+  field reads, on the metrics of the built-in configuration and both 3-d
+  samples, for batches of 1, 2, 3 and 50 points (50 on the 3-d samples only
+  up to the order-4 rings: their order-6 batch of 50 needs hundreds of MB);
+* in a batch with one bad point, which raises exactly the error of its lone
+  tower while the others still read their stages.
+
+Dropped batches are freed by reference counting, and in a small battery
+each suite builds one batch per order it declares and serves every
+per-point request from it.  The finite-difference stencils' energies are
+one norm evaluation with the bits of one evaluation per energy.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from finslerconn import cases, cli, deformation, finsler, processes, samples, verify
+from finslerconn.ad import ChartJets
+from finslerconn.deformation import relative_residual
+from finslerconn.expr import ExprError, ExprScalarField
+from finslerconn.finsler import ChartPoint, FinslerStructure
+from finslerconn.verify import SamplePlan, run_all, sample_points
+
+STAGES = ("L", "L2", "g", "gi", "T_low", "T_mix", "ell", "G", "N", "delta_g", "Gamma")
+
+# every (order, xorder) a reader asks for: the suites, the finite-difference
+# stencils, the Cartan-flat probe and the Ricci field's deeper tower
+ORDERS = sorted({
+    verify._THEOREM_ORDER, deformation._CONSTRUCTION_ORDER, deformation._TORSION_ORDER,
+    deformation._CURVATURE_ORDER, verify._BIANCHI_ORDER, verify._FIRST_BIANCHI_ORDER,
+    processes._DIAGRAM_ORDER, cases._WORKSPACE_ORDER, verify._FD_ORDER,
+    verify._CONSTANT_CURVATURE_ORDER, cli._REPORT_ORDER, (2, 0), (3, 1), (3, 0),
+})
+
+
+def _metrics() -> dict:
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    built_in = {F.name: F for F in cli._structures(config)}
+    three_dim = {"curved3d": samples.curved_three_dim(), "quartic3d": samples.quartic_three_dim()}
+    return {**built_in, **three_dim}
+
+
+METRICS = _metrics()
+
+
+def _read(t, stage):
+    """A stage's coefficients as int64 bits, or the error it raises."""
+    try:
+        return np.ascontiguousarray(getattr(t, stage).coef).view(np.int64)
+    except Exception as err:  # compared with the lone tower's error
+        return (type(err), str(err))
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+def _assert_views_match_lone_towers(F, points, order, views):
+    for k, (point, view) in enumerate(zip(points, views)):
+        lone = FinslerStructure(F.n, F.norm, F.name).tower(point, order)
+        for stage in STAGES:
+            assert _same(_read(view, stage), _read(lone, stage)), (k, order, stage)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_every_view_of_a_batch_reads_its_lone_towers_bits(name, size):
+    F = METRICS[name]
+    points = sample_points(F, SamplePlan(), size, "batch-bits")
+    for order in ORDERS:
+        if F.n == 3 and size == 50 and order[0] > 4:
+            continue
+        views = F.towers(points, order)
+        assert len({id(t._batch) for t in views}) == 1 and len(views[0]._batch.points) == size
+        _assert_views_match_lone_towers(F, points, order, views)
+        assert views[0]._batch.parts is None  # served as one batch
+
+
+class _Picky:
+    """The Euclidean norm, refusing points with ``x1 > 0.4`` as a malformed
+    expression would, whatever else is in the batch."""
+
+    def __init__(self):
+        self.inner = samples.euclidean(2).norm
+
+    def eval(self, jets):
+        if np.any(jets.x0[0] > 0.4):
+            raise ExprError("picky norm", 3)
+        return self.inner.eval(jets)
+
+
+GOOD = [ChartPoint([0.1, 0.2], [1.0, 0.5]), ChartPoint([-0.3, 0.1], [0.6, 1.2])]
+# norm, bad point, the text its lone tower raises
+BAD = {
+    "not-positive-definite": (
+        ExprScalarField(2, "(y1^4 + y2^4)^(1/4)"), ChartPoint([0.0, 0.0], [1.0, 0.0]),
+        "positive definite",
+    ),
+    "not-evaluable": (
+        samples.euclidean(2).norm, ChartPoint([0.1, 0.2], [1e-200, 1e-200]), "cannot be evaluated",
+    ),
+    "not-positive": (
+        ExprScalarField(2, "y1 + 2*y2"), ChartPoint([0.0, 0.0], [-1.0, 0.2]), "positive",
+    ),
+    "expression": (_Picky(), ChartPoint([0.45, 0.0], [1.0, 1.0]), "picky norm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD))
+def test_a_bad_point_raises_its_own_error_and_the_others_are_served(case):
+    norm, bad, text = BAD[case]
+    F = FinslerStructure(2, norm, case)
+    points = [GOOD[0], bad, GOOD[1]]
+    views = F.towers(points, (4, 1))
+    got = _read(views[1], "Gamma")  # the bad view is read first: the batch splits there
+    want = _read(FinslerStructure(2, norm, case).tower(bad, (4, 1)), "Gamma")
+    assert isinstance(got, tuple) and got == want and text in got[1]
+    assert got[0] in (finsler.DomainError, ExprError)
+    _assert_views_match_lone_towers(F, points[::2], (4, 1), views[::2])
+    assert views[0]._batch.parts is not None
+
+
+def test_at_builds_the_other_order_once_for_the_batch():
+    F = samples.randers()
+    points = sample_points(F, SamplePlan(), 4, "batch-at")
+    views = F.towers(points, (4, 0))
+    deep = [t.at((5, 2)) for t in views]
+    assert len({id(t._batch) for t in deep}) == 1 and len(deep[0]._batch.points) == 4
+    first = deep[0].gi
+    del deep
+    # the batch the towers came from keeps the deeper one, stages and all
+    again = views[0].at((5, 2))
+    assert again._batch is views[0]._batch.deeper[(5, 2)]
+    assert np.array_equal(again.gi.coef, first.coef) and "gi" in vars(again._batch)
+
+
+def test_dropped_batches_and_their_towers_are_freed_without_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        F = samples.randers()
+        views = F.towers(sample_points(F, SamplePlan(), 5, "batch-free"), (4, 0))
+        views[0].T_mix
+        deep = views[0].at((5, 2))
+        deep.g
+        refs = [weakref.ref(t) for t in views + [deep]] + [
+            weakref.ref(views[0]._batch), weakref.ref(deep._batch)
+        ]
+        del views, deep
+        assert all(ref() is None for ref in refs)
+        assert not F._towers and not F._batches
+        plan = SamplePlan(
+            param_sets=1, theorem_points=2, construction_points=2, torsion_points=2,
+            curvature_points=2, bianchi_points=2, process_points=2, case_points=2, fd_points=2,
+        )
+        run_all([F], plan)
+        assert not F._towers and not F._batches
+    finally:
+        gc.enable()
+
+
+# the orders each suite declares to verify._suite
+DECLARED = {
+    "theorem": {verify._THEOREM_ORDER},
+    "construction": {deformation._CONSTRUCTION_ORDER},
+    "torsions": {deformation._TORSION_ORDER},
+    "curvatures": {deformation._CURVATURE_ORDER},
+    "bianchi": {verify._BIANCHI_ORDER},
+    "processes": {processes._DIAGRAM_ORDER},
+    "cases": {cases._WORKSPACE_ORDER},
+    "fd": {verify._FD_ORDER},
+    "constant-curvature": {verify._CONSTANT_CURVATURE_ORDER},
+}
+
+
+def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
+    count = 3  # every suite's points; the fd stencils batch 9 and 4 points
+    plan = SamplePlan(
+        param_sets=2, theorem_points=count, construction_points=count, torsion_points=count,
+        curvature_points=count, bianchi_points=count, process_points=count,
+        case_points=count, fd_points=count,
+    )
+    running, built, splits = [], [], []
+    init, suite = finsler._Batch.__init__, verify._suite
+
+    def recording(self, norm, points, order):
+        init(self, norm, points, order)
+        built.append((running[-1] if running else None, order, {p.key() for p in points}))
+
+    def tracking(name, *args, **kwargs):
+        running.append(name)
+        try:
+            return suite(name, *args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(finsler._Batch, "__init__", recording)
+    monkeypatch.setattr(finsler._Batch, "split", lambda self: splits.append(self))
+    monkeypatch.setattr(verify, "_suite", tracking)
+    metrics = [samples.randers(), samples.hyperbolic()]
+    for F in metrics:
+        F.cartan_flat  # the structure's one probe tower, outside any suite
+    run_all(metrics, plan)
+
+    assert not splits
+    names = {name for name, *_ in built} - {None}
+    assert len(names) == 2 * (len(DECLARED) - 1) + 1  # constant curvature runs once
+    for name in names:
+        suite_name = name.split("[")[0]
+        declared = DECLARED[suite_name] | (
+            {verify._FIRST_BIANCHI_ORDER} if name == "bianchi[hyperbolic]" else set()
+        )
+        # the case-3 Ricci field reads its deeper order through Tower.at, one
+        # batch for the suite's points too
+        deeper = {(5, 2)} if suite_name == "cases" else set()
+        full = [order for n, order, keys in built if n == name and len(keys) == count]
+        extra = {order for n, order, keys in built if n == name and len(keys) != count}
+        assert sorted(full) == sorted(declared | deeper), name
+        # every per-point request at a declared order was served by its batch
+        assert not extra & declared, name
+        if suite_name == "fd":  # per point, one batch per stencil
+            stencils = [len(k) for n, o, k in built if n == name and o != verify._FD_ORDER]
+            assert sorted(stencils) == [4] * count + [9] * count
+
+
+def _old_fd_energy_rows(F, point):
+    """The fd rows built from the energy stencils, one norm evaluation per
+    energy as ``fd_residuals`` evaluated them before they were batched."""
+    t = FinslerStructure(F.n, F.norm, F.name).tower(point, verify._FD_ORDER)
+    n, x0, y0 = F.n, point.x, point.y
+
+    def energy(x, y):
+        L = float(F.norm.eval(ChartJets.at(x, y, 0)).val)
+        return 0.5 * L * L
+
+    def e(i, h):
+        out = np.zeros(n)
+        out[i] = h
+        return out
+
+    h2 = 1e-3
+    g_fd, mixed = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            g_fd[i, j] = (
+                energy(x0, y0 + e(i, h2) + e(j, h2)) - energy(x0, y0 + e(i, h2) - e(j, h2))
+                - energy(x0, y0 - e(i, h2) + e(j, h2)) + energy(x0, y0 - e(i, h2) - e(j, h2))
+            ) / (4.0 * h2 * h2)
+    dx_energy = np.array(
+        [(energy(x0 + e(l, 1e-4), y0) - energy(x0 - e(l, 1e-4), y0)) / 2e-4 for l in range(n)]
+    )
+    for l in range(n):
+        for m in range(n):
+            mixed[l, m] = (
+                energy(x0 + e(m, h2), y0 + e(l, h2)) - energy(x0 + e(m, h2), y0 - e(l, h2))
+                - energy(x0 - e(m, h2), y0 + e(l, h2)) + energy(x0 - e(m, h2), y0 - e(l, h2))
+            ) / (4.0 * h2 * h2)
+    G_fd = 0.5 * np.linalg.inv(g_fd) @ (mixed @ y0 - dx_energy)
+    return {
+        "fd-fundamental-tensor": relative_residual(g_fd - t.g.val, t.g.val),
+        "fd-spray": relative_residual(G_fd - t.G.val, t.G.val),
+    }
+
+
+@pytest.mark.parametrize("name", ["drift", "hyperbolic", "quartic3d"])
+def test_fd_stencils_run_as_one_norm_evaluation_with_the_same_bits(name, monkeypatch):
+    F = METRICS[name]
+    point = sample_points(F, SamplePlan(), 1, "batch-fd")[0]
+    want = _old_fd_energy_rows(F, point)
+    orders, evaluate = [], type(F.norm).eval
+
+    def counted(self, jets):
+        orders.append(jets.ring.order)
+        return evaluate(self, jets)
+
+    monkeypatch.setattr(type(F.norm), "eval", counted)
+    got = verify.fd_residuals(F, point)
+    assert orders.count(0) == 1
+    assert {key: got[key] for key in want} == want

@@ -50,6 +50,7 @@ from .deformation import (
     DeformationData,
     DeformationParams,
     bump,
+    deformation_views,
     parameter_field,
     relative_residual,
     worst_residual,
@@ -121,10 +122,15 @@ class _Workspace:
     of the first slot and ``k`` contracting the second-slot vector.
     """
 
-    def __init__(self, params: DeformationParams, F: FinslerStructure, point: ChartPoint):
+    def __init__(
+        self, params: DeformationParams, F: FinslerStructure, point: ChartPoint, d=None
+    ):
+        """``d`` is the point's deformation data, built on its tower when
+        not given; read once and copied out, so not memoized: each call has
+        its own pack."""
         t = F.tower(point, _WORKSPACE_ORDER)
-        # read once and copied out, so not memoized: each call has its own pack
-        d = DeformationData(params, t, _WORKSPACE_READ)
+        if d is None:
+            d = DeformationData(params, t, _WORKSPACE_READ)
         self.n = F.n
         self.g = t.g.val
         self.Tm = t.T_mix.val
@@ -842,8 +848,9 @@ def check_case(
     pts = list(points)
     literal_forms = spec.typo and not perturbation
     residuals, literal = [], []
-    for p in pts:
-        ws = _Workspace(params, F, p)
+    towers = F.towers(pts, _WORKSPACE_ORDER)  # held while their data is read
+    for p, d in zip(pts, deformation_views(params, towers, _WORKSPACE_READ)):
+        ws = _Workspace(params, F, p, d)
         built = bump(ws.difference, perturbation)
         target = spec.delta(ws)
         residuals.append(relative_residual(built - target, built, target))

@@ -43,11 +43,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ad import ChartJets, Constant, Field, Series, contract, lower, lower_to
+from .ad import ChartJets, Constant, Field, Series, TruncationError, contract, lower, lower_to
 from .connection import (
     CARTAN,
     Connection,
@@ -65,12 +65,23 @@ from .expr import (
     ExprScalarField,
     Tape,
 )
-from .finsler import ChartPoint, DomainError, FinslerStructure, Tower, horizontal_gradient
+from .finsler import (
+    ChartPoint,
+    DomainError,
+    FinslerStructure,
+    Tower,
+    _Batch,
+    _where,
+    horizontal_gradient,
+    lead_spec,
+    lead_transpose,
+)
 
 __all__ = [
     "DeformationParams",
     "DeformationData",
     "deformation_data",
+    "deformation_views",
     "parameter_field",
     "build",
     "deformed_at",
@@ -181,22 +192,36 @@ def _all_texts(slot: str, components: dict[str, object]) -> bool:
 
 
 class DeformationData:
-    """Every series one deformation needs, evaluated on one tower.
+    """Every series one deformation needs, evaluated on the points of a
+    tower batch at once, or on one tower.
 
-    Constructed through :func:`deformation_data` so repeated queries on the
-    same tower share the work; a reader that reads it once, as the case
-    workspace does, constructs it directly.  The data is memoized on its
-    tower and holds the tower only weakly (a strong reference would make a
-    tower-data cycle that only the cyclic collector frees), so hold the
-    tower while reading the data: a stage that reads a tower that is gone
-    raises ``ReferenceError``.  The attributes follow the construction
-    stages: parameter values (each field evaluated on the tower), split and
-    raised forms, the two shift fields, the difference tensor, and finally
-    the deformed coefficient triple.  A field with no value at the point
-    (a division by zero, a log of a non-positive value) or with a value or
-    derivative that is not finite (an overflow) raises
-    :class:`~finslerconn.finsler.DomainError` naming its slot and the
-    point, as the norm does in :attr:`~finslerconn.finsler.Tower.L`.
+    Constructed through :func:`deformation_data`, which builds it once per
+    (pack, batch, read ring) in the memo of the towers' batch
+    (:meth:`~finslerconn.finsler._Batch.memo`) and hands each tower its
+    point's view of it, kept in the tower's memo: every value and stage of
+    the view is the point's slice of the batch's.  A tower alone (a batch
+    of one) gets data built on itself, with no point axis, so the data is
+    its own view.  A reader that reads a pack once, as the case checks do,
+    builds the data of its towers through :func:`deformation_views`, kept
+    nowhere.  The data holds its tower or batch only weakly (a strong
+    reference would make a cycle that only the cyclic collector frees), so
+    hold the tower while reading the data: a stage that reads a tower that
+    is gone raises ``ReferenceError``.
+
+    Over a batch, every value and stage carries the batch's leading point
+    axis, and each formula is the one-point formula with that axis in
+    front, so each point's coefficients are bit-identical to those of its
+    data alone (vectorised Taylor propagation, as for the tower stages).
+    The attributes follow the construction stages: parameter values (each
+    field evaluated on the points), split and raised forms, the two shift
+    fields, the difference tensor, and finally the deformed coefficient
+    triple.  A field with no value at a point (a division by zero, a log of
+    a non-positive value) or with a value or derivative that is not finite
+    (an overflow) raises :class:`~finslerconn.finsler.DomainError` naming
+    its slot and the point, as the norm does in
+    :attr:`~finslerconn.finsler.Tower.L`; a batch whose build raises is not
+    kept, and each of its points builds its own data, so each raises
+    exactly its own error and the others are served.
 
     Every stage lands at or below the ring of ``g`` and of each parameter
     value (each stage reads all six), so the values and ``eye`` are cut to
@@ -207,24 +232,31 @@ class DeformationData:
     there too and every stage is computed in the ring its reader reads,
     with the bits of the stage cut there.  The expression fields of the
     pack run as one tape (:attr:`DeformationParams.tape`) on the chart jets
-    cut to ``g``'s ring, so every product of their evaluation runs there; other
-    fields are evaluated on the tower and cut.  ``g`` is read first, so a
-    metric that fails at the point is named before any field, and a value
-    must be finite on the coefficients of ``g``'s ring.  When the tape
-    raises, the fields run again slot by slot, so the error names the first
-    slot that fails.
+    cut to ``g``'s ring, so every product of their evaluation runs there;
+    a :class:`~finslerconn.ad.Constant` is the same at every point, and
+    other fields are evaluated on each point's tower and cut.  ``g`` is
+    read first, so a metric that fails at the point is named before any
+    field, and a value must be finite on the coefficients of ``g``'s ring.
+    When the tape raises, the fields run again slot by slot, so the error
+    names the first slot that fails.
     """
 
-    def __init__(self, params: DeformationParams, t: Tower, read: tuple[int, int] | None = None):
+    def __init__(
+        self, params: DeformationParams, src: Tower | _Batch, read: tuple[int, int] | None = None
+    ):
         self.params = params
-        self._tower = weakref.ref(t)
-        n = t.n
-        xs, ys, g = lower(t.xs, t.ys, t.g)
-        low = ChartJets(g.ring, t.point.x, t.point.y, xs, ys)
+        self._src = weakref.ref(src)
+        lone = isinstance(src, Tower)
+        points = [src.point] if lone else src.points
+        self.lead = 0 if lone else src.lead
+        n, pshape = points[0].n, (len(points),) * self.lead
+        jets = src.jets
+        xs, ys, g = lower(jets.xs, jets.ys, src.g)
+        low = ChartJets(g.ring, jets.x0, jets.y0, xs, ys)
         rows = None
         if params.tape is not None:
             try:
-                rows = params.tape.run(low).coef
+                rows = params.tape.run(low).coef  # [tree, (point)]
             except (ValueError, ZeroDivisionError):
                 pass  # run slot by slot below, so the error names its slot
         start = 0
@@ -234,101 +266,146 @@ class DeformationData:
             expression = isinstance(field, ExprField)
             if expression and rows is not None:
                 stop = start + len(field.trees)
-                value = Series(g.ring, rows[start:stop].reshape(field.shape + (-1,)))
+                value = rows[start:stop].swapaxes(0, 1) if self.lead else rows[start:stop]
+                value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
                 start = stop
             else:
                 try:
-                    value = field.eval(low if expression else t)
+                    if expression:
+                        value = field.eval(low)
+                        if self.lead:  # [..., point] -> [point, ...]
+                            value = Series(value.ring, np.moveaxis(value.coef, -2, 0))
+                    elif lone:
+                        value = field.eval(src)
+                    elif isinstance(field, Constant):
+                        value = field.values  # the same at every point
+                        value = jets.const(np.broadcast_to(value, pshape + value.shape))
+                    else:  # a field that reads the metric, on each point's tower
+                        value = Series.stack([field.eval(tower) for tower in src.towers()])
                 except (ExprError, DomainError):  # the expression or the metric is at fault
                     raise
                 except (ValueError, ZeroDivisionError) as err:
-                    where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
                     raise DomainError(
-                        f"parameter {slot} cannot be evaluated at {where}: {err}"
+                        f"parameter {slot} cannot be evaluated at {_where(points[0])}: {err}"
                     ) from None
-            if value.shape != shape:
+            if value.shape != pshape + shape:
                 raise ValueError(
                     f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
                 )
             if not np.isfinite(lower(value, g)[0].coef).all():
-                where = f"x = {t.point.x.tolist()}, y = {t.point.y.tolist()}"
                 raise DomainError(
-                    f"parameter {slot} is not finite at {where}: value {value.val.tolist()}"
+                    f"parameter {slot} is not finite at {_where(points[0])}: "
+                    f"value {value.val.tolist()}"
                 )
             values.append(value)
         if read is not None:  # cut g to the read ring, and with it every value below
             g = lower_to(read, g)[0]
-        *values, _ = lower(*values, Series.const(g.ring, np.eye(n)), g)
+        eye = Series.const(g.ring, np.eye(n) + np.zeros(pshape + (n, n)))  # one per point
+        *values, _ = lower(*values, eye, g)
         # copies: a cut that is a view would keep the uncut values alive
         for slot, value in zip((*_SLOTS, "eye"), values):
             setattr(self, slot, Series(value.ring, value.coef.copy()))
 
     @property
-    def t(self) -> Tower:
-        """The tower evaluated on, held weakly: its cache holds this data,
-        and the caller holds the tower."""
-        t = self._tower()
-        if t is None:
+    def src(self) -> Tower | _Batch:
+        """The tower or batch evaluated on, held weakly: the memo of the
+        batch, or of a tower, holds this data, and the caller holds the
+        tower."""
+        src = self._src()
+        if src is None:
             raise ReferenceError(
                 "this data's tower is gone; hold the tower while you read its data"
             )
-        return t
+        return src
+
+    # -- the point axis --------------------------------------------------------
+
+    def _spec(self, spec: str) -> str:
+        return lead_spec(spec, self.lead)
+
+    def _transpose(self, s: Series, *axes: int) -> Series:
+        return lead_transpose(s, self.lead, *axes)
+
+    def _scalars(self, rank: int, *scalars: Series) -> tuple[Series, ...]:
+        """Scalars with ``rank`` axes after the point axis, so they broadcast
+        over the points' tensors of that rank (one point's broadcast by
+        themselves)."""
+        if not self.lead:
+            return scalars
+        index = (Ellipsis,) + (None,) * rank
+        return tuple(s[index] for s in scalars)
+
+    def _tvec(self, T: Series, v: Series) -> Series:
+        """T^i_qj v^q, shape (n, n): the mixed Cartan tensor eating one vector."""
+        return contract(self._spec("iqj,q->ij"), T, v)
+
+    def _tlow(self, T: Series, v: Series) -> Series:
+        """T_qjk v^q, shape (n, n): the lowered Cartan tensor eating one vector."""
+        return contract(self._spec("qjk,q->jk"), T, v)
+
+    def _s_second(self, S: Series, v: Series) -> Series:
+        """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
+        return contract(self._spec("ikjq,q->ijk"), S, v)
+
+    def _s_first(self, S: Series, v: Series) -> Series:
+        """S(v, e_j) e_k as [i, j, k]; antisymmetry flips the sign."""
+        return -self._s_second(S, v)
 
     # -- split and raised forms ----------------------------------------------
 
     @cached_property
     def gphi(self) -> Series:
         """Lowered endomorphism g(phi e_j, e_l), shape (n, n)."""
-        return contract("ij,il->jl", self.phi, self.t.g)
+        return contract(self._spec("ij,il->jl"), self.phi, self.src.g)
 
     @cached_property
     def gphi1(self) -> Series:
-        return 0.5 * (self.gphi + self.gphi.transpose(1, 0))
+        return 0.5 * (self.gphi + self._transpose(self.gphi, 1, 0))
 
     @cached_property
     def gphi2(self) -> Series:
-        return 0.5 * (self.gphi - self.gphi.transpose(1, 0))
+        return 0.5 * (self.gphi - self._transpose(self.gphi, 1, 0))
 
     @cached_property
     def phi1(self) -> Series:
         """g-symmetric part of phi (an endomorphism again), shape (n, n)."""
-        return contract("il,jl->ij", self.t.gi, self.gphi1)
+        return contract(self._spec("il,jl->ij"), self.src.gi, self.gphi1)
 
     @cached_property
     def phi2(self) -> Series:
         """g-antisymmetric part of phi, shape (n, n)."""
-        return contract("il,jl->ij", self.t.gi, self.gphi2)
+        return contract(self._spec("il,jl->ij"), self.src.gi, self.gphi2)
 
     @cached_property
     def avec(self) -> Series:
         """The vector g-dual to A."""
-        return contract("il,l->i", self.t.gi, self.A)
+        return contract(self._spec("il,l->i"), self.src.gi, self.A)
 
     @cached_property
     def bvec(self) -> Series:
-        return contract("il,l->i", self.t.gi, self.B)
+        return contract(self._spec("il,l->i"), self.src.gi, self.B)
 
     @cached_property
     def uvec(self) -> Series:
-        return contract("il,l->i", self.t.gi, self.u)
+        return contract(self._spec("il,l->i"), self.src.gi, self.u)
 
     # -- tautological contractions -------------------------------------------
 
     @cached_property
     def A_eta(self) -> Series:
-        return contract("i,i->", self.A, self.t.ys)
+        return contract(self._spec("i,i->"), self.A, self.src.ys)
 
     @cached_property
     def u_eta(self) -> Series:
-        return contract("i,i->", self.u, self.t.ys)
+        return contract(self._spec("i,i->"), self.u, self.src.ys)
 
     @cached_property
     def phi1_eta(self) -> Series:
-        return contract("ij,j->i", self.phi1, self.t.ys)
+        return contract(self._spec("ij,j->i"), self.phi1, self.src.ys)
 
     @cached_property
     def phi2_eta(self) -> Series:
-        return contract("ij,j->i", self.phi2, self.t.ys)
+        return contract(self._spec("ij,j->i"), self.phi2, self.src.ys)
 
     @cached_property
     def w(self) -> Series:
@@ -338,28 +415,30 @@ class DeformationData:
     @cached_property
     def ell_phi1(self) -> Series:
         """Covector l(phi1(e_k)), shape (n,)."""
-        return contract("i,ik->k", self.t.ell, self.phi1)
+        return contract(self._spec("i,ik->k"), self.src.ell, self.phi1)
 
     @cached_property
     def ell_phi1_eta(self) -> Series:
-        return contract("i,i->", self.t.ell, self.phi1_eta)
+        return contract(self._spec("i,i->"), self.src.ell, self.phi1_eta)
 
     @cached_property
     def S(self) -> Series:
-        """Vertical curvature of the metric connection, shape (n, n, n, n),
-        memoized on the tower so every pack there shares it."""
-        t = self.t
-        return t.memo((CARTAN, "curvature_v"), lambda: curvature_v(CARTAN, t))
+        """Vertical curvature of the metric connection, shape (n, n, n, n):
+        a stage of the towers, so every pack there shares it."""
+        return self.src.S
 
     # -- the three construction stages ---------------------------------------
 
     @cached_property
     def eta_shift(self) -> Series:
         """Vertical displacement of the canonical spray, shape (n,)."""
-        t = self.t
+        src = self.src
         f1, f2, ys, L, L2, A_eta, u_eta, avec, bvec, uvec, w, ell_phi1_eta = lower(
-            self.f1, self.f2, t.ys, t.L, t.L2, self.A_eta, self.u_eta,
+            self.f1, self.f2, src.ys, src.L, src.L2, self.A_eta, self.u_eta,
             self.avec, self.bvec, self.uvec, self.w, self.ell_phi1_eta,
+        )
+        f1, f2, L, L2, A_eta, u_eta, ell_phi1_eta = self._scalars(
+            1, f1, f2, L, L2, A_eta, u_eta, ell_phi1_eta
         )
         return (
             f1 * (2.0 * A_eta * ys - L2 * avec)
@@ -371,34 +450,37 @@ class DeformationData:
     @cached_property
     def frame_shift(self) -> Series:
         """Tilt of the j-th horizontal frame leg, shape (n, n) as [i, j]."""
-        t = self.t
+        src, tv = self.src, self._tvec
         (
             f1, f2, A, u, eye, phi1, ys, ell, L, L2, T, A_eta, u_eta,
             avec, bvec, uvec, w, ell_phi1, ell_phi1_eta, phi2_eta,
         ) = lower(
             self.f1, self.f2, self.A, self.u, self.eye, self.phi1,
-            t.ys, t.ell, t.L, t.L2, t.T_mix, self.A_eta, self.u_eta,
+            src.ys, src.ell, src.L, src.L2, src.T_mix, self.A_eta, self.u_eta,
             self.avec, self.bvec, self.uvec, self.w,
             self.ell_phi1, self.ell_phi1_eta, self.phi2_eta,
+        )
+        f1, f2, L, L2, A_eta, u_eta, ell_phi1_eta = self._scalars(
+            2, f1, f2, L, L2, A_eta, u_eta, ell_phi1_eta
         )
         return (
             f1
             * (
-                ys[:, None] * A[None, :]
+                ys[..., :, None] * A[..., None, :]
                 + A_eta * eye
-                - L * (avec[:, None] * ell[None, :])
-                + L2 * _tvec(T, avec)
+                - L * (avec[..., :, None] * ell[..., None, :])
+                + L2 * tv(T, avec)
             )
             + f2
             * (
-                L * (bvec[:, None] * ell[None, :])
-                - L2 * _tvec(T, bvec)
+                L * (bvec[..., :, None] * ell[..., None, :])
+                - L2 * tv(T, bvec)
             )
             - u_eta * phi1
-            + u_eta * _tvec(T, w)
-            + L * (uvec[:, None] * ell_phi1[None, :])
-            - L * ell_phi1_eta * _tvec(T, uvec)
-            + phi2_eta[:, None] * u[None, :]
+            + u_eta * tv(T, w)
+            + L * (uvec[..., :, None] * ell_phi1[..., None, :])
+            - L * ell_phi1_eta * tv(T, uvec)
+            + phi2_eta[..., :, None] * u[..., None, :]
         )
 
     @cached_property
@@ -409,42 +491,43 @@ class DeformationData:
         whole tensor is what the deformed covariant derivative adds to the
         metric one after the frame tilt has been accounted for.
         """
-        t = self.t
+        src, tv, tl, s1, s2 = self.src, self._tvec, self._tlow, self._s_first, self._s_second
         (
             f1, f2, A, u, eye, phi1, phi2, g, ys, ell, L, L2, T, Tl, S,
             avec, bvec, uvec, w, gphi1, u_eta, ell_phi1, ell_phi1_eta, phi1_eta, phi2_eta,
         ) = lower(
             self.f1, self.f2, self.A, self.u, self.eye, self.phi1, self.phi2,
-            t.g, t.ys, t.ell, t.L, t.L2, t.T_mix, t.T_low, self.S,
+            src.g, src.ys, src.ell, src.L, src.L2, src.T_mix, src.T_low, self.S,
             self.avec, self.bvec, self.uvec, self.w, self.gphi1, self.u_eta,
             self.ell_phi1, self.ell_phi1_eta, self.phi1_eta, self.phi2_eta,
         )
+        f1, f2, L, L2, u_eta, ell_phi1_eta = self._scalars(3, f1, f2, L, L2, u_eta, ell_phi1_eta)
         a_block = (
-            avec[:, None, None] * g[None, :, :]
-            - A[None, :, None] * eye[:, None, :]
-            - A[None, None, :] * eye[:, :, None]
-            - L * (_tvec(T, avec)[:, :, None] * ell[None, None, :])
-            + ys[:, None, None] * _tlow(Tl, avec)[None, :, :]
-            + L2 * _s_second(S, avec)
+            avec[..., :, None, None] * g[..., None, :, :]
+            - A[..., None, :, None] * eye[..., :, None, :]
+            - A[..., None, None, :] * eye[..., :, :, None]
+            - L * (tv(T, avec)[..., :, :, None] * ell[..., None, None, :])
+            + ys[..., :, None, None] * tl(Tl, avec)[..., None, :, :]
+            + L2 * s2(S, avec)
         )
         b_block = (
-            bvec[:, None, None] * g[None, :, :]
-            - L * (_tvec(T, bvec)[:, :, None] * ell[None, None, :])
-            + ys[:, None, None] * _tlow(Tl, bvec)[None, :, :]
-            + L2 * _s_second(S, bvec)
+            bvec[..., :, None, None] * g[..., None, :, :]
+            - L * (tv(T, bvec)[..., :, :, None] * ell[..., None, None, :])
+            + ys[..., :, None, None] * tl(Tl, bvec)[..., None, :, :]
+            + L2 * s2(S, bvec)
         )
-        tm1 = contract("ipj,pk->ijk", T, phi1)
-        mt1 = contract("ip,pjk->ijk", phi1, T)
+        tm1 = contract(self._spec("iqj,qk->ijk"), T, phi1)
+        mt1 = contract(self._spec("iq,qjk->ijk"), phi1, T)
         return (
             f1 * a_block
             - f2 * b_block
-            - (gphi1 + _tlow(Tl, phi2_eta))[None, :, :] * uvec[:, None, None]
-            - u[None, :, None] * phi2[:, None, :]
-            + L * (_tvec(T, uvec)[:, :, None] * ell_phi1[None, None, :])
-            - u_eta * (_s_first(S, w) + tm1 - mt1)
-            + (_tvec(T, phi2_eta) + phi1)[:, :, None] * u[None, None, :]
-            + L * ell_phi1_eta * _s_first(S, uvec)
-            - _tlow(Tl, uvec)[None, :, :] * phi1_eta[:, None, None]
+            - (gphi1 + tl(Tl, phi2_eta))[..., None, :, :] * uvec[..., :, None, None]
+            - u[..., None, :, None] * phi2[..., :, None, :]
+            + L * (tv(T, uvec)[..., :, :, None] * ell_phi1[..., None, None, :])
+            - u_eta * (s1(S, w) + tm1 - mt1)
+            + (tv(T, phi2_eta) + phi1)[..., :, :, None] * u[..., None, None, :]
+            + L * ell_phi1_eta * s1(S, uvec)
+            - tl(Tl, uvec)[..., None, :, :] * phi1_eta[..., :, None, None]
         )
 
     # -- the deformed coefficient triple --------------------------------------
@@ -452,14 +535,14 @@ class DeformationData:
     @cached_property
     def nonlinear(self) -> Series:
         """Deformed nonlinear connection, shape (n, n)."""
-        return self.t.N - self.frame_shift
+        return self.src.N - self.frame_shift
 
     @cached_property
     def horizontal(self) -> Series:
         """Deformed horizontal coefficients, shape (n, n, n)."""
-        t = self.t
-        T, fs, Gamma, difference = lower(t.T_mix, self.frame_shift, t.Gamma, self.difference)
-        return Gamma + contract("ipk,pj->ijk", T, fs) + difference
+        src = self.src
+        T, fs, Gamma, difference = lower(src.T_mix, self.frame_shift, src.Gamma, self.difference)
+        return Gamma + contract(self._spec("iqk,qj->ijk"), T, fs) + difference
 
     @cached_property
     def spray(self) -> Series:
@@ -470,39 +553,112 @@ class DeformationData:
         vertical lift of ``eta_shift``, which in coefficients (extracted
         from the ``-2 G^i`` slot) halves and flips the sign.
         """
-        return self.t.G - 0.5 * self.eta_shift
+        return self.src.G - 0.5 * self.eta_shift
+
+    @cached_property
+    def compatibility(self) -> Series:
+        """Horizontal coefficients solved from the defining conditions alone
+        (:func:`horizontal_from_compatibility`), shape (n, n, n)."""
+        src, tr = self.src, self._transpose
+        dg, g, gi, Tl, fs, f1, f2, A, B, u, gphi = lower(  # dg is [j, k, l]
+            src.delta_g, src.g, src.gi, src.T_low, self.frame_shift,
+            self.f1, self.f2, self.A, self.B, self.u, self.gphi,
+        )
+        f1, f2 = self._scalars(3, f1, f2)
+        tilt = 2.0 * contract(self._spec("qkl,qj->jkl"), Tl, fs)
+        E = (
+            dg
+            + tilt
+            - 2.0 * f1 * (A[..., :, None, None] * g[..., None, :, :])
+            - f2
+            * (
+                B[..., None, :, None] * tr(g, 1, 0)[..., :, None, :]
+                + B[..., None, None, :] * g[..., :, :, None]
+            )
+        )
+        Q = (
+            u[..., None, :, None] * gphi[..., :, None, :]
+            - u[..., :, None, None] * gphi[..., None, :, :]
+        )
+        low = 0.5 * (
+            E
+            + tr(E, 2, 0, 1)
+            - tr(E, 1, 2, 0)
+            + Q
+            - tr(Q, 0, 2, 1)
+            - tr(Q, 2, 0, 1)
+        )
+        return contract(self._spec("il,jkl->ijk"), gi, low)
 
 
-# -- small contraction helpers, on tensors cut to the ring of the formula ----
+class _PointData:
+    """One point's view of a batch's :class:`DeformationData`: each value
+    and stage is the point's slice of the batch's, read on first use."""
+
+    def __init__(self, data: DeformationData, i: int):
+        self.params, self._data, self._i = data.params, data, i
+
+    def __getattr__(self, name: str) -> Series:
+        if name.startswith("_"):  # no private or special name is a slice
+            raise AttributeError(name)
+        value = getattr(self._data, name)
+        value = Series(value.ring, value.coef[self._i])
+        setattr(self, name, value)
+        return value
 
 
-def _tvec(T: Series, v: Series) -> Series:
-    """T^i_pj v^p, shape (n, n): the mixed Cartan tensor eating one vector."""
-    return contract("ipj,p->ij", T, v)
+_SPLIT = object()
+"""What a batch keeps for a pack whose build raised: its points build their own data."""
 
 
-def _tlow(T: Series, v: Series) -> Series:
-    """T_pjk v^p, shape (n, n): the lowered Cartan tensor eating one vector."""
-    return contract("pjk,p->jk", T, v)
+def _batch_data(params: DeformationParams, batch: _Batch, read) -> DeformationData | object:
+    """The data of ``params`` over a batch of more than one point, or
+    :data:`_SPLIT` when its build raises."""
+    try:
+        return DeformationData(params, batch, read)
+    except TruncationError:  # the ring's fault, the same at every point
+        raise
+    except Exception:  # whatever a point raises alone, it raises from its own data
+        return _SPLIT
 
 
-def _s_second(S: Series, v: Series) -> Series:
-    """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
-    return contract("ikjp,p->ijk", S, v)
-
-
-def _s_first(S: Series, v: Series) -> Series:
-    """S(v, e_j) e_k as [i, j, k]; antisymmetry flips the sign."""
-    return -_s_second(S, v)
+def _point_data(params: DeformationParams, t: Tower, read, memo) -> DeformationData | _PointData:
+    """The data at ``t``'s point: its view of the data over its batch, which
+    ``memo(batch, make)`` keeps, or for a batch of one or a batch split at
+    its tower stages, data of its own."""
+    batch = t._batch
+    data = _SPLIT
+    if batch.lead and batch.parts is None:
+        data = memo(batch, lambda: _batch_data(params, batch, read))
+    return DeformationData(params, t, read) if data is _SPLIT else _PointData(data, t._index)
 
 
 def deformation_data(
     params: DeformationParams, t: Tower, read: tuple[int, int] | None = None
-) -> DeformationData:
-    """The (tower-cached) evaluation of a deformation at one point; with
-    ``read``, an ``(order, xorder)`` pair, every stage is computed in that
-    ring, or lower where its inputs are (the same bits as the stage cut)."""
-    return t.memo((params, "deformation-data", read), lambda: DeformationData(params, t, read))
+) -> DeformationData | _PointData:
+    """The evaluation of a deformation at one point; with ``read``, an
+    ``(order, xorder)`` pair, every stage is computed in that ring, or lower
+    where its inputs are (the same bits as the stage cut).  The data is
+    built once per (pack, batch, read) in the memo of ``t``'s batch, and
+    ``t``'s view of it is kept in ``t``'s memo (:class:`DeformationData`)."""
+    key = (params, "deformation-data", read)
+    return t.memo(key, lambda: _point_data(params, t, read, lambda b, make: b.memo(key, make)))
+
+
+def deformation_views(
+    params: DeformationParams, towers: Sequence[Tower], read: tuple[int, int] | None = None
+) -> list[DeformationData | _PointData]:
+    """The data of ``params`` at each tower's point, as :func:`deformation_data`
+    gives it but kept nowhere: one build per batch the towers share, for a
+    reader that reads a pack once."""
+    builds: dict = {}
+
+    def memo(batch, make):
+        if batch not in builds:
+            builds[batch] = make()
+        return builds[batch]
+
+    return [_point_data(params, t, read, memo) for t in towers]
 
 
 class _Stage:
@@ -560,33 +716,10 @@ def horizontal_from_compatibility(
     Uses only the nonlinear tilt plus the prescribed metric deficit and
     torsion, cycled through the Christoffel trick -- never the difference
     tensor -- so agreement with :func:`build` confirms both routes.  With
-    ``read``, computed from the data of that ring (:func:`deformation_data`).
+    ``read``, computed from the data of that ring (:func:`deformation_data`,
+    whose stage :attr:`DeformationData.compatibility` this is).
     """
-    d = deformation_data(params, t, read)
-    dg, g, gi, Tl, fs, f1, f2, A, B, u, gphi = lower(  # dg is [j, k, l]
-        t.delta_g, t.g, t.gi, t.T_low, d.frame_shift, d.f1, d.f2, d.A, d.B, d.u, d.gphi
-    )
-    tilt = 2.0 * contract("pkl,pj->jkl", Tl, fs)
-    E = (
-        dg
-        + tilt
-        - 2.0 * f1 * (A[:, None, None] * g[None, :, :])
-        - f2
-        * (
-            B[None, :, None] * g.transpose(1, 0)[:, None, :]
-            + B[None, None, :] * g[:, :, None]
-        )
-    )
-    Q = u[None, :, None] * gphi[:, None, :] - u[:, None, None] * gphi[None, :, :]
-    low = 0.5 * (
-        E
-        + E.transpose(2, 0, 1)
-        - E.transpose(1, 2, 0)
-        + Q
-        - Q.transpose(0, 2, 1)
-        - Q.transpose(2, 0, 1)
-    )
-    return contract("il,jkl->ijk", gi, low)
+    return deformation_data(params, t, read).compatibility
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,10 @@ declares a batch and hands out its towers; the suite runner
 and holds it while they run, and :meth:`Tower.at` declares the other
 order for the whole batch.  A tower asked for alone is a batch of one, so
 there is one code path, and every point reads the bits of its batch of
-one.  The per-point functions, the deformation and the connections still
-read one point's tower at a time.
+one.  A batch keeps what is built over all its points in its own memo
+(:meth:`_Batch.memo`): the deformation data of a pack is computed once per
+batch, and each tower reads its point's view of it.  The per-point
+functions and the connections still read one point's tower at a time.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class FinslerStructure:
                 fresh.setdefault(key, p)
         if not fresh:
             return None
-        batch = _Batch(self.norm, list(fresh.values()), order)
+        batch = _Batch(self.norm, list(fresh.values()), order, weakref.ref(self))
         for i, key in enumerate(fresh):
             batch.slot[key] = i
             self._batches[key + (order,)] = batch
@@ -172,7 +174,8 @@ class FinslerStructure:
         key = point.key()
         batch = self._batches.get(key + (order,))
         if batch is None:
-            batch = self._batches[key + (order,)] = _Batch(self.norm, [point], order)
+            batch = _Batch(self.norm, [point], order, weakref.ref(self))
+            self._batches[key + (order,)] = batch
             batch.slot[key] = 0
         return batch, batch.slot[key]
 
@@ -221,6 +224,26 @@ def _where(point: ChartPoint) -> str:
     return f"x = {point.x.tolist()}, y = {point.y.tolist()}"
 
 
+def lead_spec(spec: str, lead: int) -> str:
+    """A contraction spec with the point axis ``p`` in front of every term
+    when there is one (``lead`` 1); the spec must not use ``p`` itself."""
+    return spec if not lead else "p" + spec.replace(",", ",p").replace("->", "->p")
+
+
+def lead_transpose(s: Series, lead: int, *axes: int) -> Series:
+    """``s.transpose(*axes)`` behind the ``lead`` point axes."""
+    return s.transpose(*(axes if not lead else (*range(lead), *(a + lead for a in axes))))
+
+
+def _memo(cache: dict, key, make):
+    """The value ``cache`` holds under ``key``, ``make()`` stored there on a miss."""
+    out = cache.get(key)
+    if out is None:
+        out = make()
+        cache[key] = out
+    return out
+
+
 class _Batch:
     """The tower stages of a batch of points at one order.
 
@@ -239,17 +262,20 @@ class _Batch:
     the same at every point and splits nothing.
 
     A batch holds no tower; its towers hold it, and so do the batches that
-    built it as a deeper order of their points (:meth:`Tower.at`).
+    built it as a deeper order of their points (:meth:`Tower.at`).  It holds
+    its structure weakly, and what is built over all its points in its memo.
     """
 
-    def __init__(self, norm: Field, points: list[ChartPoint], order):
+    def __init__(self, norm: Field, points: list[ChartPoint], order, structure: weakref.ref):
         self.norm = norm
         self.points = points
         self.order = order
+        self.structure = structure
         self.lead = int(len(points) > 1)  # the number of point axes
         self.slot: dict[tuple, int] = {}  # point key -> place, for those the structure finds here
         self.parts: list[_Batch] | None = None
         self.deeper: dict = {}  # order -> the batch Tower.at built for these points
+        self.cache: dict = {}
 
     def read(self, stage: str, i: int) -> Series:
         """The stage named ``stage`` at point ``i``: the stage itself in a
@@ -269,11 +295,25 @@ class _Batch:
 
     def split(self) -> None:
         """Serve every point from a batch of one from now on."""
-        self.parts = [_Batch(self.norm, [p], self.order) for p in self.points]
+        self.parts = [_Batch(self.norm, [p], self.order, self.structure) for p in self.points]
+
+    def memo(self, key, make):
+        """The value memoized under ``key`` on this batch, ``make()`` on a miss."""
+        return _memo(self.cache, key, make)
+
+    def towers(self) -> list["Tower"]:
+        """The towers of this batch's points: the live ones, and new ones
+        (views of this batch) for the others."""
+        structure = self.structure()
+        if structure is None:
+            raise ReferenceError("this batch's structure is gone; bind the structure to a name")
+        return [structure.tower(p, self.order) for p in self.points]
 
     def _spec(self, spec: str) -> str:
-        """A contraction spec with the point axis ``p`` in front of every term."""
-        return spec if not self.lead else "p" + spec.replace(",", ",p").replace("->", "->p")
+        return lead_spec(spec, self.lead)
+
+    def _transpose(self, s: Series, *axes: int) -> Series:
+        return lead_transpose(s, self.lead, *axes)
 
     @cached_property
     def jets(self) -> ChartJets:
@@ -342,14 +382,28 @@ class _Batch:
     def ell(self) -> Series:
         return self.L.dy(axis=self.lead)
 
+    @cached_property
+    def ys(self) -> Series:
+        """The fiber coordinates, shape ((points,) n)."""
+        return self.jets.ys.transpose(1, 0) if self.lead else self.jets.ys
+
+    @cached_property
+    def S(self) -> Series:
+        """Vertical curvature of the metric connection (``curvature_v`` of
+        its coefficients), shape ((points,) n, n, n, n)."""
+        V = self.T_mix
+        dyV, V = lower(V.dy(axis=self.lead), V)
+        A = self._transpose(dyV, 1, 3, 2, 0)  # dV^i_jm / dy_k
+        B = contract(self._spec("ikl,ljm->imjk"), V, V)
+        return (A - self._transpose(A, 0, 1, 3, 2)) + (B - self._transpose(B, 0, 1, 3, 2))
+
     # -- spray layer ---------------------------------------------------------
 
     @cached_property
     def G(self) -> Series:
-        a, ys = self.lead, self.jets.ys  # [m], or [m, p]
-        ys = ys.transpose(1, 0) if a else ys
+        a = self.lead
         mixed = self.L2.dy(axis=a).dx(axis=a + 1)
-        rhs = contract(self._spec("lm,m->l"), mixed, ys) - self.L2.dx(axis=a)
+        rhs = contract(self._spec("lm,m->l"), mixed, self.ys) - self.L2.dx(axis=a)
         return 0.25 * contract(self._spec("il,l->i"), self.gi, rhs)
 
     @cached_property
@@ -362,12 +416,9 @@ class _Batch:
 
     @cached_property
     def Gamma(self) -> Series:
-        D, pts = self.delta_g, (0,) * self.lead  # D[(p,) a, b, c]
-        a, b, c = (axis + self.lead for axis in range(3))
+        D, tr = self.delta_g, self._transpose  # D[(p,) a, b, c]
         # low[j, k, l] = (delta_j g_lk + delta_k g_jl - delta_l g_jk) / 2
-        low = 0.5 * (
-            D.transpose(*pts, a, c, b) + D.transpose(*pts, c, a, b) - D.transpose(*pts, b, c, a)
-        )
+        low = 0.5 * (tr(D, 0, 2, 1) + tr(D, 2, 0, 1) - tr(D, 1, 2, 0))
         return contract(self._spec("il,jkl->ijk"), self.gi, low)
 
 
@@ -409,7 +460,6 @@ class Tower:
     """
 
     def __init__(self, structure: FinslerStructure, point: ChartPoint, order):
-        self._structure = weakref.ref(structure)
         self.point = point
         self.n = point.n
         self._batch, self._index = structure._slot(point, order)
@@ -421,21 +471,17 @@ class Tower:
         while the caller holds it.  The first call for an order declares it
         for every point of this tower's batch, and the batch holds that new
         batch, so the other points' towers at that order share its stages."""
-        structure = self._structure()
+        batch = self._batch
+        structure = batch.structure()
         if structure is None:
             raise ReferenceError("this tower's structure is gone; bind the structure to a name")
-        batch = self._batch
         if order not in batch.deeper:
             batch.deeper[order] = structure._declare(batch.points, order)
         return structure.tower(self.point, order)
 
     def memo(self, key, make):
         """The value memoized under ``key`` on this tower, ``make()`` on a miss."""
-        out = self.cache.get(key)
-        if out is None:
-            out = make()
-            self.cache[key] = out
-        return out
+        return _memo(self.cache, key, make)
 
     @cached_property
     def jets(self) -> ChartJets:
@@ -455,6 +501,7 @@ class Tower:
     T_low = _stage("T_low", "Lowered Cartan tensor T_ijk, shape (n, n, n), totally symmetric.")
     T_mix = _stage("T_mix", "Mixed Cartan tensor T^i_jk = g^il T_ljk, shape (n, n, n).")
     ell = _stage("ell", "Hilbert form components l_i = dL/dy_i, shape (n,).")
+    S = _stage("S", "Vertical curvature S[i, m, j, k] of the metric connection, shape (n,) * 4.")
 
     # -- spray layer ---------------------------------------------------------
 

@@ -405,18 +405,21 @@ def _suite(
     tier: Callable[[str], str],
     towers: Sequence[tuple[int, int]],
     notes: Mapping[str, str] | None = None,
+    points_read: int | None = None,
     **meta,
 ) -> CheckReport:
     """Sample, fold and judge one suite on one metric.
 
     ``getattr(plan, count_field)`` points are drawn from the substream named
-    by ``suite`` up to its ``[`` (``-fuzz`` appended under ``fuzz``).
+    by ``suite`` up to its ``[`` (``-fuzz`` appended under ``fuzz``), and
+    the first ``points_read`` of them (all when None) are read.
     ``residuals(points, plan)`` yields per-point ``label -> residual``
-    dictionaries, folded to the worst per label; ``tier`` names the
-    tolerance of each label.  ``notes`` is read only after the fold, so the
-    residual generator may fill it.  The points' towers at each order of
-    ``towers``, the orders the per-point functions ask for, are held while
-    the generator runs, each order one batch (:meth:`FinslerStructure.towers`).
+    dictionaries for the points read, folded to the worst per label;
+    ``tier`` names the tolerance of each label.  ``notes`` is read only
+    after the fold, so the residual generator may fill it.  The towers of
+    the points read at each order of ``towers``, the orders the per-point
+    functions ask for, are held while the generator runs, each order one
+    batch (:meth:`FinslerStructure.towers`).
     """
     plan = plan or SamplePlan()
     tols = resolve_tolerances(tolerances)
@@ -424,8 +427,9 @@ def _suite(
     points = sample_points(
         F, plan, getattr(plan, count_field), f"{stream}-fuzz" if fuzz else stream
     )
-    held = [F.towers(points, order) for order in towers]
-    worst = _aggregate(residuals(points, plan))
+    read = points[:points_read]
+    held = [F.towers(read, order) for order in towers]
+    worst = _aggregate(residuals(read, plan))
     del held
     meta = {"metric": F.name, "seed": plan.seed, "points": len(points), **meta, "fuzz": fuzz}
     return _report(suite, worst, {label: tier(label) for label in worst}, tols, meta, notes)
@@ -811,12 +815,12 @@ def check_cases(
 
     Typo-flagged entries are asserted against the regenerated form; the
     literal printed form's residual is carried in the row note so the
-    discrepancy stays visible without failing the catalog.
+    discrepancy stays visible without failing the catalog.  A fuzz run
+    reads the first two points only.
     """
     notes: dict[str, str] = {}
 
     def residuals(points, plan):
-        points = points[:2] if fuzz else points
         for entry in catalog():
             label = f"case-{entry['id']:02d}"
             result = check_case(
@@ -829,6 +833,7 @@ def check_cases(
     return _suite(
         f"cases[{F.name}]", F, plan, tolerances, fuzz, "case_points", residuals,
         lambda label: "cases", [_WORKSPACE_ORDER], notes=notes,
+        points_read=2 if fuzz else None,
     )
 
 

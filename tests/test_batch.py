@@ -14,26 +14,42 @@ fresh structure, stage by stage and bit for bit:
 * in a batch with one bad point, which raises exactly the error of its lone
   tower while the others still read their stages.
 
-Dropped batches are freed by reference counting, and in a small battery
-each suite builds one batch per order it declares and serves every
-per-point request from it.  The finite-difference stencils' energies are
-one norm evaluation with the bits of one evaluation per energy.
+The deformation data of a pack is built once per batch too, and each
+point's view of it is compared the same way with the data on the lone
+tower, value by value and stage by stage, for random and preset packs, and
+in a batch where one point's field fails.
+
+Dropped batches are freed by reference counting, and in a small battery,
+clean and fuzzed, each suite builds one batch per order it declares over
+the points it reads, serves every per-point request from it, and builds
+one deformation per (pack, batch, read ring).  The finite-difference
+stencils' energies are one norm evaluation with the bits of one evaluation
+per energy.
 """
 
 import gc
 import weakref
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from finslerconn import cases, cli, deformation, finsler, processes, samples, verify
 from finslerconn.ad import ChartJets
-from finslerconn.deformation import relative_residual
+from finslerconn.connection import CARTAN, curvature_v
+from finslerconn.deformation import (
+    DeformationData,
+    DeformationParams,
+    deformation_data,
+    parameter_field,
+    relative_residual,
+)
 from finslerconn.expr import ExprError, ExprScalarField
 from finslerconn.finsler import ChartPoint, FinslerStructure
 from finslerconn.verify import SamplePlan, run_all, sample_points
 
-STAGES = ("L", "L2", "g", "gi", "T_low", "T_mix", "ell", "G", "N", "delta_g", "Gamma")
+STAGES = ("L", "L2", "g", "gi", "T_low", "T_mix", "ell", "S", "G", "N", "delta_g", "Gamma")
 
 # every (order, xorder) a reader asks for: the suites, the finite-difference
 # stencils, the Cartan-flat probe and the Ricci field's deeper tower
@@ -187,19 +203,9 @@ DECLARED = {
 }
 
 
-def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
-    count = 3  # every suite's points; the fd stencils batch 9 and 4 points
-    plan = SamplePlan(
-        param_sets=2, theorem_points=count, construction_points=count, torsion_points=count,
-        curvature_points=count, bianchi_points=count, process_points=count,
-        case_points=count, fd_points=count,
-    )
-    running, built, splits = [], [], []
-    init, suite = finsler._Batch.__init__, verify._suite
-
-    def recording(self, norm, points, order):
-        init(self, norm, points, order)
-        built.append((running[-1] if running else None, order, {p.key() for p in points}))
+def _tracking_suites(monkeypatch) -> list:
+    """The stack of suite names ``verify._suite`` is running."""
+    running, suite = [], verify._suite
 
     def tracking(name, *args, **kwargs):
         running.append(name)
@@ -208,33 +214,192 @@ def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
         finally:
             running.pop()
 
+    monkeypatch.setattr(verify, "_suite", tracking)
+    return running
+
+
+def _small_plan(count: int) -> SamplePlan:
+    return SamplePlan(
+        param_sets=2, theorem_points=count, construction_points=count, torsion_points=count,
+        curvature_points=count, bianchi_points=count, process_points=count,
+        case_points=count, fd_points=count,
+    )
+
+
+def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
+    count = 3  # every suite's points; the fd stencils batch 9 and 4 points
+    running, built, splits = _tracking_suites(monkeypatch), [], []
+    init = finsler._Batch.__init__
+
+    def recording(self, norm, points, order, structure):
+        init(self, norm, points, order, structure)
+        built.append((running[-1] if running else None, order, {p.key() for p in points}))
+
     monkeypatch.setattr(finsler._Batch, "__init__", recording)
     monkeypatch.setattr(finsler._Batch, "split", lambda self: splits.append(self))
-    monkeypatch.setattr(verify, "_suite", tracking)
+    for fuzz in (False, True):
+        built.clear()
+        metrics = [samples.randers(), samples.hyperbolic()]
+        for F in metrics:
+            F.cartan_flat  # the structure's one probe tower, outside any suite
+        run_all(metrics, _small_plan(count), fuzz=fuzz)
+
+        assert not splits
+        names = {name for name, *_ in built} - {None}
+        assert len(names) == 2 * (len(DECLARED) - 1) + 1  # constant curvature runs once
+        for name in names:
+            suite_name = name.split("[")[0]
+            declared = DECLARED[suite_name] | (
+                {verify._FIRST_BIANCHI_ORDER} if name == "bianchi[hyperbolic]" else set()
+            )
+            # the case-3 Ricci field reads its deeper order through Tower.at, one
+            # batch for the suite's points too; a fuzzed case suite reads two
+            deeper = {(5, 2)} if suite_name == "cases" else set()
+            read = 2 if fuzz and suite_name == "cases" else count
+            full = [order for n, order, keys in built if n == name and len(keys) == read]
+            extra = {order for n, order, keys in built if n == name and len(keys) != read}
+            assert sorted(full) == sorted(declared | deeper), (fuzz, name)
+            # every per-point request at a declared order was served by its batch
+            assert not extra & declared, (fuzz, name)
+            if suite_name == "fd":  # per point, one batch per stencil
+                stencils = [len(k) for n, o, k in built if n == name and o != verify._FD_ORDER]
+                assert sorted(stencils) == [4] * count + [9] * count
+
+
+# the deformation builds of each suite per metric, each over the suite's
+# batch: one per (pack, read ring); the diagram reads its pack's data and
+# the zero pack's, and the case checks build one pack per catalog entry
+BUILDS = {
+    "theorem": 2,  # the plan's packs
+    "construction": 1,
+    "torsions": 1,
+    "curvatures": 1,
+    "bianchi": 1,
+    "processes": 2,
+    "cases": len(cases.catalog()),
+    "fd": 0,
+    "constant-curvature": 0,
+}
+
+
+def test_each_suite_builds_one_deformation_per_pack_batch_and_read(monkeypatch):
+    count = 3
+    running, builds, splits = _tracking_suites(monkeypatch), [], []
+    init, batch_data = DeformationData.__init__, deformation._batch_data
+
+    def recording(self, params, src, read=None):
+        init(self, params, src, read)
+        builds.append((running[-1] if running else None, src, params, read))
+
+    def splitting(params, batch, read):
+        data = batch_data(params, batch, read)
+        if data is deformation._SPLIT:
+            splits.append(batch)
+        return data
+
+    monkeypatch.setattr(DeformationData, "__init__", recording)
+    monkeypatch.setattr(deformation, "_batch_data", splitting)
     metrics = [samples.randers(), samples.hyperbolic()]
-    for F in metrics:
-        F.cartan_flat  # the structure's one probe tower, outside any suite
-    run_all(metrics, plan)
+    run_all(metrics, _small_plan(count))
 
     assert not splits
-    names = {name for name, *_ in built} - {None}
-    assert len(names) == 2 * (len(DECLARED) - 1) + 1  # constant curvature runs once
-    for name in names:
-        suite_name = name.split("[")[0]
-        declared = DECLARED[suite_name] | (
-            {verify._FIRST_BIANCHI_ORDER} if name == "bianchi[hyperbolic]" else set()
-        )
-        # the case-3 Ricci field reads its deeper order through Tower.at, one
-        # batch for the suite's points too
-        deeper = {(5, 2)} if suite_name == "cases" else set()
-        full = [order for n, order, keys in built if n == name and len(keys) == count]
-        extra = {order for n, order, keys in built if n == name and len(keys) != count}
-        assert sorted(full) == sorted(declared | deeper), name
-        # every per-point request at a declared order was served by its batch
-        assert not extra & declared, name
-        if suite_name == "fd":  # per point, one batch per stencil
-            stencils = [len(k) for n, o, k in built if n == name and o != verify._FD_ORDER]
-            assert sorted(stencils) == [4] * count + [9] * count
+    assert all(name is not None for name, *_ in builds)
+    for F in metrics:
+        for suite, want in BUILDS.items():
+            name = suite if suite == "constant-curvature" else f"{suite}[{F.name}]"
+            mine = [(src, params, read) for n, src, params, read in builds if n == name]
+            assert len(mine) == want, name
+            assert all(isinstance(src, finsler._Batch) for src, *_ in mine), name
+            assert all(len(src.points) == count for src, *_ in mine), name
+            assert len({(id(src), id(params), read) for src, params, read in mine}) == want, name
+
+
+# every value and stage a view of deformation data reads
+DATA = ("f1", "f2", "A", "B", "u", "phi", "eye") + tuple(
+    name for name, stage in vars(DeformationData).items() if isinstance(stage, cached_property)
+)
+
+
+def _lone_data(F, point, order, params, read):
+    """The data on the lone tower of a fresh structure, with the two it reads."""
+    structure = FinslerStructure(F.n, F.norm, F.name)  # bound: the Ricci field reads it
+    lone = structure.tower(point, order)
+    return structure, lone, deformation_data(params, lone, read)
+
+
+def _assert_data_views_match_lone_data(F, points, order, params, read, views):
+    for k, (point, view) in enumerate(zip(points, views)):
+        _, lone, want = _lone_data(F, point, order, params, read)
+        got = deformation_data(params, view, read)
+        for name in DATA:
+            assert _same(_read(got, name), _read(want, name)), (k, order, read, name)
+            if not isinstance(_read(want, name), tuple):
+                assert getattr(got, name).ring is getattr(want, name).ring, (k, name)
+        # the tower stage S is the vertical curvature of the metric connection
+        cartan = np.ascontiguousarray(curvature_v(CARTAN, lone).coef).view(np.int64)
+        assert _same(_read(lone, "S"), cartan), k
+
+
+def _packs(F) -> dict:
+    plan = SamplePlan()
+    return {
+        "random": verify.random_param_sets(F, plan)[0],
+        **{
+            f"case-{i}": cases.preset(i, F, **cases.default_free_choices(i, F, plan.seed))
+            for i in (3, 4)
+        },
+    }
+
+
+# (order, read) pairs the suites and the case checks read the data in
+DATA_READS = [((4, 1), (0, 0)), ((4, 0), (0, 0)), ((4, 2), (1, 1)), ((4, 1), None)]
+
+
+@pytest.mark.parametrize("name", ["randers", "hyperbolic", "quartic3d"])
+def test_every_view_of_batch_data_reads_its_lone_datas_bits(name):
+    F = {"randers": samples.randers(), **METRICS}[name]
+    points = sample_points(F, SamplePlan(), 5, "batch-data")
+    for label, params in _packs(F).items():
+        for order, read in DATA_READS:
+            views = F.towers(points, order)
+            batch = views[0]._batch
+            _assert_data_views_match_lone_data(F, points, order, params, read, views)
+            # one build over the batch, each point a view of it
+            data = batch.cache[(params, "deformation-data", read)]
+            assert isinstance(data, DeformationData) and data.lead, (label, order)
+            assert all(v.cache[(params, "deformation-data", read)]._data is data for v in views)
+            assert batch.parts is None
+
+
+def _data_or_error(params, t, read):
+    try:
+        return deformation_data(params, t, read)
+    except Exception as err:  # compared with the lone tower's error
+        return (type(err), str(err))
+
+
+def test_a_field_failing_at_one_point_raises_its_own_error_and_the_others_are_served():
+    F = samples.randers()
+    # x1 > 0 but at the third point, where log(x1) fails
+    points = [
+        ChartPoint([-0.25 if k == 2 else abs(p.x[0]) + 0.05, p.x[1]], p.y)
+        for k, p in enumerate(sample_points(F, SamplePlan(), 5, "batch-data-fail"))
+    ]
+    params = replace(DeformationParams.zero(2), f1=parameter_field("f1", "log(x1)", 2))
+    views = F.towers(points, (4, 1))
+    got = [_data_or_error(params, t, (0, 0)) for t in views]  # the build fails at point 0
+    with pytest.raises(finsler.DomainError) as err:
+        _lone_data(F, points[2], (4, 1), params, (0, 0))
+    assert str(err.value).startswith("parameter f1 cannot be evaluated at x = [-0.25,")
+    assert got[2] == (finsler.DomainError, str(err.value))
+    good = [k for k in range(5) if k != 2]
+    assert all(isinstance(got[k], DeformationData) for k in good)  # each its own data
+    _assert_data_views_match_lone_data(
+        F, [points[k] for k in good], (4, 1), params, (0, 0), [views[k] for k in good]
+    )
+    # the batch keeps the failed build's mark; its towers are still one batch
+    assert views[0]._batch.cache[(params, "deformation-data", (0, 0))] is deformation._SPLIT
+    assert views[0]._batch.parts is None
 
 
 def _old_fd_energy_rows(F, point):

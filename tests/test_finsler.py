@@ -406,7 +406,8 @@ def _scoped_nodes(tree):
 
 def test_towers_are_built_and_memoized_in_one_place():
     # a tower is built only by FinslerStructure.tower, so every request goes
-    # through its cache, and only Tower touches a tower's memo dict
+    # through its cache, and only Tower touches a tower's memo dict (and
+    # only _Batch its own)
     builds, cache_uses = set(), set()
     for path in sorted(Path(finslerconn.__file__).parent.glob("*.py")):
         for node, scope in _scoped_nodes(ast.parse(path.read_text())):
@@ -418,7 +419,7 @@ def test_towers_are_built_and_memoized_in_one_place():
             elif isinstance(node, ast.Attribute) and node.attr == "cache":
                 cache_uses.add((path.name, scope[0] if scope else ""))
     assert builds == {("finsler.py", "FinslerStructure.tower")}
-    assert cache_uses == {("finsler.py", "Tower")}
+    assert cache_uses == {("finsler.py", "Tower"), ("finsler.py", "_Batch")}
 
 
 def test_hilbert_form_field_matches_tower():

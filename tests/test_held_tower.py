@@ -1,12 +1,16 @@
-"""A held tower keeps its memo size over repeated calls of every reader.
+"""A held batch and its towers keep their memo sizes over repeated calls
+of every reader.
 
-A reader memoizes what it builds on a tower (deformation data, the
-read-ring views of connections, the process families of packs) under a key
-its caller holds, so a caller that holds the tower between calls meets the
-same entries again, and the memo stops growing after the first call.  Each
-reader is called three times on the tower of its own order at one Randers
-point, with the first random pack; the fuzz rows pass the connection the
-fuzz suites build once per pack.
+A reader memoizes what it builds on a tower (the view of deformation data,
+the read-ring views of connections, the process families of packs) and on
+the tower's batch (the deformation data over all its points) under a key
+its caller holds, so a caller that holds the batch's towers between calls
+meets the same entries again, and the memos stop growing after the first
+call.  Each reader is called three times at one of two Randers points whose
+towers of the reader's order are held as one batch, with the first random
+pack; the fuzz rows pass the connection the fuzz suites build once per
+pack.  The case checks build a new pack on every call and keep its data
+nowhere.
 """
 
 import pytest
@@ -54,14 +58,19 @@ READERS = {
 def test_held_tower_memo_keeps_its_size(reader):
     F = randers()
     plan = verify.SamplePlan()
-    point = verify.sample_points(F, plan, 1, "held-tower")[0]
+    points = verify.sample_points(F, plan, 2, "held-tower")
     pack = verify.random_param_sets(F, plan)[0]
     conn = verify._perturbed(build(pack), "hor")
     order, call = READERS[reader]
-    t = F.tower(point, order)
+    towers = F.towers(points, order)
+    t, batch = towers[0], towers[0]._batch
+    assert batch.lead and towers[1]._batch is batch
     sizes = []
     for _ in range(3):
-        call(F, pack, point, conn)
-        sizes.append(len(t.cache))
-    assert sizes[0] > 0  # the reader memoizes on the tower held here
+        call(F, pack, points[0], conn)
+        sizes.append((len(t.cache), len(batch.cache)))
+    if reader.startswith("case"):
+        assert sizes[0] == (0, 0)  # each call's data is kept nowhere
+    else:  # the reader memoizes on the tower and the batch held here
+        assert sizes[0][0] > 0 and sizes[0][1] > 0
     assert sizes == sizes[:1] * 3

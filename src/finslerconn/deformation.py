@@ -36,6 +36,12 @@ conditions pin the connection uniquely, that gives the verification suite a
 second, independent route to every coefficient.  :func:`torsion_relations`
 and :func:`curvature_relations` evaluate the residuals of the identities that
 tie the deformed torsions and curvatures back to the metric ones.
+
+Each per-point reader (:func:`construction_residuals`,
+:func:`torsion_relations`, :func:`curvature_relations`, and
+``verify.theorem_residuals``) is one formula over a tower or a batch of
+towers: the rows over a batch are computed once, in the batch's memo, and
+each point's call returns its slice of them (:func:`point_rows`).
 """
 
 from __future__ import annotations
@@ -608,18 +614,29 @@ class _PointData:
 
 
 _SPLIT = object()
-"""What a batch keeps for a pack whose build raised: its points build their own data."""
+"""What a batch keeps for a build that raised (the data of a pack, the rows
+of a reader): its points compute their own."""
+
+
+class _SplitBuild(Exception):
+    """A build over a batch raised at some point, so each point reads alone."""
+
+
+def _batch_build(make):
+    """``make()`` over a batch of more than one point, or :data:`_SPLIT` when
+    it raises."""
+    try:
+        return make()
+    except TruncationError:  # the ring's fault, the same at every point
+        raise
+    except Exception:  # whatever a point raises alone, it raises from its own build
+        return _SPLIT
 
 
 def _batch_data(params: DeformationParams, batch: _Batch, read) -> DeformationData | object:
     """The data of ``params`` over a batch of more than one point, or
     :data:`_SPLIT` when its build raises."""
-    try:
-        return DeformationData(params, batch, read)
-    except TruncationError:  # the ring's fault, the same at every point
-        raise
-    except Exception:  # whatever a point raises alone, it raises from its own data
-        return _SPLIT
+    return _batch_build(lambda: DeformationData(params, batch, read))
 
 
 def _point_data(params: DeformationParams, t: Tower, read, memo) -> DeformationData | _PointData:
@@ -634,14 +651,23 @@ def _point_data(params: DeformationParams, t: Tower, read, memo) -> DeformationD
 
 
 def deformation_data(
-    params: DeformationParams, t: Tower, read: tuple[int, int] | None = None
+    params: DeformationParams, t: Tower | _Batch, read: tuple[int, int] | None = None
 ) -> DeformationData | _PointData:
     """The evaluation of a deformation at one point; with ``read``, an
     ``(order, xorder)`` pair, every stage is computed in that ring, or lower
     where its inputs are (the same bits as the stage cut).  The data is
     built once per (pack, batch, read) in the memo of ``t``'s batch, and
-    ``t``'s view of it is kept in ``t``'s memo (:class:`DeformationData`)."""
+    ``t``'s view of it is kept in ``t``'s memo (:class:`DeformationData`).
+
+    ``t`` may also be a batch of more than one point: the data over it,
+    from the same memo.  A batch whose build raised raises here, and its
+    points build their own data."""
     key = (params, "deformation-data", read)
+    if isinstance(t, _Batch):
+        data = t.memo(key, lambda: _batch_data(params, t, read))
+        if data is _SPLIT:
+            raise _SplitBuild(f"the data of {params.name or 'a pack'} fails at a point of the batch")
+        return data
     return t.memo(key, lambda: _point_data(params, t, read, lambda b, make: b.memo(key, make)))
 
 
@@ -670,7 +696,7 @@ class _Stage:
     def __init__(self, params: DeformationParams, stage: str, read: tuple[int, int] | None = None):
         self.params, self.stage, self.read = params, stage, read
 
-    def __call__(self, t: Tower) -> Series:
+    def __call__(self, t: Tower | _Batch) -> Series:
         return getattr(deformation_data(self.params, t, self.read), self.stage)
 
     def at(self, read: tuple[int, int]) -> "_Stage":
@@ -691,14 +717,15 @@ def build(params: DeformationParams) -> Connection:
 
 def deformed_at(
     params: DeformationParams,
-    t: Tower,
+    t: Tower | _Batch,
     read: tuple[int, int],
     conn: Connection | None = None,
 ) -> tuple[DeformationData, Connection]:
-    """The data of ``params`` on ``t`` and ``conn`` (default: the built
-    one), both computed in the ring ``read`` their reader reads: one ring
-    for the two, so the connection's stages come from the same data.  The
-    view is kept in ``t``'s memo under ``params`` (or ``conn``)."""
+    """The data of ``params`` on ``t`` (a tower or a batch) and ``conn``
+    (default: the built one), both computed in the ring ``read`` their
+    reader reads: one ring for the two, so the connection's stages come
+    from the same data.  The view is kept in ``t``'s memo under ``params``
+    (or ``conn``)."""
     key = (params if conn is None else conn, "connection", read)
     view = t.memo(key, lambda: (build(params) if conn is None else conn).at(read))
     return deformation_data(params, t, read), view
@@ -709,7 +736,7 @@ def deformed_at(
 
 
 def horizontal_from_compatibility(
-    params: DeformationParams, t: Tower, read: tuple[int, int] | None = None
+    params: DeformationParams, t: Tower | _Batch, read: tuple[int, int] | None = None
 ) -> Series:
     """Horizontal coefficients solved from the defining conditions alone.
 
@@ -731,14 +758,47 @@ def worst_residual(values: Iterable[float]) -> float:
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
-def relative_residual(diff: np.ndarray, *refs: np.ndarray) -> float:
-    """Max-abs of ``diff`` relative to 1 + the largest participating value."""
-    num = float(np.max(np.abs(diff)))
-    return num / (1.0 + worst_residual(np.max(np.abs(r)) for r in refs if np.size(r)))
+def relative_residual(diff: np.ndarray, *refs: np.ndarray, lead: int = 0) -> float | np.ndarray:
+    """Max-abs of ``diff`` relative to 1 + the largest participating value;
+    a NaN anywhere wins, and an empty participant is skipped.
+
+    With ``lead`` 1 the arrays carry a point axis first, and the result
+    has one value per point: the max-abs over the trailing axes, with the
+    bits of the call on that point's slices.
+    """
+    if not lead:
+        num = float(np.max(np.abs(diff)))
+        return num / (1.0 + worst_residual(np.max(np.abs(r)) for r in refs if np.size(r)))
+
+    def per_point(a: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(a), axis=tuple(range(1, np.ndim(a))))
+
+    scale = [per_point(r) for r in refs if np.size(r)]
+    return per_point(diff) / (1.0 + np.max(scale, axis=0, initial=0.0))
 
 
-def bump(values: np.ndarray, size: float) -> np.ndarray:
-    """A copy of ``values`` with ``size`` added at index ``(0, ..., 0)``.
+def point_rows(t: Tower, key, rows) -> dict[str, float]:
+    """The residual rows ``rows(src)`` at ``t``'s point.
+
+    ``rows`` is a reader's formula over a tower or a batch of towers (one
+    value per point on a batch).  On a batch of more than one point it
+    runs once, kept in the batch's memo under ``key``, and each point reads
+    its slice.  A lone tower, a batch split at its tower stages and a
+    batch whose rows raised compute the point's rows on ``t`` alone, so
+    each point raises its own error and the others are served.
+    """
+    batch = t._batch
+    if batch.lead and batch.parts is None:
+        built = batch.memo(key, lambda: _batch_build(lambda: rows(batch)))
+        if built is not _SPLIT:
+            i = t._index
+            return {label: float(value[i]) for label, value in built.items()}
+    return rows(t)
+
+
+def bump(values: np.ndarray, size: float, lead: int = 0) -> np.ndarray:
+    """A copy of ``values`` with ``size`` added at index ``(0, ..., 0)``,
+    behind the ``lead`` point axes: at every point's ``(0, ..., 0)``.
 
     The fuzz controls shift one entry of a compared array through this;
     for ``size == 0`` the input comes back unchanged.
@@ -746,7 +806,7 @@ def bump(values: np.ndarray, size: float) -> np.ndarray:
     if not size:
         return values
     out = np.array(values, dtype=float)
-    out[(0,) * out.ndim] += size
+    out[(slice(None),) * lead + (0,) * (out.ndim - lead)] += size
     return out
 
 
@@ -776,25 +836,36 @@ def construction_residuals(
     * ``compatibility-route``: the horizontal coefficients must match the
       Christoffel-trick reconstruction from the defining conditions.
 
-    ``conn`` (default: the built one) is the connection under test.
+    ``conn`` (default: the built one) is the connection under test.  The
+    rows are computed once over the point's batch (:func:`point_rows`).
     """
     t = F.tower(point, _CONSTRUCTION_ORDER)
-    d, conn = deformed_at(params, t, _CONSTRUCTION_READ, conn)
-    H, N = conn.H(t), conn.N(t)
-    defl = contract("ijk,k->ij", H, t.ys).val
-    from_n = 0.5 * contract("ij,j->i", N, t.ys).val
-    spray, shift = d.spray.val, d.eta_shift.val
-    compat = horizontal_from_compatibility(params, t, _CONSTRUCTION_READ).val
+    return point_rows(
+        t, (params, conn, "construction-rows"), lambda src: _construction_rows(params, src, conn)
+    )
+
+
+def _construction_rows(
+    params: DeformationParams, src: Tower | _Batch, conn: Connection | None
+) -> dict:
+    """:func:`construction_residuals` on a tower or over a batch."""
+    lead = src.lead
+    d, conn = deformed_at(params, src, _CONSTRUCTION_READ, conn)
+    H, N = conn.H(src), conn.N(src)
+    defl = contract(lead_spec("ijk,k->ij", lead), H, src.ys).val
+    from_n = 0.5 * contract(lead_spec("ij,j->i", lead), N, src.ys).val
+    spray, shift, G = d.spray.val, d.eta_shift.val, src.G.val
+    compat = horizontal_from_compatibility(params, src, _CONSTRUCTION_READ).val
+    tilt = contract(lead_spec("ij,j->i", lead), d.frame_shift, src.ys).val
+    H, N = H.val, N.val
     return {
-        "deflection": relative_residual(defl - N.val, defl, N.val),
-        "spray-from-nonlinear": relative_residual(from_n - spray, from_n, spray),
+        "deflection": relative_residual(defl - N, defl, N, lead=lead),
+        "spray-from-nonlinear": relative_residual(from_n - spray, from_n, spray, lead=lead),
         "spray-shift-consistency": relative_residual(
-            2.0 * (t.G.val - spray) - shift, shift, t.G.val
+            2.0 * (G - spray) - shift, shift, G, lead=lead
         ),
-        "shift-contraction": relative_residual(
-            contract("ij,j->i", d.frame_shift, t.ys).val - shift, shift
-        ),
-        "compatibility-route": relative_residual(H.val - compat, H.val, compat),
+        "shift-contraction": relative_residual(tilt - shift, shift, lead=lead),
+        "compatibility-route": relative_residual(H - compat, H, compat, lead=lead),
     }
 
 
@@ -820,46 +891,59 @@ def torsion_relations(
     * ``vh-shift-rule``: the nonlinear-curvature torsion differs from the
       metric one by the frame brackets of the tilt.
 
-    ``conn`` (default: the built one) is the connection under test.
+    ``conn`` (default: the built one) is the connection under test.  The
+    rows are computed once over the point's batch (:func:`point_rows`).
     """
     t = F.tower(point, _TORSION_ORDER)
-    d, conn = deformed_at(params, t, _TORSION_READ, conn)
-    tb = torsions(conn, t)
-    tc = torsions(CARTAN, t)
+    return point_rows(
+        t, (params, conn, "torsion-rows"), lambda src: _torsion_rows(params, src, conn)
+    )
+
+
+def _torsion_rows(params: DeformationParams, src: Tower | _Batch, conn: Connection | None) -> dict:
+    """:func:`torsion_relations` on a tower or over a batch."""
+    lead = src.lead
+    spec = lambda s: lead_spec(s, lead)
+    tr = lambda s, *axes: lead_transpose(s, lead, *axes)
+    d, conn = deformed_at(params, src, _TORSION_READ, conn)
+    tb = torsions(conn, src)
+    tc = torsions(CARTAN, src)
     fs = d.frame_shift
     # read as values only: these products run at order 0
-    phi, u, T0, fs0 = lower_to((0, 0), d.phi, d.u, t.T_mix, fs)
-    quarter = phi[:, :, None] * u[None, None, :] - phi[:, None, :] * u[None, :, None]
+    phi, u, T0, fs0 = lower_to((0, 0), d.phi, d.u, src.T_mix, fs)
+    quarter = (
+        phi[..., :, :, None] * u[..., None, None, :] - phi[..., :, None, :] * u[..., None, :, None]
+    )
 
     # vertical derivative of the tilt, with the Cartan tensor correction
-    dyfs = fs.dy(axis=2)  # [i, j, k]
-    tfs = contract("ipk,pj->ijk", T0, fs0)
+    dyfs = fs.dy(axis=lead + 2)  # [i, j, k]
+    tfs = contract(spec("iqk,qj->ijk"), T0, fs0)
     vhv_rhs = tc.vhv - (dyfs + tfs) - d.difference
 
     # frame brackets of the tilt (all derivatives along the metric frame)
-    dfs = horizontal_gradient(fs, t.N)  # [a, l, m]
-    dN_y = t.N.dy(axis=2)  # [l, j, m]
-    dyfs_m = dyfs.transpose(2, 0, 1)  # [m, l, a]
-    lean = contract("ljm,mk->ljk", dN_y, fs)
-    drag = contract("mlk,mj->ljk", dyfs_m, fs)
+    dfs = horizontal_gradient(fs, src.N, lead)  # [a, l, m]
+    dN_y = src.N.dy(axis=lead + 2)  # [l, j, m]
+    dyfs_m = tr(dyfs, 2, 0, 1)  # [m, l, a]
+    lean = contract(spec("ljm,mk->ljk"), dN_y, fs)
+    drag = contract(spec("mlk,mj->ljk"), dyfs_m, fs)
     vh_rhs = (
         tc.vh
-        + dfs.transpose(1, 0, 2)  # delta_j fs[l, k]
+        + tr(dfs, 1, 0, 2)  # delta_j fs[l, k]
         + lean
-        - dfs.transpose(1, 2, 0)  # delta_k fs[l, j]
-        - lean.transpose(0, 2, 1)
+        - tr(dfs, 1, 2, 0)  # delta_k fs[l, j]
+        - tr(lean, 0, 2, 1)
         + drag
-        - drag.transpose(0, 2, 1)
+        - tr(drag, 0, 2, 1)
     )
 
-    hv, hh, vhv, vh = tb.hv.val, tb.hh.val, tb.vhv.val, tb.vh.val
+    hv, hh, vhv, vh, T = tb.hv.val, tb.hh.val, tb.vhv.val, tb.vh.val, src.T_mix.val
     quarter, vhv_rhs, vh_rhs = quarter.val, vhv_rhs.val, vh_rhs.val
     return {
-        "hv-coincides": relative_residual(hv - t.T_mix.val, hv),
-        "hh-quarter-form": relative_residual(hh - quarter, hh, quarter),
-        "vv-vanishes": relative_residual(tb.vv.val, t.T_mix.val),
-        "vhv-shift-rule": relative_residual(vhv - vhv_rhs, vhv, vhv_rhs),
-        "vh-shift-rule": relative_residual(vh - vh_rhs, vh, vh_rhs),
+        "hv-coincides": relative_residual(hv - T, hv, lead=lead),
+        "hh-quarter-form": relative_residual(hh - quarter, hh, quarter, lead=lead),
+        "vv-vanishes": relative_residual(tb.vv.val, T, lead=lead),
+        "vhv-shift-rule": relative_residual(vhv - vhv_rhs, vhv, vhv_rhs, lead=lead),
+        "vh-shift-rule": relative_residual(vh - vh_rhs, vh, vh_rhs, lead=lead),
     }
 
 
@@ -881,48 +965,67 @@ def curvature_relations(
       the metric one plus mixed/vertical curvatures fed by the tilt and an
       alternated block of derivative and quadratic difference-tensor terms.
 
-    ``conn`` (default: the built one) is the connection under test.
+    ``conn`` (default: the built one) is the connection under test.  The
+    rows are computed once over the point's batch (:func:`point_rows`).
     """
     t = F.tower(point, _CURVATURE_ORDER)
-    d, conn = deformed_at(params, t, _CURVATURE_READ, conn)
-    cartan = t.memo((CARTAN, "connection", _CURVATURE_READ), lambda: CARTAN.at(_CURVATURE_READ))
-    P, R = curvature_mixed(cartan, t), curvature_h(cartan, t)
-    covNv = cov_deriv(cartan, t, d.difference, horizontal=False)  # [l, i, j, m]
-    covNh = cov_deriv(cartan, t, d.difference, horizontal=True)
+    return point_rows(
+        t, (params, conn, "curvature-rows"), lambda src: _curvature_rows(params, src, conn)
+    )
+
+
+def _curvature_rows(
+    params: DeformationParams, src: Tower | _Batch, conn: Connection | None
+) -> dict:
+    """:func:`curvature_relations` on a tower or over a batch."""
+    lead = src.lead
+    spec = lambda s: lead_spec(s, lead)
+    tr = lambda s, *axes: lead_transpose(s, lead, *axes)
+    d, conn = deformed_at(params, src, _CURVATURE_READ, conn)
+    cartan = src.memo(
+        (CARTAN, "connection", _CURVATURE_READ), lambda: CARTAN.at(_CURVATURE_READ)
+    )
+    P, R = curvature_mixed(cartan, src), curvature_h(cartan, src)
+    covNv = cov_deriv(cartan, src, d.difference, horizontal=False)  # [l, i, j, m]
+    covNh = cov_deriv(cartan, src, d.difference, horizontal=True)
     # only values are read: the products below run in the ring the curvatures land in
-    NT, fs, S, T = lower_to((0, 0), d.difference, d.frame_shift, d.S, t.T_mix)
+    NT, fs, S, T = lower_to((0, 0), d.difference, d.frame_shift, d.S, src.T_mix)
 
-    rows: dict[str, float] = {}
-    Sd = curvature_v(conn, t)
-    rows["v-curvature-coincides"] = relative_residual(Sd.val - S.val, Sd.val, S.val)
+    rows: dict = {}
+    Sd = curvature_v(conn, src)
+    rows["v-curvature-coincides"] = relative_residual(Sd.val - S.val, Sd.val, S.val, lead=lead)
 
-    Pd = curvature_mixed(conn, t)
-    s_fs = contract("impk,pj->imjk", S, fs)
+    Pd = curvature_mixed(conn, src)
+    s_fs = contract(spec("imqk,qj->imjk"), S, fs)
     hv_rhs = (
         P
-        + covNv.transpose(1, 3, 2, 0)  # vertical derivative along k
-        + contract("ipm,pkj->imjk", NT, T)  # NT[i, p, m] T^p_kj
+        + tr(covNv, 1, 3, 2, 0)  # vertical derivative along k
+        + contract(spec("iqm,qkj->imjk"), NT, T)  # NT[i, q, m] T^q_kj
         + s_fs
     )
-    rows["hv-curvature-expansion"] = relative_residual(Pd.val - hv_rhs.val, Pd.val, hv_rhs.val)
+    rows["hv-curvature-expansion"] = relative_residual(
+        Pd.val - hv_rhs.val, Pd.val, hv_rhs.val, lead=lead
+    )
 
-    Rd = curvature_h(conn, t)
-    p_fs = contract("imaq,qb->imab", P, fs)
-    s_fs2 = contract("imjq,qk->imjk", s_fs, fs)
-    tilt_t = contract("pqj,qk->pjk", T, fs)
+    Rd = curvature_h(conn, src)
+    p_fs = contract(spec("imaq,qb->imab"), P, fs)
+    s_fs2 = contract(spec("imjq,qk->imjk"), s_fs, fs)
+    tilt_t = contract(spec("rqj,qk->rjk"), T, fs)
     block = (
-        covNh.transpose(1, 3, 2, 0)
-        + contract("lijm,lk->imjk", covNv, fs)
-        + contract("ikp,pjm->imjk", NT, NT)
-        + contract("ipm,pjk->imjk", NT, tilt_t)
+        tr(covNh, 1, 3, 2, 0)
+        + contract(spec("lijm,lk->imjk"), covNv, fs)
+        + contract(spec("ikq,qjm->imjk"), NT, NT)
+        + contract(spec("iqm,qjk->imjk"), NT, tilt_t)
     )
     h_rhs = (
         R
         + p_fs
-        - p_fs.transpose(0, 1, 3, 2)
+        - tr(p_fs, 0, 1, 3, 2)
         + s_fs2
         + block
-        - block.transpose(0, 1, 3, 2)
+        - tr(block, 0, 1, 3, 2)
     )
-    rows["h-curvature-expansion"] = relative_residual(Rd.val - h_rhs.val, Rd.val, h_rhs.val)
+    rows["h-curvature-expansion"] = relative_residual(
+        Rd.val - h_rhs.val, Rd.val, h_rhs.val, lead=lead
+    )
     return rows

@@ -50,8 +50,11 @@ order for the whole batch.  A tower asked for alone is a batch of one, so
 there is one code path, and every point reads the bits of its batch of
 one.  A batch keeps what is built over all its points in its own memo
 (:meth:`_Batch.memo`): the deformation data of a pack is computed once per
-batch, and each tower reads its point's view of it.  The per-point
-functions and the connections still read one point's tower at a time.
+batch, and each tower reads its point's view of it.  The connections,
+torsions and curvatures take a tower or a batch (``src.lead`` is the
+number of point axes in front: 0 on a tower, 1 on a batch of more than
+one point), so the theorem, construction, torsion and curvature rows are
+computed once per batch too, and each point's call reads its slice.
 """
 
 from __future__ import annotations
@@ -458,6 +461,9 @@ class Tower:
     one of its towers does.  It holds its structure weakly too, so
     :meth:`at` needs the structure still bound to a name.
     """
+
+    lead = 0
+    """The number of point axes in front of a stage: a tower has none."""
 
     def __init__(self, structure: FinslerStructure, point: ChartPoint, order):
         self.point = point

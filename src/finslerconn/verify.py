@@ -63,12 +63,13 @@ from .deformation import (
     construction_residuals,
     curvature_relations,
     deformed_at,
+    point_rows,
     relative_residual,
     torsion_relations,
     worst_residual,
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
-from .finsler import ChartPoint, FinslerStructure
+from .finsler import ChartPoint, FinslerStructure, Tower, _Batch, lead_spec
 from .processes import _DIAGRAM_ORDER, derive_family, diagram_residuals
 from .samples import euclidean, hyperbolic, randers
 
@@ -441,14 +442,15 @@ def _suite(
 
 class _Bumped:
     """The part ``part`` (``"N"``, ``"H"`` or ``"V"``) of ``conn`` with one
-    coefficient shifted by the fuzz size; ``at`` computes it in a read ring."""
+    coefficient shifted by the fuzz size, at every point of a batch;
+    ``at`` computes it in a read ring."""
 
     def __init__(self, conn: Connection, part: str):
         self.conn, self.part = conn, part
 
-    def __call__(self, t) -> Series:
+    def __call__(self, t: Tower | _Batch) -> Series:
         base = getattr(self.conn, self.part)(t)
-        return base + t.jets.const(bump(np.zeros(base.shape), _FUZZ_SIZE))
+        return base + t.jets.const(bump(np.zeros(base.shape), _FUZZ_SIZE, t.lead))
 
     def at(self, read: tuple[int, int]) -> "_Bumped":
         return _Bumped(self.conn.at(read), self.part)
@@ -486,33 +488,47 @@ def theorem_residuals(
       ``u_k phi^i_j - u_j phi^i_k``.
     * ``condition-(iv)``: the lowered vertical coefficients are totally
       symmetric.
+
+    The rows are computed once over the point's batch
+    (:func:`~finslerconn.deformation.point_rows`).
     """
     t = F.tower(point, _THEOREM_ORDER)
-    d, conn = deformed_at(params, t, _THEOREM_READ, conn)
-    g = t.g.val
-    f1 = float(d.f1.val)
-    f2 = float(d.f2.val)
+    return point_rows(
+        t, (params, conn, "theorem-rows"), lambda src: _theorem_rows(params, src, conn)
+    )
+
+
+def _theorem_rows(params: DeformationParams, src: Tower | _Batch, conn: Connection | None) -> dict:
+    """:func:`theorem_residuals` on a tower or over a batch."""
+    lead = src.lead
+    spec = lambda s: lead_spec(s, lead)
+    d, conn = deformed_at(params, src, _THEOREM_READ, conn)
+    g = src.g.val
+    # the weights broadcast over each point's (j, k, l) block
+    f1, f2 = (v[(Ellipsis,) + (None,) * 3] for v in (d.f1.val, d.f2.val))
     A, B, u, phi = d.A.val, d.B.val, d.u.val, d.phi.val
 
-    deficit_h = metric_deficit(conn, t, horizontal=True).val
-    closed_h = (2.0 * f1) * np.einsum("j,kl->jkl", A, g) + f2 * (
-        np.einsum("k,lj->jkl", B, g) + np.einsum("l,jk->jkl", B, g)
+    deficit_h = metric_deficit(conn, src, horizontal=True).val
+    closed_h = (2.0 * f1) * np.einsum(spec("j,kl->jkl"), A, g) + f2 * (
+        np.einsum(spec("k,lj->jkl"), B, g) + np.einsum(spec("l,jk->jkl"), B, g)
     )
-    deficit_v = metric_deficit(conn, t, horizontal=False).val
-    hh = torsions(conn, t).hh.val
-    quarter = np.einsum("k,ij->ijk", u, phi) - np.einsum("j,ik->ijk", u, phi)
-    lowered = np.einsum("mi,mjk->ijk", g, conn.V(t).val)
-    symmetry = worst_residual((
-        relative_residual(lowered - lowered.transpose(1, 0, 2), lowered),
-        relative_residual(lowered - lowered.transpose(0, 2, 1), lowered),
-    ))
+    deficit_v = metric_deficit(conn, src, horizontal=False).val
+    hh = torsions(conn, src).hh.val
+    quarter = np.einsum(spec("k,ij->ijk"), u, phi) - np.einsum(spec("j,ik->ijk"), u, phi)
+    lowered = np.einsum(spec("mi,mjk->ijk"), g, conn.V(src).val)
+    # both asymmetries against one scale: the larger of their two residuals
+    swaps = ((1, 0, 2), (0, 2, 1))
+    asymmetry = np.stack(
+        [lowered - lowered.transpose(*range(lead), *(lead + a for a in axes)) for axes in swaps],
+        axis=lead,
+    )
     return {
         "condition-(i)-horizontal-deficit": relative_residual(
-            deficit_h - closed_h, deficit_h, closed_h
+            deficit_h - closed_h, deficit_h, closed_h, lead=lead
         ),
-        "condition-(ii)-vertical-deficit": relative_residual(deficit_v, g),
-        "condition-(iii)-quarter-torsion": relative_residual(hh - quarter, hh, quarter),
-        "condition-(iv)-vertical-symmetry": symmetry,
+        "condition-(ii)-vertical-deficit": relative_residual(deficit_v, g, lead=lead),
+        "condition-(iii)-quarter-torsion": relative_residual(hh - quarter, hh, quarter, lead=lead),
+        "condition-(iv)-vertical-symmetry": relative_residual(asymmetry, lowered, lead=lead),
     }
 
 

@@ -19,21 +19,32 @@ point's view of it is compared the same way with the data on the lone
 tower, value by value and stage by stage, for random and preset packs, and
 in a batch where one point's field fails.
 
+The theorem, construction, torsion and curvature rows are computed once
+per batch as well, and each point's rows are compared with the rows on its
+lone tower as int64 bits, clean and with the fuzz suites' bumped
+connection, for the same packs and in a batch where one point's field
+fails; the relative residual with a point axis has, point by point, the
+bits of the call on each point's slice.
+
 Dropped batches are freed by reference counting, and in a small battery,
 clean and fuzzed, each suite builds one batch per order it declares over
 the points it reads, serves every per-point request from it, and builds
-one deformation per (pack, batch, read ring).  The finite-difference
-stencils' energies are one norm evaluation with the bits of one evaluation
-per energy.
+one deformation per (pack, batch, read ring) and, in the four row suites,
+one set of rows per (pack or connection, batch), reading no torsion or
+metric deficit per point.  The finite-difference stencils' energies are
+one norm evaluation with the bits of one evaluation per energy.
 """
 
 import gc
+import math
 import weakref
 from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finslerconn import cases, cli, deformation, finsler, processes, samples, verify
 from finslerconn.ad import ChartJets
@@ -41,6 +52,7 @@ from finslerconn.connection import CARTAN, curvature_v
 from finslerconn.deformation import (
     DeformationData,
     DeformationParams,
+    build,
     deformation_data,
     parameter_field,
     relative_residual,
@@ -400,6 +412,156 @@ def test_a_field_failing_at_one_point_raises_its_own_error_and_the_others_are_se
     # the batch keeps the failed build's mark; its towers are still one batch
     assert views[0]._batch.cache[(params, "deformation-data", (0, 0))] is deformation._SPLIT
     assert views[0]._batch.parts is None
+
+
+# finite values, both infinities and NaN
+_VALUES = st.one_of(st.floats(allow_nan=False, width=64), st.just(math.nan))
+
+
+@st.composite
+def _point_arrays(draw):
+    """A difference and participants with one point axis of 2-4 points
+    in front; the participants may be empty or none."""
+    points = draw(st.integers(2, 4))
+
+    def array(least):
+        shape = tuple(draw(st.lists(st.integers(least, 3), max_size=3)))
+        size = points * math.prod(shape)
+        values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape((points,) + shape)
+
+    return array(1), [array(0) for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_arrays())
+@example((np.array([[1.0, -2.0], [np.inf, 0.5]]), [np.zeros((2, 0)), np.zeros((2, 3, 0))]))
+@example((np.array([[np.nan], [-np.inf]]), [np.array([np.inf, 1.0])]))
+def test_relative_residual_per_point_has_the_bits_of_each_slice(arrays):
+    diff, refs = arrays
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN on both paths
+        got = relative_residual(diff, *refs, lead=1)
+        want = [relative_residual(diff[i], *(r[i] for r in refs)) for i in range(len(diff))]
+    assert isinstance(want[0], float) and got.shape == (len(diff),)
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+# the readers whose rows are computed once per batch: reader -> (per-point
+# function, its tower order, the block the fuzz suites bump, its memo name)
+ROW_READERS = {
+    "theorem": (verify.theorem_residuals, verify._THEOREM_ORDER, "hor", "theorem-rows"),
+    "construction": (
+        deformation.construction_residuals, deformation._CONSTRUCTION_ORDER, "hor",
+        "construction-rows",
+    ),
+    "torsions": (
+        deformation.torsion_relations, deformation._TORSION_ORDER, "ver", "torsion-rows"
+    ),
+    "curvatures": (
+        deformation.curvature_relations, deformation._CURVATURE_ORDER, "ver", "curvature-rows"
+    ),
+}
+
+
+def _row_bits(rows) -> dict:
+    """Each row's residual as int64 bits."""
+    return {label: int(np.float64(value).view(np.int64)) for label, value in rows.items()}
+
+
+def _rows_or_error(fn, params, F, point, conn):
+    try:
+        return _row_bits(fn(params, F, point, conn=conn))
+    except Exception as err:  # compared with the lone tower's error
+        return (type(err), str(err))
+
+
+def _lone_rows(fn, F, point, params, conn):
+    """The rows on the lone tower of a fresh structure (bound: the Ricci field reads it)."""
+    structure = FinslerStructure(F.n, F.norm, F.name)
+    return _rows_or_error(fn, params, structure, point, conn)
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+@pytest.mark.parametrize("name", ["randers", "hyperbolic", "quartic3d"])
+def test_every_point_of_batch_rows_reads_its_lone_rows_bits(name, reader):
+    F = {"randers": samples.randers(), **METRICS}[name]
+    fn, order, block, memo_name = ROW_READERS[reader]
+    points = sample_points(F, SamplePlan(), 3, "batch-rows")
+    for label, params in _packs(F).items():
+        for conn in (None, verify._perturbed(build(params), block)):
+            views = F.towers(points, order)
+            got = [_rows_or_error(fn, params, F, p, conn) for p in points]
+            want = [_lone_rows(fn, F, p, params, conn) for p in points]
+            assert all(isinstance(rows, dict) for rows in want) and got == want, (label, conn)
+            # one build over the batch, each point a slice of it
+            rows = views[0]._batch.cache[(params, conn, memo_name)]
+            assert all(np.shape(value) == (3,) for value in rows.values()), (label, conn)
+            assert views[0]._batch.parts is None and not any(v.cache for v in views)
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_rows_failing_at_one_point_raise_its_own_error_and_the_others_are_served(reader):
+    F = samples.randers()
+    fn, order, _, memo_name = ROW_READERS[reader]
+    # x1 > 0 but at the third point, where log(x1) fails
+    points = [
+        ChartPoint([-0.25 if k == 2 else abs(p.x[0]) + 0.05, p.x[1]], p.y)
+        for k, p in enumerate(sample_points(F, SamplePlan(), 5, "batch-rows-fail"))
+    ]
+    params = replace(DeformationParams.zero(2), f1=parameter_field("f1", "log(x1)", 2))
+    views = F.towers(points, order)
+    got = [_rows_or_error(fn, params, F, p, None) for p in points]  # the build fails at point 0
+    want = [_lone_rows(fn, F, p, params, None) for p in points]
+    assert got[2][0] is finsler.DomainError and "parameter f1 cannot be evaluated" in got[2][1]
+    assert got == want
+    assert all(isinstance(got[k], dict) for k in (0, 1, 3, 4))
+    # the batch keeps the failed build's mark; its towers are still one batch
+    assert views[0]._batch.cache[(params, None, memo_name)] is deformation._SPLIT
+    assert views[0]._batch.parts is None
+
+
+def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
+    count = 3
+    running = _tracking_suites(monkeypatch)
+    builds, lone = [], []
+    for module, name in (
+        (verify, "_theorem_rows"), (deformation, "_construction_rows"),
+        (deformation, "_torsion_rows"), (deformation, "_curvature_rows"),
+    ):
+        formula = getattr(module, name)
+
+        def recording(params, src, conn, __formula=formula, __name=name):
+            if isinstance(src, finsler._Batch):
+                builds.append((running[-1], __name, src, params, conn))
+            return __formula(params, src, conn)
+
+        monkeypatch.setattr(module, name, recording)
+    for module, name in ((verify, "metric_deficit"), (verify, "torsions"), (deformation, "torsions")):
+        function = getattr(module, name)
+
+        def per_point(conn, t, *args, __function=function, __name=name, **kwargs):
+            if isinstance(t, finsler.Tower) and t._batch.lead and t._batch.parts is None:
+                lone.append((running[-1] if running else None, __name))
+            return __function(conn, t, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, per_point)
+    for fuzz in (False, True):
+        builds.clear()
+        lone.clear()
+        metrics = [samples.randers(), samples.hyperbolic()]
+        run_all(metrics, _small_plan(count), fuzz=fuzz)
+
+        # the rows suites read no torsion or deficit per point; the Bianchi
+        # and process suites still do
+        assert {name.split("[")[0] for name, _ in lone} <= {"bianchi", "processes"}
+        want = {"theorem": 2, "construction": 1, "torsions": 1, "curvatures": 1}  # packs
+        for F in metrics:
+            for suite, count_builds in want.items():
+                mine = [b for b in builds if b[0] == f"{suite}[{F.name}]"]
+                assert len(mine) == count_builds, (fuzz, suite)
+                assert len({(id(src), id(p), id(c)) for _, _, src, p, c in mine}) == count_builds
+                assert all(len(src.points) == count for _, _, src, _, _ in mine)
+                assert all((c is not None) == fuzz for *_, c in mine)
 
 
 def _old_fd_energy_rows(F, point):

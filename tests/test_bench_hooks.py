@@ -91,6 +91,39 @@ def test_tower_and_ring_hooks_keep_their_shape():
         assert rg.nvars - 1 in rg._diff_cache
 
 
+def _parameters(fn) -> list:
+    """Each parameter's name, with its default where it has one."""
+    return [
+        name if param.default is inspect.Parameter.empty else (name, param.default)
+        for name, param in inspect.signature(fn).parameters.items()
+    ]
+
+
+def test_point_and_layer_functions_keep_their_signatures():
+    # point_p50_ref times one call of each point function per sample point,
+    # and the connection.* layers wrap these functions by name: a reader that
+    # took a batch or a connection function that changed its arguments would
+    # silently change what those numbers measure
+    reader = ["params", "F", "point", ("conn", None)]
+    pinned = {
+        ("verify", "theorem_residuals"): reader,
+        ("deformation", "construction_residuals"): reader,
+        ("deformation", "torsion_relations"): reader,
+        ("deformation", "curvature_relations"): reader,
+        ("connection", "torsions"): ["conn", "t"],
+        ("connection", "curvature_h"): ["conn", "t"],
+        ("connection", "curvature_mixed"): ["conn", "t"],
+        ("connection", "curvature_v"): ["conn", "t"],
+        ("connection", "cov_deriv"): ["conn", "t", "W", "horizontal"],
+        ("connection", "metric_deficit"): ["conn", "t", "horizontal"],
+    }
+    assert set(pinned) <= set(spans.POINT_FUNCTIONS) | set(spans.LAYER_FUNCTIONS)
+    assert {key for key in spans.LAYER_FUNCTIONS if key[0] == "connection"} <= set(pinned)
+    for (module, name), params in pinned.items():
+        fn = getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), name)
+        assert _parameters(fn) == params, f"{module}.{name}"
+
+
 def _run_traced(script: str) -> None:
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(

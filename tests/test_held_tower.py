@@ -6,11 +6,13 @@ the read-ring views of connections, the process families of packs) and on
 the tower's batch (the deformation data over all its points) under a key
 its caller holds, so a caller that holds the batch's towers between calls
 meets the same entries again, and the memos stop growing after the first
-call.  Each reader is called three times at one of two Randers points whose
-towers of the reader's order are held as one batch, with the first random
-pack; the fuzz rows pass the connection the fuzz suites build once per
-pack.  The case checks build a new pack on every call and keep its data
-nowhere.
+call.  Each reader is called three times at each of two Randers points
+whose towers of the reader's order are held as one batch, with the first
+random pack; the fuzz rows pass the connection the fuzz suites build once
+per pack.  The theorem, construction, torsion and curvature readers compute
+their rows once over the batch and keep them in the batch's memo, so they
+memoize nothing on a tower.  The case checks build a new pack on every call
+and keep its data nowhere.
 """
 
 import pytest
@@ -53,6 +55,9 @@ READERS = {
     "case-03": (cases._WORKSPACE_ORDER, lambda F, pack, p, conn: cases.check_case(3, F, [p])),
 }
 
+# the readers whose rows are computed over the batch, each point reading its slice
+BATCHED = {"theorem", "theorem-fuzz", "construction", "torsions", "curvatures"}
+
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_held_tower_memo_keeps_its_size(reader):
@@ -67,10 +72,13 @@ def test_held_tower_memo_keeps_its_size(reader):
     assert batch.lead and towers[1]._batch is batch
     sizes = []
     for _ in range(3):
-        call(F, pack, points[0], conn)
-        sizes.append((len(t.cache), len(batch.cache)))
+        for p in points:
+            call(F, pack, p, conn)
+        sizes.append((len(t.cache), len(towers[1].cache), len(batch.cache)))
     if reader.startswith("case"):
-        assert sizes[0] == (0, 0)  # each call's data is kept nowhere
-    else:  # the reader memoizes on the tower and the batch held here
-        assert sizes[0][0] > 0 and sizes[0][1] > 0
+        assert sizes[0] == (0, 0, 0)  # each call's data is kept nowhere
+    elif reader in BATCHED:  # the rows and all they read live in the batch's memo
+        assert sizes[0][:2] == (0, 0) and sizes[0][2] > 0
+    else:  # the reader memoizes on the towers and the batch held here
+        assert sizes[0][0] > 0 and sizes[0][1] > 0 and sizes[0][2] > 0
     assert sizes == sizes[:1] * 3

@@ -16,7 +16,10 @@ module pins all twenty-six members of that catalog:
   they are evaluated on, so one pack serves every structure of that
   dimension.
 * :func:`check_case` builds the deformation and compares its difference
-  tensor against the closed form at given points; the verdict against the
+  tensor against the closed form at given points, once over the batch
+  their towers share: the workspace holds every value with the point axis
+  in front, and the closed forms index with ``...`` in front, so the same
+  arithmetic serves one point or a batch.  The verdict against the
   configured tolerance is :func:`finslerconn.verify.check_cases`'s.
 
 Four entries (ids 11-14) carry a ``printed`` closed form besides the
@@ -47,10 +50,11 @@ import numpy as np
 from .ad import Constant, Field, Series, contract
 from .connection import RicciEndomorphism
 from .deformation import (
+    _SPLIT,
     DeformationData,
     DeformationParams,
+    _batch_build,
     bump,
-    deformation_views,
     parameter_field,
     relative_residual,
     worst_residual,
@@ -115,40 +119,48 @@ data is read in (:class:`~finslerconn.deformation.DeformationData`)."""
 
 
 class _Workspace:
-    """Values of the tower and deformation data at one chart point.
+    """Values of the tower and deformation data at one chart point, or at
+    every point of a batch.
 
     The closed forms below are pure index gymnastics on these arrays, laid
     out ``[i, j, k]`` with ``i`` the output component, ``j`` the frame index
-    of the first slot and ``k`` contracting the second-slot vector.
+    of the first slot and ``k`` contracting the second-slot vector.  Over a
+    batch every array carries the point axis in front of that layout and
+    each scalar is a ``(points, 1, 1, 1)`` array, so a closed form written
+    with ``...`` in front of every index computes each point's tensor with
+    the bits of the point alone.
     """
 
-    def __init__(
-        self, params: DeformationParams, F: FinslerStructure, point: ChartPoint, d=None
-    ):
-        """``d`` is the point's deformation data, built on its tower when
-        not given; read once and copied out, so not memoized: each call has
-        its own pack."""
-        t = F.tower(point, _WORKSPACE_ORDER)
-        if d is None:
-            d = DeformationData(params, t, _WORKSPACE_READ)
+    def __init__(self, params: DeformationParams, F: FinslerStructure, where):
+        """``where`` is a chart point (read on its tower), a tower, or a
+        batch of more than one point.  The data is built here, read once
+        and copied out, so not memoized: each call has its own pack."""
+        src = F.tower(where, _WORKSPACE_ORDER) if isinstance(where, ChartPoint) else where
+        d = DeformationData(params, src, _WORKSPACE_READ)
+        if src.lead:
+            scalar = lambda s: s.val[..., None, None, None]
+            y = [p.y for p in src.points]
+        else:
+            scalar = lambda s: float(s.val)
+            y = src.point.y
         self.n = F.n
-        self.g = t.g.val
-        self.Tm = t.T_mix.val
-        self.Tl = t.T_low.val
-        self.ell = t.ell.val
-        self.L = float(t.L.val)
-        self.L2 = float(t.L2.val)
-        self.y = np.asarray(point.y, dtype=float)
+        self.g = src.g.val
+        self.Tm = src.T_mix.val
+        self.Tl = src.T_low.val
+        self.ell = src.ell.val
+        self.L = scalar(src.L)
+        self.L2 = scalar(src.L2)
+        self.y = np.asarray(y, dtype=float)
         self.eye = np.eye(self.n)
-        self.f1 = float(d.f1.val)
-        self.f2 = float(d.f2.val)
+        self.f1 = scalar(d.f1)
+        self.f2 = scalar(d.f2)
         self.A = d.A.val
         self.B = d.B.val
         self.u = d.u.val
         self.avec = d.avec.val
         self.bvec = d.bvec.val
         self.uvec = d.uvec.val
-        self.u_eta = float(d.u_eta.val)
+        self.u_eta = scalar(d.u_eta)
         self.phi1 = d.phi1.val
         self.phi2 = d.phi2.val
         self.gphi1 = d.gphi1.val
@@ -156,7 +168,7 @@ class _Workspace:
         self.phi2_eta = d.phi2_eta.val
         self.w = d.w.val
         self.ell_phi1 = d.ell_phi1.val
-        self.ell_phi1_eta = float(d.ell_phi1_eta.val)
+        self.ell_phi1_eta = scalar(d.ell_phi1_eta)
         self.S = d.S.val
         self.difference = d.difference.val
 
@@ -164,15 +176,15 @@ class _Workspace:
 
     def tv(self, v: np.ndarray) -> np.ndarray:
         """``T(v, e_j)^i`` as an [i, j] array."""
-        return np.einsum("ipj,p->ij", self.Tm, v)
+        return np.einsum("...ipj,...p->...ij", self.Tm, v)
 
     def tl3(self, v: np.ndarray) -> np.ndarray:
         """Totally lowered ``T(v, e_j, e_k)`` as a [j, k] array."""
-        return np.einsum("pjk,p->jk", self.Tl, v)
+        return np.einsum("...pjk,...p->...jk", self.Tl, v)
 
     def s_second(self, v: np.ndarray) -> np.ndarray:
         """``S(e_j, v)Y`` as an [i, j, k] array (v in the second slot)."""
-        return np.einsum("ikjb,b->ijk", self.S, v)
+        return np.einsum("...ikjb,...b->...ijk", self.S, v)
 
     def s_first(self, v: np.ndarray) -> np.ndarray:
         """``S(v, e_j)Y``; the vertical curvature is slot-antisymmetric."""
@@ -180,19 +192,19 @@ class _Workspace:
 
     def tt_outer(self, c: np.ndarray) -> np.ndarray:
         """``T(T(e_j, Y), c)`` as an [i, j, k] array."""
-        return np.einsum("ipq,pjk,q->ijk", self.Tm, self.Tm, c)
+        return np.einsum("...ipq,...pjk,...q->...ijk", self.Tm, self.Tm, c)
 
     def tt_inner(self, c: np.ndarray) -> np.ndarray:
         """``T(T(c, Y), e_j)`` as an [i, j, k] array."""
-        return np.einsum("ipj,pqk,q->ijk", self.Tm, self.Tm, c)
+        return np.einsum("...ipj,...pqk,...q->...ijk", self.Tm, self.Tm, c)
 
     def tm1(self) -> np.ndarray:
         """``T(phi1 Y, e_j)`` as an [i, j, k] array."""
-        return np.einsum("ipj,pk->ijk", self.Tm, self.phi1)
+        return np.einsum("...ipj,...pk->...ijk", self.Tm, self.phi1)
 
     def mt1(self) -> np.ndarray:
         """``phi1(T(e_j, Y))`` as an [i, j, k] array."""
-        return np.einsum("ip,pjk->ijk", self.phi1, self.Tm)
+        return np.einsum("...ip,...pjk->...ijk", self.phi1, self.Tm)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +216,11 @@ def _a_block(ws: _Workspace, cov: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """First-weight block: g(.,Y)v - cov(.)Y - cov(Y). - L l(Y)T(v,.)
     + T(v,.,Y) eta + L^2 S(., v)Y."""
     return (
-        vec[:, None, None] * ws.g[None, :, :]
-        - cov[None, :, None] * ws.eye[:, None, :]
-        - cov[None, None, :] * ws.eye[:, :, None]
-        - ws.L * ws.tv(vec)[:, :, None] * ws.ell[None, None, :]
-        + ws.y[:, None, None] * ws.tl3(vec)[None, :, :]
+        vec[..., :, None, None] * ws.g[..., None, :, :]
+        - cov[..., None, :, None] * ws.eye[..., :, None, :]
+        - cov[..., None, None, :] * ws.eye[..., :, :, None]
+        - ws.L * ws.tv(vec)[..., :, :, None] * ws.ell[..., None, None, :]
+        + ws.y[..., :, None, None] * ws.tl3(vec)[..., None, :, :]
         + ws.L2 * ws.s_second(vec)
     )
 
@@ -218,11 +230,11 @@ def _a_block_exp(ws: _Workspace, cov: np.ndarray, vec: np.ndarray) -> np.ndarray
     quadratic identity S(., v)Y = T(T(v,Y),.) - T(T(.,Y),v), matching the
     displays that print it that way."""
     return (
-        vec[:, None, None] * ws.g[None, :, :]
-        - cov[None, :, None] * ws.eye[:, None, :]
-        - cov[None, None, :] * ws.eye[:, :, None]
-        - ws.L * ws.tv(vec)[:, :, None] * ws.ell[None, None, :]
-        + ws.y[:, None, None] * ws.tl3(vec)[None, :, :]
+        vec[..., :, None, None] * ws.g[..., None, :, :]
+        - cov[..., None, :, None] * ws.eye[..., :, None, :]
+        - cov[..., None, None, :] * ws.eye[..., :, :, None]
+        - ws.L * ws.tv(vec)[..., :, :, None] * ws.ell[..., None, None, :]
+        + ws.y[..., :, None, None] * ws.tl3(vec)[..., None, :, :]
         + ws.L2 * (ws.tt_inner(vec) - ws.tt_outer(vec))
     )
 
@@ -238,9 +250,9 @@ def _b_block(
     """
     sv = vec if s_vec is None else s_vec
     return (
-        vec[:, None, None] * ws.g[None, :, :]
-        - ws.L * ws.tv(vec)[:, :, None] * ws.ell[None, None, :]
-        + ws.y[:, None, None] * ws.tl3(vec)[None, :, :]
+        vec[..., :, None, None] * ws.g[..., None, :, :]
+        - ws.L * ws.tv(vec)[..., :, :, None] * ws.ell[..., None, None, :]
+        + ws.y[..., :, None, None] * ws.tl3(vec)[..., None, :, :]
         + ws.L2 * ws.s_second(sv)
     )
 
@@ -248,9 +260,9 @@ def _b_block(
 def _b_block_exp(ws: _Workspace, vec: np.ndarray) -> np.ndarray:
     """Second-weight block with the expanded quadratic curvature term."""
     return (
-        vec[:, None, None] * ws.g[None, :, :]
-        - ws.L * ws.tv(vec)[:, :, None] * ws.ell[None, None, :]
-        + ws.y[:, None, None] * ws.tl3(vec)[None, :, :]
+        vec[..., :, None, None] * ws.g[..., None, :, :]
+        - ws.L * ws.tv(vec)[..., :, :, None] * ws.ell[..., None, None, :]
+        + ws.y[..., :, None, None] * ws.tl3(vec)[..., None, :, :]
         + ws.L2 * (ws.tt_inner(vec) - ws.tt_outer(vec))
     )
 
@@ -258,34 +270,34 @@ def _b_block_exp(ws: _Workspace, vec: np.ndarray) -> np.ndarray:
 def _phi_tail_full(ws: _Workspace) -> np.ndarray:
     """The torsion-weight terms with a general endomorphism."""
     uv = ws.uvec
-    out = -(ws.gphi1 + ws.tl3(ws.phi2_eta))[None, :, :] * uv[:, None, None]
-    out -= ws.u[None, :, None] * ws.phi2[:, None, :]
-    out += ws.L * ws.tv(uv)[:, :, None] * ws.ell_phi1[None, None, :]
+    out = -(ws.gphi1 + ws.tl3(ws.phi2_eta))[..., None, :, :] * uv[..., :, None, None]
+    out -= ws.u[..., None, :, None] * ws.phi2[..., :, None, :]
+    out += ws.L * ws.tv(uv)[..., :, :, None] * ws.ell_phi1[..., None, None, :]
     out -= ws.u_eta * (ws.s_first(ws.w) + ws.tm1() - ws.mt1())
-    out += (ws.tv(ws.phi2_eta) + ws.phi1)[:, :, None] * ws.u[None, None, :]
+    out += (ws.tv(ws.phi2_eta) + ws.phi1)[..., :, :, None] * ws.u[..., None, None, :]
     out += ws.L * ws.ell_phi1_eta * ws.s_first(uv)
-    out -= ws.tl3(uv)[None, :, :] * ws.phi1_eta[:, None, None]
+    out -= ws.tl3(uv)[..., None, :, :] * ws.phi1_eta[..., :, None, None]
     return out
 
 
 def _phi_tail_sym(ws: _Workspace) -> np.ndarray:
     """The torsion-weight terms when the weight is g-symmetric."""
     uv = ws.uvec
-    out = -ws.gphi1[None, :, :] * uv[:, None, None]
-    out += ws.L * ws.tv(uv)[:, :, None] * ws.ell_phi1[None, None, :]
+    out = -ws.gphi1[..., None, :, :] * uv[..., :, None, None]
+    out += ws.L * ws.tv(uv)[..., :, :, None] * ws.ell_phi1[..., None, None, :]
     out -= ws.u_eta * (ws.s_first(ws.phi1_eta) + ws.tm1() - ws.mt1())
-    out += ws.phi1[:, :, None] * ws.u[None, None, :]
+    out += ws.phi1[..., :, :, None] * ws.u[..., None, None, :]
     out += ws.L * ws.ell_phi1_eta * ws.s_first(uv)
-    out -= ws.tl3(uv)[None, :, :] * ws.phi1_eta[:, None, None]
+    out -= ws.tl3(uv)[..., None, :, :] * ws.phi1_eta[..., :, None, None]
     return out
 
 
 def _phi_tail_antisym(ws: _Workspace) -> np.ndarray:
     """The torsion-weight terms when the weight is g-antisymmetric."""
     uv = ws.uvec
-    out = -ws.tl3(ws.phi2_eta)[None, :, :] * uv[:, None, None]
-    out -= ws.u[None, :, None] * ws.phi2[:, None, :]
-    out += ws.tv(ws.phi2_eta)[:, :, None] * ws.u[None, None, :]
+    out = -ws.tl3(ws.phi2_eta)[..., None, :, :] * uv[..., :, None, None]
+    out -= ws.u[..., None, :, None] * ws.phi2[..., :, None, :]
+    out += ws.tv(ws.phi2_eta)[..., :, :, None] * ws.u[..., None, None, :]
     out += ws.u_eta * ws.s_first(ws.phi2_eta)
     return out
 
@@ -293,11 +305,11 @@ def _phi_tail_antisym(ws: _Workspace) -> np.ndarray:
 def _id_tail(ws: _Workspace) -> np.ndarray:
     """The torsion-weight terms when the weight is the identity."""
     uv = ws.uvec
-    out = -uv[:, None, None] * ws.g[None, :, :]
-    out += ws.eye[:, :, None] * ws.u[None, None, :]
-    out += ws.L * ws.tv(uv)[:, :, None] * ws.ell[None, None, :]
+    out = -uv[..., :, None, None] * ws.g[..., None, :, :]
+    out += ws.eye[..., :, :, None] * ws.u[..., None, None, :]
+    out += ws.L * ws.tv(uv)[..., :, :, None] * ws.ell[..., None, None, :]
     out += ws.L2 * (ws.tt_outer(uv) - ws.tt_inner(uv))
-    out -= ws.y[:, None, None] * ws.tl3(uv)[None, :, :]
+    out -= ws.y[..., :, None, None] * ws.tl3(uv)[..., None, :, :]
     return out
 
 
@@ -309,13 +321,13 @@ def _id_tail(ws: _Workspace) -> np.ndarray:
 def _delta_1(ws: _Workspace) -> np.ndarray:
     av = ws.avec
     out = -ws.f1 * (
-        ws.A[None, :, None] * ws.eye[:, None, :]
-        + ws.A[None, None, :] * ws.eye[:, :, None]
+        ws.A[..., None, :, None] * ws.eye[..., :, None, :]
+        + ws.A[..., None, None, :] * ws.eye[..., :, :, None]
     )
-    out += av[:, None, None] * ws.g[None, :, :]
-    out -= ws.L * ws.tv(av)[:, :, None] * ws.ell[None, None, :]
+    out += av[..., :, None, None] * ws.g[..., None, :, :]
+    out -= ws.L * ws.tv(av)[..., :, :, None] * ws.ell[..., None, None, :]
     out += ws.L2 * ws.s_second(av)
-    out += ws.y[:, None, None] * ws.tl3(av)[None, :, :]
+    out += ws.y[..., :, None, None] * ws.tl3(av)[..., None, :, :]
     return out + _phi_tail_full(ws)
 
 
@@ -342,17 +354,17 @@ def _delta_7(ws: _Workspace) -> np.ndarray:
 def _delta_8(ws: _Workspace) -> np.ndarray:
     # Printed with the metric and weight g-terms merged: g(. - phi1(.), Y)u.
     uv = ws.uvec
-    out = (ws.g - ws.gphi1)[None, :, :] * uv[:, None, None]
-    out -= ws.u[None, :, None] * ws.eye[:, None, :]
-    out -= ws.u[None, None, :] * ws.eye[:, :, None]
-    out -= ws.L * ws.tv(uv)[:, :, None] * ws.ell[None, None, :]
-    out += ws.y[:, None, None] * ws.tl3(uv)[None, :, :]
+    out = (ws.g - ws.gphi1)[..., None, :, :] * uv[..., :, None, None]
+    out -= ws.u[..., None, :, None] * ws.eye[..., :, None, :]
+    out -= ws.u[..., None, None, :] * ws.eye[..., :, :, None]
+    out -= ws.L * ws.tv(uv)[..., :, :, None] * ws.ell[..., None, None, :]
+    out += ws.y[..., :, None, None] * ws.tl3(uv)[..., None, :, :]
     out += ws.L2 * ws.s_second(uv)
-    out += ws.L * ws.tv(uv)[:, :, None] * ws.ell_phi1[None, None, :]
+    out += ws.L * ws.tv(uv)[..., :, :, None] * ws.ell_phi1[..., None, None, :]
     out -= ws.u_eta * (ws.s_first(ws.phi1_eta) + ws.tm1() - ws.mt1())
-    out += ws.phi1[:, :, None] * ws.u[None, None, :]
+    out += ws.phi1[..., :, :, None] * ws.u[..., None, None, :]
     out += ws.L * ws.ell_phi1_eta * ws.s_first(uv)
-    out -= ws.tl3(uv)[None, :, :] * ws.phi1_eta[:, None, None]
+    out -= ws.tl3(uv)[..., None, :, :] * ws.phi1_eta[..., :, None, None]
     return out
 
 
@@ -386,8 +398,8 @@ def _delta_15(ws: _Workspace) -> np.ndarray:
 
 def _delta_16(ws: _Workspace) -> np.ndarray:
     return (
-        -(1.0 / ws.L) * ws.y[:, None, None] * ws.g[None, :, :]
-        + ws.eye[:, :, None] * ws.ell[None, None, :]
+        -(1.0 / ws.L) * ws.y[..., :, None, None] * ws.g[..., None, :, :]
+        + ws.eye[..., :, :, None] * ws.ell[..., None, None, :]
     )
 
 
@@ -401,9 +413,9 @@ def _delta_18(ws: _Workspace) -> np.ndarray:
 
 def _delta_19(ws: _Workspace) -> np.ndarray:
     return -0.5 * (
-        (1.0 / ws.L) * ws.y[:, None, None] * ws.g[None, :, :]
-        + ws.ell[None, :, None] * ws.eye[:, None, :]
-        - ws.ell[None, None, :] * ws.eye[:, :, None]
+        (1.0 / ws.L) * ws.y[..., :, None, None] * ws.g[..., None, :, :]
+        + ws.ell[..., None, :, None] * ws.eye[..., :, None, :]
+        - ws.ell[..., None, None, :] * ws.eye[..., :, :, None]
     )
 
 
@@ -416,7 +428,7 @@ def _delta_21(ws: _Workspace) -> np.ndarray:
 
 
 def _delta_22(ws: _Workspace) -> np.ndarray:
-    return ws.eye[:, :, None] * ws.u[None, None, :]
+    return ws.eye[..., :, :, None] * ws.u[..., None, None, :]
 
 
 def _delta_23(ws: _Workspace) -> np.ndarray:
@@ -429,16 +441,16 @@ def _delta_24(ws: _Workspace) -> np.ndarray:
 
 def _delta_25(ws: _Workspace) -> np.ndarray:
     return (
-        ws.A[None, :, None] * ws.eye[:, None, :]
-        + ws.A[None, None, :] * ws.eye[:, :, None]
+        ws.A[..., None, :, None] * ws.eye[..., :, None, :]
+        + ws.A[..., None, None, :] * ws.eye[..., :, :, None]
     )
 
 
 def _delta_26(ws: _Workspace) -> np.ndarray:
     return 0.5 * (
-        (1.0 / ws.L) * ws.y[:, None, None] * ws.g[None, :, :]
-        - ws.ell[None, :, None] * ws.eye[:, None, :]
-        - ws.ell[None, None, :] * ws.eye[:, :, None]
+        (1.0 / ws.L) * ws.y[..., :, None, None] * ws.g[..., None, :, :]
+        - ws.ell[..., None, :, None] * ws.eye[..., :, None, :]
+        - ws.ell[..., None, None, :] * ws.eye[..., :, :, None]
     )
 
 
@@ -827,6 +839,23 @@ def closed_form_delta(
     return _require(case_id).delta(_Workspace(params, F, point))
 
 
+def _case_rows(
+    spec: CasePreset, params: DeformationParams, F: FinslerStructure, src, perturbation: float
+) -> dict:
+    """The residual of the built difference tensor against ``spec``'s closed
+    form on a tower, or per point over a batch, and the literal printed
+    form's as ``literal`` when it is evaluated (see :func:`check_case`)."""
+    lead = src.lead
+    ws = _Workspace(params, F, src)
+    built = bump(ws.difference, perturbation, lead)
+    target = spec.delta(ws)
+    rows = {"residual": relative_residual(built - target, built, target, lead=lead)}
+    if spec.typo and not perturbation:
+        printed = spec.printed(ws)
+        rows["literal"] = relative_residual(built - printed, built, printed, lead=lead)
+    return rows
+
+
 def check_case(
     case_id: int,
     F: FinslerStructure,
@@ -842,21 +871,30 @@ def check_case(
     against the configured ``cases`` tolerance.  ``perturbation`` shifts
     one entry of the built tensor before the comparison (the fuzz-injection
     hook); a perturbed run skips the literal forms and reports ``None``.
+
+    When ``points`` are the points of one batch of more than one point
+    (as a suite holds them), the comparison runs once over that batch and
+    each point reads its slice.  A lone point, points of several batches
+    or of part of one, a split batch and a batch whose comparison raised
+    compare point by point, so each point raises its own error.
     """
     spec = _require(case_id)
     params = preset(case_id, F, **default_free_choices(case_id, F, seed))
     pts = list(points)
     literal_forms = spec.typo and not perturbation
-    residuals, literal = [], []
     towers = F.towers(pts, _WORKSPACE_ORDER)  # held while their data is read
-    for p, d in zip(pts, deformation_views(params, towers, _WORKSPACE_READ)):
-        ws = _Workspace(params, F, p, d)
-        built = bump(ws.difference, perturbation)
-        target = spec.delta(ws)
-        residuals.append(relative_residual(built - target, built, target))
-        if literal_forms:
-            printed = spec.printed(ws)
-            literal.append(relative_residual(built - printed, built, printed))
+    batch = towers[0]._batch if towers else None
+    rows = _SPLIT
+    if (  # the points are one batch of more than one point: compare over it at once
+        batch is not None and batch.lead and batch.parts is None
+        and all(t._batch is batch for t in towers)
+        and len({t._index for t in towers}) == len(batch.points)
+    ):
+        rows = _batch_build(lambda: _case_rows(spec, params, F, batch, perturbation))
+    if rows is _SPLIT:
+        per_point = [_case_rows(spec, params, F, t, perturbation) for t in towers]
+    else:
+        per_point = [{key: value[t._index] for key, value in rows.items()} for t in towers]
     return {
         "id": spec.id,
         "title": spec.title,
@@ -865,8 +903,10 @@ def check_case(
         "points": len(pts),
         "typo": spec.typo,
         "convention": spec.convention,
-        "residual": worst_residual(residuals),
-        "literal_residual": worst_residual(literal) if literal_forms else None,
+        "residual": worst_residual(r["residual"] for r in per_point),
+        "literal_residual": (
+            worst_residual(r["literal"] for r in per_point) if literal_forms else None
+        ),
     }
 
 

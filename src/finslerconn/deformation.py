@@ -38,8 +38,9 @@ and :func:`curvature_relations` evaluate the residuals of the identities that
 tie the deformed torsions and curvatures back to the metric ones.
 
 Each per-point reader (:func:`construction_residuals`,
-:func:`torsion_relations`, :func:`curvature_relations`, and
-``verify.theorem_residuals``) is one formula over a tower or a batch of
+:func:`torsion_relations`, :func:`curvature_relations`,
+``verify.theorem_residuals``, ``verify.bianchi_residuals`` and
+``processes.diagram_residuals``) is one formula over a tower or a batch of
 towers: the rows over a batch are computed once, in the batch's memo, and
 each point's call returns its slice of them (:func:`point_rows`).
 """
@@ -49,7 +50,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -87,7 +88,6 @@ __all__ = [
     "DeformationParams",
     "DeformationData",
     "deformation_data",
-    "deformation_views",
     "parameter_field",
     "build",
     "deformed_at",
@@ -208,11 +208,11 @@ class DeformationData:
     the view is the point's slice of the batch's.  A tower alone (a batch
     of one) gets data built on itself, with no point axis, so the data is
     its own view.  A reader that reads a pack once, as the case checks do,
-    builds the data of its towers through :func:`deformation_views`, kept
-    nowhere.  The data holds its tower or batch only weakly (a strong
-    reference would make a cycle that only the cyclic collector frees), so
-    hold the tower while reading the data: a stage that reads a tower that
-    is gone raises ``ReferenceError``.
+    constructs the data over its batch directly and keeps it nowhere.  The
+    data holds its tower or batch only weakly (a strong reference would
+    make a cycle that only the cyclic collector frees), so hold the tower
+    while reading the data: a stage that reads a tower that is gone raises
+    ``ReferenceError``.
 
     Over a batch, every value and stage carries the batch's leading point
     axis, and each formula is the one-point formula with that axis in
@@ -639,14 +639,14 @@ def _batch_data(params: DeformationParams, batch: _Batch, read) -> DeformationDa
     return _batch_build(lambda: DeformationData(params, batch, read))
 
 
-def _point_data(params: DeformationParams, t: Tower, read, memo) -> DeformationData | _PointData:
-    """The data at ``t``'s point: its view of the data over its batch, which
-    ``memo(batch, make)`` keeps, or for a batch of one or a batch split at
-    its tower stages, data of its own."""
+def _point_data(params: DeformationParams, t: Tower, read, key) -> DeformationData | _PointData:
+    """The data at ``t``'s point: its view of the data over its batch, kept
+    in the batch's memo under ``key``, or for a batch of one or a batch
+    split at its tower stages, data of its own."""
     batch = t._batch
     data = _SPLIT
     if batch.lead and batch.parts is None:
-        data = memo(batch, lambda: _batch_data(params, batch, read))
+        data = batch.memo(key, lambda: _batch_data(params, batch, read))
     return DeformationData(params, t, read) if data is _SPLIT else _PointData(data, t._index)
 
 
@@ -668,23 +668,7 @@ def deformation_data(
         if data is _SPLIT:
             raise _SplitBuild(f"the data of {params.name or 'a pack'} fails at a point of the batch")
         return data
-    return t.memo(key, lambda: _point_data(params, t, read, lambda b, make: b.memo(key, make)))
-
-
-def deformation_views(
-    params: DeformationParams, towers: Sequence[Tower], read: tuple[int, int] | None = None
-) -> list[DeformationData | _PointData]:
-    """The data of ``params`` at each tower's point, as :func:`deformation_data`
-    gives it but kept nowhere: one build per batch the towers share, for a
-    reader that reads a pack once."""
-    builds: dict = {}
-
-    def memo(batch, make):
-        if batch not in builds:
-            builds[batch] = make()
-        return builds[batch]
-
-    return [_point_data(params, t, read, memo) for t in towers]
+    return t.memo(key, lambda: _point_data(params, t, read, key))
 
 
 class _Stage:

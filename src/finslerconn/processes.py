@@ -18,6 +18,13 @@ the four process edges of the deformed square, the four process edges of
 the classical square (whose targets are built independently from tower
 data), and the five collapse edges joining the two squares under zero
 parameters.
+
+Every connection here, and each process, takes a tower or a batch of
+towers (:class:`~finslerconn.finsler._Batch`, the point axis in front, as
+in :mod:`finslerconn.connection`), so the diagram's rows are one formula
+over either: computed once per (pack or family, batch) in the batch's
+memo, each point's call returns its slice of them
+(:func:`~finslerconn.deformation.point_rows`).
 """
 
 from __future__ import annotations
@@ -25,16 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
+import numpy as np
+
 from .ad import Series
 from .connection import CARTAN, Connection, torsions
 from .deformation import (
     DeformationParams,
     build,
     deformation_data,
+    point_rows,
     relative_residual,
     worst_residual,
 )
-from .finsler import ChartPoint, FinslerStructure, Tower
+from .finsler import ChartPoint, FinslerStructure, Tower, _Batch, lead_transpose
 
 __all__ = [
     "HASHIGUCHI",
@@ -50,12 +60,13 @@ __all__ = [
 ]
 
 
-def berwald_coefficients(t: Tower) -> Series:
-    """Fiber derivative of the nonlinear connection, [i, j, k] = dN^i_j/dy^k.
+def berwald_coefficients(t: Tower | _Batch) -> Series:
+    """Fiber derivative of the nonlinear connection, [i, j, k] = dN^i_j/dy^k
+    (behind the point axis on a batch).
 
     Symmetric in (j, k) because N is itself a fiber derivative of the spray.
     """
-    return t.N.dy(axis=2)
+    return t.N.dy(axis=2 + t.lead)
 
 
 HASHIGUCHI = Connection(
@@ -100,8 +111,8 @@ def p1_process(conn: Connection) -> Connection:
     Hashiguchi connection, which pins the argument order.
     """
 
-    def hor(t: Tower) -> Series:
-        return conn.H(t) + torsions(conn, t).vhv.transpose(0, 2, 1)
+    def hor(t: Tower | _Batch) -> Series:
+        return conn.H(t) + lead_transpose(torsions(conn, t).vhv, t.lead, 0, 2, 1)
 
     return Connection(name=f"p1({conn.name})", nlc=conn.nlc, hor=hor, ver=conn.ver)
 
@@ -114,7 +125,7 @@ def c_process(conn: Connection) -> Connection:
     nonlinear and horizontal parts are untouched.
     """
 
-    def ver(t: Tower) -> Series:
+    def ver(t: Tower | _Batch) -> Series:
         return conn.V(t) - torsions(conn, t).hv
 
     return Connection(name=f"c({conn.name})", nlc=conn.nlc, hor=conn.hor, ver=ver)
@@ -180,15 +191,19 @@ def _zero_params(n: int) -> DeformationParams:
     return DeformationParams.zero(n)
 
 
-def _match(got: Series, want: Series) -> float:
+def _worst(values: list, lead: int):
+    """The worst of residuals (one per point on a batch); a NaN wins."""
+    return np.max(np.stack(values), axis=0, initial=0.0) if lead else worst_residual(values)
+
+
+def _match(got: Series, want: Series, lead: int):
     """Residual of ``got`` against the reference ``want``."""
-    return relative_residual(got.val - want.val, want.val)
+    return relative_residual(got.val - want.val, want.val, lead=lead)
 
 
-def _triple_residual(got: Connection, want: Connection, t: Tower) -> float:
-    return worst_residual(
-        _match(g(t), w(t)) for g, w in ((got.N, want.N), (got.H, want.H), (got.V, want.V))
-    )
+def _triple_residual(got: Connection, want: Connection, src: Tower | _Batch):
+    pairs = ((got.N, want.N), (got.H, want.H), (got.V, want.V))
+    return _worst([_match(g(src), w(src), src.lead) for g, w in pairs], src.lead)
 
 
 _DIAGRAM_ORDER = (4, 1)
@@ -216,41 +231,53 @@ def diagram_residuals(
       and nonlinear connection against the canonical ones.
 
     ``family`` (default: the one derived from ``params``) is under test.
+    The rows are computed once over the point's batch
+    (:func:`~finslerconn.deformation.point_rows`).
     """
     t = F.tower(point, _DIAGRAM_ORDER)
-    # the families live in the tower's memo, so a held tower meets the same ones
-    fam = t.memo((params, "family"), lambda: derive_family(params)) if family is None else family
-    rows: dict[str, float] = {}
+    return point_rows(
+        t, (params, family, "diagram-rows"), lambda src: _diagram_rows(params, src, family)
+    )
+
+
+def _diagram_rows(
+    params: DeformationParams, src: Tower | _Batch, family: ConnectionFamily | None
+) -> dict:
+    """:func:`diagram_residuals` on a tower or over a batch."""
+    lead = src.lead
+    # the families live in the memo of the tower or batch, so a held one meets the same ones
+    fam = src.memo((params, "family"), lambda: derive_family(params)) if family is None else family
+    rows: dict = {}
 
     # deformed square
-    dyN = fam.base.N(t).dy(axis=2)
-    p1_closed = torsions(fam.base, t).hh + dyN.transpose(0, 2, 1)
-    rows["deformed:base-to-hashiguchi"] = _match(fam.hashiguchi.H(t), p1_closed)
-    rows["deformed:base-to-chern-rund"] = worst_residual((
-        relative_residual(fam.chern_rund.V(t).val, t.T_mix.val),
-        _match(fam.chern_rund.H(t), fam.base.H(t)),
-    ))
-    rows["deformed:hashiguchi-to-berwald"] = worst_residual((
-        relative_residual(fam.berwald.V(t).val, t.T_mix.val),
-        _match(fam.berwald.H(t), fam.hashiguchi.H(t)),
-    ))
+    dyN = fam.base.N(src).dy(axis=2 + lead)
+    p1_closed = torsions(fam.base, src).hh + lead_transpose(dyN, lead, 0, 2, 1)
+    rows["deformed:base-to-hashiguchi"] = _match(fam.hashiguchi.H(src), p1_closed, lead)
+    rows["deformed:base-to-chern-rund"] = _worst([
+        relative_residual(fam.chern_rund.V(src).val, src.T_mix.val, lead=lead),
+        _match(fam.chern_rund.H(src), fam.base.H(src), lead),
+    ], lead)
+    rows["deformed:hashiguchi-to-berwald"] = _worst([
+        relative_residual(fam.berwald.V(src).val, src.T_mix.val, lead=lead),
+        _match(fam.berwald.H(src), fam.hashiguchi.H(src), lead),
+    ], lead)
     rows["deformed:chern-rund-to-berwald"] = _triple_residual(
-        fam.p1_chern_rund, fam.berwald, t
+        fam.p1_chern_rund, fam.berwald, src
     )
 
     # classical square, targets built independently from tower data
     for label, processed, target in _CLASSICAL_EDGES:
-        rows[label] = _triple_residual(processed, target, t)
+        rows[label] = _triple_residual(processed, target, src)
 
     # collapse edges under zero parameters
-    zero = _zero_params(t.n)
-    zfam = t.memo((zero, "family"), lambda: derive_family(zero))
+    zero = _zero_params(src.ys.shape[-1])  # a batch has no n
+    zfam = src.memo((zero, "family"), lambda: derive_family(zero))
     for (label, member), classical in zip(
         zfam.members(), (CARTAN, HASHIGUCHI, CHERN_RUND, BERWALD)
     ):
-        rows[f"collapse:{label}"] = _triple_residual(member, classical, t)
-    zdata = deformation_data(zero, t)
-    rows["collapse:spray-and-nonlinear"] = worst_residual(
-        (_match(zdata.spray, t.G), _match(zdata.nonlinear, t.N))
+        rows[f"collapse:{label}"] = _triple_residual(member, classical, src)
+    zdata = deformation_data(zero, src)
+    rows["collapse:spray-and-nonlinear"] = _worst(
+        [_match(zdata.spray, src.G, lead), _match(zdata.nonlinear, src.N, lead)], lead
     )
     return rows

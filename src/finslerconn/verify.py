@@ -18,6 +18,16 @@ works across norms of different magnitude.  Tolerances are tiered by
 derivative depth (see :data:`DEFAULT_TOLERANCES`) and every number can be
 overridden by name.
 
+The suite holds its points' towers as one batch per order
+(:meth:`FinslerStructure.towers`).  The per-point functions of the
+theorem, construction, torsion, curvature, Bianchi and process suites are
+each one formula over a tower or a batch: their rows are computed once
+over the batch, and each point's call returns its slice
+(:func:`~finslerconn.deformation.point_rows`, bit for bit the point's rows
+alone).  The case checks compare each catalog entry once over the batch
+(:func:`finslerconn.cases.check_case`); only the finite-difference and
+constant-curvature residuals are computed one point at a time.
+
 Every suite accepts ``fuzz=True``, which injects a ``1e-3`` coefficient
 perturbation into one side of its comparisons through one of three seams
 of its per-point function: ``conn=`` (a connection with one bumped
@@ -69,7 +79,7 @@ from .deformation import (
     worst_residual,
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
-from .finsler import ChartPoint, FinslerStructure, Tower, _Batch, lead_spec
+from .finsler import ChartPoint, FinslerStructure, Tower, _Batch, lead_spec, lead_transpose
 from .processes import _DIAGRAM_ORDER, derive_family, diagram_residuals
 from .samples import euclidean, hyperbolic, randers
 
@@ -631,11 +641,13 @@ def check_curvatures(
 # differential curvature identities
 
 
-def _cyc3(M: np.ndarray) -> np.ndarray:
-    """Cyclic sum over the three argument axes 1, 2, 3."""
-    if M.ndim == 4:
-        return M + M.transpose(0, 2, 3, 1) + M.transpose(0, 3, 1, 2)
-    return M + M.transpose(0, 2, 3, 1, 4) + M.transpose(0, 3, 1, 2, 4)
+def _cyc3(M: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Cyclic sum over the three argument axes 1, 2, 3, behind the ``lead``
+    point axes; the axes after 3 stay in place."""
+    rest = tuple(range(4, M.ndim - lead))
+    A = lead_transpose(M, lead, 0, 2, 3, 1, *rest)
+    B = lead_transpose(M, lead, 0, 3, 1, 2, *rest)
+    return M + A + B
 
 
 def bianchi_residuals(
@@ -659,86 +671,92 @@ def bianchi_residuals(
     The identities are structural -- they hold for any coefficient triple
     expressed through its own torsions and curvatures -- so the
     fuzz-injection hook perturbs one entry of each curvature array after
-    extraction, not the connection itself.
+    extraction, not the connection itself.  The rows are computed once
+    over the point's batch (:func:`~finslerconn.deformation.point_rows`).
     """
     t = F.tower(point, _BIANCHI_ORDER)
-    _, conn = deformed_at(params, t, _BIANCHI_READ)
-    tb = torsions(conn, t)
-    R_s = curvature_h(conn, t)
-    P_s = curvature_mixed(conn, t)
-    S_s = curvature_v(conn, t)
+    return point_rows(
+        t,
+        (params, perturbation, "bianchi-rows"),
+        lambda src: _bianchi_rows(params, src, perturbation),
+    )
+
+
+def _bianchi_rows(params: DeformationParams, src: Tower | _Batch, perturbation: float) -> dict:
+    """:func:`bianchi_residuals` on a tower or over a batch."""
+    lead = src.lead
+    ein = lambda s, *ops: np.einsum(lead_spec(s, lead), *ops)
+    _, conn = deformed_at(params, src, _BIANCHI_READ)
+    tb = torsions(conn, src)
+    R_s = curvature_h(conn, src)
+    P_s = curvature_mixed(conn, src)
+    S_s = curvature_v(conn, src)
 
     V, Q = tb.hv.val, tb.hh.val
     Phat, Rhat, vv = tb.vhv.val, tb.vh.val, tb.vv.val
-    R, P, S = (bump(c.val, perturbation) for c in (R_s, P_s, S_s))
+    R, P, S = (bump(c.val, perturbation, lead) for c in (R_s, P_s, S_s))
 
     # the derivatives are read as values: cut the torsions to the curvatures' ring first
     hv, hh, _ = lower(tb.hv, tb.hh, R_s)
-    covT_h = cov_deriv(conn, t, hv, horizontal=True).val
-    covQ_v = cov_deriv(conn, t, hh, horizontal=False).val
-    covQ_h = cov_deriv(conn, t, hh, horizontal=True).val
-    covS_h = cov_deriv(conn, t, S_s, horizontal=True).val
-    covP_v = cov_deriv(conn, t, P_s, horizontal=False).val
-    covP_h = cov_deriv(conn, t, P_s, horizontal=True).val
-    covR_v = cov_deriv(conn, t, R_s, horizontal=False).val
-    covR_h = cov_deriv(conn, t, R_s, horizontal=True).val
+    covT_h = cov_deriv(conn, src, hv, horizontal=True).val
+    covQ_v = cov_deriv(conn, src, hh, horizontal=False).val
+    covQ_h = cov_deriv(conn, src, hh, horizontal=True).val
+    covS_h = cov_deriv(conn, src, S_s, horizontal=True).val
+    covP_v = cov_deriv(conn, src, P_s, horizontal=False).val
+    covP_h = cov_deriv(conn, src, P_s, horizontal=True).val
+    covR_v = cov_deriv(conn, src, R_s, horizontal=False).val
+    covR_h = cov_deriv(conn, src, R_s, horizontal=True).val
 
     # (a) mixed curvature antisymmetrized in its two horizontal arguments
-    lhs_a = np.einsum("icab->iabc", P) - np.einsum("iacb->iabc", P)
+    lhs_a = ein("icab->iabc", P) - ein("iacb->iabc", P)
     rhs_a = (
-        np.einsum("ciba->iabc", covT_h)
-        - np.einsum("aibc->iabc", covT_h)
-        - np.einsum("bica->iabc", covQ_v)
-        + np.einsum("ibp,pca->iabc", V, Q)
-        - np.einsum("ipa,pcb->iabc", V, Phat)
-        + np.einsum("ipc,pab->iabc", V, Phat)
-        - np.einsum("icp,pba->iabc", Q, V)
-        + np.einsum("iap,pbc->iabc", Q, V)
+        ein("ciba->iabc", covT_h)
+        - ein("aibc->iabc", covT_h)
+        - ein("bica->iabc", covQ_v)
+        + ein("ibq,qca->iabc", V, Q)
+        - ein("iqa,qcb->iabc", V, Phat)
+        + ein("iqc,qab->iabc", V, Phat)
+        - ein("icq,qba->iabc", Q, V)
+        + ein("iaq,qbc->iabc", Q, V)
     )
 
     # (b) cyclic sum of the horizontal curvature
-    lhs_b = _cyc3(
-        np.einsum("icab->iabc", R) - np.einsum("ipc,pab->iabc", V, Rhat)
-    )
-    rhs_b = _cyc3(
-        np.einsum("iap,pbc->iabc", Q, Q) - np.einsum("aibc->iabc", covQ_h)
-    )
+    lhs_b = _cyc3(ein("icab->iabc", R) - ein("iqc,qab->iabc", V, Rhat), lead)
+    rhs_b = _cyc3(ein("iaq,qbc->iabc", Q, Q) - ein("aibc->iabc", covQ_h), lead)
 
     # (c) horizontal derivative of the vertical curvature
-    lhs_c = np.einsum("cimab->iabcm", covS_h) - np.einsum("imcp,pab->iabcm", P, vv)
+    lhs_c = ein("cimab->iabcm", covS_h) - ein("imcq,qab->iabcm", P, vv)
     inner_c = (
-        -np.einsum("bimca->iabcm", covP_v)
-        + np.einsum("impb,pac->iabcm", P, V)
-        + np.einsum("impb,pca->iabcm", S, Phat)
+        -ein("bimca->iabcm", covP_v)
+        + ein("imqb,qac->iabcm", P, V)
+        + ein("imqb,qca->iabcm", S, Phat)
     )
-    rhs_c = inner_c - inner_c.transpose(0, 2, 1, 3, 4)
+    rhs_c = inner_c - lead_transpose(inner_c, lead, 0, 2, 1, 3, 4)
 
     # (d) vertical derivative of the horizontal curvature
-    lhs_d = np.einsum("aimbc->iabcm", covR_v)
-    rhs_d = np.einsum("impa,pbc->iabcm", S, Rhat) - np.einsum(
-        "impa,pbc->iabcm", P, Q
-    )
+    lhs_d = ein("aimbc->iabcm", covR_v)
+    rhs_d = ein("imqa,qbc->iabcm", S, Rhat) - ein("imqa,qbc->iabcm", P, Q)
     inner_d = (
-        np.einsum("cimba->iabcm", covP_h)
-        + np.einsum("imcp,pba->iabcm", P, Phat)
-        + np.einsum("impb,pac->iabcm", R, V)
+        ein("cimba->iabcm", covP_h)
+        + ein("imcq,qba->iabcm", P, Phat)
+        + ein("imqb,qac->iabcm", R, V)
     )
-    rhs_d = rhs_d + inner_d - inner_d.transpose(0, 1, 3, 2, 4)
+    rhs_d = rhs_d + inner_d - lead_transpose(inner_d, lead, 0, 1, 3, 2, 4)
 
     # (e) cyclic sum of the horizontal derivative of the horizontal curvature
     core_e = (
-        np.einsum("aimbc->iabcm", covR_h)
-        + np.einsum("imap,pbc->iabcm", P, Rhat)
-        + np.einsum("impc,pab->iabcm", R, Q)
+        ein("aimbc->iabcm", covR_h)
+        + ein("imaq,qbc->iabcm", P, Rhat)
+        + ein("imqc,qab->iabcm", R, Q)
     )
-    sum_e = _cyc3(core_e)
+    sum_e = _cyc3(core_e, lead)
 
     return {
-        "bianchi-(a)": relative_residual(lhs_a - rhs_a, lhs_a, rhs_a),
-        "bianchi-(b)": relative_residual(lhs_b - rhs_b, lhs_b, rhs_b),
-        "bianchi-(c)": relative_residual(lhs_c - rhs_c, lhs_c, rhs_c),
-        "bianchi-(d)": relative_residual(lhs_d - rhs_d, lhs_d, rhs_d),
-        "bianchi-(e)": relative_residual(sum_e, core_e),
+        "bianchi-(a)": relative_residual(lhs_a - rhs_a, lhs_a, rhs_a, lead=lead),
+        "bianchi-(b)": relative_residual(lhs_b - rhs_b, lhs_b, rhs_b, lead=lead),
+        "bianchi-(c)": relative_residual(lhs_c - rhs_c, lhs_c, rhs_c, lead=lead),
+        "bianchi-(d)": relative_residual(lhs_d - rhs_d, lhs_d, rhs_d, lead=lead),
+        "bianchi-(e)": relative_residual(sum_e, core_e, lead=lead),
     }
 
 
@@ -752,11 +770,25 @@ def first_bianchi_residual(
     For a quadratic norm the metric connection's horizontal curvature is
     the Riemann tensor of the underlying metric and its cyclic sum over
     the three frame arguments vanishes -- the classical first identity.
-    ``perturbation`` shifts one curvature entry before the sum.
+    ``perturbation`` shifts one curvature entry before the sum.  The
+    residual is computed once over the point's batch
+    (:func:`~finslerconn.deformation.point_rows`).
     """
     t = F.tower(point, _FIRST_BIANCHI_ORDER)
-    R = bump(curvature_h(CARTAN, t).val, perturbation)
-    return relative_residual(_cyc3(np.einsum("icab->iabc", R)), R)
+    rows = point_rows(
+        t,
+        (CARTAN, perturbation, "first-bianchi-rows"),
+        lambda src: _first_bianchi_rows(src, perturbation),
+    )
+    return rows["first-bianchi-metric"]
+
+
+def _first_bianchi_rows(src: Tower | _Batch, perturbation: float) -> dict:
+    """:func:`first_bianchi_residual` on a tower or over a batch, as its one row."""
+    lead = src.lead
+    R = bump(curvature_h(CARTAN, src).val, perturbation, lead)
+    cyclic = _cyc3(np.einsum(lead_spec("icab->iabc", lead), R), lead)
+    return {"first-bianchi-metric": relative_residual(cyclic, R, lead=lead)}
 
 
 def check_bianchi(

@@ -4,10 +4,12 @@
 Its own self-test starts several processes and is not collected here, so a
 renamed or deleted hook would otherwise only surface when the benchmark
 runs.  These tests read the hook tables and check each name in-process,
+pin the bits of the closed forms the case layer times on a lone point,
 then install the whole tracer in a child process (it rebinds package
 names for good) and trace one report point and one Bianchi point there.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from finslerconn import cases, samples, verify
 from finslerconn.ad import Series, TaylorRing, ring
 from finslerconn.connection import Connection
 from finslerconn.deformation import DeformationData
@@ -110,6 +113,13 @@ def test_point_and_layer_functions_keep_their_signatures():
         ("deformation", "construction_residuals"): reader,
         ("deformation", "torsion_relations"): reader,
         ("deformation", "curvature_relations"): reader,
+        ("verify", "bianchi_residuals"): ["params", "F", "point", ("perturbation", 0.0)],
+        ("verify", "first_bianchi_residual"): ["F", "point", ("perturbation", 0.0)],
+        ("processes", "diagram_residuals"): ["params", "F", "point", ("family", None)],
+        ("cases", "check_case"): [
+            "case_id", "F", "points", ("seed", 0), ("perturbation", 0.0)
+        ],
+        ("cases", "closed_form_delta"): ["case_id", "params", "F", "point"],
         ("connection", "torsions"): ["conn", "t"],
         ("connection", "curvature_h"): ["conn", "t"],
         ("connection", "curvature_mixed"): ["conn", "t"],
@@ -122,6 +132,26 @@ def test_point_and_layer_functions_keep_their_signatures():
     for (module, name), params in pinned.items():
         fn = getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), name)
         assert _parameters(fn) == params, f"{module}.{name}"
+
+
+# every closed form on one lone point of the Randers and 3-d quartic
+# metrics, recorded before the case workspace could be built over a batch
+CLOSED_FORMS_SHA256 = "e70732ebefc2a01dcb4e203e814a78a6b77ffbd7ffa30e84dea9ae413de1edec"
+
+
+def test_closed_form_delta_on_a_lone_point_keeps_its_bits():
+    # cases.closed_form times each closed form under the case workspace, which
+    # now also runs over a batch: a lone point must keep the arithmetic it had
+    digest = hashlib.sha256()
+    for F in (samples.randers(), samples.quartic_three_dim()):
+        point = verify.sample_points(F, verify.SamplePlan(), 1, "closed-form")[0]
+        for entry in cases.catalog():
+            case_id = entry["id"]
+            pack = cases.preset(case_id, F, **cases.default_free_choices(case_id, F, 42))
+            delta = cases.closed_form_delta(case_id, pack, F, point)
+            assert delta.shape == (F.n,) * 3
+            digest.update(np.ascontiguousarray(delta).tobytes())
+    assert digest.hexdigest() == CLOSED_FORMS_SHA256
 
 
 def _run_traced(script: str) -> None:

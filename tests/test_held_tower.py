@@ -9,9 +9,9 @@ meets the same entries again, and the memos stop growing after the first
 call.  Each reader is called three times at each of two Randers points
 whose towers of the reader's order are held as one batch, with the first
 random pack; the fuzz rows pass the connection the fuzz suites build once
-per pack.  The theorem, construction, torsion and curvature readers compute
-their rows once over the batch and keep them in the batch's memo, so they
-memoize nothing on a tower.  The case checks build a new pack on every call
+per pack.  The theorem, construction, torsion, curvature, Bianchi and
+diagram readers compute their rows once over the batch and keep them in
+the batch's memo, so they memoize nothing on a tower.  The case checks build a new pack on every call
 and keep its data nowhere.
 """
 
@@ -56,7 +56,9 @@ READERS = {
 }
 
 # the readers whose rows are computed over the batch, each point reading its slice
-BATCHED = {"theorem", "theorem-fuzz", "construction", "torsions", "curvatures"}
+BATCHED = {
+    "theorem", "theorem-fuzz", "construction", "torsions", "curvatures", "bianchi", "diagram"
+}
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))

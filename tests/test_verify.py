@@ -319,11 +319,11 @@ def test_case_rows_carry_typo_annotations():
     assert noted == {"case-11", "case-12", "case-13", "case-14"}
 
 
-@pytest.mark.parametrize("fuzz,printed_calls", [(False, 8), (True, 0)])
+@pytest.mark.parametrize("fuzz,printed_calls", [(False, 4), (True, 0)])
 def test_fuzzed_cases_skip_the_printed_forms(fuzz, printed_calls):
     # the fuzz row note discards the printed-form residual, so a fuzzed run
     # must not evaluate it; a clean run evaluates it for the four typo
-    # cases at each of its two points
+    # cases, once over the batch of its two points, as every closed form
     calls = []
     originals = [(p.delta, p.printed) for p in _PRESETS]
 
@@ -345,7 +345,7 @@ def test_fuzzed_cases_skip_the_printed_forms(fuzz, printed_calls):
             object.__setattr__(p, "delta", delta)
             object.__setattr__(p, "printed", printed)
     assert calls.count("printed") == printed_calls
-    assert calls.count("delta") == 52
+    assert calls.count("delta") == 26
 
 
 def test_unknown_tolerance_name_is_rejected():

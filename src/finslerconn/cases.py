@@ -16,11 +16,15 @@ module pins all twenty-six members of that catalog:
   they are evaluated on, so one pack serves every structure of that
   dimension.
 * :func:`check_case` builds the deformation and compares its difference
-  tensor against the closed form at given points, once over the batch
-  their towers share: the workspace holds every value with the point axis
-  in front, and the closed forms index with ``...`` in front, so the same
-  arithmetic serves one point or a batch.  The verdict against the
-  configured tolerance is :func:`finslerconn.verify.check_cases`'s.
+  tensor against the closed form at given points.  On the points of one
+  batch the first call compares every entry at once: one deformation over
+  all the catalog packs, their values side by side along the point axis,
+  kept in the batch's memo as rows that each later call slices.  The
+  workspace holds every value with the point axis in front, and the
+  closed forms index with ``...`` in front, so the same arithmetic serves
+  one point, a batch, or one pack's slice of the catalog.  The verdict
+  against the configured tolerance is
+  :func:`finslerconn.verify.check_cases`'s.
 
 Four entries (ids 11-14) carry a ``printed`` closed form besides the
 regenerated one, which flags them ``typo``: their traditional displays
@@ -47,7 +51,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .ad import Constant, Field, Series, contract
+from .ad import Constant, Field, Series, contract, lower_to
 from .connection import RicciEndomorphism
 from .deformation import (
     _SPLIT,
@@ -55,12 +59,22 @@ from .deformation import (
     DeformationParams,
     _batch_build,
     bump,
+    field_value,
     parameter_field,
+    parameter_values,
     relative_residual,
     worst_residual,
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
-from .finsler import ChartPoint, FinslerStructure, HilbertFormField, Tower
+from .finsler import (
+    ChartPoint,
+    FinslerStructure,
+    HilbertFormField,
+    Tower,
+    _Batch,
+    lead_spec,
+    lead_transpose,
+)
 
 __all__ = [
     "CaseError",
@@ -86,7 +100,8 @@ class MetricSplitPart:
     metric split ``phi = phi1 + phi2`` (``g(phi1 X, Y)`` symmetric,
     ``g(phi2 X, Y)`` antisymmetric).  Wrapping an arbitrary endomorphism in
     this field enforces the constraint exactly: lower with the metric of
-    the tower it is evaluated on, project, raise back.
+    the tower it is evaluated on (or of each point of a batch), project,
+    raise back.
     """
 
     def __init__(self, inner: Field, part: str):
@@ -95,13 +110,14 @@ class MetricSplitPart:
         self.inner = inner
         self.part = part
 
-    def eval(self, t: Tower) -> Series:
-        low = contract("ij,il->jl", self.inner.eval(t), t.g)
+    def eval(self, t: Tower | _Batch) -> Series:
+        lead = t.lead
+        low = contract(lead_spec("ij,il->jl", lead), field_value(self.inner, t), t.g)
         if self.part == "symmetric":
-            low = 0.5 * (low + low.transpose(1, 0))
+            low = 0.5 * (low + lead_transpose(low, lead, 1, 0))
         else:
-            low = 0.5 * (low - low.transpose(1, 0))
-        return contract("il,jl->ij", t.gi, low)
+            low = 0.5 * (low - lead_transpose(low, lead, 1, 0))
+        return contract(lead_spec("il,jl->ij", lead), t.gi, low)
 
     def describe(self) -> str:
         inner = getattr(self.inner, "describe", lambda: type(self.inner).__name__)()
@@ -136,21 +152,31 @@ class _Workspace:
         batch of more than one point.  The data is built here, read once
         and copied out, so not memoized: each call has its own pack."""
         src = F.tower(where, _WORKSPACE_ORDER) if isinstance(where, ChartPoint) else where
-        d = DeformationData(params, src, _WORKSPACE_READ)
+        self._read(DeformationData(params, src, _WORKSPACE_READ), src)
+
+    @classmethod
+    def of(cls, d: DeformationData, src) -> "_Workspace":
+        """The workspace of the data ``d`` on ``src``, its tower, batch or
+        repeated batch (:class:`_Repeated`)."""
+        ws = cls.__new__(cls)
+        ws._read(d, src)
+        return ws
+
+    def _read(self, d: DeformationData, src) -> None:
         if src.lead:
             scalar = lambda s: s.val[..., None, None, None]
             y = [p.y for p in src.points]
         else:
             scalar = lambda s: float(s.val)
             y = src.point.y
-        self.n = F.n
+        self.y = np.asarray(y, dtype=float)
+        self.n = self.y.shape[-1]
         self.g = src.g.val
         self.Tm = src.T_mix.val
         self.Tl = src.T_low.val
         self.ell = src.ell.val
         self.L = scalar(src.L)
         self.L2 = scalar(src.L2)
-        self.y = np.asarray(y, dtype=float)
         self.eye = np.eye(self.n)
         self.f1 = scalar(d.f1)
         self.f2 = scalar(d.f2)
@@ -171,6 +197,13 @@ class _Workspace:
         self.ell_phi1_eta = scalar(d.ell_phi1_eta)
         self.S = d.S.val
         self.difference = d.difference.val
+
+    def part(self, points: slice) -> "_Workspace":
+        """The workspace of the points ``points`` of a batch: views of its arrays."""
+        part = _Workspace.__new__(_Workspace)
+        for name, value in vars(self).items():
+            setattr(part, name, value if name in ("n", "eye") else value[points])
+        return part
 
     # -- contractions of the Cartan tensor and vertical curvature ---------
 
@@ -839,14 +872,10 @@ def closed_form_delta(
     return _require(case_id).delta(_Workspace(params, F, point))
 
 
-def _case_rows(
-    spec: CasePreset, params: DeformationParams, F: FinslerStructure, src, perturbation: float
-) -> dict:
+def _compare(spec: CasePreset, ws: _Workspace, perturbation: float, lead: int) -> dict:
     """The residual of the built difference tensor against ``spec``'s closed
-    form on a tower, or per point over a batch, and the literal printed
+    form on a workspace (per point over a batch), and the literal printed
     form's as ``literal`` when it is evaluated (see :func:`check_case`)."""
-    lead = src.lead
-    ws = _Workspace(params, F, src)
     built = bump(ws.difference, perturbation, lead)
     target = spec.delta(ws)
     rows = {"residual": relative_residual(built - target, built, target, lead=lead)}
@@ -854,6 +883,84 @@ def _case_rows(
         printed = spec.printed(ws)
         rows["literal"] = relative_residual(built - printed, built, printed, lead=lead)
     return rows
+
+
+def _case_rows(
+    spec: CasePreset, params: DeformationParams, F: FinslerStructure, src, perturbation: float
+) -> dict:
+    """:func:`_compare` for the pack ``params`` on a tower, or per point over a batch."""
+    return _compare(spec, _Workspace(params, F, src), perturbation, src.lead)
+
+
+def _pack(spec: CasePreset, F: FinslerStructure, seed: int) -> DeformationParams:
+    """The catalog pack of ``spec`` on ``F`` with the default free choices of ``seed``."""
+    return preset(spec.id, F, **default_free_choices(spec.id, F, seed))
+
+
+class _Repeated:
+    """The stages of a batch cut to a read ring, repeated ``times`` along
+    the point axis: the tower stages of a data whose values are several
+    packs' values on the batch side by side.  Each stage is cut and
+    repeated on first read."""
+
+    lead = 1
+
+    def __init__(self, batch: _Batch, times: int, read: tuple[int, int]):
+        self._batch, self._times, self._read = batch, times, read
+        self.points = batch.points * times
+
+    def __getattr__(self, name: str) -> Series:
+        if name.startswith("_"):  # no private or special name is a stage
+            raise AttributeError(name)
+        stage = lower_to(self._read, getattr(self._batch, name))[0]
+        value = Series(stage.ring, np.concatenate([stage.coef] * self._times))
+        setattr(self, name, value)
+        return value
+
+
+def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: float) -> dict:
+    """Every catalog entry's rows over a batch of more than one point, by id:
+    the rows of :func:`_case_rows` on the batch, bit for bit, or
+    :data:`~finslerconn.deformation._SPLIT` for an entry whose pack raises
+    there (its points then compare one by one).
+
+    Each pack's values are evaluated on the batch, and the construction
+    stages run once over all of them, pack after pack along the point axis
+    of the batch's stages repeated once per pack (:class:`_Repeated`); the
+    workspace's read ring has one coefficient, so every product there is
+    elementwise and each point of each pack gets the bits of its pack on
+    the batch.  Each closed form then runs on its pack's slice.
+    """
+    read = _WORKSPACE_READ
+    values = {
+        spec.id: _batch_build(lambda: parameter_values(_pack(spec, F, seed), batch, read))
+        for spec in _PRESETS
+    }
+    rows = dict.fromkeys(values, _SPLIT)
+    specs = [spec for spec in _PRESETS if values[spec.id] is not _SPLIT]
+    if specs:
+        stacked = _batch_build(lambda: _stacked_rows(specs, values, batch, perturbation))
+        if stacked is not _SPLIT:
+            rows.update(stacked)
+    return rows
+
+
+def _stacked_rows(
+    specs: list[CasePreset], values: dict, batch: _Batch, perturbation: float
+) -> dict:
+    """The rows of the entries ``specs`` from one data over their packs'
+    ``values`` side by side (see :func:`_catalog_rows`)."""
+    src = _Repeated(batch, len(specs), _WORKSPACE_READ)  # held while the data is read
+    side_by_side = [
+        Series(column[0].ring, np.concatenate([value.coef for value in column]))
+        for column in zip(*(values[spec.id] for spec in specs))
+    ]
+    ws = _Workspace.of(DeformationData(None, src, _WORKSPACE_READ, side_by_side), src)
+    size = len(batch.points)
+    return {
+        spec.id: _compare(spec, ws.part(slice(k * size, (k + 1) * size)), perturbation, 1)
+        for k, spec in enumerate(specs)
+    }
 
 
 def check_case(
@@ -871,27 +978,33 @@ def check_case(
     against the configured ``cases`` tolerance.  ``perturbation`` shifts
     one entry of the built tensor before the comparison (the fuzz-injection
     hook); a perturbed run skips the literal forms and reports ``None``.
+    No points raise :class:`CaseError`: there is nothing to compare.
 
     When ``points`` are the points of one batch of more than one point
-    (as a suite holds them), the comparison runs once over that batch and
-    each point reads its slice.  A lone point, points of several batches
-    or of part of one, a split batch and a batch whose comparison raised
-    compare point by point, so each point raises its own error.
+    (as a suite holds them), every catalog entry is compared over that
+    batch at once, on the first call, and kept in the batch's memo under
+    ``(seed, perturbation, "catalog-rows")`` (:func:`_catalog_rows`); each
+    call reads its entry's slices.  A lone point, points of several
+    batches or of part of one, a split batch and an entry whose pack
+    raised on the batch compare point by point, so each point raises its
+    own error.
     """
     spec = _require(case_id)
-    params = preset(case_id, F, **default_free_choices(case_id, F, seed))
     pts = list(points)
-    literal_forms = spec.typo and not perturbation
+    if not pts:
+        raise CaseError(f"case {spec.id} needs at least one point to compare at")
     towers = F.towers(pts, _WORKSPACE_ORDER)  # held while their data is read
-    batch = towers[0]._batch if towers else None
+    batch = towers[0]._batch
     rows = _SPLIT
     if (  # the points are one batch of more than one point: compare over it at once
-        batch is not None and batch.lead and batch.parts is None
+        batch.lead and batch.parts is None
         and all(t._batch is batch for t in towers)
         and len({t._index for t in towers}) == len(batch.points)
     ):
-        rows = _batch_build(lambda: _case_rows(spec, params, F, batch, perturbation))
+        key = (seed, perturbation, "catalog-rows")
+        rows = batch.memo(key, lambda: _catalog_rows(F, batch, seed, perturbation))[spec.id]
     if rows is _SPLIT:
+        params = _pack(spec, F, seed)
         per_point = [_case_rows(spec, params, F, t, perturbation) for t in towers]
     else:
         per_point = [{key: value[t._index] for key, value in rows.items()} for t in towers]
@@ -905,7 +1018,9 @@ def check_case(
         "convention": spec.convention,
         "residual": worst_residual(r["residual"] for r in per_point),
         "literal_residual": (
-            worst_residual(r["literal"] for r in per_point) if literal_forms else None
+            worst_residual(r["literal"] for r in per_point)
+            if spec.typo and not perturbation
+            else None
         ),
     }
 

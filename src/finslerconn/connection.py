@@ -301,18 +301,20 @@ class RicciEndomorphism:
 
     Usable as a matrix field input wherever a curvature-derived
     endomorphism is wanted; it reads the metric of the tower it is
-    evaluated on.  The Ricci trace takes four derivatives of the norm, two
-    along ``x``, so on a tower cut at ``(order, xorder)`` the field reads
-    the tower of the same point at ``(order + 1, xorder + 2)`` through
-    :meth:`~finslerconn.finsler.Tower.at` (the structure must still be
-    bound to a name); its value is trusted to order 1 and bit-identical to
-    the one on the uncut tower of order ``order + 1``.
+    evaluated on, or of every point of a batch at once.  The Ricci trace
+    takes four derivatives of the norm, two along ``x``, so on a tower cut
+    at ``(order, xorder)`` the field reads the tower of the same point at
+    ``(order + 1, xorder + 2)`` through
+    :meth:`~finslerconn.finsler.Tower.at` (on a batch, the batch of its
+    points there; the structure must still be bound to a name); its value
+    is trusted to order 1 and bit-identical to the one on the uncut tower
+    of order ``order + 1``.
     """
 
-    def eval(self, t: Tower) -> Series:
+    def eval(self, t: Tower | _Batch) -> Series:
         rg = t.jets.ring
         deep = t.at((rg.order + 1, rg.xorder + 2))
-        return contract("il,lk->ik", deep.gi, ricci(CARTAN, deep))
+        return contract(lead_spec("il,lk->ik", t.lead), deep.gi, ricci(CARTAN, deep))
 
     def describe(self) -> str:
         return "metric Ricci endomorphism"

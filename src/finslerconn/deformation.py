@@ -39,10 +39,11 @@ tie the deformed torsions and curvatures back to the metric ones.
 
 Each per-point reader (:func:`construction_residuals`,
 :func:`torsion_relations`, :func:`curvature_relations`,
-``verify.theorem_residuals``, ``verify.bianchi_residuals`` and
-``processes.diagram_residuals``) is one formula over a tower or a batch of
-towers: the rows over a batch are computed once, in the batch's memo, and
-each point's call returns its slice of them (:func:`point_rows`).
+``verify.theorem_residuals``, ``verify.bianchi_residuals``,
+``verify.fd_residuals`` and ``processes.diagram_residuals``) is one
+formula over a tower or a batch of towers: the rows over a batch are
+computed once, in the batch's memo, and each point's call returns its
+slice of them (:func:`point_rows`).
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ __all__ = [
     "DeformationData",
     "deformation_data",
     "parameter_field",
+    "parameter_values",
+    "field_value",
     "build",
     "deformed_at",
     "horizontal_from_compatibility",
@@ -197,6 +200,79 @@ def _all_texts(slot: str, components: dict[str, object]) -> bool:
     return all(texts)
 
 
+def field_value(field: Field, src: Tower | _Batch, jets: ChartJets | None = None) -> Series:
+    """``field`` on a tower, or on a batch with the point axis first.
+
+    An expression field runs on ``jets`` (default: those of ``src``), a
+    :class:`~finslerconn.ad.Constant` is the same at every point, and any
+    other field (one that reads the metric) evaluates on ``src`` itself.
+    """
+    if isinstance(field, ExprField):
+        value = field.eval(src.jets if jets is None else jets)
+        if src.lead:  # [..., point] -> [point, ...]
+            value = Series(value.ring, np.moveaxis(value.coef, -2, 0))
+        return value
+    if src.lead and isinstance(field, Constant):
+        value = field.values
+        return src.jets.const(np.broadcast_to(value, (len(src.points),) + value.shape))
+    return field.eval(src)
+
+
+def parameter_values(
+    params: DeformationParams, src: Tower | _Batch, read: tuple[int, int] | None = None
+) -> list[Series]:
+    """The six values of ``params`` on a tower or a batch, then ``eye``, each
+    cut to the ring of ``g`` (cut to ``read`` first) and copied: the values
+    :class:`DeformationData` starts from, checked as it describes."""
+    lone = isinstance(src, Tower)
+    points = [src.point] if lone else src.points
+    n, pshape = points[0].n, (len(points),) * src.lead
+    jets = src.jets
+    xs, ys, g = lower(jets.xs, jets.ys, src.g)
+    low = ChartJets(g.ring, jets.x0, jets.y0, xs, ys)
+    rows = None
+    if params.tape is not None:
+        try:
+            rows = params.tape.run(low).coef  # [tree, (point)]
+        except (ValueError, ZeroDivisionError):
+            pass  # run slot by slot below, so the error names its slot
+    start = 0
+    values = []
+    for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
+        field = getattr(params, slot)
+        expression = isinstance(field, ExprField)
+        if expression and rows is not None:
+            stop = start + len(field.trees)
+            value = rows[start:stop].swapaxes(0, 1) if src.lead else rows[start:stop]
+            value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
+            start = stop
+        else:
+            try:
+                value = field_value(field, src, low)
+            except (ExprError, DomainError):  # the expression or the metric is at fault
+                raise
+            except (ValueError, ZeroDivisionError) as err:
+                raise DomainError(
+                    f"parameter {slot} cannot be evaluated at {_where(points[0])}: {err}"
+                ) from None
+        if value.shape != pshape + shape:
+            raise ValueError(
+                f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
+            )
+        if not np.isfinite(lower(value, g)[0].coef).all():
+            raise DomainError(
+                f"parameter {slot} is not finite at {_where(points[0])}: "
+                f"value {value.val.tolist()}"
+            )
+        values.append(value)
+    if read is not None:  # cut g to the read ring, and with it every value below
+        g = lower_to(read, g)[0]
+    eye = Series.const(g.ring, np.eye(n) + np.zeros(pshape + (n, n)))  # one per point
+    *values, _ = lower(*values, eye, g)
+    # copies: a cut that is a view would keep the uncut values alive
+    return [Series(value.ring, value.coef.copy()) for value in values]
+
+
 class DeformationData:
     """Every series one deformation needs, evaluated on the points of a
     tower batch at once, or on one tower.
@@ -207,12 +283,13 @@ class DeformationData:
     point's view of it, kept in the tower's memo: every value and stage of
     the view is the point's slice of the batch's.  A tower alone (a batch
     of one) gets data built on itself, with no point axis, so the data is
-    its own view.  A reader that reads a pack once, as the case checks do,
-    constructs the data over its batch directly and keeps it nowhere.  The
-    data holds its tower or batch only weakly (a strong reference would
-    make a cycle that only the cyclic collector frees), so hold the tower
-    while reading the data: a stage that reads a tower that is gone raises
-    ``ReferenceError``.
+    its own view.  The case checks build one data over every catalog pack
+    at once: each pack's values (:func:`parameter_values`) side by side
+    along the point axis of the batch's stages repeated once per pack, and
+    keep it nowhere.  The data holds its tower or batch only weakly (a
+    strong reference would make a cycle that only the cyclic collector
+    frees), so hold the tower while reading the data: a stage that reads a
+    tower that is gone raises ``ReferenceError``.
 
     Over a batch, every value and stage carries the batch's leading point
     axis, and each formula is the one-point formula with that axis in
@@ -240,77 +317,32 @@ class DeformationData:
     pack run as one tape (:attr:`DeformationParams.tape`) on the chart jets
     cut to ``g``'s ring, so every product of their evaluation runs there;
     a :class:`~finslerconn.ad.Constant` is the same at every point, and
-    other fields are evaluated on each point's tower and cut.  ``g`` is
-    read first, so a metric that fails at the point is named before any
-    field, and a value must be finite on the coefficients of ``g``'s ring.
+    other fields (those that read the metric) are evaluated on the tower
+    or the batch itself, with the point axis first (:func:`field_value`),
+    and cut.  ``g`` is read first, so a metric that fails at the point is
+    named before any field, and a value must be finite on the coefficients
+    of ``g``'s ring.
     When the tape raises, the fields run again slot by slot, so the error
     names the first slot that fails.
     """
 
     def __init__(
-        self, params: DeformationParams, src: Tower | _Batch, read: tuple[int, int] | None = None
+        self,
+        params: DeformationParams | None,
+        src: Tower | _Batch,
+        read: tuple[int, int] | None = None,
+        values: list[Series] | None = None,
     ):
+        """``values`` are given (:func:`parameter_values`, ``params`` None)
+        only for data whose stages run over several packs' values at once,
+        laid side by side along the point axis of ``src``."""
         self.params = params
         self._src = weakref.ref(src)
-        lone = isinstance(src, Tower)
-        points = [src.point] if lone else src.points
-        self.lead = 0 if lone else src.lead
-        n, pshape = points[0].n, (len(points),) * self.lead
-        jets = src.jets
-        xs, ys, g = lower(jets.xs, jets.ys, src.g)
-        low = ChartJets(g.ring, jets.x0, jets.y0, xs, ys)
-        rows = None
-        if params.tape is not None:
-            try:
-                rows = params.tape.run(low).coef  # [tree, (point)]
-            except (ValueError, ZeroDivisionError):
-                pass  # run slot by slot below, so the error names its slot
-        start = 0
-        values = []
-        for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
-            field = getattr(params, slot)
-            expression = isinstance(field, ExprField)
-            if expression and rows is not None:
-                stop = start + len(field.trees)
-                value = rows[start:stop].swapaxes(0, 1) if self.lead else rows[start:stop]
-                value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
-                start = stop
-            else:
-                try:
-                    if expression:
-                        value = field.eval(low)
-                        if self.lead:  # [..., point] -> [point, ...]
-                            value = Series(value.ring, np.moveaxis(value.coef, -2, 0))
-                    elif lone:
-                        value = field.eval(src)
-                    elif isinstance(field, Constant):
-                        value = field.values  # the same at every point
-                        value = jets.const(np.broadcast_to(value, pshape + value.shape))
-                    else:  # a field that reads the metric, on each point's tower
-                        value = Series.stack([field.eval(tower) for tower in src.towers()])
-                except (ExprError, DomainError):  # the expression or the metric is at fault
-                    raise
-                except (ValueError, ZeroDivisionError) as err:
-                    raise DomainError(
-                        f"parameter {slot} cannot be evaluated at {_where(points[0])}: {err}"
-                    ) from None
-            if value.shape != pshape + shape:
-                raise ValueError(
-                    f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
-                )
-            if not np.isfinite(lower(value, g)[0].coef).all():
-                raise DomainError(
-                    f"parameter {slot} is not finite at {_where(points[0])}: "
-                    f"value {value.val.tolist()}"
-                )
-            values.append(value)
-        if read is not None:  # cut g to the read ring, and with it every value below
-            g = lower_to(read, g)[0]
-        eye = Series.const(g.ring, np.eye(n) + np.zeros(pshape + (n, n)))  # one per point
-        *values, _ = lower(*values, eye, g)
-        # copies: a cut that is a view would keep the uncut values alive
+        self.lead = src.lead
+        if values is None:
+            values = parameter_values(params, src, read)
         for slot, value in zip((*_SLOTS, "eye"), values):
-            setattr(self, slot, Series(value.ring, value.coef.copy()))
+            setattr(self, slot, value)
 
     @property
     def src(self) -> Tower | _Batch:

@@ -441,7 +441,10 @@ class Tape:
         axis after the tree axis.
 
         On an error the trees run again one by one in order, so the error
-        raised is that of the first tree that fails.
+        raised is that of the first tree that fails.  The steps run with
+        numpy's overflow, division and invalid-value warnings off: a value
+        that is not finite is the caller's to refuse (as ``DomainError``),
+        not a warning's.
         """
         xs, ys = jets.xs, jets.ys
         if xs.shape[0] < self.n:
@@ -454,13 +457,14 @@ class Tape:
         if stacked.ndim > 2:  # value columns broadcast over the points
             points = (1,) * (stacked.ndim - 2)
             groups = [(s, pos, v.reshape(v.shape[:2] + points + (1,)), r) for s, pos, v, r in groups]
-        try:
-            out = [_run_steps(steps, v, r, rg, stacked) for steps, _, v, r in groups]
-        except (ValueError, ZeroDivisionError):
-            place = {p: (group, i) for group in groups for i, p in enumerate(group[1].tolist())}
-            for (steps, _, values, rows), i in map(place.get, range(self.size)):
-                _run_steps(steps, values[:, i : i + 1], rows[:, i : i + 1], rg, stacked)
-            raise
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                out = [_run_steps(steps, v, r, rg, stacked) for steps, _, v, r in groups]
+            except (ValueError, ZeroDivisionError):
+                place = {p: (group, i) for group in groups for i, p in enumerate(group[1].tolist())}
+                for (steps, _, values, rows), i in map(place.get, range(self.size)):
+                    _run_steps(steps, values[:, i : i + 1], rows[:, i : i + 1], rg, stacked)
+                raise
         shape = (self.size,) + stacked.shape[1:]
         if len(out) == 1 and out[0].coef.shape == shape:
             return out[0]

@@ -53,8 +53,10 @@ one.  A batch keeps what is built over all its points in its own memo
 batch, and each tower reads its point's view of it.  The connections,
 torsions and curvatures take a tower or a batch (``src.lead`` is the
 number of point axes in front: 0 on a tower, 1 on a batch of more than
-one point), so the theorem, construction, torsion and curvature rows are
-computed once per batch too, and each point's call reads its slice.
+one point), so every suite's rows but the constant-curvature ones are
+computed once per batch too, and each point's call reads its slice; a
+field that reads the metric evaluates on a batch too, and reads a deeper
+order through :meth:`_Batch.at` as a tower does through :meth:`Tower.at`.
 """
 
 from __future__ import annotations
@@ -304,13 +306,29 @@ class _Batch:
         """The value memoized under ``key`` on this batch, ``make()`` on a miss."""
         return _memo(self.cache, key, make)
 
-    def towers(self) -> list["Tower"]:
-        """The towers of this batch's points: the live ones, and new ones
-        (views of this batch) for the others."""
+    def _structure(self) -> FinslerStructure:
         structure = self.structure()
         if structure is None:
             raise ReferenceError("this batch's structure is gone; bind the structure to a name")
-        return [structure.tower(p, self.order) for p in self.points]
+        return structure
+
+    def declare(self, order) -> "_Batch | None":
+        """The batch :meth:`Tower.at` declares for these points at another
+        order, on the first call for that order (None when live batches
+        already serve every point there); this batch holds it."""
+        if order not in self.deeper:
+            self.deeper[order] = self._structure()._declare(self.points, order)
+        return self.deeper[order]
+
+    def at(self, order) -> "_Batch":
+        """These points at another order, as one batch: the one
+        :meth:`declare` gives when it serves all of them, so their towers at
+        that order share its stages, else a batch of its own, held by the
+        caller (the same bits either way)."""
+        deeper = self.declare(order)
+        if deeper is None or len(deeper.points) < len(self.points):
+            deeper = _Batch(self.norm, self.points, order, self.structure)
+        return deeper
 
     def _spec(self, spec: str) -> str:
         return lead_spec(spec, self.lead)
@@ -477,13 +495,8 @@ class Tower:
         while the caller holds it.  The first call for an order declares it
         for every point of this tower's batch, and the batch holds that new
         batch, so the other points' towers at that order share its stages."""
-        batch = self._batch
-        structure = batch.structure()
-        if structure is None:
-            raise ReferenceError("this tower's structure is gone; bind the structure to a name")
-        if order not in batch.deeper:
-            batch.deeper[order] = structure._declare(batch.points, order)
-        return structure.tower(self.point, order)
+        self._batch.declare(order)
+        return self._batch._structure().tower(self.point, order)
 
     def memo(self, key, make):
         """The value memoized under ``key`` on this tower, ``make()`` on a miss."""
@@ -546,12 +559,13 @@ class Tower:
 
 class HilbertFormField:
     """The Hilbert form ``l`` of the metric a tower is built on, as a
-    one-form field (it needs a :class:`Tower`, not bare jets).
+    one-form field (it needs a :class:`Tower`, or a batch of them, not bare
+    jets).
 
     Handy wherever an input one-form is chosen to be ``l`` itself.
     """
 
-    def eval(self, t: Tower) -> Series:
+    def eval(self, t: "Tower | _Batch") -> Series:
         return t.ell
 
     def describe(self) -> str:

@@ -20,12 +20,12 @@ overridden by name.
 
 The suite holds its points' towers as one batch per order
 (:meth:`FinslerStructure.towers`).  The per-point functions of the
-theorem, construction, torsion, curvature, Bianchi and process suites are
-each one formula over a tower or a batch: their rows are computed once
-over the batch, and each point's call returns its slice
-(:func:`~finslerconn.deformation.point_rows`, bit for bit the point's rows
-alone).  The case checks compare each catalog entry once over the batch
-(:func:`finslerconn.cases.check_case`); only the finite-difference and
+theorem, construction, torsion, curvature, Bianchi, process and
+finite-difference suites are each one formula over a tower or a batch:
+their rows are computed once over the batch, and each point's call
+returns its slice (:func:`~finslerconn.deformation.point_rows`, bit for
+bit the point's rows alone).  The case checks compare every catalog entry
+at once over the batch (:func:`finslerconn.cases.check_case`); only the
 constant-curvature residuals are computed one point at a time.
 
 Every suite accepts ``fuzz=True``, which injects a ``1e-3`` coefficient
@@ -916,6 +916,40 @@ def _energies(F: FinslerStructure, stencil: Sequence[tuple[np.ndarray, np.ndarra
     return 0.5 * L * L
 
 
+# the steps of the finite differences: second differences of the energy,
+# the energy's x-gradient, and first differences of jet-computed objects
+_FD_H2, _FD_HX, _FD_H1 = 1e-3, 1e-4, 1e-4
+
+
+def _unit(n: int, i: int, h: float) -> np.ndarray:
+    out = np.zeros(n)
+    out[i] = h
+    return out
+
+
+def _fd_stencil(point: ChartPoint) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(x, y)`` of every energy one point's cross-check reads, in the
+    order its sums read them: the fundamental tensor's stencil, the
+    spray's x-gradient and its mixed term."""
+    n, x0, y0, h2, e = point.n, point.x, point.y, _FD_H2, _unit
+    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))  # added, less, less, added
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return (
+        [(x0, y0 + s * e(n, i, h2) + r * e(n, j, h2)) for i, j in pairs for s, r in signs]
+        + [(x0 + s * e(n, l, _FD_HX), y0) for l in range(n) for s in (1.0, -1.0)]
+        + [(x0 + s * e(n, m, h2), y0 + r * e(n, l, h2)) for l, m in pairs for s, r in signs]
+    )
+
+
+def _fd_shifted(point: ChartPoint) -> tuple[list[ChartPoint], list[ChartPoint]]:
+    """One point's shifted points: along each fiber axis, then each base
+    axis, each up then down."""
+    n, x0, y0, h1, e = point.n, point.x, point.y, _FD_H1, _unit
+    dy = [ChartPoint(x0, y0 + s * e(n, k, h1)) for k in range(n) for s in (1.0, -1.0)]
+    dx = [ChartPoint(x0 + s * e(n, j, h1), y0) for j in range(n) for s in (1.0, -1.0)]
+    return dy, dx
+
+
 def fd_residuals(
     F: FinslerStructure,
     point: ChartPoint,
@@ -931,27 +965,53 @@ def fd_residuals(
     derivative relation in the chain independently.  ``perturbation`` is
     added to one entry of every finite-difference reconstruction (the
     fuzz-injection hook).
+
+    The energies and shifted towers of every point of the point's batch
+    are built at once, and each point's rows assembled from its slices
+    (:func:`~finslerconn.deformation.point_rows`).
     """
     t = F.tower(point, _FD_ORDER)
-    n = t.n
-    x0 = np.asarray(point.x, dtype=float)
-    y0 = np.asarray(point.y, dtype=float)
+    return point_rows(t, (perturbation, "fd-rows"), lambda src: _fd_rows(F, src, perturbation))
 
-    def e_x(i: int, h: float) -> np.ndarray:
-        out = np.zeros(n)
-        out[i] = h
-        return out
 
-    # the energies of the three stencils, in the order their sums read them:
-    # the fundamental tensor's, the spray's x-gradient and its mixed term
-    h2, hx = 1e-3, 1e-4
-    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))  # added, less, less, added
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    E = _energies(F, (
-        [(x0, y0 + s * e_x(i, h2) + r * e_x(j, h2)) for i, j in pairs for s, r in signs]
-        + [(x0 + s * e_x(l, hx), y0) for l in range(n) for s in (1.0, -1.0)]
-        + [(x0 + s * e_x(m, h2), y0 + r * e_x(l, h2)) for l, m in pairs for s, r in signs]
-    ))
+def _fd_rows(F: FinslerStructure, src: Tower | _Batch, perturbation: float) -> dict:
+    """:func:`fd_residuals` on a tower, or per point over a batch: one
+    order-0 evaluation for the energies of every point's stencil, one
+    ``(2, 0)`` batch of the points shifted for ``g`` and one ``(3, 1)``
+    batch of those shifted for the spray; each point's differences are
+    taken on its own slices."""
+    points = src.points if src.lead else [src.point]
+    n = points[0].n
+    stencils = [_fd_stencil(p) for p in points]
+    energies = _energies(F, [xy for stencil in stencils for xy in stencil])
+    shifted = [_fd_shifted(p) for p in points]
+    g_at = F.towers([q for p, (dy, dx) in zip(points, shifted) for q in dy + dx + [p]], (2, 0))
+    spray_at = F.towers([q for dy, _ in shifted for q in dy], (3, 1))
+    own = {name: getattr(src, name).val for name in ("g", "T_low", "G", "N", "Gamma")}
+    per_point = []
+    for k, point in enumerate(points):
+        E = energies[k * len(stencils[0]) : (k + 1) * len(stencils[0])]
+        g_k = [view.g.val for view in g_at[k * (4 * n + 1) : (k + 1) * (4 * n + 1)]]
+        G_k = [view.G.val for view in spray_at[k * 2 * n : (k + 1) * 2 * n]]
+        jet = {name: value[k] if src.lead else value for name, value in own.items()}
+        per_point.append(_fd_point_rows(point, E, g_k, G_k, jet, perturbation))
+    if not src.lead:
+        return per_point[0]
+    return {label: np.array([rows[label] for rows in per_point]) for label in per_point[0]}
+
+
+def _fd_point_rows(
+    point: ChartPoint,
+    E: np.ndarray,
+    g_at: list[np.ndarray],
+    spray_at: list[np.ndarray],
+    jet: dict[str, np.ndarray],
+    perturbation: float,
+) -> dict[str, float]:
+    """One point's rows from the energies of its stencil (:func:`_fd_stencil`),
+    ``g`` at its shifted points and itself and the spray at its
+    fiber-shifted points (:func:`_fd_shifted`), and its jet values."""
+    n, y0, h2, h1 = point.n, point.y, _FD_H2, _FD_H1
     quad = E[: 4 * n * n].reshape(n, n, 4)
     g_fd = (quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4.0 * h2 * h2)
 
@@ -962,30 +1022,19 @@ def fd_residuals(
     mixed = (quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4.0 * h2 * h2)
     G_fd = 0.5 * np.linalg.inv(g_fd) @ (mixed @ y0 - dx_energy)
 
-    # first differences of jet-computed lower-order objects, the towers of
-    # the shifted points being one batch for g and one for the spray
-    h1 = 1e-4
-    dy_points = [ChartPoint(x0, y0 + s * e_x(k, h1)) for k in range(n) for s in (1.0, -1.0)]
-    dx_points = [ChartPoint(x0 + s * e_x(j, h1), y0) for j in range(n) for s in (1.0, -1.0)]
-    g_at = F.towers(dy_points + dx_points + [ChartPoint(x0, y0)], (2, 0))
-    spray_at = F.towers(dy_points, (3, 1))
-
+    # first differences of jet-computed lower-order objects at the shifted points
     T_fd = np.zeros((n, n, n))
     dyg = np.zeros((n, n, n))  # dyg[k, i, j] = d g_ij / dy_k
     for k in range(n):
-        dyg[k] = (g_at[2 * k].g.val - g_at[2 * k + 1].g.val) / (2 * h1)
+        dyg[k] = (g_at[2 * k] - g_at[2 * k + 1]) / (2 * h1)
         T_fd[:, :, k] = 0.5 * dyg[k]
     N_fd = np.stack(
-        [(spray_at[2 * j].G.val - spray_at[2 * j + 1].G.val) / (2 * h1) for j in range(n)],
-        axis=1,
+        [(spray_at[2 * j] - spray_at[2 * j + 1]) / (2 * h1) for j in range(n)], axis=1
     )
 
-    dxg = np.stack(
-        [(g_at[2 * n + 2 * j].g.val - g_at[2 * n + 2 * j + 1].g.val) / (2 * h1) for j in range(n)]
-    )
-    N0 = t.N.val
-    delta_g = dxg - np.einsum("mj,mlk->jlk", N0, dyg)
-    gi = np.linalg.inv(g_at[4 * n].g.val)
+    dxg = np.stack([(g_at[2 * n + 2 * j] - g_at[2 * n + 2 * j + 1]) / (2 * h1) for j in range(n)])
+    delta_g = dxg - np.einsum("mj,mlk->jlk", jet["N"], dyg)
+    gi = np.linalg.inv(g_at[4 * n])
     Gamma_fd = 0.5 * np.einsum(
         "il,jlk->ijk",
         gi,
@@ -996,12 +1045,13 @@ def fd_residuals(
         bump(a, perturbation) for a in (g_fd, T_fd, G_fd, N_fd, Gamma_fd)
     )
 
+    g, T_low, G, N, Gamma = (jet[name] for name in ("g", "T_low", "G", "N", "Gamma"))
     return {
-        "fd-fundamental-tensor": relative_residual(g_fd - t.g.val, t.g.val),
-        "fd-cartan-tensor": relative_residual(T_fd - t.T_low.val, t.T_low.val, np.array([1.0])),
-        "fd-spray": relative_residual(G_fd - t.G.val, t.G.val),
-        "fd-nonlinear": relative_residual(N_fd - t.N.val, t.N.val),
-        "fd-horizontal": relative_residual(Gamma_fd - t.Gamma.val, t.Gamma.val),
+        "fd-fundamental-tensor": relative_residual(g_fd - g, g),
+        "fd-cartan-tensor": relative_residual(T_fd - T_low, T_low, np.array([1.0])),
+        "fd-spray": relative_residual(G_fd - G, G),
+        "fd-nonlinear": relative_residual(N_fd - N, N),
+        "fd-horizontal": relative_residual(Gamma_fd - Gamma, Gamma),
     }
 
 

@@ -19,25 +19,30 @@ point's view of it is compared the same way with the data on the lone
 tower, value by value and stage by stage, for random and preset packs, and
 in a batch where one point's field fails.
 
-The theorem, construction, torsion, curvature, Bianchi, first-Bianchi
-and process-diagram rows are computed once per batch as well, and each
-point's rows are compared with the rows on its lone tower as int64 bits,
-clean and with the fuzz suites' seam (a bumped connection, a bumped
-curvature entry, a family with a bumped member), for the same packs and
-in a batch where one point's field fails.  The case checks compare once
-over the batch their points share, and each point's residual and
-literal-form residual are compared the same way, for every catalog entry.
-The relative residual with a point axis, and the cyclic sum of the
-Bianchi identities, have, point by point, the bits of the call on each
-point's slice.
+The theorem, construction, torsion, curvature, Bianchi, first-Bianchi,
+process-diagram and finite-difference rows are computed once per batch as
+well, and each point's rows are compared with the rows on its lone tower
+as int64 bits, clean and with the fuzz suites' seam (a bumped connection,
+a bumped curvature entry, a family with a bumped member, a shifted
+entry), for the same packs, in a batch where one point's field fails and
+in one where one point's shifted towers fail.  The case checks compare
+every catalog entry at once over the batch their points share, one data
+over all the packs side by side, and each point's residual and
+literal-form residual are compared the same way, for every entry, as is
+a field that reads the metric evaluated over the batch.  The relative
+residual with a point axis, and the cyclic sum of the Bianchi
+identities, have, point by point, the bits of the call on each point's
+slice.
 
 Dropped batches are freed by reference counting, and in a small battery,
 clean and fuzzed, each suite builds one batch per order it declares over
-the points it reads, serves every per-point request from it, and builds
-one deformation per (pack, batch, read ring); every row suite builds one
-set of rows per (pack, seam, batch), the case suite one workspace per
-catalog entry, and no suite reads a torsion or metric deficit per point.  The finite-difference stencils' energies are
-one norm evaluation with the bits of one evaluation per energy.
+the points it reads (the finite-difference suite one more per order of
+its shifted points), serves every per-point request from it, and builds
+one deformation per (pack, batch, read ring), the case suite one over
+every catalog pack; every row suite builds one set of rows per (pack,
+seam, batch), the case suite one per batch, and no suite reads a torsion
+or metric deficit per point.  The finite-difference stencils' energies
+are one norm evaluation with the bits of one evaluation per energy.
 """
 
 import gc
@@ -52,7 +57,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerconn import cases, cli, deformation, finsler, processes, samples, verify
+from finslerconn import cases, cli, connection, deformation, finsler, processes, samples, verify
 from finslerconn.ad import ChartJets
 from finslerconn.connection import CARTAN, curvature_v
 from finslerconn.deformation import (
@@ -182,6 +187,22 @@ def test_at_builds_the_other_order_once_for_the_batch():
     assert np.array_equal(again.gi.coef, first.coef) and "gi" in vars(again._batch)
 
 
+def test_batch_at_an_order_whose_points_are_served_elsewhere_builds_its_own():
+    F = samples.randers()
+    points = sample_points(F, SamplePlan(), 4, "batch-at-own")
+    held = F.towers(points[:2], (5, 2))  # two of the points already live at (5, 2)
+    batch = F.towers(points, (4, 0))[0]._batch
+    deep = batch.at((5, 2))
+    assert deep.points == points and deep is not held[0]._batch
+    assert batch.deeper[(5, 2)] is not deep  # the declared batch serves the other two only
+    ricci = connection.RicciEndomorphism()
+    got = ricci.eval(batch)
+    for k, p in enumerate(points):
+        fresh = FinslerStructure(F.n, F.norm, F.name)  # bound: the Ricci field reads it
+        want = ricci.eval(fresh.tower(p, (4, 0)))
+        assert np.array_equal(got.coef[k].view(np.int64), want.coef.view(np.int64)), k
+
+
 def test_dropped_batches_and_their_towers_are_freed_without_gc():
     gc.collect()
     gc.disable()
@@ -245,7 +266,7 @@ def _small_plan(count: int) -> SamplePlan:
 
 
 def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
-    count = 3  # every suite's points; the fd stencils batch 9 and 4 points
+    count = 3  # every suite's points; fd batches 9 and 4 shifted points per point
     running, built, splits = _tracking_suites(monkeypatch), [], []
     init = finsler._Batch.__init__
 
@@ -279,14 +300,17 @@ def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
             assert sorted(full) == sorted(declared | deeper), (fuzz, name)
             # every per-point request at a declared order was served by its batch
             assert not extra & declared, (fuzz, name)
-            if suite_name == "fd":  # per point, one batch per stencil
-                stencils = [len(k) for n, o, k in built if n == name and o != verify._FD_ORDER]
-                assert sorted(stencils) == [4] * count + [9] * count
+            if suite_name == "fd":  # one batch of every point's shifted points per order
+                stencils = sorted(
+                    (o, len(k)) for n, o, k in built if n == name and o != verify._FD_ORDER
+                )
+                assert stencils == [((2, 0), 9 * count), ((3, 1), 4 * count)], (fuzz, name)
 
 
 # the deformation builds of each suite per metric, each over the suite's
 # batch: one per (pack, read ring); the diagram reads its pack's data and
-# the zero pack's, and the case checks build one pack per catalog entry
+# the zero pack's, and the case checks build one over every catalog pack
+# at once, on the suite's batch repeated once per pack
 BUILDS = {
     "theorem": 2,  # the plan's packs
     "construction": 1,
@@ -294,7 +318,7 @@ BUILDS = {
     "curvatures": 1,
     "bianchi": 1,
     "processes": 2,
-    "cases": len(cases.catalog()),
+    "cases": 1,
     "fd": 0,
     "constant-curvature": 0,
 }
@@ -305,8 +329,8 @@ def test_each_suite_builds_one_deformation_per_pack_batch_and_read(monkeypatch):
     running, builds, splits = _tracking_suites(monkeypatch), [], []
     init, batch_data = DeformationData.__init__, deformation._batch_data
 
-    def recording(self, params, src, read=None):
-        init(self, params, src, read)
+    def recording(self, params, src, read=None, values=None):
+        init(self, params, src, read, values)
         builds.append((running[-1] if running else None, src, params, read))
 
     def splitting(params, batch, read):
@@ -327,6 +351,12 @@ def test_each_suite_builds_one_deformation_per_pack_batch_and_read(monkeypatch):
             name = suite if suite == "constant-curvature" else f"{suite}[{F.name}]"
             mine = [(src, params, read) for n, src, params, read in builds if n == name]
             assert len(mine) == want, name
+            if suite == "cases":  # the packs' values side by side: no pack of its own
+                (src, params, read), = mine
+                assert params is None and isinstance(src, cases._Repeated)
+                assert isinstance(src._batch, finsler._Batch) and len(src._batch.points) == count
+                assert len(src.points) == len(cases.catalog()) * count
+                continue
             assert all(isinstance(src, finsler._Batch) for src, *_ in mine), name
             assert all(len(src.points) == count for src, *_ in mine), name
             assert len({(id(src), id(params), read) for src, params, read in mine}) == want, name
@@ -511,9 +541,15 @@ ROW_READERS = {
         lambda params: (None, _fuzzed_family(params)),
         lambda params, family: (params, family, "diagram-rows"),
     ),
+    "fd": _Reader(
+        verify._FD_ORDER,
+        lambda params, F, p, size: verify.fd_residuals(F, p, perturbation=size),
+        lambda params: _SIZES,
+        lambda params, size: (size, "fd-rows"),
+    ),
 }
 # the readers of a pack, whose rows fail where the pack does
-PACK_READERS = sorted(set(ROW_READERS) - {"first-bianchi"})
+PACK_READERS = sorted(set(ROW_READERS) - {"first-bianchi", "fd"})
 
 
 def _row_bits(rows) -> dict:
@@ -569,8 +605,20 @@ def _bits(values) -> list:
     return [None if v is None else int(np.float64(v).view(np.int64)) for v in values]
 
 
+def _recording(monkeypatch, module, name) -> list:
+    """The arguments of every call of ``module.name`` from now on."""
+    calls, function = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def _recording_workspaces(monkeypatch) -> list:
-    """The source (point, tower or batch) of every case workspace built."""
+    """The source (point, tower or batch) of every workspace built for one pack."""
     sources, init = [], cases._Workspace.__init__
 
     def recording(self, params, F, where):
@@ -585,35 +633,64 @@ def _recording_workspaces(monkeypatch) -> list:
 def test_every_point_of_a_batched_case_check_reads_its_lone_bits(name, monkeypatch):
     F = {"randers": samples.randers(), **METRICS}[name]
     points = sample_points(F, SamplePlan(), 3, "batch-cases")
-    sources = _recording_workspaces(monkeypatch)
+    catalogs = _recording(monkeypatch, cases, "_catalog_rows")
+    presets = _recording(monkeypatch, cases, "preset")
     views = F.towers(points, cases._WORKSPACE_ORDER)
     batch = views[0]._batch
-    for entry in cases.catalog():
-        spec = cases.CATALOG[entry["id"]]
-        pack = cases.preset(spec.id, F, **cases.default_free_choices(spec.id, F, 42))
-        for size in _SIZES:
-            # each point's residuals over the batch against those on its lone tower
-            rows = cases._case_rows(spec, pack, F, batch, size)
+    for size in _SIZES:
+        for k, entry in enumerate(cases.catalog()):
+            spec = cases.CATALOG[entry["id"]]
+            presets.clear()
+            got = _case_or_error(spec.id, F, points, size)
+            # the first call compares every entry over the batch, parsing each
+            # pack once; each later call reads its slices and parses nothing
+            assert len(presets) == (len(cases.catalog()) if k == 0 else 0), (spec.id, size)
+            rows = batch.cache[(42, size, "catalog-rows")][spec.id]
+            pack = cases.preset(spec.id, F, **cases.default_free_choices(spec.id, F, 42))
             lone = []
             for p in points:
                 fresh = FinslerStructure(F.n, F.norm, F.name)  # bound: the Ricci field reads it
                 tower = fresh.tower(p, cases._WORKSPACE_ORDER)
                 lone.append(cases._case_rows(spec, pack, fresh, tower, size))
-            assert set(rows) == set(lone[0]), (spec.id, size)
+            labels = {"residual", "literal"} if spec.typo and not size else {"residual"}
+            assert set(rows) == set(lone[0]) == labels, (spec.id, size)
             for key, values in rows.items():
+                assert np.shape(values) == (3,)
                 assert _bits(values) == _bits(r[key] for r in lone), (spec.id, size, key)
-            # the check of the batch's points compares over the batch once, and
-            # reports the worst of the lone residuals
+            # the check reports the worst of the lone residuals
             want = [_lone_case(spec.id, F, p, size) for p in points]
-            sources.clear()
-            got = _case_or_error(spec.id, F, points, size)
-            assert sources == [batch], (spec.id, size)
             worst = [None if None in column else max(column) for column in zip(*want)]
             assert _bits(got) == _bits(worst), (spec.id, size)
             if spec.typo and not size and name == "quartic3d":
                 # the printed form misses here, so its residual compares live numbers
                 assert min(literal for _, literal in want) > 1e-3
-    assert batch.parts is None and not batch.cache
+    # one stacked build per (batch, perturbation); the memo keeps only rows
+    assert [(args[1], args[3]) for args in catalogs] == [(batch, size) for size in _SIZES]
+    assert all(
+        isinstance(value, np.ndarray) and value.shape == (3,)
+        for entries in (batch.cache[(42, size, "catalog-rows")] for size in _SIZES)
+        for rows in entries.values()
+        for value in rows.values()
+    )
+    assert batch.parts is None and len(batch.cache) == len(_SIZES)
+
+
+@pytest.mark.parametrize("name", ["randers", "quartic3d"])
+@pytest.mark.parametrize("case_id, slot", [(3, "phi"), (4, "phi"), (9, "phi"), (19, "A")])
+def test_a_metric_reading_field_on_a_batch_has_each_towers_bits(name, case_id, slot):
+    # the Ricci endomorphism, both metric split parts and the Hilbert form
+    F = {"randers": samples.randers(), **METRICS}[name]
+    points = sample_points(F, SamplePlan(), 3, "batch-field")
+    field = getattr(cases.preset(case_id, F, **cases.default_free_choices(case_id, F, 42)), slot)
+    views = F.towers(points, cases._WORKSPACE_ORDER)
+    got = deformation.field_value(field, views[0]._batch)
+    assert got.shape == (3,) + ((F.n,) if slot == "A" else (F.n, F.n))
+    for k, p in enumerate(points):
+        fresh = FinslerStructure(F.n, F.norm, F.name)  # bound: the Ricci field reads it
+        want = field.eval(fresh.tower(p, cases._WORKSPACE_ORDER))
+        assert got.ring is want.ring
+        assert np.array_equal(got.coef[k].view(np.int64), want.coef.view(np.int64)), k
+    assert views[0]._batch.parts is None
 
 
 def _failing_points(F, label):
@@ -650,21 +727,55 @@ def test_a_case_check_failing_at_one_point_raises_its_own_error_and_the_others_a
     choices = cases.default_free_choices
 
     def failing(case_id, F, seed=0):  # case 7's free weight f1 fails where x1 < 0
-        return {**choices(case_id, F, seed), "f1": ExprScalarField(2, "log(x1)")}
+        out = choices(case_id, F, seed)
+        return {**out, "f1": ExprScalarField(2, "log(x1)")} if case_id == 7 else out
 
     monkeypatch.setattr(cases, "default_free_choices", failing)
-    sources = _recording_workspaces(monkeypatch)
+    workspaces = _recording_workspaces(monkeypatch)
     views = F.towers(points, cases._WORKSPACE_ORDER)
     want = [_lone_case(7, F, p, 0.0) for p in points]
     assert want[2][0] is finsler.DomainError and "parameter f1 cannot be evaluated" in want[2][1]
-    sources.clear()
-    # the comparison over the batch fails, and the points are compared one by one:
-    # the first two are served, and the third raises its own error
+    workspaces.clear()
+    # case 7's pack fails on the batch, so its points are compared one by
+    # one: the first two are served, and the third raises its own error
     assert _case_or_error(7, F, points, 0.0) == want[2]
-    assert sources == [views[0]._batch] + views[:3]
+    assert workspaces == views[:3]
     good = (0, 1, 3, 4)
     got = [_case_or_error(7, F, [points[k]], 0.0) for k in good]
     assert [_bits(g) for g in got] == [_bits(want[k]) for k in good]
+    # the other entries are still compared over the batch, with their lone bits
+    rows = views[0]._batch.cache[(42, 0.0, "catalog-rows")]
+    assert rows[7] is deformation._SPLIT
+    assert all(rows[k] is not deformation._SPLIT for k in rows if k != 7)
+    for case_id in (1, 8):
+        workspaces.clear()
+        got = _case_or_error(case_id, F, points, 0.0)
+        assert not workspaces  # a slice read
+        want = [_lone_case(case_id, F, p, 0.0) for p in points]
+        worst = [None if None in column else max(column) for column in zip(*want)]
+        assert _bits(got) == _bits(worst), case_id
+    assert views[0]._batch.parts is None
+
+
+class _PickyTowers(_Picky):
+    """The picky norm on towers only: order-0 energies are evaluated anywhere."""
+
+    def eval(self, jets):
+        return self.inner.eval(jets) if jets.ring.order == 0 else super().eval(jets)
+
+
+def test_fd_rows_failing_at_one_shifted_point_raise_its_own_error_and_the_others_are_served():
+    F = FinslerStructure(2, _PickyTowers(), "picky")
+    # the second point's x1-shifted towers lie past the norm's edge at x1 = 0.4
+    points = [GOOD[0], ChartPoint([0.4 - 5e-5, 0.1], [1.0, 0.5]), GOOD[1]]
+    views = F.towers(points, verify._FD_ORDER)
+    call = ROW_READERS["fd"].call
+    got = [_rows_or_error(call, None, F, p, 0.0) for p in points]
+    want = [_lone_rows(call, None, F, p, 0.0) for p in points]
+    assert got[1] == (ExprError, str(ExprError("picky norm", 3)))
+    assert got == want and isinstance(got[0], dict) and isinstance(got[2], dict)
+    # the batch keeps the failed build's mark; its towers are still one batch
+    assert views[0]._batch.cache[(0.0, "fd-rows")] is deformation._SPLIT
     assert views[0]._batch.parts is None
 
 
@@ -682,16 +793,18 @@ def test_cyclic_sum_behind_a_point_axis_has_the_bits_of_each_slice(rank):
 
 
 # the rows formula of each batched suite: name -> (its module, the suite
-# running it, and the places of its pack (None: it takes none) and of its
-# fuzz seam among its arguments; its source follows the pack)
+# running it, and the places among its arguments of its pack (None: it
+# takes none), its source and its fuzz seam)
 ROW_FORMULAS = {
-    "_theorem_rows": (verify, "theorem", 0, 2),
-    "_construction_rows": (deformation, "construction", 0, 2),
-    "_torsion_rows": (deformation, "torsions", 0, 2),
-    "_curvature_rows": (deformation, "curvatures", 0, 2),
-    "_bianchi_rows": (verify, "bianchi", 0, 2),
-    "_first_bianchi_rows": (verify, "bianchi", None, 1),
-    "_diagram_rows": (processes, "processes", 0, 2),
+    "_theorem_rows": (verify, "theorem", 0, 1, 2),
+    "_construction_rows": (deformation, "construction", 0, 1, 2),
+    "_torsion_rows": (deformation, "torsions", 0, 1, 2),
+    "_curvature_rows": (deformation, "curvatures", 0, 1, 2),
+    "_bianchi_rows": (verify, "bianchi", 0, 1, 2),
+    "_first_bianchi_rows": (verify, "bianchi", None, 0, 1),
+    "_diagram_rows": (processes, "processes", 0, 1, 2),
+    "_fd_rows": (verify, "fd", None, 1, 2),
+    "_catalog_rows": (cases, "cases", None, 1, 3),
 }
 
 
@@ -699,25 +812,18 @@ def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
     count = 3
     running = _tracking_suites(monkeypatch)
     builds, lone = [], []
-    for name, (module, _, pack, seam) in ROW_FORMULAS.items():
+    for name, (module, _, pack, source, seam) in ROW_FORMULAS.items():
         formula = getattr(module, name)
 
-        def recording(*args, __formula=formula, __name=name, __pack=pack, __seam=seam):
-            src = args[0 if __pack is None else __pack + 1]
+        def recording(*args, __formula=formula, __name=name, __pack=pack, __src=source,
+                      __seam=seam):
+            src = args[__src]
             if isinstance(src, finsler._Batch):
                 params = None if __pack is None else args[__pack]
                 builds.append((running[-1], __name, src, params, args[__seam]))
             return __formula(*args)
 
         monkeypatch.setattr(module, name, recording)
-    workspace = cases._Workspace.__init__
-
-    def batched_workspace(self, params, F, where):
-        if isinstance(where, finsler._Batch):
-            builds.append((running[-1], "_Workspace", where, params, None))
-        workspace(self, params, F, where)
-
-    monkeypatch.setattr(cases._Workspace, "__init__", batched_workspace)
     for module, name in (
         (verify, "metric_deficit"), (verify, "torsions"), (deformation, "torsions"),
         (processes, "torsions"),
@@ -730,33 +836,32 @@ def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
             return __function(conn, t, *args, **kwargs)
 
         monkeypatch.setattr(module, name, per_point)
+    workspaces = _recording_workspaces(monkeypatch)
     for fuzz in (False, True):
         builds.clear()
         lone.clear()
+        workspaces.clear()
         metrics = [samples.randers(), samples.hyperbolic()]
         run_all(metrics, _small_plan(count), fuzz=fuzz)
 
         assert not lone  # no suite reads a torsion or a metric deficit per point
+        assert not workspaces  # nor builds a case workspace of one pack
         for F in metrics:
-            # one build per pack; the first-Bianchi row runs on quadratic norms
+            # one build per pack; the first-Bianchi row runs on quadratic norms,
+            # and the catalog is one build over all its packs
             want = {name: 1 for name in ROW_FORMULAS}
             want |= {"_theorem_rows": 2, "_first_bianchi_rows": int(verify.cartan_flat(F))}
-            for name, (_, suite, _, _) in ROW_FORMULAS.items():
+            for name, (_, suite, *_) in ROW_FORMULAS.items():
                 mine = [b for b in builds if b[0] == f"{suite}[{F.name}]" and b[1] == name]
                 assert len(mine) == want[name], (fuzz, name)
                 # one build per (pack, seam, batch): a pack's connection or
                 # family, the size of the bump
                 keys = {(id(src), id(p), id(seam)) for _, _, src, p, seam in mine}
                 assert len(keys) == want[name], (fuzz, name)
-                assert all(len(src.points) == count for _, _, src, _, _ in mine)
+                # a fuzzed case suite reads two points
+                read = 2 if fuzz and suite == "cases" else count
+                assert all(len(src.points) == read for _, _, src, _, _ in mine), (fuzz, name)
                 assert all((seam not in (None, 0.0)) == fuzz for *_, seam in mine), (fuzz, name)
-            # the case checks: one workspace per catalog entry over the batch
-            # of the points read (a fuzzed case suite reads two)
-            mine = [b for b in builds if b[0] == f"cases[{F.name}]"]
-            assert {name for _, name, *_ in mine} == {"_Workspace"}
-            assert len(mine) == len({(id(src), id(p)) for _, _, src, p, _ in mine})
-            assert len(mine) == len(cases.catalog()), fuzz
-            assert all(len(src.points) == (2 if fuzz else count) for _, _, src, *_ in mine)
 
 
 def _old_fd_energy_rows(F, point):

@@ -120,6 +120,7 @@ def test_point_and_layer_functions_keep_their_signatures():
             "case_id", "F", "points", ("seed", 0), ("perturbation", 0.0)
         ],
         ("cases", "closed_form_delta"): ["case_id", "params", "F", "point"],
+        ("verify", "fd_residuals"): ["F", "point", ("perturbation", 0.0)],
         ("connection", "torsions"): ["conn", "t"],
         ("connection", "curvature_h"): ["conn", "t"],
         ("connection", "curvature_mixed"): ["conn", "t"],

@@ -110,6 +110,13 @@ def test_preset_rejects_missing_and_unknown_choices():
         preset(27, F, u=(0.1, 0.2))
 
 
+@pytest.mark.parametrize("case_id", [1, 11])
+def test_check_case_without_points_fails_closed(case_id):
+    # an empty comparison would read as a residual of 0.0: a silent pass
+    with pytest.raises(CaseError, match=f"case {case_id} needs at least one point"):
+        check_case(case_id, randers(), points=[])
+
+
 def test_preset_binds_constraints():
     F = randers()
     c1 = default_free_choices(1, F)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,15 @@ class TestReport:
             assert "parameter f1 is not finite at x = [" in err
             assert "], y = [" in err and "value inf" in err
         assert not out.exists()
+
+    def test_non_finite_value_leaks_no_numpy_warning(self, tmp_path, capsys):
+        # the overflow is refused as a documented error, not printed as a warning
+        ini = write(tmp_path, "p.ini", QUICK_INI.replace("source = random", "f1 = 1e308*(10 + x1)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--config", ini, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "parameter f1 is not finite at x = [" in err and "Warning" not in err
 
     @pytest.mark.parametrize(
         "f1, offset, op",

@@ -814,12 +814,13 @@ class Field(Protocol):
     :class:`~finslerconn.finsler.Tower` (which offers the same ``xs``,
     ``ys`` and ``const``).  Parameter fields are evaluated on the tower,
     except expression fields, which a pack runs on the jets cut to the
-    ring of ``g``; a field that reads the metric (``t.g``, ``t.ell``, ...)
-    needs a tower, and over a batch of towers (``t.lead`` 1) is evaluated
-    on the batch once, every value with the point axis first.  Scalars
-    evaluate to a ``()``-batched series, one-forms to ``(n,)`` components
-    and endomorphisms to ``(n, n)``, entry ``[i, j]`` being the i-th
-    component of the image of the j-th frame vector.
+    ring of ``g``, or to the ring its data is read in; a field that reads
+    the metric (``t.g``, ``t.ell``, ...) needs a tower, and over a batch
+    of towers (``t.lead`` 1) is evaluated on the batch once, every value
+    with the point axis first.  Scalars evaluate to a ``()``-batched
+    series, one-forms to ``(n,)`` components and endomorphisms to
+    ``(n, n)``, entry ``[i, j]`` being the i-th component of the image of
+    the j-th frame vector.
 
     A field's value is trusted to the orders of the tower it is evaluated
     on, less the derivatives it takes: a field that needs a deeper tower of

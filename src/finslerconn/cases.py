@@ -924,21 +924,29 @@ def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: f
     :data:`~finslerconn.deformation._SPLIT` for an entry whose pack raises
     there (its points then compare one by one).
 
-    Each pack's values are evaluated on the batch, and the construction
-    stages run once over all of them, pack after pack along the point axis
-    of the batch's stages repeated once per pack (:class:`_Repeated`); the
+    Every pack's values are evaluated on the batch in one call, side by
+    side along the point axis (:func:`~finslerconn.deformation.parameter_values`);
+    when that raises, each pack is evaluated alone, and the packs that
+    raise are left out of one more call.  The construction stages then run
+    once over all of them, pack after pack along the point axis of the
+    batch's stages repeated once per pack (:class:`_Repeated`); the
     workspace's read ring has one coefficient, so every product there is
     elementwise and each point of each pack gets the bits of its pack on
     the batch.  Each closed form then runs on its pack's slice.
     """
-    read = _WORKSPACE_READ
-    values = {
-        spec.id: _batch_build(lambda: parameter_values(_pack(spec, F, seed), batch, read))
-        for spec in _PRESETS
-    }
-    rows = dict.fromkeys(values, _SPLIT)
-    specs = [spec for spec in _PRESETS if values[spec.id] is not _SPLIT]
-    if specs:
+    packs = {spec.id: _pack(spec, F, seed) for spec in _PRESETS}
+
+    def evaluate(specs):
+        some = [packs[spec.id] for spec in specs]
+        return _batch_build(lambda: parameter_values(some, batch, _WORKSPACE_READ))
+
+    specs = _PRESETS
+    values = evaluate(specs)
+    if values is _SPLIT:  # some pack raises on the batch: leave it out
+        specs = [spec for spec in _PRESETS if evaluate([spec]) is not _SPLIT]
+        values = evaluate(specs) if specs else _SPLIT
+    rows = dict.fromkeys(packs, _SPLIT)
+    if values is not _SPLIT:
         stacked = _batch_build(lambda: _stacked_rows(specs, values, batch, perturbation))
         if stacked is not _SPLIT:
             rows.update(stacked)
@@ -946,16 +954,12 @@ def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: f
 
 
 def _stacked_rows(
-    specs: list[CasePreset], values: dict, batch: _Batch, perturbation: float
+    specs: list[CasePreset], values: list[Series], batch: _Batch, perturbation: float
 ) -> dict:
     """The rows of the entries ``specs`` from one data over their packs'
     ``values`` side by side (see :func:`_catalog_rows`)."""
     src = _Repeated(batch, len(specs), _WORKSPACE_READ)  # held while the data is read
-    side_by_side = [
-        Series(column[0].ring, np.concatenate([value.coef for value in column]))
-        for column in zip(*(values[spec.id] for spec in specs))
-    ]
-    ws = _Workspace.of(DeformationData(None, src, _WORKSPACE_READ, side_by_side), src)
+    ws = _Workspace.of(DeformationData(None, src, _WORKSPACE_READ, values), src)
     size = len(batch.points)
     return {
         spec.id: _compare(spec, ws.part(slice(k * size, (k + 1) * size)), perturbation, 1)

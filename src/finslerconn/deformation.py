@@ -51,7 +51,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,14 +138,9 @@ class DeformationParams:
 
     @cached_property
     def tape(self) -> Tape | None:
-        """The trees of every expression field, slot after slot, compiled
-        into one tape; None when no slot holds an expression field or the
-        fields disagree on the chart dimension.  Compiled on first use, so
-        the slots are not to be reassigned after a first evaluation."""
-        fields = [f for f in (getattr(self, s) for s in _SLOTS) if isinstance(f, ExprField)]
-        if not fields or len({f.n for f in fields}) > 1:
-            return None
-        return Tape([tree for f in fields for tree in f.trees], fields[0].n)
+        """The pack's :func:`_tape`, compiled on first use, so the slots are
+        not to be reassigned after a first evaluation."""
+        return _tape([self])
 
     def describe(self) -> str:
         parts = []
@@ -154,6 +149,19 @@ class DeformationParams:
             text = getattr(field, "describe", lambda: type(field).__name__)()
             parts.append(f"{label}={text}")
         return ", ".join(parts)
+
+
+def _tape(packs: Sequence[DeformationParams]) -> Tape | None:
+    """The trees of every expression field of ``packs``, slot after slot
+    and, within a slot, pack after pack, compiled into one tape; None when
+    no slot holds an expression field or the fields disagree on the chart
+    dimension."""
+    fields = [
+        f for s in _SLOTS for f in (getattr(p, s) for p in packs) if isinstance(f, ExprField)
+    ]
+    if not fields or len({f.n for f in fields}) > 1:
+        return None
+    return Tape([tree for f in fields for tree in f.trees], fields[0].n)
 
 
 def parameter_field(slot: str, value, n: int):
@@ -204,71 +212,88 @@ def field_value(field: Field, src: Tower | _Batch, jets: ChartJets | None = None
     """``field`` on a tower, or on a batch with the point axis first.
 
     An expression field runs on ``jets`` (default: those of ``src``), a
-    :class:`~finslerconn.ad.Constant` is the same at every point, and any
-    other field (one that reads the metric) evaluates on ``src`` itself.
+    :class:`~finslerconn.ad.Constant` is the same at every point (over a
+    batch, in the ring of ``jets``), and any other field (one that reads
+    the metric) evaluates on ``src`` itself.
     """
+    jets = src.jets if jets is None else jets
     if isinstance(field, ExprField):
-        value = field.eval(src.jets if jets is None else jets)
+        value = field.eval(jets)
         if src.lead:  # [..., point] -> [point, ...]
             value = Series(value.ring, np.moveaxis(value.coef, -2, 0))
         return value
     if src.lead and isinstance(field, Constant):
         value = field.values
-        return src.jets.const(np.broadcast_to(value, (len(src.points),) + value.shape))
+        return jets.const(np.broadcast_to(value, (len(src.points),) + value.shape))
     return field.eval(src)
 
 
 def parameter_values(
-    params: DeformationParams, src: Tower | _Batch, read: tuple[int, int] | None = None
+    params: DeformationParams | Sequence[DeformationParams],
+    src: Tower | _Batch,
+    read: tuple[int, int] | None = None,
 ) -> list[Series]:
     """The six values of ``params`` on a tower or a batch, then ``eye``, each
-    cut to the ring of ``g`` (cut to ``read`` first) and copied: the values
-    :class:`DeformationData` starts from, checked as it describes."""
+    evaluated in the ring of ``g`` cut to ``read`` and copied: the values
+    :class:`DeformationData` starts from, checked as it describes.
+
+    ``params`` may also be several packs, over a batch: then each value
+    holds theirs side by side, pack after pack along the point axis, as one
+    data over all of them reads it (each pack's coefficients the bits of
+    its own call), from one tape over every pack's expression fields
+    (:func:`_tape`) and one finiteness check per slot.
+    """
+    packs = [params] if isinstance(params, DeformationParams) else list(params)
     lone = isinstance(src, Tower)
     points = [src.point] if lone else src.points
     n, pshape = points[0].n, (len(points),) * src.lead
     jets = src.jets
-    xs, ys, g = lower(jets.xs, jets.ys, src.g)
+    g = src.g if read is None else lower_to(read, src.g)[0]
+    xs, ys, g = lower(jets.xs, jets.ys, g)
     low = ChartJets(g.ring, jets.x0, jets.y0, xs, ys)
+    tape = packs[0].tape if len(packs) == 1 else _tape(packs)
     rows = None
-    if params.tape is not None:
+    if tape is not None:
         try:
-            rows = params.tape.run(low).coef  # [tree, (point)]
+            rows = tape.run(low).coef  # [tree, (point)]
         except (ValueError, ZeroDivisionError):
             pass  # run slot by slot below, so the error names its slot
     start = 0
     values = []
     for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
-        field = getattr(params, slot)
-        expression = isinstance(field, ExprField)
-        if expression and rows is not None:
-            stop = start + len(field.trees)
-            value = rows[start:stop].swapaxes(0, 1) if src.lead else rows[start:stop]
-            value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
-            start = stop
-        else:
-            try:
-                value = field_value(field, src, low)
-            except (ExprError, DomainError):  # the expression or the metric is at fault
-                raise
-            except (ValueError, ZeroDivisionError) as err:
-                raise DomainError(
-                    f"parameter {slot} cannot be evaluated at {_where(points[0])}: {err}"
-                ) from None
-        if value.shape != pshape + shape:
-            raise ValueError(
-                f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
-            )
-        if not np.isfinite(lower(value, g)[0].coef).all():
+        column = []
+        for field in (getattr(pack, slot) for pack in packs):
+            if isinstance(field, ExprField) and rows is not None:
+                stop = start + len(field.trees)
+                value = rows[start:stop].swapaxes(0, 1) if src.lead else rows[start:stop]
+                value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
+                start = stop
+            else:
+                try:
+                    value = field_value(field, src, low)
+                except (ExprError, DomainError):  # the expression or the metric is at fault
+                    raise
+                except (ValueError, ZeroDivisionError) as err:
+                    raise DomainError(
+                        f"parameter {slot} cannot be evaluated at {_where(points[0])}: {err}"
+                    ) from None
+            if value.shape != pshape + shape:
+                raise ValueError(
+                    f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
+                )
+            column.append(value)
+        _, *column = lower(g, *column)
+        value = column[0]
+        if len(column) > 1:  # side by side along the point axis
+            value = Series(value.ring, np.concatenate([v.coef for v in column]))
+        if not np.isfinite(value.coef).all():
             raise DomainError(
                 f"parameter {slot} is not finite at {_where(points[0])}: "
                 f"value {value.val.tolist()}"
             )
         values.append(value)
-    if read is not None:  # cut g to the read ring, and with it every value below
-        g = lower_to(read, g)[0]
-    eye = Series.const(g.ring, np.eye(n) + np.zeros(pshape + (n, n)))  # one per point
-    *values, _ = lower(*values, eye, g)
+    eye = np.eye(n) + np.zeros((len(packs) * len(points),) * src.lead + (n, n))  # one per point
+    *values, _ = lower(*values, Series.const(g.ring, eye), g)
     # copies: a cut that is a view would keep the uncut values alive
     return [Series(value.ring, value.coef.copy()) for value in values]
 
@@ -284,12 +309,13 @@ class DeformationData:
     the view is the point's slice of the batch's.  A tower alone (a batch
     of one) gets data built on itself, with no point axis, so the data is
     its own view.  The case checks build one data over every catalog pack
-    at once: each pack's values (:func:`parameter_values`) side by side
-    along the point axis of the batch's stages repeated once per pack, and
-    keep it nowhere.  The data holds its tower or batch only weakly (a
-    strong reference would make a cycle that only the cyclic collector
-    frees), so hold the tower while reading the data: a stage that reads a
-    tower that is gone raises ``ReferenceError``.
+    at once: the packs' values, evaluated in one call of
+    :func:`parameter_values` side by side along the point axis of the
+    batch's stages repeated once per pack, and keep it nowhere.  The data
+    holds its tower or batch only weakly (a strong reference would make a
+    cycle that only the cyclic collector frees), so hold the tower while
+    reading the data: a stage that reads a tower that is gone raises
+    ``ReferenceError``.
 
     Over a batch, every value and stage carries the batch's leading point
     axis, and each formula is the one-point formula with that axis in
@@ -311,19 +337,23 @@ class DeformationData:
     that ring once, and each stage cuts its factors to the ring it keeps
     (:func:`~finslerconn.ad.lower`).  Given a read ring ``read``, an
     ``(order, xorder)`` pair, ``g`` is cut to it first
-    (:func:`~finslerconn.ad.lower_to`), so that one cut takes the values
-    there too and every stage is computed in the ring its reader reads,
-    with the bits of the stage cut there.  The expression fields of the
-    pack run as one tape (:attr:`DeformationParams.tape`) on the chart jets
-    cut to ``g``'s ring, so every product of their evaluation runs there;
-    a :class:`~finslerconn.ad.Constant` is the same at every point, and
+    (:func:`~finslerconn.ad.lower_to`), and the chart jets with it, so the
+    values are evaluated there and every stage is computed in the ring its
+    reader reads, with the bits of the stage cut there (a coefficient of
+    a sum, product or composition up to an order reads only its operands'
+    coefficients up to that order).  The expression fields of the pack
+    run as one tape (:attr:`DeformationParams.tape`) on those jets, so
+    every product of their evaluation runs in that ring; a
+    :class:`~finslerconn.ad.Constant` is the same at every point, and
     other fields (those that read the metric) are evaluated on the tower
     or the batch itself, with the point axis first (:func:`field_value`),
     and cut.  ``g`` is read first, so a metric that fails at the point is
     named before any field, and a value must be finite on the coefficients
-    of ``g``'s ring.
-    When the tape raises, the fields run again slot by slot, so the error
-    names the first slot that fails.
+    of the ring it is read in: ``read`` cut to ``g``'s ring, or ``g``'s
+    ring without ``read``.  A coefficient outside that ring reaches no
+    stage, so one that overflows there raises only for a reader that reads
+    it.  When the tape raises, the fields run again slot by slot, so the
+    error names the first slot that fails.
     """
 
     def __init__(

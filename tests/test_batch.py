@@ -34,6 +34,12 @@ residual with a point axis, and the cyclic sum of the Bianchi
 identities, have, point by point, the bits of the call on each point's
 slice.
 
+A pack's parameter values evaluated in a reader's read ring have the bits
+of its values in ``g``'s ring cut there, for fields using every function
+of the expression language and for fields that read the metric, on a lone
+tower and on a batch; the catalog's one evaluation of all its packs has,
+slice for slice, the bits of each pack's own evaluation.
+
 Dropped batches are freed by reference counting, and in a small battery,
 clean and fuzzed, each suite builds one batch per order it declares over
 the points it reads (the finite-difference suite one more per order of
@@ -41,8 +47,11 @@ its shifted points), serves every per-point request from it, and builds
 one deformation per (pack, batch, read ring), the case suite one over
 every catalog pack; every row suite builds one set of rows per (pack,
 seam, batch), the case suite one per batch, and no suite reads a torsion
-or metric deficit per point.  The finite-difference stencils' energies
-are one norm evaluation with the bits of one evaluation per energy.
+or metric deficit per point.  Every run of a pack's tape gets jets no
+higher than the ring its data is read in, and the case suite compiles
+one tape over every catalog pack per batch.  The finite-difference
+stencils' energies are one norm evaluation with the bits of one
+evaluation per energy.
 """
 
 import gc
@@ -57,8 +66,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerconn import cases, cli, connection, deformation, finsler, processes, samples, verify
-from finslerconn.ad import ChartJets
+from finslerconn import (
+    cases, cli, connection, deformation, expr, finsler, processes, samples, verify,
+)
+from finslerconn.ad import ChartJets, Series, lower_to
 from finslerconn.connection import CARTAN, curvature_v
 from finslerconn.deformation import (
     DeformationData,
@@ -362,8 +373,11 @@ def test_each_suite_builds_one_deformation_per_pack_batch_and_read(monkeypatch):
             assert len({(id(src), id(params), read) for src, params, read in mine}) == want, name
 
 
+# the values a pack's data starts from (deformation.parameter_values)
+SLOTS = ("f1", "f2", "A", "B", "u", "phi", "eye")
+
 # every value and stage a view of deformation data reads
-DATA = ("f1", "f2", "A", "B", "u", "phi", "eye") + tuple(
+DATA = SLOTS + tuple(
     name for name, stage in vars(DeformationData).items() if isinstance(stage, cached_property)
 )
 
@@ -691,6 +705,121 @@ def test_a_metric_reading_field_on_a_batch_has_each_towers_bits(name, case_id, s
         assert got.ring is want.ring
         assert np.array_equal(got.coef[k].view(np.int64), want.coef.view(np.int64)), k
     assert views[0]._batch.parts is None
+
+
+# every function and operator of the expression language, in every slot
+EVERY_FUNCTION = {
+    "f1": "0.5 + exp(0.2*x1)*sin(y1) - cos(x2*y2)",
+    "f2": "log(2 + x1^2)/sqrt(1 + y2^2)",
+    "A": ("abs(x1 - 2)*y1", "(3 + y1^2)^(1/3) - x2"),
+    "B": ("-y2/(2 + x1)", "sin(x1 + y2)^2"),
+    "u": ("cos(y1)*exp(-x2)", "sqrt(4 + x1*y1) - 0.1*y2"),
+    "phi": (("1 + 0.1*log(1 + y1^2)", "abs(y2 - 3)/4"), ("x1*y2", "exp(sin(x2))")),
+}
+
+# the tower each reader of a pack's data builds, and the ring it reads it in
+READ_RINGS = [
+    (verify._THEOREM_ORDER, verify._THEOREM_READ),
+    (cases._WORKSPACE_ORDER, cases._WORKSPACE_READ),
+    (deformation._TORSION_ORDER, deformation._TORSION_READ),
+    (deformation._CURVATURE_ORDER, deformation._CURVATURE_READ),
+    (verify._BIANCHI_ORDER, verify._BIANCHI_READ),
+]
+
+
+def _value_bits(values) -> list:
+    return [np.ascontiguousarray(v.coef).view(np.int64) for v in values]
+
+
+@pytest.mark.parametrize("order, read", READ_RINGS)
+@pytest.mark.parametrize("size", [1, 3])
+def test_values_evaluated_in_the_read_ring_have_the_bits_of_the_cut_values(order, read, size):
+    # the values in g's ring (no read ring) cut to the read ring afterwards
+    F = samples.randers()
+    points = sample_points(F, SamplePlan(), size, "read-ring-values")
+    views = F.towers(points, order)
+    src = views[0] if size == 1 else views[0]._batch
+    assert src.lead == (size > 1)
+    expressions = replace(
+        DeformationParams.zero(2),
+        **{slot: parameter_field(slot, value, 2) for slot, value in EVERY_FUNCTION.items()},
+    )
+    # the Ricci endomorphism, a metric split part and the Hilbert form, and constants
+    metric = [cases.preset(i, F, **cases.default_free_choices(i, F, 42)) for i in (3, 4, 19)]
+    assert lower_to(read, src.g)[0].ring.dim < src.g.ring.dim  # the read ring cuts g's
+    for params in [expressions, *metric]:
+        got = deformation.parameter_values(params, src, read)
+        cut = lower_to(read, *deformation.parameter_values(params, src))
+        assert [v.ring for v in got] == [v.ring for v in cut], params.name
+        assert all(v.ring.order <= read[0] and v.ring.xorder <= read[1] for v in got)
+        for slot, g, w in zip(SLOTS, _value_bits(got), _value_bits(cut)):
+            assert g.shape == w.shape and np.array_equal(g, w), (params.name, slot)
+
+
+@pytest.mark.parametrize("name", ["randers", "hyperbolic", "quartic3d"])
+def test_the_catalogs_one_evaluation_has_each_packs_bits_slice_for_slice(name):
+    F = {"randers": samples.randers(), **METRICS}[name]
+    points = sample_points(F, SamplePlan(), 3, "catalog-values")
+    batch = F.towers(points, cases._WORKSPACE_ORDER)[0]._batch
+    read = cases._WORKSPACE_READ
+    packs = [cases._pack(spec, F, 42) for spec in cases._PRESETS]
+    # every pack, and the three that hold no expression field (no tape)
+    bare = [packs[i - 1] for i in (16, 19, 26)]
+    assert all(params.tape is None for params in bare)
+    for group in (packs, bare):
+        got = deformation.parameter_values(group, batch, read)
+        assert all(v.shape[0] == len(group) * len(points) for v in got)
+        for k, params in enumerate(group):
+            want = deformation.parameter_values(params, batch, read)
+            part = slice(k * len(points), (k + 1) * len(points))
+            for slot, g, w in zip(SLOTS, got, want):
+                assert g.ring is w.ring, (params.name, slot)
+                bits = _value_bits([Series(g.ring, g.coef[part]), w])
+                assert np.array_equal(*bits), (params.name, slot)
+
+
+def test_pack_tapes_run_in_the_read_ring_and_the_catalog_compiles_one(monkeypatch):
+    count = 3
+    running = _tracking_suites(monkeypatch)
+    tapes, compiles, runs, reads = set(), [], [], []
+    evaluate, compile_, run = deformation.parameter_values, deformation._tape, expr.Tape.run
+
+    def evaluating(params, src, read=None):
+        reads.append(read)
+        try:
+            return evaluate(params, src, read)
+        finally:
+            reads.pop()
+
+    def compiling(packs):
+        tape = compile_(packs)
+        tapes.add(tape)
+        compiles.append((running[-1] if running else None, len(packs)))
+        return tape
+
+    def running_tape(self, jets):
+        if self in tapes:  # a pack's tape, not a metric-reading field's own
+            runs.append((reads[-1], jets.xs.ring))
+        return run(self, jets)
+
+    for module in (deformation, cases):
+        monkeypatch.setattr(module, "parameter_values", evaluating)
+    monkeypatch.setattr(deformation, "_tape", compiling)
+    monkeypatch.setattr(expr.Tape, "run", running_tape)
+    for fuzz in (False, True):
+        compiles.clear()
+        runs.clear()
+        metrics = [samples.randers(), samples.hyperbolic()]
+        run_all(metrics, _small_plan(count), fuzz=fuzz)
+
+        # every run of a pack's tape gets jets no higher than its read ring
+        assert runs and {read for read, _ in runs} >= {(0, 0), (1, 1), (2, 2)}
+        for read, rg in runs:
+            assert read is None or rg.order <= read[0] and rg.xorder <= read[1], (read, rg)
+        for F in metrics:
+            # the case suite compiles one tape over every catalog pack, and no other
+            mine = [packs for name, packs in compiles if name == f"cases[{F.name}]"]
+            assert mine == [len(cases.catalog())], (fuzz, F.name)
 
 
 def _failing_points(F, label):

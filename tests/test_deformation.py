@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finslerconn.ad import Constant, TaylorRing
+from finslerconn.ad import Constant, TaylorRing, lower_to
 from finslerconn.connection import CARTAN, Connection, metric_deficit, torsions
 from finslerconn.deformation import (
     DeformationParams,
@@ -689,6 +689,25 @@ def test_only_the_kept_coefficients_of_a_field_must_be_finite():
         d = deformation_data(params, t)
     assert d.f1.ring is t.g.ring and np.isfinite(d.f1.coef).all()
     assert d.f1.val == 2.0**1000
+
+
+def test_a_value_must_be_finite_only_on_the_ring_it_is_read_in():
+    # only the dy1^2 coefficient of f1 overflows: a reader of values or of
+    # first derivatives never reads it, so the data is served there; without
+    # a read ring the data keeps g's ring, and the Bianchi read (2, 2) holds
+    # dy1^2, so both raise (before, every read ring raised)
+    t = randers().tower(ChartPoint([0.0, 0.1], [1.0, 0.5]), (4, 1))
+    params = _pack(2, f1="0.5 + (1e200*(y1 - 1))^2")
+    for read in ((0, 0), (1, 1)):
+        d = deformation_data(params, t, read)
+        assert d.f1.ring is lower_to(read, t.g)[0].ring and d.f1.val == 0.5
+        assert np.isfinite(d.f1.coef).all() and np.isfinite(d.difference.coef).all()
+    for read in (None, (2, 2)):
+        with pytest.raises(DomainError) as err:
+            deformation_data(params, t, read)
+        assert str(err.value).startswith(
+            "parameter f1 is not finite at x = [0.0, 0.1], y = [1.0, 0.5]: value 0.5"
+        ), read
 
 
 def test_a_pack_runs_one_product_per_shape_in_the_ring_of_g(monkeypatch):

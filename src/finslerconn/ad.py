@@ -726,27 +726,27 @@ def matmul(a: Series, b: Series) -> Series:
 
 
 def matinv(g: Series) -> Series:
-    """Inverse of an (n, n)-batched series matrix via a Neumann expansion,
-    or of each matrix of a ``(points, n, n)`` batch.
+    """Inverse of each (n, n) matrix of a series batch ``(..., n, n)`` via a
+    Neumann expansion, the leading axes taken as one point axis.
 
     Requires the constant-term matrix to be invertible; the correction part
     is nilpotent in the truncated ring, so the expansion terminates exactly.
     """
-    n = g.coef.shape[-2]
-    if g.coef.ndim not in (3, 4) or g.coef.shape[-3] != n:
+    shape, n = g.coef.shape, g.coef.shape[-2]
+    if g.coef.ndim < 3 or shape[-3] != n:
         raise ValueError("matinv expects an (n, n) series batch")
-    p = "p" * (g.coef.ndim - 3)  # the leading point axis, if any
     rg = g.ring
-    b0 = np.linalg.inv(g.val)
-    b0g = Series(rg, np.einsum(f"{p}ij,{p}jkd->{p}ikd", b0, g.coef))
+    coef = g.coef.reshape((-1,) + shape[-3:])
+    b0 = np.linalg.inv(coef[..., 0])
+    b0g = Series(rg, np.einsum("pij,pjkd->pikd", b0, coef))
     acc = Series.const(rg, np.eye(n) + np.zeros(b0.shape))  # one identity per matrix
     rem = acc - b0g  # constant term is 0
     power = rem
     for k in range(rg.order):
         if k:
-            power = contract(f"{p}ij,{p}jk->{p}ik", power, rem)
+            power = contract("pij,pjk->pik", power, rem)
         acc = acc + power
-    return Series(rg, np.einsum(f"{p}ijd,{p}jk->{p}ikd", acc.coef, b0))
+    return Series(rg, np.einsum("pijd,pjk->pikd", acc.coef, b0).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +816,8 @@ class Field(Protocol):
     except expression fields, which a pack runs on the jets cut to the
     ring of ``g``, or to the ring its data is read in; a field that reads
     the metric (``t.g``, ``t.ell``, ...) needs a tower, and over a batch
-    of towers (``t.lead`` 1) is evaluated on the batch once, every value
-    with the point axis first.  Scalars evaluate to a ``()``-batched
+    of towers is evaluated on the batch once, every value with the point
+    axis first.  Scalars evaluate to a ``()``-batched
     series, one-forms to ``(n,)`` components and endomorphisms to
     ``(n, n)``, entry ``[i, j]`` being the i-th component of the image of
     the j-th frame vector.

@@ -54,10 +54,8 @@ import numpy as np
 from .ad import Constant, Field, Series, contract, lower_to
 from .connection import RicciEndomorphism
 from .deformation import (
-    _SPLIT,
     DeformationData,
     DeformationParams,
-    _batch_build,
     bump,
     field_value,
     parameter_field,
@@ -67,13 +65,14 @@ from .deformation import (
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
 from .finsler import (
+    _SPLIT,
     ChartPoint,
     FinslerStructure,
     HilbertFormField,
     Tower,
     _Batch,
-    lead_spec,
-    lead_transpose,
+    pointwise,
+    split_on_error,
 )
 
 __all__ = [
@@ -110,14 +109,14 @@ class MetricSplitPart:
         self.inner = inner
         self.part = part
 
+    @pointwise
     def eval(self, t: Tower | _Batch) -> Series:
-        lead = t.lead
-        low = contract(lead_spec("ij,il->jl", lead), field_value(self.inner, t), t.g)
+        low = contract("pij,pil->pjl", field_value(self.inner, t), t.g)
         if self.part == "symmetric":
-            low = 0.5 * (low + lead_transpose(low, lead, 1, 0))
+            low = 0.5 * (low + low.transpose(0, 2, 1))
         else:
-            low = 0.5 * (low - lead_transpose(low, lead, 1, 0))
-        return contract(lead_spec("il,jl->ij", lead), t.gi, low)
+            low = 0.5 * (low - low.transpose(0, 2, 1))
+        return contract("pil,pjl->pij", t.gi, low)
 
     def describe(self) -> str:
         inner = getattr(self.inner, "describe", lambda: type(self.inner).__name__)()
@@ -135,41 +134,36 @@ data is read in (:class:`~finslerconn.deformation.DeformationData`)."""
 
 
 class _Workspace:
-    """Values of the tower and deformation data at one chart point, or at
-    every point of a batch.
+    """Values of the tower and deformation data at every point of a batch.
 
     The closed forms below are pure index gymnastics on these arrays, laid
     out ``[i, j, k]`` with ``i`` the output component, ``j`` the frame index
-    of the first slot and ``k`` contracting the second-slot vector.  Over a
-    batch every array carries the point axis in front of that layout and
-    each scalar is a ``(points, 1, 1, 1)`` array, so a closed form written
-    with ``...`` in front of every index computes each point's tensor with
-    the bits of the point alone.
+    of the first slot and ``k`` contracting the second-slot vector.  Every
+    array carries the point axis in front of that layout and each scalar is
+    a ``(points, 1, 1, 1)`` array, so a closed form written with ``...`` in
+    front of every index computes each point's tensor with the bits of the
+    point alone.
     """
 
     def __init__(self, params: DeformationParams, F: FinslerStructure, where):
-        """``where`` is a chart point (read on its tower), a tower, or a
-        batch of more than one point.  The data is built here, read once
-        and copied out, so not memoized: each call has its own pack."""
+        """``where`` is a chart point (read on its tower), a tower (read on
+        its lift: a batch of one) or a batch.  The data is built here, read
+        once and copied out, so not memoized: each call has its own pack."""
         src = F.tower(where, _WORKSPACE_ORDER) if isinstance(where, ChartPoint) else where
+        src = src.lift if isinstance(src, Tower) else src
         self._read(DeformationData(params, src, _WORKSPACE_READ), src)
 
     @classmethod
     def of(cls, d: DeformationData, src) -> "_Workspace":
-        """The workspace of the data ``d`` on ``src``, its tower, batch or
-        repeated batch (:class:`_Repeated`)."""
+        """The workspace of the data ``d`` on ``src``, its batch or repeated
+        batch (:class:`_Repeated`)."""
         ws = cls.__new__(cls)
         ws._read(d, src)
         return ws
 
     def _read(self, d: DeformationData, src) -> None:
-        if src.lead:
-            scalar = lambda s: s.val[..., None, None, None]
-            y = [p.y for p in src.points]
-        else:
-            scalar = lambda s: float(s.val)
-            y = src.point.y
-        self.y = np.asarray(y, dtype=float)
+        scalar = lambda s: s.val[..., None, None, None]
+        self.y = np.array([p.y for p in src.points])
         self.n = self.y.shape[-1]
         self.g = src.g.val
         self.Tm = src.T_mix.val
@@ -869,27 +863,20 @@ def closed_form_delta(
     case_id: int, params: DeformationParams, F: FinslerStructure, point: ChartPoint
 ) -> np.ndarray:
     """The catalog's closed-form difference tensor ``[i, j, k]`` at a point."""
-    return _require(case_id).delta(_Workspace(params, F, point))
+    return _require(case_id).delta(_Workspace(params, F, point))[0]
 
 
-def _compare(spec: CasePreset, ws: _Workspace, perturbation: float, lead: int) -> dict:
+def _compare(spec: CasePreset, ws: _Workspace, perturbation: float) -> dict:
     """The residual of the built difference tensor against ``spec``'s closed
-    form on a workspace (per point over a batch), and the literal printed
-    form's as ``literal`` when it is evaluated (see :func:`check_case`)."""
-    built = bump(ws.difference, perturbation, lead)
+    form on a workspace, per point, and the literal printed form's as
+    ``literal`` when it is evaluated (see :func:`check_case`)."""
+    built = bump(ws.difference, perturbation)
     target = spec.delta(ws)
-    rows = {"residual": relative_residual(built - target, built, target, lead=lead)}
+    rows = {"residual": relative_residual(built - target, built, target)}
     if spec.typo and not perturbation:
         printed = spec.printed(ws)
-        rows["literal"] = relative_residual(built - printed, built, printed, lead=lead)
+        rows["literal"] = relative_residual(built - printed, built, printed)
     return rows
-
-
-def _case_rows(
-    spec: CasePreset, params: DeformationParams, F: FinslerStructure, src, perturbation: float
-) -> dict:
-    """:func:`_compare` for the pack ``params`` on a tower, or per point over a batch."""
-    return _compare(spec, _Workspace(params, F, src), perturbation, src.lead)
 
 
 def _pack(spec: CasePreset, F: FinslerStructure, seed: int) -> DeformationParams:
@@ -902,8 +889,6 @@ class _Repeated:
     the point axis: the tower stages of a data whose values are several
     packs' values on the batch side by side.  Each stage is cut and
     repeated on first read."""
-
-    lead = 1
 
     def __init__(self, batch: _Batch, times: int, read: tuple[int, int]):
         self._batch, self._times, self._read = batch, times, read
@@ -920,25 +905,25 @@ class _Repeated:
 
 def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: float) -> dict:
     """Every catalog entry's rows over a batch of more than one point, by id:
-    the rows of :func:`_case_rows` on the batch, bit for bit, or
-    :data:`~finslerconn.deformation._SPLIT` for an entry whose pack raises
-    there (its points then compare one by one).
+    the rows of :func:`_compare` on the batch, bit for bit, or
+    :data:`~finslerconn.finsler._SPLIT` for an entry whose pack raises
+    there (:func:`~finslerconn.finsler.split_on_error`; its points then
+    compare one by one).
 
     Every pack's values are evaluated on the batch in one call, side by
-    side along the point axis (:func:`~finslerconn.deformation.parameter_values`);
-    when that raises, each pack is evaluated alone, and the packs that
-    raise are left out of one more call.  The construction stages then run
-    once over all of them, pack after pack along the point axis of the
-    batch's stages repeated once per pack (:class:`_Repeated`); the
-    workspace's read ring has one coefficient, so every product there is
-    elementwise and each point of each pack gets the bits of its pack on
-    the batch.  Each closed form then runs on its pack's slice.
+    side along the point axis (:func:`~finslerconn.deformation.parameter_values`),
+    leaving out the packs that raise alone; the construction stages run
+    once over all of them on the batch's stages repeated once per pack
+    (:class:`_Repeated`).  The read ring has one coefficient, so every
+    product is elementwise and each point of each pack gets the bits of
+    its pack on the batch.  Each closed form runs on its pack's slice.
     """
     packs = {spec.id: _pack(spec, F, seed) for spec in _PRESETS}
+    size = len(batch.points)
 
     def evaluate(specs):
         some = [packs[spec.id] for spec in specs]
-        return _batch_build(lambda: parameter_values(some, batch, _WORKSPACE_READ))
+        return split_on_error(lambda: parameter_values(some, batch, _WORKSPACE_READ), size)
 
     specs = _PRESETS
     values = evaluate(specs)
@@ -947,7 +932,7 @@ def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: f
         values = evaluate(specs) if specs else _SPLIT
     rows = dict.fromkeys(packs, _SPLIT)
     if values is not _SPLIT:
-        stacked = _batch_build(lambda: _stacked_rows(specs, values, batch, perturbation))
+        stacked = split_on_error(lambda: _stacked_rows(specs, values, batch, perturbation), size)
         if stacked is not _SPLIT:
             rows.update(stacked)
     return rows
@@ -962,7 +947,7 @@ def _stacked_rows(
     ws = _Workspace.of(DeformationData(None, src, _WORKSPACE_READ, values), src)
     size = len(batch.points)
     return {
-        spec.id: _compare(spec, ws.part(slice(k * size, (k + 1) * size)), perturbation, 1)
+        spec.id: _compare(spec, ws.part(slice(k * size, (k + 1) * size)), perturbation)
         for k, spec in enumerate(specs)
     }
 
@@ -988,10 +973,9 @@ def check_case(
     (as a suite holds them), every catalog entry is compared over that
     batch at once, on the first call, and kept in the batch's memo under
     ``(seed, perturbation, "catalog-rows")`` (:func:`_catalog_rows`); each
-    call reads its entry's slices.  A lone point, points of several
-    batches or of part of one, a split batch and an entry whose pack
-    raised on the batch compare point by point, so each point raises its
-    own error.
+    call reads its entry's slices.  Otherwise, and for an entry whose pack
+    raised on the batch, only this entry is compared, point by point on
+    each tower's lift, so each point raises its own error.
     """
     spec = _require(case_id)
     pts = list(points)
@@ -1001,7 +985,7 @@ def check_case(
     batch = towers[0]._batch
     rows = _SPLIT
     if (  # the points are one batch of more than one point: compare over it at once
-        batch.lead and batch.parts is None
+        len(batch.points) > 1
         and all(t._batch is batch for t in towers)
         and len({t._index for t in towers}) == len(batch.points)
     ):
@@ -1009,7 +993,8 @@ def check_case(
         rows = batch.memo(key, lambda: _catalog_rows(F, batch, seed, perturbation))[spec.id]
     if rows is _SPLIT:
         params = _pack(spec, F, seed)
-        per_point = [_case_rows(spec, params, F, t, perturbation) for t in towers]
+        compare = lambda t: _compare(spec, _Workspace(params, F, t), perturbation)
+        per_point = [{key: value[0] for key, value in compare(t).items()} for t in towers]
     else:
         per_point = [{key: value[t._index] for key, value in rows.items()} for t in towers]
     return {

@@ -636,46 +636,50 @@ def tensor_report(
     rows: list[dict] = []
     for point in points:
         t = F.tower(point, _REPORT_ORDER)
-        d, conn = deformed_at(pack, t, _REPORT_READ)
-        tb = torsions(conn, t)
+        src = t.lift  # the point as a batch of one: every value below has one point
+        d, conn = deformed_at(pack, src, _REPORT_READ)
+        tb = torsions(conn, src)
         y = np.asarray(point.y, dtype=float)
 
-        def contract(s) -> np.ndarray:
-            return np.einsum("ijk,k->ij", s.val, y)
+        def contract(s) -> list:
+            return np.einsum("ijk,k->ij", s.val[0], y).tolist()
+
+        def flags(C) -> list:
+            return contract_value_slot(C, src).val[0].tolist()
 
         rows.append(
             {
                 "point": {"x": point.x.tolist(), "y": point.y.tolist()},
-                "norm": float(t.L.val),
+                "norm": float(src.L.val[0]),
                 "metric": {
-                    "fundamental": t.g.val.tolist(),
-                    "cartan": t.T_mix.val.tolist(),
-                    "spray": t.G.val.tolist(),
-                    "nonlinear": t.N.val.tolist(),
-                    "horizontal": t.Gamma.val.tolist(),
+                    "fundamental": src.g.val[0].tolist(),
+                    "cartan": src.T_mix.val[0].tolist(),
+                    "spray": src.G.val[0].tolist(),
+                    "nonlinear": src.N.val[0].tolist(),
+                    "horizontal": src.Gamma.val[0].tolist(),
                 },
                 "deformed": {
-                    "nonlinear": d.nonlinear.val.tolist(),
-                    "horizontal": d.horizontal.val.tolist(),
-                    "vertical": conn.V(t).val.tolist(),
-                    "difference": d.difference.val.tolist(),
+                    "nonlinear": d.nonlinear.val[0].tolist(),
+                    "horizontal": d.horizontal.val[0].tolist(),
+                    "vertical": conn.V(src).val[0].tolist(),
+                    "difference": d.difference.val[0].tolist(),
                 },
                 "torsions": {
-                    "hh": tb.hh.val.tolist(),
-                    "hv": tb.hv.val.tolist(),
-                    "vh": tb.vh.val.tolist(),
-                    "vhv": tb.vhv.val.tolist(),
-                    "vv": tb.vv.val.tolist(),
+                    "hh": tb.hh.val[0].tolist(),
+                    "hv": tb.hv.val[0].tolist(),
+                    "vh": tb.vh.val[0].tolist(),
+                    "vhv": tb.vhv.val[0].tolist(),
+                    "vv": tb.vv.val[0].tolist(),
                 },
                 "contracted-torsions": {
-                    "hh-direction": contract(tb.hh).tolist(),
-                    "vh-direction": contract(tb.vh).tolist(),
-                    "vhv-direction": contract(tb.vhv).tolist(),
+                    "hh-direction": contract(tb.hh),
+                    "vh-direction": contract(tb.vh),
+                    "vhv-direction": contract(tb.vhv),
                 },
                 "curvature-flags": {
-                    "horizontal": contract_value_slot(curvature_h(conn, t), t).val.tolist(),
-                    "mixed": contract_value_slot(curvature_mixed(conn, t), t).val.tolist(),
-                    "vertical": contract_value_slot(curvature_v(conn, t), t).val.tolist(),
+                    "horizontal": flags(curvature_h(conn, src)),
+                    "mixed": flags(curvature_mixed(conn, src)),
+                    "vertical": flags(curvature_v(conn, src)),
                 },
             }
         )

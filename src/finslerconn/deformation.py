@@ -41,9 +41,9 @@ Each per-point reader (:func:`construction_residuals`,
 :func:`torsion_relations`, :func:`curvature_relations`,
 ``verify.theorem_residuals``, ``verify.bianchi_residuals``,
 ``verify.fd_residuals`` and ``processes.diagram_residuals``) is one
-formula over a tower or a batch of towers: the rows over a batch are
-computed once, in the batch's memo, and each point's call returns its
-slice of them (:func:`point_rows`).
+formula over a batch of towers, the point axis in front of every value:
+the rows are computed once per batch, in the batch's memo, and each
+point's call returns its slice of them (:func:`point_rows`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ad import ChartJets, Constant, Field, Series, TruncationError, contract, lower, lower_to
+from .ad import ChartJets, Constant, Field, Series, contract, lower, lower_to
 from .connection import (
     CARTAN,
     Connection,
@@ -78,11 +78,12 @@ from .finsler import (
     DomainError,
     FinslerStructure,
     Tower,
+    _SPLIT,
     _Batch,
     _where,
     horizontal_gradient,
-    lead_spec,
-    lead_transpose,
+    _Lift,
+    point_view,
 )
 
 __all__ = [
@@ -208,21 +209,19 @@ def _all_texts(slot: str, components: dict[str, object]) -> bool:
     return all(texts)
 
 
-def field_value(field: Field, src: Tower | _Batch, jets: ChartJets | None = None) -> Series:
-    """``field`` on a tower, or on a batch with the point axis first.
+def field_value(field: Field, src: _Batch, jets: ChartJets | None = None) -> Series:
+    """``field`` on a batch, with the point axis first.
 
     An expression field runs on ``jets`` (default: those of ``src``), a
-    :class:`~finslerconn.ad.Constant` is the same at every point (over a
-    batch, in the ring of ``jets``), and any other field (one that reads
-    the metric) evaluates on ``src`` itself.
+    :class:`~finslerconn.ad.Constant` is the same at every point, in the
+    ring of ``jets``, and any other field (one that reads the metric)
+    evaluates on ``src`` itself.
     """
     jets = src.jets if jets is None else jets
-    if isinstance(field, ExprField):
+    if isinstance(field, ExprField):  # [..., point] -> [point, ...]
         value = field.eval(jets)
-        if src.lead:  # [..., point] -> [point, ...]
-            value = Series(value.ring, np.moveaxis(value.coef, -2, 0))
-        return value
-    if src.lead and isinstance(field, Constant):
+        return Series(value.ring, np.moveaxis(value.coef, -2, 0))
+    if isinstance(field, Constant):
         value = field.values
         return jets.const(np.broadcast_to(value, (len(src.points),) + value.shape))
     return field.eval(src)
@@ -230,23 +229,22 @@ def field_value(field: Field, src: Tower | _Batch, jets: ChartJets | None = None
 
 def parameter_values(
     params: DeformationParams | Sequence[DeformationParams],
-    src: Tower | _Batch,
+    src: _Batch,
     read: tuple[int, int] | None = None,
 ) -> list[Series]:
-    """The six values of ``params`` on a tower or a batch, then ``eye``, each
+    """The six values of ``params`` on a batch, then ``eye``, each
     evaluated in the ring of ``g`` cut to ``read`` and copied: the values
     :class:`DeformationData` starts from, checked as it describes.
 
-    ``params`` may also be several packs, over a batch: then each value
+    ``params`` may also be several packs: then each value
     holds theirs side by side, pack after pack along the point axis, as one
     data over all of them reads it (each pack's coefficients the bits of
     its own call), from one tape over every pack's expression fields
     (:func:`_tape`) and one finiteness check per slot.
     """
     packs = [params] if isinstance(params, DeformationParams) else list(params)
-    lone = isinstance(src, Tower)
-    points = [src.point] if lone else src.points
-    n, pshape = points[0].n, (len(points),) * src.lead
+    points = src.points
+    n, pshape = points[0].n, (len(points),)
     jets = src.jets
     g = src.g if read is None else lower_to(read, src.g)[0]
     xs, ys, g = lower(jets.xs, jets.ys, g)
@@ -255,7 +253,7 @@ def parameter_values(
     rows = None
     if tape is not None:
         try:
-            rows = tape.run(low).coef  # [tree, (point)]
+            rows = tape.run(low).coef  # [tree, point]
         except (ValueError, ZeroDivisionError):
             pass  # run slot by slot below, so the error names its slot
     start = 0
@@ -265,7 +263,7 @@ def parameter_values(
         for field in (getattr(pack, slot) for pack in packs):
             if isinstance(field, ExprField) and rows is not None:
                 stop = start + len(field.trees)
-                value = rows[start:stop].swapaxes(0, 1) if src.lead else rows[start:stop]
+                value = rows[start:stop].swapaxes(0, 1)
                 value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
                 start = stop
             else:
@@ -279,7 +277,7 @@ def parameter_values(
                     ) from None
             if value.shape != pshape + shape:
                 raise ValueError(
-                    f"parameter field {slot} evaluated to shape {value.shape}, expected {shape}"
+                    f"parameter field {slot} evaluated to shape {value.shape[1:]}, expected {shape}"
                 )
             column.append(value)
         _, *column = lower(g, *column)
@@ -287,12 +285,14 @@ def parameter_values(
         if len(column) > 1:  # side by side along the point axis
             value = Series(value.ring, np.concatenate([v.coef for v in column]))
         if not np.isfinite(value.coef).all():
+            finite = np.isfinite(value.coef).reshape(len(value.coef), -1).all(axis=1)
+            i = int(np.argmin(finite))  # the first point (of the first pack) it fails at
             raise DomainError(
-                f"parameter {slot} is not finite at {_where(points[0])}: "
-                f"value {value.val.tolist()}"
+                f"parameter {slot} is not finite at {_where(points[i % len(points)])}: "
+                f"value {value.val[i].tolist()}"
             )
         values.append(value)
-    eye = np.eye(n) + np.zeros((len(packs) * len(points),) * src.lead + (n, n))  # one per point
+    eye = np.eye(n) + np.zeros((len(packs) * len(points), n, n))  # one per point
     *values, _ = lower(*values, Series.const(g.ring, eye), g)
     # copies: a cut that is a view would keep the uncut values alive
     return [Series(value.ring, value.coef.copy()) for value in values]
@@ -300,37 +300,24 @@ def parameter_values(
 
 class DeformationData:
     """Every series one deformation needs, evaluated on the points of a
-    tower batch at once, or on one tower.
+    batch of towers at once, each with the point axis in front.
 
-    Constructed through :func:`deformation_data`, which builds it once per
-    (pack, batch, read ring) in the memo of the towers' batch
-    (:meth:`~finslerconn.finsler._Batch.memo`) and hands each tower its
-    point's view of it, kept in the tower's memo: every value and stage of
-    the view is the point's slice of the batch's.  A tower alone (a batch
-    of one) gets data built on itself, with no point axis, so the data is
-    its own view.  The case checks build one data over every catalog pack
-    at once: the packs' values, evaluated in one call of
-    :func:`parameter_values` side by side along the point axis of the
-    batch's stages repeated once per pack, and keep it nowhere.  The data
-    holds its tower or batch only weakly (a strong reference would make a
-    cycle that only the cyclic collector frees), so hold the tower while
-    reading the data: a stage that reads a tower that is gone raises
-    ``ReferenceError``.
+    :func:`deformation_data` builds it once per (pack, batch, read ring) in
+    the batch's memo and hands each tower its point's view of it.  The case
+    checks build one over every catalog pack at once, from the packs'
+    values side by side along the point axis (:func:`parameter_values`) on
+    the batch's stages repeated once per pack.  The data holds its batch
+    only weakly (a strong reference would make a cycle that only the
+    cyclic collector frees), so hold the tower while reading the data: a
+    stage that reads a batch that is gone raises ``ReferenceError``.
 
-    Over a batch, every value and stage carries the batch's leading point
-    axis, and each formula is the one-point formula with that axis in
-    front, so each point's coefficients are bit-identical to those of its
-    data alone (vectorised Taylor propagation, as for the tower stages).
-    The attributes follow the construction stages: parameter values (each
-    field evaluated on the points), split and raised forms, the two shift
-    fields, the difference tensor, and finally the deformed coefficient
-    triple.  A field with no value at a point (a division by zero, a log of
-    a non-positive value) or with a value or derivative that is not finite
-    (an overflow) raises :class:`~finslerconn.finsler.DomainError` naming
-    its slot and the point, as the norm does in
-    :attr:`~finslerconn.finsler.Tower.L`; a batch whose build raises is not
-    kept, and each of its points builds its own data, so each raises
-    exactly its own error and the others are served.
+    The attributes follow the construction stages: parameter values, split
+    and raised forms, the two shift fields, the difference tensor, and
+    finally the deformed coefficient triple.  A field with no value at a
+    point (a division by zero, a log of a non-positive value) or with a
+    value or derivative that is not finite (an overflow) raises
+    :class:`~finslerconn.finsler.DomainError` naming its slot and the
+    point, as the norm does in :attr:`~finslerconn.finsler.Tower.L`.
 
     Every stage lands at or below the ring of ``g`` and of each parameter
     value (each stage reads all six), so the values and ``eye`` are cut to
@@ -343,23 +330,20 @@ class DeformationData:
     a sum, product or composition up to an order reads only its operands'
     coefficients up to that order).  The expression fields of the pack
     run as one tape (:attr:`DeformationParams.tape`) on those jets, so
-    every product of their evaluation runs in that ring; a
-    :class:`~finslerconn.ad.Constant` is the same at every point, and
-    other fields (those that read the metric) are evaluated on the tower
-    or the batch itself, with the point axis first (:func:`field_value`),
-    and cut.  ``g`` is read first, so a metric that fails at the point is
-    named before any field, and a value must be finite on the coefficients
-    of the ring it is read in: ``read`` cut to ``g``'s ring, or ``g``'s
-    ring without ``read``.  A coefficient outside that ring reaches no
-    stage, so one that overflows there raises only for a reader that reads
-    it.  When the tape raises, the fields run again slot by slot, so the
-    error names the first slot that fails.
+    every product of their evaluation runs in that ring; other fields are
+    evaluated by :func:`field_value`, and cut.  ``g`` is read first, so a
+    metric that fails at the point is named before any field, and a value
+    must be finite on the coefficients of the ring it is read in: ``read``
+    cut to ``g``'s ring, or ``g``'s ring without ``read``.  A coefficient
+    outside that ring reaches no stage, so one that overflows there raises
+    only for a reader that reads it.  When the tape raises, the fields run
+    again slot by slot, so the error names the first slot that fails.
     """
 
     def __init__(
         self,
         params: DeformationParams | None,
-        src: Tower | _Batch,
+        src: _Batch,
         read: tuple[int, int] | None = None,
         values: list[Series] | None = None,
     ):
@@ -368,17 +352,15 @@ class DeformationData:
         laid side by side along the point axis of ``src``."""
         self.params = params
         self._src = weakref.ref(src)
-        self.lead = src.lead
         if values is None:
             values = parameter_values(params, src, read)
         for slot, value in zip((*_SLOTS, "eye"), values):
             setattr(self, slot, value)
 
     @property
-    def src(self) -> Tower | _Batch:
-        """The tower or batch evaluated on, held weakly: the memo of the
-        batch, or of a tower, holds this data, and the caller holds the
-        tower."""
+    def src(self) -> _Batch:
+        """The batch evaluated on, held weakly: the memo of the batch, or
+        of a tower, holds this data, and the caller holds the tower."""
         src = self._src()
         if src is None:
             raise ReferenceError(
@@ -388,32 +370,23 @@ class DeformationData:
 
     # -- the point axis --------------------------------------------------------
 
-    def _spec(self, spec: str) -> str:
-        return lead_spec(spec, self.lead)
-
-    def _transpose(self, s: Series, *axes: int) -> Series:
-        return lead_transpose(s, self.lead, *axes)
-
     def _scalars(self, rank: int, *scalars: Series) -> tuple[Series, ...]:
         """Scalars with ``rank`` axes after the point axis, so they broadcast
-        over the points' tensors of that rank (one point's broadcast by
-        themselves)."""
-        if not self.lead:
-            return scalars
+        over the points' tensors of that rank."""
         index = (Ellipsis,) + (None,) * rank
         return tuple(s[index] for s in scalars)
 
     def _tvec(self, T: Series, v: Series) -> Series:
         """T^i_qj v^q, shape (n, n): the mixed Cartan tensor eating one vector."""
-        return contract(self._spec("iqj,q->ij"), T, v)
+        return contract("piqj,pq->pij", T, v)
 
     def _tlow(self, T: Series, v: Series) -> Series:
         """T_qjk v^q, shape (n, n): the lowered Cartan tensor eating one vector."""
-        return contract(self._spec("qjk,q->jk"), T, v)
+        return contract("pqjk,pq->pjk", T, v)
 
     def _s_second(self, S: Series, v: Series) -> Series:
         """S(e_j, v) e_k as [i, j, k]: the vector fills the second argument."""
-        return contract(self._spec("ikjq,q->ijk"), S, v)
+        return contract("pikjq,pq->pijk", S, v)
 
     def _s_first(self, S: Series, v: Series) -> Series:
         """S(v, e_j) e_k as [i, j, k]; antisymmetry flips the sign."""
@@ -424,56 +397,56 @@ class DeformationData:
     @cached_property
     def gphi(self) -> Series:
         """Lowered endomorphism g(phi e_j, e_l), shape (n, n)."""
-        return contract(self._spec("ij,il->jl"), self.phi, self.src.g)
+        return contract("pij,pil->pjl", self.phi, self.src.g)
 
     @cached_property
     def gphi1(self) -> Series:
-        return 0.5 * (self.gphi + self._transpose(self.gphi, 1, 0))
+        return 0.5 * (self.gphi + self.gphi.transpose(0, 2, 1))
 
     @cached_property
     def gphi2(self) -> Series:
-        return 0.5 * (self.gphi - self._transpose(self.gphi, 1, 0))
+        return 0.5 * (self.gphi - self.gphi.transpose(0, 2, 1))
 
     @cached_property
     def phi1(self) -> Series:
         """g-symmetric part of phi (an endomorphism again), shape (n, n)."""
-        return contract(self._spec("il,jl->ij"), self.src.gi, self.gphi1)
+        return contract("pil,pjl->pij", self.src.gi, self.gphi1)
 
     @cached_property
     def phi2(self) -> Series:
         """g-antisymmetric part of phi, shape (n, n)."""
-        return contract(self._spec("il,jl->ij"), self.src.gi, self.gphi2)
+        return contract("pil,pjl->pij", self.src.gi, self.gphi2)
 
     @cached_property
     def avec(self) -> Series:
         """The vector g-dual to A."""
-        return contract(self._spec("il,l->i"), self.src.gi, self.A)
+        return contract("pil,pl->pi", self.src.gi, self.A)
 
     @cached_property
     def bvec(self) -> Series:
-        return contract(self._spec("il,l->i"), self.src.gi, self.B)
+        return contract("pil,pl->pi", self.src.gi, self.B)
 
     @cached_property
     def uvec(self) -> Series:
-        return contract(self._spec("il,l->i"), self.src.gi, self.u)
+        return contract("pil,pl->pi", self.src.gi, self.u)
 
     # -- tautological contractions -------------------------------------------
 
     @cached_property
     def A_eta(self) -> Series:
-        return contract(self._spec("i,i->"), self.A, self.src.ys)
+        return contract("pi,pi->p", self.A, self.src.ys)
 
     @cached_property
     def u_eta(self) -> Series:
-        return contract(self._spec("i,i->"), self.u, self.src.ys)
+        return contract("pi,pi->p", self.u, self.src.ys)
 
     @cached_property
     def phi1_eta(self) -> Series:
-        return contract(self._spec("ij,j->i"), self.phi1, self.src.ys)
+        return contract("pij,pj->pi", self.phi1, self.src.ys)
 
     @cached_property
     def phi2_eta(self) -> Series:
-        return contract(self._spec("ij,j->i"), self.phi2, self.src.ys)
+        return contract("pij,pj->pi", self.phi2, self.src.ys)
 
     @cached_property
     def w(self) -> Series:
@@ -483,11 +456,11 @@ class DeformationData:
     @cached_property
     def ell_phi1(self) -> Series:
         """Covector l(phi1(e_k)), shape (n,)."""
-        return contract(self._spec("i,ik->k"), self.src.ell, self.phi1)
+        return contract("pi,pik->pk", self.src.ell, self.phi1)
 
     @cached_property
     def ell_phi1_eta(self) -> Series:
-        return contract(self._spec("i,i->"), self.src.ell, self.phi1_eta)
+        return contract("pi,pi->p", self.src.ell, self.phi1_eta)
 
     @cached_property
     def S(self) -> Series:
@@ -584,8 +557,8 @@ class DeformationData:
             + ys[..., :, None, None] * tl(Tl, bvec)[..., None, :, :]
             + L2 * s2(S, bvec)
         )
-        tm1 = contract(self._spec("iqj,qk->ijk"), T, phi1)
-        mt1 = contract(self._spec("iq,qjk->ijk"), phi1, T)
+        tm1 = contract("piqj,pqk->pijk", T, phi1)
+        mt1 = contract("piq,pqjk->pijk", phi1, T)
         return (
             f1 * a_block
             - f2 * b_block
@@ -610,7 +583,7 @@ class DeformationData:
         """Deformed horizontal coefficients, shape (n, n, n)."""
         src = self.src
         T, fs, Gamma, difference = lower(src.T_mix, self.frame_shift, src.Gamma, self.difference)
-        return Gamma + contract(self._spec("iqk,qj->ijk"), T, fs) + difference
+        return Gamma + contract("piqk,pqj->pijk", T, fs) + difference
 
     @cached_property
     def spray(self) -> Series:
@@ -627,20 +600,20 @@ class DeformationData:
     def compatibility(self) -> Series:
         """Horizontal coefficients solved from the defining conditions alone
         (:func:`horizontal_from_compatibility`), shape (n, n, n)."""
-        src, tr = self.src, self._transpose
+        src = self.src
         dg, g, gi, Tl, fs, f1, f2, A, B, u, gphi = lower(  # dg is [j, k, l]
             src.delta_g, src.g, src.gi, src.T_low, self.frame_shift,
             self.f1, self.f2, self.A, self.B, self.u, self.gphi,
         )
         f1, f2 = self._scalars(3, f1, f2)
-        tilt = 2.0 * contract(self._spec("qkl,qj->jkl"), Tl, fs)
+        tilt = 2.0 * contract("pqkl,pqj->pjkl", Tl, fs)
         E = (
             dg
             + tilt
             - 2.0 * f1 * (A[..., :, None, None] * g[..., None, :, :])
             - f2
             * (
-                B[..., None, :, None] * tr(g, 1, 0)[..., :, None, :]
+                B[..., None, :, None] * g.transpose(0, 2, 1)[..., :, None, :]
                 + B[..., None, None, :] * g[..., :, :, None]
             )
         )
@@ -650,87 +623,38 @@ class DeformationData:
         )
         low = 0.5 * (
             E
-            + tr(E, 2, 0, 1)
-            - tr(E, 1, 2, 0)
+            + E.transpose(0, 3, 1, 2)
+            - E.transpose(0, 2, 3, 1)
             + Q
-            - tr(Q, 0, 2, 1)
-            - tr(Q, 2, 0, 1)
+            - Q.transpose(0, 1, 3, 2)
+            - Q.transpose(0, 3, 1, 2)
         )
-        return contract(self._spec("il,jkl->ijk"), gi, low)
-
-
-class _PointData:
-    """One point's view of a batch's :class:`DeformationData`: each value
-    and stage is the point's slice of the batch's, read on first use."""
-
-    def __init__(self, data: DeformationData, i: int):
-        self.params, self._data, self._i = data.params, data, i
-
-    def __getattr__(self, name: str) -> Series:
-        if name.startswith("_"):  # no private or special name is a slice
-            raise AttributeError(name)
-        value = getattr(self._data, name)
-        value = Series(value.ring, value.coef[self._i])
-        setattr(self, name, value)
-        return value
-
-
-_SPLIT = object()
-"""What a batch keeps for a build that raised (the data of a pack, the rows
-of a reader): its points compute their own."""
-
-
-class _SplitBuild(Exception):
-    """A build over a batch raised at some point, so each point reads alone."""
-
-
-def _batch_build(make):
-    """``make()`` over a batch of more than one point, or :data:`_SPLIT` when
-    it raises."""
-    try:
-        return make()
-    except TruncationError:  # the ring's fault, the same at every point
-        raise
-    except Exception:  # whatever a point raises alone, it raises from its own build
-        return _SPLIT
-
-
-def _batch_data(params: DeformationParams, batch: _Batch, read) -> DeformationData | object:
-    """The data of ``params`` over a batch of more than one point, or
-    :data:`_SPLIT` when its build raises."""
-    return _batch_build(lambda: DeformationData(params, batch, read))
-
-
-def _point_data(params: DeformationParams, t: Tower, read, key) -> DeformationData | _PointData:
-    """The data at ``t``'s point: its view of the data over its batch, kept
-    in the batch's memo under ``key``, or for a batch of one or a batch
-    split at its tower stages, data of its own."""
-    batch = t._batch
-    data = _SPLIT
-    if batch.lead and batch.parts is None:
-        data = batch.memo(key, lambda: _batch_data(params, batch, read))
-    return DeformationData(params, t, read) if data is _SPLIT else _PointData(data, t._index)
+        return contract("pil,pjkl->pijk", gi, low)
 
 
 def deformation_data(
     params: DeformationParams, t: Tower | _Batch, read: tuple[int, int] | None = None
-) -> DeformationData | _PointData:
-    """The evaluation of a deformation at one point; with ``read``, an
-    ``(order, xorder)`` pair, every stage is computed in that ring, or lower
-    where its inputs are (the same bits as the stage cut).  The data is
-    built once per (pack, batch, read) in the memo of ``t``'s batch, and
-    ``t``'s view of it is kept in ``t``'s memo (:class:`DeformationData`).
+) -> DeformationData:
+    """The evaluation of a deformation at the points of ``t``; with ``read``,
+    an ``(order, xorder)`` pair, every stage is computed in that ring, or
+    lower where its inputs are (the same bits as the stage cut).
 
-    ``t`` may also be a batch of more than one point: the data over it,
-    from the same memo.  A batch whose build raised raises here, and its
-    points build their own data."""
+    The data is built once per (pack, batch, read) in the batch's memo
+    (:meth:`~finslerconn.finsler._Batch.build`).  A tower gets its point's
+    view of it without the point axis, kept in the tower's memo; a tower's
+    lift gets the view with the axis.  After a build that raised at a
+    point, a lift builds data of its own, so each point raises its own
+    error, and the batch builds again, so it raises.
+    """
     key = (params, "deformation-data", read)
-    if isinstance(t, _Batch):
-        data = t.memo(key, lambda: _batch_data(params, t, read))
-        if data is _SPLIT:
-            raise _SplitBuild(f"the data of {params.name or 'a pack'} fails at a point of the batch")
-        return data
-    return t.memo(key, lambda: _point_data(params, t, read, key))
+    if isinstance(t, Tower):
+        return t.memo(key, lambda: point_view(deformation_data(params, t.lift, read), 0))
+    make = lambda src: DeformationData(params, src, read)
+    if isinstance(t, _Lift):
+        data, i = t._batch.build(key, make), t._index
+        return make(t) if data is _SPLIT else point_view(data, slice(i, i + 1))
+    data = t.build(key, make)
+    return make(t) if data is _SPLIT else data
 
 
 class _Stage:
@@ -742,7 +666,7 @@ class _Stage:
     def __init__(self, params: DeformationParams, stage: str, read: tuple[int, int] | None = None):
         self.params, self.stage, self.read = params, stage, read
 
-    def __call__(self, t: Tower | _Batch) -> Series:
+    def __call__(self, t: _Batch) -> Series:
         return getattr(deformation_data(self.params, t, self.read), self.stage)
 
     def at(self, read: tuple[int, int]) -> "_Stage":
@@ -767,7 +691,7 @@ def deformed_at(
     read: tuple[int, int],
     conn: Connection | None = None,
 ) -> tuple[DeformationData, Connection]:
-    """The data of ``params`` on ``t`` (a tower or a batch) and ``conn``
+    """The data of ``params`` on ``t`` and ``conn``
     (default: the built one), both computed in the ring ``read`` their
     reader reads: one ring for the two, so the connection's stages come
     from the same data.  The view is kept in ``t``'s memo under ``params``
@@ -804,17 +728,10 @@ def worst_residual(values: Iterable[float]) -> float:
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
-def relative_residual(diff: np.ndarray, *refs: np.ndarray, lead: int = 0) -> float | np.ndarray:
-    """Max-abs of ``diff`` relative to 1 + the largest participating value;
-    a NaN anywhere wins, and an empty participant is skipped.
-
-    With ``lead`` 1 the arrays carry a point axis first, and the result
-    has one value per point: the max-abs over the trailing axes, with the
-    bits of the call on that point's slices.
-    """
-    if not lead:
-        num = float(np.max(np.abs(diff)))
-        return num / (1.0 + worst_residual(np.max(np.abs(r)) for r in refs if np.size(r)))
+def relative_residual(diff: np.ndarray, *refs: np.ndarray) -> np.ndarray:
+    """Per point of the leading point axis: the max-abs of ``diff``
+    relative to 1 + the largest participating value; a NaN anywhere wins,
+    and an empty participant is skipped."""
 
     def per_point(a: np.ndarray) -> np.ndarray:
         return np.max(np.abs(a), axis=tuple(range(1, np.ndim(a))))
@@ -826,25 +743,22 @@ def relative_residual(diff: np.ndarray, *refs: np.ndarray, lead: int = 0) -> flo
 def point_rows(t: Tower, key, rows) -> dict[str, float]:
     """The residual rows ``rows(src)`` at ``t``'s point.
 
-    ``rows`` is a reader's formula over a tower or a batch of towers (one
-    value per point on a batch).  On a batch of more than one point it
-    runs once, kept in the batch's memo under ``key``, and each point reads
-    its slice.  A lone tower, a batch split at its tower stages and a
-    batch whose rows raised compute the point's rows on ``t`` alone, so
-    each point raises its own error and the others are served.
+    ``rows`` is a reader's formula over a batch of towers, one value per
+    point.  It runs once over ``t``'s batch, kept in the batch's memo under
+    ``key`` (:meth:`~finslerconn.finsler._Batch.build`), and each point
+    reads its slice.  Rows whose build raised at a point of the batch are
+    computed on the point's lift alone, so each point raises its own error
+    and the others are served.
     """
-    batch = t._batch
-    if batch.lead and batch.parts is None:
-        built = batch.memo(key, lambda: _batch_build(lambda: rows(batch)))
-        if built is not _SPLIT:
-            i = t._index
-            return {label: float(value[i]) for label, value in built.items()}
-    return rows(t)
+    built, i = t._batch.build(key, rows), t._index
+    if built is _SPLIT:
+        built, i = rows(t.lift), 0
+    return {label: float(value[i]) for label, value in built.items()}
 
 
-def bump(values: np.ndarray, size: float, lead: int = 0) -> np.ndarray:
-    """A copy of ``values`` with ``size`` added at index ``(0, ..., 0)``,
-    behind the ``lead`` point axes: at every point's ``(0, ..., 0)``.
+def bump(values: np.ndarray, size: float) -> np.ndarray:
+    """A copy of ``values`` with ``size`` added at every point's index
+    ``(0, ..., 0)``, behind the leading point axis.
 
     The fuzz controls shift one entry of a compared array through this;
     for ``size == 0`` the input comes back unchanged.
@@ -852,7 +766,7 @@ def bump(values: np.ndarray, size: float, lead: int = 0) -> np.ndarray:
     if not size:
         return values
     out = np.array(values, dtype=float)
-    out[(slice(None),) * lead + (0,) * (out.ndim - lead)] += size
+    out[(slice(None),) + (0,) * (out.ndim - 1)] += size
     return out
 
 
@@ -892,26 +806,23 @@ def construction_residuals(
 
 
 def _construction_rows(
-    params: DeformationParams, src: Tower | _Batch, conn: Connection | None
+    params: DeformationParams, src: _Batch, conn: Connection | None
 ) -> dict:
-    """:func:`construction_residuals` on a tower or over a batch."""
-    lead = src.lead
+    """:func:`construction_residuals` over a batch."""
     d, conn = deformed_at(params, src, _CONSTRUCTION_READ, conn)
     H, N = conn.H(src), conn.N(src)
-    defl = contract(lead_spec("ijk,k->ij", lead), H, src.ys).val
-    from_n = 0.5 * contract(lead_spec("ij,j->i", lead), N, src.ys).val
+    defl = contract("pijk,pk->pij", H, src.ys).val
+    from_n = 0.5 * contract("pij,pj->pi", N, src.ys).val
     spray, shift, G = d.spray.val, d.eta_shift.val, src.G.val
     compat = horizontal_from_compatibility(params, src, _CONSTRUCTION_READ).val
-    tilt = contract(lead_spec("ij,j->i", lead), d.frame_shift, src.ys).val
+    tilt = contract("pij,pj->pi", d.frame_shift, src.ys).val
     H, N = H.val, N.val
     return {
-        "deflection": relative_residual(defl - N, defl, N, lead=lead),
-        "spray-from-nonlinear": relative_residual(from_n - spray, from_n, spray, lead=lead),
-        "spray-shift-consistency": relative_residual(
-            2.0 * (G - spray) - shift, shift, G, lead=lead
-        ),
-        "shift-contraction": relative_residual(tilt - shift, shift, lead=lead),
-        "compatibility-route": relative_residual(H - compat, H, compat, lead=lead),
+        "deflection": relative_residual(defl - N, defl, N),
+        "spray-from-nonlinear": relative_residual(from_n - spray, from_n, spray),
+        "spray-shift-consistency": relative_residual(2.0 * (G - spray) - shift, shift, G),
+        "shift-contraction": relative_residual(tilt - shift, shift),
+        "compatibility-route": relative_residual(H - compat, H, compat),
     }
 
 
@@ -946,11 +857,8 @@ def torsion_relations(
     )
 
 
-def _torsion_rows(params: DeformationParams, src: Tower | _Batch, conn: Connection | None) -> dict:
-    """:func:`torsion_relations` on a tower or over a batch."""
-    lead = src.lead
-    spec = lambda s: lead_spec(s, lead)
-    tr = lambda s, *axes: lead_transpose(s, lead, *axes)
+def _torsion_rows(params: DeformationParams, src: _Batch, conn: Connection | None) -> dict:
+    """:func:`torsion_relations` over a batch."""
     d, conn = deformed_at(params, src, _TORSION_READ, conn)
     tb = torsions(conn, src)
     tc = torsions(CARTAN, src)
@@ -962,34 +870,34 @@ def _torsion_rows(params: DeformationParams, src: Tower | _Batch, conn: Connecti
     )
 
     # vertical derivative of the tilt, with the Cartan tensor correction
-    dyfs = fs.dy(axis=lead + 2)  # [i, j, k]
-    tfs = contract(spec("iqk,qj->ijk"), T0, fs0)
+    dyfs = fs.dy(axis=3)  # [p, i, j, k]
+    tfs = contract("piqk,pqj->pijk", T0, fs0)
     vhv_rhs = tc.vhv - (dyfs + tfs) - d.difference
 
     # frame brackets of the tilt (all derivatives along the metric frame)
-    dfs = horizontal_gradient(fs, src.N, lead)  # [a, l, m]
-    dN_y = src.N.dy(axis=lead + 2)  # [l, j, m]
-    dyfs_m = tr(dyfs, 2, 0, 1)  # [m, l, a]
-    lean = contract(spec("ljm,mk->ljk"), dN_y, fs)
-    drag = contract(spec("mlk,mj->ljk"), dyfs_m, fs)
+    dfs = horizontal_gradient(fs, src.N)  # [p, a, l, m]
+    dN_y = src.N.dy(axis=3)  # [p, l, j, m]
+    dyfs_m = dyfs.transpose(0, 3, 1, 2)  # [m, l, a]
+    lean = contract("pljm,pmk->pljk", dN_y, fs)
+    drag = contract("pmlk,pmj->pljk", dyfs_m, fs)
     vh_rhs = (
         tc.vh
-        + tr(dfs, 1, 0, 2)  # delta_j fs[l, k]
+        + dfs.transpose(0, 2, 1, 3)  # delta_j fs[l, k]
         + lean
-        - tr(dfs, 1, 2, 0)  # delta_k fs[l, j]
-        - tr(lean, 0, 2, 1)
+        - dfs.transpose(0, 2, 3, 1)  # delta_k fs[l, j]
+        - lean.transpose(0, 1, 3, 2)
         + drag
-        - tr(drag, 0, 2, 1)
+        - drag.transpose(0, 1, 3, 2)
     )
 
     hv, hh, vhv, vh, T = tb.hv.val, tb.hh.val, tb.vhv.val, tb.vh.val, src.T_mix.val
     quarter, vhv_rhs, vh_rhs = quarter.val, vhv_rhs.val, vh_rhs.val
     return {
-        "hv-coincides": relative_residual(hv - T, hv, lead=lead),
-        "hh-quarter-form": relative_residual(hh - quarter, hh, quarter, lead=lead),
-        "vv-vanishes": relative_residual(tb.vv.val, T, lead=lead),
-        "vhv-shift-rule": relative_residual(vhv - vhv_rhs, vhv, vhv_rhs, lead=lead),
-        "vh-shift-rule": relative_residual(vh - vh_rhs, vh, vh_rhs, lead=lead),
+        "hv-coincides": relative_residual(hv - T, hv),
+        "hh-quarter-form": relative_residual(hh - quarter, hh, quarter),
+        "vv-vanishes": relative_residual(tb.vv.val, T),
+        "vhv-shift-rule": relative_residual(vhv - vhv_rhs, vhv, vhv_rhs),
+        "vh-shift-rule": relative_residual(vh - vh_rhs, vh, vh_rhs),
     }
 
 
@@ -1021,12 +929,9 @@ def curvature_relations(
 
 
 def _curvature_rows(
-    params: DeformationParams, src: Tower | _Batch, conn: Connection | None
+    params: DeformationParams, src: _Batch, conn: Connection | None
 ) -> dict:
-    """:func:`curvature_relations` on a tower or over a batch."""
-    lead = src.lead
-    spec = lambda s: lead_spec(s, lead)
-    tr = lambda s, *axes: lead_transpose(s, lead, *axes)
+    """:func:`curvature_relations` over a batch."""
     d, conn = deformed_at(params, src, _CURVATURE_READ, conn)
     cartan = src.memo(
         (CARTAN, "connection", _CURVATURE_READ), lambda: CARTAN.at(_CURVATURE_READ)
@@ -1039,39 +944,35 @@ def _curvature_rows(
 
     rows: dict = {}
     Sd = curvature_v(conn, src)
-    rows["v-curvature-coincides"] = relative_residual(Sd.val - S.val, Sd.val, S.val, lead=lead)
+    rows["v-curvature-coincides"] = relative_residual(Sd.val - S.val, Sd.val, S.val)
 
     Pd = curvature_mixed(conn, src)
-    s_fs = contract(spec("imqk,qj->imjk"), S, fs)
+    s_fs = contract("pimqk,pqj->pimjk", S, fs)
     hv_rhs = (
         P
-        + tr(covNv, 1, 3, 2, 0)  # vertical derivative along k
-        + contract(spec("iqm,qkj->imjk"), NT, T)  # NT[i, q, m] T^q_kj
+        + covNv.transpose(0, 2, 4, 3, 1)  # vertical derivative along k
+        + contract("piqm,pqkj->pimjk", NT, T)  # NT[i, q, m] T^q_kj
         + s_fs
     )
-    rows["hv-curvature-expansion"] = relative_residual(
-        Pd.val - hv_rhs.val, Pd.val, hv_rhs.val, lead=lead
-    )
+    rows["hv-curvature-expansion"] = relative_residual(Pd.val - hv_rhs.val, Pd.val, hv_rhs.val)
 
     Rd = curvature_h(conn, src)
-    p_fs = contract(spec("imaq,qb->imab"), P, fs)
-    s_fs2 = contract(spec("imjq,qk->imjk"), s_fs, fs)
-    tilt_t = contract(spec("rqj,qk->rjk"), T, fs)
+    p_fs = contract("pimaq,pqb->pimab", P, fs)
+    s_fs2 = contract("pimjq,pqk->pimjk", s_fs, fs)
+    tilt_t = contract("prqj,pqk->prjk", T, fs)
     block = (
-        tr(covNh, 1, 3, 2, 0)
-        + contract(spec("lijm,lk->imjk"), covNv, fs)
-        + contract(spec("ikq,qjm->imjk"), NT, NT)
-        + contract(spec("iqm,qjk->imjk"), NT, tilt_t)
+        covNh.transpose(0, 2, 4, 3, 1)
+        + contract("plijm,plk->pimjk", covNv, fs)
+        + contract("pikq,pqjm->pimjk", NT, NT)
+        + contract("piqm,pqjk->pimjk", NT, tilt_t)
     )
     h_rhs = (
         R
         + p_fs
-        - tr(p_fs, 0, 1, 3, 2)
+        - p_fs.transpose(0, 1, 2, 4, 3)
         + s_fs2
         + block
-        - tr(block, 0, 1, 3, 2)
+        - block.transpose(0, 1, 2, 4, 3)
     )
-    rows["h-curvature-expansion"] = relative_residual(
-        Rd.val - h_rhs.val, Rd.val, h_rhs.val, lead=lead
-    )
+    rows["h-curvature-expansion"] = relative_residual(Rd.val - h_rhs.val, Rd.val, h_rhs.val)
     return rows

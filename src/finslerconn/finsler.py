@@ -26,37 +26,27 @@ touched.  A tower also offers the ``xs``, ``ys`` and ``const`` of its
 chart jets, so parameter fields are evaluated on it and those that read
 the metric (:class:`HilbertFormField`) take it from there.
 
-Towers are built only by :meth:`FinslerStructure.tower`, and values,
-deformation data, read-ring views of connections and process families
-derived from a tower are memoized with :meth:`Tower.memo`, under keys
-the caller holds, so a held tower stops growing after a first call.  The
+Towers are built only by :meth:`FinslerStructure.tower`, and what is
+derived from a tower is memoized with :meth:`Tower.memo`, under keys the
+caller holds, so a held tower stops growing after a first call.  The
 structure holds its towers weakly and a tower holds its structure
-weakly, so a tower lives while its caller holds it:
-:meth:`FinslerStructure.tower` hands out the live tower of a point and
-order if there is one and builds it otherwise, and reference counting
-frees a tower when its last holder lets go.  Hold the tower while
+weakly, so a tower lives while its caller holds it: hold it while
 reading data derived from it (``deformation_data``), and keep the
-structure bound to a name to use :meth:`Tower.at`.  A caller that visits
-the same points again (a loop over packs, say) holds their towers for
-the loop.
+structure bound to a name to use :meth:`Tower.at`.
 
-A tower is a view of one point of a batch, whose stages carry a leading
-point axis and are computed for all of its points at once on the first
-read (vectorised Taylor propagation).  :meth:`FinslerStructure.towers`
-declares a batch and hands out its towers; the suite runner
-(``verify._suite``) declares one per order its per-point functions read
-and holds it while they run, and :meth:`Tower.at` declares the other
-order for the whole batch.  A tower asked for alone is a batch of one, so
-there is one code path, and every point reads the bits of its batch of
-one.  A batch keeps what is built over all its points in its own memo
-(:meth:`_Batch.memo`): the deformation data of a pack is computed once per
-batch, and each tower reads its point's view of it.  The connections,
-torsions and curvatures take a tower or a batch (``src.lead`` is the
-number of point axes in front: 0 on a tower, 1 on a batch of more than
-one point), so every suite's rows but the constant-curvature ones are
-computed once per batch too, and each point's call reads its slice; a
-field that reads the metric evaluates on a batch too, and reads a deeper
-order through :meth:`_Batch.at` as a tower does through :meth:`Tower.at`.
+Every batch has a point axis, and a tower is a ``(batch, index)`` view
+with no arithmetic of its own: its stages are its point's slices of the
+batch's, computed for all the points at once on the first read
+(vectorised Taylor propagation).  :meth:`FinslerStructure.towers`
+declares a batch (the suite runner ``verify._suite`` declares one per
+order it reads), :meth:`Tower.at` declares the other order for the whole
+batch, and a tower asked for alone is a batch of one.  So every formula is
+written once, with the point axis ``p`` in front, and each point reads the
+bits of its batch of one.  What is built over all the points (a pack's
+deformation data, a suite's rows) lives in the batch's memo, and a build
+that raises at one point splits (:func:`split_on_error`), so each point
+raises its own error.  The formulas also take a tower: :func:`pointwise`
+runs them on its :attr:`Tower.lift` and drops the point axis.
 """
 
 from __future__ import annotations
@@ -64,7 +54,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, wraps
 from typing import Sequence
 
 import numpy as np
@@ -211,33 +201,21 @@ class FinslerStructure:
         tw.g  # touching it performs the positivity/convexity checks
 
 
-def horizontal_gradient(s: Series, N: Series, lead: int = 0) -> Series:
+def horizontal_gradient(s: Series, N: Series) -> Series:
     """``delta_j s = ds/dx_j - N^m_j ds/dy_m`` for every ``j``, on a new axis
-    after the ``lead`` leading (point) axes that ``s`` and ``N`` share; the
-    terms are subtracted in order of ``m``, as per index.  The x-partials
-    are one x-order below the y-partials, so those and ``N`` are cut to the
-    ring of the sum before they multiply."""
-    out, dy, N = lower(s.dx(lead), s.dy(lead), N)
-    points = (slice(None),) * lead
-    spread = (slice(None),) + (None,) * (len(s.shape) - lead)  # N^m_j against s[...]
-    for m in range(N.shape[lead]):
-        out = out - N[points + (m,) + spread] * dy[points + (m,) + (None,) * lead]
+    after the point axis that ``s`` and ``N`` share; the terms are
+    subtracted in order of ``m``, as per index.  The x-partials are one
+    x-order below the y-partials, so those and ``N`` are cut to the ring of
+    the sum before they multiply."""
+    out, dy, N = lower(s.dx(1), s.dy(1), N)
+    spread = (None,) * (len(s.shape) - 1)  # N^m_j against s[p, ...]
+    for m in range(N.shape[1]):
+        out = out - N[(slice(None), m, slice(None)) + spread] * dy[:, m, None]
     return out
 
 
 def _where(point: ChartPoint) -> str:
     return f"x = {point.x.tolist()}, y = {point.y.tolist()}"
-
-
-def lead_spec(spec: str, lead: int) -> str:
-    """A contraction spec with the point axis ``p`` in front of every term
-    when there is one (``lead`` 1); the spec must not use ``p`` itself."""
-    return spec if not lead else "p" + spec.replace(",", ",p").replace("->", "->p")
-
-
-def lead_transpose(s: Series, lead: int, *axes: int) -> Series:
-    """``s.transpose(*axes)`` behind the ``lead`` point axes."""
-    return s.transpose(*(axes if not lead else (*range(lead), *(a + lead for a in axes))))
 
 
 def _memo(cache: dict, key, make):
@@ -249,6 +227,27 @@ def _memo(cache: dict, key, make):
     return out
 
 
+_SPLIT = object()
+"""What :func:`split_on_error` gives for a build that raised at a point."""
+
+
+def split_on_error(make, size: int):
+    """``make()`` over a batch of ``size`` points, or :data:`_SPLIT` when it
+    raises and the batch has more than one point: the caller then computes
+    each point alone, so each raises exactly its own error and the others
+    are served.  A batch of one re-raises, as does a
+    :class:`~finslerconn.ad.TruncationError` (the order's fault, the same
+    at every point)."""
+    try:
+        return make()
+    except TruncationError:
+        raise
+    except Exception:  # whatever a point raises alone, it raises from its own build
+        if size == 1:
+            raise
+        return _SPLIT
+
+
 class _Batch:
     """The tower stages of a batch of points at one order.
 
@@ -256,15 +255,12 @@ class _Batch:
     point at once on the first read by any tower of the batch (vectorised
     Taylor propagation: Bettencourt, Johnson & Duvenaud, "Taylor-mode
     automatic differentiation for higher-order derivatives in JAX", 2019).
-    A batch of one point has no point axis (``lead`` is 0), so a lone tower
-    computes on arrays of its own shapes.  The formulas are the one-point
-    formulas with the point axis in front, so each point's coefficients are
-    bit-identical to those of its batch of one.  If a stage raises on a
-    batch of more than one point, the batch splits into batches of one
-    (:meth:`split`): each point then raises exactly the error it raises
-    alone, and the other points are still served.  A
-    :class:`~finslerconn.ad.TruncationError` (a stage past the order) is
-    the same at every point and splits nothing.
+    A tower asked for alone is a batch of one, so each point's
+    coefficients are bit-identical to those of its batch of one.  If a
+    stage raises on a batch of more than one point, the batch splits into
+    batches of one (:func:`split_on_error`, :meth:`split`): each point
+    then raises exactly the error it raises alone, and the others are
+    still served.
 
     A batch holds no tower; its towers hold it, and so do the batches that
     built it as a deeper order of their points (:meth:`Tower.at`).  It holds
@@ -276,26 +272,19 @@ class _Batch:
         self.points = points
         self.order = order
         self.structure = structure
-        self.lead = int(len(points) > 1)  # the number of point axes
         self.slot: dict[tuple, int] = {}  # point key -> place, for those the structure finds here
         self.parts: list[_Batch] | None = None
         self.deeper: dict = {}  # order -> the batch Tower.at built for these points
         self.cache: dict = {}
 
     def read(self, stage: str, i: int) -> Series:
-        """The stage named ``stage`` at point ``i``: the stage itself in a
-        batch of one, else a view of the point's coefficients."""
+        """The stage named ``stage`` at point ``i``, with a point axis of
+        one: a view of the point's coefficients."""
         if self.parts is None:
-            try:
-                value = getattr(self, stage)
-            except TruncationError:  # the order's fault, the same at every point
-                raise
-            except Exception:  # whatever a point raises alone, it raises from its own batch
-                if not self.lead:
-                    raise
-                self.split()
-            else:
-                return Series(value.ring, value.coef[i]) if self.lead else value
+            value = split_on_error(lambda: getattr(self, stage), len(self.points))
+            if value is not _SPLIT:
+                return Series(value.ring, value.coef[i : i + 1])
+            self.split()
         return self.parts[i].read(stage, 0)
 
     def split(self) -> None:
@@ -305,6 +294,12 @@ class _Batch:
     def memo(self, key, make):
         """The value memoized under ``key`` on this batch, ``make()`` on a miss."""
         return _memo(self.cache, key, make)
+
+    def build(self, key, make):
+        """``make(self)``, memoized under ``key`` on this batch, or
+        :data:`_SPLIT` when it raised at one of several points
+        (:func:`split_on_error`); a batch of one re-raises."""
+        return self.memo(key, lambda: split_on_error(lambda: make(self), len(self.points)))
 
     def _structure(self) -> FinslerStructure:
         structure = self.structure()
@@ -330,16 +325,8 @@ class _Batch:
             deeper = _Batch(self.norm, self.points, order, self.structure)
         return deeper
 
-    def _spec(self, spec: str) -> str:
-        return lead_spec(spec, self.lead)
-
-    def _transpose(self, s: Series, *axes: int) -> Series:
-        return lead_transpose(s, self.lead, *axes)
-
     @cached_property
     def jets(self) -> ChartJets:
-        if not self.lead:
-            return ChartJets.at(self.points[0].x, self.points[0].y, self.order)
         x, y = (np.array([getattr(p, c) for p in self.points]).T for c in "xy")
         return ChartJets.at(x, y, self.order)
 
@@ -369,9 +356,8 @@ class _Batch:
 
     @cached_property
     def g(self) -> Series:
-        a = self.lead
-        g = self.L2.dy(axis=a).dy(axis=a + 1) * 0.5
-        val = g.val.reshape((-1,) + g.shape[-2:])
+        g = self.L2.dy(axis=1).dy(axis=2) * 0.5
+        val = g.val
         finite = np.isfinite(val).all(axis=(1, 2))
         if not finite.all():
             i = int(np.argmin(finite))
@@ -393,61 +379,93 @@ class _Batch:
 
     @cached_property
     def T_low(self) -> Series:
-        return self.g.dy(axis=self.lead + 2) * 0.5
+        return self.g.dy(axis=3) * 0.5
 
     @cached_property
     def T_mix(self) -> Series:
-        return contract(self._spec("il,ljk->ijk"), self.gi, self.T_low)
+        return contract("pil,pljk->pijk", self.gi, self.T_low)
 
     @cached_property
     def ell(self) -> Series:
-        return self.L.dy(axis=self.lead)
+        return self.L.dy(axis=1)
 
     @cached_property
     def ys(self) -> Series:
-        """The fiber coordinates, shape ((points,) n)."""
-        return self.jets.ys.transpose(1, 0) if self.lead else self.jets.ys
+        """The fiber coordinates, shape (points, n)."""
+        return self.jets.ys.transpose(1, 0)
 
     @cached_property
     def S(self) -> Series:
         """Vertical curvature of the metric connection (``curvature_v`` of
-        its coefficients), shape ((points,) n, n, n, n)."""
+        its coefficients), shape (points, n, n, n, n)."""
         V = self.T_mix
-        dyV, V = lower(V.dy(axis=self.lead), V)
-        A = self._transpose(dyV, 1, 3, 2, 0)  # dV^i_jm / dy_k
-        B = contract(self._spec("ikl,ljm->imjk"), V, V)
-        return (A - self._transpose(A, 0, 1, 3, 2)) + (B - self._transpose(B, 0, 1, 3, 2))
+        dyV, V = lower(V.dy(axis=1), V)
+        A = dyV.transpose(0, 2, 4, 3, 1)  # dV^i_jm / dy_k as [p, i, m, j, k]
+        B = contract("pikl,pljm->pimjk", V, V)
+        return (A - A.transpose(0, 1, 2, 4, 3)) + (B - B.transpose(0, 1, 2, 4, 3))
 
     # -- spray layer ---------------------------------------------------------
 
     @cached_property
     def G(self) -> Series:
-        a = self.lead
-        mixed = self.L2.dy(axis=a).dx(axis=a + 1)
-        rhs = contract(self._spec("lm,m->l"), mixed, self.ys) - self.L2.dx(axis=a)
-        return 0.25 * contract(self._spec("il,l->i"), self.gi, rhs)
+        mixed = self.L2.dy(axis=1).dx(axis=2)
+        rhs = contract("plm,pm->pl", mixed, self.ys) - self.L2.dx(axis=1)
+        return 0.25 * contract("pil,pl->pi", self.gi, rhs)
 
     @cached_property
     def N(self) -> Series:
-        return self.G.dy(axis=self.lead + 1)
+        return self.G.dy(axis=2)
 
     @cached_property
     def delta_g(self) -> Series:
-        return horizontal_gradient(self.g, self.N, lead=self.lead)
+        return horizontal_gradient(self.g, self.N)
 
     @cached_property
     def Gamma(self) -> Series:
-        D, tr = self.delta_g, self._transpose  # D[(p,) a, b, c]
-        # low[j, k, l] = (delta_j g_lk + delta_k g_jl - delta_l g_jk) / 2
-        low = 0.5 * (tr(D, 0, 2, 1) + tr(D, 2, 0, 1) - tr(D, 1, 2, 0))
-        return contract(self._spec("il,jkl->ijk"), self.gi, low)
+        D = self.delta_g  # D[p, a, b, c] = delta_a g_bc
+        # low[p, j, k, l] = (delta_j g_lk + delta_k g_jl - delta_l g_jk) / 2
+        low = 0.5 * (D.transpose(0, 1, 3, 2) + D.transpose(0, 3, 1, 2) - D.transpose(0, 2, 3, 1))
+        return contract("pil,pjkl->pijk", self.gi, low)
+
+
+def _view(name: str) -> cached_property:
+    """A :class:`_Lift` stage: the ``[i:i+1]`` view of its batch's stage ``name``."""
+    return cached_property(lambda lift: lift._batch.read(name, lift._index))
+
+
+class _Lift:
+    """A tower's point as a batch of one (:attr:`Tower.lift`): each stage
+    is the ``[i:i+1]`` view of its batch's stage, read on first use, so
+    every bit is the batch's.  Its memo is its tower's; it holds its batch,
+    not its tower."""
+
+    L, L2, g, gi, T_low, T_mix, ell, ys, S, G, N, delta_g, Gamma = map(
+        _view,
+        ("L", "L2", "g", "gi", "T_low", "T_mix", "ell", "ys", "S", "G", "N", "delta_g", "Gamma"),
+    )
+
+    def __init__(self, batch: _Batch, index: int):
+        self._batch, self._index = batch, index
+        self.points = [batch.points[index]]
+
+    @cached_property
+    def jets(self) -> ChartJets:
+        """The chart jets of this point: its column of the batch's jets."""
+        jets, i = self._batch.jets, slice(self._index, self._index + 1)
+        return ChartJets(jets.ring, jets.x0[:, i], jets.y0[:, i], jets.xs[:, i], jets.ys[:, i])
+
+    def at(self, order) -> "_Lift":
+        """The lift of this point's tower at another order (:meth:`Tower.at`)."""
+        self._batch.declare(order)
+        return self._batch._structure().tower(self.points[0], order).lift
 
 
 def _stage(name: str, doc: str) -> cached_property:
-    """A :class:`Tower` stage: the tower's point of its batch's stage ``name``."""
+    """A :class:`Tower` stage: its point's slice of its batch's stage."""
 
     def read(t: "Tower") -> Series:
-        return t._batch.read(name, t._index)
+        s = t._batch.read(name, t._index)
+        return Series(s.ring, s.coef[0])
 
     read.__name__, read.__doc__ = name, doc
     return cached_property(read)
@@ -464,12 +482,12 @@ class Tower:
     coefficients, so a pair that is too low raises
     :class:`~finslerconn.ad.TruncationError` instead of cutting results).
 
-    A tower is a view of one point of a batch (:class:`_Batch`): its stages
-    slice the batch's, computed for all the batch's points on the first read
-    by any of its towers.  :meth:`FinslerStructure.towers` declares a batch;
-    a tower asked for alone is a batch of one.  Invalid inputs (non-positive
-    norm, degenerate fundamental tensor) raise :class:`DomainError` when a
-    stage is first read.
+    A tower is a ``(batch, index)`` view of one point of a batch
+    (:class:`_Batch`) with no arithmetic of its own: its stages slice the
+    batch's, and a function given a tower runs on its :attr:`lift`
+    (:func:`pointwise`).  Invalid inputs (non-positive norm, degenerate
+    fundamental tensor) raise :class:`DomainError` when a stage is first
+    read.
 
     Built only by :meth:`FinslerStructure.tower`; other modules memoize
     values derived from a tower with :meth:`memo`.  A tower lives while its
@@ -479,9 +497,6 @@ class Tower:
     one of its towers does.  It holds its structure weakly too, so
     :meth:`at` needs the structure still bound to a name.
     """
-
-    lead = 0
-    """The number of point axes in front of a stage: a tower has none."""
 
     def __init__(self, structure: FinslerStructure, point: ChartPoint, order):
         self.point = point
@@ -503,12 +518,18 @@ class Tower:
         return _memo(self.cache, key, make)
 
     @cached_property
+    def lift(self) -> _Lift:
+        """This tower's point as a batch of one, for the formulas that take a
+        point axis (:func:`pointwise`); its memo is this tower's."""
+        lift = _Lift(self._batch, self._index)
+        lift.cache, lift.memo = self.cache, partial(_memo, self.cache)  # not the tower: no cycle
+        return lift
+
+    @cached_property
     def jets(self) -> ChartJets:
         """The chart jets of this point, in the ring of the tower's order:
         its column of the batch's jets."""
         jets, i = self._batch.jets, self._index
-        if not self._batch.lead:
-            return jets
         return ChartJets(jets.ring, self.point.x, self.point.y, jets.xs[:, i], jets.ys[:, i])
 
     # -- base layer ----------------------------------------------------------
@@ -540,8 +561,13 @@ class Tower:
 
     def delta(self, s: Series, j: int) -> Series:
         """Horizontal derivative delta_j = d/dx_j - N^m_j d/dy_m of a series,
-        the ``j``-th entry of :func:`horizontal_gradient`."""
-        return horizontal_gradient(s, self.N)[j]
+        the ``j``-th entry of :func:`horizontal_gradient`.
+
+        The package does not call it: it is kept only as the benchmark's
+        hook (``perfbench/spans.py`` wraps it, and
+        ``tests/test_bench_hooks.py`` pins it), and a later change to the
+        benchmark can drop it."""
+        return horizontal_gradient(s[None], self.lift.N)[0, j]
 
     # -- chart jets, so fields evaluate on a tower ---------------------------
 
@@ -557,15 +583,67 @@ class Tower:
         return self.jets.const(value)
 
 
+class _View:
+    """The series ``of`` holds at ``at`` of their point axis (a point, or a
+    slice of one), read on first use; anything else reads through."""
+
+    def __init__(self, of, at: int | slice):
+        self._of, self._at = of, at
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):  # no private or special name is a slice
+            raise AttributeError(name)
+        value = getattr(self._of, name)
+        if type(value) is not Series:
+            return value
+        value = Series(value.ring, value.coef[self._at])
+        setattr(self, name, value)
+        return value
+
+
+def point_view(value, at: slice | int):
+    """A formula's result at ``at`` of its point axis: ``i`` drops the
+    axis, ``slice(i, i + 1)`` keeps it.  A series is sliced, an object
+    viewed (:class:`_View`)."""
+    if type(value) is Series:
+        return Series(value.ring, value.coef[at])
+    if type(value) is _View:  # a lift's view of a batch's object, at its point
+        return _View(value._of, value._at.start)
+    return _View(value, at)
+
+
+def _lifted(value):
+    """A tower as its lift, a series with the point axis in front."""
+    if type(value) is Tower:
+        return value.lift
+    return value[None] if type(value) is Series else value
+
+
+def pointwise(fn):
+    """``fn``, a formula over a batch, also taking a :class:`Tower` (as a
+    positional argument): it then runs on the tower's :attr:`~Tower.lift`
+    with the point axis added to every series argument, and the point axis
+    is dropped from the result (:func:`point_view`), so each value has the
+    bits of the batch's."""
+
+    @wraps(fn)
+    def run(*args, **kwargs):
+        if Tower not in map(type, args):
+            return fn(*args, **kwargs)
+        out = fn(*map(_lifted, args), **{key: _lifted(v) for key, v in kwargs.items()})
+        return point_view(out, 0)
+
+    return run
+
+
 class HilbertFormField:
     """The Hilbert form ``l`` of the metric a tower is built on, as a
-    one-form field (it needs a :class:`Tower`, or a batch of them, not bare
-    jets).
+    one-form field (it needs a :class:`Tower`, or a batch, not bare jets).
 
     Handy wherever an input one-form is chosen to be ``l`` itself.
     """
 
-    def eval(self, t: "Tower | _Batch") -> Series:
+    def eval(self, t: "Tower | _Batch | _Lift") -> Series:
         return t.ell
 
     def describe(self) -> str:

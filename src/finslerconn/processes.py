@@ -19,10 +19,10 @@ the classical square (whose targets are built independently from tower
 data), and the five collapse edges joining the two squares under zero
 parameters.
 
-Every connection here, and each process, takes a tower or a batch of
+Every connection here, and each process, is a formula over a batch of
 towers (:class:`~finslerconn.finsler._Batch`, the point axis in front, as
 in :mod:`finslerconn.connection`), so the diagram's rows are one formula
-over either: computed once per (pack or family, batch) in the batch's
+over a batch: computed once per (pack or family, batch) in the batch's
 memo, each point's call returns its slice of them
 (:func:`~finslerconn.deformation.point_rows`).
 """
@@ -42,9 +42,8 @@ from .deformation import (
     deformation_data,
     point_rows,
     relative_residual,
-    worst_residual,
 )
-from .finsler import ChartPoint, FinslerStructure, Tower, _Batch, lead_transpose
+from .finsler import ChartPoint, FinslerStructure, Tower, _Batch, pointwise
 
 __all__ = [
     "HASHIGUCHI",
@@ -60,13 +59,13 @@ __all__ = [
 ]
 
 
+@pointwise
 def berwald_coefficients(t: Tower | _Batch) -> Series:
-    """Fiber derivative of the nonlinear connection, [i, j, k] = dN^i_j/dy^k
-    (behind the point axis on a batch).
+    """Fiber derivative of the nonlinear connection, [i, j, k] = dN^i_j/dy^k.
 
     Symmetric in (j, k) because N is itself a fiber derivative of the spray.
     """
-    return t.N.dy(axis=2 + t.lead)
+    return t.N.dy(axis=3)
 
 
 HASHIGUCHI = Connection(
@@ -111,8 +110,8 @@ def p1_process(conn: Connection) -> Connection:
     Hashiguchi connection, which pins the argument order.
     """
 
-    def hor(t: Tower | _Batch) -> Series:
-        return conn.H(t) + lead_transpose(torsions(conn, t).vhv, t.lead, 0, 2, 1)
+    def hor(t: _Batch) -> Series:
+        return conn.H(t) + torsions(conn, t).vhv.transpose(0, 1, 3, 2)
 
     return Connection(name=f"p1({conn.name})", nlc=conn.nlc, hor=hor, ver=conn.ver)
 
@@ -125,7 +124,7 @@ def c_process(conn: Connection) -> Connection:
     nonlinear and horizontal parts are untouched.
     """
 
-    def ver(t: Tower | _Batch) -> Series:
+    def ver(t: _Batch) -> Series:
         return conn.V(t) - torsions(conn, t).hv
 
     return Connection(name=f"c({conn.name})", nlc=conn.nlc, hor=conn.hor, ver=ver)
@@ -191,19 +190,19 @@ def _zero_params(n: int) -> DeformationParams:
     return DeformationParams.zero(n)
 
 
-def _worst(values: list, lead: int):
-    """The worst of residuals (one per point on a batch); a NaN wins."""
-    return np.max(np.stack(values), axis=0, initial=0.0) if lead else worst_residual(values)
+def _worst(values: list) -> np.ndarray:
+    """The worst of residuals, per point; a NaN wins."""
+    return np.max(np.stack(values), axis=0, initial=0.0)
 
 
-def _match(got: Series, want: Series, lead: int):
-    """Residual of ``got`` against the reference ``want``."""
-    return relative_residual(got.val - want.val, want.val, lead=lead)
+def _match(got: Series, want: Series) -> np.ndarray:
+    """Residual of ``got`` against the reference ``want``, per point."""
+    return relative_residual(got.val - want.val, want.val)
 
 
-def _triple_residual(got: Connection, want: Connection, src: Tower | _Batch):
+def _triple_residual(got: Connection, want: Connection, src: _Batch) -> np.ndarray:
     pairs = ((got.N, want.N), (got.H, want.H), (got.V, want.V))
-    return _worst([_match(g(src), w(src), src.lead) for g, w in pairs], src.lead)
+    return _worst([_match(g(src), w(src)) for g, w in pairs])
 
 
 _DIAGRAM_ORDER = (4, 1)
@@ -241,26 +240,25 @@ def diagram_residuals(
 
 
 def _diagram_rows(
-    params: DeformationParams, src: Tower | _Batch, family: ConnectionFamily | None
+    params: DeformationParams, src: _Batch, family: ConnectionFamily | None
 ) -> dict:
-    """:func:`diagram_residuals` on a tower or over a batch."""
-    lead = src.lead
-    # the families live in the memo of the tower or batch, so a held one meets the same ones
+    """:func:`diagram_residuals` over a batch."""
+    # the families live in the memo of the batch, so a held one meets the same ones
     fam = src.memo((params, "family"), lambda: derive_family(params)) if family is None else family
     rows: dict = {}
 
     # deformed square
-    dyN = fam.base.N(src).dy(axis=2 + lead)
-    p1_closed = torsions(fam.base, src).hh + lead_transpose(dyN, lead, 0, 2, 1)
-    rows["deformed:base-to-hashiguchi"] = _match(fam.hashiguchi.H(src), p1_closed, lead)
+    dyN = fam.base.N(src).dy(axis=3)
+    p1_closed = torsions(fam.base, src).hh + dyN.transpose(0, 1, 3, 2)
+    rows["deformed:base-to-hashiguchi"] = _match(fam.hashiguchi.H(src), p1_closed)
     rows["deformed:base-to-chern-rund"] = _worst([
-        relative_residual(fam.chern_rund.V(src).val, src.T_mix.val, lead=lead),
-        _match(fam.chern_rund.H(src), fam.base.H(src), lead),
-    ], lead)
+        relative_residual(fam.chern_rund.V(src).val, src.T_mix.val),
+        _match(fam.chern_rund.H(src), fam.base.H(src)),
+    ])
     rows["deformed:hashiguchi-to-berwald"] = _worst([
-        relative_residual(fam.berwald.V(src).val, src.T_mix.val, lead=lead),
-        _match(fam.berwald.H(src), fam.hashiguchi.H(src), lead),
-    ], lead)
+        relative_residual(fam.berwald.V(src).val, src.T_mix.val),
+        _match(fam.berwald.H(src), fam.hashiguchi.H(src)),
+    ])
     rows["deformed:chern-rund-to-berwald"] = _triple_residual(
         fam.p1_chern_rund, fam.berwald, src
     )
@@ -278,6 +276,6 @@ def _diagram_rows(
         rows[f"collapse:{label}"] = _triple_residual(member, classical, src)
     zdata = deformation_data(zero, src)
     rows["collapse:spray-and-nonlinear"] = _worst(
-        [_match(zdata.spray, src.G, lead), _match(zdata.nonlinear, src.N, lead)], lead
+        [_match(zdata.spray, src.G), _match(zdata.nonlinear, src.N)]
     )
     return rows

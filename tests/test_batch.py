@@ -17,7 +17,11 @@ fresh structure, stage by stage and bit for bit:
 The deformation data of a pack is built once per batch too, and each
 point's view of it is compared the same way with the data on the lone
 tower, value by value and stage by stage, for random and preset packs, and
-in a batch where one point's field fails.
+in a batch where one point's field fails.  Every function that takes a
+tower (the torsions, curvatures, metric deficits, covariant derivatives,
+Ricci trace and field, value-slot contraction, compatibility route and
+``deformed_at``) runs on the tower's lift, and on a tower of a 3-point
+batch each has the bits of the lone tower's.
 
 The theorem, construction, torsion, curvature, Bianchi, first-Bianchi,
 process-diagram and finite-difference rows are computed once per batch as
@@ -70,12 +74,24 @@ from finslerconn import (
     cases, cli, connection, deformation, expr, finsler, processes, samples, verify,
 )
 from finslerconn.ad import ChartJets, Series, lower_to
-from finslerconn.connection import CARTAN, curvature_v
+from finslerconn.connection import (
+    CARTAN,
+    contract_value_slot,
+    cov_deriv,
+    curvature_h,
+    curvature_mixed,
+    curvature_v,
+    metric_deficit,
+    ricci,
+    torsions,
+)
 from finslerconn.deformation import (
     DeformationData,
     DeformationParams,
     build,
     deformation_data,
+    deformed_at,
+    horizontal_from_compatibility,
     parameter_field,
     relative_residual,
 )
@@ -338,20 +354,20 @@ BUILDS = {
 def test_each_suite_builds_one_deformation_per_pack_batch_and_read(monkeypatch):
     count = 3
     running, builds, splits = _tracking_suites(monkeypatch), [], []
-    init, batch_data = DeformationData.__init__, deformation._batch_data
+    init, build_over = DeformationData.__init__, finsler._Batch.build
 
     def recording(self, params, src, read=None, values=None):
         init(self, params, src, read, values)
         builds.append((running[-1] if running else None, src, params, read))
 
-    def splitting(params, batch, read):
-        data = batch_data(params, batch, read)
-        if data is deformation._SPLIT:
-            splits.append(batch)
-        return data
+    def splitting(batch, key, make):
+        built = build_over(batch, key, make)
+        if built is finsler._SPLIT:
+            splits.append((batch, key))
+        return built
 
     monkeypatch.setattr(DeformationData, "__init__", recording)
-    monkeypatch.setattr(deformation, "_batch_data", splitting)
+    monkeypatch.setattr(finsler._Batch, "build", splitting)
     metrics = [samples.randers(), samples.hyperbolic()]
     run_all(metrics, _small_plan(count))
 
@@ -428,9 +444,62 @@ def test_every_view_of_batch_data_reads_its_lone_datas_bits(name):
             _assert_data_views_match_lone_data(F, points, order, params, read, views)
             # one build over the batch, each point a view of it
             data = batch.cache[(params, "deformation-data", read)]
-            assert isinstance(data, DeformationData) and data.lead, (label, order)
-            assert all(v.cache[(params, "deformation-data", read)]._data is data for v in views)
+            assert isinstance(data, DeformationData), (label, order)
+            assert data.f1.shape == (len(points),), (label, order)
+            assert all(v.cache[(params, "deformation-data", read)]._of is data for v in views)
             assert batch.parts is None
+        # every function that takes a tower, on the towers of a 3-point batch
+        _assert_functions_match_lone_towers(F, points[:3], params, deformation._CURVATURE_ORDER)
+
+
+# every function that takes a tower, on the tower ``t``, the pack
+# ``params``, and the data ``d`` and connection ``conn`` of ``deformed_at``
+LIFTED = {
+    **{
+        f"torsions-{block}": lambda t, params, d, conn, block=block: getattr(
+            torsions(conn, t), block
+        )
+        for block in ("hh", "hv", "vh", "vhv", "vv")
+    },
+    "curvature_h": lambda t, params, d, conn: curvature_h(conn, t),
+    "curvature_mixed": lambda t, params, d, conn: curvature_mixed(conn, t),
+    "curvature_v": lambda t, params, d, conn: curvature_v(conn, t),
+    "deficit_h": lambda t, params, d, conn: metric_deficit(conn, t, horizontal=True),
+    "deficit_v": lambda t, params, d, conn: metric_deficit(conn, t, horizontal=False),
+    "cov_deriv_h": lambda t, params, d, conn: cov_deriv(CARTAN, t, d.difference, True),
+    "cov_deriv_v": lambda t, params, d, conn: cov_deriv(CARTAN, t, d.difference, False),
+    "ricci": lambda t, params, d, conn: ricci(CARTAN, t),
+    "ricci-field": lambda t, params, d, conn: connection.RicciEndomorphism().eval(t),
+    "contract_value_slot": lambda t, params, d, conn: contract_value_slot(
+        curvature_h(conn, t), t
+    ),
+    "compat": lambda t, params, d, conn: horizontal_from_compatibility(params, t, (1, 1)),
+    "deformed_at-data": lambda t, params, d, conn: d.horizontal,
+    "deformed_at-connection": lambda t, params, d, conn: conn.H(t),
+}
+
+
+def _lifted(t, params, name):
+    """A function's result on the tower ``t`` as int64 bits, or the error it raises."""
+    try:
+        d, conn = deformed_at(params, t, (1, 1))
+        value = LIFTED[name](t, params, d, conn)
+    except Exception as err:  # compared with the lone tower's error
+        return (type(err), str(err))
+    return np.ascontiguousarray(value.coef).view(np.int64)
+
+
+def _assert_functions_match_lone_towers(F, points, params, order):
+    # each function on a tower of the batch runs on its lift, whose stages
+    # are views of the batch's, and has the bits of the lone tower's
+    views = F.towers(points, order)
+    for k, (point, view) in enumerate(zip(points, views)):
+        structure = FinslerStructure(F.n, F.norm, F.name)  # bound: the Ricci field reads it
+        lone = structure.tower(point, order)
+        for name in LIFTED:
+            got, want = _lifted(view, params, name), _lifted(lone, params, name)
+            assert not isinstance(want, tuple), (k, name, want)
+            assert _same(got, want), (k, order, name)
 
 
 def _data_or_error(params, t, read):
@@ -455,13 +524,22 @@ def test_a_field_failing_at_one_point_raises_its_own_error_and_the_others_are_se
     assert str(err.value).startswith("parameter f1 cannot be evaluated at x = [-0.25,")
     assert got[2] == (finsler.DomainError, str(err.value))
     good = [k for k in range(5) if k != 2]
-    assert all(isinstance(got[k], DeformationData) for k in good)  # each its own data
+    assert all(got[k]._of.src is views[k].lift for k in good)  # each its own data
     _assert_data_views_match_lone_data(
         F, [points[k] for k in good], (4, 1), params, (0, 0), [views[k] for k in good]
     )
     # the batch keeps the failed build's mark; its towers are still one batch
-    assert views[0]._batch.cache[(params, "deformation-data", (0, 0))] is deformation._SPLIT
+    assert views[0]._batch.cache[(params, "deformation-data", (0, 0))] is finsler._SPLIT
     assert views[0]._batch.parts is None
+
+
+def _lone_residual(diff, *refs) -> float:
+    """The relative residual of one point's arrays, written out: max-abs of
+    ``diff`` over 1 + the largest max-abs of a non-empty participant, a NaN
+    anywhere winning."""
+    num = float(np.max(np.abs(diff)))
+    scales = np.fromiter((np.max(np.abs(r)) for r in refs if np.size(r)), dtype=float)
+    return num / (1.0 + float(np.max(scales, initial=0.0)))
 
 
 # finite values, both infinities and NaN
@@ -490,8 +568,8 @@ def _point_arrays(draw):
 def test_relative_residual_per_point_has_the_bits_of_each_slice(arrays):
     diff, refs = arrays
     with np.errstate(invalid="ignore"):  # inf / inf is NaN on both paths
-        got = relative_residual(diff, *refs, lead=1)
-        want = [relative_residual(diff[i], *(r[i] for r in refs)) for i in range(len(diff))]
+        got = relative_residual(diff, *refs)
+        want = [_lone_residual(diff[i], *(r[i] for r in refs)) for i in range(len(diff))]
     assert isinstance(want[0], float) and got.shape == (len(diff),)
     assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
@@ -665,7 +743,8 @@ def test_every_point_of_a_batched_case_check_reads_its_lone_bits(name, monkeypat
             for p in points:
                 fresh = FinslerStructure(F.n, F.norm, F.name)  # bound: the Ricci field reads it
                 tower = fresh.tower(p, cases._WORKSPACE_ORDER)
-                lone.append(cases._case_rows(spec, pack, fresh, tower, size))
+                rows_at = cases._compare(spec, cases._Workspace(pack, fresh, tower), size)
+                lone.append({key: value[0] for key, value in rows_at.items()})
             labels = {"residual", "literal"} if spec.typo and not size else {"residual"}
             assert set(rows) == set(lone[0]) == labels, (spec.id, size)
             for key, values in rows.items():
@@ -738,8 +817,8 @@ def test_values_evaluated_in_the_read_ring_have_the_bits_of_the_cut_values(order
     F = samples.randers()
     points = sample_points(F, SamplePlan(), size, "read-ring-values")
     views = F.towers(points, order)
-    src = views[0] if size == 1 else views[0]._batch
-    assert src.lead == (size > 1)
+    src = views[0]._batch  # a lone point is a batch of one
+    assert len(src.points) == size
     expressions = replace(
         DeformationParams.zero(2),
         **{slot: parameter_field(slot, value, 2) for slot, value in EVERY_FUNCTION.items()},
@@ -844,7 +923,7 @@ def test_rows_failing_at_one_point_raise_its_own_error_and_the_others_are_served
     assert got == want
     assert all(isinstance(got[k], dict) for k in (0, 1, 3, 4))
     # the batch keeps the failed build's mark; its towers are still one batch
-    assert views[0]._batch.cache[key(params, seam)] is deformation._SPLIT
+    assert views[0]._batch.cache[key(params, seam)] is finsler._SPLIT
     assert views[0]._batch.parts is None
 
 
@@ -874,8 +953,8 @@ def test_a_case_check_failing_at_one_point_raises_its_own_error_and_the_others_a
     assert [_bits(g) for g in got] == [_bits(want[k]) for k in good]
     # the other entries are still compared over the batch, with their lone bits
     rows = views[0]._batch.cache[(42, 0.0, "catalog-rows")]
-    assert rows[7] is deformation._SPLIT
-    assert all(rows[k] is not deformation._SPLIT for k in rows if k != 7)
+    assert rows[7] is finsler._SPLIT
+    assert all(rows[k] is not finsler._SPLIT for k in rows if k != 7)
     for case_id in (1, 8):
         workspaces.clear()
         got = _case_or_error(case_id, F, points, 0.0)
@@ -904,15 +983,16 @@ def test_fd_rows_failing_at_one_shifted_point_raise_its_own_error_and_the_others
     assert got[1] == (ExprError, str(ExprError("picky norm", 3)))
     assert got == want and isinstance(got[0], dict) and isinstance(got[2], dict)
     # the batch keeps the failed build's mark; its towers are still one batch
-    assert views[0]._batch.cache[(0.0, "fd-rows")] is deformation._SPLIT
+    assert views[0]._batch.cache[(0.0, "fd-rows")] is finsler._SPLIT
     assert views[0]._batch.parts is None
 
 
 @pytest.mark.parametrize("rank", [4, 5])
 def test_cyclic_sum_behind_a_point_axis_has_the_bits_of_each_slice(rank):
     M = np.random.default_rng(rank).standard_normal((2,) + (3,) * rank)
-    got = verify._cyc3(M, lead=1)
-    want = [verify._cyc3(m) for m in M]
+    got = verify._cyc3(M)
+    rest = tuple(range(4, rank))
+    want = [m + m.transpose(0, 2, 3, 1, *rest) + m.transpose(0, 3, 1, 2, *rest) for m in M]
     assert got.shape == M.shape
     assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
     # the cyclic sum over the argument axes 1, 2, 3; an axis after them stays in place
@@ -960,7 +1040,7 @@ def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
         function = getattr(module, name)
 
         def per_point(conn, t, *args, __function=function, __name=name, **kwargs):
-            if isinstance(t, finsler.Tower) and t._batch.lead and t._batch.parts is None:
+            if isinstance(t, finsler.Tower):
                 lone.append((running[-1] if running else None, __name))
             return __function(conn, t, *args, **kwargs)
 
@@ -1027,8 +1107,8 @@ def _old_fd_energy_rows(F, point):
             ) / (4.0 * h2 * h2)
     G_fd = 0.5 * np.linalg.inv(g_fd) @ (mixed @ y0 - dx_energy)
     return {
-        "fd-fundamental-tensor": relative_residual(g_fd - t.g.val, t.g.val),
-        "fd-spray": relative_residual(G_fd - t.G.val, t.G.val),
+        "fd-fundamental-tensor": _lone_residual(g_fd - t.g.val, t.g.val),
+        "fd-spray": _lone_residual(G_fd - t.G.val, t.G.val),
     }
 
 

@@ -6,7 +6,9 @@ renamed or deleted hook would otherwise only surface when the benchmark
 runs.  These tests read the hook tables and check each name in-process,
 pin the bits of the closed forms the case layer times on a lone point,
 then install the whole tracer in a child process (it rebinds package
-names for good) and trace one report point and one Bianchi point there.
+names for good) and trace one report point, one Bianchi point and one
+built-in check pass there, pinning how often the check calls each
+per-point function.
 """
 
 import hashlib
@@ -215,3 +217,41 @@ assert tracer.nonfinite_points == 0 and max(rows.values()) < 1e-6
 
 def test_install_and_trace_one_bianchi_point():
     _run_traced(TRACED_BIANCHI)
+
+
+# point_p50_ref is the median over these calls: the per-point functions a
+# built-in check pass calls, per span, 1,219 samples in all
+CHECK_POINT_CALLS = {
+    "verify.theorem.point": 750,
+    "verify.construction.point": 75,
+    "verify.torsions.point": 150,
+    "verify.curvatures.point": 60,
+    "verify.bianchi.point": 30,
+    "processes.diagram": 36,
+    "cases.check_case": 78,
+    "verify.fd.point": 30,
+    "verify.constant-curvature.point": 10,
+}
+
+TRACED_CHECK = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS_PATH)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+from finslerconn import cli, verify
+config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+report = verify.run_all(
+    metrics=cli._structures(config), plan=config.plan,
+    tolerances=config.tolerances or None, fuzz=config.fuzz,
+)
+assert report.passed
+calls = {{span: tracer.stat(span).calls for span in set(tracer.point_suite)}}
+assert calls == {CHECK_POINT_CALLS!r}, calls
+assert sum(len(v) for v in tracer.durations.values()) == {sum(CHECK_POINT_CALLS.values())}
+"""
+
+
+def test_a_check_pass_calls_each_point_function_as_often_as_it_samples():
+    _run_traced(TRACED_CHECK)

@@ -270,12 +270,12 @@ def test_horizontal_gradient_has_the_bits_of_the_ordered_formula(F):
     mixed[0, 1, 1:] = 0.0
     for N in (N, type(N)(N.ring, mixed)):
         for s in (tw.L, tw.ell, tw.g, tw.T_low):
-            grad = horizontal_gradient(s, N)
-            assert grad.shape == (F.n,) + s.shape
+            grad = horizontal_gradient(s[None], N[None])  # a batch of one point
+            assert grad.shape == (1, F.n) + s.shape
             for j in range(F.n):
                 want = _ordered_delta(s, j, N)
-                assert grad[j].ring is want.ring
-                assert np.array_equal(grad[j].coef.view(np.int64), want.coef.view(np.int64))
+                assert grad[0, j].ring is want.ring
+                assert np.array_equal(grad[0, j].coef.view(np.int64), want.coef.view(np.int64))
     for j in range(F.n):
         want = _ordered_delta(tw.g, j, tw.N)
         assert np.array_equal(tw.delta(tw.g, j).coef.view(np.int64), want.coef.view(np.int64))

@@ -37,7 +37,7 @@ SUITES = {
 # mutant -> (the mutant made from the built connection, the rows it must fail)
 MUTANTS = {
     "H-swapped": (
-        lambda base: replace(base, hor=lambda t: base.H(t).transpose(0, 2, 1)),
+        lambda base: replace(base, hor=lambda t: base.H(t).transpose(0, 1, 3, 2)),
         {"theorem": ["condition-(iii)-quarter-torsion"], "torsions": ["hh-quarter-form"]},
     ),
     "V-negated": (

@@ -105,14 +105,15 @@ def test_family_shares_nonlinear_part():
 
 
 def test_family_is_cached():
-    # the diagram keeps one family per pack in the memo of the tower it reads
+    # the diagram keeps one family per pack in the memo of the batch its
+    # rows are computed over: a lone tower's batch of one
     F = randers()
     params = general_params(2)
     t = F.tower(P2, _DIAGRAM_ORDER)
     diagram_residuals(params, F, P2)
-    family = t.cache[(params, "family")]
+    family = t._batch.cache[(params, "family")]
     diagram_residuals(params, F, P2)
-    assert t.cache[(params, "family")] is family
+    assert t._batch.cache[(params, "family")] is family
 
 
 def test_hashiguchi_type_closed_form():

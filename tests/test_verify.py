@@ -284,9 +284,9 @@ def test_nan_residual_at_any_position_fails_its_row(position):
     worst = _aggregate({"a": value} for value in values)
     row = _report("s", worst, {"a": "theorem"}, DEFAULT_TOLERANCES, {}).rows[0]
     assert not row.passed
-    refs = [np.ones(2), np.ones(2), np.ones(2)]
-    refs[position] = np.array([1.0, np.nan])
-    assert np.isnan(relative_residual(np.zeros(2), *refs))
+    refs = [np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2))]  # one point's
+    refs[position] = np.array([[1.0, np.nan]])
+    assert np.isnan(relative_residual(np.zeros((1, 2)), *refs)).all()
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Every tower a library call asks for is cut in x exactly as far as it may be.
 
 Each call site names an ``(order, xorder)`` pair for its towers, whatever
-the pack.  On the 2-d Randers metric and the 3-d quartic metric, with one
-random pack and the case-3 pack (whose Ricci endomorphism reads, for each
-tower ``(order, xorder)`` it is evaluated on, the tower of the same point
-at ``(order + 1, xorder + 2)`` through ``F.tower``, so every tower
-request is seen here):
+the pack.  Every stage is computed by a batch of towers built at the pair
+asked for (a tower asked for alone is a batch of one), so the pairs are
+watched where batches are built.  On the 2-d Randers metric and the 3-d
+quartic metric, with one random pack and the case-3 pack (whose Ricci
+endomorphism reads, for each batch ``(order, xorder)`` it is evaluated
+on, the batch of the same points at ``(order + 1, xorder + 2)``):
 
 * every site's results are bit-identical to those on uncut towers of the
   same total order;
@@ -25,7 +26,7 @@ import pytest
 
 from finslerconn import cases, cli, deformation, processes, samples, verify
 from finslerconn.ad import TruncationError
-from finslerconn.finsler import FinslerStructure
+from finslerconn.finsler import FinslerStructure, _Batch
 
 # site -> (per-point call, the pairs it asks for)
 SITES = {
@@ -64,20 +65,22 @@ def _flat(result):
 
 
 def _run(monkeypatch, call, F, pack, point, remap):
-    """The pairs a site asks for, and its result (or ``TruncationError``)
-    with each pair passed through ``remap`` on cold towers."""
+    """The pairs a site's batches are built at, and its result (or
+    ``TruncationError``) with each pair passed through ``remap`` on cold
+    towers."""
     asked = []
-    tower = FinslerStructure.tower
+    init = _Batch.__init__
 
-    def remapped(self, at, order):
+    def remapped(self, norm, points, order, structure):
         if isinstance(order, tuple):
             asked.append(order)
             order = remap(order)
-        return tower(self, at, order)
+        init(self, norm, points, order, structure)
 
     F._towers.clear()
+    F._batches.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(FinslerStructure, "tower", remapped)
+        patch.setattr(_Batch, "__init__", remapped)
         try:
             out = _flat(call(F, pack, point))
         except TruncationError:

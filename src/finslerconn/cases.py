@@ -19,8 +19,10 @@ module pins all twenty-six members of that catalog:
   tensor against the closed form at given points.  On the points of one
   batch the first call compares every entry at once: one deformation over
   all the catalog packs, their values side by side along the point axis,
-  kept in the batch's memo as rows that each later call slices.  The
-  workspace holds every value with the point axis in front, and the
+  kept in the batch's memo as rows that each later call slices.  A run
+  builds the packs once per chart dimension (:class:`CasePacks`), and its
+  case suites compare over their batch with them before the first call.
+  The workspace holds every value with the point axis in front, and the
   closed forms index with ``...`` in front, so the same arithmetic serves
   one point, a batch, or one pack's slice of the catalog.  The verdict
   against the configured tolerance is
@@ -47,23 +49,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .ad import Constant, Field, Series, contract, lower_to
+from .ad import Constant, Field, Series, lower_to
 from .connection import RicciEndomorphism
 from .deformation import (
     DeformationData,
     DeformationParams,
+    MetricSplitPart,
+    _tape,
     bump,
-    field_value,
     parameter_field,
     parameter_values,
     relative_residual,
     worst_residual,
 )
-from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
+from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField, Tape
 from .finsler import (
     _SPLIT,
     ChartPoint,
@@ -71,7 +75,6 @@ from .finsler import (
     HilbertFormField,
     Tower,
     _Batch,
-    pointwise,
     split_on_error,
 )
 
@@ -79,6 +82,7 @@ __all__ = [
     "CaseError",
     "CasePreset",
     "MetricSplitPart",
+    "CasePacks",
     "CATALOG",
     "preset",
     "default_free_choices",
@@ -90,37 +94,6 @@ __all__ = [
 
 class CaseError(ValueError):
     """Raised for unknown case ids or incomplete/misnamed free choices."""
-
-
-class MetricSplitPart:
-    """The g-symmetric or g-antisymmetric part of an endomorphism field.
-
-    Several catalog entries constrain the torsion weight to one half of the
-    metric split ``phi = phi1 + phi2`` (``g(phi1 X, Y)`` symmetric,
-    ``g(phi2 X, Y)`` antisymmetric).  Wrapping an arbitrary endomorphism in
-    this field enforces the constraint exactly: lower with the metric of
-    the tower it is evaluated on (or of each point of a batch), project,
-    raise back.
-    """
-
-    def __init__(self, inner: Field, part: str):
-        if part not in ("symmetric", "antisymmetric"):
-            raise ValueError("part must be 'symmetric' or 'antisymmetric'")
-        self.inner = inner
-        self.part = part
-
-    @pointwise
-    def eval(self, t: Tower | _Batch) -> Series:
-        low = contract("pij,pil->pjl", field_value(self.inner, t), t.g)
-        if self.part == "symmetric":
-            low = 0.5 * (low + low.transpose(0, 2, 1))
-        else:
-            low = 0.5 * (low - low.transpose(0, 2, 1))
-        return contract("pil,pjl->pij", t.gi, low)
-
-    def describe(self) -> str:
-        inner = getattr(self.inner, "describe", lambda: type(self.inner).__name__)()
-        return f"{self.part} metric part of ({inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +857,30 @@ def _pack(spec: CasePreset, F: FinslerStructure, seed: int) -> DeformationParams
     return preset(spec.id, F, **default_free_choices(spec.id, F, seed))
 
 
+class CasePacks:
+    """Every catalog pack on ``F``'s chart dimension with the default free
+    choices of ``seed``, by id, and the one tape over their expression
+    fields (:func:`~finslerconn.deformation._tape`), both built on first use.
+
+    A pack keeps no reference to ``F``, so these serve every structure of
+    that dimension: :func:`finslerconn.verify.run_all` holds one per
+    dimension for its run, so the catalog's texts are parsed and its tape
+    compiled once per run, in the first case suite that compares with them
+    (:func:`_batch_rows`).
+    """
+
+    def __init__(self, F: FinslerStructure, seed: int):
+        self.n, self.seed, self._F = F.n, seed, F
+
+    @cached_property
+    def packs(self) -> dict[int, DeformationParams]:
+        return {spec.id: _pack(spec, self._F, self.seed) for spec in _PRESETS}
+
+    @cached_property
+    def tape(self) -> Tape | None:
+        return _tape(list(self.packs.values()))
+
+
 class _Repeated:
     """The stages of a batch cut to a read ring, repeated ``times`` along
     the point axis: the tower stages of a data whose values are several
@@ -903,12 +900,39 @@ class _Repeated:
         return value
 
 
-def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: float) -> dict:
+def _batch_rows(
+    F: FinslerStructure, towers: list[Tower], seed: int, perturbation: float,
+    packs: CasePacks | None = None,
+) -> dict | None:
+    """The rows of every catalog entry over the batch of ``towers``
+    (:func:`_catalog_rows`), kept in the batch's memo under ``(seed,
+    perturbation, "catalog-rows")``; None unless the towers are all the
+    points of one batch of more than one point."""
+    if packs is not None and (packs.n, packs.seed) != (F.n, seed):
+        raise ValueError(
+            f"case packs of dimension {packs.n} and seed {packs.seed} given for {F.n} and {seed}"
+        )
+    batch = towers[0]._batch
+    if (
+        len(batch.points) == 1
+        or any(t._batch is not batch for t in towers)
+        or len({t._index for t in towers}) != len(batch.points)
+    ):
+        return None
+    make = lambda: _catalog_rows(F, batch, seed, perturbation, packs)
+    return batch.memo((seed, perturbation, "catalog-rows"), make)
+
+
+def _catalog_rows(
+    F: FinslerStructure, batch: _Batch, seed: int, perturbation: float,
+    packs: CasePacks | None = None,
+) -> dict:
     """Every catalog entry's rows over a batch of more than one point, by id:
     the rows of :func:`_compare` on the batch, bit for bit, or
     :data:`~finslerconn.finsler._SPLIT` for an entry whose pack raises
     there (:func:`~finslerconn.finsler.split_on_error`; its points then
-    compare one by one).
+    compare one by one).  ``packs`` are the catalog's packs on ``F``'s
+    dimension for ``seed``, built here when None.
 
     Every pack's values are evaluated on the batch in one call, side by
     side along the point axis (:func:`~finslerconn.deformation.parameter_values`),
@@ -917,20 +941,28 @@ def _catalog_rows(F: FinslerStructure, batch: _Batch, seed: int, perturbation: f
     (:class:`_Repeated`).  The read ring has one coefficient, so every
     product is elementwise and each point of each pack gets the bits of
     its pack on the batch.  Each closed form runs on its pack's slice.
+    A batch whose ``g``, which every pack reads, raises at a point splits
+    first, so no pack computes it again.
     """
-    packs = {spec.id: _pack(spec, F, seed) for spec in _PRESETS}
     size = len(batch.points)
+    if batch.parts is None and split_on_error(lambda: batch.g, size) is _SPLIT:
+        batch.split()
+    if batch.parts is not None:  # its points are served one by one
+        return dict.fromkeys(CATALOG, _SPLIT)
+    packs = CasePacks(F, seed) if packs is None else packs
 
     def evaluate(specs):
-        some = [packs[spec.id] for spec in specs]
-        return split_on_error(lambda: parameter_values(some, batch, _WORKSPACE_READ), size)
+        some = [packs.packs[spec.id] for spec in specs]
+        tape = packs.tape if len(specs) == len(_PRESETS) else None  # a subset compiles its own
+        make = lambda: parameter_values(some, batch, _WORKSPACE_READ, tape=tape)
+        return split_on_error(make, size)
 
     specs = _PRESETS
     values = evaluate(specs)
     if values is _SPLIT:  # some pack raises on the batch: leave it out
         specs = [spec for spec in _PRESETS if evaluate([spec]) is not _SPLIT]
         values = evaluate(specs) if specs else _SPLIT
-    rows = dict.fromkeys(packs, _SPLIT)
+    rows = dict.fromkeys(CATALOG, _SPLIT)
     if values is not _SPLIT:
         stacked = split_on_error(lambda: _stacked_rows(specs, values, batch, perturbation), size)
         if stacked is not _SPLIT:
@@ -972,7 +1004,7 @@ def check_case(
     When ``points`` are the points of one batch of more than one point
     (as a suite holds them), every catalog entry is compared over that
     batch at once, on the first call, and kept in the batch's memo under
-    ``(seed, perturbation, "catalog-rows")`` (:func:`_catalog_rows`); each
+    ``(seed, perturbation, "catalog-rows")`` (:func:`_batch_rows`); each
     call reads its entry's slices.  Otherwise, and for an entry whose pack
     raised on the batch, only this entry is compared, point by point on
     each tower's lift, so each point raises its own error.
@@ -982,15 +1014,8 @@ def check_case(
     if not pts:
         raise CaseError(f"case {spec.id} needs at least one point to compare at")
     towers = F.towers(pts, _WORKSPACE_ORDER)  # held while their data is read
-    batch = towers[0]._batch
-    rows = _SPLIT
-    if (  # the points are one batch of more than one point: compare over it at once
-        len(batch.points) > 1
-        and all(t._batch is batch for t in towers)
-        and len({t._index for t in towers}) == len(batch.points)
-    ):
-        key = (seed, perturbation, "catalog-rows")
-        rows = batch.memo(key, lambda: _catalog_rows(F, batch, seed, perturbation))[spec.id]
+    rows = _batch_rows(F, towers, seed, perturbation)
+    rows = _SPLIT if rows is None else rows[spec.id]
     if rows is _SPLIT:
         params = _pack(spec, F, seed)
         compare = lambda t: _compare(spec, _Workspace(params, F, t), perturbation)

@@ -84,11 +84,13 @@ from .finsler import (
     horizontal_gradient,
     _Lift,
     point_view,
+    pointwise,
 )
 
 __all__ = [
     "DeformationParams",
     "DeformationData",
+    "MetricSplitPart",
     "deformation_data",
     "parameter_field",
     "parameter_values",
@@ -153,13 +155,12 @@ class DeformationParams:
 
 
 def _tape(packs: Sequence[DeformationParams]) -> Tape | None:
-    """The trees of every expression field of ``packs``, slot after slot
-    and, within a slot, pack after pack, compiled into one tape; None when
-    no slot holds an expression field or the fields disagree on the chart
-    dimension."""
-    fields = [
-        f for s in _SLOTS for f in (getattr(p, s) for p in packs) if isinstance(f, ExprField)
-    ]
+    """The trees of every expression field of ``packs`` (a metric split
+    part's inner one: :func:`_expression`), slot after slot and, within a
+    slot, pack after pack, compiled into one tape; None when no slot holds
+    an expression field or the fields disagree on the chart dimension."""
+    fields = [_expression(getattr(p, s)) for s in _SLOTS for p in packs]
+    fields = [f for f in fields if f is not None]
     if not fields or len({f.n for f in fields}) > 1:
         return None
     return Tape([tree for f in fields for tree in f.trees], fields[0].n)
@@ -209,6 +210,51 @@ def _all_texts(slot: str, components: dict[str, object]) -> bool:
     return all(texts)
 
 
+class MetricSplitPart:
+    """The g-symmetric or g-antisymmetric part of an endomorphism field.
+
+    Several catalog entries constrain the torsion weight to one half of the
+    metric split ``phi = phi1 + phi2`` (``g(phi1 X, Y)`` symmetric,
+    ``g(phi2 X, Y)`` antisymmetric).  Wrapping an arbitrary endomorphism in
+    this field enforces the constraint exactly: lower with the metric of
+    the tower it is evaluated on (or of each point of a batch), project,
+    raise back.  In a pack's values an expression ``inner`` runs in the
+    pack's tape (:func:`_tape`) and splits in the ring the values are read
+    in (:func:`parameter_values`).
+    """
+
+    def __init__(self, inner: Field, part: str):
+        if part not in ("symmetric", "antisymmetric"):
+            raise ValueError("part must be 'symmetric' or 'antisymmetric'")
+        self.inner = inner
+        self.part = part
+
+    @pointwise
+    def eval(self, t: Tower | _Batch) -> Series:
+        return self.split(field_value(self.inner, t), t.g, t.gi)
+
+    def split(self, value: Series, g: Series, gi: Series) -> Series:
+        """This part of the endomorphisms ``value`` (point axis first) under
+        the metric ``g`` and its inverse ``gi``, in the meet of their rings."""
+        low = contract("pij,pil->pjl", value, g)
+        if self.part == "symmetric":
+            low = 0.5 * (low + low.transpose(0, 2, 1))
+        else:
+            low = 0.5 * (low - low.transpose(0, 2, 1))
+        return contract("pil,pjl->pij", gi, low)
+
+    def describe(self) -> str:
+        inner = getattr(self.inner, "describe", lambda: type(self.inner).__name__)()
+        return f"{self.part} metric part of ({inner})"
+
+
+def _expression(field: Field) -> ExprField | None:
+    """The expression field whose trees a pack's tape holds for ``field``:
+    itself, or a metric split part's inner field; None for any other."""
+    inner = field.inner if isinstance(field, MetricSplitPart) else field
+    return inner if isinstance(inner, ExprField) else None
+
+
 def field_value(field: Field, src: _Batch, jets: ChartJets | None = None) -> Series:
     """``field`` on a batch, with the point axis first.
 
@@ -231,16 +277,20 @@ def parameter_values(
     params: DeformationParams | Sequence[DeformationParams],
     src: _Batch,
     read: tuple[int, int] | None = None,
+    tape: Tape | None = None,
 ) -> list[Series]:
     """The six values of ``params`` on a batch, then ``eye``, each
     evaluated in the ring of ``g`` cut to ``read`` and copied: the values
-    :class:`DeformationData` starts from, checked as it describes.
+    :class:`DeformationData` starts from, checked as it describes.  A
+    metric split part splits its inner expression's value in that ring
+    too, with ``g`` and ``gi`` cut to it.
 
     ``params`` may also be several packs: then each value
     holds theirs side by side, pack after pack along the point axis, as one
     data over all of them reads it (each pack's coefficients the bits of
     its own call), from one tape over every pack's expression fields
-    (:func:`_tape`) and one finiteness check per slot.
+    (:func:`_tape`, or ``tape`` when the caller holds it) and one
+    finiteness check per slot.
     """
     packs = [params] if isinstance(params, DeformationParams) else list(params)
     points = src.points
@@ -249,7 +299,8 @@ def parameter_values(
     g = src.g if read is None else lower_to(read, src.g)[0]
     xs, ys, g = lower(jets.xs, jets.ys, g)
     low = ChartJets(g.ring, jets.x0, jets.y0, xs, ys)
-    tape = packs[0].tape if len(packs) == 1 else _tape(packs)
+    if tape is None:
+        tape = packs[0].tape if len(packs) == 1 else _tape(packs)
     rows = None
     if tape is not None:
         try:
@@ -261,11 +312,15 @@ def parameter_values(
     for slot, shape in zip(_SLOTS, ((), (), (n,), (n,), (n,), (n, n))):
         column = []
         for field in (getattr(pack, slot) for pack in packs):
-            if isinstance(field, ExprField) and rows is not None:
-                stop = start + len(field.trees)
+            inner = _expression(field)
+            if inner is not None and rows is not None:
+                stop = start + len(inner.trees)
                 value = rows[start:stop].swapaxes(0, 1)
-                value = Series(g.ring, value.reshape(pshape + field.shape + (-1,)))
+                value = Series(g.ring, value.reshape(pshape + inner.shape + (-1,)))
                 start = stop
+                if inner is not field:  # a metric split part
+                    gi = src.gi if read is None else lower_to(read, src.gi)[0]
+                    value = field.split(value, g, gi)
             else:
                 try:
                     value = field_value(field, src, low)

@@ -496,6 +496,15 @@ class ExprField:
     shape: tuple[int, ...]
     trees: tuple[Node, ...]
 
+    @classmethod
+    def _from_trees(cls, n: int, texts: Sequence[str], trees: Sequence[Node]) -> "ExprField":
+        """The field of the entry ``texts`` (row-major) with their trees
+        ready: each ``parse_expression(text, n)``, built beside its text by
+        the caller, so nothing is parsed."""
+        field = cls.__new__(cls)
+        field._set(n, tuple(texts), tuple(trees))
+        return field
+
     @cached_property
     def tape(self) -> Tape:
         return Tape(self.trees, self.n)
@@ -509,10 +518,10 @@ class ExprScalarField(ExprField):
     """A scalar chart field defined by one expression string."""
 
     def __init__(self, n: int, text: str):
-        self.n = n
-        self.text = text
-        self.trees = (parse_expression(text, n),)
-        self.shape = ()
+        self._set(n, (text,), (parse_expression(text, n),))
+
+    def _set(self, n: int, texts: tuple[str, ...], trees: tuple[Node, ...]) -> None:
+        self.n, self.text, self.trees, self.shape = n, texts[0], trees, ()
 
     def describe(self) -> str:
         return self.text
@@ -527,10 +536,10 @@ class ExprCovectorField(ExprField):
     def __init__(self, n: int, components: Sequence[str]):
         if len(components) != n:
             raise ValueError(f"need {n} components, got {len(components)}")
-        self.n = n
-        self.components = tuple(components)
-        self.trees = tuple(parse_expression(t, n) for t in components)
-        self.shape = (n,)
+        self._set(n, tuple(components), tuple(parse_expression(t, n) for t in components))
+
+    def _set(self, n: int, texts: tuple[str, ...], trees: tuple[Node, ...]) -> None:
+        self.n, self.components, self.trees, self.shape = n, texts, trees, (n,)
 
     def describe(self) -> str:
         return "[" + ", ".join(self.components) + "]"
@@ -542,10 +551,12 @@ class ExprMatrixField(ExprField):
     def __init__(self, n: int, rows: Sequence[Sequence[str]]):
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"need an {n}x{n} grid of expressions")
-        self.n = n
-        self.rows = tuple(tuple(r) for r in rows)
-        self.trees = tuple(parse_expression(t, n) for row in rows for t in row)
-        self.shape = (n, n)
+        texts = tuple(t for row in rows for t in row)
+        self._set(n, texts, tuple(parse_expression(t, n) for t in texts))
+
+    def _set(self, n: int, texts: tuple[str, ...], trees: tuple[Node, ...]) -> None:
+        self.n, self.trees, self.shape = n, trees, (n, n)
+        self.rows = tuple(texts[i : i + n] for i in range(0, n * n, n))
 
     def describe(self) -> str:
         return "; ".join("[" + ", ".join(r) + "]" for r in self.rows)

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .ad import ChartJets, Series, lower
-from .cases import _WORKSPACE_ORDER, catalog, check_case
+from .cases import _WORKSPACE_ORDER, CasePacks, _batch_rows, catalog, check_case
 from .connection import (
     CARTAN,
     Connection,
@@ -78,7 +78,7 @@ from .deformation import (
     torsion_relations,
     worst_residual,
 )
-from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField
+from .expr import BinOp, ExprCovectorField, ExprMatrixField, ExprScalarField, Neg, Node, Num, Var
 from .finsler import ChartPoint, FinslerStructure, _Batch
 from .processes import _DIAGRAM_ORDER, derive_family, diagram_residuals
 from .samples import euclidean, hyperbolic, randers
@@ -244,21 +244,33 @@ def sample_points(
     ]
 
 
-def _poly(rng: np.random.Generator, n: int) -> str:
-    """A short random polynomial in the chart variables.
+def _poly(rng: np.random.Generator, n: int) -> tuple[str, Node]:
+    """A short random polynomial in the chart variables, as its text and
+    the tree :func:`~finslerconn.expr.parse_expression` gives for it.
 
     Degree at most two, every coefficient inside ``[-1, 1]``; the constant
     term is kept away from zero so scalar weights do not vanish on a whole
-    hypersurface of the sample box by accident.
+    hypersurface of the sample box by accident.  The tree is built beside
+    the text, node for node and offset for offset: ``c0 +c1*v1 -c2*v2
+    +c3*a*b`` adds its terms from the left, each term's sign its operator.
     """
     names = [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
     c0 = rng.uniform(0.25, 0.85) * rng.choice([-1.0, 1.0])
-    terms = [f"{c0:.3f}"]
-    for var in rng.choice(names, size=2, replace=False):
-        terms.append(f"{rng.uniform(-0.5, 0.5):+.3f}*{var}")
+    terms = [(rng.uniform(-0.5, 0.5), [var]) for var in rng.choice(names, size=2, replace=False)]
     a, b = rng.choice(names, size=2, replace=True)
-    terms.append(f"{rng.uniform(-0.3, 0.3):+.3f}*{a}*{b}")
-    return " ".join(terms)
+    terms.append((rng.uniform(-0.3, 0.3), [a, b]))
+    text = f"{c0:.3f}"
+    tree = Num(0, float(text)) if c0 > 0 else Neg(0, Num(1, -float(text)))
+    for coef, factors in terms:
+        sign, digits = f"{coef:+.3f}"[0], f"{coef:+.3f}"[1:]
+        at = len(text) + 1  # the sign, after a space
+        product, at_op = Num(at + 1, float(digits)), at + 1 + len(digits)
+        for var in factors:
+            product = BinOp(at_op, "*", product, Var(at_op + 1, var[0], int(var[1:])))
+            at_op += 1 + len(var)
+        tree = BinOp(at, sign, tree, product)
+        text += f" {sign}{digits}" + "".join(f"*{var}" for var in factors)
+    return text, tree
 
 
 def random_params(
@@ -268,18 +280,21 @@ def random_params(
 
     All six parameters are position- and direction-dependent, so the
     identities are exercised away from every special case, and every
-    coefficient lies in ``[-1, 1]``.
+    coefficient lies in ``[-1, 1]``.  Each entry's tree is built beside its
+    text (:func:`_poly`), so nothing is parsed.
     """
-    form = lambda: ExprCovectorField(n, tuple(_poly(rng, n) for _ in range(n)))
+
+    def field(cls, entries: int):
+        texts, trees = zip(*(_poly(rng, n) for _ in range(entries)))
+        return cls._from_trees(n, texts, trees)
+
     return DeformationParams(
-        f1=ExprScalarField(n, _poly(rng, n)),
-        f2=ExprScalarField(n, _poly(rng, n)),
-        A=form(),
-        B=form(),
-        u=form(),
-        phi=ExprMatrixField(
-            n, tuple(tuple(_poly(rng, n) for _ in range(n)) for _ in range(n))
-        ),
+        f1=field(ExprScalarField, 1),
+        f2=field(ExprScalarField, 1),
+        A=field(ExprCovectorField, n),
+        B=field(ExprCovectorField, n),
+        u=field(ExprCovectorField, n),
+        phi=field(ExprMatrixField, n * n),
         name=name,
     )
 
@@ -850,22 +865,29 @@ def check_cases(
     plan: SamplePlan | None = None,
     tolerances: Mapping[str, float] | None = None,
     fuzz: bool = False,
+    *,
+    packs: CasePacks | None = None,
 ) -> CheckReport:
     """All catalog entries against their closed forms over sampled points.
 
     Typo-flagged entries are asserted against the regenerated form; the
     literal printed form's residual is carried in the row note so the
     discrepancy stays visible without failing the catalog.  A fuzz run
-    reads the first two points only.
+    reads the first two points only.  ``packs`` are the catalog's packs
+    on ``F``'s dimension for the plan's seed
+    (:class:`~finslerconn.cases.CasePacks`), as :func:`run_all` holds one
+    per dimension for its run; without them the suite builds its own.
     """
     notes: dict[str, str] = {}
 
     def residuals(points, plan):
+        perturbation = _FUZZ_SIZE if fuzz else 0.0
+        if packs is not None:  # compare over the batch with them; each check reads its rows
+            _batch_rows(F, F.towers(points, _WORKSPACE_ORDER), plan.seed, perturbation, packs)
         for entry in catalog():
             label = f"case-{entry['id']:02d}"
             result = check_case(
-                entry["id"], F, points=points, seed=plan.seed,
-                perturbation=_FUZZ_SIZE if fuzz else 0.0,
+                entry["id"], F, points=points, seed=plan.seed, perturbation=perturbation
             )
             notes[label] = "difference tensor perturbed by 1e-3" if fuzz else _case_note(result)
             yield {label: result["residual"]}
@@ -1154,6 +1176,7 @@ def run_all(
         raise ValueError("metric list is empty; configure at least one norm")
 
     rows: list[CheckRow] = []
+    catalogs: dict[int, CasePacks] = {}  # one per chart dimension, for this run only
     for F in metrics:
         packs = random_param_sets(F, plan)
         rows += check_theorem(packs, F, plan, tols, fuzz).rows
@@ -1162,7 +1185,9 @@ def run_all(
         rows += check_curvatures(packs[0], F, plan, tols, fuzz).rows
         rows += check_bianchi(packs[0], F, plan, tols, fuzz).rows
         rows += check_processes(packs[0], F, plan, tols, fuzz).rows
-        rows += check_cases(F, plan, tols, fuzz).rows
+        if F.n not in catalogs:  # built on first use, in this metric's case suite
+            catalogs[F.n] = CasePacks(F, plan.seed)
+        rows += check_cases(F, plan, tols, fuzz, packs=catalogs[F.n]).rows
         rows += fd_crosscheck(F, plan, tols, fuzz).rows
     rows += check_constant_curvature(plan, tols, fuzz).rows
 

@@ -51,11 +51,14 @@ its shifted points), serves every per-point request from it, and builds
 one deformation per (pack, batch, read ring), the case suite one over
 every catalog pack; every row suite builds one set of rows per (pack,
 seam, batch), the case suite one per batch, and no suite reads a torsion
-or metric deficit per point.  Every run of a pack's tape gets jets no
-higher than the ring its data is read in, and the case suite compiles
-one tape over every catalog pack per batch.  The finite-difference
-stencils' energies are one norm evaluation with the bits of one
-evaluation per energy.
+or metric deficit per point.  Every tape run for a pack's values, a
+metric split part's inner expression included, gets jets no higher than
+the ring its data is read in, and a run compiles one tape over every
+catalog pack per chart dimension, in its first case suite, and no other
+tape in any case suite.  A
+catalog batch whose ``g`` fails at one point computes it once over the
+batch and once per point.  The finite-difference stencils' energies are
+one norm evaluation with the bits of one evaluation per energy.
 """
 
 import gc
@@ -860,45 +863,55 @@ def test_the_catalogs_one_evaluation_has_each_packs_bits_slice_for_slice(name):
 def test_pack_tapes_run_in_the_read_ring_and_the_catalog_compiles_one(monkeypatch):
     count = 3
     running = _tracking_suites(monkeypatch)
-    tapes, compiles, runs, reads = set(), [], [], []
+    norms, compiles, tapes, runs, reads = set(), [], [], [], []
     evaluate, compile_, run = deformation.parameter_values, deformation._tape, expr.Tape.run
+    init = expr.Tape.__init__
 
-    def evaluating(params, src, read=None):
+    def evaluating(params, src, read=None, tape=None):
         reads.append(read)
         try:
-            return evaluate(params, src, read)
+            return evaluate(params, src, read, tape)
         finally:
             reads.pop()
 
     def compiling(packs):
-        tape = compile_(packs)
-        tapes.add(tape)
         compiles.append((running[-1] if running else None, len(packs)))
-        return tape
+        return compile_(packs)
+
+    def building(self, trees, n):
+        tapes.append(running[-1] if running else None)
+        init(self, trees, n)
 
     def running_tape(self, jets):
-        if self in tapes:  # a pack's tape, not a metric-reading field's own
+        if reads and self not in norms:  # any tape run for a pack's values but the norm's
             runs.append((reads[-1], jets.xs.ring))
         return run(self, jets)
 
     for module in (deformation, cases):
         monkeypatch.setattr(module, "parameter_values", evaluating)
-    monkeypatch.setattr(deformation, "_tape", compiling)
+        monkeypatch.setattr(module, "_tape", compiling)
+    monkeypatch.setattr(expr.Tape, "__init__", building)
     monkeypatch.setattr(expr.Tape, "run", running_tape)
     for fuzz in (False, True):
-        compiles.clear()
-        runs.clear()
         metrics = [samples.randers(), samples.hyperbolic()]
+        norms = {F.norm.tape for F in metrics}  # a tower stage may first be read there
+        compiles.clear()
+        tapes.clear()
+        runs.clear()
         run_all(metrics, _small_plan(count), fuzz=fuzz)
 
-        # every run of a pack's tape gets jets no higher than its read ring
+        # every tape run while a pack's values are evaluated, a metric split
+        # part's included, gets jets no higher than its read ring
         assert runs and {read for read, _ in runs} >= {(0, 0), (1, 1), (2, 2)}
         for read, rg in runs:
             assert read is None or rg.order <= read[0] and rg.xorder <= read[1], (read, rg)
-        for F in metrics:
-            # the case suite compiles one tape over every catalog pack, and no other
-            mine = [packs for name, packs in compiles if name == f"cases[{F.name}]"]
-            assert mine == [len(cases.catalog())], (fuzz, F.name)
+        # the run compiles one tape over every catalog pack for its one
+        # dimension, in its first case suite, and no other tape in any case suite
+        catalog = [(name, packs) for name, packs in compiles if packs > 1]
+        assert catalog == [("cases[randers]", len(cases.catalog()))], fuzz
+        assert [name for name in tapes if name and name.startswith("cases[")] == [
+            "cases[randers]"
+        ], fuzz
 
 
 def _failing_points(F, label):
@@ -907,6 +920,31 @@ def _failing_points(F, label):
         ChartPoint([-0.25 if k == 2 else abs(p.x[0]) + 0.05, p.x[1]], p.y)
         for k, p in enumerate(sample_points(F, SamplePlan(), 5, label))
     ]
+
+
+def test_a_catalog_batch_failing_in_g_computes_it_once_and_once_per_point(monkeypatch):
+    # the norm is negative at the third point, so g raises there: the batch
+    # computes it once, splits, and each point then computes its own
+    F = FinslerStructure(2, ExprScalarField(2, "sqrt(y1^2 + y2^2) + x1*y1"), "negative")
+    points = [
+        ChartPoint([0.1, 0.2], [1.0, 0.5]),
+        ChartPoint([-0.2, 0.1], [0.3, 1.0]),
+        ChartPoint([1.5, 0.1], [-1.0, 0.1]),
+    ]
+    builds, g = [], finsler._Batch.__dict__["g"].func
+
+    def building(batch):
+        builds.append(len(batch.points))
+        return g(batch)
+
+    stage = cached_property(building)
+    stage.__set_name__(finsler._Batch, "g")
+    monkeypatch.setattr(finsler._Batch, "g", stage)
+    views = F.towers(points, cases._WORKSPACE_ORDER)
+    with pytest.raises(finsler.DomainError, match="norm must be positive"):
+        cases.check_case(1, F, points)
+    assert builds == [3, 1, 1, 1]
+    assert views[0]._batch.parts is not None
 
 
 @pytest.mark.parametrize("reader", PACK_READERS)

@@ -18,10 +18,13 @@ Oracles:
 """
 
 import gc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from finslerconn import cases, expr
 from finslerconn.ad import Constant
 from finslerconn.cases import (
     CATALOG,
@@ -45,9 +48,11 @@ from finslerconn.samples import (
 )
 from finslerconn.verify import (
     SamplePlan,
+    check_cases,
     check_processes,
     check_theorem,
     check_torsions,
+    run_all,
     sample_points,
 )
 from tests.test_deformation import P2, data_at
@@ -321,6 +326,64 @@ def test_ricci_case_passes_the_suites_that_differentiate_phi(make):
     for suite in (check_theorem, check_torsions, check_processes):
         report = suite(pack, F, plan)
         assert report.passed, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# one catalog per run
+# ---------------------------------------------------------------------------
+
+SMALL = SamplePlan(
+    param_sets=1, theorem_points=2, construction_points=2, torsion_points=2,
+    curvature_points=2, bianchi_points=2, process_points=2, case_points=3, fd_points=2,
+)
+
+
+def test_a_run_parses_each_catalog_text_once_and_compiles_one_catalog_tape(monkeypatch):
+    metrics = [randers(), hyperbolic()]  # both of dimension 2
+    parsed, compiled, parse, init = Counter(), [], expr.parse_expression, expr.Tape.__init__
+
+    def parsing(text, n):
+        parsed[(text, n)] += 1
+        return parse(text, n)
+
+    def compiling(self, trees, n):
+        compiled.append(len(trees))
+        init(self, trees, n)
+
+    monkeypatch.setattr(expr, "parse_expression", parsing)
+    monkeypatch.setattr(expr.Tape, "__init__", compiling)
+    packs = cases.CasePacks(metrics[0], SMALL.seed)
+    assert not parsed and not compiled  # built on first use
+    size = packs.tape.size
+    mine = Counter(parsed)
+    assert len(mine) > 100 and compiled == [size]
+    parsed.clear()
+    compiled.clear()
+    run_all(metrics, SMALL)
+    assert all(parsed[text] == 1 for text in mine)  # and the random packs parse nothing
+    assert max(parsed.values()) == 1
+    assert compiled.count(size) == 1
+
+
+def test_each_run_builds_its_own_catalog_and_frees_it(monkeypatch):
+    built, init = [], cases.CasePacks.__init__
+
+    def building(self, F, seed):
+        init(self, F, seed)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(cases.CasePacks, "__init__", building)
+    for runs in (1, 2):
+        report = run_all([randers(), hyperbolic()], SMALL)
+        assert report.passed
+        assert len(built) == runs  # one per dimension per run
+        assert built[-1]() is None  # freed once the run returns
+
+
+def test_case_packs_of_another_dimension_are_refused():
+    F = randers()
+    with pytest.raises(ValueError, match="dimension 3"):
+        check_cases(F, SMALL, packs=cases.CasePacks(quartic_three_dim(), SMALL.seed))
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ Oracles:
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from finslerconn import cli
 from finslerconn.cases import _PRESETS
 from finslerconn.deformation import (
     DeformationParams,
@@ -30,6 +32,7 @@ from finslerconn.deformation import (
     torsion_relations,
     worst_residual,
 )
+from finslerconn.expr import parse_expression
 from finslerconn.finsler import ChartPoint
 from finslerconn.processes import diagram_residuals
 from finslerconn.samples import euclidean, hyperbolic, quartic_three_dim, randers
@@ -53,13 +56,14 @@ from finslerconn.verify import (
     fd_crosscheck,
     fd_residuals,
     first_bianchi_residual,
+    random_param_sets,
     random_params,
     resolve_tolerances,
     run_all,
     sample_points,
     theorem_residuals,
 )
-from finslerconn.verify import _aggregate, _report
+from finslerconn.verify import _aggregate, _poly, _report
 
 P2 = ChartPoint([0.3, -0.2], [0.7, 1.1])
 P3 = ChartPoint([0.2, -0.3, 0.4], [0.9, 0.5, 1.2])
@@ -129,6 +133,42 @@ def test_random_params_deterministic_and_evaluable():
         val = getattr(a, field).eval(t.jets).val
         assert np.asarray(val).shape == shape
         assert np.all(np.isfinite(np.asarray(val)))
+
+
+# the sha256 of every random pack's describe() text, as the texts were
+# written before each tree was built beside its text: for n = 1..4 and
+# seeds 0..19, then the built-in configuration's packs
+RANDOM_DESCRIBE_SHA256 = "32758e09c3d0504e3740c6c357aeec985f98fc9b878116d9969c332060a2c821"
+
+
+def test_random_polynomial_trees_are_their_texts_parsed():
+    for n in range(1, 5):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                text, tree = _poly(rng, n)
+                parsed = parse_expression(text, n)
+                assert tree == parsed, text
+                assert repr(tree) == repr(parsed), text  # the offsets too
+    p = random_params(3, np.random.default_rng(7))
+    texts = {
+        "f1": [p.f1.text], "f2": [p.f2.text], "A": p.A.components, "B": p.B.components,
+        "u": p.u.components, "phi": [t for row in p.phi.rows for t in row],
+    }
+    for slot, entries in texts.items():
+        assert getattr(p, slot).trees == tuple(parse_expression(t, 3) for t in entries), slot
+
+
+def test_random_pack_texts_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for seed in range(20):
+            digest.update(random_params(n, np.random.default_rng(seed)).describe().encode())
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    for F in cli._structures(config):
+        for params in random_param_sets(F, config.plan):
+            digest.update(params.describe().encode())
+    assert digest.hexdigest() == RANDOM_DESCRIBE_SHA256
 
 
 def test_cartan_flat_detection():

@@ -21,7 +21,7 @@ module pins all twenty-six members of that catalog:
   all the catalog packs, their values side by side along the point axis,
   kept in the batch's memo as rows that each later call slices.  A run
   builds the packs once per chart dimension (:class:`CasePacks`), and its
-  case suites compare over their batch with them before the first call.
+  case suites lend them to their batch before the first call.
   The workspace holds every value with the point axis in front, and the
   closed forms index with ``...`` in front, so the same arithmetic serves
   one point, a batch, or one pack's slice of the catalog.  The verdict
@@ -68,15 +68,7 @@ from .deformation import (
     worst_residual,
 )
 from .expr import ExprCovectorField, ExprMatrixField, ExprScalarField, Tape
-from .finsler import (
-    _SPLIT,
-    ChartPoint,
-    FinslerStructure,
-    HilbertFormField,
-    Tower,
-    _Batch,
-    split_on_error,
-)
+from .finsler import POINT_ERRORS, ChartPoint, FinslerStructure, HilbertFormField, Tower, _Batch
 
 __all__ = [
     "CaseError",
@@ -120,8 +112,9 @@ class _Workspace:
 
     def __init__(self, params: DeformationParams, F: FinslerStructure, where):
         """``where`` is a chart point (read on its tower), a tower (read on
-        its lift: a batch of one) or a batch.  The data is built here, read
-        once and copied out, so not memoized: each call has its own pack."""
+        its lift, the point alone as a batch) or a batch.  The data is
+        built here, read once and copied out, so not memoized: each call
+        has its own pack."""
         src = F.tower(where, _WORKSPACE_ORDER) if isinstance(where, ChartPoint) else where
         src = src.lift if isinstance(src, Tower) else src
         self._read(DeformationData(params, src, _WORKSPACE_READ), src)
@@ -866,7 +859,7 @@ class CasePacks:
     that dimension: :func:`finslerconn.verify.run_all` holds one per
     dimension for its run, so the catalog's texts are parsed and its tape
     compiled once per run, in the first case suite that compares with them
-    (:func:`_batch_rows`).
+    (:func:`_lend`, :func:`_catalog`).
     """
 
     def __init__(self, F: FinslerStructure, seed: int):
@@ -900,25 +893,23 @@ class _Repeated:
         return value
 
 
-def _batch_rows(
-    F: FinslerStructure, towers: list[Tower], seed: int, perturbation: float,
-    packs: CasePacks | None = None,
-) -> dict | None:
-    """The rows of every catalog entry over the batch of ``towers``
-    (:func:`_catalog_rows`), kept in the batch's memo under ``(seed,
-    perturbation, "catalog-rows")``; None unless the towers are all the
-    points of one batch of more than one point."""
-    if packs is not None and (packs.n, packs.seed) != (F.n, seed):
+def _lend(F: FinslerStructure, towers: list[Tower], seed: int, packs: CasePacks) -> None:
+    """Let the catalog over the batch of ``towers`` (:func:`_catalog`)
+    compare with ``packs``, the catalog's packs on ``F``'s dimension for
+    ``seed`` that a run holds, rather than build its own."""
+    if (packs.n, packs.seed) != (F.n, seed):
         raise ValueError(
             f"case packs of dimension {packs.n} and seed {packs.seed} given for {F.n} and {seed}"
         )
-    batch = towers[0]._batch
-    if (
-        len(batch.points) == 1
-        or any(t._batch is not batch for t in towers)
-        or len({t._index for t in towers}) != len(batch.points)
-    ):
-        return None
+    towers[0]._batch.memo((seed, "case-packs"), lambda: packs)
+
+
+def _catalog(F: FinslerStructure, batch: _Batch, seed: int, perturbation: float) -> dict:
+    """The rows of every catalog entry over ``batch`` (:func:`_catalog_rows`),
+    kept in its memo under ``(seed, perturbation, "catalog-rows")``, with
+    the packs it holds under ``(seed, "case-packs")``: a run's
+    (:func:`_lend`), or its own, built here."""
+    packs = batch.memo((seed, "case-packs"), lambda: CasePacks(F, seed))
     make = lambda: _catalog_rows(F, batch, seed, perturbation, packs)
     return batch.memo((seed, perturbation, "catalog-rows"), make)
 
@@ -928,11 +919,10 @@ def _catalog_rows(
     packs: CasePacks | None = None,
 ) -> dict:
     """Every catalog entry's rows over a batch of more than one point, by id:
-    the rows of :func:`_compare` on the batch, bit for bit, or
-    :data:`~finslerconn.finsler._SPLIT` for an entry whose pack raises
-    there (:func:`~finslerconn.finsler.split_on_error`; its points then
-    compare one by one).  ``packs`` are the catalog's packs on ``F``'s
-    dimension for ``seed``, built here when None.
+    the rows of :func:`_compare` on the batch, bit for bit, but for the
+    entries whose pack raises a point's error there, which are left out
+    (:func:`check_case` compares them alone).  ``packs`` are the catalog's
+    packs on ``F``'s dimension for ``seed``, built here when None.
 
     Every pack's values are evaluated on the batch in one call, side by
     side along the point axis (:func:`~finslerconn.deformation.parameter_values`),
@@ -941,33 +931,31 @@ def _catalog_rows(
     (:class:`_Repeated`).  The read ring has one coefficient, so every
     product is elementwise and each point of each pack gets the bits of
     its pack on the batch.  Each closed form runs on its pack's slice.
-    A batch whose ``g``, which every pack reads, raises at a point splits
-    first, so no pack computes it again.
+    ``g``, which every pack reads, is read first, so a batch where it
+    raises raises before any pack computes it again.
     """
-    size = len(batch.points)
-    if batch.parts is None and split_on_error(lambda: batch.g, size) is _SPLIT:
-        batch.split()
-    if batch.parts is not None:  # its points are served one by one
-        return dict.fromkeys(CATALOG, _SPLIT)
     packs = CasePacks(F, seed) if packs is None else packs
+    batch.g  # raises here, once, where it raises at a point
 
     def evaluate(specs):
         some = [packs.packs[spec.id] for spec in specs]
         tape = packs.tape if len(specs) == len(_PRESETS) else None  # a subset compiles its own
-        make = lambda: parameter_values(some, batch, _WORKSPACE_READ, tape=tape)
-        return split_on_error(make, size)
+        return parameter_values(some, batch, _WORKSPACE_READ, tape=tape)
 
-    specs = _PRESETS
-    values = evaluate(specs)
-    if values is _SPLIT:  # some pack raises on the batch: leave it out
-        specs = [spec for spec in _PRESETS if evaluate([spec]) is not _SPLIT]
-        values = evaluate(specs) if specs else _SPLIT
-    rows = dict.fromkeys(CATALOG, _SPLIT)
-    if values is not _SPLIT:
-        stacked = split_on_error(lambda: _stacked_rows(specs, values, batch, perturbation), size)
-        if stacked is not _SPLIT:
-            rows.update(stacked)
-    return rows
+    try:
+        specs, values = _PRESETS, evaluate(_PRESETS)
+    except POINT_ERRORS:  # some pack raises on the batch: leave it out
+        specs = []
+        for spec in _PRESETS:
+            try:
+                evaluate([spec])
+            except POINT_ERRORS:
+                continue
+            specs.append(spec)
+        if not specs:
+            return {}
+        values = evaluate(specs)
+    return _stacked_rows(specs, values, batch, perturbation)
 
 
 def _stacked_rows(
@@ -1003,25 +991,37 @@ def check_case(
 
     When ``points`` are the points of one batch of more than one point
     (as a suite holds them), every catalog entry is compared over that
-    batch at once, on the first call, and kept in the batch's memo under
-    ``(seed, perturbation, "catalog-rows")`` (:func:`_batch_rows`); each
-    call reads its entry's slices.  Otherwise, and for an entry whose pack
-    raised on the batch, only this entry is compared, point by point on
-    each tower's lift, so each point raises its own error.
+    batch at once, on the first call, and kept in the batch's memo
+    (:func:`_catalog`); each call reads its entry's slices.  An entry whose
+    pack raises on the batch compares alone, and where it raises at a
+    point each point compares alone on its batch of one
+    (:meth:`~finslerconn.finsler._Batch.serve`), so each point raises its
+    own error.  Other points, a lone one or some of a batch, compare only
+    this entry, each alone.
     """
     spec = _require(case_id)
     pts = list(points)
     if not pts:
         raise CaseError(f"case {spec.id} needs at least one point to compare at")
     towers = F.towers(pts, _WORKSPACE_ORDER)  # held while their data is read
-    rows = _batch_rows(F, towers, seed, perturbation)
-    rows = _SPLIT if rows is None else rows[spec.id]
-    if rows is _SPLIT:
-        params = _pack(spec, F, seed)
-        compare = lambda t: _compare(spec, _Workspace(params, F, t), perturbation)
-        per_point = [{key: value[0] for key, value in compare(t).items()} for t in towers]
+    batch, pack = towers[0]._batch, None
+
+    def compare(src: _Batch) -> dict:
+        nonlocal pack
+        if len(src.points) > 1:  # this entry's rows of the catalog over the batch
+            rows = _catalog(F, src, seed, perturbation).get(spec.id)
+            if rows is not None:
+                return rows
+        pack = pack or _pack(spec, F, seed)
+        return _compare(spec, _Workspace(pack, F, src), perturbation)
+
+    whole = all(t._batch is batch for t in towers)  # and all its points, as a suite holds them
+    if whole and len({t._index for t in towers}) == len(batch.points) > 1:
+        key = (seed, perturbation, spec.id, "case-rows")
+        served = [t._batch.serve(t._index, key, compare) for t in towers]
     else:
-        per_point = [{key: value[t._index] for key, value in rows.items()} for t in towers]
+        served = [(compare(t.lift), 0) for t in towers]
+    per_point = [{key: value[i] for key, value in rows.items()} for rows, i in served]
     return {
         "id": spec.id,
         "title": spec.title,

@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cases import CATALOG, CaseError, preset
+from .cases import CATALOG, CaseError, CasePacks, preset
 from .connection import (
     contract_value_slot,
     curvature_h,
@@ -636,7 +636,7 @@ def tensor_report(
     rows: list[dict] = []
     for point in points:
         t = F.tower(point, _REPORT_ORDER)
-        src = t.lift  # the point as a batch of one: every value below has one point
+        src = t.lift  # the point alone as a batch: every value below has one point
         d, conn = deformed_at(pack, src, _REPORT_READ)
         tb = torsions(conn, src)
         y = np.asarray(point.y, dtype=float)
@@ -791,11 +791,11 @@ def cmd_cases(config: Config, case_id: int | None, out: str | None) -> int:
             f"--id: unknown case id {case_id}; "
             f"valid ids are {min(CATALOG)}..{max(CATALOG)}"
         )
-    rows = [
-        row
-        for F in _structures(config)
-        for row in check_cases(F, config.plan, config.tolerances, config.fuzz).rows
-    ]
+    rows: list[CheckRow] = []
+    catalogs: dict[int, CasePacks] = {}  # one per chart dimension, as run_all holds them
+    for F in _structures(config):
+        packs = catalogs.setdefault(F.n, CasePacks(F, config.plan.seed))
+        rows += check_cases(F, config.plan, config.tolerances, config.fuzz, packs=packs).rows
     if case_id is not None:
         rows = [row for row in rows if row.label == f"case-{case_id:02d}"]
     return _verdict(_merged("cases", config, rows), out)

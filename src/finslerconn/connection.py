@@ -26,7 +26,7 @@ Bianchi identities, for instance).
 
 Every function here is one formula over a batch of towers, each result
 with the point axis ``p`` in front of the layout above; given a tower it
-runs on the tower's lift and drops that axis
+runs on the tower's lift, its point alone as a batch, and drops that axis
 (:func:`~finslerconn.finsler.pointwise`), with the bits of the batch.
 """
 
@@ -62,8 +62,8 @@ class Connection:
     lift) to a series with the point axis first.
 
     ``N``, ``H``, ``V`` and the nonlinear curvature are memoized on the
-    batch, or on the tower; torsions and other curvatures are computed on
-    every call.
+    batch (a tower's on its lift); torsions and other curvatures are
+    computed on every call.
 
     :meth:`at` gives the same connection computed in the ring a reader
     reads.  A part with an ``at(read)`` method of its own (the stages of a

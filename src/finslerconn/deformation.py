@@ -40,10 +40,11 @@ tie the deformed torsions and curvatures back to the metric ones.
 Each per-point reader (:func:`construction_residuals`,
 :func:`torsion_relations`, :func:`curvature_relations`,
 ``verify.theorem_residuals``, ``verify.bianchi_residuals``,
-``verify.fd_residuals`` and ``processes.diagram_residuals``) is one
-formula over a batch of towers, the point axis in front of every value:
-the rows are computed once per batch, in the batch's memo, and each
-point's call returns its slice of them (:func:`point_rows`).
+``verify.fd_residuals``, ``verify.constant_curvature_residuals`` and
+``processes.diagram_residuals``) is one formula over a batch of towers,
+the point axis in front of every value: the rows are computed once per
+batch, in the batch's memo, and each point's call returns its slice of
+them (:func:`point_rows`).
 """
 
 from __future__ import annotations
@@ -78,11 +79,9 @@ from .finsler import (
     DomainError,
     FinslerStructure,
     Tower,
-    _SPLIT,
     _Batch,
     _where,
     horizontal_gradient,
-    _Lift,
     point_view,
     pointwise,
 )
@@ -694,22 +693,17 @@ def deformation_data(
     an ``(order, xorder)`` pair, every stage is computed in that ring, or
     lower where its inputs are (the same bits as the stage cut).
 
-    The data is built once per (pack, batch, read) in the batch's memo
-    (:meth:`~finslerconn.finsler._Batch.build`).  A tower gets its point's
-    view of it without the point axis, kept in the tower's memo; a tower's
-    lift gets the view with the axis.  After a build that raised at a
-    point, a lift builds data of its own, so each point raises its own
-    error, and the batch builds again, so it raises.
+    The data is built once per (pack, batch, read) in the batch's memo.  A
+    tower gets its point's view of it without the point axis, kept in the
+    tower's memo; after a build that raised at a point, each point's view
+    is of data of its own (:meth:`~finslerconn.finsler._Batch.serve`), so
+    each point raises its own error.
     """
     key = (params, "deformation-data", read)
-    if isinstance(t, Tower):
-        return t.memo(key, lambda: point_view(deformation_data(params, t.lift, read), 0))
     make = lambda src: DeformationData(params, src, read)
-    if isinstance(t, _Lift):
-        data, i = t._batch.build(key, make), t._index
-        return make(t) if data is _SPLIT else point_view(data, slice(i, i + 1))
-    data = t.build(key, make)
-    return make(t) if data is _SPLIT else data
+    if isinstance(t, Tower):
+        return t.memo(key, lambda: point_view(*t._batch.serve(t._index, key, make)))
+    return t.memo(key, lambda: make(t))
 
 
 class _Stage:
@@ -800,14 +794,12 @@ def point_rows(t: Tower, key, rows) -> dict[str, float]:
 
     ``rows`` is a reader's formula over a batch of towers, one value per
     point.  It runs once over ``t``'s batch, kept in the batch's memo under
-    ``key`` (:meth:`~finslerconn.finsler._Batch.build`), and each point
-    reads its slice.  Rows whose build raised at a point of the batch are
-    computed on the point's lift alone, so each point raises its own error
-    and the others are served.
+    ``key``, and each point reads its slice; rows whose build raised at a
+    point of the batch are computed on each point's batch of one
+    (:meth:`~finslerconn.finsler._Batch.serve`), so each point raises its
+    own error and the others are served.
     """
-    built, i = t._batch.build(key, rows), t._index
-    if built is _SPLIT:
-        built, i = rows(t.lift), 0
+    built, i = t._batch.serve(t._index, key, rows)
     return {label: float(value[i]) for label, value in built.items()}
 
 

@@ -43,10 +43,12 @@ order it reads), :meth:`Tower.at` declares the other order for the whole
 batch, and a tower asked for alone is a batch of one.  So every formula is
 written once, with the point axis ``p`` in front, and each point reads the
 bits of its batch of one.  What is built over all the points (a pack's
-deformation data, a suite's rows) lives in the batch's memo, and a build
-that raises at one point splits (:func:`split_on_error`), so each point
-raises its own error.  The formulas also take a tower: :func:`pointwise`
-runs them on its :attr:`Tower.lift` and drops the point axis.
+deformation data, a suite's rows) lives in the batch's memo, served by
+:meth:`_Batch.serve`: a build that raises a point's error at one of
+several points is built again on each point's own batch of one, so each
+point raises its own error.  The formulas also take a tower:
+:func:`pointwise` runs them on its :attr:`Tower.lift`, the point alone as
+a batch, and drops the point axis.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import cached_property, wraps
 from typing import Sequence
 
 import numpy as np
 
-from .ad import ChartJets, Field, Series, TruncationError, contract, lower, matinv
+from .ad import ChartJets, Field, Series, contract, lower, matinv
 from .expr import ExprError
 
 __all__ = [
@@ -227,25 +229,12 @@ def _memo(cache: dict, key, make):
     return out
 
 
-_SPLIT = object()
-"""What :func:`split_on_error` gives for a build that raised at a point."""
-
-
-def split_on_error(make, size: int):
-    """``make()`` over a batch of ``size`` points, or :data:`_SPLIT` when it
-    raises and the batch has more than one point: the caller then computes
-    each point alone, so each raises exactly its own error and the others
-    are served.  A batch of one re-raises, as does a
-    :class:`~finslerconn.ad.TruncationError` (the order's fault, the same
-    at every point)."""
-    try:
-        return make()
-    except TruncationError:
-        raise
-    except Exception:  # whatever a point raises alone, it raises from its own build
-        if size == 1:
-            raise
-        return _SPLIT
+POINT_ERRORS = (ValueError, ArithmeticError)
+"""The errors a build raises for a point (:class:`DomainError`,
+:class:`~finslerconn.expr.ExprError`, ``LinAlgError``,
+``ZeroDivisionError``): a batch serves its other points without it.  Any
+other error, a :class:`~finslerconn.ad.TruncationError` (the order's
+fault, the same at every point) or a programming error, propagates."""
 
 
 class _Batch:
@@ -256,15 +245,14 @@ class _Batch:
     Taylor propagation: Bettencourt, Johnson & Duvenaud, "Taylor-mode
     automatic differentiation for higher-order derivatives in JAX", 2019).
     A tower asked for alone is a batch of one, so each point's
-    coefficients are bit-identical to those of its batch of one.  If a
-    stage raises on a batch of more than one point, the batch splits into
-    batches of one (:func:`split_on_error`, :meth:`split`): each point
-    then raises exactly the error it raises alone, and the others are
-    still served.
+    coefficients are bit-identical to those of its batch of one.  Stage
+    reads, pack data and reader rows are all served by :meth:`serve`, whose
+    one failure rule gives each point exactly the error it raises alone.
 
     A batch holds no tower; its towers hold it, and so do the batches that
     built it as a deeper order of their points (:meth:`Tower.at`).  It holds
-    its structure weakly, and what is built over all its points in its memo.
+    its structure weakly, what is built over all its points in its memo,
+    and the batches of one of its points that :meth:`part` made.
     """
 
     def __init__(self, norm: Field, points: list[ChartPoint], order, structure: weakref.ref):
@@ -273,33 +261,41 @@ class _Batch:
         self.order = order
         self.structure = structure
         self.slot: dict[tuple, int] = {}  # point key -> place, for those the structure finds here
-        self.parts: list[_Batch] | None = None
+        self.parts: dict[int, _Batch] | None = None  # place -> its point's batch of one, once made
+        self.failed: set = set()  # the keys whose build raised a point's error here
         self.deeper: dict = {}  # order -> the batch Tower.at built for these points
         self.cache: dict = {}
-
-    def read(self, stage: str, i: int) -> Series:
-        """The stage named ``stage`` at point ``i``, with a point axis of
-        one: a view of the point's coefficients."""
-        if self.parts is None:
-            value = split_on_error(lambda: getattr(self, stage), len(self.points))
-            if value is not _SPLIT:
-                return Series(value.ring, value.coef[i : i + 1])
-            self.split()
-        return self.parts[i].read(stage, 0)
-
-    def split(self) -> None:
-        """Serve every point from a batch of one from now on."""
-        self.parts = [_Batch(self.norm, [p], self.order, self.structure) for p in self.points]
 
     def memo(self, key, make):
         """The value memoized under ``key`` on this batch, ``make()`` on a miss."""
         return _memo(self.cache, key, make)
 
-    def build(self, key, make):
-        """``make(self)``, memoized under ``key`` on this batch, or
-        :data:`_SPLIT` when it raised at one of several points
-        (:func:`split_on_error`); a batch of one re-raises."""
-        return self.memo(key, lambda: split_on_error(lambda: make(self), len(self.points)))
+    def part(self, i: int) -> "_Batch":
+        """Point ``i`` as a batch of one: this batch if it holds only that
+        point, else the point's own, made on first use and kept here."""
+        if len(self.points) == 1:
+            return self
+        self.parts = self.parts or {}
+        if i not in self.parts:
+            self.parts[i] = _Batch(self.norm, [self.points[i]], self.order, self.structure)
+        return self.parts[i]
+
+    def serve(self, i: int, key, build) -> tuple:
+        """``build(self)``, memoized under ``key``, and ``i``, the place of
+        point ``i`` in it.  When the build raises a point's error
+        (:data:`POINT_ERRORS`) at one of several points, ``key`` is marked
+        failed here and point ``i`` builds it on its batch of one
+        (:meth:`part`), so each point raises exactly its own error and the
+        others are served; every other key is still served here."""
+        value = self.cache.get(key)
+        if value is None and key not in self.failed:
+            try:
+                value = self.cache[key] = build(self)
+            except POINT_ERRORS:
+                if len(self.points) == 1:
+                    raise
+                self.failed.add(key)
+        return (value, i) if value is not None else self.part(i).serve(0, key, build)
 
     def _structure(self) -> FinslerStructure:
         structure = self.structure()
@@ -428,44 +424,12 @@ class _Batch:
         return contract("pil,pjkl->pijk", self.gi, low)
 
 
-def _view(name: str) -> cached_property:
-    """A :class:`_Lift` stage: the ``[i:i+1]`` view of its batch's stage ``name``."""
-    return cached_property(lambda lift: lift._batch.read(name, lift._index))
-
-
-class _Lift:
-    """A tower's point as a batch of one (:attr:`Tower.lift`): each stage
-    is the ``[i:i+1]`` view of its batch's stage, read on first use, so
-    every bit is the batch's.  Its memo is its tower's; it holds its batch,
-    not its tower."""
-
-    L, L2, g, gi, T_low, T_mix, ell, ys, S, G, N, delta_g, Gamma = map(
-        _view,
-        ("L", "L2", "g", "gi", "T_low", "T_mix", "ell", "ys", "S", "G", "N", "delta_g", "Gamma"),
-    )
-
-    def __init__(self, batch: _Batch, index: int):
-        self._batch, self._index = batch, index
-        self.points = [batch.points[index]]
-
-    @cached_property
-    def jets(self) -> ChartJets:
-        """The chart jets of this point: its column of the batch's jets."""
-        jets, i = self._batch.jets, slice(self._index, self._index + 1)
-        return ChartJets(jets.ring, jets.x0[:, i], jets.y0[:, i], jets.xs[:, i], jets.ys[:, i])
-
-    def at(self, order) -> "_Lift":
-        """The lift of this point's tower at another order (:meth:`Tower.at`)."""
-        self._batch.declare(order)
-        return self._batch._structure().tower(self.points[0], order).lift
-
-
 def _stage(name: str, doc: str) -> cached_property:
     """A :class:`Tower` stage: its point's slice of its batch's stage."""
 
     def read(t: "Tower") -> Series:
-        s = t._batch.read(name, t._index)
-        return Series(s.ring, s.coef[0])
+        s, i = t._batch.serve(t._index, name, lambda batch: getattr(batch, name))
+        return Series(s.ring, s.coef[i])
 
     read.__name__, read.__doc__ = name, doc
     return cached_property(read)
@@ -484,10 +448,10 @@ class Tower:
 
     A tower is a ``(batch, index)`` view of one point of a batch
     (:class:`_Batch`) with no arithmetic of its own: its stages slice the
-    batch's, and a function given a tower runs on its :attr:`lift`
-    (:func:`pointwise`).  Invalid inputs (non-positive norm, degenerate
-    fundamental tensor) raise :class:`DomainError` when a stage is first
-    read.
+    batch's (:meth:`_Batch.serve`), and a function given a tower runs on
+    its :attr:`lift` (:func:`pointwise`).  Invalid inputs (non-positive
+    norm, degenerate fundamental tensor) raise :class:`DomainError` when a
+    stage is first read.
 
     Built only by :meth:`FinslerStructure.tower`; other modules memoize
     values derived from a tower with :meth:`memo`.  A tower lives while its
@@ -517,13 +481,12 @@ class Tower:
         """The value memoized under ``key`` on this tower, ``make()`` on a miss."""
         return _memo(self.cache, key, make)
 
-    @cached_property
-    def lift(self) -> _Lift:
+    @property
+    def lift(self) -> _Batch:
         """This tower's point as a batch of one, for the formulas that take a
-        point axis (:func:`pointwise`); its memo is this tower's."""
-        lift = _Lift(self._batch, self._index)
-        lift.cache, lift.memo = self.cache, partial(_memo, self.cache)  # not the tower: no cycle
-        return lift
+        point axis (:func:`pointwise`): its batch when that holds only this
+        point, else the point's own (:meth:`_Batch.part`)."""
+        return self._batch.part(self._index)
 
     @cached_property
     def jets(self) -> ChartJets:
@@ -584,10 +547,10 @@ class Tower:
 
 
 class _View:
-    """The series ``of`` holds at ``at`` of their point axis (a point, or a
-    slice of one), read on first use; anything else reads through."""
+    """The series ``of`` holds at the point ``at`` of their point axis, read
+    on first use; anything else reads through."""
 
-    def __init__(self, of, at: int | slice):
+    def __init__(self, of, at: int):
         self._of, self._at = of, at
 
     def __getattr__(self, name: str):
@@ -601,14 +564,11 @@ class _View:
         return value
 
 
-def point_view(value, at: slice | int):
-    """A formula's result at ``at`` of its point axis: ``i`` drops the
-    axis, ``slice(i, i + 1)`` keeps it.  A series is sliced, an object
-    viewed (:class:`_View`)."""
+def point_view(value, at: int):
+    """A formula's result at the point ``at`` of its point axis, the axis
+    dropped: a series is sliced, an object viewed (:class:`_View`)."""
     if type(value) is Series:
         return Series(value.ring, value.coef[at])
-    if type(value) is _View:  # a lift's view of a batch's object, at its point
-        return _View(value._of, value._at.start)
     return _View(value, at)
 
 
@@ -643,7 +603,7 @@ class HilbertFormField:
     Handy wherever an input one-form is chosen to be ``l`` itself.
     """
 
-    def eval(self, t: "Tower | _Batch | _Lift") -> Series:
+    def eval(self, t: "Tower | _Batch") -> Series:
         return t.ell
 
     def describe(self) -> str:

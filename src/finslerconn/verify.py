@@ -24,9 +24,9 @@ theorem, construction, torsion, curvature, Bianchi, process and
 finite-difference suites are each one formula over a batch: their rows
 are computed once per batch, and each point's call returns its slice
 (:func:`~finslerconn.deformation.point_rows`; a lone point is a batch of
-one).  The case checks compare every catalog entry at once over the batch
-(:func:`finslerconn.cases.check_case`); only the constant-curvature
-residuals are computed one point at a time.
+one), and so are the constant-curvature residuals.  The case checks
+compare every catalog entry at once over the batch
+(:func:`finslerconn.cases.check_case`).
 
 Every suite accepts ``fuzz=True``, which injects a ``1e-3`` coefficient
 perturbation into one side of its comparisons through one of three seams
@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .ad import ChartJets, Series, lower
-from .cases import _WORKSPACE_ORDER, CasePacks, _batch_rows, catalog, check_case
+from .cases import _WORKSPACE_ORDER, CasePacks, _lend, catalog, check_case
 from .connection import (
     CARTAN,
     Connection,
@@ -79,7 +79,7 @@ from .deformation import (
     worst_residual,
 )
 from .expr import BinOp, ExprCovectorField, ExprMatrixField, ExprScalarField, Neg, Node, Num, Var
-from .finsler import ChartPoint, FinslerStructure, _Batch
+from .finsler import POINT_ERRORS, ChartPoint, FinslerStructure, _Batch
 from .processes import _DIAGRAM_ORDER, derive_family, diagram_residuals
 from .samples import euclidean, hyperbolic, randers
 
@@ -882,8 +882,8 @@ def check_cases(
 
     def residuals(points, plan):
         perturbation = _FUZZ_SIZE if fuzz else 0.0
-        if packs is not None:  # compare over the batch with them; each check reads its rows
-            _batch_rows(F, F.towers(points, _WORKSPACE_ORDER), plan.seed, perturbation, packs)
+        if packs is not None:  # the catalog over the suite's batch compares with them
+            _lend(F, F.towers(points, _WORKSPACE_ORDER), plan.seed, packs)
         for entry in catalog():
             label = f"case-{entry['id']:02d}"
             result = check_case(
@@ -923,7 +923,7 @@ def _energies(F: FinslerStructure, stencil: Sequence[tuple[np.ndarray, np.ndarra
     x, y = (np.stack(coords, axis=1) for coords in zip(*stencil))
     try:
         L = F.norm.eval(ChartJets.at(x, y, 0)).val
-    except Exception:
+    except POINT_ERRORS:
         for x, y in stencil:
             F.norm.eval(ChartJets.at(x, y, 0))
         raise
@@ -1091,46 +1091,53 @@ def constant_curvature_residuals(
     have two nonzero families, its sectional curvature is the constant
     ``-1``, and its Ricci trace is minus the metric; all three closed
     forms are compared against the jet-computed metric connection data.
+
+    The rows are computed once over the point's batch
+    (:func:`~finslerconn.deformation.point_rows`).
     """
     t = F.tower(point, _CONSTANT_CURVATURE_ORDER)
     if t.n != 2:
         raise ValueError("the constant-curvature sample is a surface")
-    e2 = float(np.exp(2.0 * point.x[0]))
-    g_closed = np.diag([1.0, e2])
+    return point_rows(
+        t, (perturbation, "constant-curvature-rows"),
+        lambda src: _constant_curvature_rows(src, perturbation),
+    )
 
-    Gamma = np.zeros((2, 2, 2))
-    Gamma[0, 1, 1] = -e2
-    Gamma[1, 0, 1] = Gamma[1, 1, 0] = 1.0
-    dGamma = np.zeros((2, 2, 2, 2))  # dGamma[l, i, j, k] = d_l Gamma^i_jk
-    dGamma[0, 0, 1, 1] = -2.0 * e2
+
+def _constant_curvature_rows(src: _Batch, perturbation: float) -> dict:
+    """:func:`constant_curvature_residuals` over a batch."""
+    e2 = np.exp(2.0 * np.array([p.x[0] for p in src.points]))
+    g_closed = np.zeros((len(e2), 2, 2))
+    g_closed[:, 0, 0], g_closed[:, 1, 1] = 1.0, e2
+
+    Gamma = np.zeros((len(e2), 2, 2, 2))
+    Gamma[:, 0, 1, 1] = -e2
+    Gamma[:, 1, 0, 1] = Gamma[:, 1, 1, 0] = 1.0
+    dGamma = np.zeros((len(e2), 2, 2, 2, 2))  # dGamma[p, l, i, j, k] = d_l Gamma^i_jk
+    dGamma[:, 0, 0, 1, 1] = -2.0 * e2
 
     # classical curvature from the closed Christoffel symbols
-    deriv = np.einsum("jikm->imjk", dGamma)
-    quad = np.einsum("ijl,lkm->imjk", Gamma, Gamma)
+    deriv = np.einsum("pjikm->pimjk", dGamma)
+    quad = np.einsum("pijl,plkm->pimjk", Gamma, Gamma)
     riemann = (
         deriv
-        - deriv.transpose(0, 1, 3, 2)
+        - deriv.transpose(0, 1, 2, 4, 3)
         + quad
-        - quad.transpose(0, 1, 3, 2)
+        - quad.transpose(0, 1, 2, 4, 3)
     )
-    ric_closed = -g_closed
-
-    # each closed form as a batch of one point, so the point's values broadcast
     g_closed, Gamma, riemann, ric_closed = (
-        bump(a[None], perturbation) for a in (g_closed, Gamma, riemann, ric_closed)
+        bump(a, perturbation) for a in (g_closed, Gamma, riemann, -g_closed)
     )
-
-    rows = {
-        "constant-curvature-metric": relative_residual(t.g.val - g_closed, g_closed),
-        "constant-curvature-christoffel": relative_residual(t.Gamma.val - Gamma, Gamma),
+    return {
+        "constant-curvature-metric": relative_residual(src.g.val - g_closed, g_closed),
+        "constant-curvature-christoffel": relative_residual(src.Gamma.val - Gamma, Gamma),
         "constant-curvature-riemann": relative_residual(
-            curvature_h(CARTAN, t).val + riemann, riemann
+            curvature_h(CARTAN, src).val + riemann, riemann
         ),
         "constant-curvature-ricci": relative_residual(
-            ricci(CARTAN, t).val - ric_closed, ric_closed
+            ricci(CARTAN, src).val - ric_closed, ric_closed
         ),
     }
-    return {label: float(value[0]) for label, value in rows.items()}
 
 
 def check_constant_curvature(

@@ -24,8 +24,8 @@ Ricci trace and field, value-slot contraction, compatibility route and
 batch each has the bits of the lone tower's.
 
 The theorem, construction, torsion, curvature, Bianchi, first-Bianchi,
-process-diagram and finite-difference rows are computed once per batch as
-well, and each point's rows are compared with the rows on its lone tower
+process-diagram, finite-difference and constant-curvature rows are
+computed once per batch as well, and each point's rows are compared with the rows on its lone tower
 as int64 bits, clean and with the fuzz suites' seam (a bumped connection,
 a bumped curvature entry, a family with a bumped member, a shifted
 entry), for the same packs, in a batch where one point's field fails and
@@ -50,14 +50,19 @@ the points it reads (the finite-difference suite one more per order of
 its shifted points), serves every per-point request from it, and builds
 one deformation per (pack, batch, read ring), the case suite one over
 every catalog pack; every row suite builds one set of rows per (pack,
-seam, batch), the case suite one per batch, and no suite reads a torsion
-or metric deficit per point.  Every tape run for a pack's values, a
-metric split part's inner expression included, gets jets no higher than
-the ring its data is read in, and a run compiles one tape over every
-catalog pack per chart dimension, in its first case suite, and no other
-tape in any case suite.  A
-catalog batch whose ``g`` fails at one point computes it once over the
-batch and once per point.  The finite-difference stencils' energies are
+seam, batch), the case suite one per batch, and no suite reads a torsion,
+metric deficit, horizontal curvature or Ricci trace per point.  Every
+tape run for a pack's values, a metric split part's inner expression
+included, gets jets no higher than the ring its data is read in, and a
+run compiles one tape over every catalog pack per chart dimension, in its
+first case suite, and no other tape in any case suite.  A catalog batch
+whose ``g`` fails at one point computes it once over the batch and once
+per point.  A failed build marks only its own key, and
+only a point's error (``ValueError``, ``ArithmeticError``) fails it: a
+``TypeError`` or ``TruncationError`` met on the batch path propagates.  A
+``check`` pass on the built-in configuration, clean and fuzzed, reads no
+lift of a tower of several points and fails no key, and a report point's
+lift is its tower's own batch.  The finite-difference stencils' energies are
 one norm evaluation with the bits of one evaluation per energy.
 """
 
@@ -76,7 +81,7 @@ from hypothesis import strategies as st
 from finslerconn import (
     cases, cli, connection, deformation, expr, finsler, processes, samples, verify,
 )
-from finslerconn.ad import ChartJets, Series, lower_to
+from finslerconn.ad import ChartJets, Series, TruncationError, lower_to
 from finslerconn.connection import (
     CARTAN,
     contract_value_slot,
@@ -304,8 +309,14 @@ def test_each_suite_builds_one_batch_per_order_it_declares(monkeypatch):
         init(self, norm, points, order, structure)
         built.append((running[-1] if running else None, order, {p.key() for p in points}))
 
+    part = finsler._Batch.part
+
+    def splitting(self, i):
+        splits.append(self)
+        return part(self, i)
+
     monkeypatch.setattr(finsler._Batch, "__init__", recording)
-    monkeypatch.setattr(finsler._Batch, "split", lambda self: splits.append(self))
+    monkeypatch.setattr(finsler._Batch, "part", splitting)
     for fuzz in (False, True):
         built.clear()
         metrics = [samples.randers(), samples.hyperbolic()]
@@ -357,20 +368,20 @@ BUILDS = {
 def test_each_suite_builds_one_deformation_per_pack_batch_and_read(monkeypatch):
     count = 3
     running, builds, splits = _tracking_suites(monkeypatch), [], []
-    init, build_over = DeformationData.__init__, finsler._Batch.build
+    init, serve = DeformationData.__init__, finsler._Batch.serve
 
     def recording(self, params, src, read=None, values=None):
         init(self, params, src, read, values)
         builds.append((running[-1] if running else None, src, params, read))
 
-    def splitting(batch, key, make):
-        built = build_over(batch, key, make)
-        if built is finsler._SPLIT:
+    def splitting(batch, i, key, build):
+        built = serve(batch, i, key, build)
+        if key in batch.failed:
             splits.append((batch, key))
         return built
 
     monkeypatch.setattr(DeformationData, "__init__", recording)
-    monkeypatch.setattr(finsler._Batch, "build", splitting)
+    monkeypatch.setattr(finsler._Batch, "serve", splitting)
     metrics = [samples.randers(), samples.hyperbolic()]
     run_all(metrics, _small_plan(count))
 
@@ -528,12 +539,12 @@ def test_a_field_failing_at_one_point_raises_its_own_error_and_the_others_are_se
     assert got[2] == (finsler.DomainError, str(err.value))
     good = [k for k in range(5) if k != 2]
     assert all(got[k]._of.src is views[k].lift for k in good)  # each its own data
+    assert all(views[k].lift is views[0]._batch.parts[k] for k in good)  # its batch of one
     _assert_data_views_match_lone_data(
         F, [points[k] for k in good], (4, 1), params, (0, 0), [views[k] for k in good]
     )
-    # the batch keeps the failed build's mark; its towers are still one batch
-    assert views[0]._batch.cache[(params, "deformation-data", (0, 0))] is finsler._SPLIT
-    assert views[0]._batch.parts is None
+    # the batch marks the failed build alone; it still serves every stage
+    assert views[0]._batch.failed == {(params, "deformation-data", (0, 0))}
 
 
 def _lone_residual(diff, *refs) -> float:
@@ -642,9 +653,22 @@ ROW_READERS = {
         lambda params: _SIZES,
         lambda params, size: (size, "fd-rows"),
     ),
+    "constant-curvature": _Reader(
+        verify._CONSTANT_CURVATURE_ORDER,
+        lambda params, F, p, size: verify.constant_curvature_residuals(F, p, perturbation=size),
+        lambda params: _SIZES,
+        lambda params, size: (size, "constant-curvature-rows"),
+    ),
 }
 # the readers of a pack, whose rows fail where the pack does
-PACK_READERS = sorted(set(ROW_READERS) - {"first-bianchi", "fd"})
+PACK_READERS = sorted(set(ROW_READERS) - {"first-bianchi", "fd", "constant-curvature"})
+# each reader on the metrics it reads: the constant-curvature closed forms are of surfaces
+ROW_METRICS = [
+    (name, reader)
+    for name in ["randers", "hyperbolic", "quartic3d"]
+    for reader in sorted(ROW_READERS)
+    if reader != "constant-curvature" or name != "quartic3d"
+]
 
 
 def _row_bits(rows) -> dict:
@@ -664,8 +688,7 @@ def _lone_rows(call, params, F, point, seam):
     return _rows_or_error(call, params, FinslerStructure(F.n, F.norm, F.name), point, seam)
 
 
-@pytest.mark.parametrize("reader", sorted(ROW_READERS))
-@pytest.mark.parametrize("name", ["randers", "hyperbolic", "quartic3d"])
+@pytest.mark.parametrize("name, reader", ROW_METRICS)
 def test_every_point_of_batch_rows_reads_its_lone_rows_bits(name, reader):
     F = {"randers": samples.randers(), **METRICS}[name]
     order, call, seams, key = ROW_READERS[reader]
@@ -738,8 +761,10 @@ def test_every_point_of_a_batched_case_check_reads_its_lone_bits(name, monkeypat
             presets.clear()
             got = _case_or_error(spec.id, F, points, size)
             # the first call compares every entry over the batch, parsing each
-            # pack once; each later call reads its slices and parses nothing
-            assert len(presets) == (len(cases.catalog()) if k == 0 else 0), (spec.id, size)
+            # pack once for the batch; each later call reads its slices and
+            # parses nothing
+            first = k == 0 and size == _SIZES[0]
+            assert len(presets) == (len(cases.catalog()) if first else 0), (spec.id, size)
             rows = batch.cache[(42, size, "catalog-rows")][spec.id]
             pack = cases.preset(spec.id, F, **cases.default_free_choices(spec.id, F, 42))
             lone = []
@@ -760,7 +785,8 @@ def test_every_point_of_a_batched_case_check_reads_its_lone_bits(name, monkeypat
             if spec.typo and not size and name == "quartic3d":
                 # the printed form misses here, so its residual compares live numbers
                 assert min(literal for _, literal in want) > 1e-3
-    # one stacked build per (batch, perturbation); the memo keeps only rows
+    # one stacked build per (batch, perturbation); the memo keeps only rows:
+    # the catalog's, and each entry's, which is the catalog's entry itself
     assert [(args[1], args[3]) for args in catalogs] == [(batch, size) for size in _SIZES]
     assert all(
         isinstance(value, np.ndarray) and value.shape == (3,)
@@ -768,7 +794,11 @@ def test_every_point_of_a_batched_case_check_reads_its_lone_bits(name, monkeypat
         for rows in entries.values()
         for value in rows.values()
     )
-    assert batch.parts is None and len(batch.cache) == len(_SIZES)
+    entries = {(42, size, i, "case-rows"): (42, size, "catalog-rows") for size in _SIZES
+               for i in cases.CATALOG}
+    assert set(batch.cache) == set(entries) | set(entries.values()) | {(42, "case-packs")}
+    assert all(batch.cache[key] is batch.cache[rows][key[2]] for key, rows in entries.items())
+    assert batch.parts is None and not batch.failed
 
 
 @pytest.mark.parametrize("name", ["randers", "quartic3d"])
@@ -960,9 +990,8 @@ def test_rows_failing_at_one_point_raise_its_own_error_and_the_others_are_served
     assert got[2][0] is finsler.DomainError and "parameter f1 cannot be evaluated" in got[2][1]
     assert got == want
     assert all(isinstance(got[k], dict) for k in (0, 1, 3, 4))
-    # the batch keeps the failed build's mark; its towers are still one batch
-    assert views[0]._batch.cache[key(params, seam)] is finsler._SPLIT
-    assert views[0]._batch.parts is None
+    # the batch marks the failed build alone; it still serves every stage
+    assert views[0]._batch.failed == {key(params, seam)}
 
 
 def test_a_case_check_failing_at_one_point_raises_its_own_error_and_the_others_are_served(
@@ -982,17 +1011,18 @@ def test_a_case_check_failing_at_one_point_raises_its_own_error_and_the_others_a
     want = [_lone_case(7, F, p, 0.0) for p in points]
     assert want[2][0] is finsler.DomainError and "parameter f1 cannot be evaluated" in want[2][1]
     workspaces.clear()
-    # case 7's pack fails on the batch, so its points are compared one by
-    # one: the first two are served, and the third raises its own error
+    # case 7's pack fails on the batch, alone too, so its points are compared
+    # one by one: the first two are served, and the third raises its own error
     assert _case_or_error(7, F, points, 0.0) == want[2]
-    assert workspaces == views[:3]
+    batch = views[0]._batch
+    assert workspaces == [batch] + [t.lift for t in views[:3]]
+    assert all(t.lift is batch.parts[k] for k, t in enumerate(views[:3]))
     good = (0, 1, 3, 4)
     got = [_case_or_error(7, F, [points[k]], 0.0) for k in good]
     assert [_bits(g) for g in got] == [_bits(want[k]) for k in good]
     # the other entries are still compared over the batch, with their lone bits
-    rows = views[0]._batch.cache[(42, 0.0, "catalog-rows")]
-    assert rows[7] is finsler._SPLIT
-    assert all(rows[k] is not finsler._SPLIT for k in rows if k != 7)
+    rows = batch.cache[(42, 0.0, "catalog-rows")]
+    assert set(rows) == set(cases.CATALOG) - {7}
     for case_id in (1, 8):
         workspaces.clear()
         got = _case_or_error(case_id, F, points, 0.0)
@@ -1000,7 +1030,8 @@ def test_a_case_check_failing_at_one_point_raises_its_own_error_and_the_others_a
         want = [_lone_case(case_id, F, p, 0.0) for p in points]
         worst = [None if None in column else max(column) for column in zip(*want)]
         assert _bits(got) == _bits(worst), case_id
-    assert views[0]._batch.parts is None
+    # the batch marks case 7's rows alone; it still serves every stage
+    assert batch.failed == {(42, 0.0, 7, "case-rows")}
 
 
 class _PickyTowers(_Picky):
@@ -1020,9 +1051,89 @@ def test_fd_rows_failing_at_one_shifted_point_raise_its_own_error_and_the_others
     want = [_lone_rows(call, None, F, p, 0.0) for p in points]
     assert got[1] == (ExprError, str(ExprError("picky norm", 3)))
     assert got == want and isinstance(got[0], dict) and isinstance(got[2], dict)
-    # the batch keeps the failed build's mark; its towers are still one batch
-    assert views[0]._batch.cache[(0.0, "fd-rows")] is finsler._SPLIT
-    assert views[0]._batch.parts is None
+    # the batch marks the failed build alone; it still serves every stage
+    assert views[0]._batch.failed == {(0.0, "fd-rows")}
+
+
+def test_a_type_error_of_the_catalogs_batch_evaluation_propagates(monkeypatch):
+    # a fault only the packs' evaluation side by side meets is not a point's error
+    F = samples.randers()
+    points = sample_points(F, SamplePlan(), 3, "batch-type-error")
+    evaluate = cases.parameter_values
+
+    def broken(params, src, read=None, tape=None):
+        if not isinstance(params, DeformationParams) and len(params) > 1:
+            raise TypeError("several packs")
+        return evaluate(params, src, read, tape)
+
+    monkeypatch.setattr(cases, "parameter_values", broken)
+    views = F.towers(points, cases._WORKSPACE_ORDER)
+    with pytest.raises(TypeError, match="several packs"):
+        cases.check_case(1, F, points)
+    assert not views[0]._batch.failed and views[0]._batch.parts is None
+
+
+@pytest.mark.parametrize("error", [TypeError, TruncationError])
+def test_an_error_of_batch_rows_that_is_not_a_points_propagates(monkeypatch, error):
+    # a programming error met only on a batch of several points, or an order
+    # too low for the rows, is raised as it is: no point builds alone
+    F = samples.randers()
+    points = sample_points(F, SamplePlan(), 3, "batch-rows-error")
+    params = verify.random_param_sets(F, SamplePlan())[0]
+    rows = verify._theorem_rows
+
+    def broken(params, src, conn):
+        if len(src.points) > 1:
+            raise error("a batch of several points")
+        return rows(params, src, conn)
+
+    monkeypatch.setattr(verify, "_theorem_rows", broken)
+    views = F.towers(points, verify._THEOREM_ORDER)
+    with pytest.raises(error, match="several points"):
+        verify.theorem_residuals(params, F, points[0])
+    assert not views[0]._batch.failed and views[0]._batch.parts is None
+
+
+def test_a_type_error_of_the_stencils_norm_evaluation_propagates_at_once():
+    class Broken:
+        calls = 0
+
+        def eval(self, jets):
+            Broken.calls += 1
+            raise TypeError("not a point's error")
+
+    stencil = verify._fd_stencil(GOOD[0])
+    with pytest.raises(TypeError):
+        verify._energies(FinslerStructure(2, Broken(), "broken"), stencil)
+    assert Broken.calls == 1  # no point runs again alone
+
+
+def test_a_check_pass_reads_no_lift_of_a_batch_of_several_and_fails_no_key(monkeypatch):
+    # the built-in configuration, clean and fuzzed, as ``finslerconn check`` runs it
+    lift, serve = finsler.Tower.lift, finsler._Batch.serve
+    lifts, failed = [], []
+
+    def reading(t):
+        lifts.append(len(t._batch.points))
+        return lift.fget(t)
+
+    def serving(batch, i, key, build):
+        out = serve(batch, i, key, build)
+        failed.extend(batch.failed)
+        return out
+
+    monkeypatch.setattr(finsler.Tower, "lift", property(reading))
+    monkeypatch.setattr(finsler._Batch, "serve", serving)
+    config = cli.parse_config(cli.default_config_text(), origin="<built-in>")
+    for fuzz in (False, True):
+        run_all(cli._structures(config), config.plan, config.tolerances or None, fuzz)
+    assert not [size for size in lifts if size > 1] and not failed
+    # a report point reads its tower's own batch: no view, no batch of its own
+    F = samples.randers()
+    point = sample_points(F, SamplePlan(), 1, "report-lift")[0]
+    t = F.tower(point, cli._REPORT_ORDER)
+    cli.tensor_report(F, verify.random_param_sets(F, SamplePlan())[0], [point])
+    assert t.lift is t._batch and t._batch.parts is None and t._batch.cache
 
 
 @pytest.mark.parametrize("rank", [4, 5])
@@ -1052,6 +1163,7 @@ ROW_FORMULAS = {
     "_diagram_rows": (processes, "processes", 0, 1, 2),
     "_fd_rows": (verify, "fd", None, 1, 2),
     "_catalog_rows": (cases, "cases", None, 1, 3),
+    "_constant_curvature_rows": (verify, "constant-curvature", None, 0, 1),
 }
 
 
@@ -1073,7 +1185,7 @@ def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
         monkeypatch.setattr(module, name, recording)
     for module, name in (
         (verify, "metric_deficit"), (verify, "torsions"), (deformation, "torsions"),
-        (processes, "torsions"),
+        (processes, "torsions"), (verify, "curvature_h"), (verify, "ricci"),
     ):
         function = getattr(module, name)
 
@@ -1091,7 +1203,7 @@ def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
         metrics = [samples.randers(), samples.hyperbolic()]
         run_all(metrics, _small_plan(count), fuzz=fuzz)
 
-        assert not lone  # no suite reads a torsion or a metric deficit per point
+        assert not lone  # no suite reads a torsion, metric deficit or curvature per point
         assert not workspaces  # nor builds a case workspace of one pack
         for F in metrics:
             # one build per pack; the first-Bianchi row runs on quadratic norms,
@@ -1099,7 +1211,9 @@ def test_each_batched_suite_builds_its_rows_once_per_batch(monkeypatch):
             want = {name: 1 for name in ROW_FORMULAS}
             want |= {"_theorem_rows": 2, "_first_bianchi_rows": int(verify.cartan_flat(F))}
             for name, (_, suite, *_) in ROW_FORMULAS.items():
-                mine = [b for b in builds if b[0] == f"{suite}[{F.name}]" and b[1] == name]
+                # the constant-curvature suite runs once, on its own surface
+                label = suite if suite == "constant-curvature" else f"{suite}[{F.name}]"
+                mine = [b for b in builds if b[0] == label and b[1] == name]
                 assert len(mine) == want[name], (fuzz, name)
                 # one build per (pack, seam, batch): a pack's connection or
                 # family, the size of the bump

@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerconn import verify
+from finslerconn import expr, verify
 from finslerconn.cli import (
     Config,
     ConfigError,
@@ -595,6 +596,18 @@ class TestCases:
         assert flagged == {11, 12, 13, 14}
         text = capsys.readouterr().out
         assert "reported, not asserted" in text
+
+    def test_parses_each_catalog_text_once_per_dimension(self, tmp_path, monkeypatch):
+        # the three 2-d metrics of the built-in configuration share one catalog
+        parsed, parse = Counter(), expr.parse_expression
+
+        def parsing(text, n):
+            parsed[(text, n)] += 1
+            return parse(text, n)
+
+        monkeypatch.setattr(expr, "parse_expression", parsing)
+        assert main(["cases", "--out", str(tmp_path / "cases.json")]) == 0
+        assert len(parsed) > 100 and max(parsed.values()) == 1
 
     def test_rows_are_the_check_rows(self, tmp_path):
         ini = write(tmp_path, "q.ini", QUICK_INI)

@@ -166,9 +166,9 @@ def test_torsion_blocks_are_computed_when_read():
     t = _tower(randers())
     tb = torsions(CARTAN, t)
     tb.hh
-    assert (CARTAN, "nonlinear_curvature") not in t.cache
+    assert (CARTAN, "nonlinear_curvature") not in t.lift.cache  # memoized on the lift
     tb.vh
-    assert (CARTAN, "nonlinear_curvature") in t.cache
+    assert (CARTAN, "nonlinear_curvature") in t.lift.cache
 
 
 def test_nonlinear_curvature_two_routes():

@@ -1,18 +1,20 @@
 """A held batch and its towers keep their memo sizes over repeated calls
 of every reader.
 
-A reader memoizes what it builds on a tower (the view of deformation data,
-the read-ring views of connections, the process families of packs) and on
-the tower's batch (the deformation data over all its points) under a key
-its caller holds, so a caller that holds the batch's towers between calls
-meets the same entries again, and the memos stop growing after the first
-call.  Each reader is called three times at each of two Randers points
+A reader memoizes what it builds (the deformation data, the read-ring
+views of connections, the process families of packs) on the tower's batch,
+or, given a tower, on the tower's lift (its point alone as a batch of one)
+under a key its caller holds, so a caller that holds the batch's towers
+between calls meets the same entries again, and the memos stop growing
+after the first call.  Each reader is called three times at each of two Randers points
 whose towers of the reader's order are held as one batch, with the first
 random pack; the fuzz rows pass the connection the fuzz suites build once
 per pack.  The theorem, construction, torsion, curvature, Bianchi and
 diagram readers compute their rows once over the batch and keep them in
-the batch's memo, so they memoize nothing on a tower.  The case checks build a new pack on every call
-and keep its data nowhere.
+the batch's memo, so they memoize nothing on a tower; the report reads
+each point alone, so it memoizes on each tower's lift and nothing on the
+batch.  The case checks build a new pack on every call and keep its data
+nowhere.
 """
 
 import pytest
@@ -72,15 +74,17 @@ def test_held_tower_memo_keeps_its_size(reader):
     towers = F.towers(points, order)
     t, batch = towers[0], towers[0]._batch
     assert len(batch.points) == 2 and towers[1]._batch is batch
-    sizes = []
+    sizes, lifts = [], []
     for _ in range(3):
         for p in points:
             call(F, pack, p, conn)
         sizes.append((len(t.cache), len(towers[1].cache), len(batch.cache)))
+        if reader == "report":
+            lifts.append([len(tower.lift.cache) for tower in towers])
     if reader.startswith("case"):
         assert sizes[0] == (0, 0, 0)  # each call's data is kept nowhere
     elif reader in BATCHED:  # the rows and all they read live in the batch's memo
         assert sizes[0][:2] == (0, 0) and sizes[0][2] > 0
-    else:  # the reader memoizes on the towers and the batch held here
-        assert sizes[0][0] > 0 and sizes[0][1] > 0 and sizes[0][2] > 0
-    assert sizes == sizes[:1] * 3
+    else:  # the reader memoizes on the towers' lifts, each a batch of its own
+        assert t.lift is not batch and all(lifts[0]) and sizes[0] == (0, 0, 0)
+    assert sizes == sizes[:1] * 3 and lifts == lifts[:1] * len(lifts)
